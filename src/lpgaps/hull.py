@@ -219,6 +219,8 @@ def subset_gap_scan(
     F = poly.facet_count
     if not 0 <= budget <= F:
         raise ValidationError(f"budget must be within 0..{F}")
+    if sample_count < 1:
+        raise ValidationError("sample count must be at least 1")
     total = comb(F, budget)
     enumerated = total <= enumeration_limit
     if enumerated:

@@ -5,8 +5,13 @@ minimize, rows with <= / >= / = relations, and per-variable bounds
 (lower defaults to 0, upper is optional). The solver is a dense tableau
 simplex that handles variable bounds natively (bounded variables never
 become extra rows) and uses Bland's smallest-index rule throughout, so
-it terminates on every input. All pivots are exact Fraction arithmetic:
-a returned status is a certainty, not a numerical verdict.
+it terminates on every input. All pivots are exact: each tableau row is
+a list of Python ints over one positive int denominator (fraction-free
+rows, the first step toward the exact kernel of QSopt_ex), and basic
+values are Fractions. A returned status is a certainty, not a numerical
+verdict. Bland's rule sees only signs and exact ratio comparisons, which
+no positive row scale changes, so the int rows pivot exactly as a
+Fraction-per-entry tableau does.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import Rational, body_lines, format_rational, parse_rational
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -180,14 +186,20 @@ def objective_value(lp: LinearProgram, point: Sequence[Rational]) -> Rational:
     return sum((c * v for c, v in zip(lp.objective, point)), Fraction(0))
 
 
-def _fused_sub_mul(a: Fraction, f: Fraction, b: Fraction) -> Fraction:
-    """a - f*b with a single Fraction construction; the solver's hottest
-    operation, worth bypassing two rounds of operator dispatch."""
-    fd_bd = f.denominator * b.denominator
-    return Fraction(
-        a.numerator * fd_bd - f.numerator * b.numerator * a.denominator,
-        a.denominator * fd_bd,
-    )
+def _eliminate(
+    row: list[int], den: int, prow: list[int], pden: int, col: int
+) -> tuple[list[int], int]:
+    """Clear column col of row/den against the normalised pivot row
+    prow/pden (prow[col] == pden, so its true entry there is 1); returns
+    the new row and denominator in lowest terms."""
+    f = row[col]
+    out = [x * pden - f * y for x, y in zip(row, prow)]
+    den *= pden
+    g = gcd(den, *out)
+    if g > 1:
+        den //= g
+        out = [x // g for x in out]
+    return out, den
 
 
 class _Tableau:
@@ -197,6 +209,14 @@ class _Tableau:
     one slack/surplus column per inequality row, then artificials. ``v``
     holds current basic-variable values directly; nonbasic variables sit
     at 0 or at their upper bound (tracked in ``at_upper``).
+
+    Row i of the tableau is ``A[i][j] / d[i]``: integer numerators over
+    one positive integer denominator, kept in lowest terms, and the
+    reduced-cost row is ``r[j] / rd`` the same way. Bland's rule reads
+    only the signs of entries and exact comparisons of step ratios, and
+    scaling a row by a positive number changes neither, so the pivots
+    are the ones a Fraction-per-entry tableau would make, in the same
+    order. A basic column's entry equals its row's denominator.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -209,7 +229,7 @@ class _Tableau:
         ]
         rows = []
         for con in lp.constraints:
-            shift = sum((a * l for a, l in zip(con.coeffs, lo)), Fraction(0))
+            shift = sum((a * l for a, l in zip(con.coeffs, lo) if l), Fraction(0))
             rhs = con.rhs - shift
             coeffs = list(con.coeffs)
             rel = con.relation
@@ -234,19 +254,24 @@ class _Tableau:
         self.ncols = col
         self.art_set = frozenset(art_col.values())
 
-        zero = Fraction(0)
-        one = Fraction(1)
-        self.A: list[list[Fraction]] = []
+        # the lcm of a row's reduced denominators leaves its numerators
+        # coprime to it, so every row starts in lowest terms
+        self.A: list[list[int]] = []
+        self.d: list[int] = []
         for i, (coeffs, rel, _) in enumerate(rows):
-            row = [zero] * self.ncols
-            row[:n] = coeffs
+            den = lcm(*(a.denominator for a in coeffs))
+            row = [0] * self.ncols
+            row[:n] = [a.numerator * (den // a.denominator) for a in coeffs]
             if rel == LESS_EQ:
-                row[slack_col[i]] = one
+                row[slack_col[i]] = den
             elif rel == GREATER_EQ:
-                row[slack_col[i]] = -one
+                row[slack_col[i]] = -den
             if i in art_col:
-                row[art_col[i]] = one
+                row[art_col[i]] = den
             self.A.append(row)
+            self.d.append(den)
+        self.r: list[int] = [0] * self.ncols
+        self.rd = 1
         self.v: list[Fraction] = [rhs for (_, _, rhs) in rows]
         self.basis: list[int] = [
             slack_col[i] if rows[i][1] == LESS_EQ else art_col[i] for i in range(m)
@@ -263,51 +288,50 @@ class _Tableau:
     def m(self) -> int:
         return len(self.A)
 
-    def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
-        r = list(cost)
-        for i in range(self.m):
-            cb = cost[self.basis[i]]
-            if cb:
-                row = self.A[i]
-                for j, y in enumerate(row):
-                    if y:
-                        r[j] -= cb * y
-        return r
+    def price(self, cost: Sequence[Rational]) -> None:
+        """Set the reduced-cost row for maximizing cost . x: eliminate
+        every basic column from the cost row."""
+        rd = lcm(*(c.denominator for c in cost))
+        r = [c.numerator * (rd // c.denominator) for c in cost]
+        for i, b in enumerate(self.basis):
+            if r[b]:
+                r, rd = _eliminate(r, rd, self.A[i], self.d[i], b)
+        self.r, self.rd = r, rd
 
     def _apply_step(self, enter: int, direction: int, t: Fraction) -> None:
         if not t.numerator:
             return
-        step = t if direction > 0 else -t
-        v = self.v
-        for i in range(self.m):
-            a = self.A[i][enter]
-            if a.numerator:
-                v[i] = _fused_sub_mul(v[i], step, a)
+        sn = t.numerator if direction > 0 else -t.numerator
+        sd = t.denominator
+        v, d = self.v, self.d
+        for i, row in enumerate(self.A):
+            a = row[enter]
+            if a:
+                # v[i] - step * a / d[i], built as one Fraction
+                vi = v[i]
+                scale = sd * d[i]
+                v[i] = Fraction(
+                    vi.numerator * scale - sn * a * vi.denominator,
+                    vi.denominator * scale,
+                )
 
-    def _pivot_rows(self, p: int, enter: int, r: list[Fraction]) -> None:
-        A = self.A
+    def _pivot_rows(self, p: int, enter: int) -> None:
+        A, d = self.A, self.d
         prow = A[p]
-        piv = prow[enter]
-        if piv != 1:
-            inv = 1 / piv
-            prow = A[p] = [x * inv if x else x for x in prow]
-        # touching only the pivot row's nonzero columns keeps sparse
-        # tableaus cheap
-        nonzero = [j for j, y in enumerate(prow) if y]
-        for i in range(self.m):
-            if i == p:
-                continue
-            row = A[i]
-            f = row[enter]
-            if f:
-                for j in nonzero:
-                    row[j] = _fused_sub_mul(row[j], f, prow[j])
-        f = r[enter]
-        if f:
-            for j in nonzero:
-                r[j] = _fused_sub_mul(r[j], f, prow[j])
+        if prow[enter] < 0:
+            prow = [-x for x in prow]
+        g = gcd(*prow)
+        if g > 1:
+            prow = [x // g for x in prow]
+        A[p] = prow
+        dp = d[p] = prow[enter]
+        for i, row in enumerate(A):
+            if i != p and row[enter]:
+                A[i], d[i] = _eliminate(row, d[i], prow, dp, enter)
+        if self.r[enter]:
+            self.r, self.rd = _eliminate(self.r, self.rd, prow, dp, enter)
 
-    def swap_in(self, p: int, enter: int, r: list[Fraction]) -> None:
+    def swap_in(self, p: int, enter: int) -> None:
         """Degenerate basis swap at step 0 (used to drive artificials out)."""
         if enter in self.at_upper:
             self.at_upper.discard(enter)
@@ -319,10 +343,10 @@ class _Tableau:
         self.basis_set.add(enter)
         self.basis[p] = enter
         self.v[p] = new_val
-        self._pivot_rows(p, enter, r)
+        self._pivot_rows(p, enter)
 
-    def run(self, r: list[Fraction], banned: frozenset[int]) -> str:
-        """Maximize the objective whose reduced costs are r. Bland's rule:
+    def run(self, banned: frozenset[int]) -> str:
+        """Maximize the objective last set by price(). Bland's rule:
         smallest eligible entering index; ratio ties broken by smallest
         leaving-variable index (the entering variable's own bound counts
         as a candidate). Returns "optimal" or "unbounded"."""
@@ -333,24 +357,26 @@ class _Tableau:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
                 raise AssertionError("pivot budget blown: anti-cycling broken")
+            r = self.r  # rd > 0, so r[j] has the sign of the reduced cost
             enter = -1
             direction = 0
             for j in range(self.ncols):
                 if j in banned or j in self.never_enter or j in self.basis_set:
                     continue
-                sign = r[j].numerator  # denominator > 0, so this is sgn(r[j])
                 if j in self.at_upper:
-                    if sign < 0:
+                    if r[j] < 0:
                         enter, direction = j, -1
                         break
-                elif sign > 0:
+                elif r[j] > 0:
                     enter, direction = j, 1
                     break
             if enter < 0:
                 return "optimal"
 
             # ratio test over unreduced numerator/denominator pairs; the
-            # entering variable's own bound competes as candidate row -1
+            # entering variable's own bound competes as candidate row -1.
+            # Entry (i, enter) is A[i][enter] / d[i], so the step that
+            # zeroes v[i] is v[i] * d[i] / |A[i][enter]|.
             own = self.ub[enter]
             if own is None:
                 best_num, best_den = None, 1
@@ -359,24 +385,21 @@ class _Tableau:
             best_var = enter
             best_row = -1
             best_hits_upper = False
-            for i in range(self.m):
-                raw = self.A[i][enter]
-                rn = raw.numerator
-                if rn == 0:
+            for i, row in enumerate(self.A):
+                a = row[enter]
+                if a == 0:
                     continue
-                if (rn > 0) == (direction > 0):  # step drives v[i] down
-                    vi = self.v[i]
-                    tn = vi.numerator * raw.denominator
-                    td = vi.denominator * abs(rn)
+                if (a > 0) == (direction > 0):  # step drives v[i] down
+                    room = self.v[i]
                     hits_upper = False
                 else:  # step drives v[i] up toward its cap
                     cap = self.ub[self.basis[i]]
                     if cap is None:
                         continue
-                    headroom = cap - self.v[i]
-                    tn = headroom.numerator * raw.denominator
-                    td = headroom.denominator * abs(rn)
+                    room = cap - self.v[i]
                     hits_upper = True
+                tn = room.numerator * self.d[i]
+                td = room.denominator * abs(a)
                 if best_num is not None:
                     lhs = tn * best_den
                     rhs = best_num * td
@@ -413,9 +436,9 @@ class _Tableau:
             self.basis_set.discard(leave)
             self.basis_set.add(enter)
             self.basis[p] = enter
-            self._pivot_rows(p, enter, r)
+            self._pivot_rows(p, enter)
 
-    def drive_out_artificials(self, r: list[Fraction]) -> None:
+    def drive_out_artificials(self) -> None:
         p = 0
         while p < self.m:
             if self.basis[p] not in self.art_set:
@@ -429,12 +452,12 @@ class _Tableau:
                     enter = j
                     break
             if enter >= 0:
-                self.swap_in(p, enter, r)
+                self.swap_in(p, enter)
                 p += 1
             else:
                 # row is zero on every non-artificial column: redundant
                 self.basis_set.discard(self.basis[p])
-                del self.A[p], self.v[p], self.basis[p]
+                del self.A[p], self.d[p], self.v[p], self.basis[p]
 
     def solution(self) -> list[Fraction]:
         z = [Fraction(0)] * self.n
@@ -458,29 +481,23 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
             return LpOutcome(SolveStatus.INFEASIBLE)
 
     tab = _Tableau(lp)
-    zero = Fraction(0)
 
     if tab.art_set:
-        phase1_cost = [zero] * tab.ncols
-        for c in tab.art_set:
-            phase1_cost[c] = Fraction(-1)
-        r1 = tab.reduced_costs(phase1_cost)
-        status = tab.run(r1, banned=frozenset())
+        tab.price([-1 if j in tab.art_set else 0 for j in range(tab.ncols)])
+        status = tab.run(banned=frozenset())
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
             raise AssertionError("phase 1 cannot be unbounded")
         infeasibility = sum(
-            (tab.v[i] for i in range(tab.m) if tab.basis[i] in tab.art_set), zero
+            (tab.v[i] for i in range(tab.m) if tab.basis[i] in tab.art_set),
+            Fraction(0),
         )
         if infeasibility != 0:
             return LpOutcome(SolveStatus.INFEASIBLE)
-        tab.drive_out_artificials(r1)
+        tab.drive_out_artificials()
 
-    sign = Fraction(1) if lp.sense == MAXIMIZE else Fraction(-1)
-    phase2_cost = [zero] * tab.ncols
-    for j in range(tab.n):
-        phase2_cost[j] = sign * lp.objective[j]
-    r2 = tab.reduced_costs(phase2_cost)
-    status = tab.run(r2, banned=tab.art_set)
+    sign = 1 if lp.sense == MAXIMIZE else -1
+    tab.price([sign * c for c in lp.objective] + [0] * (tab.ncols - tab.n))
+    status = tab.run(banned=tab.art_set)
     if status == "unbounded":
         return LpOutcome(SolveStatus.UNBOUNDED)
 
@@ -516,16 +533,9 @@ def lp_to_text(lp: LinearProgram) -> str:
 
 
 def lp_from_text(text: str) -> LinearProgram:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or not lines[0].startswith("lpgaps-lp"):
-        raise ValidationError("missing lpgaps-lp header")
     fields: dict[str, str] = {}
     rows: list[Constraint] = []
-    for ln in lines[1:]:
+    for ln in body_lines(text, "lpgaps-lp"):
         key, _, rest = ln.partition(" ")
         if key == "constraint":
             toks = rest.split()

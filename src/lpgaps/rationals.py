@@ -17,9 +17,6 @@ from .errors import ValidationError
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def rat(numerator: int, denominator: int = 1) -> Rational:
     """Canonical fraction numerator/denominator (reduced, denominator > 0)."""
@@ -49,6 +46,20 @@ def parse_rational(text: str) -> Rational:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a rational literal: {text!r}") from None
+
+
+def body_lines(text: str, header: str) -> list[str]:
+    """Lines of a file format after its header line, stripped, without
+    blank lines and "#" comments. The first such line must start with
+    header."""
+    lines = [
+        ln.strip()
+        for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    if not lines or not lines[0].startswith(header):
+        raise ValidationError(f"missing {header} header")
+    return lines[1:]
 
 
 def is_integral(value: Rational) -> bool:

@@ -32,7 +32,13 @@ from .lp import (
     solve_lp,
     with_constraints,
 )
-from .rationals import Rational, format_rational, is_integral, parse_rational
+from .rationals import (
+    Rational,
+    body_lines,
+    format_rational,
+    is_integral,
+    parse_rational,
+)
 
 
 @dataclass(frozen=True)
@@ -545,18 +551,11 @@ def instance_to_text(inst: TspInstance) -> str:
 
 
 def instance_from_text(text: str) -> TspInstance:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or not lines[0].startswith("lpgaps-instance"):
-        raise ValidationError("missing lpgaps-instance header")
     n = None
     valley_of = None
     cost_rows: list[tuple[Rational, ...]] = []
     in_costs = False
-    for ln in lines[1:]:
+    for ln in body_lines(text, "lpgaps-instance"):
         if in_costs:
             cost_rows.append(tuple(parse_rational(t) for t in ln.split()))
             continue
@@ -586,15 +585,8 @@ def flow_arcs_to_text(flow: FlowSolution) -> str:
 
 
 def flow_arcs_from_text(text: str) -> list[tuple[int, int, Rational]]:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or not lines[0].startswith("lpgaps-flow"):
-        raise ValidationError("missing lpgaps-flow header")
     arcs = []
-    for ln in lines[1:]:
+    for ln in body_lines(text, "lpgaps-flow"):
         toks = ln.split()
         if len(toks) != 3:
             raise ValidationError(f"bad flow arc line: {ln!r}")

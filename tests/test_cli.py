@@ -161,6 +161,16 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_scan_rejects_sample_count_below_one(tmp_path, samples):
+    code = cli.main([
+        "hull-scan", "--vertices", "8", "--budget", "6",
+        "--samples", samples, "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_budget_exit_code(tmp_path):
     code = cli.main([
         "decide", "--valleys", "11", "--cities-per-valley", "2",

@@ -159,6 +159,8 @@ def test_scan_validation():
         subset_gap_scan(gen_arc(8), budget=8)
     with pytest.raises(ValidationError):
         subset_gap_scan(gen_arc(8), budget=-1)
+    with pytest.raises(ValidationError):
+        subset_gap_scan(gen_arc(8), budget=4, sample_count=0)
 
 
 def test_facet_gap_argument_checks():

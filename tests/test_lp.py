@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import random_bounded_lp, vertex_enumeration_optimum
 from lpgaps.errors import ValidationError
@@ -187,3 +188,81 @@ def test_text_parse_errors():
         lp_from_text("not a program")
     with pytest.raises(ValidationError):
         lp_from_text("lpgaps-lp 1\nvars 1\nsense max\nobjective 1\nlower 0\nupper inf\nconstraint 1 0\n")
+
+
+# Properties over programs random_bounded_lp never draws: denominators up
+# to 7 (so tableau rows carry denominators above 1), negative lower
+# bounds, fixed variables (lo == hi) and equality rows. Every box is
+# finite, so vertex enumeration is a complete oracle. Each row passes
+# within a drawn offset of an anchor point in the box; a negative offset
+# cuts the anchor off, so both feasible and infeasible programs occur.
+small_rationals = st.builds(
+    Fraction, st.integers(min_value=-6, max_value=6), st.integers(1, 7)
+)
+offsets = st.builds(Fraction, st.integers(-1, 3), st.integers(1, 7))
+
+
+@st.composite
+def boxed_programs(draw):
+    n = draw(st.integers(1, 3))
+    vector = st.lists(small_rationals, min_size=n, max_size=n)
+    lower = draw(vector)
+    spans = [
+        draw(st.builds(Fraction, st.integers(0, 4), st.integers(1, 7)))
+        for _ in range(n)
+    ]
+    anchor = [
+        lo + s * Fraction(draw(st.integers(0, 4)), 4)
+        for lo, s in zip(lower, spans)
+    ]
+
+    def row():
+        coeffs = draw(vector)
+        relation = draw(st.sampled_from(["<=", "<=", ">=", "="]))
+        offset = draw(offsets)
+        if relation == ">=":
+            offset = -offset
+        elif relation == "=":
+            offset = min(offset, 0)
+        lhs = sum(a * x for a, x in zip(coeffs, anchor))
+        return constraint(coeffs, relation, lhs + offset)
+
+    lp = linear_program(
+        draw(vector),
+        draw(st.sampled_from(["max", "min"])),
+        [row() for _ in range(draw(st.integers(1, 5)))],
+        lower_bounds=lower,
+        upper_bounds=[lo + s for lo, s in zip(lower, spans)],
+    )
+    return lp, row()
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_programs())
+def test_property_matches_vertex_enumeration(case):
+    lp, _ = case
+    out = solve_lp(lp)
+    reference = vertex_enumeration_optimum(lp)
+    if out.status is SolveStatus.OPTIMAL:
+        assert out.value == reference
+        assert check_feasible(lp, out.point).satisfied
+    else:
+        assert out.status is SolveStatus.INFEASIBLE
+        assert reference is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_programs())
+def test_property_added_row_never_improves(case):
+    lp, extra = case
+    base = solve_lp(lp)
+    tightened = solve_lp(with_constraints(lp, [extra]))
+    if tightened.status is SolveStatus.INFEASIBLE:
+        return
+    assert tightened.status is SolveStatus.OPTIMAL
+    assert check_feasible(lp, tightened.point).satisfied
+    assert base.status is SolveStatus.OPTIMAL
+    if lp.sense == "max":
+        assert tightened.value <= base.value
+    else:
+        assert tightened.value >= base.value

@@ -1,0 +1,136 @@
+"""Pinned pivot-path results.
+
+Each literal below was recorded from the Fraction-tableau simplex that
+preceded the integer-row tableau. The programs are degenerate: many
+optimal vertices tie, and Bland's rule picks one of them. A kernel
+change that keeps every value optimal but lets a tie break differently
+moves a cut sequence, an optimal point or a hull witness, and fails
+here even when every oracle comparison still passes.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lpgaps.hull import facet_gap, gen_arc
+from lpgaps.lp import SolveStatus, solve_lp
+from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
+
+F = Fraction
+
+CUT_LOOPS = {
+    (4, 2): dict(
+        rounds=[
+            (F(8, 7), (0, 1), 16),
+            (F(88, 21), (0, 1, 6, 7), 17),
+            (F(88, 21), (0, 1, 4, 5), 18),
+            (F(88, 21), (0, 1, 2, 3), 19),
+            (F(40, 7), (0, 1, 2, 3, 6, 7), 20),
+            (F(40, 7), (0, 1, 4, 5, 6, 7), 21),
+            (F(40, 7), (0, 1, 2, 3, 4, 5), 22),
+            (F(152, 21), None, 23),
+        ],
+        final_support=(0, 10, 16, 21, 32, 40, 48, 51),
+    ),
+    (3, 3): dict(
+        rounds=[
+            (F(9, 7), (0, 1, 2), 18),
+            (F(13, 3), (0, 8), 19),
+            (F(13, 3), (0, 1, 2, 8), 20),
+            (F(13, 3), (0, 6, 7, 8), 21),
+            (F(13, 3), (0, 1, 2, 6, 7, 8), 22),
+            (F(13, 3), (0, 1, 2, 3, 4, 5), 23),
+            (F(41, 7), (0, 1, 2, 3, 8), 24),
+            (F(41, 7), (0, 3, 4, 5, 8), 25),
+            (F(41, 7), (0, 1, 2, 3, 4, 5, 8), 26),
+            (F(41, 7), (0, 3, 6, 7, 8), 27),
+            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 28),
+            (F(41, 7), (0, 1, 2, 3, 6, 7, 8), 29),
+            (F(41, 7), None, 30),
+        ],
+        final_support=(0, 9, 19, 29, 36, 43, 54, 63, 64),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CUT_LOOPS))
+def test_cut_loop_pivot_path(shape):
+    expected = CUT_LOOPS[shape]
+    trace = cutting_plane_loop(
+        gen_valley_instance(*shape, F(1, 7), F(5, 3))
+    )
+    got = [(r.lp_value, r.cut_added, r.constraint_count) for r in trace.rounds]
+    assert got == expected["rounds"]
+    assert [r.round_index for r in trace.rounds] == list(
+        range(1, len(got) + 1)
+    )
+    assert trace.cuts == tuple(c for _, c, _ in expected["rounds"] if c)
+    support = tuple(j for j, x in enumerate(trace.final_point) if x)
+    assert support == expected["final_support"]
+    assert all(trace.final_point[j] == 1 for j in support)
+    assert trace.complete and trace.final_integral
+
+
+def test_degree_lp_optimal_vertex():
+    out = solve_lp(degree_lp(gen_valley_instance(10, 2)))
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.value == 0
+    # the pair-swap inside each 2-city valley: arcs 2v->2v+1 and back
+    support = tuple(j for j, x in enumerate(out.point) if x)
+    assert support == tuple(
+        j for v in range(10) for j in (40 * v, 40 * v + 19)
+    )
+    assert all(out.point[j] == 1 for j in support)
+
+
+# (omitted facet, witness, relaxed max, true max) for every facet left
+# out of one seeded half-size model of the 64-vertex arc
+ARC64_KEPT_SEED = 2024
+ARC64_WITNESSES = [
+    (0, (F(0), F(20)), 20, 0),
+    (1, (F(0), F(20)), 20, 2),
+    (2, (F(0), F(20)), 20, 6),
+    (3, (F(0), F(20)), 20, 12),
+    (5, (F(7), F(853)), 34, 30),
+    (6, (F(7), F(853)), 48, 42),
+    (7, (F(7), F(853)), 62, 56),
+    (8, (F(7), F(853)), 76, 72),
+    (10, (F(21, 2), F(2469, 2)), 111, 110),
+    (14, (F(29, 2), F(3293, 2)), 211, 210),
+    (17, (F(18), F(1982)), 308, 306),
+    (18, (F(18), F(1982)), 344, 342),
+    (20, (F(41, 2), F(4409, 2)), 421, 420),
+    (23, (F(49, 2), F(5079, 2)), 555, 552),
+    (24, (F(49, 2), F(5079, 2)), 604, 600),
+    (25, (F(49, 2), F(5079, 2)), 653, 650),
+    (27, (F(28), F(2802)), 758, 756),
+    (28, (F(28), F(2802)), 814, 812),
+    (32, (F(65, 2), F(6209, 2)), 1057, 1056),
+    (36, (F(73, 2), F(6681, 2)), 1333, 1332),
+    (38, (F(77, 2), F(6893, 2)), 1483, 1482),
+    (42, (F(85, 2), F(7269, 2)), 1807, 1806),
+    (47, (F(95, 2), F(7649, 2)), 2257, 2256),
+    (50, (F(103, 2), F(7887, 2)), 2553, 2550),
+    (51, (F(103, 2), F(7887, 2)), 2656, 2652),
+    (52, (F(103, 2), F(7887, 2)), 2759, 2756),
+    (55, (F(111, 2), F(8049, 2)), 3081, 3080),
+    (57, (F(115, 2), F(8109, 2)), 3307, 3306),
+    (59, (F(119, 2), F(8153, 2)), 3541, 3540),
+    (61, (F(63), F(4101)), 3786, 3782),
+    (62, (F(63), F(4101)), 3912, 3906),
+]
+
+
+def test_arc64_facet_gap_witnesses():
+    poly = gen_arc(64)
+    rng = random.Random(ARC64_KEPT_SEED)
+    kept = sorted(rng.sample(range(poly.facet_count), 32))
+    omitted = [j for j in range(poly.facet_count) if j not in kept]
+    assert omitted == [j for j, *_ in ARC64_WITNESSES]
+    for j, witness, relaxed, true in ARC64_WITNESSES:
+        gap = facet_gap(poly, j, kept)
+        assert gap.bounded
+        assert gap.witness == witness
+        assert (gap.relaxed_max, gap.true_max) == (relaxed, true)
+        assert gap.gap == relaxed - true

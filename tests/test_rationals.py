@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lpgaps.errors import ValidationError
+from lpgaps.lp import lp_from_text
 from lpgaps.rationals import format_rational, parse_rational, rat, rat_cmp
+from lpgaps.valleys import flow_arcs_from_text, instance_from_text
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
@@ -77,3 +79,18 @@ def test_parse_rejects_garbage():
     for bad in ("", "x", "1/0", "1//2", "--3"):
         with pytest.raises(ValidationError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize(
+    "reader, header",
+    [
+        (lp_from_text, "lpgaps-lp"),
+        (instance_from_text, "lpgaps-instance"),
+        (flow_arcs_from_text, "lpgaps-flow"),
+    ],
+)
+def test_readers_name_their_missing_header(reader, header):
+    for text in ("", "# only a comment\n\n", "lpgaps-other 1\n"):
+        with pytest.raises(ValidationError) as info:
+            reader(text)
+        assert str(info.value) == f"missing {header} header"
