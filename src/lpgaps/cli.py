@@ -164,6 +164,10 @@ def _cut_subsets(args, inst: valleys.TspInstance) -> list[tuple[int, ...]]:
 
 
 def _relaxation(args, inst: valleys.TspInstance) -> gaps.RelaxationDesc:
+    if args.relaxation != gaps.DEGREE_WITH_CUTS and (args.cut_valley or args.cut_cities):
+        raise ValidationError(
+            f"--cut-valley and --cut-cities need --relaxation {gaps.DEGREE_WITH_CUTS}"
+        )
     if args.relaxation == gaps.DEGREE:
         return gaps.degree_relaxation()
     if args.relaxation == gaps.DEGREE_WITH_CUTS:

@@ -108,7 +108,7 @@ def _solve_relaxation(
     elif relaxation.kind == DEGREE_WITH_CUTS:
         program = relaxation_with_cuts(inst, relaxation.cut_subsets)
     elif relaxation.kind == CUTTING_PLANE:
-        trace = cutting_plane_loop(inst, relaxation.max_rounds or 50)
+        trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
         return trace.final_value, last.constraint_count, len(trace.rounds), trace
     else:
@@ -126,9 +126,11 @@ def integrality_gap(
 ) -> GapReport:
     """Exact gap between the chosen relaxation and the tour oracle; each
     threshold X contributes a recorded (LP answer, ILP answer) pair for
-    the question "is a tour of cost at most X possible"."""
-    lp_value, rows_used, rounds, _ = _solve_relaxation(inst, relaxation)
+    the question "is a tour of cost at most X possible". The oracle runs
+    first, so an instance past its budget is refused before any
+    relaxation work."""
     ilp_value = tsp_oracle(inst).cost
+    lp_value, rows_used, rounds, _ = _solve_relaxation(inst, relaxation)
     gap = ilp_value - lp_value
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value

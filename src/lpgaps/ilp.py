@@ -1,16 +1,16 @@
 """Exact integer solvers: branch-and-bound over the simplex core, plus
-ground-truth TSP oracles (exhaustive search and Held-Karp dynamic
-programming over subsets).
+the ground-truth TSP oracle, one Held-Karp dynamic program over subsets
+on integer-scaled costs.
 
-The two oracle methods overlap on small sizes so they can cross-check
-each other; both are exact. Budgets are hard: past n = 20 the oracle
-raises BudgetExceededError rather than approximating, and branch-and-
-bound returns a budget-exhausted status distinct from infeasible.
+The oracle returns a deterministic optimal tour: the lowest-index last
+city, then the lowest-index optimal predecessor at every step back.
+Budgets are hard: past n = 20 the oracle raises BudgetExceededError
+rather than approximating, and branch-and-bound returns a budget-
+exhausted status distinct from infeasible.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -30,8 +30,8 @@ from .lp import (
 from .rationals import Rational
 from .valleys import TspInstance
 
-EXHAUSTIVE_CITY_LIMIT = 10
 HELD_KARP_CITY_LIMIT = 20
+EXHAUSTIVE_CITY_LIMIT = 1  # no n is searched exhaustively; perfbench/run.py reads this name
 
 
 @dataclass(frozen=True)
@@ -110,177 +110,66 @@ class TourResult:
     cost: Rational
 
 
-def _scaled_int_costs(inst: TspInstance) -> Optional[tuple[list[list[int]], int]]:
-    """Scale the cost matrix to integers by the denominator lcm; None if
-    the scaled magnitudes could overflow the int64 fast path."""
-    scale = 1
-    for row in inst.cost:
-        for c in row:
-            scale = lcm(scale, c.denominator)
-    scaled = [
-        [int(c.numerator * (scale // c.denominator)) for c in row]
-        for row in inst.cost
-    ]
-    largest = max((abs(c) for row in scaled for c in row), default=0)
-    if (largest + 1) * (inst.n + 1) >= 2**62:
-        return None
-    return scaled, scale
-
-
-def _exhaustive_tour(cost, n: int) -> tuple[tuple[int, ...], object]:
-    """Lexicographically first optimal tour by complete enumeration.
-    Partial-cost pruning is sound only without negative arcs."""
-    can_prune = all(cost[i][j] >= 0 for i in range(n) for j in range(n) if i != j)
-    best = None
-    best_tour = None
-    for perm in itertools.permutations(range(1, n)):
-        prev = 0
-        total = 0
-        abandoned = False
-        for nxt in perm:
-            total += cost[prev][nxt]
-            if can_prune and best is not None and total >= best:
-                abandoned = True
-                break
-            prev = nxt
-        if abandoned:
-            continue
-        total += cost[prev][0]
-        if best is None or total < best:
-            best = total
-            best_tour = (0,) + perm
-    return best_tour, best
-
-
-def _held_karp_tour(cost, n: int) -> tuple[tuple[int, ...], int]:
-    """Subset dynamic programming on int64 costs (exact integer
-    arithmetic; the caller guarantees no overflow)."""
-    m = n - 1
-    INF = 1 << 62
-    between = np.array(
-        [[cost[i + 1][j + 1] for j in range(m)] for i in range(m)], dtype=np.int64
-    )
-    from_start = np.array([cost[0][j + 1] for j in range(m)], dtype=np.int64)
-    to_start = np.array([cost[j + 1][0] for j in range(m)], dtype=np.int64)
+def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object]:
+    """Subset dynamic programming over the cities 1..n-1, filled one
+    popcount layer at a time: dp[mask, j] is the cheapest path from city
+    0 through the cities of mask ending at j. Entries with j outside
+    mask keep the sentinel, which exceeds every real path cost even
+    after adding one arc, so each minimum can range over every
+    predecessor. Exact for int64 and object (Python int) arrays alike."""
+    m = len(cost) - 1
+    between, from_start, to_start = cost[1:, 1:], cost[0, 1:], cost[1:, 0]
     size = 1 << m
-    dp = np.full((size, m), INF, dtype=np.int64)
+    dp = np.full((size, m), sentinel, dtype=cost.dtype)
+    popcount = np.zeros(1, dtype=np.int8)
     for j in range(m):
-        dp[1 << j][j] = from_start[j]
+        dp[1 << j, j] = from_start[j]
+        popcount = np.concatenate([popcount, popcount + 1])
+    for k in range(2, m + 1):
+        layer = np.flatnonzero(popcount == k)
+        for j in range(m):
+            ends = layer[(layer >> j) & 1 == 1]
+            reach = dp[ends ^ (1 << j)]
+            reach += between[:, j]
+            dp[ends, j] = reach.min(axis=1)
     full = size - 1
-    for mask in range(1, size):
-        row = dp[mask]
-        candidates = (row[:, None] + between).min(axis=0)
-        remaining = full ^ mask
-        j = 0
-        while remaining:
-            if remaining & 1:
-                nxt = mask | (1 << j)
-                if candidates[j] < dp[nxt][j]:
-                    dp[nxt][j] = candidates[j]
-            remaining >>= 1
-            j += 1
     totals = dp[full] + to_start
     last = int(np.argmin(totals))
-    best = int(totals[last])
-    # walk the table backwards; scanning predecessors in ascending order
-    # keeps reconstruction deterministic
+    # walk the table backwards, taking the lowest-index predecessor that
+    # reaches each entry, so the tour is a deterministic choice
     order = [last]
     mask = full
-    while mask != (1 << order[-1]):
+    while mask != 1 << order[-1]:
         cur = order[-1]
-        prev_mask = mask ^ (1 << cur)
-        target = int(dp[mask][cur])
-        for p in range(m):
-            if prev_mask & (1 << p) and int(dp[prev_mask][p]) + cost[p + 1][cur + 1] == target:
-                order.append(p)
-                mask = prev_mask
-                break
-        else:  # pragma: no cover - dp table is self-consistent
-            raise AssertionError("held-karp reconstruction failed")
-    tour = (0,) + tuple(p + 1 for p in reversed(order))
-    return tour, best
+        prev = mask ^ (1 << cur)
+        reaching = dp[prev] + between[:, cur] == dp[mask, cur]
+        order.append(int(np.flatnonzero(reaching)[0]))
+        mask = prev
+    return (0,) + tuple(p + 1 for p in reversed(order)), totals[last]
 
 
-def _held_karp_fractions(cost, n: int) -> tuple[tuple[int, ...], Fraction]:
-    """Pure-Fraction fallback for cost matrices too wide for int64."""
-    m = n - 1
-    dp: dict[tuple[int, int], Fraction] = {}
-    for j in range(m):
-        dp[(1 << j, j)] = cost[0][j + 1]
-    full = (1 << m) - 1
-    for mask in range(1, full + 1):
-        for last in range(m):
-            if not mask & (1 << last):
-                continue
-            key = (mask, last)
-            if key not in dp:
-                continue
-            base = dp[key]
-            for nxt in range(m):
-                if mask & (1 << nxt):
-                    continue
-                cand = base + cost[last + 1][nxt + 1]
-                nkey = (mask | (1 << nxt), nxt)
-                if nkey not in dp or cand < dp[nkey]:
-                    dp[nkey] = cand
-    best = None
-    best_last = None
-    for last in range(m):
-        total = dp[(full, last)] + cost[last + 1][0]
-        if best is None or total < best:
-            best = total
-            best_last = last
-    order = [best_last]
-    mask = full
-    while mask != (1 << order[-1]):
-        cur = order[-1]
-        prev_mask = mask ^ (1 << cur)
-        target = dp[(mask, cur)]
-        for p in range(m):
-            if prev_mask & (1 << p) and dp[(prev_mask, p)] + cost[p + 1][cur + 1] == target:
-                order.append(p)
-                mask = prev_mask
-                break
-    tour = (0,) + tuple(p + 1 for p in reversed(order))
-    return tour, best
-
-
-def tsp_oracle(inst: TspInstance, method: str = "auto") -> TourResult:
-    """Exact minimum-cost tour. Methods: exhaustive permutation search
-    (n <= 10), Held-Karp subset DP (n <= 20), or auto. Larger n raises
-    BudgetExceededError; no approximation is ever substituted."""
+def tsp_oracle(inst: TspInstance) -> TourResult:
+    """Exact minimum-cost tour by Held-Karp, for n <= 20; larger n
+    raises BudgetExceededError, and no approximation is ever substituted.
+    Costs are scaled to integers by the lcm of their denominators; the
+    table is int64 when the sentinel fits with headroom, else Python
+    ints. Of the optimal tours, the one returned starts at city 0, ends
+    at the lowest-index last city that closes an optimum, and is traced
+    back through the lowest-index optimal predecessor at every step."""
     n = inst.n
     if n < 2:
         raise ValidationError("a tour needs at least 2 cities")
-    if method == "auto":
-        method = "exhaustive" if n <= EXHAUSTIVE_CITY_LIMIT else "held-karp"
-    if method == "exhaustive":
-        if n > EXHAUSTIVE_CITY_LIMIT:
-            raise BudgetExceededError(
-                f"exhaustive search is budgeted for n <= {EXHAUSTIVE_CITY_LIMIT}, got {n}"
-            )
-    elif method == "held-karp":
-        if n > HELD_KARP_CITY_LIMIT:
-            raise BudgetExceededError(
-                f"held-karp is budgeted for n <= {HELD_KARP_CITY_LIMIT}, got {n}"
-            )
-    else:
-        raise ValidationError(f"unknown oracle method {method!r}")
-
-    scaled = _scaled_int_costs(inst)
-    if method == "exhaustive":
-        if scaled is not None:
-            matrix, scale = scaled
-            tour, best = _exhaustive_tour(matrix, n)
-            return TourResult(tour, Fraction(best, scale))
-        tour, best = _exhaustive_tour(inst.cost, n)
-        return TourResult(tour, best)
-    if scaled is not None:
-        matrix, scale = scaled
-        tour, best = _held_karp_tour(matrix, n)
-        return TourResult(tour, Fraction(best, scale))
-    tour, best = _held_karp_fractions(inst.cost, n)
-    return TourResult(tour, best)
+    if n > HELD_KARP_CITY_LIMIT:
+        raise BudgetExceededError(
+            f"held-karp is budgeted for n <= {HELD_KARP_CITY_LIMIT}, got {n}"
+        )
+    scale = lcm(*(c.denominator for row in inst.cost for c in row))
+    scaled = [[c.numerator * (scale // c.denominator) for c in row] for row in inst.cost]
+    largest = max(abs(c) for row in scaled for c in row)
+    sentinel = n * (largest + 1) + 1
+    dtype = np.int64 if sentinel + largest < 2**62 else object
+    tour, best = _held_karp(np.array(scaled, dtype=dtype), sentinel)
+    return TourResult(tour, Fraction(int(best), scale))
 
 
 def is_valid_tour(n: int, tour: tuple[int, ...]) -> bool:

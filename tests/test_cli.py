@@ -180,6 +180,37 @@ def test_budget_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("subcommand", [
+    ["valley-gap", "--relaxation", "cutting-plane"],
+    ["decide", "--relaxation", "cutting-plane", "--threshold", "3",
+     "--via", "lp-relaxation"],
+])
+def test_zero_rounds_is_rejected(tmp_path, subcommand):
+    code = cli.main([
+        *subcommand, "--valleys", "3", "--cities-per-valley", "2",
+        "--rounds", "0", "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("cut_flag", [
+    ["--cut-valley", "0"], ["--cut-cities", "0,1"],
+])
+def test_cut_flags_need_the_cuts_relaxation(tmp_path, cut_flag):
+    instance = ["valley-gap", "--valleys", "3", "--cities-per-valley", "2"]
+    for relaxation in ("degree", "cutting-plane"):
+        code = cli.main([
+            *instance, "--relaxation", relaxation, *cut_flag,
+            "--output", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert not (tmp_path / "x.json").exists()
+    code, out = run_cli(tmp_path, *instance, "--relaxation", "degree+cuts", *cut_flag)
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["relaxation"]["cut_subsets"] != []
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])

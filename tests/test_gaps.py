@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from lpgaps.errors import ValidationError
+from lpgaps import gaps
+from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
     VIA_ILP,
     VIA_LP,
@@ -130,3 +131,18 @@ def test_reports_are_deterministic():
     a = integrality_gap(inst, cutting_plane_relaxation(50), thresholds=[3, 4])
     b = integrality_gap(inst, cutting_plane_relaxation(50), thresholds=[3, 4])
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "relaxation",
+    [degree_relaxation(), cuts_relaxation([(0, 1, 2)]), cutting_plane_relaxation(50)],
+)
+def test_oracle_budget_is_checked_before_the_relaxation(monkeypatch, relaxation):
+    def never(*args):
+        raise AssertionError("relaxation solved before the oracle budget check")
+
+    monkeypatch.setattr(gaps, "solve_lp", never)
+    monkeypatch.setattr(gaps, "cutting_plane_loop", never)
+    inst = gen_valley_instance(7, 3)  # n = 21 > 20
+    with pytest.raises(BudgetExceededError):
+        integrality_gap(inst, relaxation)
