@@ -27,6 +27,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 
+# the default round budget; a given --rounds 50 cannot be told from an
+# omitted flag, so only other values are refused where no loop runs
+DEFAULT_ROUNDS = 50
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -97,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=[],
             help="add the cut for this comma-separated city set (repeatable)",
         )
-        p.add_argument("--rounds", type=int, default=50)
+        p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
 
     p = sub.add_parser("valley-gap", help="LP vs ILP gap report on a valley instance")
     instance_flags(p)
@@ -113,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutting-plane", help="cutting-plane loop trace")
     instance_flags(p)
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
     common(p)
 
     p = sub.add_parser("decide", help="is there a tour of cost at most X?")
@@ -168,6 +172,8 @@ def _relaxation(args, inst: valleys.TspInstance) -> gaps.RelaxationDesc:
         raise ValidationError(
             f"--cut-valley and --cut-cities need --relaxation {gaps.DEGREE_WITH_CUTS}"
         )
+    if args.relaxation != gaps.CUTTING_PLANE and args.rounds != DEFAULT_ROUNDS:
+        raise ValidationError(f"--rounds needs --relaxation {gaps.CUTTING_PLANE}")
     if args.relaxation == gaps.DEGREE:
         return gaps.degree_relaxation()
     if args.relaxation == gaps.DEGREE_WITH_CUTS:
@@ -244,6 +250,17 @@ def _run_cutting_plane(args) -> tuple[Any, Table]:
 
 
 def _run_decide(args) -> tuple[Any, Table]:
+    relaxation_flags = (
+        args.relaxation != gaps.DEGREE
+        or args.cut_valley
+        or args.cut_cities
+        or args.rounds != DEFAULT_ROUNDS
+    )
+    if args.via == gaps.VIA_ILP and relaxation_flags:
+        raise ValidationError(
+            f"--via {gaps.VIA_ILP} solves no relaxation: drop --relaxation, "
+            "--cut-valley, --cut-cities and --rounds"
+        )
     inst = _instance(args)
     relaxation = _relaxation(args, inst)
     answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)

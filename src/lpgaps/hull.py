@@ -210,10 +210,9 @@ def subset_gap_scan(
     budget: int,
     sample_count: int = 100,
     seed: int = 0,
-    enumeration_limit: int = ENUMERATION_LIMIT,
 ) -> ScanReport:
     """For every size-`budget` kept-facet subset (all of them when there
-    are at most enumeration_limit, otherwise sample_count seeded draws),
+    are at most ENUMERATION_LIMIT, otherwise sample_count seeded draws),
     record the worst adversarial gap over the omitted facets. Rows are
     ordered by their omitted index lists so output is canonical."""
     F = poly.facet_count
@@ -222,7 +221,7 @@ def subset_gap_scan(
     if sample_count < 1:
         raise ValidationError("sample count must be at least 1")
     total = comb(F, budget)
-    enumerated = total <= enumeration_limit
+    enumerated = total <= ENUMERATION_LIMIT
     if enumerated:
         kept_sets = [tuple(c) for c in combinations(range(F), budget)]
     else:

@@ -5,7 +5,10 @@ minimize, rows with <= / >= / = relations, and per-variable bounds
 (lower defaults to 0, upper is optional). The solver is a dense tableau
 simplex that handles variable bounds natively (bounded variables never
 become extra rows) and uses Bland's smallest-index rule throughout, so
-it terminates on every input. All pivots are exact: each tableau row is
+it terminates on every input. Each column carries one signed state, the
+direction it may move if it enters (up from its lower bound, down from
+its upper bound, or never), and artificials are the columns from
+``first_art`` on. All pivots are exact: each tableau row is
 a list of Python ints over one positive int denominator (fraction-free
 rows, the first step toward the exact kernel of QSopt_ex), and basic
 values are Fractions. A returned status is a certainty, not a numerical
@@ -206,9 +209,12 @@ class _Tableau:
     """Bounded-variable simplex state.
 
     Column layout: structural variables (shifted to lower bound 0), then
-    one slack/surplus column per inequality row, then artificials. ``v``
-    holds current basic-variable values directly; nonbasic variables sit
-    at 0 or at their upper bound (tracked in ``at_upper``).
+    one slack/surplus column per inequality row, then artificials from
+    column ``first_art`` on. ``v`` holds current basic-variable values
+    directly. ``state[j]`` is the one fact the pivot rule needs about
+    column j: ``1`` when it sits at its lower bound 0 and may rise,
+    ``-1`` when it sits at its upper bound and may fall, ``0`` when it
+    never enters (basic, artificial, or fixed with zero span).
 
     Row i of the tableau is ``A[i][j] / d[i]``: integer numerators over
     one positive integer denominator, kept in lowest terms, and the
@@ -222,11 +228,7 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
-        self.lp = lp
         self.n = n
-        self.span: list[Optional[Fraction]] = [
-            None if hi[j] is None else hi[j] - lo[j] for j in range(n)
-        ]
         rows = []
         for con in lp.constraints:
             shift = sum((a * l for a, l in zip(con.coeffs, lo) if l), Fraction(0))
@@ -246,13 +248,13 @@ class _Tableau:
             if rel != EQUAL:
                 slack_col[i] = col
                 col += 1
+        self.first_art = col
         art_col = {}
         for i, (_, rel, _) in enumerate(rows):
             if rel != LESS_EQ:
                 art_col[i] = col
                 col += 1
         self.ncols = col
-        self.art_set = frozenset(art_col.values())
 
         # the lcm of a row's reduced denominators leaves its numerators
         # coprime to it, so every row starts in lowest terms
@@ -276,13 +278,16 @@ class _Tableau:
         self.basis: list[int] = [
             slack_col[i] if rows[i][1] == LESS_EQ else art_col[i] for i in range(m)
         ]
-        self.basis_set = set(self.basis)
-        self.ub: list[Optional[Fraction]] = list(self.span) + [None] * (self.ncols - n)
-        self.at_upper: set[int] = set()
-        # fixed (zero-span) columns can never change value; keep them out
-        self.never_enter = self.art_set | {
-            j for j in range(n) if self.span[j] == 0
-        }
+        self.ub: list[Optional[Fraction]] = [
+            None if hi[j] is None else hi[j] - lo[j] for j in range(n)
+        ] + [None] * (self.ncols - n)
+        # basic and artificial columns start out of the scan, and fixed
+        # (zero-span) columns stay out: they can never change value
+        basic = set(self.basis)
+        self.state = [
+            0 if j in basic or j >= self.first_art or self.ub[j] == 0 else 1
+            for j in range(self.ncols)
+        ]
 
     @property
     def m(self) -> int:
@@ -315,7 +320,16 @@ class _Tableau:
                     vi.denominator * scale,
                 )
 
-    def _pivot_rows(self, p: int, enter: int) -> None:
+    def _replace(self, p: int, enter: int, value: Fraction, leave_state: int) -> None:
+        """Make enter basic in row p at value; the leaving column takes
+        leave_state, or 0 when it is artificial or fixed."""
+        leave = self.basis[p]
+        if leave >= self.first_art or self.ub[leave] == 0:
+            leave_state = 0
+        self.state[leave] = leave_state
+        self.state[enter] = 0
+        self.basis[p] = enter
+        self.v[p] = value
         A, d = self.A, self.d
         prow = A[p]
         if prow[enter] < 0:
@@ -331,21 +345,7 @@ class _Tableau:
         if self.r[enter]:
             self.r, self.rd = _eliminate(self.r, self.rd, prow, dp, enter)
 
-    def swap_in(self, p: int, enter: int) -> None:
-        """Degenerate basis swap at step 0 (used to drive artificials out)."""
-        if enter in self.at_upper:
-            self.at_upper.discard(enter)
-            new_val = self.ub[enter]
-        else:
-            new_val = Fraction(0)
-        leave = self.basis[p]
-        self.basis_set.discard(leave)
-        self.basis_set.add(enter)
-        self.basis[p] = enter
-        self.v[p] = new_val
-        self._pivot_rows(p, enter)
-
-    def run(self, banned: frozenset[int]) -> str:
+    def run(self) -> str:
         """Maximize the objective last set by price(). Bland's rule:
         smallest eligible entering index; ratio ties broken by smallest
         leaving-variable index (the entering variable's own bound counts
@@ -353,24 +353,18 @@ class _Tableau:
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
+        state = self.state
         while True:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
                 raise AssertionError("pivot budget blown: anti-cycling broken")
-            r = self.r  # rd > 0, so r[j] has the sign of the reduced cost
-            enter = -1
-            direction = 0
-            for j in range(self.ncols):
-                if j in banned or j in self.never_enter or j in self.basis_set:
-                    continue
-                if j in self.at_upper:
-                    if r[j] < 0:
-                        enter, direction = j, -1
-                        break
-                elif r[j] > 0:
-                    enter, direction = j, 1
+            # rd > 0, so r[j] has the sign of the reduced cost, and a
+            # column improves the objective when it may move that way
+            r = self.r
+            for enter, direction in enumerate(state):
+                if direction * r[enter] > 0:
                     break
-            if enter < 0:
+            else:
                 return "optimal"
 
             # ratio test over unreduced numerator/denominator pairs; the
@@ -413,57 +407,39 @@ class _Tableau:
                 return "unbounded"
             best_t = Fraction(best_num, best_den)
 
+            self._apply_step(enter, direction, best_t)
             if best_row < 0:
                 # bound flip: enter crosses its whole span, basis unchanged
-                self._apply_step(enter, direction, best_t)
-                if enter in self.at_upper:
-                    self.at_upper.discard(enter)
-                else:
-                    self.at_upper.add(enter)
+                state[enter] = -direction
                 continue
-
-            p = best_row
-            leave = self.basis[p]
-            self._apply_step(enter, direction, best_t)
-            # the step also moved v[p]; overwrite it with the entering value
-            if direction > 0:
-                self.v[p] = best_t
-            else:
-                self.v[p] = self.ub[enter] - best_t
-            if best_hits_upper:
-                self.at_upper.add(leave)
-            self.at_upper.discard(enter)
-            self.basis_set.discard(leave)
-            self.basis_set.add(enter)
-            self.basis[p] = enter
-            self._pivot_rows(p, enter)
+            # the step also moved the leaving row's value; it now holds
+            # the entering variable's
+            value = best_t if direction > 0 else self.ub[enter] - best_t
+            self._replace(best_row, enter, value, -1 if best_hits_upper else 1)
 
     def drive_out_artificials(self) -> None:
+        """Degenerate swaps at step 0 that take every artificial out of
+        the basis; a row with no other nonzero column is redundant and
+        is dropped."""
         p = 0
         while p < self.m:
-            if self.basis[p] not in self.art_set:
+            if self.basis[p] < self.first_art:
                 p += 1
                 continue
-            enter = -1
-            for j in range(self.ncols):
-                if j in self.art_set or j in self.basis_set:
-                    continue
-                if self.A[p][j]:
-                    enter = j
-                    break
+            # every other basic column is zero in row p
+            row = self.A[p]
+            enter = next((j for j in range(self.first_art) if row[j]), -1)
             if enter >= 0:
-                self.swap_in(p, enter)
+                value = self.ub[enter] if self.state[enter] < 0 else Fraction(0)
+                self._replace(p, enter, value, 0)
                 p += 1
             else:
-                # row is zero on every non-artificial column: redundant
-                self.basis_set.discard(self.basis[p])
                 del self.A[p], self.d[p], self.v[p], self.basis[p]
 
     def solution(self) -> list[Fraction]:
-        z = [Fraction(0)] * self.n
-        for j in range(self.n):
-            if j in self.at_upper:
-                z[j] = self.ub[j]
+        z = [
+            self.ub[j] if self.state[j] < 0 else Fraction(0) for j in range(self.n)
+        ]
         for i in range(self.m):
             if self.basis[i] < self.n:
                 z[self.basis[i]] = self.v[i]
@@ -482,13 +458,13 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     tab = _Tableau(lp)
 
-    if tab.art_set:
-        tab.price([-1 if j in tab.art_set else 0 for j in range(tab.ncols)])
-        status = tab.run(banned=frozenset())
+    if tab.first_art < tab.ncols:
+        tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
+        status = tab.run()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
             raise AssertionError("phase 1 cannot be unbounded")
         infeasibility = sum(
-            (tab.v[i] for i in range(tab.m) if tab.basis[i] in tab.art_set),
+            (tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art),
             Fraction(0),
         )
         if infeasibility != 0:
@@ -497,7 +473,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     sign = 1 if lp.sense == MAXIMIZE else -1
     tab.price([sign * c for c in lp.objective] + [0] * (tab.ncols - tab.n))
-    status = tab.run(banned=tab.art_set)
+    status = tab.run()
     if status == "unbounded":
         return LpOutcome(SolveStatus.UNBOUNDED)
 

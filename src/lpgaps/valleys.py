@@ -233,17 +233,6 @@ def tour_flow(inst: TspInstance, tour: Sequence[int]) -> FlowSolution:
     return flow_from_arcs(inst, arcs)
 
 
-def point_to_flow(inst: TspInstance, point: Sequence[Rational]) -> FlowSolution:
-    """LP point (arc-variable vector) to its positive-weight arc records."""
-    arcs = arc_list(inst.n)
-    if len(point) != len(arcs):
-        raise ValidationError("point length does not match the arc count")
-    return flow_from_arcs(
-        inst,
-        [(i, j, Fraction(w)) for (i, j), w in zip(arcs, point) if w != 0],
-    )
-
-
 def flow_to_point(inst: TspInstance, flow: FlowSolution) -> tuple[Rational, ...]:
     index = arc_index_map(inst.n)
     point = [Fraction(0)] * len(index)
@@ -378,7 +367,7 @@ def check_flow_feasibility(
 
 
 # ---------------------------------------------------------------------------
-# Separation: weak components first, then exact min-cut probes
+# Separation: weak components first, then exact min-cut probes from city 0
 
 def _weak_components(n: int, weight: list[list[Fraction]]) -> list[tuple[int, ...]]:
     seen = [False] * n
@@ -451,8 +440,10 @@ def separate_subtour(
 ) -> Optional[tuple[int, ...]]:
     """Most-violated subtour cut under the point, or None if every cut
     holds. Disconnected support is detected first (those cuts have value
-    exactly 0); otherwise a global exact min-cut over arc weights decides.
-    Ties go to the lexicographically smallest subset among candidates."""
+    exactly 0); otherwise exact min-cuts from city 0 to every other city
+    decide, which reach the global minimum because a degree-feasible
+    point sends as much flow out of every subset as into it. Ties go to
+    the lexicographically smallest subset among candidates."""
     n = inst.n
     arcs = arc_list(n)
     if len(point) != len(arcs):
@@ -470,18 +461,24 @@ def separate_subtour(
     if any(out_w[c] != one or in_w[c] != one for c in range(n)):
         raise ValidationError("separation requires a degree-feasible point")
 
+    # disconnected support is common in early cut rounds, and one search
+    # over the support answers it for less than n - 1 max-flow probes
     comps = _weak_components(n, weight)
     if len(comps) > 1:
         return min(comps)
 
+    # Degree feasibility makes out(S) = in(S) = out(V - S) for every S,
+    # so a cut whose source side avoids city 0 has the value of its
+    # complement, which a probe from city 0 finds; on a value tie the
+    # side holding 0 is the lexicographically smaller one anyway. Probes
+    # toward city 0 can therefore neither lower the minimum nor win a tie.
     best: Optional[tuple[Fraction, tuple[int, ...]]] = None
     for other in range(1, n):
-        for s, t in ((0, other), (other, 0)):
-            value, side = _max_flow_min_cut(n, weight, s, t)
-            if value < one:
-                cand = (value, side)
-                if best is None or cand < best:
-                    best = cand
+        value, side = _max_flow_min_cut(n, weight, 0, other)
+        if value < one:
+            cand = (value, side)
+            if best is None or cand < best:
+                best = cand
     return best[1] if best else None
 
 

@@ -3,7 +3,8 @@
 Nothing here touches the simplex, branch-and-bound, or the separation
 code: LP optima come from brute-force vertex enumeration over exact
 hyperplane intersections, tour optima from direct permutation scans,
-and hull envelopes from piecewise-linear geometry. Expected values in
+minimum subtour cuts from scans over every city subset, and hull
+envelopes from piecewise-linear geometry. Expected values in
 the test suite are computed by these first and then asserted against
 the production path, exactly.
 """
@@ -98,6 +99,25 @@ def brute_force_tour_cost(inst) -> Fraction:
         if best is None or total < best:
             best = total
     return best
+
+
+def subtour_cut_value(weights, subset) -> Fraction:
+    """Total weight on arcs leaving subset; weights maps (i, j) to flow."""
+    inside = set(subset)
+    return sum(
+        (w for (i, j), w in weights.items() if i in inside and j not in inside),
+        Fraction(0),
+    )
+
+
+def brute_force_min_subtour_cut(n, weights) -> Fraction:
+    """Smallest subtour-cut value over every subset of 2..n-1 cities, by
+    scanning all of them; exact. Needs n >= 3."""
+    return min(
+        subtour_cut_value(weights, S)
+        for size in range(2, n)
+        for S in combinations(range(n), size)
+    )
 
 
 def envelope_relaxed_max(poly, omitted: int, kept):

@@ -211,6 +211,49 @@ def test_cut_flags_need_the_cuts_relaxation(tmp_path, cut_flag):
     assert json.loads(out.read_text())["result"]["relaxation"]["cut_subsets"] != []
 
 
+@pytest.mark.parametrize("argv", [
+    ["valley-gap", "--relaxation", "degree"],
+    ["valley-gap", "--relaxation", "degree+cuts", "--cut-valley", "0"],
+    ["decide", "--relaxation", "degree", "--threshold", "3",
+     "--via", "lp-relaxation"],
+])
+def test_rounds_need_the_cutting_plane_relaxation(tmp_path, argv):
+    instance = ["--valleys", "3", "--cities-per-valley", "2"]
+    code = cli.main([
+        *argv, *instance, "--rounds", "7", "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+    code, out = run_cli(
+        tmp_path, "valley-gap", *instance,
+        "--relaxation", "cutting-plane", "--rounds", "7",
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["relaxation"]["max_rounds"] == 7
+
+
+@pytest.mark.parametrize("relaxation_flags", [
+    ["--relaxation", "degree+cuts", "--cut-valley", "0"],
+    ["--relaxation", "degree+cuts", "--cut-cities", "0,1"],
+    ["--relaxation", "cutting-plane"],
+    ["--rounds", "7"],
+    ["--relaxation", "cutting-plane", "--rounds", "7"],
+])
+def test_ilp_decision_takes_no_relaxation_flags(tmp_path, relaxation_flags):
+    decide = [
+        "decide", "--valleys", "3", "--cities-per-valley", "2",
+        "--threshold", "3", "--via", "ilp",
+    ]
+    code = cli.main([
+        *decide, *relaxation_flags, "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+    code, out = run_cli(tmp_path, *decide, "--relaxation", "degree")
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["answer"] == "YES"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])

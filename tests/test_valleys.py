@@ -28,6 +28,8 @@ from lpgaps.valleys import (
     valley_internal_cycles_flow,
 )
 
+from oracles import brute_force_min_subtour_cut, subtour_cut_value
+
 
 def test_generated_instance_arc_costs():
     inst = gen_valley_instance(4, 2)
@@ -177,6 +179,42 @@ def test_separation_soundness_on_random_tour_mixtures():
         )
         assert value < 1
         assert 2 <= len(subset) <= n - 1
+
+
+def _random_derangement(rng, n):
+    while True:
+        sigma = list(range(n))
+        rng.shuffle(sigma)
+        if all(sigma[i] != i for i in range(n)):
+            return sigma
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_separation_matches_brute_force_min_cut(n):
+    """On convex mixes of derangements (cycle covers, so degree-feasible
+    points with and without subtours), separation answers None exactly
+    when every cut holds and otherwise returns a minimum-value cut."""
+    rng = random.Random(1000 + n)
+    inst = instance_from_cost_matrix([[0] * n for _ in range(n)])
+    for _ in range(60):
+        parts = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        weights: dict[tuple[int, int], Fraction] = {}
+        for part in parts:
+            sigma = _random_derangement(rng, n)
+            for i in range(n):
+                arc = (i, sigma[i])
+                weights[arc] = weights.get(arc, Fraction(0)) + Fraction(
+                    part, sum(parts)
+                )
+        point = [weights.get(arc, Fraction(0)) for arc in arc_list(n)]
+        best = brute_force_min_subtour_cut(n, weights)
+        subset = separate_subtour(inst, point)
+        if best >= 1:
+            assert subset is None
+        else:
+            assert subset is not None
+            assert 2 <= len(subset) <= n - 1
+            assert subtour_cut_value(weights, subset) == best
 
 
 def test_separation_rejects_degree_infeasible_points():
