@@ -22,14 +22,11 @@ from . import bounds, gaps, hull, valleys
 from .ilp import tsp_oracle
 from .errors import BudgetExceededError, ValidationError
 from .rationals import parse_rational
+from .valleys import DEFAULT_ROUNDS
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-
-# the default round budget; a given --rounds 50 cannot be told from an
-# omitted flag, so only other values are refused where no loop runs
-DEFAULT_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,8 @@ def _relaxation(args, inst: valleys.TspInstance) -> gaps.RelaxationDesc:
         raise ValidationError(
             f"--cut-valley and --cut-cities need --relaxation {gaps.DEGREE_WITH_CUTS}"
         )
+    # a given --rounds equal to the default cannot be told from an
+    # omitted flag, so only other values are refused where no loop runs
     if args.relaxation != gaps.CUTTING_PLANE and args.rounds != DEFAULT_ROUNDS:
         raise ValidationError(f"--rounds needs --relaxation {gaps.CUTTING_PLANE}")
     if args.relaxation == gaps.DEGREE:

@@ -19,6 +19,7 @@ from .ilp import tsp_oracle
 from .lp import SolveStatus, solve_lp
 from .rationals import Rational
 from .valleys import (
+    DEFAULT_ROUNDS,
     CuttingPlaneTrace,
     TspInstance,
     cutting_plane_loop,
@@ -48,7 +49,7 @@ def cuts_relaxation(cut_subsets: Iterable[Iterable[int]]) -> RelaxationDesc:
     )
 
 
-def cutting_plane_relaxation(max_rounds: int = 50) -> RelaxationDesc:
+def cutting_plane_relaxation(max_rounds: int = DEFAULT_ROUNDS) -> RelaxationDesc:
     return RelaxationDesc(CUTTING_PLANE, max_rounds=max_rounds)
 
 

@@ -14,17 +14,29 @@ could keep.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .lp import LESS_EQ, Constraint, SolveStatus, linear_program, solve_lp
+from .lp import (
+    LESS_EQ,
+    Constraint,
+    LinearProgram,
+    LpOutcome,
+    SolveStatus,
+    linear_program,
+    solve_lp,
+)
 from .rationals import Rational
 
 ENUMERATION_LIMIT = 10_000
+# a V-vertex model is a dense tableau of about V^2 cells, and omitting
+# a late facet takes about V pivots: hull-adversary's worst omission
+# runs in about 2 s at V = 256, 15 s at V = 512 and minutes at V = 1000
+MAX_VERTICES = 256
 
 
 @dataclass(frozen=True)
@@ -69,8 +81,10 @@ def gen_arc(vertex_count: int) -> ArcPolytope:
     """Concave chain p_i = (i, i*(2V - i)); facet i joins vertices i and
     i+1 with slope 2V - 2i - 1 and intercept i*(i + 1)."""
     V = vertex_count
-    if V < 2:
-        raise ValidationError("an arc polytope needs at least 2 vertices")
+    if not 2 <= V <= MAX_VERTICES:
+        raise ValidationError(
+            f"an arc polytope needs 2..{MAX_VERTICES} vertices, not {V}"
+        )
     vertices = tuple(
         (Fraction(i), Fraction(i * (2 * V - i))) for i in range(V)
     )
@@ -122,12 +136,23 @@ class AdversarialGap:
 
 
 def facet_gap(
-    poly: ArcPolytope, omitted: int, kept_facets: Sequence[int]
-) -> AdversarialGap:
+    poly: ArcPolytope,
+    omitted: int,
+    kept_facets: Sequence[int],
+    start: Optional[tuple[LinearProgram, Optional[LpOutcome]]] = None,
+) -> AdversarialGap | tuple[AdversarialGap, tuple[LinearProgram, LpOutcome]]:
     """Adversarial objective for one omitted facet against a truncated
     model: maximize y - slope*x. Over the full polytope that tops out at
     the facet's intercept; whatever the truncated model reports beyond
-    it is phantom value."""
+    it is phantom value.
+
+    ``start`` chains the solves of one kept subset. It is a pair
+    ``(model, outcome)``: model is ``polytope_lp`` over kept_facets with
+    any objective, and outcome an earlier solve of that model or None.
+    This facet's objective is swapped into the model, the solve starts
+    from outcome's final tableau (cold when None), and the call returns
+    ``(gap, (model, outcome))`` to hand to the next facet. Without
+    start it returns the gap alone."""
     if not 0 <= omitted < poly.facet_count:
         raise ValidationError(f"facet index {omitted} out of range")
     if omitted in kept_facets:
@@ -135,22 +160,28 @@ def facet_gap(
     facet = poly.facets[omitted]
     objective = (-facet.slope, Fraction(1))
     true_max = facet.intercept
-    outcome = solve_lp(polytope_lp(poly, objective, kept_facets))
+    if start is None:
+        outcome = solve_lp(polytope_lp(poly, objective, kept_facets))
+    else:
+        model, previous = start
+        model = replace(model, objective=objective)
+        outcome = solve_lp(model, start=previous)
     if outcome.status is SolveStatus.UNBOUNDED:
-        return AdversarialGap(
+        gap = AdversarialGap(
             omitted, objective, true_max, None, None, None, bounded=False
         )
-    assert outcome.status is SolveStatus.OPTIMAL
-    witness = (outcome.point[0], outcome.point[1])
-    return AdversarialGap(
-        omitted,
-        objective,
-        true_max,
-        outcome.value,
-        witness,
-        outcome.value - true_max,
-        bounded=True,
-    )
+    else:
+        assert outcome.status is SolveStatus.OPTIMAL
+        gap = AdversarialGap(
+            omitted,
+            objective,
+            true_max,
+            outcome.value,
+            (outcome.point[0], outcome.point[1]),
+            outcome.value - true_max,
+            bounded=True,
+        )
+    return gap if start is None else (gap, (model, outcome))
 
 
 def adversarial_objective(poly: ArcPolytope, omitted: int) -> AdversarialGap:
@@ -212,7 +243,8 @@ def subset_gap_scan(
     seed: int = 0,
 ) -> ScanReport:
     """For every size-`budget` kept-facet subset (all of them when there
-    are at most ENUMERATION_LIMIT, otherwise sample_count seeded draws),
+    are at most ENUMERATION_LIMIT, otherwise sample_count distinct
+    seeded draws, refused before any draw when fewer subsets exist),
     record the worst adversarial gap over the omitted facets. Rows are
     ordered by their omitted index lists so output is canonical."""
     F = poly.facet_count
@@ -222,6 +254,11 @@ def subset_gap_scan(
         raise ValidationError("sample count must be at least 1")
     total = comb(F, budget)
     enumerated = total <= ENUMERATION_LIMIT
+    if not enumerated and sample_count > total:
+        raise ValidationError(
+            f"sample count {sample_count} exceeds the {total} subsets of "
+            f"{budget} of {F} facets"
+        )
     if enumerated:
         kept_sets = [tuple(c) for c in combinations(range(F), budget)]
     else:
@@ -249,9 +286,13 @@ def subset_gap_scan(
                 )
             )
             continue
+        # one model per subset with only the objective swapped; omitted
+        # facets ascend, so consecutive optima are the same or
+        # neighbouring vertices and each solve starts from the last one
+        warm = (polytope_lp(poly, (0, 0), kept), None)
         worst: Optional[AdversarialGap] = None
         for j in omitted:
-            result = facet_gap(poly, j, kept)
+            result, warm = facet_gap(poly, j, kept, start=warm)
             if worst is None or _worse(worst, result):
                 worst = result
         rows.append(

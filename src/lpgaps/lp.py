@@ -15,11 +15,20 @@ values are Fractions. A returned status is a certainty, not a numerical
 verdict. Bland's rule sees only signs and exact ratio comparisons, which
 no positive row scale changes, so the int rows pivot exactly as a
 Fraction-per-entry tableau does.
+
+An outcome over a feasible region keeps its final tableau, and
+``solve_lp(lp, start=outcome)`` starts a solve of another objective over
+the same rows and bounds from a copy of it: phase 1 is skipped and
+phase 2 starts from a basis already optimal or close (the hull scan
+maximizes many objectives over one truncated model this way). That
+tableau is exact and feasible for the region, so a warm status is as
+much a proof as a cold one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -145,6 +154,9 @@ class LpOutcome:
     status: SolveStatus
     point: Optional[tuple[Rational, ...]] = None
     value: Optional[Rational] = None
+    # the final tableau when the region was feasible, so a later solve
+    # over the same region can start from it; never part of a result
+    tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -223,12 +235,17 @@ class _Tableau:
     scaling a row by a positive number changes neither, so the pivots
     are the ones a Fraction-per-entry tableau would make, in the same
     order. A basic column's entry equals its row's denominator.
+
+    Rows are never written in place, only replaced by new lists, so a
+    copy shares them and owns only the lists that index them.
     """
 
     def __init__(self, lp: LinearProgram):
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
         self.n = n
+        # everything but the objective: a start must match it exactly
+        self.region = (lp.constraints, lo, hi)
         rows = []
         for con in lp.constraints:
             shift = sum((a * l for a, l in zip(con.coeffs, lo) if l), Fraction(0))
@@ -292,6 +309,12 @@ class _Tableau:
     @property
     def m(self) -> int:
         return len(self.A)
+
+    def copy(self) -> _Tableau:
+        out = copy(self)
+        out.A, out.d, out.v = list(self.A), list(self.d), list(self.v)
+        out.basis, out.state = list(self.basis), list(self.state)
+        return out
 
     def price(self, cost: Sequence[Rational]) -> None:
         """Set the reduced-cost row for maximizing cost . x: eliminate
@@ -446,40 +469,58 @@ class _Tableau:
         return z
 
 
-def solve_lp(lp: LinearProgram) -> LpOutcome:
+def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     """Exact two-phase simplex. The returned claims hold exactly:
     optimal points satisfy every constraint and no feasible point does
-    strictly better; infeasible and unbounded are proven statuses."""
+    strictly better; infeasible and unbounded are proven statuses.
+
+    ``start`` is an earlier outcome over the same region: the rows,
+    lower bounds and upper bounds of its program equal lp's, and only
+    the objective or sense may differ. The solve then skips phase 1: it
+    copies start's final tableau (start itself is not changed), prices
+    lp's objective and runs phase 2 from there. That tableau is exact
+    and primal feasible for this very region, so phase 2 from it proves
+    its status just as a cold solve does; only an objective with
+    several optimal points may end at a different one of them. A start
+    over another region, or one without a tableau (an infeasible
+    outcome), raises ValidationError."""
     validate_lp(lp)
-    for j in range(lp.num_vars):
-        ub = lp.upper_bounds[j]
-        if ub is not None and ub < lp.lower_bounds[j]:
-            return LpOutcome(SolveStatus.INFEASIBLE)
-
-    tab = _Tableau(lp)
-
-    if tab.first_art < tab.ncols:
-        tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
-        status = tab.run()
-        if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
-            raise AssertionError("phase 1 cannot be unbounded")
-        infeasibility = sum(
-            (tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art),
-            Fraction(0),
-        )
-        if infeasibility != 0:
-            return LpOutcome(SolveStatus.INFEASIBLE)
-        tab.drive_out_artificials()
+    if start is not None:
+        if start.tableau is None:
+            raise ValidationError(
+                f"start has no tableau to start from (status {start.status.value})"
+            )
+        if start.tableau.region != (lp.constraints, lp.lower_bounds, lp.upper_bounds):
+            raise ValidationError("start was solved over a different region")
+        tab = start.tableau.copy()
+    else:
+        for j in range(lp.num_vars):
+            ub = lp.upper_bounds[j]
+            if ub is not None and ub < lp.lower_bounds[j]:
+                return LpOutcome(SolveStatus.INFEASIBLE)
+        tab = _Tableau(lp)
+        if tab.first_art < tab.ncols:
+            tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
+            status = tab.run()
+            if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
+                raise AssertionError("phase 1 cannot be unbounded")
+            infeasibility = sum(
+                (tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art),
+                Fraction(0),
+            )
+            if infeasibility != 0:
+                return LpOutcome(SolveStatus.INFEASIBLE)
+            tab.drive_out_artificials()
 
     sign = 1 if lp.sense == MAXIMIZE else -1
     tab.price([sign * c for c in lp.objective] + [0] * (tab.ncols - tab.n))
     status = tab.run()
     if status == "unbounded":
-        return LpOutcome(SolveStatus.UNBOUNDED)
+        return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
     z = tab.solution()
     x = tuple(lp.lower_bounds[j] + z[j] for j in range(lp.num_vars))
-    return LpOutcome(SolveStatus.OPTIMAL, x, objective_value(lp, x))
+    return LpOutcome(SolveStatus.OPTIMAL, x, objective_value(lp, x), tab)
 
 
 # ---------------------------------------------------------------------------

@@ -503,7 +503,13 @@ class CuttingPlaneTrace:
     complete: bool  # False when the round budget ran out with a violation left
 
 
-def cutting_plane_loop(inst: TspInstance, max_rounds: int = 50) -> CuttingPlaneTrace:
+# the round budget of a cutting-plane loop when none is given
+DEFAULT_ROUNDS = 50
+
+
+def cutting_plane_loop(
+    inst: TspInstance, max_rounds: int = DEFAULT_ROUNDS
+) -> CuttingPlaneTrace:
     """Solve, separate, add one cut, repeat. Values are nondecreasing
     because each round's feasible region shrinks."""
     if max_rounds < 1:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lpgaps import cli
+from lpgaps import cli, hull
 from lpgaps.valleys import (
     flow_arcs_to_text,
     gen_valley_instance,
@@ -168,6 +168,30 @@ def test_scan_rejects_sample_count_below_one(tmp_path, samples):
         "--samples", samples, "--output", str(tmp_path / "x.json"),
     ])
     assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_scan_refuses_more_samples_than_subsets(tmp_path, capsys):
+    code = cli.main([
+        "hull-scan", "--vertices", "17", "--budget", "8", "--samples", "13000",
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert "12870 subsets" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["hull-adversary", "--omit", "1"],
+    ["hull-scan", "--budget", "1", "--samples", "1"],
+])
+def test_hull_commands_cap_vertices(tmp_path, capsys, argv):
+    code = cli.main([
+        *argv, "--vertices", str(hull.MAX_VERTICES + 1),
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert f"2..{hull.MAX_VERTICES} vertices" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

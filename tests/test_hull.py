@@ -5,6 +5,7 @@ import pytest
 from oracles import best_vertex_value, envelope_relaxed_max
 from lpgaps.errors import ValidationError
 from lpgaps.hull import (
+    MAX_VERTICES,
     adversarial_objective,
     facet_gap,
     gen_arc,
@@ -55,6 +56,12 @@ def test_chain_invariants(V):
 def test_rejects_tiny_chain():
     with pytest.raises(ValidationError):
         gen_arc(1)
+
+
+def test_rejects_chains_above_the_vertex_cap():
+    assert gen_arc(MAX_VERTICES).vertex_count == MAX_VERTICES
+    with pytest.raises(ValidationError, match=str(MAX_VERTICES)):
+        gen_arc(MAX_VERTICES + 1)
 
 
 def test_box_is_derived_from_the_chain():
@@ -161,6 +168,59 @@ def test_scan_validation():
         subset_gap_scan(gen_arc(8), budget=-1)
     with pytest.raises(ValidationError):
         subset_gap_scan(gen_arc(8), budget=4, sample_count=0)
+
+
+def test_scan_refuses_more_samples_than_subsets():
+    # 16 facets keep 8 in C(16, 8) = 12870 ways, more than
+    # ENUMERATION_LIMIT, so the scan would sample: refused before drawing
+    with pytest.raises(ValidationError, match="12870 subsets"):
+        subset_gap_scan(gen_arc(17), budget=8, sample_count=13000)
+
+
+def cold_worst(poly, kept, omitted):
+    """The worst gap over omitted facets, each solved from scratch:
+    unbounded beats any gap, and ties keep the first facet."""
+    gaps = [facet_gap(poly, j, kept) for j in omitted]
+    return max(gaps, key=lambda g: (not g.bounded, g.gap if g.bounded else 0))
+
+
+def assert_rows_match_cold_solves(poly, report):
+    for row in report.rows:
+        if not row.omitted:
+            continue
+        worst = cold_worst(poly, row.kept, row.omitted)
+        assert (
+            row.worst_facet, row.objective, row.true_max,
+            row.relaxed_max, row.gap, row.bounded,
+        ) == (
+            worst.omitted_facet, worst.objective, worst.true_max,
+            worst.relaxed_max, worst.gap, worst.bounded,
+        ), row.kept
+
+
+@pytest.mark.parametrize("budget", [0, 1, 12])
+def test_warm_scan_rows_match_cold_solves_enumerated(budget):
+    poly = gen_arc(16)
+    report = subset_gap_scan(poly, budget)
+    assert report.enumerated
+    assert_rows_match_cold_solves(poly, report)
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_warm_scan_rows_match_cold_solves_sampled(seed):
+    poly = gen_arc(64)
+    report = subset_gap_scan(poly, budget=32, sample_count=6, seed=seed)
+    assert not report.enumerated
+    assert_rows_match_cold_solves(poly, report)
+
+
+def test_chained_facet_gaps_equal_cold_ones():
+    poly = gen_arc(32)
+    kept = [0, 3, 4, 9, 15, 16, 22, 30]
+    warm = (polytope_lp(poly, (0, 0), kept), None)
+    for j in (i for i in range(poly.facet_count) if i not in kept):
+        gap, warm = facet_gap(poly, j, kept, start=warm)
+        assert gap == facet_gap(poly, j, kept)  # witness included
 
 
 def test_facet_gap_argument_checks():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from lpgaps.lp import (
     lp_from_text,
     lp_to_text,
     solve_lp,
+    with_bounds,
     with_constraints,
 )
 
@@ -266,3 +268,81 @@ def test_property_added_row_never_improves(case):
         assert tightened.value <= base.value
     else:
         assert tightened.value >= base.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_programs(), st.data())
+def test_property_warm_start_matches_cold(case, data):
+    lp, _ = case
+    first = solve_lp(lp)
+    other = replace(
+        lp,
+        objective=tuple(data.draw(
+            st.lists(small_rationals, min_size=lp.num_vars, max_size=lp.num_vars)
+        )),
+        sense=data.draw(st.sampled_from(["max", "min"])),
+    )
+    if first.status is SolveStatus.INFEASIBLE:
+        with pytest.raises(ValidationError):
+            solve_lp(other, start=first)
+        return
+    cold = solve_lp(other)
+    warm = solve_lp(other, start=first)
+    assert warm.status is cold.status
+    assert warm.value == cold.value
+    assert check_feasible(other, warm.point).satisfied
+    # the start is copied, never changed: it gives the same outcome
+    # twice, and a zero objective, optimal everywhere, still stops at
+    # the start's own point
+    assert solve_lp(other, start=first) == warm
+    idle = replace(lp, objective=(Fraction(0),) * lp.num_vars)
+    assert solve_lp(idle, start=first).point == first.point
+
+
+def test_warm_start_from_an_unbounded_outcome():
+    lp = linear_program([0, 1], "max", [([1, 0], "<=", 1)])
+    start = solve_lp(lp)
+    assert start.status is SolveStatus.UNBOUNDED
+    out = solve_lp(replace(lp, objective=(Fraction(1), Fraction(-1))), start=start)
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.point == (1, 0) and out.value == 1
+    again = solve_lp(replace(lp, sense="min"), start=out)
+    assert again.status is SolveStatus.OPTIMAL and again.value == 0
+
+
+def test_warm_start_accepts_an_equal_region_built_anew():
+    start = solve_lp(three_facet_program())
+    lp = replace(three_facet_program(), objective=(Fraction(-3), Fraction(1)))
+    assert lp.constraints is not start.tableau.region[0]
+    assert solve_lp(lp, start=start) == solve_lp(lp)
+
+
+def test_warm_start_refuses_another_region():
+    lp = three_facet_program()
+    start = solve_lp(lp)
+    other_row = replace(
+        lp, constraints=lp.constraints[:1] + (constraint([-5, 1], "<=", 3),)
+        + lp.constraints[2:]
+    )
+    others = [
+        other_row,
+        replace(lp, constraints=lp.constraints[:2]),
+        with_constraints(lp, [constraint([1, 0], "<=", 2)]),
+        with_bounds(lp, 0, lower=Fraction(1, 2)),
+        with_bounds(lp, 0, upper=2),
+        with_bounds(lp, 1, upper=9),
+    ]
+    for other in others:
+        with pytest.raises(ValidationError, match="different region"):
+            solve_lp(other, start=start)
+
+
+@pytest.mark.parametrize("infeasible", [
+    linear_program([1], "max", [([1], "<=", -1)]),
+    linear_program([1], "max", lower_bounds=[2], upper_bounds=[1]),
+])
+def test_warm_start_refuses_an_infeasible_outcome(infeasible):
+    start = solve_lp(infeasible)
+    assert start.status is SolveStatus.INFEASIBLE
+    with pytest.raises(ValidationError, match="no tableau"):
+        solve_lp(infeasible, start=start)
