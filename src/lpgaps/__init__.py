@@ -28,7 +28,7 @@ from .hull import (
     gen_arc,
     subset_gap_scan,
 )
-from .ilp import IlpProblem, TourResult, ilp_problem, solve_ilp, tsp_oracle
+from .ilp import TourResult, tsp_oracle
 from .lp import (
     Constraint,
     FeasibilityReport,
@@ -40,7 +40,7 @@ from .lp import (
     linear_program,
     solve_lp,
 )
-from .rationals import Rational, format_rational, parse_rational, rat, rat_cmp
+from .rationals import Rational, format_rational, parse_rational
 from .valleys import (
     FlowSolution,
     TspInstance,
@@ -62,7 +62,6 @@ __all__ = [
     "FeasibilityReport",
     "FlowSolution",
     "GapReport",
-    "IlpProblem",
     "LinearProgram",
     "LpOutcome",
     "Rational",
@@ -85,17 +84,13 @@ __all__ = [
     "format_rational",
     "gen_arc",
     "gen_valley_instance",
-    "ilp_problem",
     "integrality_gap",
     "linear_program",
     "min_symbols_single",
     "min_symbols_subset",
     "monotone_model_demo",
     "parse_rational",
-    "rat",
-    "rat_cmp",
     "separate_subtour",
-    "solve_ilp",
     "solve_lp",
     "subset_gap_scan",
     "subset_growth_table",

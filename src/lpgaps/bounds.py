@@ -68,7 +68,12 @@ def min_symbols_subset(total: int, chosen: int) -> StorageBound:
     )
 
 
-def subset_growth_table(n_from: int = 4, n_to: int = 12) -> tuple[tuple[int, int], ...]:
+DEFAULT_N_FROM, DEFAULT_N_TO = 4, 12
+
+
+def subset_growth_table(
+    n_from: int = DEFAULT_N_FROM, n_to: int = DEFAULT_N_TO
+) -> tuple[tuple[int, int], ...]:
     """(n, min_bits) for pointing at one size-2**n/4 subset of 2**n
     objects; the bit count at least doubles per unit n at these sizes."""
     if not 2 <= n_from <= n_to:

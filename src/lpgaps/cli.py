@@ -136,8 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, help="object count (single mode)")
     p.add_argument("--total", type=int, help="universe size (subset mode)")
     p.add_argument("--choose", type=int, help="subset size (subset mode)")
-    p.add_argument("--n-from", type=int, default=4)
-    p.add_argument("--n-to", type=int, default=12)
+    p.add_argument("--n-from", type=int, default=bounds.DEFAULT_N_FROM)
+    p.add_argument("--n-to", type=int, default=bounds.DEFAULT_N_TO)
     common(p)
 
     p = sub.add_parser("model-demo", help="integer-grid monotonicity illusion")
@@ -283,6 +283,15 @@ def _run_check_flow(args) -> tuple[Any, Table]:
 
 
 def _run_space_bounds(args) -> tuple[Any, Table]:
+    # flags of another mode are refused, not dropped; as with --rounds, a
+    # given growth range equal to the default cannot be told from none
+    if args.mode != "single" and args.count is not None:
+        raise ValidationError("--count needs --mode single")
+    if args.mode != "subset" and (args.total is not None or args.choose is not None):
+        raise ValidationError("--total and --choose need --mode subset")
+    default_range = (bounds.DEFAULT_N_FROM, bounds.DEFAULT_N_TO)
+    if args.mode != "growth" and (args.n_from, args.n_to) != default_range:
+        raise ValidationError("--n-from and --n-to need --mode growth")
     if args.mode == "single":
         if args.count is None:
             raise ValidationError("--count is required in single mode")

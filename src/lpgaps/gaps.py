@@ -20,7 +20,6 @@ from .lp import SolveStatus, solve_lp
 from .rationals import Rational
 from .valleys import (
     DEFAULT_ROUNDS,
-    CuttingPlaneTrace,
     TspInstance,
     cutting_plane_loop,
     degree_lp,
@@ -102,8 +101,8 @@ class GapReport:
 
 def _solve_relaxation(
     inst: TspInstance, relaxation: RelaxationDesc
-) -> tuple[Rational, int, int, Optional[CuttingPlaneTrace]]:
-    """(lp value, constraint rows, rounds, trace-if-cutting-plane)."""
+) -> tuple[Rational, int, int]:
+    """(lp value, constraint rows, rounds)."""
     if relaxation.kind == DEGREE:
         program = degree_lp(inst)
     elif relaxation.kind == DEGREE_WITH_CUTS:
@@ -111,13 +110,13 @@ def _solve_relaxation(
     elif relaxation.kind == CUTTING_PLANE:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
-        return trace.final_value, last.constraint_count, len(trace.rounds), trace
+        return trace.final_value, last.constraint_count, len(trace.rounds)
     else:
         raise ValidationError(f"unknown relaxation kind {relaxation.kind!r}")
     outcome = solve_lp(program)
     if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
         raise AssertionError(f"relaxation solve came back {outcome.status}")
-    return outcome.value, len(program.constraints), 0, None
+    return outcome.value, len(program.constraints), 0
 
 
 def integrality_gap(
@@ -131,7 +130,7 @@ def integrality_gap(
     first, so an instance past its budget is refused before any
     relaxation work."""
     ilp_value = tsp_oracle(inst).cost
-    lp_value, rows_used, rounds, _ = _solve_relaxation(inst, relaxation)
+    lp_value, rows_used, rounds = _solve_relaxation(inst, relaxation)
     gap = ilp_value - lp_value
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value
@@ -180,6 +179,6 @@ def decide_tour_at_most(
     if via == VIA_ILP:
         return tsp_oracle(inst).cost <= x
     if via == VIA_LP:
-        value, _, _, _ = _solve_relaxation(inst, relaxation)
+        value, _, _ = _solve_relaxation(inst, relaxation)
         return value <= x
     raise ValidationError(f"unknown decision route {via!r}")

@@ -46,16 +46,6 @@ class Halfplane:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Bounding constraints every model keeps: x_min <= x <= x_max,
-    y >= y_min. Never charged against a facet storage budget."""
-
-    x_min: Rational
-    x_max: Rational
-    y_min: Rational
-
-
-@dataclass(frozen=True)
 class ArcPolytope:
     vertices: tuple[tuple[Rational, Rational], ...]
     facets: tuple[Halfplane, ...]
@@ -71,10 +61,6 @@ class ArcPolytope:
     @property
     def x_max(self) -> Rational:
         return self.vertices[-1][0]
-
-    @property
-    def box(self) -> Box:
-        return Box(Fraction(0), self.x_max, Fraction(0))
 
 
 def gen_arc(vertex_count: int) -> ArcPolytope:
@@ -186,8 +172,6 @@ def facet_gap(
 
 def adversarial_objective(poly: ArcPolytope, omitted: int) -> AdversarialGap:
     """Omit exactly one facet; the model keeps every other facet."""
-    if not 0 <= omitted < poly.facet_count:
-        raise ValidationError(f"facet index {omitted} out of range")
     kept = [i for i in range(poly.facet_count) if i != omitted]
     return facet_gap(poly, omitted, kept)
 

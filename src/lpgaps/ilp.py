@@ -1,12 +1,10 @@
-"""Exact integer solvers: branch-and-bound over the simplex core, plus
-the ground-truth TSP oracle, one Held-Karp dynamic program over subsets
-on integer-scaled costs.
+"""The ground-truth TSP oracle: one exact Held-Karp dynamic program
+over subsets on integer-scaled costs.
 
 The oracle returns a deterministic optimal tour: the lowest-index last
 city, then the lowest-index optimal predecessor at every step back.
-Budgets are hard: past n = 20 the oracle raises BudgetExceededError
-rather than approximating, and branch-and-bound returns a budget-
-exhausted status distinct from infeasible.
+The budget is hard: past n = 20 the oracle raises BudgetExceededError
+rather than approximating.
 """
 
 from __future__ import annotations
@@ -14,95 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .lp import (
-    LinearProgram,
-    LpOutcome,
-    SolveStatus,
-    solve_lp,
-    validate_lp,
-    with_bounds,
-)
 from .rationals import Rational
 from .valleys import TspInstance
 
 HELD_KARP_CITY_LIMIT = 20
 EXHAUSTIVE_CITY_LIMIT = 1  # no n is searched exhaustively; perfbench/run.py reads this name
 
-
-@dataclass(frozen=True)
-class IlpProblem:
-    base: LinearProgram
-    integer_vars: frozenset[int]
-
-
-def ilp_problem(base: LinearProgram, integer_vars) -> IlpProblem:
-    validate_lp(base)
-    ints = frozenset(integer_vars)
-    if any(not 0 <= j < base.num_vars for j in ints):
-        raise ValidationError("integer_vars outside the variable range")
-    return IlpProblem(base, ints)
-
-
-def _fractional_part(value: Fraction) -> Fraction:
-    return value - (value.numerator // value.denominator)
-
-
-def solve_ilp(problem: IlpProblem, *, node_limit: int = 100_000) -> LpOutcome:
-    """Depth-first branch-and-bound. Branches on the integer variable
-    with the largest fractional part (ties to the lowest index), floor
-    child explored first, so the search is deterministic. Exceeding
-    node_limit yields BUDGET_EXHAUSTED with the incumbent so far."""
-    if not isinstance(problem, IlpProblem):
-        problem = ilp_problem(*problem)
-    maximize = problem.base.sense == "max"
-
-    def better(a: Rational, b: Rational) -> bool:
-        return a > b if maximize else a < b
-
-    best_point: Optional[tuple[Rational, ...]] = None
-    best_value: Optional[Rational] = None
-    stack = [problem.base]
-    nodes = 0
-    while stack:
-        node = stack.pop()
-        nodes += 1
-        if nodes > node_limit:
-            return LpOutcome(SolveStatus.BUDGET_EXHAUSTED, best_point, best_value)
-        relaxed = solve_lp(node)
-        if relaxed.status is SolveStatus.INFEASIBLE:
-            continue
-        if relaxed.status is SolveStatus.UNBOUNDED:
-            # only reachable at the root: children are restrictions
-            return LpOutcome(SolveStatus.UNBOUNDED)
-        if best_value is not None and not better(relaxed.value, best_value):
-            continue
-        fractional = [
-            (j, _fractional_part(relaxed.point[j]))
-            for j in sorted(problem.integer_vars)
-            if relaxed.point[j].denominator != 1
-        ]
-        if not fractional:
-            best_point, best_value = relaxed.point, relaxed.value
-            continue
-        branch_var, _ = max(fractional, key=lambda item: (item[1], -item[0]))
-        floor_val = Fraction(
-            relaxed.point[branch_var].numerator
-            // relaxed.point[branch_var].denominator
-        )
-        stack.append(with_bounds(node, branch_var, lower=floor_val + 1))
-        stack.append(with_bounds(node, branch_var, upper=floor_val))
-    if best_point is None:
-        return LpOutcome(SolveStatus.INFEASIBLE)
-    return LpOutcome(SolveStatus.OPTIMAL, best_point, best_value)
-
-
-# ---------------------------------------------------------------------------
-# TSP oracles
 
 @dataclass(frozen=True)
 class TourResult:

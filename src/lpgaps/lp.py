@@ -35,7 +35,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .rationals import Rational, body_lines, format_rational, parse_rational
+from .rationals import Rational
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -129,24 +129,6 @@ def with_constraints(lp: LinearProgram, extra: Iterable[Constraint]) -> LinearPr
     out = replace(lp, constraints=lp.constraints + tuple(extra))
     validate_lp(out)
     return out
-
-
-def with_bounds(
-    lp: LinearProgram,
-    var: int,
-    lower: Optional[Rational] = None,
-    upper: Optional[Rational] = None,
-) -> LinearProgram:
-    """Copy of lp with variable var's bounds replaced (None keeps current)."""
-    if not 0 <= var < lp.num_vars:
-        raise ValidationError(f"variable index {var} out of range")
-    lo = list(lp.lower_bounds)
-    hi = list(lp.upper_bounds)
-    if lower is not None:
-        lo[var] = Fraction(lower)
-    if upper is not None:
-        hi[var] = Fraction(upper)
-    return replace(lp, lower_bounds=tuple(lo), upper_bounds=tuple(hi))
 
 
 @dataclass(frozen=True)
@@ -521,69 +503,3 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     z = tab.solution()
     x = tuple(lp.lower_bounds[j] + z[j] for j in range(lp.num_vars))
     return LpOutcome(SolveStatus.OPTIMAL, x, objective_value(lp, x), tab)
-
-
-# ---------------------------------------------------------------------------
-# Text serialization ("p/q" scalars throughout)
-
-_INF_TOKENS = ("inf", "none", "*")
-
-
-def lp_to_text(lp: LinearProgram) -> str:
-    lines = ["lpgaps-lp 1"]
-    lines.append(f"vars {lp.num_vars}")
-    lines.append(f"sense {lp.sense}")
-    lines.append("objective " + " ".join(format_rational(c) for c in lp.objective))
-    lines.append("lower " + " ".join(format_rational(b) for b in lp.lower_bounds))
-    lines.append(
-        "upper "
-        + " ".join("inf" if b is None else format_rational(b) for b in lp.upper_bounds)
-    )
-    for con in lp.constraints:
-        lines.append(
-            "constraint "
-            + " ".join(format_rational(c) for c in con.coeffs)
-            + f" {con.relation} "
-            + format_rational(con.rhs)
-        )
-    return "\n".join(lines) + "\n"
-
-
-def lp_from_text(text: str) -> LinearProgram:
-    fields: dict[str, str] = {}
-    rows: list[Constraint] = []
-    for ln in body_lines(text, "lpgaps-lp"):
-        key, _, rest = ln.partition(" ")
-        if key == "constraint":
-            toks = rest.split()
-            rel_positions = [i for i, t in enumerate(toks) if t in _RELATIONS]
-            if len(rel_positions) != 1:
-                raise ValidationError(f"bad constraint line: {ln!r}")
-            k = rel_positions[0]
-            if k != len(toks) - 2:
-                raise ValidationError(f"bad constraint line: {ln!r}")
-            rows.append(
-                constraint(
-                    [parse_rational(t) for t in toks[:k]],
-                    toks[k],
-                    parse_rational(toks[k + 1]),
-                )
-            )
-        else:
-            fields[key] = rest
-    try:
-        n = int(fields["vars"])
-        sense = fields["sense"]
-        objective = [parse_rational(t) for t in fields["objective"].split()]
-        lower = [parse_rational(t) for t in fields["lower"].split()]
-        upper = [
-            None if t.lower() in _INF_TOKENS else parse_rational(t)
-            for t in fields["upper"].split()
-        ]
-    except KeyError as exc:
-        raise ValidationError(f"missing field {exc.args[0]!r}") from None
-    if len(objective) != n:
-        raise ValidationError("objective length differs from declared vars")
-    return linear_program(
-        objective, sense, rows, lower_bounds=lower, upper_bounds=upper
-    )

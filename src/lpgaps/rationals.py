@@ -18,23 +18,6 @@ from .errors import ValidationError
 Rational = Fraction
 
 
-def rat(numerator: int, denominator: int = 1) -> Rational:
-    """Canonical fraction numerator/denominator (reduced, denominator > 0)."""
-    try:
-        return Fraction(numerator, denominator)
-    except ZeroDivisionError:
-        raise ValidationError("rational denominator must be nonzero") from None
-
-
-def rat_cmp(a: Rational, b: Rational) -> int:
-    """Exact three-way comparison: -1 if a < b, 0 if equal, 1 if a > b."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
-
-
 def format_rational(value: Rational) -> str:
     """Render as "p/q", omitting "/q" for integers."""
     return str(Fraction(value))

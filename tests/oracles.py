@@ -1,6 +1,6 @@
 """Independent oracles the tests check the solvers against.
 
-Nothing here touches the simplex, branch-and-bound, or the separation
+Nothing here touches the simplex, the TSP oracle, or the separation
 code: LP optima come from brute-force vertex enumeration over exact
 hyperplane intersections, tour optima from direct permutation scans,
 minimum subtour cuts from scans over every city subset, and hull

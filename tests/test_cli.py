@@ -79,6 +79,23 @@ def test_space_bounds_growth_csv(tmp_path):
     assert lines[1:] == ["4,11", "5,24", "6,49"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mode", "single", "--count", "5", "--total", "9", "--choose", "3"],
+    ["--mode", "single", "--count", "5", "--n-to", "6"],
+    ["--mode", "subset", "--total", "9", "--choose", "3", "--count", "5"],
+    ["--mode", "subset", "--total", "9", "--choose", "3", "--n-from", "5"],
+    ["--mode", "growth", "--count", "5"],
+    ["--mode", "growth", "--total", "9"],
+    ["--mode", "growth", "--choose", "3"],
+])
+def test_space_bounds_refuses_flags_of_another_mode(tmp_path, argv):
+    code = cli.main([
+        "space-bounds", *argv, "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_model_demo(tmp_path):
     code, out = run_cli(
         tmp_path, "model-demo", "--start", "0", "--end", "8", "--step", "1/2"

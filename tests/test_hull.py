@@ -64,13 +64,6 @@ def test_rejects_chains_above_the_vertex_cap():
         gen_arc(MAX_VERTICES + 1)
 
 
-def test_box_is_derived_from_the_chain():
-    poly = gen_arc(5)
-    assert poly.box.x_min == 0
-    assert poly.box.x_max == 4
-    assert poly.box.y_min == 0
-
-
 def test_adversarial_middle_facet_worked_case():
     poly = gen_arc(4)
     expected = envelope_relaxed_max(poly, 1, [0, 2])  # oracle first
@@ -231,3 +224,5 @@ def test_facet_gap_argument_checks():
         facet_gap(poly, 1, [0, 1, 2])
     with pytest.raises(ValidationError):
         adversarial_objective(poly, 3)
+    with pytest.raises(ValidationError, match="out of range"):
+        adversarial_objective(poly, -1)

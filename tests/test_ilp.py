@@ -6,114 +6,10 @@ import pytest
 
 from oracles import brute_force_tour_cost
 from lpgaps import ilp
-from lpgaps.errors import BudgetExceededError, ValidationError
-from lpgaps.ilp import (
-    ilp_problem,
-    is_valid_tour,
-    solve_ilp,
-    tsp_oracle,
-)
-from lpgaps.lp import SolveStatus, linear_program, solve_lp
-from lpgaps.valleys import (
-    gen_valley_instance,
-    instance_from_cost_matrix,
-    relaxation_with_cuts,
-    valley_cut_subsets,
-)
+from lpgaps.errors import BudgetExceededError
+from lpgaps.ilp import is_valid_tour, tsp_oracle
+from lpgaps.valleys import gen_valley_instance, instance_from_cost_matrix
 
-
-def test_forced_rounding():
-    # relaxation reaches 3/2; integrality forces 1
-    problem = ilp_problem(
-        linear_program(
-            [1, 1], "max", [([1, 1], "<=", Fraction(3, 2))], upper_bounds=[1, 1]
-        ),
-        [0, 1],
-    )
-    out = solve_ilp(problem)
-    assert out.status is SolveStatus.OPTIMAL
-    assert out.value == 1
-
-
-def test_integral_relaxation_is_identity():
-    lp = linear_program([1, 2], "max", [([1, 1], "<=", 3)], upper_bounds=[2, 2])
-    relaxed = solve_lp(lp)
-    assert all(x.denominator == 1 for x in relaxed.point)
-    out = solve_ilp(ilp_problem(lp, [0, 1]))
-    assert out.value == relaxed.value
-    assert out.point == relaxed.point
-
-
-def test_valley_ilp_matches_oracle():
-    inst = gen_valley_instance(4, 2)
-    oracle_cost = tsp_oracle(inst).cost
-    lp = relaxation_with_cuts(inst, valley_cut_subsets(inst))
-    out = solve_ilp(ilp_problem(lp, range(lp.num_vars)))
-    assert out.status is SolveStatus.OPTIMAL
-    assert out.value == oracle_cost == 4
-
-
-def test_infeasible_ilp():
-    # 2x = 1 has no integer solution in [0, 1]
-    problem = ilp_problem(
-        linear_program([1], "max", [([2], "=", 1)], upper_bounds=[1]), [0]
-    )
-    assert solve_ilp(problem).status is SolveStatus.INFEASIBLE
-
-
-def test_budget_exhausted_is_distinct_status():
-    # fractional root, so the search needs more than one node
-    problem = ilp_problem(
-        linear_program(
-            [1, 1], "max", [([1, 1], "<=", Fraction(3, 2))], upper_bounds=[1, 1]
-        ),
-        [0, 1],
-    )
-    out = solve_ilp(problem, node_limit=1)
-    assert out.status is SolveStatus.BUDGET_EXHAUSTED
-    assert out.status is not SolveStatus.INFEASIBLE
-    assert solve_ilp(problem).status is SolveStatus.OPTIMAL
-
-
-def test_ilp_never_beats_relaxation():
-    rng = random.Random(424)
-    checked = 0
-    while checked < 60:
-        n = rng.randint(1, 3)
-        lp = linear_program(
-            [Fraction(rng.randint(-3, 3)) for _ in range(n)],
-            rng.choice(["max", "min"]),
-            [
-                (
-                    [Fraction(rng.randint(-2, 3)) for _ in range(n)],
-                    rng.choice(["<=", ">="]),
-                    Fraction(rng.randint(-2, 6), rng.randint(1, 2)),
-                )
-                for _ in range(rng.randint(1, 4))
-            ],
-            upper_bounds=[Fraction(rng.randint(1, 4)) for _ in range(n)],
-        )
-        relaxed = solve_lp(lp)
-        if relaxed.status is not SolveStatus.OPTIMAL:
-            continue
-        out = solve_ilp(ilp_problem(lp, range(n)))
-        if out.status is SolveStatus.OPTIMAL:
-            if lp.sense == "max":
-                assert out.value <= relaxed.value
-            else:
-                assert out.value >= relaxed.value
-        else:
-            assert out.status is SolveStatus.INFEASIBLE
-        checked += 1
-
-
-def test_branching_validation():
-    with pytest.raises(ValidationError):
-        ilp_problem(linear_program([1], "max"), [3])
-
-
-# ---------------------------------------------------------------------------
-# TSP oracles
 
 def assert_optimal_tour(inst, result):
     """A valid tour whose arc costs sum to the reported cost."""

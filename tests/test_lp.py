@@ -12,10 +12,7 @@ from lpgaps.lp import (
     check_feasible,
     constraint,
     linear_program,
-    lp_from_text,
-    lp_to_text,
     solve_lp,
-    with_bounds,
     with_constraints,
 )
 
@@ -180,18 +177,6 @@ def test_deterministic_outcomes():
         assert solve_lp(program) == solve_lp(program)
 
 
-def test_text_round_trip():
-    lp = three_facet_program()
-    assert lp_from_text(lp_to_text(lp)) == lp
-
-
-def test_text_parse_errors():
-    with pytest.raises(ValidationError):
-        lp_from_text("not a program")
-    with pytest.raises(ValidationError):
-        lp_from_text("lpgaps-lp 1\nvars 1\nsense max\nobjective 1\nlower 0\nupper inf\nconstraint 1 0\n")
-
-
 # Properties over programs random_bounded_lp never draws: denominators up
 # to 7 (so tableau rows carry denominators above 1), negative lower
 # bounds, fixed variables (lo == hi) and equality rows. Every box is
@@ -328,9 +313,9 @@ def test_warm_start_refuses_another_region():
         other_row,
         replace(lp, constraints=lp.constraints[:2]),
         with_constraints(lp, [constraint([1, 0], "<=", 2)]),
-        with_bounds(lp, 0, lower=Fraction(1, 2)),
-        with_bounds(lp, 0, upper=2),
-        with_bounds(lp, 1, upper=9),
+        replace(lp, lower_bounds=(Fraction(1, 2),) + lp.lower_bounds[1:]),
+        replace(lp, upper_bounds=(Fraction(2),) + lp.upper_bounds[1:]),
+        replace(lp, upper_bounds=lp.upper_bounds[:1] + (Fraction(9),)),
     ]
     for other in others:
         with pytest.raises(ValidationError, match="different region"):

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lpgaps.errors import ValidationError
-from lpgaps.lp import lp_from_text
-from lpgaps.rationals import format_rational, parse_rational, rat, rat_cmp
+from lpgaps.rationals import format_rational, parse_rational
 from lpgaps.valleys import flow_arcs_from_text, instance_from_text
 
 rationals = st.fractions(
@@ -13,43 +12,11 @@ rationals = st.fractions(
 )
 
 
-def test_rat_canonical_forms():
-    assert rat(1, 3) == Fraction(1, 3)
-    half = rat(2, 4)
-    assert (half.numerator, half.denominator) == (1, 2)
-    neg = rat(1, -2)
-    assert (neg.numerator, neg.denominator) == (-1, 2)
-
-
-def test_rat_zero_denominator():
-    with pytest.raises(ValidationError):
-        rat(1, 0)
-
-
-def test_rat_cmp_examples():
-    assert rat_cmp(rat(1, 3), rat(1, 3)) == 0
-    assert rat_cmp(rat(1, 3), rat(1, 2)) == -1
-    assert rat_cmp(rat(-7, 2), rat(-4)) == 1
-
-
 @given(rationals, rationals, rationals)
 def test_addition_associative_bit_identical(a, b, c):
     left = (a + b) + c
     right = a + (b + c)
     assert (left.numerator, left.denominator) == (right.numerator, right.denominator)
-
-
-@given(rationals, rationals)
-def test_cmp_antisymmetric(a, b):
-    assert rat_cmp(a, b) == -rat_cmp(b, a)
-
-
-@given(rationals, rationals, rationals)
-def test_cmp_transitive(a, b, c):
-    x, y, z = sorted([a, b, c])
-    assert rat_cmp(x, y) <= 0
-    assert rat_cmp(y, z) <= 0
-    assert rat_cmp(x, z) <= 0
 
 
 @given(rationals)
@@ -84,7 +51,6 @@ def test_parse_rejects_garbage():
 @pytest.mark.parametrize(
     "reader, header",
     [
-        (lp_from_text, "lpgaps-lp"),
         (instance_from_text, "lpgaps-instance"),
         (flow_arcs_from_text, "lpgaps-flow"),
     ],
