@@ -83,22 +83,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--relaxation",
             choices=(gaps.DEGREE, gaps.DEGREE_WITH_CUTS, gaps.CUTTING_PLANE),
-            default=gaps.DEGREE,
         )
         p.add_argument(
             "--cut-valley",
             type=int,
             action="append",
-            default=[],
             help="add the cut for this valley's cities (repeatable)",
         )
         p.add_argument(
             "--cut-cities",
             action="append",
-            default=[],
             help="add the cut for this comma-separated city set (repeatable)",
         )
-        p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
+        p.add_argument("--rounds", type=int)
 
     p = sub.add_parser("valley-gap", help="LP vs ILP gap report on a valley instance")
     instance_flags(p)
@@ -114,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutting-plane", help="cutting-plane loop trace")
     instance_flags(p)
-    p.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS)
+    p.add_argument("--rounds", type=int)
     common(p)
 
     p = sub.add_parser("decide", help="is there a tour of cost at most X?")
@@ -127,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-flow", help="validate a flow file against an instance")
     p.add_argument("--instance", required=True, help="lpgaps-instance file")
     p.add_argument("--flow", required=True, help="lpgaps-flow file")
-    p.add_argument("--cut-valley", type=int, action="append", default=[])
-    p.add_argument("--cut-cities", action="append", default=[])
+    p.add_argument("--cut-valley", type=int, action="append")
+    p.add_argument("--cut-cities", action="append")
     common(p)
 
     p = sub.add_parser("space-bounds", help="exact storage lower bounds")
@@ -136,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, help="object count (single mode)")
     p.add_argument("--total", type=int, help="universe size (subset mode)")
     p.add_argument("--choose", type=int, help="subset size (subset mode)")
-    p.add_argument("--n-from", type=int, default=bounds.DEFAULT_N_FROM)
-    p.add_argument("--n-to", type=int, default=bounds.DEFAULT_N_TO)
+    p.add_argument("--n-from", type=int)
+    p.add_argument("--n-to", type=int)
     common(p)
 
     p = sub.add_parser("model-demo", help="integer-grid monotonicity illusion")
@@ -165,14 +162,6 @@ def _cut_subsets(args, inst: valleys.TspInstance) -> list[tuple[int, ...]]:
 
 
 def _relaxation(args, inst: valleys.TspInstance) -> gaps.RelaxationDesc:
-    if args.relaxation != gaps.DEGREE_WITH_CUTS and (args.cut_valley or args.cut_cities):
-        raise ValidationError(
-            f"--cut-valley and --cut-cities need --relaxation {gaps.DEGREE_WITH_CUTS}"
-        )
-    # a given --rounds equal to the default cannot be told from an
-    # omitted flag, so only other values are refused where no loop runs
-    if args.relaxation != gaps.CUTTING_PLANE and args.rounds != DEFAULT_ROUNDS:
-        raise ValidationError(f"--rounds needs --relaxation {gaps.CUTTING_PLANE}")
     if args.relaxation == gaps.DEGREE:
         return gaps.degree_relaxation()
     if args.relaxation == gaps.DEGREE_WITH_CUTS:
@@ -249,17 +238,6 @@ def _run_cutting_plane(args) -> tuple[Any, Table]:
 
 
 def _run_decide(args) -> tuple[Any, Table]:
-    relaxation_flags = (
-        args.relaxation != gaps.DEGREE
-        or args.cut_valley
-        or args.cut_cities
-        or args.rounds != DEFAULT_ROUNDS
-    )
-    if args.via == gaps.VIA_ILP and relaxation_flags:
-        raise ValidationError(
-            f"--via {gaps.VIA_ILP} solves no relaxation: drop --relaxation, "
-            "--cut-valley, --cut-cities and --rounds"
-        )
     inst = _instance(args)
     relaxation = _relaxation(args, inst)
     answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)
@@ -283,15 +261,6 @@ def _run_check_flow(args) -> tuple[Any, Table]:
 
 
 def _run_space_bounds(args) -> tuple[Any, Table]:
-    # flags of another mode are refused, not dropped; as with --rounds, a
-    # given growth range equal to the default cannot be told from none
-    if args.mode != "single" and args.count is not None:
-        raise ValidationError("--count needs --mode single")
-    if args.mode != "subset" and (args.total is not None or args.choose is not None):
-        raise ValidationError("--total and --choose need --mode subset")
-    default_range = (bounds.DEFAULT_N_FROM, bounds.DEFAULT_N_TO)
-    if args.mode != "growth" and (args.n_from, args.n_to) != default_range:
-        raise ValidationError("--n-from and --n-to need --mode growth")
     if args.mode == "single":
         if args.count is None:
             raise ValidationError("--count is required in single mode")
@@ -325,6 +294,36 @@ _HANDLERS = {
 }
 
 
+# (flag, other flag, value, default): where a subcommand has the other
+# flag, the flag is read only under that value and refused under any
+# other, even at its default, so it parses to None when omitted and gets
+# its default here. An omitted --relaxation is degree, which no entry needs.
+_READ_ONLY_UNDER = (
+    ("rounds", "relaxation", gaps.CUTTING_PLANE, DEFAULT_ROUNDS),
+    ("cut_valley", "relaxation", gaps.DEGREE_WITH_CUTS, ()),
+    ("cut_cities", "relaxation", gaps.DEGREE_WITH_CUTS, ()),
+    ("relaxation", "via", gaps.VIA_LP, gaps.DEGREE),
+    ("count", "mode", "single", None),
+    ("total", "mode", "subset", None),
+    ("choose", "mode", "subset", None),
+    ("n_from", "mode", "growth", bounds.DEFAULT_N_FROM),
+    ("n_to", "mode", "growth", bounds.DEFAULT_N_TO),
+)
+
+
+def _resolve_flags(args) -> None:
+    """Refuse every given flag that this run would not read, then fill
+    each omitted flag of the table with its default."""
+    given = vars(args)
+    for flag, other, value, _ in _READ_ONLY_UNDER:
+        if given.get(flag) is not None and other in given and given[other] != value:
+            name = flag.replace("_", "-")
+            raise ValidationError(f"--{name} needs --{other} {value}")
+    for flag, _, _, default in _READ_ONLY_UNDER:
+        if flag in given and given[flag] is None:
+            setattr(args, flag, default)
+
+
 def _config_from_args(args) -> RunConfig:
     skip = {"subcommand", "format", "output"}
     params = {
@@ -347,8 +346,9 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
+        _resolve_flags(args)
+        config = _config_from_args(args)
         result, table = _HANDLERS[args.subcommand](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .lp import (
     LESS_EQ,
     Constraint,
@@ -37,6 +37,15 @@ ENUMERATION_LIMIT = 10_000
 # a late facet takes about V pivots: hull-adversary's worst omission
 # runs in about 2 s at V = 256, 15 s at V = 512 and minutes at V = 1000
 MAX_VERTICES = 256
+# a scan's work estimate is subsets x facets x (budget^2 + 400): each
+# kept subset solves once per facet (one cold solve of about `budget`
+# pivots, one warm solve per omitted facet) over about budget^2 tableau
+# cells, plus a fixed per-solve cost worth about 400 cells. A unit took
+# 50-115 ns over V = 8..256 on a 2-vCPU host (Python 3.11), so the limit
+# stops scans at about 5-12 s; V = 256 keeping 254 facets estimates
+# 4.2e9 and ran 277 s without it
+SOLVE_OVERHEAD_CELLS = 400
+SCAN_WORK_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -230,7 +239,9 @@ def subset_gap_scan(
     are at most ENUMERATION_LIMIT, otherwise sample_count distinct
     seeded draws, refused before any draw when fewer subsets exist),
     record the worst adversarial gap over the omitted facets. Rows are
-    ordered by their omitted index lists so output is canonical."""
+    ordered by their omitted index lists so output is canonical. A scan
+    whose work estimate exceeds SCAN_WORK_LIMIT is refused before any
+    model is built."""
     F = poly.facet_count
     if not 0 <= budget <= F:
         raise ValidationError(f"budget must be within 0..{F}")
@@ -242,6 +253,13 @@ def subset_gap_scan(
         raise ValidationError(
             f"sample count {sample_count} exceeds the {total} subsets of "
             f"{budget} of {F} facets"
+        )
+    subsets = total if enumerated else sample_count
+    work = subsets * F * (budget * budget + SOLVE_OVERHEAD_CELLS)
+    if work > SCAN_WORK_LIMIT:
+        raise BudgetExceededError(
+            f"a scan of {subsets} subsets keeping {budget} of {F} facets "
+            f"estimates {work} work units, over the limit {SCAN_WORK_LIMIT}"
         )
     if enumerated:
         kept_sets = [tuple(c) for c in combinations(range(F), budget)]

@@ -16,7 +16,6 @@ import csv
 import dataclasses
 import io
 import json
-from enum import Enum
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -31,8 +30,6 @@ def to_jsonable(value: Any) -> Any:
         return str(value)
     if isinstance(value, int):
         return value
-    if isinstance(value, Enum):
-        return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: to_jsonable(getattr(value, f.name))
@@ -42,8 +39,6 @@ def to_jsonable(value: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if isinstance(value, frozenset):
-        return sorted(to_jsonable(v) for v in value)
     raise TypeError(f"no report encoding for {type(value)!r}")
 
 
@@ -72,12 +67,7 @@ def flatten(value: Any, prefix: str = "") -> list[tuple[str, str]]:
             sub = f"{prefix}.{idx}" if prefix else str(idx)
             items.extend(flatten(entry, sub))
     else:
-        rendered = "" if value is None else str(value)
-        if value is True:
-            rendered = "true"
-        elif value is False:
-            rendered = "false"
-        items.append((prefix, rendered))
+        items.append((prefix, _csv_cell(value)))
     return items
 
 

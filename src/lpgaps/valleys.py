@@ -408,7 +408,9 @@ def _max_flow_min_cut(
                     parent[w] = u
                     queue.append(w)
         if parent[sink] < 0:
-            break
+            # the search ran out before the sink: it visited exactly
+            # the source side of a minimum cut
+            return flow_value, tuple(i for i in range(n) if parent[i] >= 0)
         bottleneck = None
         w = sink
         while w != source:
@@ -423,16 +425,6 @@ def _max_flow_min_cut(
             residual[w][u] += bottleneck
             w = u
         flow_value += bottleneck
-    side = [False] * n
-    side[source] = True
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in range(n):
-            if not side[w] and residual[u][w] > 0:
-                side[w] = True
-                queue.append(w)
-    return flow_value, tuple(i for i in range(n) if side[i])
 
 
 def separate_subtour(

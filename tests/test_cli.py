@@ -221,6 +221,16 @@ def test_budget_exit_code(tmp_path):
     assert code == 3
 
 
+def test_scan_over_the_work_limit_exits_3(tmp_path, capsys):
+    code = cli.main([
+        "hull-scan", "--vertices", "256", "--budget", "254",
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 3
+    assert "work units" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.mark.parametrize("subcommand", [
     ["valley-gap", "--relaxation", "cutting-plane"],
     ["decide", "--relaxation", "cutting-plane", "--threshold", "3",
@@ -279,6 +289,7 @@ def test_rounds_need_the_cutting_plane_relaxation(tmp_path, argv):
     ["--relaxation", "cutting-plane"],
     ["--rounds", "7"],
     ["--relaxation", "cutting-plane", "--rounds", "7"],
+    ["--relaxation", "degree"],
 ])
 def test_ilp_decision_takes_no_relaxation_flags(tmp_path, relaxation_flags):
     decide = [
@@ -290,9 +301,42 @@ def test_ilp_decision_takes_no_relaxation_flags(tmp_path, relaxation_flags):
     ])
     assert code == 2
     assert not (tmp_path / "x.json").exists()
-    code, out = run_cli(tmp_path, *decide, "--relaxation", "degree")
+    code, out = run_cli(tmp_path, *decide)
     assert code == 0
     assert json.loads(out.read_text())["result"]["answer"] == "YES"
+
+
+INSTANCE = ["--valleys", "3", "--cities-per-valley", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["valley-gap", *INSTANCE, "--relaxation", "degree", "--rounds", "50"],
+    ["decide", *INSTANCE, "--threshold", "3", "--via", "lp-relaxation",
+     "--rounds", "50"],
+    ["space-bounds", "--mode", "single", "--count", "5", "--n-from", "4"],
+    ["space-bounds", "--mode", "subset", "--total", "9", "--choose", "3",
+     "--n-to", "12"],
+])
+def test_unread_flag_is_refused_at_its_default(tmp_path, argv):
+    code = cli.main([*argv, "--output", str(tmp_path / "x.json")])
+    assert code == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("omitted, given", [
+    (["cutting-plane", *INSTANCE], ["--rounds", "50"]),
+    (["valley-gap", *INSTANCE], ["--relaxation", "degree"]),
+    (["valley-gap", *INSTANCE, "--relaxation", "cutting-plane"],
+     ["--rounds", "50"]),
+    (["space-bounds", "--mode", "growth"], ["--n-from", "4", "--n-to", "12"]),
+])
+def test_omitted_flag_reports_its_default(tmp_path, omitted, given):
+    code, out = run_cli(tmp_path, *omitted)
+    assert code == 0
+    first = out.read_bytes()
+    code, out = run_cli(tmp_path, *omitted, *given)
+    assert code == 0
+    assert out.read_bytes() == first
 
 
 def test_usage_error_exit_code():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import best_vertex_value, envelope_relaxed_max
-from lpgaps.errors import ValidationError
+from lpgaps import hull
+from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.hull import (
     MAX_VERTICES,
     adversarial_objective,
@@ -168,6 +169,18 @@ def test_scan_refuses_more_samples_than_subsets():
     # ENUMERATION_LIMIT, so the scan would sample: refused before drawing
     with pytest.raises(ValidationError, match="12870 subsets"):
         subset_gap_scan(gen_arc(17), budget=8, sample_count=13000)
+
+
+@pytest.mark.parametrize("budget, samples", [(254, 1), (128, 24)])
+def test_scan_over_the_work_limit_builds_no_model(monkeypatch, budget, samples):
+    # 255 enumerated one-short subsets of 255 facets (277 s unbudgeted),
+    # and 24 samples keeping 128 facets: 24 * 255 * (128^2 + 400) > 10^8
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(hull, "polytope_lp", no_model)
+    with pytest.raises(BudgetExceededError, match="work units"):
+        subset_gap_scan(gen_arc(256), budget, sample_count=samples)
 
 
 def cold_worst(poly, kept, omitted):

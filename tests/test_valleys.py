@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpgaps.errors import ValidationError
 from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import GREATER_EQ, SolveStatus, check_feasible, solve_lp
 from lpgaps.valleys import (
+    TspInstance,
     arc_list,
     check_flow_feasibility,
     cutting_plane_loop,
@@ -383,3 +385,53 @@ def test_flow_text_errors():
         flow_arcs_from_text("nope")
     with pytest.raises(ValidationError):
         flow_arcs_from_text("lpgaps-flow 1\n0 1\n")
+
+
+costs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def instances(draw, min_cities=2, max_cities=7):
+    n = draw(st.integers(min_cities, max_cities))
+    # valley ids ranked onto 0..k-1, so none is missing
+    raw = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rank = {v: r for r, v in enumerate(sorted(set(raw)))}
+    cost = draw(st.lists(
+        st.lists(costs, min_size=n, max_size=n), min_size=n, max_size=n,
+    ))
+    return TspInstance(n, tuple(rank[v] for v in raw), tuple(map(tuple, cost)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances())
+def test_instance_text_round_trips(inst):
+    back = instance_from_text(instance_to_text(inst))
+    assert (back.n, back.valley_of, back.cost) == (inst.n, inst.valley_of, inst.cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_flow_text_round_trips(data):
+    inst = data.draw(instances())
+    arcs = data.draw(st.lists(
+        st.sampled_from(arc_list(inst.n)), unique=True, max_size=inst.n * 2,
+    ))
+    weights = st.fractions(min_value=0, max_value=1, max_denominator=60)
+    flow = flow_from_arcs(inst, [(i, j, data.draw(weights)) for i, j in arcs])
+    back = flow_arcs_from_text(flow_arcs_to_text(flow))
+    assert back == list(flow.arcs)
+    assert flow_from_arcs(inst, back) == flow
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_subtour_cuts_never_lower_the_degree_lp_minimum(data):
+    inst = data.draw(instances(min_cities=3, max_cities=5))
+    subsets = st.lists(
+        st.integers(0, inst.n - 1), min_size=2, max_size=inst.n - 1, unique=True,
+    )
+    first, second = data.draw(subsets), data.draw(subsets)
+    base = solve_lp(degree_lp(inst)).value
+    one_cut = solve_lp(relaxation_with_cuts(inst, [first])).value
+    two_cuts = solve_lp(relaxation_with_cuts(inst, [first, second])).value
+    assert base <= one_cut <= two_cuts
