@@ -2,19 +2,20 @@
 
 Programs are stated in inequality form: an objective to maximize or
 minimize, rows with <= / >= / = relations, and per-variable bounds
-(lower defaults to 0, upper is optional). The solver is a dense tableau
-simplex that handles variable bounds natively (bounded variables never
-become extra rows) and uses Bland's smallest-index rule throughout, so
-it terminates on every input. Each column carries one signed state, the
-direction it may move if it enters (up from its lower bound, down from
-its upper bound, or never), and artificials are the columns from
-``first_art`` on. All pivots are exact: each tableau row is
-a list of Python ints over one positive int denominator (fraction-free
-rows, the first step toward the exact kernel of QSopt_ex), and basic
-values are Fractions. A returned status is a certainty, not a numerical
-verdict. Bland's rule sees only signs and exact ratio comparisons, which
-no positive row scale changes, so the int rows pivot exactly as a
-Fraction-per-entry tableau does.
+(lower defaults to 0, upper is optional). The solver is a tableau
+simplex whose rows are stored densely, while a pivot updates only the
+columns where the pivot row is nonzero. It handles variable bounds
+natively (bounded variables never become extra rows) and uses Bland's
+smallest-index rule throughout, so it terminates on every input. Each
+column carries one signed state, the direction it may move if it enters
+(up from its lower bound, down from its upper bound, or never), and
+artificials are the columns from ``first_art`` on. All pivots are
+exact: each tableau row is a list of Python ints over one positive int
+denominator (fraction-free rows, the first step toward the exact kernel
+of QSopt_ex), and basic values are Fractions. A returned status is a
+certainty, not a numerical verdict. Bland's rule sees only signs and
+exact ratio comparisons, which no positive row scale changes, so the int
+rows pivot exactly as a Fraction-per-entry tableau does.
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts a solve of another objective over
@@ -184,13 +185,19 @@ def objective_value(lp: LinearProgram, point: Sequence[Rational]) -> Rational:
 
 
 def _eliminate(
-    row: list[int], den: int, prow: list[int], pden: int, col: int
+    row: list[int], den: int, prow: list[int], pden: int, col: int,
+    nz: Sequence[int],
 ) -> tuple[list[int], int]:
     """Clear column col of row/den against the normalised pivot row
     prow/pden (prow[col] == pden, so its true entry there is 1); returns
-    the new row and denominator in lowest terms."""
+    the new row and denominator in lowest terms. nz lists the columns
+    where prow is nonzero, the only ones the update touches. The result
+    is a new list: row itself is never changed, since tableau copies
+    share their rows."""
     f = row[col]
-    out = [x * pden - f * y for x, y in zip(row, prow)]
+    out = list(row) if pden == 1 else [x * pden for x in row]
+    for j in nz:
+        out[j] -= f * prow[j]
     den *= pden
     g = gcd(den, *out)
     if g > 1:
@@ -218,8 +225,11 @@ class _Tableau:
     are the ones a Fraction-per-entry tableau would make, in the same
     order. A basic column's entry equals its row's denominator.
 
-    Rows are never written in place, only replaced by new lists, so a
-    copy shares them and owns only the lists that index them.
+    Rows are stored densely, one int per column. A basis change lists
+    the pivot row's nonzero columns once, and every elimination of that
+    pivot updates only those columns of a copy of its row. Rows are
+    never written in place, only replaced by new lists, so a copy shares
+    them and owns only the lists that index them.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -305,7 +315,9 @@ class _Tableau:
         r = [c.numerator * (rd // c.denominator) for c in cost]
         for i, b in enumerate(self.basis):
             if r[b]:
-                r, rd = _eliminate(r, rd, self.A[i], self.d[i], b)
+                prow = self.A[i]
+                nz = [j for j, x in enumerate(prow) if x]
+                r, rd = _eliminate(r, rd, prow, self.d[i], b, nz)
         self.r, self.rd = r, rd
 
     def _apply_step(self, enter: int, direction: int, t: Fraction) -> None:
@@ -344,11 +356,12 @@ class _Tableau:
             prow = [x // g for x in prow]
         A[p] = prow
         dp = d[p] = prow[enter]
+        nz = [j for j, x in enumerate(prow) if x]
         for i, row in enumerate(A):
             if i != p and row[enter]:
-                A[i], d[i] = _eliminate(row, d[i], prow, dp, enter)
+                A[i], d[i] = _eliminate(row, d[i], prow, dp, enter, nz)
         if self.r[enter]:
-            self.r, self.rd = _eliminate(self.r, self.rd, prow, dp, enter)
+            self.r, self.rd = _eliminate(self.r, self.rd, prow, dp, enter, nz)
 
     def run(self) -> str:
         """Maximize the objective last set by price(). Bland's rule:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from lpgaps import cli, hull
+from lpgaps import cli, hull, valleys
 from lpgaps.valleys import (
     flow_arcs_to_text,
     gen_valley_instance,
@@ -209,6 +209,22 @@ def test_hull_commands_cap_vertices(tmp_path, capsys, argv):
     ])
     assert code == 2
     assert f"2..{hull.MAX_VERTICES} vertices" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cutting-plane", "--rounds", "5"],
+    ["decide", "--threshold", "5", "--via", "lp-relaxation"],
+    # above the cap the size check comes before the oracle budget (exit 3)
+    ["valley-gap", "--relaxation", "degree"],
+])
+def test_valley_commands_cap_cities(tmp_path, capsys, argv):
+    code = cli.main([
+        *argv, "--valleys", str(valleys.MAX_CITIES + 1),
+        "--cities-per-valley", "1", "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert f"at most {valleys.MAX_CITIES} cities" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from oracles import random_bounded_lp, vertex_enumeration_optimum
 from lpgaps.errors import ValidationError
 from lpgaps.lp import (
     SolveStatus,
+    _eliminate,
     check_feasible,
     constraint,
     linear_program,
@@ -175,6 +177,40 @@ def test_deterministic_outcomes():
     for _ in range(25):
         program = random_bounded_lp(rng)
         assert solve_lp(program) == solve_lp(program)
+
+
+# Tableau-like int entries: mostly zero, either sign, now and then large.
+entries = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-(10**12), 10**12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_property_eliminate_matches_fraction_reference(data):
+    width = data.draw(st.integers(1, 8))
+    col = data.draw(st.integers(0, width - 1))
+    row = data.draw(st.lists(entries, min_size=width, max_size=width))
+    den = data.draw(st.integers(1, 60))
+    # a pivot row as _replace leaves it: positive at col, gcd 1
+    prow = data.draw(st.lists(entries, min_size=width, max_size=width))
+    prow[col] = data.draw(st.one_of(st.just(1), st.integers(2, 12)))
+    g = gcd(*prow)
+    prow = [x // g for x in prow]
+    pden = prow[col]
+    nz = [j for j, x in enumerate(prow) if x]
+    before = list(row)
+
+    out, out_den = _eliminate(row, den, prow, pden, col, nz)
+
+    assert row == before  # tableau copies share rows: never written
+    f = Fraction(row[col], den)
+    assert [Fraction(x, out_den) for x in out] == [
+        Fraction(x, den) - f * Fraction(y, pden) for x, y in zip(row, prow)
+    ]
+    assert out[col] == 0
+    assert out_den > 0
+    assert gcd(out_den, *out) == 1
 
 
 # Properties over programs random_bounded_lp never draws: denominators up

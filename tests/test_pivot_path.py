@@ -8,13 +8,15 @@ moves a cut sequence, an optimal point or a hull witness, and fails
 here even when every oracle comparison still passes.
 """
 
+import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from lpgaps.hull import facet_gap, gen_arc
-from lpgaps.lp import SolveStatus, solve_lp
+from lpgaps.lp import SolveStatus, _Tableau, linear_program, solve_lp
 from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 F = Fraction
@@ -134,3 +136,77 @@ def test_arc64_facet_gap_witnesses():
         assert gap.witness == witness
         assert (gap.relaxed_max, gap.true_max) == (relaxed, true)
         assert gap.gap == relaxed - true
+
+
+# SHA-256 of every basis change (row, entering column) and every
+# outcome (status, value) over RANDOM_PROGRAMS seeded programs, each
+# solved cold and then warm from its own outcome for a second objective,
+# recorded from the dense-row elimination that preceded the sparse one.
+# Row denominators are left out on purpose: the pivots and the outcomes
+# are the contract, the lowest-terms scaling of a row is not.
+RANDOM_PROGRAMS_SEED = 8086
+RANDOM_PROGRAMS = 300
+RANDOM_PATH_SHA256 = (
+    "ead583621fb5d0b2977b23b086cf3fcae51b05a09d4564a09013f9b29f25e71c"
+)
+
+
+def seeded_boxed_program(rng):
+    """The shape of test_lp's boxed_programs, drawn from a seeded rng:
+    denominators up to 7, negative lower bounds, fixed columns (zero
+    span) and equality rows, each row within an offset of an anchor
+    point, so both feasible and infeasible programs occur."""
+    n = rng.randint(1, 4)
+
+    def small():
+        return F(rng.randint(-6, 6), rng.randint(1, 7))
+
+    lower = [small() for _ in range(n)]
+    spans = [F(rng.randint(0, 4), rng.randint(1, 7)) for _ in range(n)]
+    anchor = [lo + s * F(rng.randint(0, 4), 4) for lo, s in zip(lower, spans)]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        coeffs = [small() for _ in range(n)]
+        relation = rng.choice(["<=", "<=", ">=", "="])
+        offset = F(rng.randint(-1, 3), rng.randint(1, 7))
+        if relation == ">=":
+            offset = -offset
+        elif relation == "=":
+            offset = min(offset, 0)
+        lhs = sum(a * x for a, x in zip(coeffs, anchor))
+        rows.append((coeffs, relation, lhs + offset))
+    return linear_program(
+        [small() for _ in range(n)],
+        rng.choice(["max", "min"]),
+        rows,
+        lower_bounds=lower,
+        upper_bounds=[lo + s for lo, s in zip(lower, spans)],
+    )
+
+
+def test_random_programs_pivot_digest(monkeypatch):
+    events = []
+    original = _Tableau._replace
+
+    def recording_replace(self, p, enter, value, leave_state):
+        events.append(("pivot", p, enter))
+        return original(self, p, enter, value, leave_state)
+
+    monkeypatch.setattr(_Tableau, "_replace", recording_replace)
+    rng = random.Random(RANDOM_PROGRAMS_SEED)
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(rng)
+        first = solve_lp(lp)
+        events.append(("outcome", first.status.value, first.value))
+        if first.tableau is None:
+            continue
+        other = replace(
+            lp,
+            objective=tuple(F(rng.randint(-6, 6), rng.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=rng.choice(["max", "min"]),
+        )
+        warm = solve_lp(other, start=first)
+        events.append(("outcome", warm.status.value, warm.value))
+    digest = hashlib.sha256(repr(events).encode()).hexdigest()
+    assert digest == RANDOM_PATH_SHA256

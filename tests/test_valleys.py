@@ -8,6 +8,7 @@ from lpgaps.errors import ValidationError
 from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import GREATER_EQ, SolveStatus, check_feasible, solve_lp
 from lpgaps.valleys import (
+    MAX_CITIES,
     TspInstance,
     arc_list,
     check_flow_feasibility,
@@ -61,6 +62,13 @@ def test_generation_validation():
         gen_valley_instance(4, 2, intra_cost=1, crossing_cost=1)
     with pytest.raises(ValidationError):
         gen_valley_instance(4, 2, intra_cost=-1, crossing_cost=1)
+
+
+def test_rejects_instances_above_the_city_cap():
+    assert gen_valley_instance(MAX_CITIES // 2, 2).n == MAX_CITIES
+    for valleys, cities in [(MAX_CITIES + 1, 1), (MAX_CITIES // 2 + 1, 2)]:
+        with pytest.raises(ValidationError, match=f"at most {MAX_CITIES}"):
+            gen_valley_instance(valleys, cities)
 
 
 def test_degree_lp_shape():
