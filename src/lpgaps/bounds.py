@@ -26,6 +26,13 @@ from .rationals import Rational
 # of the demo function are ~0.96, twenty-five orders of magnitude away
 COMPARISON_GUARD = Fraction(1, 10**30)
 WORKING_DIGITS = 60
+# C(total, k) < 2**total has at most 4,215 digits at the cap, under
+# Python's 4,300-digit limit for rendering an int in a report
+MAX_SUBSET_TOTAL = 14_000
+# on a 2-vCPU host (Python 3.11) growth row 20 takes 2 s, row 21 8 s, and
+# a grid point 30-80 us below x = 1000 but 0.8 ms at x = 10,000
+MAX_GROWTH_N = 20
+MAX_GRID_POINTS = 10_000
 
 
 def ceil_log2(count: int) -> int:
@@ -59,6 +66,8 @@ def min_symbols_subset(total: int, chosen: int) -> StorageBound:
         raise ValidationError("total must be positive")
     if not 0 <= chosen <= total:
         raise ValidationError("chosen must be within 0..total")
+    if total > MAX_SUBSET_TOTAL:
+        raise ValidationError(f"total must be at most {MAX_SUBSET_TOTAL}, not {total}")
     count = comb(total, chosen)
     return StorageBound(
         count,
@@ -76,10 +85,10 @@ def subset_growth_table(
 ) -> tuple[tuple[int, int], ...]:
     """(n, min_bits) for pointing at one size-2**n/4 subset of 2**n
     objects; the bit count at least doubles per unit n at these sizes."""
-    if not 2 <= n_from <= n_to:
-        raise ValidationError("need 2 <= n_from <= n_to")
+    if not 2 <= n_from <= n_to <= MAX_GROWTH_N:
+        raise ValidationError(f"need 2 <= n_from <= n_to <= {MAX_GROWTH_N}")
     return tuple(
-        (n, min_symbols_subset(2**n, 2**n // 4).min_bits)
+        (n, ceil_log2(comb(2**n, 2**n // 4)))
         for n in range(n_from, n_to + 1)
     )
 
@@ -134,6 +143,9 @@ def monotone_model_demo(grid_start, grid_end, step) -> MonotoneScan:
         raise ValidationError("step must be positive")
     if start > end:
         raise ValidationError("grid start must not exceed grid end")
+    points = (end - start) // incr + 1
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"a grid has at most {MAX_GRID_POINTS} points, not {points}")
     grid = []
     x = start
     while x <= end:

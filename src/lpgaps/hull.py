@@ -98,19 +98,14 @@ def facet_constraint(facet: Halfplane) -> Constraint:
 def polytope_lp(
     poly: ArcPolytope,
     objective: tuple[Rational, Rational],
-    kept_facets: Optional[Sequence[int]] = None,
-):
+    kept_facets: Sequence[int],
+) -> LinearProgram:
     """Maximize objective over the kept facets plus the box. The box
     (0 <= x <= V-1, y >= 0) never counts against a storage budget."""
-    facets = (
-        poly.facets
-        if kept_facets is None
-        else [poly.facets[i] for i in kept_facets]
-    )
     return linear_program(
         objective,
         "max",
-        [facet_constraint(f) for f in facets],
+        [facet_constraint(poly.facets[i]) for i in kept_facets],
         upper_bounds=[poly.x_max, None],
     )
 
@@ -130,53 +125,40 @@ class AdversarialGap:
         return (not self.bounded) or self.gap > 0
 
 
+def _facet_objective(poly: ArcPolytope, omitted: int) -> tuple[Rational, Rational]:
+    """y - slope*x for the omitted facet, as (-slope, 1)."""
+    return (-poly.facets[omitted].slope, Fraction(1))
+
+
+def _gap(poly: ArcPolytope, omitted: int, outcome: LpOutcome) -> AdversarialGap:
+    """The phantom value of a truncated model's solve under the omitted
+    facet's objective, measured against the facet's intercept."""
+    objective = _facet_objective(poly, omitted)
+    true_max = poly.facets[omitted].intercept
+    if outcome.status is SolveStatus.UNBOUNDED:
+        return AdversarialGap(
+            omitted, objective, true_max, None, None, None, bounded=False
+        )
+    assert outcome.status is SolveStatus.OPTIMAL
+    return AdversarialGap(
+        omitted, objective, true_max,
+        outcome.value, outcome.point, outcome.value - true_max, bounded=True,
+    )
+
+
 def facet_gap(
-    poly: ArcPolytope,
-    omitted: int,
-    kept_facets: Sequence[int],
-    start: Optional[tuple[LinearProgram, Optional[LpOutcome]]] = None,
-) -> AdversarialGap | tuple[AdversarialGap, tuple[LinearProgram, LpOutcome]]:
+    poly: ArcPolytope, omitted: int, kept_facets: Sequence[int]
+) -> AdversarialGap:
     """Adversarial objective for one omitted facet against a truncated
     model: maximize y - slope*x. Over the full polytope that tops out at
     the facet's intercept; whatever the truncated model reports beyond
-    it is phantom value.
-
-    ``start`` chains the solves of one kept subset. It is a pair
-    ``(model, outcome)``: model is ``polytope_lp`` over kept_facets with
-    any objective, and outcome an earlier solve of that model or None.
-    This facet's objective is swapped into the model, the solve starts
-    from outcome's final tableau (cold when None), and the call returns
-    ``(gap, (model, outcome))`` to hand to the next facet. Without
-    start it returns the gap alone."""
+    it is phantom value. One cold solve."""
     if not 0 <= omitted < poly.facet_count:
         raise ValidationError(f"facet index {omitted} out of range")
     if omitted in kept_facets:
         raise ValidationError(f"facet {omitted} is part of the kept model")
-    facet = poly.facets[omitted]
-    objective = (-facet.slope, Fraction(1))
-    true_max = facet.intercept
-    if start is None:
-        outcome = solve_lp(polytope_lp(poly, objective, kept_facets))
-    else:
-        model, previous = start
-        model = replace(model, objective=objective)
-        outcome = solve_lp(model, start=previous)
-    if outcome.status is SolveStatus.UNBOUNDED:
-        gap = AdversarialGap(
-            omitted, objective, true_max, None, None, None, bounded=False
-        )
-    else:
-        assert outcome.status is SolveStatus.OPTIMAL
-        gap = AdversarialGap(
-            omitted,
-            objective,
-            true_max,
-            outcome.value,
-            (outcome.point[0], outcome.point[1]),
-            outcome.value - true_max,
-            bounded=True,
-        )
-    return gap if start is None else (gap, (model, outcome))
+    model = polytope_lp(poly, _facet_objective(poly, omitted), kept_facets)
+    return _gap(poly, omitted, solve_lp(model))
 
 
 def adversarial_objective(poly: ArcPolytope, omitted: int) -> AdversarialGap:
@@ -187,11 +169,7 @@ def adversarial_objective(poly: ArcPolytope, omitted: int) -> AdversarialGap:
 
 def _worse(a: AdversarialGap, b: AdversarialGap) -> bool:
     """Is b a strictly larger phantom than a? Unbounded beats any gap."""
-    if not b.bounded:
-        return a.bounded
-    if not a.bounded:
-        return False
-    return b.gap > a.gap
+    return a.bounded and (not b.bounded or b.gap > a.gap)
 
 
 @dataclass(frozen=True)
@@ -238,10 +216,13 @@ def subset_gap_scan(
     """For every size-`budget` kept-facet subset (all of them when there
     are at most ENUMERATION_LIMIT, otherwise sample_count distinct
     seeded draws, refused before any draw when fewer subsets exist),
-    record the worst adversarial gap over the omitted facets. Rows are
-    ordered by their omitted index lists so output is canonical. A scan
-    whose work estimate exceeds SCAN_WORK_LIMIT is refused before any
-    model is built."""
+    record the worst adversarial gap over the omitted facets. Each
+    subset builds one ``polytope_lp`` and solves it once per omitted
+    facet, each solve after the first warm-started from the one before;
+    the gaps equal ``facet_gap``'s cold ones. Rows are ordered by their
+    omitted index lists so output is canonical. A scan whose work
+    estimate exceeds SCAN_WORK_LIMIT is refused before any model is
+    built."""
     F = poly.facet_count
     if not 0 <= budget <= F:
         raise ValidationError(f"budget must be within 0..{F}")
@@ -288,13 +269,16 @@ def subset_gap_scan(
                 )
             )
             continue
-        # one model per subset with only the objective swapped; omitted
+        # one model per subset: each omitted facet swaps in its objective
+        # and starts from the last outcome, the first one cold. Omitted
         # facets ascend, so consecutive optima are the same or
-        # neighbouring vertices and each solve starts from the last one
-        warm = (polytope_lp(poly, (0, 0), kept), None)
-        worst: Optional[AdversarialGap] = None
+        # neighbouring vertices
+        model = polytope_lp(poly, _facet_objective(poly, omitted[0]), kept)
+        outcome = worst = None
         for j in omitted:
-            result, warm = facet_gap(poly, j, kept, start=warm)
+            model = replace(model, objective=_facet_objective(poly, j))
+            outcome = solve_lp(model, start=outcome)
+            result = _gap(poly, j, outcome)
             if worst is None or _worse(worst, result):
                 worst = result
         rows.append(

@@ -26,7 +26,6 @@ from .lp import (
     GREATER_EQ,
     Constraint,
     LinearProgram,
-    LpOutcome,
     SolveStatus,
     linear_program,
     solve_lp,
@@ -138,21 +137,13 @@ def degree_lp(inst: TspInstance) -> LinearProgram:
     arcs = arc_list(n)
     num = len(arcs)
     objective = [inst.cost[i][j] for (i, j) in arcs]
-    zero = Fraction(0)
     one = Fraction(1)
-    rows = []
-    for city in range(n):
-        coeffs = [zero] * num
-        for idx, (i, _) in enumerate(arcs):
-            if i == city:
-                coeffs[idx] = one
-        rows.append(Constraint(tuple(coeffs), EQUAL, one))
-    for city in range(n):
-        coeffs = [zero] * num
-        for idx, (_, j) in enumerate(arcs):
-            if j == city:
-                coeffs[idx] = one
-        rows.append(Constraint(tuple(coeffs), EQUAL, one))
+    # rows 0..n-1 are out-degrees, rows n..2n-1 in-degrees
+    coeffs = [[Fraction(0)] * num for _ in range(2 * n)]
+    for idx, (i, j) in enumerate(arcs):
+        coeffs[i][idx] = one
+        coeffs[n + j][idx] = one
+    rows = [Constraint(tuple(row), EQUAL, one) for row in coeffs]
     return linear_program(
         objective, "min", rows, upper_bounds=[one] * num
     )
@@ -514,16 +505,17 @@ DEFAULT_ROUNDS = 50
 def cutting_plane_loop(
     inst: TspInstance, max_rounds: int = DEFAULT_ROUNDS
 ) -> CuttingPlaneTrace:
-    """Solve, separate, add one cut, repeat. Values are nondecreasing
-    because each round's feasible region shrinks."""
+    """Solve, separate, add one cut, repeat. Each round's program is
+    the last one with its violated cut appended as a new last row, so
+    the degree LP is built once; values are nondecreasing because each
+    round's feasible region shrinks."""
     if max_rounds < 1:
         raise ValidationError("max_rounds must be at least 1")
     cuts: list[tuple[int, ...]] = []
     rounds: list[CutRound] = []
     complete = False
-    outcome: Optional[LpOutcome] = None
+    program = degree_lp(inst)
     for rnd in range(1, max_rounds + 1):
-        program = relaxation_with_cuts(inst, cuts)
         outcome = solve_lp(program)
         if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
             raise AssertionError(f"relaxation solve came back {outcome.status}")
@@ -535,6 +527,7 @@ def cutting_plane_loop(
             complete = True
             break
         cuts.append(violated)
+        program = with_constraints(program, [subtour_cut(inst, violated)])
     return CuttingPlaneTrace(
         rounds=tuple(rounds),
         cuts=tuple(cuts),
@@ -557,6 +550,13 @@ def instance_to_text(inst: TspInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValidationError(f"not an integer: {token!r}") from None
+
+
 def instance_from_text(text: str) -> TspInstance:
     n = None
     valley_of = None
@@ -568,15 +568,17 @@ def instance_from_text(text: str) -> TspInstance:
             continue
         key, _, rest = ln.partition(" ")
         if key == "n":
-            n = int(rest)
+            n = _int(rest)
         elif key == "valleys":
-            valley_of = tuple(int(t) for t in rest.split())
+            valley_of = tuple(_int(t) for t in rest.split())
         elif key == "costs":
             in_costs = True
         else:
             raise ValidationError(f"unknown instance field {key!r}")
     if n is None or valley_of is None:
         raise ValidationError("instance needs n and valleys fields")
+    if n < 2:
+        raise ValidationError(f"an instance needs at least 2 cities, not {n}")
     if len(valley_of) != n or len(cost_rows) != n or any(len(r) != n for r in cost_rows):
         raise ValidationError("instance dimensions are inconsistent")
     if sorted(set(valley_of)) != list(range(max(valley_of) + 1)):
@@ -597,5 +599,5 @@ def flow_arcs_from_text(text: str) -> list[tuple[int, int, Rational]]:
         toks = ln.split()
         if len(toks) != 3:
             raise ValidationError(f"bad flow arc line: {ln!r}")
-        arcs.append((int(toks[0]), int(toks[1]), parse_rational(toks[2])))
+        arcs.append((_int(toks[0]), _int(toks[1]), parse_rational(toks[2])))
     return arcs

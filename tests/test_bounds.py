@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lpgaps import bounds
 from lpgaps.bounds import (
+    MAX_GRID_POINTS,
+    MAX_GROWTH_N,
+    MAX_SUBSET_TOTAL,
     ceil_log2,
     min_symbols_single,
     min_symbols_subset,
@@ -114,3 +118,33 @@ def test_demo_validation():
         monotone_model_demo(0, 8, 0)
     with pytest.raises(ValidationError):
         monotone_model_demo(8, 0, 1)
+
+
+def test_subset_total_cap():
+    # the largest count at the cap still renders as decimal text
+    at_cap = min_symbols_subset(MAX_SUBSET_TOTAL, MAX_SUBSET_TOTAL // 2)
+    assert len(str(at_cap.object_count)) <= 4215
+    with pytest.raises(ValidationError, match=f"at most {MAX_SUBSET_TOTAL}, not"):
+        min_symbols_subset(MAX_SUBSET_TOTAL + 1, 1)
+
+
+def test_growth_cap_refuses_before_any_row(monkeypatch):
+    def no_count(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(bounds, "comb", no_count)
+    with pytest.raises(ValidationError, match=f"n_to <= {MAX_GROWTH_N}"):
+        subset_growth_table(MAX_GROWTH_N, MAX_GROWTH_N + 1)
+
+
+def test_grid_point_cap_refuses_before_any_point(monkeypatch):
+    # an integer grid is exact and cheap, so the cap itself is accepted
+    scan = monotone_model_demo(0, MAX_GRID_POINTS - 1, 1)
+    assert len(scan.grid) == MAX_GRID_POINTS and scan.grid_monotone
+
+    def no_value(x):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(bounds, "model_value", no_value)
+    with pytest.raises(ValidationError, match=f"not {MAX_GRID_POINTS + 1}"):
+        monotone_model_demo(0, Fraction(MAX_GRID_POINTS, 2), Fraction(1, 2))

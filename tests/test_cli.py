@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -96,6 +97,22 @@ def test_space_bounds_refuses_flags_of_another_mode(tmp_path, argv):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the count renders past Python's 4,300-digit int-to-text limit
+    (["space-bounds", "--mode", "subset", "--total", "15000", "--choose", "7500"],
+     "total must be at most 14000"),
+    (["space-bounds", "--mode", "growth", "--n-from", "20", "--n-to", "21"],
+     "n_to <= 20"),
+    (["model-demo", "--start", "0", "--end", "10000", "--step", "1"],
+     "at most 10000 points, not 10001"),
+])
+def test_bounds_commands_are_capped(tmp_path, capsys, argv, message):
+    code = cli.main([*argv, "--output", str(tmp_path / "x.json")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_model_demo(tmp_path):
     code, out = run_cli(
         tmp_path, "model-demo", "--start", "0", "--end", "8", "--step", "1/2"
@@ -145,6 +162,21 @@ def test_check_flow_files(tmp_path):
     assert len(doc["result"]["report"]["violated_cuts"]) == 2
 
 
+def test_check_flow_refuses_a_malformed_flow_file(tmp_path, capsys):
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(instance_to_text(gen_valley_instance(2, 2)))
+    flow_path.write_text("lpgaps-flow 1\nzero 1 1\n")
+    out = tmp_path / "report.json"
+    code = cli.main([
+        "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
+        "--output", str(out),
+    ])
+    assert code == 2
+    assert "not an integer: 'zero'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path):
     out = tmp_path / "report.json"
     argv = ["hull-scan", "--vertices", "16", "--budget", "8",
@@ -154,6 +186,41 @@ def test_reports_are_byte_identical(tmp_path):
     out.unlink()
     assert cli.main(argv) == 0
     assert out.read_bytes() == first
+
+
+# SHA-256 of each report, as written to a relative --output in the
+# working directory (reports embed output_path); a refactor of a solver
+# chain must leave every one of them unchanged
+PINNED_REPORTS = [
+    (["hull-scan", "--vertices", "8", "--budget", "6"], "json",
+     "ebd081b8d0a8ca186a3947073cc6ee94c954cdde8aaa822cec246a258cf308ef"),
+    (["hull-scan", "--vertices", "8", "--budget", "6"], "csv",
+     "a3b40ae26a00d6446dfa5455d86ed606a34d8ae4ca3b91775d93a13af43ab9cc"),
+    (["hull-scan", "--vertices", "64", "--budget", "32",
+      "--samples", "3", "--seed", "0"], "json",
+     "bb697d8cda14fa35ea63cbcc296430bfbcc481bfc3457f706c68e99a979cc454"),
+    (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "json",
+     "e99497f83e54c8559c58cf6b2140e31dad56b32d46a126599815950717f7237a"),
+    (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "csv",
+     "6df6ec48f6281e04b6b0aa1d4b4cf02cf09aad17b4f87a0c22cc8ca196243aca"),
+    (["valley-gap", "--valleys", "6", "--cities-per-valley", "2",
+      "--relaxation", "degree+cuts", "--cut-valley", "0"], "json",
+     "80f3da3855d8732d432c513272ea408ee32eee638f0041de6094018e80e892cc"),
+    (["decide", "--valleys", "5", "--cities-per-valley", "2",
+      "--threshold", "4", "--via", "lp-relaxation",
+      "--relaxation", "cutting-plane"], "json",
+     "1c09c9c1c4e6d31295b055ad12de3de15eaaa6e2c1760eaaca80caedc131330b"),
+]
+
+
+def test_report_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = []
+    for argv, fmt, _ in PINNED_REPORTS:
+        name = f"report.{fmt}"
+        assert cli.main([*argv, "--format", fmt, "--output", name]) == 0, argv
+        digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+    assert digests == [digest for _, _, digest in PINNED_REPORTS]
 
 
 def test_scan_csv_has_table(tmp_path):

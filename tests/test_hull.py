@@ -114,7 +114,7 @@ def test_witness_strictly_violates_omitted_facet():
 )
 def test_complete_model_has_zero_gap(objective):
     poly = gen_arc(16)
-    out = solve_lp(polytope_lp(poly, objective))
+    out = solve_lp(polytope_lp(poly, objective, range(poly.facet_count)))
     assert out.value == best_vertex_value(poly, objective)
 
 
@@ -220,13 +220,25 @@ def test_warm_scan_rows_match_cold_solves_sampled(seed):
     assert_rows_match_cold_solves(poly, report)
 
 
-def test_chained_facet_gaps_equal_cold_ones():
+def test_chained_facet_gaps_equal_cold_ones(monkeypatch):
+    # every gap the scan computes, warm ones included, is the gap a
+    # cold facet_gap finds for that subset and facet, witness included
     poly = gen_arc(32)
-    kept = [0, 3, 4, 9, 15, 16, 22, 30]
-    warm = (polytope_lp(poly, (0, 0), kept), None)
-    for j in (i for i in range(poly.facet_count) if i not in kept):
-        gap, warm = facet_gap(poly, j, kept, start=warm)
-        assert gap == facet_gap(poly, j, kept)  # witness included
+    seen = []
+    real_gap = hull._gap
+
+    def recording_gap(poly, omitted, outcome):
+        seen.append(real_gap(poly, omitted, outcome))
+        return seen[-1]
+
+    monkeypatch.setattr(hull, "_gap", recording_gap)
+    report = subset_gap_scan(poly, budget=8, sample_count=5, seed=2)
+    monkeypatch.undo()
+    assert not report.enumerated
+    assert len(seen) == 5 * 23
+    assert seen == [
+        facet_gap(poly, j, row.kept) for row in report.rows for j in row.omitted
+    ]
 
 
 def test_facet_gap_argument_checks():

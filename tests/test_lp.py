@@ -17,6 +17,7 @@ from lpgaps.lp import (
     solve_lp,
     with_constraints,
 )
+from lpgaps.valleys import degree_lp, gen_valley_instance
 
 
 def three_facet_program():
@@ -318,6 +319,28 @@ def test_property_warm_start_matches_cold(case, data):
     assert solve_lp(other, start=first) == warm
     idle = replace(lp, objective=(Fraction(0),) * lp.num_vars)
     assert solve_lp(idle, start=first).point == first.point
+
+
+@pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])
+def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
+    # a warm solve copies the start's index lists but shares its rows,
+    # so any in-place row write would show up in the start's tableau
+    lp = degree_lp(gen_valley_instance(valleys, cities))
+    start = solve_lp(lp)
+    tab = start.tableau
+
+    def snapshot():
+        return ([list(row) for row in tab.A], list(tab.d), list(tab.v),
+                list(tab.basis), list(tab.state))
+
+    before = snapshot()
+    rng = random.Random(10 * valleys + cities)
+    other = replace(
+        lp, objective=tuple(Fraction(rng.randint(-4, 4)) for _ in lp.objective)
+    )
+    warm = solve_lp(other, start=start)
+    assert snapshot() == before
+    assert warm.value == solve_lp(other).value
 
 
 def test_warm_start_from_an_unbounded_outcome():

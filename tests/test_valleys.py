@@ -379,6 +379,14 @@ def test_instance_text_errors():
         instance_from_text("bogus")
     with pytest.raises(ValidationError):
         instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 0\ncosts\n0 1\n")
+    with pytest.raises(ValidationError, match="not an integer: 'two'"):
+        instance_from_text("lpgaps-instance 1\nn two\nvalleys 0 1\ncosts\n0 1\n1 0\n")
+    with pytest.raises(ValidationError, match="not an integer: 'x'"):
+        instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 x\ncosts\n0 1\n1 0\n")
+    with pytest.raises(ValidationError, match="at least 2 cities, not 0"):
+        instance_from_text("lpgaps-instance 1\nn 0\nvalleys\ncosts\n")
+    with pytest.raises(ValidationError, match="at least 2 cities, not 1"):
+        instance_from_text("lpgaps-instance 1\nn 1\nvalleys 0\ncosts\n0\n")
 
 
 def test_flow_text_round_trip():
@@ -393,6 +401,8 @@ def test_flow_text_errors():
         flow_arcs_from_text("nope")
     with pytest.raises(ValidationError):
         flow_arcs_from_text("lpgaps-flow 1\n0 1\n")
+    with pytest.raises(ValidationError, match="not an integer: 'zero'"):
+        flow_arcs_from_text("lpgaps-flow 1\nzero 1 1\n")
 
 
 costs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
