@@ -31,11 +31,9 @@ from .hull import (
 from .ilp import TourResult, tsp_oracle
 from .lp import (
     Constraint,
-    FeasibilityReport,
     LinearProgram,
     LpOutcome,
     SolveStatus,
-    check_feasible,
     constraint,
     linear_program,
     solve_lp,
@@ -59,7 +57,6 @@ __all__ = [
     "ArcPolytope",
     "BudgetExceededError",
     "Constraint",
-    "FeasibilityReport",
     "FlowSolution",
     "GapReport",
     "LinearProgram",
@@ -72,7 +69,6 @@ __all__ = [
     "TspInstance",
     "ValidationError",
     "adversarial_objective",
-    "check_feasible",
     "check_flow_feasibility",
     "constraint",
     "cuts_relaxation",

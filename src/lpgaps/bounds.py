@@ -7,14 +7,19 @@ rational grid; at nonnegative integer x the sine term is zero by
 identity and the value is returned as an exact Fraction, so the
 integer-grid "monotone" verdict is forced symbolically rather than
 being a rounding accident. Elsewhere guarded high precision is used
-with an error budget many orders below the ~0.96 violation signal.
+with an error budget many orders below the ~0.96 violation signal. The
+sine term needs the fractional part of 2**x to that precision, so the
+working precision grows with the digits of 2**x, and with it the cost
+of a point: a grid refuses a point off the exact path (one that is not
+a nonnegative integer) above x = MAX_MODEL_X before any point is
+evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 from typing import Optional, Union
 
 import mpmath
@@ -29,10 +34,13 @@ WORKING_DIGITS = 60
 # C(total, k) < 2**total has at most 4,215 digits at the cap, under
 # Python's 4,300-digit limit for rendering an int in a report
 MAX_SUBSET_TOTAL = 14_000
-# on a 2-vCPU host (Python 3.11) growth row 20 takes 2 s, row 21 8 s, and
-# a grid point 30-80 us below x = 1000 but 0.8 ms at x = 10,000
+# on a 2-vCPU host (Python 3.11) growth row 20 takes 2 s and row 21 8 s
 MAX_GROWTH_N = 20
 MAX_GRID_POINTS = 10_000
+# a point off the exact path works at more digits as x grows: on that
+# host one takes 0.06 ms at x = 8, 0.23 ms at 1,000 (so a full grid at
+# the cap takes about 2 s), 3.7 ms at 5,000 and 14 ms at 10,000
+MAX_MODEL_X = 1_000
 
 
 def ceil_log2(count: int) -> int:
@@ -96,14 +104,27 @@ def subset_growth_table(
 # ---------------------------------------------------------------------------
 # Monotonicity demo: f(x) = sin(2**x * pi) + x
 
+def _integer_digits(x: Fraction) -> int:
+    """Decimal digits of 2**ceil(x), an integer no smaller than 2**x;
+    0 when x <= 0, where 2**x <= 1."""
+    if x <= 0:
+        return 0
+    k = ceil(x)
+    # 30103/100000 exceeds log10(2) by under 5e-9: the count or one more
+    digits = k * 30103 // 100000 + 1
+    return digits - 1 if 10 ** (digits - 1) > 1 << k else digits
+
+
 def model_value(x: Rational) -> Union[Fraction, mpmath.mpf]:
     """f(x) = sin(2**x * pi) + x. Exact Fraction at integer x >= 0
     (2**x is an integer, so the sine term is identically zero);
-    high-precision mpf elsewhere."""
+    high-precision mpf elsewhere. The sine only sees the fractional part
+    of 2**x, so the working precision is WORKING_DIGITS plus the digits
+    of 2**x's integer part."""
     x = Fraction(x)
     if x.denominator == 1 and x >= 0:
         return x
-    with mpmath.workdps(WORKING_DIGITS):
+    with mpmath.workdps(WORKING_DIGITS + _integer_digits(x)):
         xf = mpmath.mpf(x.numerator) / x.denominator
         return mpmath.sin(mpmath.power(2, xf) * mpmath.pi) + xf
 
@@ -135,7 +156,8 @@ class MonotoneScan:
 
 def monotone_model_demo(grid_start, grid_end, step) -> MonotoneScan:
     """Sample f on start, start+step, ... and report whether the samples
-    are nondecreasing; if not, the first violating adjacent pair."""
+    are nondecreasing; if not, the first violating adjacent pair. A grid
+    with a non-integer point past x = MAX_MODEL_X is refused."""
     start = Fraction(grid_start)
     end = Fraction(grid_end)
     incr = Fraction(step)
@@ -151,6 +173,12 @@ def monotone_model_demo(grid_start, grid_end, step) -> MonotoneScan:
     while x <= end:
         grid.append(x)
         x += incr
+    costly = next((x for x in grid if x > MAX_MODEL_X and x.denominator != 1), None)
+    if costly is not None:
+        raise ValidationError(
+            f"a grid point that is not an integer must be at most "
+            f"{MAX_MODEL_X}, not {costly}"
+        )
     values = [model_value(x) for x in grid]
     for i in range(len(grid) - 1):
         if _decreasing(values[i], values[i + 1]):

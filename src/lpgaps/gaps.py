@@ -37,6 +37,10 @@ class RelaxationDesc:
     cut_subsets: tuple[tuple[int, ...], ...] = ()
     max_rounds: int = 0
 
+    def __post_init__(self):
+        if self.kind not in (DEGREE, DEGREE_WITH_CUTS, CUTTING_PLANE):
+            raise ValidationError(f"unknown relaxation kind {self.kind!r}")
+
 
 def degree_relaxation() -> RelaxationDesc:
     return RelaxationDesc(DEGREE)
@@ -107,12 +111,10 @@ def _solve_relaxation(
         program = degree_lp(inst)
     elif relaxation.kind == DEGREE_WITH_CUTS:
         program = relaxation_with_cuts(inst, relaxation.cut_subsets)
-    elif relaxation.kind == CUTTING_PLANE:
+    else:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
         return trace.final_value, last.constraint_count, len(trace.rounds)
-    else:
-        raise ValidationError(f"unknown relaxation kind {relaxation.kind!r}")
     outcome = solve_lp(program)
     if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
         raise AssertionError(f"relaxation solve came back {outcome.status}")

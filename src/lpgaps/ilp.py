@@ -15,7 +15,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError
 from .rationals import Rational
 from .valleys import TspInstance
 
@@ -76,8 +76,6 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
     at the lowest-index last city that closes an optimum, and is traced
     back through the lowest-index optimal predecessor at every step."""
     n = inst.n
-    if n < 2:
-        raise ValidationError("a tour needs at least 2 cities")
     if n > HELD_KARP_CITY_LIMIT:
         raise BudgetExceededError(
             f"held-karp is budgeted for n <= {HELD_KARP_CITY_LIMIT}, got {n}"

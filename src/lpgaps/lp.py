@@ -17,6 +17,11 @@ certainty, not a numerical verdict. Bland's rule sees only signs and
 exact ratio comparisons, which no positive row scale changes, so the int
 rows pivot exactly as a Fraction-per-entry tableau does.
 
+A row and a program check their own shape when they are made, whether
+by ``constraint``, ``linear_program``, ``with_constraints`` or
+``dataclasses.replace``, so no solve checks it again; a program's
+variables are the entries of its objective.
+
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts a solve of another objective over
 the same rows and bounds from a copy of it: phase 1 is skipped and
@@ -60,22 +65,42 @@ class Constraint:
     relation: str
     rhs: Rational
 
+    def __post_init__(self):
+        if self.relation not in _RELATIONS:
+            raise ValidationError(f"unknown relation {self.relation!r}")
+
 
 def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
     """Build a constraint row, coercing ints/strings to exact rationals."""
-    if relation not in _RELATIONS:
-        raise ValidationError(f"unknown relation {relation!r}")
     return Constraint(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    num_vars: int
     constraints: tuple[Constraint, ...]
     objective: tuple[Rational, ...]
     sense: str
     lower_bounds: tuple[Rational, ...]
     upper_bounds: tuple[Optional[Rational], ...]
+
+    def __post_init__(self):
+        n = self.num_vars
+        if n < 1:
+            raise ValidationError("a program needs at least one variable")
+        if self.sense not in (MAXIMIZE, MINIMIZE):
+            raise ValidationError(f"unknown sense {self.sense!r}")
+        if len(self.lower_bounds) != n or len(self.upper_bounds) != n:
+            raise ValidationError("bound vectors must have one entry per variable")
+        for idx, con in enumerate(self.constraints):
+            if len(con.coeffs) != n:
+                raise ValidationError(
+                    f"constraint {idx}: {len(con.coeffs)} coefficients for "
+                    f"{n} variables"
+                )
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
 
 def linear_program(
@@ -86,7 +111,7 @@ def linear_program(
     lower_bounds: Optional[Iterable] = None,
     upper_bounds: Optional[Iterable] = None,
 ) -> LinearProgram:
-    """Assemble and validate a program; num_vars is len(objective)."""
+    """Assemble a program from plain values; num_vars is len(objective)."""
     obj = tuple(Fraction(c) for c in objective)
     n = len(obj)
     rows = tuple(
@@ -102,34 +127,11 @@ def linear_program(
         if upper_bounds is None
         else tuple(None if b is None else Fraction(b) for b in upper_bounds)
     )
-    lp = LinearProgram(n, rows, obj, sense, lo, hi)
-    validate_lp(lp)
-    return lp
-
-
-def validate_lp(lp: LinearProgram) -> None:
-    if lp.num_vars < 1:
-        raise ValidationError("a program needs at least one variable")
-    if lp.sense not in (MAXIMIZE, MINIMIZE):
-        raise ValidationError(f"unknown sense {lp.sense!r}")
-    if len(lp.objective) != lp.num_vars:
-        raise ValidationError("objective length differs from num_vars")
-    if len(lp.lower_bounds) != lp.num_vars or len(lp.upper_bounds) != lp.num_vars:
-        raise ValidationError("bound vectors must have one entry per variable")
-    for idx, con in enumerate(lp.constraints):
-        if con.relation not in _RELATIONS:
-            raise ValidationError(f"constraint {idx}: unknown relation {con.relation!r}")
-        if len(con.coeffs) != lp.num_vars:
-            raise ValidationError(
-                f"constraint {idx}: {len(con.coeffs)} coefficients for "
-                f"{lp.num_vars} variables"
-            )
+    return LinearProgram(rows, obj, sense, lo, hi)
 
 
 def with_constraints(lp: LinearProgram, extra: Iterable[Constraint]) -> LinearProgram:
-    out = replace(lp, constraints=lp.constraints + tuple(extra))
-    validate_lp(out)
-    return out
+    return replace(lp, constraints=lp.constraints + tuple(extra))
 
 
 @dataclass(frozen=True)
@@ -140,48 +142,6 @@ class LpOutcome:
     # the final tableau when the region was feasible, so a later solve
     # over the same region can start from it; never part of a result
     tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # "row" | "lower" | "upper"
-    index: int
-    amount: Rational
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    satisfied: bool
-    violations: tuple[Violation, ...]
-
-
-def check_feasible(lp: LinearProgram, point: Sequence) -> FeasibilityReport:
-    """Substitute point into every row and bound; report exact violations."""
-    if len(point) != lp.num_vars:
-        raise ValidationError(
-            f"point has {len(point)} coordinates for {lp.num_vars} variables"
-        )
-    x = [Fraction(v) for v in point]
-    bad: list[Violation] = []
-    for j in range(lp.num_vars):
-        if x[j] < lp.lower_bounds[j]:
-            bad.append(Violation("lower", j, lp.lower_bounds[j] - x[j]))
-        ub = lp.upper_bounds[j]
-        if ub is not None and x[j] > ub:
-            bad.append(Violation("upper", j, x[j] - ub))
-    for idx, con in enumerate(lp.constraints):
-        lhs = sum((a * v for a, v in zip(con.coeffs, x)), Fraction(0))
-        if con.relation == LESS_EQ and lhs > con.rhs:
-            bad.append(Violation("row", idx, lhs - con.rhs))
-        elif con.relation == GREATER_EQ and lhs < con.rhs:
-            bad.append(Violation("row", idx, con.rhs - lhs))
-        elif con.relation == EQUAL and lhs != con.rhs:
-            bad.append(Violation("row", idx, abs(lhs - con.rhs)))
-    return FeasibilityReport(not bad, tuple(bad))
-
-
-def objective_value(lp: LinearProgram, point: Sequence[Rational]) -> Rational:
-    return sum((c * v for c, v in zip(lp.objective, point)), Fraction(0))
 
 
 def _eliminate(
@@ -479,7 +439,6 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     several optimal points may end at a different one of them. A start
     over another region, or one without a tableau (an infeasible
     outcome), raises ValidationError."""
-    validate_lp(lp)
     if start is not None:
         if start.tableau is None:
             raise ValidationError(
@@ -515,4 +474,5 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
 
     z = tab.solution()
     x = tuple(lp.lower_bounds[j] + z[j] for j in range(lp.num_vars))
-    return LpOutcome(SolveStatus.OPTIMAL, x, objective_value(lp, x), tab)
+    value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
+    return LpOutcome(SolveStatus.OPTIMAL, x, value, tab)

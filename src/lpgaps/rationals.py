@@ -33,15 +33,19 @@ def parse_rational(text: str) -> Rational:
 
 def body_lines(text: str, header: str) -> list[str]:
     """Lines of a file format after its header line, stripped, without
-    blank lines and "#" comments. The first such line must start with
-    header."""
+    blank lines and "#" comments. The first such line must be exactly
+    header followed by version 1."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
         if ln.strip() and not ln.strip().startswith("#")
     ]
-    if not lines or not lines[0].startswith(header):
+    if not lines or lines[0].split()[0] != header:
         raise ValidationError(f"missing {header} header")
+    if lines[0] != f"{header} 1":
+        raise ValidationError(
+            f"the header line must be '{header} 1', not {lines[0]!r}"
+        )
     return lines[1:]
 
 

@@ -55,6 +55,16 @@ class TspInstance:
     cost: tuple[tuple[Rational, ...], ...]  # diagonal entries are unused
     params: Optional[ValleyParams] = None
 
+    def __post_init__(self):
+        n = self.n
+        if n < 2:
+            raise ValidationError(f"an instance needs at least 2 cities, not {n}")
+        if (len(self.valley_of) != n or len(self.cost) != n
+                or any(len(row) != n for row in self.cost)):
+            raise ValidationError("instance dimensions are inconsistent")
+        if sorted(set(self.valley_of)) != list(range(max(self.valley_of) + 1)):
+            raise ValidationError("valley ids must be 0..k-1 with none missing")
+
     @property
     def valley_count(self) -> int:
         return max(self.valley_of) + 1
@@ -108,11 +118,7 @@ def gen_valley_instance(
 def instance_from_cost_matrix(cost: Sequence[Sequence]) -> TspInstance:
     """Ad-hoc instance with every city in its own valley."""
     n = len(cost)
-    if n < 2:
-        raise ValidationError("need at least 2 cities")
     rows = tuple(tuple(Fraction(c) for c in row) for row in cost)
-    if any(len(r) != n for r in rows):
-        raise ValidationError("cost matrix must be square")
     return TspInstance(n, tuple(range(n)), rows)
 
 
@@ -558,32 +564,22 @@ def _int(token: str) -> int:
 
 
 def instance_from_text(text: str) -> TspInstance:
-    n = None
-    valley_of = None
+    fields: dict[str, str] = {}
     cost_rows: list[tuple[Rational, ...]] = []
-    in_costs = False
     for ln in body_lines(text, "lpgaps-instance"):
-        if in_costs:
-            cost_rows.append(tuple(parse_rational(t) for t in ln.split()))
-            continue
         key, _, rest = ln.partition(" ")
-        if key == "n":
-            n = _int(rest)
-        elif key == "valleys":
-            valley_of = tuple(_int(t) for t in rest.split())
-        elif key == "costs":
-            in_costs = True
+        if key in fields:
+            raise ValidationError(f"repeated instance field {key!r}")
+        if "costs" in fields:
+            cost_rows.append(tuple(parse_rational(t) for t in ln.split()))
+        elif key in ("n", "valleys", "costs"):
+            fields[key] = rest
         else:
             raise ValidationError(f"unknown instance field {key!r}")
-    if n is None or valley_of is None:
+    if "n" not in fields or "valleys" not in fields:
         raise ValidationError("instance needs n and valleys fields")
-    if n < 2:
-        raise ValidationError(f"an instance needs at least 2 cities, not {n}")
-    if len(valley_of) != n or len(cost_rows) != n or any(len(r) != n for r in cost_rows):
-        raise ValidationError("instance dimensions are inconsistent")
-    if sorted(set(valley_of)) != list(range(max(valley_of) + 1)):
-        raise ValidationError("valley ids must be 0..k-1 with none missing")
-    return TspInstance(n, valley_of, tuple(cost_rows))
+    valley_of = tuple(_int(t) for t in fields["valleys"].split())
+    return TspInstance(_int(fields["n"]), valley_of, tuple(cost_rows))
 
 
 def flow_arcs_to_text(flow: FlowSolution) -> str:

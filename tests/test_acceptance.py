@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from oracles import (
     brute_force_tour_cost,
+    point_feasible,
     random_bounded_lp,
     vertex_enumeration_optimum,
 )
@@ -27,7 +28,7 @@ from lpgaps.gaps import (
 )
 from lpgaps.hull import adversarial_objective, gen_arc, subset_gap_scan
 from lpgaps.ilp import tsp_oracle
-from lpgaps.lp import SolveStatus, check_feasible, solve_lp
+from lpgaps.lp import SolveStatus, solve_lp
 from lpgaps.valleys import (
     check_flow_feasibility,
     cutting_plane_loop,
@@ -145,7 +146,7 @@ def test_criterion_7_solver_oracles():
             if outcome.status is SolveStatus.OPTIMAL:
                 assert reference is not None
                 assert outcome.value == reference
-                assert check_feasible(lp, outcome.point).satisfied
+                assert point_feasible(lp, outcome.point)
                 optimal += 1
             else:
                 assert outcome.status is SolveStatus.INFEASIBLE

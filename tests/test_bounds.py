@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +9,9 @@ from lpgaps import bounds
 from lpgaps.bounds import (
     MAX_GRID_POINTS,
     MAX_GROWTH_N,
+    MAX_MODEL_X,
     MAX_SUBSET_TOTAL,
+    WORKING_DIGITS,
     ceil_log2,
     min_symbols_single,
     min_symbols_subset,
@@ -113,6 +116,19 @@ def test_non_integer_values_are_high_precision():
     assert abs(float(value) - (-0.46390253284987733)) < 1e-12
 
 
+def test_precision_grows_with_x():
+    # sin(2**x pi) needs the fractional part of 2**x, so a point works
+    # past 60 digits once 2**x has digits of its own; compare with an
+    # evaluation at twice the precision the point needs
+    x = Fraction(1001, 2)
+    value = model_value(x)
+    with mpmath.workdps(2 * (WORKING_DIGITS + len(str(2**501)))):
+        xf = mpmath.mpf(x.numerator) / x.denominator
+        reference = mpmath.sin(mpmath.power(2, xf) * mpmath.pi) + xf
+        assert abs(value - reference) < mpmath.mpf(10) ** -27
+    assert mpmath.nstr(value, 12) == "500.7298329"
+
+
 def test_demo_validation():
     with pytest.raises(ValidationError):
         monotone_model_demo(0, 8, 0)
@@ -148,3 +164,18 @@ def test_grid_point_cap_refuses_before_any_point(monkeypatch):
     monkeypatch.setattr(bounds, "model_value", no_value)
     with pytest.raises(ValidationError, match=f"not {MAX_GRID_POINTS + 1}"):
         monotone_model_demo(0, Fraction(MAX_GRID_POINTS, 2), Fraction(1, 2))
+
+
+def test_off_path_points_are_capped_before_any_point(monkeypatch):
+    # integer points are exact at any x, and points up to the cap are
+    # sampled
+    assert monotone_model_demo(MAX_MODEL_X, 10 * MAX_MODEL_X, 1).grid_monotone
+    below = monotone_model_demo(MAX_MODEL_X - 1, MAX_MODEL_X, Fraction(1, 2))
+    assert len(below.grid) == 3
+
+    def no_value(x):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(bounds, "model_value", no_value)
+    with pytest.raises(ValidationError, match=f"at most {MAX_MODEL_X}, not 2001/2"):
+        monotone_model_demo(0, MAX_MODEL_X + 1, Fraction(1, 2))

@@ -105,6 +105,9 @@ def test_space_bounds_refuses_flags_of_another_mode(tmp_path, argv):
      "n_to <= 20"),
     (["model-demo", "--start", "0", "--end", "10000", "--step", "1"],
      "at most 10000 points, not 10001"),
+    # a point off the exact path costs more digits as x grows
+    (["model-demo", "--start", "100001/2", "--end", "110001/2", "--step", "1"],
+     "must be at most 1000, not 100001/2"),
 ])
 def test_bounds_commands_are_capped(tmp_path, capsys, argv, message):
     code = cli.main([*argv, "--output", str(tmp_path / "x.json")])

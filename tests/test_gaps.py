@@ -124,6 +124,8 @@ def test_decide_validation():
         decide_tour_at_most(gen_valley_instance(4, 2), 3, "oracle")
     with pytest.raises(ValidationError):
         integrality_gap(gen_valley_instance(4, 2), RelaxationDesc("bogus"))
+    with pytest.raises(ValidationError, match="unknown relaxation kind 'bogus'"):
+        RelaxationDesc("bogus")
 
 
 def test_reports_are_deterministic():

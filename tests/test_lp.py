@@ -6,12 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import random_bounded_lp, vertex_enumeration_optimum
+from oracles import point_feasible, random_bounded_lp, vertex_enumeration_optimum
 from lpgaps.errors import ValidationError
 from lpgaps.lp import (
+    Constraint,
     SolveStatus,
     _eliminate,
-    check_feasible,
     constraint,
     linear_program,
     solve_lp,
@@ -50,7 +50,7 @@ def test_three_facet_program_against_oracle():
     out = solve_lp(lp)
     assert out.status is SolveStatus.OPTIMAL
     assert out.value == expected
-    assert check_feasible(lp, out.point).satisfied
+    assert point_feasible(lp, out.point)
 
 
 def test_unbounded_detection():
@@ -101,25 +101,6 @@ def test_redundant_equality_rows_are_dropped():
     assert out.value == 2
 
 
-def test_check_feasible_examples():
-    lp = three_facet_program()
-    assert check_feasible(lp, (1, 7)).satisfied
-
-    small = linear_program([0, 1], "max", [([-7, 1], "<=", 0)])
-    report = check_feasible(small, (0, 1))
-    assert not report.satisfied
-    assert report.violations[0].kind == "row"
-    assert report.violations[0].amount == 1
-
-    nonneg = linear_program([1], "max", [([1], ">=", 0)])
-    assert check_feasible(nonneg, (0,)).satisfied
-
-
-def test_check_feasible_dimension_mismatch():
-    with pytest.raises(ValidationError):
-        check_feasible(three_facet_program(), (1, 2, 3))
-
-
 def test_validation_errors():
     with pytest.raises(ValidationError):
         linear_program([], "max")
@@ -129,6 +110,18 @@ def test_validation_errors():
         linear_program([1, 2], "max", [([1], "<=", 0)])
     with pytest.raises(ValidationError):
         constraint([1], "!=", 0)
+    # dataclasses.replace builds through the same constructor, so a
+    # malformed copy is refused where it is made, not at a later solve
+    lp = three_facet_program()
+    assert lp.num_vars == 2
+    with pytest.raises(ValidationError, match="one entry per variable"):
+        replace(lp, objective=(Fraction(1),) * 3)
+    with pytest.raises(ValidationError, match="unknown sense"):
+        replace(lp, sense="sideways")
+    with pytest.raises(ValidationError, match="1 coefficients for 2 variables"):
+        with_constraints(lp, [constraint([1], "<=", 0)])
+    with pytest.raises(ValidationError, match="unknown relation '!='"):
+        Constraint((Fraction(1),), "!=", Fraction(0))
 
 
 def test_simplex_matches_vertex_enumeration_sample():
@@ -142,7 +135,7 @@ def test_simplex_matches_vertex_enumeration_sample():
         if out.status is SolveStatus.OPTIMAL:
             assert reference is not None
             assert out.value == reference
-            assert check_feasible(lp, out.point).satisfied
+            assert point_feasible(lp, out.point)
         else:
             assert out.status is SolveStatus.INFEASIBLE
             assert reference is None
@@ -269,7 +262,7 @@ def test_property_matches_vertex_enumeration(case):
     reference = vertex_enumeration_optimum(lp)
     if out.status is SolveStatus.OPTIMAL:
         assert out.value == reference
-        assert check_feasible(lp, out.point).satisfied
+        assert point_feasible(lp, out.point)
     else:
         assert out.status is SolveStatus.INFEASIBLE
         assert reference is None
@@ -284,7 +277,7 @@ def test_property_added_row_never_improves(case):
     if tightened.status is SolveStatus.INFEASIBLE:
         return
     assert tightened.status is SolveStatus.OPTIMAL
-    assert check_feasible(lp, tightened.point).satisfied
+    assert point_feasible(lp, tightened.point)
     assert base.status is SolveStatus.OPTIMAL
     if lp.sense == "max":
         assert tightened.value <= base.value
@@ -312,7 +305,7 @@ def test_property_warm_start_matches_cold(case, data):
     warm = solve_lp(other, start=first)
     assert warm.status is cold.status
     assert warm.value == cold.value
-    assert check_feasible(other, warm.point).satisfied
+    assert point_feasible(other, warm.point)
     # the start is copied, never changed: it gives the same outcome
     # twice, and a zero objective, optimal everywhere, still stops at
     # the start's own point

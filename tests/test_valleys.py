@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpgaps.errors import ValidationError
 from lpgaps.ilp import tsp_oracle
-from lpgaps.lp import GREATER_EQ, SolveStatus, check_feasible, solve_lp
+from lpgaps.lp import GREATER_EQ, SolveStatus, solve_lp
 from lpgaps.valleys import (
     MAX_CITIES,
     TspInstance,
@@ -31,7 +32,7 @@ from lpgaps.valleys import (
     valley_internal_cycles_flow,
 )
 
-from oracles import brute_force_min_subtour_cut, subtour_cut_value
+from oracles import brute_force_min_subtour_cut, point_feasible, subtour_cut_value
 
 
 def test_generated_instance_arc_costs():
@@ -64,6 +65,19 @@ def test_generation_validation():
         gen_valley_instance(4, 2, intra_cost=-1, crossing_cost=1)
 
 
+def test_instances_check_themselves_when_made():
+    # dataclasses.replace builds through the same constructor
+    inst = gen_valley_instance(2, 2)
+    with pytest.raises(ValidationError, match="dimensions are inconsistent"):
+        replace(inst, n=3)
+    with pytest.raises(ValidationError, match="none missing"):
+        replace(inst, valley_of=(0, 0, 2, 2))
+    with pytest.raises(ValidationError, match="at least 2 cities, not 1"):
+        instance_from_cost_matrix([[0]])
+    with pytest.raises(ValidationError, match="dimensions are inconsistent"):
+        instance_from_cost_matrix([[0, 1], [1]])
+
+
 def test_rejects_instances_above_the_city_cap():
     assert gen_valley_instance(MAX_CITIES // 2, 2).n == MAX_CITIES
     for valleys, cities in [(MAX_CITIES + 1, 1), (MAX_CITIES // 2 + 1, 2)]:
@@ -89,8 +103,7 @@ def test_degree_lp_value_with_free_valley_circulation():
     # exhibit the internal-cycles point: feasible and matching the
     # solver's optimum, hence itself optimal
     witness = valley_internal_cycles_flow(inst)
-    report = check_feasible(degree_lp(inst), flow_to_point(inst, witness))
-    assert report.satisfied
+    assert point_feasible(degree_lp(inst), flow_to_point(inst, witness))
     assert witness.total_cost == out.value
 
 
@@ -387,6 +400,17 @@ def test_instance_text_errors():
         instance_from_text("lpgaps-instance 1\nn 0\nvalleys\ncosts\n")
     with pytest.raises(ValidationError, match="at least 2 cities, not 1"):
         instance_from_text("lpgaps-instance 1\nn 1\nvalleys 0\ncosts\n0\n")
+    body = "valleys 0 1\ncosts\n0 1\n1 0\n"
+    with pytest.raises(ValidationError, match="must be 'lpgaps-instance 1', not"):
+        instance_from_text("lpgaps-instance 7\nn 2\n" + body)
+    with pytest.raises(ValidationError, match="missing lpgaps-instance header"):
+        instance_from_text("lpgaps-instance-extra\nn 2\n" + body)
+    with pytest.raises(ValidationError, match="repeated instance field 'n'"):
+        instance_from_text("lpgaps-instance 1\nn 5\nn 2\n" + body)
+    with pytest.raises(ValidationError, match="repeated instance field 'valleys'"):
+        instance_from_text("lpgaps-instance 1\nn 2\nvalleys 1 0\n" + body)
+    with pytest.raises(ValidationError, match="repeated instance field 'costs'"):
+        instance_from_text("lpgaps-instance 1\nn 2\n" + body + "costs\n")
 
 
 def test_flow_text_round_trip():
@@ -403,6 +427,10 @@ def test_flow_text_errors():
         flow_arcs_from_text("lpgaps-flow 1\n0 1\n")
     with pytest.raises(ValidationError, match="not an integer: 'zero'"):
         flow_arcs_from_text("lpgaps-flow 1\nzero 1 1\n")
+    with pytest.raises(ValidationError, match="must be 'lpgaps-flow 1', not"):
+        flow_arcs_from_text("lpgaps-flow 99\n0 1 1\n")
+    with pytest.raises(ValidationError, match="missing lpgaps-flow header"):
+        flow_arcs_from_text("lpgaps-flow-extra 1\n0 1 1\n")
 
 
 costs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
