@@ -17,18 +17,23 @@ certainty, not a numerical verdict. Bland's rule sees only signs and
 exact ratio comparisons, which no positive row scale changes, so the int
 rows pivot exactly as a Fraction-per-entry tableau does.
 
-A row and a program check their own shape when they are made, whether
-by ``constraint``, ``linear_program``, ``with_constraints`` or
-``dataclasses.replace``, so no solve checks it again; a program's
-variables are the entries of its objective.
+A row and a program check their own shape, and that every entry is an
+exact rational, when they are made, whether by ``constraint``,
+``linear_program``, ``with_constraints`` or ``dataclasses.replace``, so
+no solve checks them again; a row checks only its own entries, and a
+program's variables are the entries of its objective.
 
 An outcome over a feasible region keeps its final tableau, and
-``solve_lp(lp, start=outcome)`` starts a solve of another objective over
-the same rows and bounds from a copy of it: phase 1 is skipped and
-phase 2 starts from a basis already optimal or close (the hull scan
-maximizes many objectives over one truncated model this way). That
-tableau is exact and feasible for the region, so a warm status is as
-much a proof as a cold one.
+``solve_lp(lp, start=outcome)`` starts from a copy of it. Over the same
+rows and bounds, phase 1 is skipped and phase 2 starts from a basis
+already optimal or close (the hull scan maximizes many objectives over
+one truncated model this way). When lp has more rows, appended after
+the start's, the copy drops its artificial columns and gains the new
+rows in terms of its basis: a row the start's point satisfies enters
+with its slack basic, any other with one artificial, and the same phase
+1 and phase 2 run from there (the cutting-plane loop re-solves each
+round this way after adding its cut). Either tableau is exact, so a
+warm status is as much a proof as a cold one.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .rationals import Rational
+from .rationals import Rational, require_exact
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -68,6 +73,8 @@ class Constraint:
     def __post_init__(self):
         if self.relation not in _RELATIONS:
             raise ValidationError(f"unknown relation {self.relation!r}")
+        require_exact(self.coeffs, "row entries")
+        require_exact((self.rhs,), "row entries")
 
 
 def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
@@ -91,6 +98,9 @@ class LinearProgram:
             raise ValidationError(f"unknown sense {self.sense!r}")
         if len(self.lower_bounds) != n or len(self.upper_bounds) != n:
             raise ValidationError("bound vectors must have one entry per variable")
+        require_exact(self.objective, "objective entries")
+        require_exact(self.lower_bounds, "lower bounds")
+        require_exact([b for b in self.upper_bounds if b is not None], "upper bounds")
         for idx, con in enumerate(self.constraints):
             if len(con.coeffs) != n:
                 raise ValidationError(
@@ -166,6 +176,14 @@ def _eliminate(
     return out, den
 
 
+def _int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """values as int numerators over one positive denominator, in lowest
+    terms: the lcm of reduced denominators leaves the numerators coprime
+    to it."""
+    den = lcm(*(a.denominator for a in values))
+    return [a.numerator * (den // a.denominator) for a in values], den
+
+
 class _Tableau:
     """Bounded-variable simplex state.
 
@@ -225,14 +243,11 @@ class _Tableau:
                 col += 1
         self.ncols = col
 
-        # the lcm of a row's reduced denominators leaves its numerators
-        # coprime to it, so every row starts in lowest terms
         self.A: list[list[int]] = []
         self.d: list[int] = []
         for i, (coeffs, rel, _) in enumerate(rows):
-            den = lcm(*(a.denominator for a in coeffs))
-            row = [0] * self.ncols
-            row[:n] = [a.numerator * (den // a.denominator) for a in coeffs]
+            ints, den = _int_row(coeffs)
+            row = ints + [0] * (self.ncols - n)
             if rel == LESS_EQ:
                 row[slack_col[i]] = den
             elif rel == GREATER_EQ:
@@ -268,11 +283,69 @@ class _Tableau:
         out.basis, out.state = list(self.basis), list(self.state)
         return out
 
+    def append_rows(self, lp: LinearProgram) -> None:
+        """Extend a tableau over a prefix of lp's rows, whose basis holds
+        no artificial column, to all of lp's rows.
+
+        The artificial columns are dropped, each new row gets a slack
+        column (an equality gets none) and has every basic column
+        eliminated from it. A row the current point x satisfies makes
+        its slack basic; any other row gets one artificial column, basic
+        at |b - a.x|, for phase 1 to drive to zero. Existing rows are
+        replaced by longer copies, never written in place."""
+        rows = lp.constraints[len(self.region[0]):]
+        self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
+        fa = self.first_art
+        x = [l + z for l, z in zip(lp.lower_bounds, self.solution())]
+        # b - a.x for each row: the slack's value when x satisfies the
+        # row, else, up to sign, the artificial's
+        res = [
+            con.rhs - sum((a * xj for a, xj in zip(con.coeffs, x) if a), Fraction(0))
+            for con in rows
+        ]
+        # None for an equality row, which has no slack
+        satisfied = [
+            None if con.relation == EQUAL
+            else r >= 0 if con.relation == LESS_EQ else r <= 0
+            for con, r in zip(rows, res)
+        ]
+        ncols = fa + sum(s is not None for s in satisfied)
+        width = ncols + sum(s is not True for s in satisfied)
+        A = [row[:fa] + [0] * (width - fa) for row in self.A]
+        old = list(zip(self.basis, A, self.d))
+        self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
+        self.ub = self.ub[:fa] + [None] * (width - fa)
+        slack, art = fa, ncols
+        for con, r, sat in zip(rows, res, satisfied):
+            row, den = _int_row(con.coeffs)
+            row += [0] * (width - self.n)
+            for b, prow, pden in old:
+                if row[b]:
+                    nz = [j for j, e in enumerate(prow) if e]
+                    row, den = _eliminate(row, den, prow, pden, b, nz)
+            if sat is not None:
+                row[slack] = den if con.relation == LESS_EQ else -den
+                slack += 1
+            if sat:
+                basic = slack - 1
+                flip = row[basic] < 0
+            else:
+                basic = art
+                art += 1
+                row[basic] = -den if r < 0 else den
+                flip = r < 0
+            A.append([-e for e in row] if flip else row)
+            self.d.append(den)
+            self.basis.append(basic)
+            self.v.append(abs(r))
+            self.state[basic] = 0
+        self.A = A
+        self.first_art, self.ncols = ncols, width
+
     def price(self, cost: Sequence[Rational]) -> None:
         """Set the reduced-cost row for maximizing cost . x: eliminate
         every basic column from the cost row."""
-        rd = lcm(*(c.denominator for c in cost))
-        r = [c.numerator * (rd // c.denominator) for c in cost]
+        r, rd = _int_row(cost)
         for i, b in enumerate(self.basis):
             if r[b]:
                 prow = self.A[i]
@@ -429,42 +502,53 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     optimal points satisfy every constraint and no feasible point does
     strictly better; infeasible and unbounded are proven statuses.
 
-    ``start`` is an earlier outcome over the same region: the rows,
-    lower bounds and upper bounds of its program equal lp's, and only
-    the objective or sense may differ. The solve then skips phase 1: it
-    copies start's final tableau (start itself is not changed), prices
-    lp's objective and runs phase 2 from there. That tableau is exact
-    and primal feasible for this very region, so phase 2 from it proves
-    its status just as a cold solve does; only an objective with
-    several optimal points may end at a different one of them. A start
-    over another region, or one without a tableau (an infeasible
-    outcome), raises ValidationError."""
+    ``start`` is an earlier outcome whose program had lp's lower and
+    upper bounds and lp's rows, or a prefix of them; only the objective
+    or sense may differ otherwise. The solve copies start's final
+    tableau (start itself is not changed). Over the same rows it skips
+    phase 1, prices lp's objective and runs phase 2 from there. Over
+    more rows it appends the new ones first (``_Tableau.append_rows``):
+    a row the start's point violates, and every equality row, gets an
+    artificial, and phase 1 runs from the start's basis, not from
+    scratch. Every tableau it pivots is exact, so the status is proven
+    just as a cold one is; only a program with several optimal points
+    may end at a different one of them. A start over another region,
+    or one without a tableau (an infeasible outcome), raises
+    ValidationError."""
     if start is not None:
         if start.tableau is None:
             raise ValidationError(
                 f"start has no tableau to start from (status {start.status.value})"
             )
-        if start.tableau.region != (lp.constraints, lp.lower_bounds, lp.upper_bounds):
+        rows, lo, hi = start.tableau.region
+        if (lo, hi) != (lp.lower_bounds, lp.upper_bounds) or (
+            rows != lp.constraints[:len(rows)]
+        ):
             raise ValidationError("start was solved over a different region")
         tab = start.tableau.copy()
+        if len(rows) < len(lp.constraints):
+            tab.append_rows(lp)
     else:
         for j in range(lp.num_vars):
             ub = lp.upper_bounds[j]
             if ub is not None and ub < lp.lower_bounds[j]:
                 return LpOutcome(SolveStatus.INFEASIBLE)
         tab = _Tableau(lp)
-        if tab.first_art < tab.ncols:
-            tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
-            status = tab.run()
-            if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
-                raise AssertionError("phase 1 cannot be unbounded")
-            infeasibility = sum(
-                (tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art),
-                Fraction(0),
-            )
-            if infeasibility != 0:
-                return LpOutcome(SolveStatus.INFEASIBLE)
-            tab.drive_out_artificials()
+    # a cold tableau starts with every artificial basic, a start over the
+    # same region with none, and appended rows with one per row the
+    # start's point does not satisfy
+    if max(tab.basis, default=-1) >= tab.first_art:
+        tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
+        status = tab.run()
+        if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
+            raise AssertionError("phase 1 cannot be unbounded")
+        infeasibility = sum(
+            (tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art),
+            Fraction(0),
+        )
+        if infeasibility != 0:
+            return LpOutcome(SolveStatus.INFEASIBLE)
+        tab.drive_out_artificials()
 
     sign = 1 if lp.sense == MAXIMIZE else -1
     tab.price([sign * c for c in lp.objective] + [0] * (tab.ncols - tab.n))

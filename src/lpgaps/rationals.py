@@ -12,6 +12,7 @@ is the encoding used by all file formats and reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import ValidationError
 
@@ -47,6 +48,20 @@ def body_lines(text: str, header: str) -> list[str]:
             f"the header line must be '{header} 1', not {lines[0]!r}"
         )
     return lines[1:]
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def require_exact(values: Sequence, what: str) -> None:
+    """Refuse any entry that is not an exact rational (an int or a
+    Fraction), so a float is stopped where an object is made instead of
+    failing inside a later solve."""
+    if not _EXACT_TYPES.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) not in _EXACT_TYPES)
+        raise ValidationError(
+            f"{what} must be exact rationals, not {type(bad).__name__} {bad!r}"
+        )
 
 
 def is_integral(value: Rational) -> bool:

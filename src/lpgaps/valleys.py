@@ -37,6 +37,7 @@ from .rationals import (
     format_rational,
     is_integral,
     parse_rational,
+    require_exact,
 )
 
 
@@ -64,6 +65,8 @@ class TspInstance:
             raise ValidationError("instance dimensions are inconsistent")
         if sorted(set(self.valley_of)) != list(range(max(self.valley_of) + 1)):
             raise ValidationError("valley ids must be 0..k-1 with none missing")
+        for row in self.cost:
+            require_exact(row, "costs")
 
     @property
     def valley_count(self) -> int:
@@ -513,16 +516,24 @@ def cutting_plane_loop(
 ) -> CuttingPlaneTrace:
     """Solve, separate, add one cut, repeat. Each round's program is
     the last one with its violated cut appended as a new last row, so
-    the degree LP is built once; values are nondecreasing because each
-    round's feasible region shrinks."""
+    the degree LP is built once, and each round's solve starts from the
+    last round's tableau: the cut enters with an artificial that phase 1
+    drives out from the last basis, instead of a cold two-phase solve.
+    Values are nondecreasing because each round's feasible region
+    shrinks. The valley LPs are degenerate, so the warm path may end a
+    round at another optimal vertex than a cold solve would; the loop
+    can then stop, complete and at the tour optimum, on a fractional
+    point no subtour cut separates (``final_integral`` false, as at
+    six 2-city valleys)."""
     if max_rounds < 1:
         raise ValidationError("max_rounds must be at least 1")
     cuts: list[tuple[int, ...]] = []
     rounds: list[CutRound] = []
     complete = False
     program = degree_lp(inst)
+    outcome = None
     for rnd in range(1, max_rounds + 1):
-        outcome = solve_lp(program)
+        outcome = solve_lp(program, start=outcome)
         if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
             raise AssertionError(f"relaxation solve came back {outcome.status}")
         violated = separate_subtour(inst, outcome.point)

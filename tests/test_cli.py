@@ -203,9 +203,9 @@ PINNED_REPORTS = [
       "--samples", "3", "--seed", "0"], "json",
      "bb697d8cda14fa35ea63cbcc296430bfbcc481bfc3457f706c68e99a979cc454"),
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "json",
-     "e99497f83e54c8559c58cf6b2140e31dad56b32d46a126599815950717f7237a"),
+     "97ed299ee18aed4a057e17edd0a0ab01b9cd9f29b9f9ef8c4a292b7ca7244e1d"),
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "csv",
-     "6df6ec48f6281e04b6b0aa1d4b4cf02cf09aad17b4f87a0c22cc8ca196243aca"),
+     "79dab5f6dbcdf0b04c990d2fbe0c84d99b67fd326bc5dbd243beb640599b3d01"),
     (["valley-gap", "--valleys", "6", "--cities-per-valley", "2",
       "--relaxation", "degree+cuts", "--cut-valley", "0"], "json",
      "80f3da3855d8732d432c513272ea408ee32eee638f0041de6094018e80e892cc"),

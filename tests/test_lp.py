@@ -124,6 +124,24 @@ def test_validation_errors():
         Constraint((Fraction(1),), "!=", Fraction(0))
 
 
+def test_floats_are_refused_where_made():
+    # a float used to pass the shape checks and fail inside a solve with
+    # AttributeError: 'float' object has no attribute 'denominator'
+    lp = linear_program([1, 1], "max", [([1, 1], "<=", 3)])
+    with pytest.raises(ValidationError, match="objective entries must be exact"):
+        replace(lp, objective=(0.5, 1.0))
+    with pytest.raises(ValidationError, match="lower bounds must be exact"):
+        replace(lp, lower_bounds=(0.0, Fraction(0)))
+    with pytest.raises(ValidationError, match="upper bounds must be exact"):
+        replace(lp, upper_bounds=(None, 2.5))
+    with pytest.raises(ValidationError, match="row entries must be exact"):
+        Constraint((Fraction(1), 0.5), "<=", Fraction(3))
+    with pytest.raises(ValidationError, match="row entries must be exact"):
+        replace(lp.constraints[0], rhs=3.0)
+    # ints are exact: a program built from them solves as before
+    assert solve_lp(replace(lp, objective=(1, 2))).value == 6
+
+
 def test_simplex_matches_vertex_enumeration_sample():
     # the full 1000-trial run is acceptance criterion 7; this is a
     # faster slice with a different seed for everyday development
@@ -314,6 +332,70 @@ def test_property_warm_start_matches_cold(case, data):
     assert solve_lp(idle, start=first).point == first.point
 
 
+def tableau_snapshot(tab):
+    return ([list(row) for row in tab.A], list(tab.d), list(tab.v),
+            list(tab.basis), list(tab.state), list(tab.ub), tab.region,
+            tab.first_art, tab.ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_programs(), st.data())
+def test_property_appended_rows_warm_match_cold(case, data):
+    # rows of every relation, satisfied or violated by the start's
+    # point, appended to a solved program; half the time the box is
+    # opened upward, so unbounded starts occur, and violated rows make
+    # some results infeasible
+    lp, _ = case
+    if data.draw(st.booleans()):
+        lp = replace(lp, upper_bounds=(None,) * lp.num_vars)
+    first = solve_lp(lp)
+    if first.tableau is None:
+        return
+    # an unbounded outcome has no point; rows then pass near the
+    # lower corner instead
+    point = first.point or lp.lower_bounds
+    extra = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        coeffs = data.draw(
+            st.lists(small_rationals, min_size=lp.num_vars, max_size=lp.num_vars)
+        )
+        lhs = sum(a * x for a, x in zip(coeffs, point))
+        relation = data.draw(st.sampled_from(["<=", ">=", "="]))
+        offset = data.draw(offsets) * data.draw(st.sampled_from([1, -1]))
+        extra.append(constraint(coeffs, relation, lhs + offset))
+    grown = with_constraints(lp, extra)
+    before = tableau_snapshot(first.tableau)
+    warm = solve_lp(grown, start=first)
+    cold = solve_lp(grown)
+    assert tableau_snapshot(first.tableau) == before
+    assert warm.status is cold.status
+    assert warm.value == cold.value
+    if warm.status is SolveStatus.OPTIMAL:
+        assert point_feasible(grown, warm.point)
+    if warm.tableau is not None:
+        # a warm outcome starts the next round just as a cold one does
+        more = with_constraints(grown, extra[:1])
+        again, fresh = solve_lp(more, start=warm), solve_lp(more)
+        assert (again.status, again.value) == (fresh.status, fresh.value)
+
+
+def test_appended_rows_reach_infeasible_and_unbounded():
+    # x - y <= 4 with y unbounded above: maximizing y is unbounded
+    lp = linear_program([0, 1], "max", [([1, -1], "<=", 4)])
+    start = solve_lp(lp)
+    assert start.status is SolveStatus.UNBOUNDED
+    capped = with_constraints(lp, [constraint([0, 1], "<=", 3)])
+    out = solve_lp(capped, start=start)
+    assert (out.status, out.value) == (SolveStatus.OPTIMAL, 3)
+    still = with_constraints(lp, [constraint([1, 0], "=", 2)])
+    assert solve_lp(still, start=start).status is SolveStatus.UNBOUNDED
+    # y <= 3 and x <= y + 4 keep x + y at most 10: phase 1 from the
+    # start's basis proves the new row unreachable
+    walled = with_constraints(capped, [constraint([1, 1], ">=", 11)])
+    assert solve_lp(walled, start=out).status is SolveStatus.INFEASIBLE
+    assert solve_lp(walled).status is SolveStatus.INFEASIBLE
+
+
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])
 def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
     # a warm solve copies the start's index lists but shares its rows,
@@ -357,17 +439,23 @@ def test_warm_start_accepts_an_equal_region_built_anew():
 def test_warm_start_refuses_another_region():
     lp = three_facet_program()
     start = solve_lp(lp)
+    # rows appended after the start's are the cut loop's warm start
+    appended = with_constraints(lp, [constraint([1, 0], "<=", 2)])
+    warm = solve_lp(appended, start=start)
+    cold = solve_lp(appended)
+    assert (warm.status, warm.value) == (cold.status, cold.value)
     other_row = replace(
         lp, constraints=lp.constraints[:1] + (constraint([-5, 1], "<=", 3),)
         + lp.constraints[2:]
     )
     others = [
         other_row,
+        with_constraints(other_row, [constraint([1, 0], "<=", 2)]),
         replace(lp, constraints=lp.constraints[:2]),
-        with_constraints(lp, [constraint([1, 0], "<=", 2)]),
         replace(lp, lower_bounds=(Fraction(1, 2),) + lp.lower_bounds[1:]),
         replace(lp, upper_bounds=(Fraction(2),) + lp.upper_bounds[1:]),
         replace(lp, upper_bounds=lp.upper_bounds[:1] + (Fraction(9),)),
+        replace(appended, upper_bounds=(Fraction(2),) + lp.upper_bounds[1:]),
     ]
     for other in others:
         with pytest.raises(ValidationError, match="different region"):

@@ -1,7 +1,8 @@
 """Pinned pivot-path results.
 
 Each literal below was recorded from the Fraction-tableau simplex that
-preceded the integer-row tableau. The programs are degenerate: many
+preceded the integer-row tableau; the cut loops were re-recorded when
+each round began to start from the last round's tableau. The programs are degenerate: many
 optimal vertices tie, and Bland's rule picks one of them. A kernel
 change that keeps every value optimal but lets a tie break differently
 moves a cut sequence, an optimal point or a hull witness, and fails
@@ -21,6 +22,8 @@ from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 F = Fraction
 
+# recorded from the warm cut loop, where each round starts from the last
+# round's tableau with its cut appended
 CUT_LOOPS = {
     (4, 2): dict(
         rounds=[
@@ -28,30 +31,26 @@ CUT_LOOPS = {
             (F(88, 21), (0, 1, 6, 7), 17),
             (F(88, 21), (0, 1, 4, 5), 18),
             (F(88, 21), (0, 1, 2, 3), 19),
-            (F(40, 7), (0, 1, 2, 3, 6, 7), 20),
-            (F(40, 7), (0, 1, 4, 5, 6, 7), 21),
-            (F(40, 7), (0, 1, 2, 3, 4, 5), 22),
+            (F(40, 7), (0, 1, 2, 3, 4, 5), 20),
+            (F(40, 7), (0, 1, 2, 3, 6, 7), 21),
+            (F(40, 7), (0, 1, 4, 5, 6, 7), 22),
             (F(152, 21), None, 23),
         ],
-        final_support=(0, 10, 16, 21, 32, 40, 48, 51),
+        final_support=(1, 7, 16, 24, 32, 40, 48, 50),
     ),
     (3, 3): dict(
         rounds=[
             (F(9, 7), (0, 1, 2), 18),
-            (F(13, 3), (0, 8), 19),
-            (F(13, 3), (0, 1, 2, 8), 20),
-            (F(13, 3), (0, 6, 7, 8), 21),
-            (F(13, 3), (0, 1, 2, 6, 7, 8), 22),
-            (F(13, 3), (0, 1, 2, 3, 4, 5), 23),
-            (F(41, 7), (0, 1, 2, 3, 8), 24),
-            (F(41, 7), (0, 3, 4, 5, 8), 25),
-            (F(41, 7), (0, 1, 2, 3, 4, 5, 8), 26),
-            (F(41, 7), (0, 3, 6, 7, 8), 27),
-            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 28),
-            (F(41, 7), (0, 1, 2, 3, 6, 7, 8), 29),
-            (F(41, 7), None, 30),
+            (F(13, 3), (0, 1, 2, 6, 7, 8), 19),
+            (F(13, 3), (0, 1, 2, 3), 20),
+            (F(13, 3), (0, 3, 4, 5), 21),
+            (F(13, 3), (0, 1, 2, 3, 4, 5), 22),
+            (F(41, 7), (0, 3, 6, 7, 8), 23),
+            (F(41, 7), (0, 1, 2, 3, 6, 7, 8), 24),
+            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 25),
+            (F(41, 7), None, 26),
         ],
-        final_support=(0, 9, 19, 29, 36, 43, 54, 63, 64),
+        final_support=(1, 10, 17, 28, 38, 44, 48, 63, 70),
     ),
 }
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpgaps import valleys
 from lpgaps.errors import ValidationError
 from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import GREATER_EQ, SolveStatus, solve_lp
@@ -76,6 +77,14 @@ def test_instances_check_themselves_when_made():
         instance_from_cost_matrix([[0]])
     with pytest.raises(ValidationError, match="dimensions are inconsistent"):
         instance_from_cost_matrix([[0, 1], [1]])
+
+
+def test_float_costs_are_refused_where_made():
+    # they used to reach tsp_oracle and fail there with AttributeError
+    inst = gen_valley_instance(2, 2)
+    floats = tuple(tuple(float(c) for c in row) for row in inst.cost)
+    with pytest.raises(ValidationError, match="costs must be exact rationals"):
+        replace(inst, cost=floats)
 
 
 def test_rejects_instances_above_the_city_cap():
@@ -274,6 +283,56 @@ def test_cutting_plane_six_valleys():
     assert trace.complete
     assert trace.final_value == 6  # oracle budget covers n=12 via held-karp
     assert tsp_oracle(inst).cost == 6
+
+
+# the cost pairs the cutting-plane benchmark draws from
+INTRA_COSTS = (Fraction(0), Fraction(1, 7), Fraction(1, 3))
+CROSSING_COSTS = (Fraction(1), Fraction(5, 3), Fraction(2))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("intra", INTRA_COSTS)
+@pytest.mark.parametrize("crossing", CROSSING_COSTS)
+def test_cut_loop_invariants(monkeypatch, shape, intra, crossing):
+    # every point the loop separates, recorded as the loop sees it
+    seen = []
+
+    def recording_separate(inst, point):
+        seen.append(point)
+        return separate_subtour(inst, point)
+
+    monkeypatch.setattr(valleys, "separate_subtour", recording_separate)
+    inst = gen_valley_instance(*shape, intra, crossing)
+    trace = cutting_plane_loop(inst)
+    arcs = arc_list(inst.n)
+    assert trace.complete and trace.final_integral
+    values = [r.lp_value for r in trace.rounds]
+    assert values == sorted(values)
+    assert len(seen) == len(trace.rounds) == len(trace.cuts) + 1
+    for k, (point, cut) in enumerate(zip(seen, trace.cuts)):
+        # each round's point is feasible for the cuts before it and
+        # violates the cut it yields
+        assert point_feasible(relaxation_with_cuts(inst, trace.cuts[:k]), point)
+        assert subtour_cut_value(dict(zip(arcs, point)), cut) < 1
+    assert seen[-1] == trace.final_point
+    assert point_feasible(relaxation_with_cuts(inst, trace.cuts), trace.final_point)
+    assert brute_force_min_subtour_cut(
+        inst.n, dict(zip(arcs, trace.final_point))
+    ) >= 1
+    assert trace.final_value == values[-1] == tsp_oracle(inst).cost
+
+
+def test_cutting_plane_six_valleys_ends_on_a_fractional_point():
+    # the warm loop reaches the tour optimum on a fractional vertex of
+    # the subtour LP: no subtour cut separates it, so the loop is done
+    inst = gen_valley_instance(6, 2)
+    trace = cutting_plane_loop(inst)
+    assert trace.complete
+    assert trace.final_value == 6 == tsp_oracle(inst).cost
+    assert not trace.final_integral
+    assert {x.denominator for x in trace.final_point} == {1, 7}
+    weights = dict(zip(arc_list(inst.n), trace.final_point))
+    assert brute_force_min_subtour_cut(inst.n, weights) >= 1
 
 
 def test_cutting_plane_budget_marks_incomplete():
