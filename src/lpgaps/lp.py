@@ -535,8 +535,8 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
                 return LpOutcome(SolveStatus.INFEASIBLE)
         tab = _Tableau(lp)
     # a cold tableau starts with every artificial basic, a start over the
-    # same region with none, and appended rows with one per row the
-    # start's point does not satisfy
+    # same region with none, and a start with appended rows with one per
+    # equality row or row the start's point violates
     if max(tab.basis, default=-1) >= tab.first_art:
         tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
         status = tab.run()
