@@ -69,8 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hull-scan", help="gaps over fixed-size kept-facet subsets")
     p.add_argument("--vertices", type=int, required=True)
     p.add_argument("--budget", type=int, required=True, help="facets the model keeps")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    # read only when the scan samples, which hull.subset_gap_scan decides
+    p.add_argument("--samples", type=int,
+                   help=f"subsets a sampled scan draws (default {hull.SAMPLE_COUNT})")
+    p.add_argument("--seed", type=int,
+                   help=f"seed of a sampled scan's draws (default {hull.SEED})")
     common(p)
 
     def instance_flags(p: argparse.ArgumentParser) -> None:
@@ -331,6 +334,12 @@ def _config_from_args(args) -> RunConfig:
         for key, value in sorted(vars(args).items())
         if key not in skip
     }
+    # hull-scan's --samples and --seed parse to None when omitted, so
+    # that an enumerating scan can refuse them; the config records them
+    # at the scan's defaults
+    for key, default in (("samples", hull.SAMPLE_COUNT), ("seed", hull.SEED)):
+        if key in params and params[key] is None:
+            params[key] = default
     seed = params.pop("seed", None)
     return RunConfig(
         subcommand=args.subcommand,

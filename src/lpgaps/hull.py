@@ -33,6 +33,9 @@ from .lp import (
 from .rationals import Rational
 
 ENUMERATION_LIMIT = 10_000
+# what a sampled scan draws when not told otherwise
+SAMPLE_COUNT = 100
+SEED = 0
 # a V-vertex model is a dense tableau of about V^2 cells, and omitting
 # a late facet takes about V pivots: hull-adversary's worst omission
 # runs in about 2 s at V = 256, 15 s at V = 512 and minutes at V = 1000
@@ -210,13 +213,15 @@ class ScanReport:
 def subset_gap_scan(
     poly: ArcPolytope,
     budget: int,
-    sample_count: int = 100,
-    seed: int = 0,
+    sample_count: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> ScanReport:
     """For every size-`budget` kept-facet subset (all of them when there
     are at most ENUMERATION_LIMIT, otherwise sample_count distinct
     seeded draws, refused before any draw when fewer subsets exist),
-    record the worst adversarial gap over the omitted facets. Each
+    record the worst adversarial gap over the omitted facets. An
+    enumerated scan draws nothing, so it refuses a given sample count or
+    seed; a sampled one defaults them to SAMPLE_COUNT and SEED. Each
     subset builds one ``polytope_lp`` and solves it once per omitted
     facet, each solve after the first warm-started from the one before;
     the gaps equal ``facet_gap``'s cold ones. Rows are ordered by their
@@ -226,10 +231,18 @@ def subset_gap_scan(
     F = poly.facet_count
     if not 0 <= budget <= F:
         raise ValidationError(f"budget must be within 0..{F}")
-    if sample_count < 1:
-        raise ValidationError("sample count must be at least 1")
     total = comb(F, budget)
     enumerated = total <= ENUMERATION_LIMIT
+    if enumerated and (sample_count is not None or seed is not None):
+        raise ValidationError(
+            f"keeping {budget} of {F} facets leaves {total} subsets, at most "
+            f"{ENUMERATION_LIMIT}, so the scan enumerates them and would "
+            f"not read a sample count or seed"
+        )
+    sample_count = SAMPLE_COUNT if sample_count is None else sample_count
+    seed = SEED if seed is None else seed
+    if sample_count < 1:
+        raise ValidationError("sample count must be at least 1")
     if not enumerated and sample_count > total:
         raise ValidationError(
             f"sample count {sample_count} exceeds the {total} subsets of "

@@ -87,7 +87,3 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
     dtype = np.int64 if sentinel + largest < 2**62 else object
     tour, best = _held_karp(np.array(scaled, dtype=dtype), sentinel)
     return TourResult(tour, Fraction(int(best), scale))
-
-
-def is_valid_tour(n: int, tour: tuple[int, ...]) -> bool:
-    return len(tour) == n and sorted(tour) == list(range(n))

@@ -23,17 +23,22 @@ exact rational, when they are made, whether by ``constraint``,
 no solve checks them again; a row checks only its own entries, and a
 program's variables are the entries of its objective.
 
+Rows enter a tableau one way only, appended at its current point x: a
+row's slack starts basic when the row, oriented so that b - a.x >= 0,
+reads <=, and one artificial at |b - a.x| otherwise. A cold solve
+appends every row to the row-less tableau of the bounds, whose point is
+the lower corner; phase 1 runs whenever an artificial is basic.
+
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. Over the same
 rows and bounds, phase 1 is skipped and phase 2 starts from a basis
 already optimal or close (the hull scan maximizes many objectives over
 one truncated model this way). When lp has more rows, appended after
 the start's, the copy drops its artificial columns and gains the new
-rows in terms of its basis: a row the start's point satisfies enters
-with its slack basic, any other with one artificial, and the same phase
-1 and phase 2 run from there (the cutting-plane loop re-solves each
-round this way after adding its cut). Either tableau is exact, so a
-warm status is as much a proof as a cold one.
+rows at the start's point, in terms of its basis, and the same phase 1
+and phase 2 run from there (the cutting-plane loop re-solves each round
+this way after adding its cut). Either tableau is exact, so a warm
+status is as much a proof as a cold one.
 """
 
 from __future__ import annotations
@@ -189,11 +194,13 @@ class _Tableau:
 
     Column layout: structural variables (shifted to lower bound 0), then
     one slack/surplus column per inequality row, then artificials from
-    column ``first_art`` on. ``v`` holds current basic-variable values
-    directly. ``state[j]`` is the one fact the pivot rule needs about
-    column j: ``1`` when it sits at its lower bound 0 and may rise,
-    ``-1`` when it sits at its upper bound and may fall, ``0`` when it
-    never enters (basic, artificial, or fixed with zero span).
+    column ``first_art`` on. A new tableau has no rows; ``append_rows``
+    adds every row, with its slack and any artificial. ``v`` holds
+    current basic-variable values directly. ``state[j]`` is the one fact
+    the pivot rule needs about column j: ``1`` when it sits at its lower
+    bound 0 and may rise, ``-1`` when it sits at its upper bound and may
+    fall, ``0`` when it never enters (basic, artificial, or fixed with
+    zero span).
 
     Row i of the tableau is ``A[i][j] / d[i]``: integer numerators over
     one positive integer denominator, kept in lowest terms, and the
@@ -211,67 +218,25 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram):
+        """The row-less tableau of lp's bounds: every structural column
+        at its lower bound, free to rise unless its span is zero."""
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
-        self.n = n
+        self.n = self.first_art = self.ncols = n
         # everything but the objective: a start must match it exactly
-        self.region = (lp.constraints, lo, hi)
-        rows = []
-        for con in lp.constraints:
-            shift = sum((a * l for a, l in zip(con.coeffs, lo) if l), Fraction(0))
-            rhs = con.rhs - shift
-            coeffs = list(con.coeffs)
-            rel = con.relation
-            if rhs < 0:
-                coeffs = [-a for a in coeffs]
-                rhs = -rhs
-                rel = {LESS_EQ: GREATER_EQ, GREATER_EQ: LESS_EQ, EQUAL: EQUAL}[rel]
-            rows.append((coeffs, rel, rhs))
-        m = len(rows)
-
-        col = n
-        slack_col = {}
-        for i, (_, rel, _) in enumerate(rows):
-            if rel != EQUAL:
-                slack_col[i] = col
-                col += 1
-        self.first_art = col
-        art_col = {}
-        for i, (_, rel, _) in enumerate(rows):
-            if rel != LESS_EQ:
-                art_col[i] = col
-                col += 1
-        self.ncols = col
-
+        self.region = ((), lo, hi)
         self.A: list[list[int]] = []
         self.d: list[int] = []
-        for i, (coeffs, rel, _) in enumerate(rows):
-            ints, den = _int_row(coeffs)
-            row = ints + [0] * (self.ncols - n)
-            if rel == LESS_EQ:
-                row[slack_col[i]] = den
-            elif rel == GREATER_EQ:
-                row[slack_col[i]] = -den
-            if i in art_col:
-                row[art_col[i]] = den
-            self.A.append(row)
-            self.d.append(den)
-        self.r: list[int] = [0] * self.ncols
+        self.v: list[Fraction] = []
+        self.basis: list[int] = []
+        self.r: list[int] = [0] * n
         self.rd = 1
-        self.v: list[Fraction] = [rhs for (_, _, rhs) in rows]
-        self.basis: list[int] = [
-            slack_col[i] if rows[i][1] == LESS_EQ else art_col[i] for i in range(m)
-        ]
         self.ub: list[Optional[Fraction]] = [
             None if hi[j] is None else hi[j] - lo[j] for j in range(n)
-        ] + [None] * (self.ncols - n)
-        # basic and artificial columns start out of the scan, and fixed
-        # (zero-span) columns stay out: they can never change value
-        basic = set(self.basis)
-        self.state = [
-            0 if j in basic or j >= self.first_art or self.ub[j] == 0 else 1
-            for j in range(self.ncols)
         ]
+        # fixed (zero-span) columns stay out of the scan: they can never
+        # change value
+        self.state = [0 if u == 0 else 1 for u in self.ub]
 
     @property
     def m(self) -> int:
@@ -285,59 +250,62 @@ class _Tableau:
 
     def append_rows(self, lp: LinearProgram) -> None:
         """Extend a tableau over a prefix of lp's rows, whose basis holds
-        no artificial column, to all of lp's rows.
+        no artificial column, to all of lp's rows: every row of every
+        solve enters here, a cold solve's into the row-less tableau.
 
         The artificial columns are dropped, each new row gets a slack
         column (an equality gets none) and has every basic column
-        eliminated from it. A row the current point x satisfies makes
-        its slack basic; any other row gets one artificial column, basic
-        at |b - a.x|, for phase 1 to drive to zero. Existing rows are
+        eliminated from it. At the current point x the row is oriented
+        so that its right-hand side b - a.x is nonnegative (negated when
+        b - a.x < 0). If it then reads <=, its slack starts basic;
+        otherwise one artificial column starts basic at |b - a.x|, for
+        phase 1 to drive to zero. So a <= row needs b - a.x >= 0 and a
+        >= row b - a.x < 0 for a basic slack, and an equality row or a
+        >= row tight at x takes an artificial. Existing rows are
         replaced by longer copies, never written in place."""
         rows = lp.constraints[len(self.region[0]):]
         self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
         fa = self.first_art
         x = [l + z for l, z in zip(lp.lower_bounds, self.solution())]
-        # b - a.x for each row: the slack's value when x satisfies the
-        # row, else, up to sign, the artificial's
+        # b - a.x for each row, read from x's nonzero entries only (at a
+        # cold solve's lower corner often none), and whether it is negative
+        xnz = [(j, xj) for j, xj in enumerate(x) if xj]
         res = [
-            con.rhs - sum((a * xj for a, xj in zip(con.coeffs, x) if a), Fraction(0))
+            con.rhs - sum(con.coeffs[j] * xj for j, xj in xnz) if xnz else con.rhs
             for con in rows
         ]
-        # None for an equality row, which has no slack
-        satisfied = [
-            None if con.relation == EQUAL
-            else r >= 0 if con.relation == LESS_EQ else r <= 0
-            for con, r in zip(rows, res)
+        negative = [r < 0 for r in res]
+        slack_basic = [
+            con.relation == (GREATER_EQ if neg else LESS_EQ)
+            for con, neg in zip(rows, negative)
         ]
-        ncols = fa + sum(s is not None for s in satisfied)
-        width = ncols + sum(s is not True for s in satisfied)
+        ncols = fa + sum(con.relation != EQUAL for con in rows)
+        width = ncols + slack_basic.count(False)
         A = [row[:fa] + [0] * (width - fa) for row in self.A]
         old = list(zip(self.basis, A, self.d))
         self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
         self.ub = self.ub[:fa] + [None] * (width - fa)
         slack, art = fa, ncols
-        for con, r, sat in zip(rows, res, satisfied):
+        for con, r, flip, sb in zip(rows, res, negative, slack_basic):
             row, den = _int_row(con.coeffs)
             row += [0] * (width - self.n)
             for b, prow, pden in old:
                 if row[b]:
                     nz = [j for j, e in enumerate(prow) if e]
                     row, den = _eliminate(row, den, prow, pden, b, nz)
-            if sat is not None:
+            if con.relation != EQUAL:
                 row[slack] = den if con.relation == LESS_EQ else -den
                 slack += 1
-            if sat:
+            if sb:
                 basic = slack - 1
-                flip = row[basic] < 0
             else:
                 basic = art
                 art += 1
-                row[basic] = -den if r < 0 else den
-                flip = r < 0
+                row[basic] = -den if flip else den
             A.append([-e for e in row] if flip else row)
             self.d.append(den)
             self.basis.append(basic)
-            self.v.append(abs(r))
+            self.v.append(-r if flip else r)
             self.state[basic] = 0
         self.A = A
         self.first_art, self.ncols = ncols, width
@@ -502,15 +470,16 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     optimal points satisfy every constraint and no feasible point does
     strictly better; infeasible and unbounded are proven statuses.
 
+    A cold solve appends all of lp's rows to the row-less tableau of
+    lp's bounds, at their lower corner (``_Tableau.append_rows``).
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
     or sense may differ otherwise. The solve copies start's final
-    tableau (start itself is not changed). Over the same rows it skips
-    phase 1, prices lp's objective and runs phase 2 from there. Over
-    more rows it appends the new ones first (``_Tableau.append_rows``):
-    a row the start's point violates, and every equality row, gets an
-    artificial, and phase 1 runs from the start's basis, not from
-    scratch. Every tableau it pivots is exact, so the status is proven
+    tableau (start itself is not changed) and appends lp's rows past the
+    prefix, if any, the same way at start's point. Phase 1 runs only
+    when a row entered with an artificial, so a start over the same rows
+    skips it and runs phase 2 from its own basis. Every tableau it
+    pivots is exact, so a warm status is proven
     just as a cold one is; only a program with several optimal points
     may end at a different one of them. A start over another region,
     or one without a tableau (an infeasible outcome), raises
@@ -526,17 +495,17 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         ):
             raise ValidationError("start was solved over a different region")
         tab = start.tableau.copy()
-        if len(rows) < len(lp.constraints):
-            tab.append_rows(lp)
     else:
         for j in range(lp.num_vars):
             ub = lp.upper_bounds[j]
             if ub is not None and ub < lp.lower_bounds[j]:
                 return LpOutcome(SolveStatus.INFEASIBLE)
         tab = _Tableau(lp)
-    # a cold tableau starts with every artificial basic, a start over the
-    # same region with none, and a start with appended rows with one per
-    # equality row or row the start's point violates
+    if len(tab.region[0]) < len(lp.constraints):
+        tab.append_rows(lp)
+    # an artificial is basic for each appended row whose slack could not
+    # start basic: an equality row, a <= row with b - a.x < 0, or a >=
+    # row with b - a.x >= 0
     if max(tab.basis, default=-1) >= tab.first_art:
         tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
         status = tab.run()

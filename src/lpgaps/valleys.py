@@ -189,19 +189,6 @@ def relaxation_with_cuts(
     )
 
 
-def valley_cut_subsets(inst: TspInstance) -> tuple[tuple[int, ...], ...]:
-    """The k per-valley cut subsets (needs at least 2 cities per valley)."""
-    subsets = []
-    for v in range(inst.valley_count):
-        cities = inst.valley_cities(v)
-        if len(cities) < 2:
-            raise ValidationError(
-                f"valley {v} has {len(cities)} city; a cut subset needs 2"
-            )
-        subsets.append(cities)
-    return tuple(subsets)
-
-
 # ---------------------------------------------------------------------------
 # Fractional flows
 
@@ -232,40 +219,6 @@ def flow_from_arcs(
         rows.append((i, j, wf))
         total += wf * inst.cost[i][j]
     return FlowSolution(tuple(rows), total)
-
-
-def tour_flow(inst: TspInstance, tour: Sequence[int]) -> FlowSolution:
-    """Unit flow along a tour's arcs."""
-    if sorted(tour) != list(range(inst.n)):
-        raise ValidationError("tour must visit every city exactly once")
-    one = Fraction(1)
-    arcs = [
-        (tour[i], tour[(i + 1) % len(tour)], one) for i in range(len(tour))
-    ]
-    return flow_from_arcs(inst, arcs)
-
-
-def flow_to_point(inst: TspInstance, flow: FlowSolution) -> tuple[Rational, ...]:
-    index = arc_index_map(inst.n)
-    point = [Fraction(0)] * len(index)
-    for (i, j, w) in flow.arcs:
-        point[index[(i, j)]] = w
-    return tuple(point)
-
-
-def valley_internal_cycles_flow(inst: TspInstance) -> FlowSolution:
-    """The canonical fractional-below-integer witness: each valley
-    circulates internally at unit weight, so every degree row is met at
-    intra-only cost while every valley cut is violated outright."""
-    arcs = []
-    one = Fraction(1)
-    for v in range(inst.valley_count):
-        cities = inst.valley_cities(v)
-        if len(cities) < 2:
-            raise ValidationError("internal circulation needs 2+ cities per valley")
-        for t in range(len(cities)):
-            arcs.append((cities[t], cities[(t + 1) % len(cities)], one))
-    return flow_from_arcs(inst, arcs)
 
 
 def three_circulation_flow(inst: TspInstance) -> FlowSolution:

@@ -7,12 +7,18 @@ minimum subtour cuts from scans over every city subset, and hull
 envelopes from piecewise-linear geometry. Expected values in
 the test suite are computed by these first and then asserted against
 the production path, exactly.
+
+The valley witnesses the tests feed the production path are built here
+too: each valley's cut subset, a tour's unit flow, the flow that circles
+inside every valley, and a flow's point in the arc LP.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from lpgaps.errors import ValidationError
 from lpgaps.lp import EQUAL, GREATER_EQ, LESS_EQ, LinearProgram
+from lpgaps.valleys import arc_index_map, flow_from_arcs
 
 
 def solve_square(rows, rhs):
@@ -118,6 +124,57 @@ def brute_force_min_subtour_cut(n, weights) -> Fraction:
         for size in range(2, n)
         for S in combinations(range(n), size)
     )
+
+
+def is_valid_tour(n: int, tour) -> bool:
+    return len(tour) == n and sorted(tour) == list(range(n))
+
+
+def valley_cut_subsets(inst) -> tuple[tuple[int, ...], ...]:
+    """The k per-valley cut subsets (needs at least 2 cities per valley)."""
+    subsets = []
+    for v in range(inst.valley_count):
+        cities = inst.valley_cities(v)
+        if len(cities) < 2:
+            raise ValidationError(
+                f"valley {v} has {len(cities)} city; a cut subset needs 2"
+            )
+        subsets.append(cities)
+    return tuple(subsets)
+
+
+def tour_flow(inst, tour):
+    """Unit flow along a tour's arcs."""
+    if sorted(tour) != list(range(inst.n)):
+        raise ValidationError("tour must visit every city exactly once")
+    one = Fraction(1)
+    arcs = [
+        (tour[i], tour[(i + 1) % len(tour)], one) for i in range(len(tour))
+    ]
+    return flow_from_arcs(inst, arcs)
+
+
+def flow_to_point(inst, flow) -> tuple[Fraction, ...]:
+    index = arc_index_map(inst.n)
+    point = [Fraction(0)] * len(index)
+    for (i, j, w) in flow.arcs:
+        point[index[(i, j)]] = w
+    return tuple(point)
+
+
+def valley_internal_cycles_flow(inst):
+    """The canonical fractional-below-integer witness: each valley
+    circulates internally at unit weight, so every degree row is met at
+    intra-only cost while every valley cut is violated outright."""
+    arcs = []
+    one = Fraction(1)
+    for v in range(inst.valley_count):
+        cities = inst.valley_cities(v)
+        if len(cities) < 2:
+            raise ValidationError("internal circulation needs 2+ cities per valley")
+        for t in range(len(cities)):
+            arcs.append((cities[t], cities[(t + 1) % len(cities)], one))
+    return flow_from_arcs(inst, arcs)
 
 
 def envelope_relaxed_max(poly, omitted: int, kept):

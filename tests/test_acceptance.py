@@ -11,6 +11,7 @@ from oracles import (
     brute_force_tour_cost,
     point_feasible,
     random_bounded_lp,
+    valley_cut_subsets,
     vertex_enumeration_optimum,
 )
 from lpgaps.bounds import (
@@ -35,7 +36,6 @@ from lpgaps.valleys import (
     gen_valley_instance,
     instance_from_cost_matrix,
     three_circulation_flow,
-    valley_cut_subsets,
 )
 
 

@@ -3,13 +3,9 @@ import json
 
 import pytest
 
+from oracles import valley_internal_cycles_flow
 from lpgaps import cli, hull, valleys
-from lpgaps.valleys import (
-    flow_arcs_to_text,
-    gen_valley_instance,
-    instance_to_text,
-    valley_internal_cycles_flow,
-)
+from lpgaps.valleys import flow_arcs_to_text, gen_valley_instance, instance_to_text
 
 
 def run_cli(tmp_path, *argv):
@@ -182,7 +178,7 @@ def test_check_flow_refuses_a_malformed_flow_file(tmp_path, capsys):
 
 def test_reports_are_byte_identical(tmp_path):
     out = tmp_path / "report.json"
-    argv = ["hull-scan", "--vertices", "16", "--budget", "8",
+    argv = ["hull-scan", "--vertices", "64", "--budget", "32",
             "--samples", "6", "--seed", "3", "--output", str(out)]
     assert cli.main(argv) == 0
     first = out.read_bytes()
@@ -265,6 +261,21 @@ def test_scan_refuses_more_samples_than_subsets(tmp_path, capsys):
     ])
     assert code == 2
     assert "12870 subsets" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--samples", "3", "--seed", "99"], ["--samples", "100"], ["--seed", "0"],
+])
+def test_enumerating_scan_refuses_samples_and_seed(tmp_path, capsys, flags):
+    # 4 of 7 facets leave 35 subsets, all scanned: a sample count or
+    # seed would go unread, even at its default
+    code = cli.main([
+        "hull-scan", "--vertices", "8", "--budget", "4", *flags,
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert "35 subsets" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 
@@ -433,7 +444,7 @@ def test_usage_error_exit_code():
 
 def test_config_embeds_run_parameters(tmp_path):
     code, out = run_cli(
-        tmp_path, "hull-scan", "--vertices", "8", "--budget", "6",
+        tmp_path, "hull-scan", "--vertices", "64", "--budget", "32",
         "--samples", "9", "--seed", "11",
     )
     assert code == 0
@@ -441,6 +452,6 @@ def test_config_embeds_run_parameters(tmp_path):
     config = doc["config"]
     assert config["subcommand"] == "hull-scan"
     assert config["seed"] == 11
-    assert config["params"]["budget"] == 6
+    assert config["params"]["budget"] == 32
     assert config["params"]["samples"] == 9
     assert config["output_format"] == "json"

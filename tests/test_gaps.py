@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import valley_cut_subsets
 from lpgaps import gaps
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
@@ -14,7 +15,7 @@ from lpgaps.gaps import (
     degree_relaxation,
     integrality_gap,
 )
-from lpgaps.valleys import gen_valley_instance, valley_cut_subsets
+from lpgaps.valleys import gen_valley_instance
 
 
 def test_degree_gap_headline():

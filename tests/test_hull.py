@@ -162,6 +162,19 @@ def test_scan_validation():
         subset_gap_scan(gen_arc(8), budget=-1)
     with pytest.raises(ValidationError):
         subset_gap_scan(gen_arc(8), budget=4, sample_count=0)
+    # 7 facets keep 4 in 35 ways, all scanned: nothing reads a draw count
+    # or seed
+    for draws in (dict(sample_count=3), dict(seed=0)):
+        with pytest.raises(ValidationError, match="35 subsets"):
+            subset_gap_scan(gen_arc(8), budget=4, **draws)
+
+
+def test_sampled_scan_defaults():
+    # 16 facets keep 8 in 12870 ways, so the scan samples
+    report = subset_gap_scan(gen_arc(17), budget=8)
+    assert not report.enumerated
+    assert (report.sample_count, report.seed) == (hull.SAMPLE_COUNT, hull.SEED)
+    assert len(report.rows) == hull.SAMPLE_COUNT
 
 
 def test_scan_refuses_more_samples_than_subsets():
@@ -171,7 +184,7 @@ def test_scan_refuses_more_samples_than_subsets():
         subset_gap_scan(gen_arc(17), budget=8, sample_count=13000)
 
 
-@pytest.mark.parametrize("budget, samples", [(254, 1), (128, 24)])
+@pytest.mark.parametrize("budget, samples", [(254, None), (128, 24)])
 def test_scan_over_the_work_limit_builds_no_model(monkeypatch, budget, samples):
     # 255 enumerated one-short subsets of 255 facets (277 s unbudgeted),
     # and 24 samples keeping 128 facets: 24 * 255 * (128^2 + 400) > 10^8

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import brute_force_tour_cost
+from oracles import brute_force_tour_cost, is_valid_tour
 from lpgaps import ilp
 from lpgaps.errors import BudgetExceededError
-from lpgaps.ilp import is_valid_tour, tsp_oracle
+from lpgaps.ilp import tsp_oracle
 from lpgaps.valleys import gen_valley_instance, instance_from_cost_matrix
 
 

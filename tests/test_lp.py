@@ -12,6 +12,7 @@ from lpgaps.lp import (
     Constraint,
     SolveStatus,
     _eliminate,
+    _Tableau,
     constraint,
     linear_program,
     solve_lp,
@@ -394,6 +395,47 @@ def test_appended_rows_reach_infeasible_and_unbounded():
     walled = with_constraints(capped, [constraint([1, 1], ">=", 11)])
     assert solve_lp(walled, start=out).status is SolveStatus.INFEASIBLE
     assert solve_lp(walled).status is SolveStatus.INFEASIBLE
+
+
+def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
+    # a <=, a >= and an = row, each strictly satisfied, tight and
+    # violated at the lower corner (1, -2), where a.x = 1/2 - 6 = -11/2
+    coeffs, corner_lhs, d = [Fraction(1, 2), 3], Fraction(-11, 2), Fraction(3, 2)
+    rows = [
+        (coeffs, relation, corner_lhs + delta)
+        for relation, deltas in (("<=", (d, 0, -d)), (">=", (-d, 0, d)),
+                                 ("=", (d, 0, -d)))
+        for delta in deltas
+    ]
+    bounds = dict(lower_bounds=[1, -2], upper_bounds=[4, None])
+    lp = linear_program([1, 1], "max", rows, **bounds)
+    # minimizing x + y over the bounds alone stops at the lower corner
+    start = solve_lp(linear_program([1, 1], "min", **bounds))
+    assert start.point == (1, -2)
+
+    # the layout phase 1 prices first, before any pivot
+    priced = []
+    original = _Tableau.price
+
+    def recording_price(self, cost):
+        priced.append((list(self.basis), list(self.v), self.first_art))
+        return original(self, cost)
+
+    monkeypatch.setattr(_Tableau, "price", recording_price)
+    layouts = []
+    for solve_start in (None, start):
+        priced.clear()
+        solve_lp(lp, start=solve_start)
+        layouts.append(priced[0])
+    # slack columns 2..7 belong to the six inequality rows in order and
+    # artificials start at column 8: a <= row keeps its slack basic when
+    # b - a.x >= 0, a >= row only when b - a.x < 0, an = row never
+    expected = (
+        [2, 3, 8, 5, 9, 10, 11, 12, 13],
+        [d, 0, d, d, 0, d, d, 0, d],
+        8,
+    )
+    assert layouts == [expected, expected]
 
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])

@@ -17,7 +17,14 @@ from fractions import Fraction
 import pytest
 
 from lpgaps.hull import facet_gap, gen_arc
-from lpgaps.lp import SolveStatus, _Tableau, linear_program, solve_lp
+from lpgaps.lp import (
+    SolveStatus,
+    _Tableau,
+    constraint,
+    linear_program,
+    solve_lp,
+    with_constraints,
+)
 from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 F = Fraction
@@ -209,3 +216,58 @@ def test_random_programs_pivot_digest(monkeypatch):
         events.append(("outcome", warm.status.value, warm.value))
     digest = hashlib.sha256(repr(events).encode()).hexdigest()
     assert digest == RANDOM_PATH_SHA256
+
+
+# SHA-256 of every basis change (row, entering column) and every
+# outcome (status, value, point) of a warm solve that appends rows: the
+# same seeded programs, each solved cold and then from its own outcome
+# with 1-3 rows appended, each of any relation and strictly satisfied,
+# tight or violated at the outcome's point. Recorded from the tableau
+# whose cold solve appends every row to the row-less tableau.
+APPENDED_ROWS_SEED = 8087
+APPENDED_PATH_SHA256 = (
+    "88a69577c774f10c583f10ac78a4c330f27ddc842eb1e32d6165d602d59c316b"
+)
+
+
+def seeded_appended_rows(rng, lp, point):
+    """1-3 rows of random relations, each placed strictly inside, on or
+    strictly outside its boundary at point."""
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        coeffs = [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(lp.num_vars)]
+        relation = rng.choice(["<=", ">=", "="])
+        offset = rng.choice([-1, 0, 1]) * F(rng.randint(1, 3), rng.randint(1, 7))
+        lhs = sum(a * x for a, x in zip(coeffs, point))
+        rows.append(constraint(coeffs, relation, lhs + offset))
+    return rows
+
+
+def test_appended_rows_pivot_digest(monkeypatch):
+    events = []
+    original = _Tableau._replace
+
+    def recording_replace(self, p, enter, value, leave_state):
+        events.append(("pivot", p, enter))
+        return original(self, p, enter, value, leave_state)
+
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    appended = 0
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        # an unbounded outcome has no point; rows then pass near the
+        # lower corner instead
+        point = first.point or lp.lower_bounds
+        grown = with_constraints(lp, seeded_appended_rows(rows_rng, lp, point))
+        monkeypatch.setattr(_Tableau, "_replace", recording_replace)
+        warm = solve_lp(grown, start=first)
+        monkeypatch.undo()
+        events.append(("outcome", warm.status.value, warm.value, warm.point))
+        appended += 1
+    assert appended > RANDOM_PROGRAMS // 2
+    digest = hashlib.sha256(repr(events).encode()).hexdigest()
+    assert digest == APPENDED_PATH_SHA256

@@ -19,7 +19,6 @@ from lpgaps.valleys import (
     flow_arcs_from_text,
     flow_arcs_to_text,
     flow_from_arcs,
-    flow_to_point,
     gen_valley_instance,
     instance_from_cost_matrix,
     instance_from_text,
@@ -28,12 +27,17 @@ from lpgaps.valleys import (
     separate_subtour,
     subtour_cut,
     three_circulation_flow,
+)
+
+from oracles import (
+    brute_force_min_subtour_cut,
+    flow_to_point,
+    point_feasible,
+    subtour_cut_value,
     tour_flow,
     valley_cut_subsets,
     valley_internal_cycles_flow,
 )
-
-from oracles import brute_force_min_subtour_cut, point_feasible, subtour_cut_value
 
 
 def test_generated_instance_arc_costs():
