@@ -269,7 +269,7 @@ def subset_gap_scan(
         kept_sets = sorted(chosen)
 
     entries = sorted(
-        (tuple(i for i in range(F) if i not in set(kept)), kept)
+        (tuple(sorted(set(range(F)).difference(kept))), kept)
         for kept in kept_sets
     )
     rows = []
@@ -311,7 +311,7 @@ def subset_gap_scan(
         vertex_count=poly.vertex_count,
         facet_count=F,
         budget=budget,
-        sample_count=sample_count if not enumerated else len(kept_sets),
+        sample_count=len(kept_sets),
         seed=seed,
         enumerated=enumerated,
         rows=tuple(rows),

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -130,10 +131,6 @@ def instance_from_cost_matrix(cost: Sequence[Sequence]) -> TspInstance:
 
 def arc_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
-
-
-def arc_index_map(n: int) -> dict[tuple[int, int], int]:
-    return {arc: idx for idx, arc in enumerate(arc_list(n))}
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +329,14 @@ def check_flow_feasibility(
 
 
 # ---------------------------------------------------------------------------
-# Separation: weak components first, then exact min-cut probes from city 0
-
-def _weak_components(n: int, weight: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = []
-        queue = deque([start])
-        seen[start] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in range(n):
-                if not seen[w] and (weight[u][w] != 0 or weight[w][u] != 0):
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
-
+# Separation: exact min-cut probes from city 0 on integer capacities
 
 def _max_flow_min_cut(
-    n: int, capacity: list[list[Fraction]], source: int, sink: int
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Edmonds-Karp with exact capacities; returns (value, source side)."""
+    n: int, capacity: list[list[int]], source: int, sink: int
+) -> tuple[int, tuple[int, ...]]:
+    """Edmonds-Karp on integer capacities; returns (value, source side)."""
     residual = [row[:] for row in capacity]
-    flow_value = Fraction(0)
+    flow_value = 0
     while True:
         parent = [-1] * n
         parent[source] = source
@@ -396,46 +373,46 @@ def separate_subtour(
     inst: TspInstance, point: Sequence[Rational]
 ) -> Optional[tuple[int, ...]]:
     """Most-violated subtour cut under the point, or None if every cut
-    holds. Disconnected support is detected first (those cuts have value
-    exactly 0); otherwise exact min-cuts from city 0 to every other city
-    decide, which reach the global minimum because a degree-feasible
-    point sends as much flow out of every subset as into it. Ties go to
-    the lexicographically smallest subset among candidates."""
+    holds. The point must be exact, nonnegative and degree-feasible. It
+    is scaled once to integers over the lcm of its denominators, and
+    exact min-cuts from city 0 to every other city decide. They reach
+    the global minimum because a degree-feasible point sends as much
+    flow out of every subset as into it. A disconnected support needs
+    no search of its own: the point is a circulation, so a probe toward
+    a city outside city 0's component finds no path and returns that
+    component at value 0. Ties go to the lexicographically smallest
+    subset among candidates."""
     n = inst.n
     arcs = arc_list(n)
     if len(point) != len(arcs):
         raise ValidationError("point length does not match the arc count")
-    zero = Fraction(0)
-    weight = [[zero] * n for _ in range(n)]
-    out_w = [zero] * n
-    in_w = [zero] * n
+    require_exact(point, "separation point entries")
+    if any(w < 0 for w in point):
+        raise ValidationError("separation requires a nonnegative point")
+    # with every entry a multiple of 1/scale, 1 becomes scale and every
+    # comparison and augmenting path is the one the rationals would give
+    scale = lcm(*(w.denominator for w in point))
+    weight = [[0] * n for _ in range(n)]
+    out_w = [0] * n
+    in_w = [0] * n
     for (i, j), w in zip(arcs, point):
-        wf = Fraction(w)
-        weight[i][j] = wf
-        out_w[i] += wf
-        in_w[j] += wf
-    one = Fraction(1)
-    if any(out_w[c] != one or in_w[c] != one for c in range(n)):
+        wi = w.numerator * (scale // w.denominator)
+        weight[i][j] = wi
+        out_w[i] += wi
+        in_w[j] += wi
+    if any(out_w[c] != scale or in_w[c] != scale for c in range(n)):
         raise ValidationError("separation requires a degree-feasible point")
-
-    # disconnected support is common in early cut rounds, and one search
-    # over the support answers it for less than n - 1 max-flow probes
-    comps = _weak_components(n, weight)
-    if len(comps) > 1:
-        return min(comps)
 
     # Degree feasibility makes out(S) = in(S) = out(V - S) for every S,
     # so a cut whose source side avoids city 0 has the value of its
     # complement, which a probe from city 0 finds; on a value tie the
     # side holding 0 is the lexicographically smaller one anyway. Probes
     # toward city 0 can therefore neither lower the minimum nor win a tie.
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
+    best: Optional[tuple[int, tuple[int, ...]]] = None
     for other in range(1, n):
-        value, side = _max_flow_min_cut(n, weight, 0, other)
-        if value < one:
-            cand = (value, side)
-            if best is None or cand < best:
-                best = cand
+        cand = _max_flow_min_cut(n, weight, 0, other)
+        if cand[0] < scale and (best is None or cand < best):
+            best = cand
     return best[1] if best else None
 
 

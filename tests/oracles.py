@@ -13,12 +13,13 @@ too: each valley's cut subset, a tour's unit flow, the flow that circles
 inside every valley, and a flow's point in the arc LP.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from lpgaps.errors import ValidationError
 from lpgaps.lp import EQUAL, GREATER_EQ, LESS_EQ, LinearProgram
-from lpgaps.valleys import arc_index_map, flow_from_arcs
+from lpgaps.valleys import arc_list, flow_from_arcs
 
 
 def solve_square(rows, rhs):
@@ -126,6 +127,21 @@ def brute_force_min_subtour_cut(n, weights) -> Fraction:
     )
 
 
+def weak_component(n, weights, city):
+    """The cities joined to city by a path of support arcs, in either
+    direction, by a breadth-first search; weights maps (i, j) to flow."""
+    seen = {city}
+    queue = deque([city])
+    while queue:
+        u = queue.popleft()
+        for w in range(n):
+            if w not in seen and (weights.get((u, w), 0) != 0
+                                  or weights.get((w, u), 0) != 0):
+                seen.add(w)
+                queue.append(w)
+    return tuple(sorted(seen))
+
+
 def is_valid_tour(n: int, tour) -> bool:
     return len(tour) == n and sorted(tour) == list(range(n))
 
@@ -152,6 +168,10 @@ def tour_flow(inst, tour):
         (tour[i], tour[(i + 1) % len(tour)], one) for i in range(len(tour))
     ]
     return flow_from_arcs(inst, arcs)
+
+
+def arc_index_map(n: int) -> dict[tuple[int, int], int]:
+    return {arc: idx for idx, arc in enumerate(arc_list(n))}
 
 
 def flow_to_point(inst, flow) -> tuple[Fraction, ...]:

@@ -1,18 +1,27 @@
 """The package's public names and the names the benchmark's tracer
 wraps must all exist, so deleting a function cannot leave a stale export
-or silently break ``perfbench/``; and no module keeps an import or a
-private helper that nothing uses once its caller is gone."""
+or silently break ``perfbench/``; no module keeps an import or a
+private helper that nothing uses once its caller is gone; and no public
+function or class is kept for the tests alone."""
 
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
 import lpgaps
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+REPO_DIR = Path(__file__).resolve().parents[1]
+SPANS_PATH = REPO_DIR / "perfbench" / "spans.py"
 PACKAGE_DIR = Path(lpgaps.__file__).resolve().parent
+
+# public names the tests alone may use, each with its reason
+TEST_ONLY_PUBLIC = {
+    # the exact-gap instance search (ROADMAP open item 4) is its caller
+    "instance_from_cost_matrix",
+}
 
 
 def load_spans(monkeypatch):
@@ -79,3 +88,43 @@ def test_modules_use_what_they_import_and_define():
         and (names := unused_names(path.read_text()))
     }
     assert stale == {}
+
+
+def public_definitions(source: str) -> list[str]:
+    """Module-level public functions and classes of one module."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    """Each public function or class is named somewhere other than the
+    tests, the package's export list and its own definition: elsewhere
+    in the package, in scripts/, in perfbench/ or in the README."""
+    elsewhere = [
+        path.read_text()
+        for path in [
+            *(REPO_DIR / "scripts").glob("*.py"),
+            *(REPO_DIR / "perfbench").glob("*.py"),
+            REPO_DIR / "README.md",
+        ]
+    ]
+    modules = {
+        path: path.read_text()
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    unused = []
+    for path, source in modules.items():
+        for name in public_definitions(source):
+            word = re.compile(rf"\b{name}\b")
+            own = re.sub(rf"\b(def|class) {name}\b", "", source)
+            texts = [own, *elsewhere, *(
+                text for other, text in modules.items() if other != path
+            )]
+            if not any(word.search(text) for text in texts):
+                unused.append(name)
+    assert set(unused) == TEST_ONLY_PUBLIC

@@ -37,6 +37,7 @@ from oracles import (
     tour_flow,
     valley_cut_subsets,
     valley_internal_cycles_flow,
+    weak_component,
 )
 
 
@@ -251,11 +252,29 @@ def test_separation_matches_brute_force_min_cut(n):
             assert subset is not None
             assert 2 <= len(subset) <= n - 1
             assert subtour_cut_value(weights, subset) == best
+        # a disconnected support is cut at city 0's component
+        component = weak_component(n, weights, 0)
+        if len(component) < n:
+            assert subset == component
 
 
-def test_separation_rejects_degree_infeasible_points():
-    inst = gen_valley_instance(3, 2)
-    point = [Fraction(0)] * len(arc_list(inst.n))
+def _reversed_double_cycle_point():
+    """Degree-feasible with negative entries: weight 2 on the cycle
+    0 -> 1 -> 2 -> 0 and -1 on each reverse arc."""
+    forward = {(0, 1), (1, 2), (2, 0)}
+    return [Fraction(2) if arc in forward else Fraction(-1) for arc in arc_list(3)]
+
+
+@pytest.mark.parametrize(
+    "inst, point",
+    [
+        (gen_valley_instance(3, 2), [Fraction(0)] * len(arc_list(6))),
+        (gen_valley_instance(3, 1), [0.5] * 6),
+        (gen_valley_instance(3, 1), _reversed_double_cycle_point()),
+    ],
+    ids=["zero", "float", "negative"],
+)
+def test_separation_rejects_degree_infeasible_points(inst, point):
     with pytest.raises(ValidationError):
         separate_subtour(inst, point)
 
