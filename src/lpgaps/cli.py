@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 validation/usage error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,10 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# built once per process, since building costs far more than a parse;
+# no handler writes to a parsed value, so runs cannot leak state
+# through a shared default (--threshold's [])
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpgaps",

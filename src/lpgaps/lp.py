@@ -12,10 +12,14 @@ column carries one signed state, the direction it may move if it enters
 artificials are the columns from ``first_art`` on. All pivots are
 exact: each tableau row is a list of Python ints over one positive int
 denominator (fraction-free rows, the first step toward the exact kernel
-of QSopt_ex), and basic values are Fractions. A returned status is a
-certainty, not a numerical verdict. Bland's rule sees only signs and
-exact ratio comparisons, which no positive row scale changes, so the int
-rows pivot exactly as a Fraction-per-entry tableau does.
+of QSopt_ex), and the row's basic value is one more int numerator over
+the same denominator, a right-hand side that rides every elimination
+as in the integer-preserving tableaux of Edmonds and of Azulay and
+Pique. Fractions appear only where a value leaves the kernel. A
+returned status is a certainty, not a numerical verdict. Bland's rule
+sees only signs and exact ratio comparisons, which no positive row
+scale changes, so the int rows pivot exactly as a Fraction-per-entry
+tableau does.
 
 A row and a program check their own shape, and that every entry is an
 exact rational, when they are made, whether by ``constraint``,
@@ -47,6 +51,7 @@ from copy import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -160,25 +165,51 @@ class LpOutcome:
 
 
 def _eliminate(
-    row: list[int], den: int, prow: list[int], pden: int, col: int,
-    nz: Sequence[int],
-) -> tuple[list[int], int]:
-    """Clear column col of row/den against the normalised pivot row
-    prow/pden (prow[col] == pden, so its true entry there is 1); returns
-    the new row and denominator in lowest terms. nz lists the columns
-    where prow is nonzero, the only ones the update touches. The result
-    is a new list: row itself is never changed, since tableau copies
-    share their rows."""
+    row: list[int], den: int, val: int, prow: list[int], pden: int, pval: int,
+    col: int, nz: Sequence[int],
+) -> tuple[list[int], int, int]:
+    """Clear column col of row/den, whose value is val/den, against the
+    normalised pivot row prow/pden with value pval/pden (prow[col] ==
+    pden, so its true entry there is 1); returns the new row,
+    denominator and value in lowest terms. nz lists the columns where
+    prow is nonzero, the only ones the update touches. The result is a
+    new list: row itself is never changed, since tableau copies share
+    their rows."""
     f = row[col]
     out = list(row) if pden == 1 else [x * pden for x in row]
     for j in nz:
         out[j] -= f * prow[j]
+    val = val * pden - f * pval
     den *= pden
-    g = gcd(den, *out)
-    if g > 1:
-        den //= g
-        out = [x // g for x in out]
-    return out, den
+    if den > 1:
+        g = gcd(den, val, *out)
+        if g > 1:
+            den //= g
+            val //= g
+            out = [x // g for x in out]
+    return out, den, val
+
+
+def _scaled(row: list[int], den: int, val: int, k: int) -> tuple[list[int], int, int]:
+    """row/den with value val/den, rewritten over the denominator k * den."""
+    return [x * k for x in row], den * k, val * k
+
+
+def _cover(
+    row: list[int], den: int, val: int, q: Rational
+) -> tuple[list[int], int, int, int]:
+    """row/den with value val/den, scaled only when den does not cover
+    q's denominator, and q as an int over the denominator returned."""
+    k = q.denominator // gcd(q.denominator, den)
+    if k > 1:
+        row, den, val = _scaled(row, den, val, k)
+    return row, den, val, q.numerator * (den // q.denominator)
+
+
+def _nonzero(row: list[int]) -> list[int]:
+    """The columns where row is nonzero, the only ones its eliminations
+    touch."""
+    return list(compress(range(len(row)), row))
 
 
 def _int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
@@ -195,20 +226,29 @@ class _Tableau:
     Column layout: structural variables (shifted to lower bound 0), then
     one slack/surplus column per inequality row, then artificials from
     column ``first_art`` on. A new tableau has no rows; ``append_rows``
-    adds every row, with its slack and any artificial. ``v`` holds
-    current basic-variable values directly. ``state[j]`` is the one fact
-    the pivot rule needs about column j: ``1`` when it sits at its lower
-    bound 0 and may rise, ``-1`` when it sits at its upper bound and may
-    fall, ``0`` when it never enters (basic, artificial, or fixed with
-    zero span).
+    adds every row, with its slack and any artificial. ``state[j]`` is
+    the one fact the pivot rule needs about column j: ``1`` when it sits
+    at its lower bound 0 and may rise, ``-1`` when it sits at its upper
+    bound and may fall, ``0`` when it never enters (basic, artificial,
+    or fixed with zero span).
 
     Row i of the tableau is ``A[i][j] / d[i]``: integer numerators over
-    one positive integer denominator, kept in lowest terms, and the
-    reduced-cost row is ``r[j] / rd`` the same way. Bland's rule reads
-    only the signs of entries and exact comparisons of step ratios, and
-    scaling a row by a positive number changes neither, so the pivots
-    are the ones a Fraction-per-entry tableau would make, in the same
-    order. A basic column's entry equals its row's denominator.
+    one positive integer denominator, and the value of its basic
+    variable is the int ``v[i]`` over the same ``d[i]``. An elimination
+    leaves row and value in lowest terms together; the reduced-cost row
+    is ``r[j] / rd`` the same way. Bland's rule reads only the signs of
+    entries and exact comparisons of step ratios, and scaling a row by
+    a positive number changes neither, so the pivots are the ones a
+    Fraction-per-entry tableau would make, in the same order. A basic
+    column's entry equals its row's denominator.
+
+    Nonbasic columns sit at a bound, so a basis change moves the values
+    through the elimination itself: the pivot row's value, less the
+    leaving column's upper bound when it stops there, over its entry in
+    the entering column is the signed step. Only a bound flip writes
+    values outside an elimination, and the pivot row takes the entering
+    value. A row is scaled by an int only when a span or value has a
+    denominator that its own does not cover.
 
     Rows are stored densely, one int per column. A basis change lists
     the pivot row's nonzero columns once, and every elimination of that
@@ -227,7 +267,7 @@ class _Tableau:
         self.region = ((), lo, hi)
         self.A: list[list[int]] = []
         self.d: list[int] = []
-        self.v: list[Fraction] = []
+        self.v: list[int] = []
         self.basis: list[int] = []
         self.r: list[int] = [0] * n
         self.rd = 1
@@ -291,8 +331,10 @@ class _Tableau:
             row += [0] * (width - self.n)
             for b, prow, pden in old:
                 if row[b]:
-                    nz = [j for j, e in enumerate(prow) if e]
-                    row, den = _eliminate(row, den, prow, pden, b, nz)
+                    nz = _nonzero(prow)
+                    row, den, _ = _eliminate(row, den, 0, prow, pden, 0, b, nz)
+            # the value r is read at x, not eliminated
+            row, den, _, value = _cover(row, den, 0, r)
             if con.relation != EQUAL:
                 row[slack] = den if con.relation == LESS_EQ else -den
                 slack += 1
@@ -305,7 +347,7 @@ class _Tableau:
             A.append([-e for e in row] if flip else row)
             self.d.append(den)
             self.basis.append(basic)
-            self.v.append(-r if flip else r)
+            self.v.append(-value if flip else value)
             self.state[basic] = 0
         self.A = A
         self.first_art, self.ncols = ncols, width
@@ -317,52 +359,68 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             if r[b]:
                 prow = self.A[i]
-                nz = [j for j, x in enumerate(prow) if x]
-                r, rd = _eliminate(r, rd, prow, self.d[i], b, nz)
+                nz = _nonzero(prow)
+                r, rd, _ = _eliminate(r, rd, 0, prow, self.d[i], 0, b, nz)
         self.r, self.rd = r, rd
 
-    def _apply_step(self, enter: int, direction: int, t: Fraction) -> None:
-        if not t.numerator:
-            return
-        sn = t.numerator if direction > 0 else -t.numerator
-        sd = t.denominator
-        v, d = self.v, self.d
-        for i, row in enumerate(self.A):
+    def _flip(self, enter: int, direction: int) -> None:
+        """enter crosses its whole span u, the basis unchanged: each
+        row's value falls by direction * u times its entry in column
+        enter. A row whose entry there is not a multiple of u's
+        denominator is scaled first."""
+        u = self.ub[enter]
+        un = u.numerator if direction > 0 else -u.numerator
+        ud = u.denominator
+        A, d, v = self.A, self.d, self.v
+        for i, row in enumerate(A):
             a = row[enter]
             if a:
-                # v[i] - step * a / d[i], built as one Fraction
-                vi = v[i]
-                scale = sd * d[i]
-                v[i] = Fraction(
-                    vi.numerator * scale - sn * a * vi.denominator,
-                    vi.denominator * scale,
-                )
+                if ud > 1:
+                    k = ud // gcd(ud, a)
+                    if k > 1:
+                        A[i], d[i], v[i] = _scaled(row, d[i], v[i], k)
+                        a *= k
+                    a //= ud
+                v[i] -= un * a
 
     def _replace(self, p: int, enter: int, value: Fraction, leave_state: int) -> None:
         """Make enter basic in row p at value; the leaving column takes
-        leave_state, or 0 when it is artificial or fixed."""
+        leave_state, or 0 when it is artificial or fixed.
+
+        The elimination moves every other row's value by the step: row
+        p's value, less the leaving column's upper bound when it stops
+        there, is what the step takes from it, in units of row p's
+        entry in column enter."""
         leave = self.basis[p]
+        A, d, v = self.A, self.d, self.v
+        prow, dp, pval = A[p], d[p], v[p]
+        if leave_state < 0:
+            prow, dp, pval, u = _cover(prow, dp, pval, self.ub[leave])
+            pval -= u
         if leave >= self.first_art or self.ub[leave] == 0:
             leave_state = 0
         self.state[leave] = leave_state
         self.state[enter] = 0
         self.basis[p] = enter
-        self.v[p] = value
-        A, d = self.A, self.d
-        prow = A[p]
         if prow[enter] < 0:
             prow = [-x for x in prow]
-        g = gcd(*prow)
+            pval = -pval
+        # the gcd divides prow[enter], so a unit pivot entry needs none
+        g = gcd(pval, *prow) if prow[enter] > 1 else 1
         if g > 1:
             prow = [x // g for x in prow]
-        A[p] = prow
-        dp = d[p] = prow[enter]
-        nz = [j for j, x in enumerate(prow) if x]
+            pval //= g
+        dp = prow[enter]
+        nz = _nonzero(prow)
         for i, row in enumerate(A):
             if i != p and row[enter]:
-                A[i], d[i] = _eliminate(row, d[i], prow, dp, enter, nz)
+                A[i], d[i], v[i] = _eliminate(
+                    row, d[i], v[i], prow, dp, pval, enter, nz
+                )
         if self.r[enter]:
-            self.r, self.rd = _eliminate(self.r, self.rd, prow, dp, enter, nz)
+            self.r, self.rd, _ = _eliminate(self.r, self.rd, 0, prow, dp, 0, enter, nz)
+        # row p itself holds the entering value
+        A[p], d[p], _, v[p] = _cover(prow, dp, 0, value)
 
     def run(self) -> str:
         """Maximize the objective last set by price(). Bland's rule:
@@ -372,7 +430,7 @@ class _Tableau:
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
-        state = self.state
+        state, ub, basis, d, v = self.state, self.ub, self.basis, self.d, self.v
         while True:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
@@ -386,11 +444,13 @@ class _Tableau:
             else:
                 return "optimal"
 
-            # ratio test over unreduced numerator/denominator pairs; the
-            # entering variable's own bound competes as candidate row -1.
-            # Entry (i, enter) is A[i][enter] / d[i], so the step that
-            # zeroes v[i] is v[i] * d[i] / |A[i][enter]|.
-            own = self.ub[enter]
+            # ratio test over unreduced int numerator/denominator pairs;
+            # the entering variable's own bound competes as candidate row
+            # -1. Entry (i, enter) is a / d[i] and row i's value v[i] /
+            # d[i], so d[i] cancels: the step that zeroes the value is
+            # v[i] / |a|, and the one that lifts it to cap u is
+            # (u * d[i] - v[i]) / |a|.
+            own = ub[enter]
             if own is None:
                 best_num, best_den = None, 1
             else:
@@ -398,42 +458,40 @@ class _Tableau:
             best_var = enter
             best_row = -1
             best_hits_upper = False
+            up = direction > 0
             for i, row in enumerate(self.A):
                 a = row[enter]
                 if a == 0:
                     continue
-                if (a > 0) == (direction > 0):  # step drives v[i] down
-                    room = self.v[i]
+                if (a > 0) == up:  # step drives v[i] down
+                    tn = v[i]
+                    td = a if up else -a
                     hits_upper = False
                 else:  # step drives v[i] up toward its cap
-                    cap = self.ub[self.basis[i]]
+                    cap = ub[basis[i]]
                     if cap is None:
                         continue
-                    room = cap - self.v[i]
+                    tn = cap.numerator * d[i] - v[i] * cap.denominator
+                    td = cap.denominator * (-a if up else a)
                     hits_upper = True
-                tn = room.numerator * self.d[i]
-                td = room.denominator * abs(a)
                 if best_num is not None:
                     lhs = tn * best_den
                     rhs = best_num * td
-                    if lhs > rhs or (lhs == rhs and self.basis[i] > best_var):
+                    if lhs > rhs or (lhs == rhs and basis[i] > best_var):
                         continue
                 best_num, best_den = tn, td
-                best_var = self.basis[i]
+                best_var = basis[i]
                 best_row = i
                 best_hits_upper = hits_upper
             if best_num is None:
                 return "unbounded"
-            best_t = Fraction(best_num, best_den)
-
-            self._apply_step(enter, direction, best_t)
             if best_row < 0:
                 # bound flip: enter crosses its whole span, basis unchanged
+                self._flip(enter, direction)
                 state[enter] = -direction
                 continue
-            # the step also moved the leaving row's value; it now holds
-            # the entering variable's
-            value = best_t if direction > 0 else self.ub[enter] - best_t
+            step = Fraction(best_num, best_den)
+            value = step if up else own - step
             self._replace(best_row, enter, value, -1 if best_hits_upper else 1)
 
     def drive_out_artificials(self) -> None:
@@ -461,7 +519,7 @@ class _Tableau:
         ]
         for i in range(self.m):
             if self.basis[i] < self.n:
-                z[self.basis[i]] = self.v[i]
+                z[self.basis[i]] = Fraction(self.v[i], self.d[i])
         return z
 
 
@@ -511,11 +569,9 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         status = tab.run()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
             raise AssertionError("phase 1 cannot be unbounded")
-        infeasibility = sum(
-            (tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art),
-            Fraction(0),
-        )
-        if infeasibility != 0:
+        # artificials never go negative: any nonzero numerator left basic
+        # is infeasibility
+        if any(tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art):
             return LpOutcome(SolveStatus.INFEASIBLE)
         tab.drive_out_artificials()
 

@@ -198,11 +198,14 @@ class FlowSolution:
 def flow_from_arcs(
     inst: TspInstance, arcs: Iterable[tuple[int, int, Rational]]
 ) -> FlowSolution:
-    """Validate arc records and price the flow against the instance."""
+    """Validate arc records and price the flow against the instance.
+    Weights must be exact rationals: a float is refused, not read as its
+    binary fraction."""
     seen = set()
     rows = []
     total = Fraction(0)
     for (i, j, w) in arcs:
+        require_exact((w,), "arc weights")
         wf = Fraction(w)
         if not (0 <= i < inst.n and 0 <= j < inst.n):
             raise ValidationError(f"arc ({i},{j}) references unknown cities")

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -434,6 +438,31 @@ def test_omitted_flag_reports_its_default(tmp_path, omitted, given):
     code, out = run_cli(tmp_path, *omitted, *given)
     assert code == 0
     assert out.read_bytes() == first
+
+
+def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; runs with and without the
+    # repeatable --threshold, whose default list every run shares, must
+    # each write what a fresh process writes
+    assert cli.build_parser() is cli.build_parser()
+    base = ["valley-gap", "--valleys", "3", "--cities-per-valley", "2"]
+    runs = [base, [*base, "--threshold", "3"], base,
+            [*base, "--threshold", "2", "--threshold", "7/2"], base]
+    in_process = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        in_process.append(capsys.readouterr().out)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = {
+        key: subprocess.run(
+            [sys.executable, "-m", "lpgaps.cli", *key],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for key in dict.fromkeys(map(tuple, runs))
+    }
+    assert in_process == [fresh[tuple(argv)] for argv in runs]
+    assert len(set(in_process)) == 3
 
 
 def test_usage_error_exit_code():

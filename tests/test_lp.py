@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import point_feasible, random_bounded_lp, vertex_enumeration_optimum
+from test_pivot_path import (
+    RANDOM_PROGRAMS,
+    RANDOM_PROGRAMS_SEED,
+    seeded_boxed_program,
+)
 from lpgaps.errors import ValidationError
+from lpgaps import lp as lp_module
 from lpgaps.lp import (
     Constraint,
     SolveStatus,
@@ -204,26 +210,32 @@ def test_property_eliminate_matches_fraction_reference(data):
     width = data.draw(st.integers(1, 8))
     col = data.draw(st.integers(0, width - 1))
     row = data.draw(st.lists(entries, min_size=width, max_size=width))
-    den = data.draw(st.integers(1, 60))
-    # a pivot row as _replace leaves it: positive at col, gcd 1
+    # denominators of 1 on both sides take the path without a gcd
+    den = data.draw(st.one_of(st.just(1), st.integers(1, 60)))
+    val = data.draw(entries)
+    # a pivot row as _replace leaves it: positive at col, gcd 1 over
+    # its entries and its value
     prow = data.draw(st.lists(entries, min_size=width, max_size=width))
     prow[col] = data.draw(st.one_of(st.just(1), st.integers(2, 12)))
-    g = gcd(*prow)
+    pval = data.draw(entries)
+    g = gcd(pval, *prow)
     prow = [x // g for x in prow]
+    pval //= g
     pden = prow[col]
     nz = [j for j, x in enumerate(prow) if x]
     before = list(row)
 
-    out, out_den = _eliminate(row, den, prow, pden, col, nz)
+    out, out_den, out_val = _eliminate(row, den, val, prow, pden, pval, col, nz)
 
     assert row == before  # tableau copies share rows: never written
     f = Fraction(row[col], den)
     assert [Fraction(x, out_den) for x in out] == [
         Fraction(x, den) - f * Fraction(y, pden) for x, y in zip(row, prow)
     ]
+    assert Fraction(out_val, out_den) == Fraction(val, den) - f * Fraction(pval, pden)
     assert out[col] == 0
     assert out_den > 0
-    assert gcd(out_den, *out) == 1
+    assert gcd(out_den, out_val, *out) == 1
 
 
 # Properties over programs random_bounded_lp never draws: denominators up
@@ -418,7 +430,8 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     original = _Tableau.price
 
     def recording_price(self, cost):
-        priced.append((list(self.basis), list(self.v), self.first_art))
+        values = [Fraction(v, d) for v, d in zip(self.v, self.d)]
+        priced.append((list(self.basis), values, self.first_art))
         return original(self, cost)
 
     monkeypatch.setattr(_Tableau, "price", recording_price)
@@ -458,6 +471,47 @@ def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
     warm = solve_lp(other, start=start)
     assert snapshot() == before
     assert warm.value == solve_lp(other).value
+
+
+def test_digest_programs_take_every_value_update(monkeypatch):
+    # the 300 seeded programs of the pivot digest, solved as it solves
+    # them, reach each move that writes a value outside the elimination:
+    # a row scaled to cover a denominator, a bound flip across a span
+    # that is not an integer, and a basis change whose leaving column
+    # stops at a nonzero upper bound (856 scalings; 153 such flips and
+    # 115 such leaves, numbers the pinned pivots fix)
+    seen = {"scaled": 0, "fractional flip": 0, "leave at upper": 0}
+    scaled, flip, replace_row = lp_module._scaled, _Tableau._flip, _Tableau._replace
+
+    def counting_scaled(*args):
+        seen["scaled"] += 1
+        return scaled(*args)
+
+    def counting_flip(self, enter, direction):
+        seen["fractional flip"] += self.ub[enter].denominator > 1
+        return flip(self, enter, direction)
+
+    def counting_replace(self, p, enter, value, leave_state):
+        seen["leave at upper"] += leave_state < 0 and self.ub[self.basis[p]] > 0
+        return replace_row(self, p, enter, value, leave_state)
+
+    monkeypatch.setattr(lp_module, "_scaled", counting_scaled)
+    monkeypatch.setattr(_Tableau, "_flip", counting_flip)
+    monkeypatch.setattr(_Tableau, "_replace", counting_replace)
+    rng = random.Random(RANDOM_PROGRAMS_SEED)
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(rng)
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        other = replace(
+            lp,
+            objective=tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=rng.choice(["max", "min"]),
+        )
+        solve_lp(other, start=first)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_warm_start_from_an_unbounded_outcome():

@@ -438,6 +438,12 @@ def test_flow_validation():
         tour_flow(inst, (0, 1, 2))
 
 
+def test_flow_float_weight_is_refused():
+    # Fraction(0.1) would be 3602879701896397/36028797018963968
+    with pytest.raises(ValidationError, match="exact rationals"):
+        flow_from_arcs(gen_valley_instance(3, 1), [(0, 1, 0.1)])
+
+
 def test_three_circulation_witness_structure():
     inst = gen_valley_instance(10, 2)
     flow = three_circulation_flow(inst)
