@@ -125,7 +125,7 @@ def model_value(x: Rational) -> Union[Fraction, mpmath.mpf]:
     if x.denominator == 1 and x >= 0:
         return x
     with mpmath.workdps(WORKING_DIGITS + _integer_digits(x)):
-        xf = mpmath.mpf(x.numerator) / x.denominator
+        xf = _to_mpf(x)
         return mpmath.sin(mpmath.power(2, xf) * mpmath.pi) + xf
 
 
@@ -142,8 +142,7 @@ def _decreasing(a, b) -> bool:
         return b < a
     with mpmath.workdps(WORKING_DIGITS):
         diff = _to_mpf(b) - _to_mpf(a)
-        guard = mpmath.mpf(COMPARISON_GUARD.numerator) / COMPARISON_GUARD.denominator
-        return diff < -guard
+        return diff < -_to_mpf(COMPARISON_GUARD)
 
 
 @dataclass(frozen=True)

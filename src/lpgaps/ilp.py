@@ -11,12 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .rationals import Rational
+from .rationals import Rational, scale_to_ints
 from .valleys import TspInstance
 
 HELD_KARP_CITY_LIMIT = 20
@@ -80,10 +79,9 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
         raise BudgetExceededError(
             f"held-karp is budgeted for n <= {HELD_KARP_CITY_LIMIT}, got {n}"
         )
-    scale = lcm(*(c.denominator for row in inst.cost for c in row))
-    scaled = [[c.numerator * (scale // c.denominator) for c in row] for row in inst.cost]
-    largest = max(abs(c) for row in scaled for c in row)
+    scaled, scale = scale_to_ints([c for row in inst.cost for c in row])
+    largest = max(map(abs, scaled))
     sentinel = n * (largest + 1) + 1
     dtype = np.int64 if sentinel + largest < 2**62 else object
-    tour, best = _held_karp(np.array(scaled, dtype=dtype), sentinel)
+    tour, best = _held_karp(np.array(scaled, dtype=dtype).reshape(n, n), sentinel)
     return TourResult(tour, Fraction(int(best), scale))

@@ -15,11 +15,12 @@ denominator (fraction-free rows, the first step toward the exact kernel
 of QSopt_ex), and the row's basic value is one more int numerator over
 the same denominator, a right-hand side that rides every elimination
 as in the integer-preserving tableaux of Edmonds and of Azulay and
-Pique. Fractions appear only where a value leaves the kernel. A
-returned status is a certainty, not a numerical verdict. Bland's rule
-sees only signs and exact ratio comparisons, which no positive row
-scale changes, so the int rows pivot exactly as a Fraction-per-entry
-tableau does.
+Pique. Rows and costs enter once (``rationals.scale_to_ints``), a
+pivot's step is its pivot row's own value, and the point leaves once,
+as Fractions. A returned status is a certainty, not a numerical
+verdict. Bland's rule sees only signs and exact ratio comparisons,
+which no positive row scale changes, so the int rows pivot exactly as
+a Fraction-per-entry tableau does.
 
 A row and a program check their own shape, and that every entry is an
 exact rational, when they are made, whether by ``constraint``,
@@ -52,11 +53,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .rationals import Rational, require_exact
+from .rationals import Rational, require_exact, scale_to_ints
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -212,14 +213,6 @@ def _nonzero(row: list[int]) -> list[int]:
     return list(compress(range(len(row)), row))
 
 
-def _int_row(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """values as int numerators over one positive denominator, in lowest
-    terms: the lcm of reduced denominators leaves the numerators coprime
-    to it."""
-    den = lcm(*(a.denominator for a in values))
-    return [a.numerator * (den // a.denominator) for a in values], den
-
-
 class _Tableau:
     """Bounded-variable simplex state.
 
@@ -245,9 +238,9 @@ class _Tableau:
     Nonbasic columns sit at a bound, so a basis change moves the values
     through the elimination itself: the pivot row's value, less the
     leaving column's upper bound when it stops there, over its entry in
-    the entering column is the signed step. Only a bound flip writes
-    values outside an elimination, and the pivot row takes the entering
-    value. A row is scaled by an int only when a span or value has a
+    the entering column is the signed step: the normalised pivot row's
+    own value. Only a bound flip writes values outside an elimination.
+    A row is scaled by an int only when a span or value has a
     denominator that its own does not cover.
 
     Rows are stored densely, one int per column. A basis change lists
@@ -265,6 +258,7 @@ class _Tableau:
         self.n = self.first_art = self.ncols = n
         # everything but the objective: a start must match it exactly
         self.region = ((), lo, hi)
+        self.lower = tuple(map(Fraction, lo))  # Fractions even for int bounds
         self.A: list[list[int]] = []
         self.d: list[int] = []
         self.v: list[int] = []
@@ -306,10 +300,9 @@ class _Tableau:
         rows = lp.constraints[len(self.region[0]):]
         self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
         fa = self.first_art
-        x = [l + z for l, z in zip(lp.lower_bounds, self.solution())]
         # b - a.x for each row, read from x's nonzero entries only (at a
         # cold solve's lower corner often none), and whether it is negative
-        xnz = [(j, xj) for j, xj in enumerate(x) if xj]
+        xnz = [(j, xj) for j, xj in enumerate(self.point()) if xj]
         res = [
             con.rhs - sum(con.coeffs[j] * xj for j, xj in xnz) if xnz else con.rhs
             for con in rows
@@ -321,18 +314,15 @@ class _Tableau:
         ]
         ncols = fa + sum(con.relation != EQUAL for con in rows)
         width = ncols + slack_basic.count(False)
-        A = [row[:fa] + [0] * (width - fa) for row in self.A]
-        old = list(zip(self.basis, A, self.d))
+        self.A = [row[:fa] + [0] * (width - fa) for row in self.A]
         self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
         self.ub = self.ub[:fa] + [None] * (width - fa)
+        self.first_art, self.ncols = ncols, width
+        reduced = [self._reduced(con.coeffs) for con in rows]
         slack, art = fa, ncols
-        for con, r, flip, sb in zip(rows, res, negative, slack_basic):
-            row, den = _int_row(con.coeffs)
-            row += [0] * (width - self.n)
-            for b, prow, pden in old:
-                if row[b]:
-                    nz = _nonzero(prow)
-                    row, den, _ = _eliminate(row, den, 0, prow, pden, 0, b, nz)
+        for con, (row, den), r, flip, sb in zip(
+            rows, reduced, res, negative, slack_basic
+        ):
             # the value r is read at x, not eliminated
             row, den, _, value = _cover(row, den, 0, r)
             if con.relation != EQUAL:
@@ -344,24 +334,26 @@ class _Tableau:
                 basic = art
                 art += 1
                 row[basic] = -den if flip else den
-            A.append([-e for e in row] if flip else row)
+            self.A.append([-e for e in row] if flip else row)
             self.d.append(den)
             self.basis.append(basic)
             self.v.append(-value if flip else value)
             self.state[basic] = 0
-        self.A = A
-        self.first_art, self.ncols = ncols, width
+
+    def _reduced(self, values: Sequence[Rational]) -> tuple[list[int], int]:
+        """values, padded with zeros to every column, as an int row over
+        one denominator with every basic column eliminated from it."""
+        row, den = scale_to_ints(values)
+        row += [0] * (self.ncols - len(row))
+        for b, prow, pden in zip(self.basis, self.A, self.d):
+            if row[b]:
+                row, den, _ = _eliminate(row, den, 0, prow, pden, 0, b, _nonzero(prow))
+        return row, den
 
     def price(self, cost: Sequence[Rational]) -> None:
-        """Set the reduced-cost row for maximizing cost . x: eliminate
-        every basic column from the cost row."""
-        r, rd = _int_row(cost)
-        for i, b in enumerate(self.basis):
-            if r[b]:
-                prow = self.A[i]
-                nz = _nonzero(prow)
-                r, rd, _ = _eliminate(r, rd, 0, prow, self.d[i], 0, b, nz)
-        self.r, self.rd = r, rd
+        """Set the reduced-cost row for maximizing cost . x; a column
+        past the end of cost has cost 0."""
+        self.r, self.rd = self._reduced(cost)
 
     def _flip(self, enter: int, direction: int) -> None:
         """enter crosses its whole span u, the basis unchanged: each
@@ -383,20 +375,22 @@ class _Tableau:
                     a //= ud
                 v[i] -= un * a
 
-    def _replace(self, p: int, enter: int, value: Fraction, leave_state: int) -> None:
-        """Make enter basic in row p at value; the leaving column takes
+    def _replace(self, p: int, enter: int, leave_state: int) -> None:
+        """Make enter basic in row p; the leaving column takes
         leave_state, or 0 when it is artificial or fixed.
 
-        The elimination moves every other row's value by the step: row
-        p's value, less the leaving column's upper bound when it stops
-        there, is what the step takes from it, in units of row p's
-        entry in column enter."""
+        The step is row p's value, less the leaving column's upper bound
+        when it stops there, in units of row p's entry in column enter:
+        the normalised row's own value. The elimination moves every
+        other row's value by it, and row p keeps it, plus enter's span
+        when enter leaves its upper bound, as enter's value."""
         leave = self.basis[p]
         A, d, v = self.A, self.d, self.v
         prow, dp, pval = A[p], d[p], v[p]
         if leave_state < 0:
             prow, dp, pval, u = _cover(prow, dp, pval, self.ub[leave])
             pval -= u
+        from_upper = self.state[enter] < 0
         if leave >= self.first_art or self.ub[leave] == 0:
             leave_state = 0
         self.state[leave] = leave_state
@@ -419,8 +413,10 @@ class _Tableau:
                 )
         if self.r[enter]:
             self.r, self.rd, _ = _eliminate(self.r, self.rd, 0, prow, dp, 0, enter, nz)
-        # row p itself holds the entering value
-        A[p], d[p], _, v[p] = _cover(prow, dp, 0, value)
+        if from_upper:
+            prow, dp, pval, u = _cover(prow, dp, pval, self.ub[enter])
+            pval += u
+        A[p], d[p], v[p] = prow, dp, pval
 
     def run(self) -> str:
         """Maximize the objective last set by price(). Bland's rule:
@@ -451,10 +447,7 @@ class _Tableau:
             # v[i] / |a|, and the one that lifts it to cap u is
             # (u * d[i] - v[i]) / |a|.
             own = ub[enter]
-            if own is None:
-                best_num, best_den = None, 1
-            else:
-                best_num, best_den = own.numerator, own.denominator
+            best_num, best_den = (None, 1) if own is None else own.as_integer_ratio()
             best_var = enter
             best_row = -1
             best_hits_upper = False
@@ -490,9 +483,7 @@ class _Tableau:
                 self._flip(enter, direction)
                 state[enter] = -direction
                 continue
-            step = Fraction(best_num, best_den)
-            value = step if up else own - step
-            self._replace(best_row, enter, value, -1 if best_hits_upper else 1)
+            self._replace(best_row, enter, -1 if best_hits_upper else 1)
 
     def drive_out_artificials(self) -> None:
         """Degenerate swaps at step 0 that take every artificial out of
@@ -507,20 +498,23 @@ class _Tableau:
             row = self.A[p]
             enter = next((j for j in range(self.first_art) if row[j]), -1)
             if enter >= 0:
-                value = self.ub[enter] if self.state[enter] < 0 else Fraction(0)
-                self._replace(p, enter, value, 0)
+                self._replace(p, enter, 0)
                 p += 1
             else:
                 del self.A[p], self.d[p], self.v[p], self.basis[p]
 
-    def solution(self) -> list[Fraction]:
-        z = [
-            self.ub[j] if self.state[j] < 0 else Fraction(0) for j in range(self.n)
-        ]
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                z[self.basis[i]] = Fraction(self.v[i], self.d[i])
-        return z
+    def point(self) -> list[Fraction]:
+        """The structural point: each column at its lower bound, plus its
+        span when it sits at its upper bound, plus its row's value when
+        it is basic and that value is nonzero."""
+        x = list(self.lower)
+        for j, s in enumerate(self.state[:self.n]):
+            if s < 0:
+                x[j] += self.ub[j]
+        for b, val, den in zip(self.basis, self.v, self.d):
+            if b < self.n and val:
+                x[b] += Fraction(val, den)
+        return x
 
 
 def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
@@ -576,12 +570,11 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         tab.drive_out_artificials()
 
     sign = 1 if lp.sense == MAXIMIZE else -1
-    tab.price([sign * c for c in lp.objective] + [0] * (tab.ncols - tab.n))
+    tab.price([sign * c for c in lp.objective])
     status = tab.run()
     if status == "unbounded":
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
-    z = tab.solution()
-    x = tuple(lp.lower_bounds[j] + z[j] for j in range(lp.num_vars))
-    value = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
+    x = tuple(tab.point())
+    value = sum((c * xj for c, xj in zip(lp.objective, x) if xj), Fraction(0))
     return LpOutcome(SolveStatus.OPTIMAL, x, value, tab)

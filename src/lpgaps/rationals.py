@@ -12,7 +12,8 @@ is the encoding used by all file formats and reports.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -66,3 +67,12 @@ def require_exact(values: Sequence, what: str) -> None:
 
 def is_integral(value: Rational) -> bool:
     return value.denominator == 1
+
+
+def scale_to_ints(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """values (Fractions or ints) as int numerators over the lcm of their
+    reduced denominators, which leaves them with no common factor: the
+    one way into the integer kernels (simplex, separation, Held-Karp)."""
+    pairs = [a.as_integer_ratio() for a in values]
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den

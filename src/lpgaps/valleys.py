@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -39,6 +38,7 @@ from .rationals import (
     is_integral,
     parse_rational,
     require_exact,
+    scale_to_ints,
 )
 
 
@@ -394,12 +394,11 @@ def separate_subtour(
         raise ValidationError("separation requires a nonnegative point")
     # with every entry a multiple of 1/scale, 1 becomes scale and every
     # comparison and augmenting path is the one the rationals would give
-    scale = lcm(*(w.denominator for w in point))
+    ints, scale = scale_to_ints(point)
     weight = [[0] * n for _ in range(n)]
     out_w = [0] * n
     in_w = [0] * n
-    for (i, j), w in zip(arcs, point):
-        wi = w.numerator * (scale // w.denominator)
+    for (i, j), wi in zip(arcs, ints):
         weight[i][j] = wi
         out_w[i] += wi
         in_w[j] += wi

@@ -81,11 +81,15 @@ def test_unused_names_finds_a_stale_import_and_helper():
 
 
 def test_modules_use_what_they_import_and_define():
+    paths = [
+        *(path for path in PACKAGE_DIR.glob("*.py") if path.name != "__init__.py"),
+        *(REPO_DIR / "scripts").glob("*.py"),
+        *(REPO_DIR / "tests").glob("*.py"),
+    ]
     stale = {
-        path.name: names
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if path.name != "__init__.py"
-        and (names := unused_names(path.read_text()))
+        str(path.relative_to(path.parents[1])): names
+        for path in sorted(paths)
+        if (names := unused_names(path.read_text()))
     }
     assert stale == {}
 

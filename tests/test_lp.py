@@ -16,6 +16,7 @@ from lpgaps.errors import ValidationError
 from lpgaps import lp as lp_module
 from lpgaps.lp import (
     Constraint,
+    LinearProgram,
     SolveStatus,
     _eliminate,
     _Tableau,
@@ -42,6 +43,25 @@ def test_maximize_single_variable():
     assert out.status is SolveStatus.OPTIMAL
     assert out.point == (Fraction(1),)
     assert out.value == 1
+
+
+def test_optimal_points_and_values_are_fractions():
+    # built with int entries: the 0 of the point (1, 0) is the lower
+    # bound of a column that never moves, and must be a Fraction all the
+    # same, since a report writes a Fraction as text and an int as a
+    # JSON number
+    direct = LinearProgram(
+        (Constraint((1, 1), "<=", 1),), (1, 0), "max", (0, 0), (None, None)
+    )
+    cold = solve_lp(direct)
+    assert (cold.point, cold.value) == ((1, 0), 1)
+    warm = solve_lp(replace(direct, objective=(0, 1)), start=cold)
+    grown = with_constraints(direct, [Constraint((0, 1), ">=", 1)])
+    for out in (cold, warm, solve_lp(grown, start=cold),
+                solve_lp(three_facet_program())):
+        assert out.status is SolveStatus.OPTIMAL
+        assert type(out.value) is Fraction
+        assert all(type(x) is Fraction for x in out.point), out.point
 
 
 def test_infeasible_single_variable():
@@ -491,9 +511,9 @@ def test_digest_programs_take_every_value_update(monkeypatch):
         seen["fractional flip"] += self.ub[enter].denominator > 1
         return flip(self, enter, direction)
 
-    def counting_replace(self, p, enter, value, leave_state):
+    def counting_replace(self, p, enter, leave_state):
         seen["leave at upper"] += leave_state < 0 and self.ub[self.basis[p]] > 0
-        return replace_row(self, p, enter, value, leave_state)
+        return replace_row(self, p, enter, leave_state)
 
     monkeypatch.setattr(lp_module, "_scaled", counting_scaled)
     monkeypatch.setattr(_Tableau, "_flip", counting_flip)

@@ -194,9 +194,9 @@ def test_random_programs_pivot_digest(monkeypatch):
     events = []
     original = _Tableau._replace
 
-    def recording_replace(self, p, enter, value, leave_state):
+    def recording_replace(self, p, enter, *args):
         events.append(("pivot", p, enter))
-        return original(self, p, enter, value, leave_state)
+        return original(self, p, enter, *args)
 
     monkeypatch.setattr(_Tableau, "_replace", recording_replace)
     rng = random.Random(RANDOM_PROGRAMS_SEED)
@@ -247,9 +247,9 @@ def test_appended_rows_pivot_digest(monkeypatch):
     events = []
     original = _Tableau._replace
 
-    def recording_replace(self, p, enter, value, leave_state):
+    def recording_replace(self, p, enter, *args):
         events.append(("pivot", p, enter))
-        return original(self, p, enter, value, leave_state)
+        return original(self, p, enter, *args)
 
     programs = random.Random(RANDOM_PROGRAMS_SEED)
     rows_rng = random.Random(APPENDED_ROWS_SEED)

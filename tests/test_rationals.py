@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lpgaps.errors import ValidationError
-from lpgaps.rationals import format_rational, parse_rational
+from lpgaps.rationals import format_rational, parse_rational, scale_to_ints
 from lpgaps.valleys import flow_arcs_from_text, instance_from_text
 
 rationals = st.fractions(
@@ -17,6 +18,15 @@ def test_addition_associative_bit_identical(a, b, c):
     left = (a + b) + c
     right = a + (b + c)
     assert (left.numerator, left.denominator) == (right.numerator, right.denominator)
+
+
+# rows may hold plain ints next to Fractions
+@given(st.lists(st.one_of(rationals, st.integers(-10**6, 10**6)), max_size=8))
+def test_scale_to_ints_is_exact_and_in_lowest_terms(values):
+    ints, den = scale_to_ints(values)
+    assert all(type(p) is int for p in ints)
+    assert [Fraction(p, den) for p in ints] == values
+    assert den > 0 and gcd(den, *ints) == 1
 
 
 @given(rationals)
