@@ -38,8 +38,24 @@ class RelaxationDesc:
     max_rounds: int = 0
 
     def __post_init__(self):
+        """A field the kind never reads is refused, so a report cannot
+        record a cut or a round budget that its relaxation ignored, and
+        a cutting-plane budget is checked before any solve."""
         if self.kind not in (DEGREE, DEGREE_WITH_CUTS, CUTTING_PLANE):
             raise ValidationError(f"unknown relaxation kind {self.kind!r}")
+        if self.cut_subsets and self.kind != DEGREE_WITH_CUTS:
+            raise ValidationError(
+                f"cut_subsets need the {DEGREE_WITH_CUTS} relaxation, not {self.kind}"
+            )
+        if self.kind == CUTTING_PLANE:
+            if self.max_rounds < 1:
+                raise ValidationError(
+                    f"max_rounds must be at least 1, not {self.max_rounds}"
+                )
+        elif self.max_rounds:
+            raise ValidationError(
+                f"max_rounds needs the {CUTTING_PLANE} relaxation, not {self.kind}"
+            )
 
 
 def degree_relaxation() -> RelaxationDesc:

@@ -15,12 +15,15 @@ denominator (fraction-free rows, the first step toward the exact kernel
 of QSopt_ex), and the row's basic value is one more int numerator over
 the same denominator, a right-hand side that rides every elimination
 as in the integer-preserving tableaux of Edmonds and of Azulay and
-Pique. Rows and costs enter once (``rationals.scale_to_ints``), a
-pivot's step is its pivot row's own value, and the point leaves once,
-as Fractions. A returned status is a certainty, not a numerical
-verdict. Bland's rule sees only signs and exact ratio comparisons,
-which no positive row scale changes, so the int rows pivot exactly as
-a Fraction-per-entry tableau does.
+Pique. Each structural column counts in units of its span's
+denominator, so spans are ints too. Rows with their right-hand sides,
+and costs, enter once (``rationals.scale_to_ints``) and the point
+leaves once, as Fractions: the pivot loop makes none, and a row changes
+only by an elimination or a bound flip's value shift. A returned status
+is a certainty, not a numerical verdict. Bland's rule sees only signs
+and exact ratio comparisons, which no positive row or column scale
+reorders, so the int rows pivot exactly as a Fraction-per-entry
+tableau does.
 
 A row and a program check their own shape, and that every entry is an
 exact rational, when they are made, whether by ``constraint``,
@@ -191,22 +194,6 @@ def _eliminate(
     return out, den, val
 
 
-def _scaled(row: list[int], den: int, val: int, k: int) -> tuple[list[int], int, int]:
-    """row/den with value val/den, rewritten over the denominator k * den."""
-    return [x * k for x in row], den * k, val * k
-
-
-def _cover(
-    row: list[int], den: int, val: int, q: Rational
-) -> tuple[list[int], int, int, int]:
-    """row/den with value val/den, scaled only when den does not cover
-    q's denominator, and q as an int over the denominator returned."""
-    k = q.denominator // gcd(q.denominator, den)
-    if k > 1:
-        row, den, val = _scaled(row, den, val, k)
-    return row, den, val, q.numerator * (den // q.denominator)
-
-
 def _nonzero(row: list[int]) -> list[int]:
     """The columns where row is nonzero, the only ones its eliminations
     touch."""
@@ -225,23 +212,30 @@ class _Tableau:
     bound and may fall, ``0`` when it never enters (basic, artificial,
     or fixed with zero span).
 
+    Structural column j counts in steps of ``1 / unit[j]``, where
+    ``unit[j]`` is its span's denominator (1 with no upper bound), so
+    its span ``ub[j]`` is an int and its entries and cost enter divided
+    by ``unit[j]``; every other column has unit 1 and no span.
+
     Row i of the tableau is ``A[i][j] / d[i]``: integer numerators over
     one positive integer denominator, and the value of its basic
-    variable is the int ``v[i]`` over the same ``d[i]``. An elimination
-    leaves row and value in lowest terms together; the reduced-cost row
-    is ``r[j] / rd`` the same way. Bland's rule reads only the signs of
-    entries and exact comparisons of step ratios, and scaling a row by
-    a positive number changes neither, so the pivots are the ones a
+    variable j is the int ``v[i]`` over the same ``d[i]``, in j's units
+    (``v[i] / (d[i] * unit[j])`` above its lower bound when j is
+    structural). An elimination leaves row and value in lowest terms
+    together; the reduced-cost row is ``r[j] / rd`` the same way.
+    Bland's rule reads only the signs of entries and exact comparisons
+    of step ratios. A positive row scale changes neither, and a positive
+    column scale multiplies each of that column's ratios, its own span
+    included, by one constant, so the pivots are the ones a
     Fraction-per-entry tableau would make, in the same order. A basic
     column's entry equals its row's denominator.
 
     Nonbasic columns sit at a bound, so a basis change moves the values
     through the elimination itself: the pivot row's value, less the
-    leaving column's upper bound when it stops there, over its entry in
+    leaving column's int span when it stops there, over its entry in
     the entering column is the signed step: the normalised pivot row's
-    own value. Only a bound flip writes values outside an elimination.
-    A row is scaled by an int only when a span or value has a
-    denominator that its own does not cover.
+    own value. A row changes only through an elimination or a bound
+    flip's value shift, and no row is scaled outside an elimination.
 
     Rows are stored densely, one int per column. A basis change lists
     the pivot row's nonzero columns once, and every elimination of that
@@ -259,15 +253,19 @@ class _Tableau:
         # everything but the objective: a start must match it exactly
         self.region = ((), lo, hi)
         self.lower = tuple(map(Fraction, lo))  # Fractions even for int bounds
+        spans = [
+            None if h is None else (h - l).as_integer_ratio() for l, h in zip(lo, hi)
+        ]
+        self.unit = [1 if s is None else s[1] for s in spans]
+        # only a span that is not an int makes _reduced divide by units
+        self.whole_spans = all(u == 1 for u in self.unit)
         self.A: list[list[int]] = []
         self.d: list[int] = []
         self.v: list[int] = []
         self.basis: list[int] = []
         self.r: list[int] = [0] * n
         self.rd = 1
-        self.ub: list[Optional[Fraction]] = [
-            None if hi[j] is None else hi[j] - lo[j] for j in range(n)
-        ]
+        self.ub: list[Optional[int]] = [None if s is None else s[0] for s in spans]
         # fixed (zero-span) columns stay out of the scan: they can never
         # change value
         self.state = [0 if u == 0 else 1 for u in self.ub]
@@ -318,13 +316,12 @@ class _Tableau:
         self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
         self.ub = self.ub[:fa] + [None] * (width - fa)
         self.first_art, self.ncols = ncols, width
-        reduced = [self._reduced(con.coeffs) for con in rows]
+        # the value r is read at x, so the eliminations only rescale it
+        reduced = [self._reduced(con.coeffs, r) for con, r in zip(rows, res)]
         slack, art = fa, ncols
-        for con, (row, den), r, flip, sb in zip(
-            rows, reduced, res, negative, slack_basic
+        for con, (row, den, value), flip, sb in zip(
+            rows, reduced, negative, slack_basic
         ):
-            # the value r is read at x, not eliminated
-            row, den, _, value = _cover(row, den, 0, r)
             if con.relation != EQUAL:
                 row[slack] = den if con.relation == LESS_EQ else -den
                 slack += 1
@@ -340,56 +337,58 @@ class _Tableau:
             self.v.append(-value if flip else value)
             self.state[basic] = 0
 
-    def _reduced(self, values: Sequence[Rational]) -> tuple[list[int], int]:
-        """values, padded with zeros to every column, as an int row over
-        one denominator with every basic column eliminated from it."""
-        row, den = scale_to_ints(values)
+    def _reduced(
+        self, values: Sequence[Rational], rhs: Rational = 0
+    ) -> tuple[list[int], int, int]:
+        """values, each structural entry divided by its column's unit
+        and padded with zeros to every column, as an int row over one
+        denominator with every basic column eliminated from it, and rhs
+        as an int over the same denominator: it enters with the row and
+        the eliminations only rescale it."""
+        if not self.whole_spans:
+            scaled = [Fraction(c, u) for c, u in zip(values, self.unit)]
+            values = scaled + list(values[self.n:])
+        row, den = scale_to_ints([*values, rhs])
+        val = row.pop()
         row += [0] * (self.ncols - len(row))
         for b, prow, pden in zip(self.basis, self.A, self.d):
             if row[b]:
-                row, den, _ = _eliminate(row, den, 0, prow, pden, 0, b, _nonzero(prow))
-        return row, den
+                row, den, val = _eliminate(
+                    row, den, val, prow, pden, 0, b, _nonzero(prow)
+                )
+        return row, den, val
 
     def price(self, cost: Sequence[Rational]) -> None:
         """Set the reduced-cost row for maximizing cost . x; a column
         past the end of cost has cost 0."""
-        self.r, self.rd = self._reduced(cost)
+        self.r, self.rd, _ = self._reduced(cost)
 
     def _flip(self, enter: int, direction: int) -> None:
-        """enter crosses its whole span u, the basis unchanged: each
-        row's value falls by direction * u times its entry in column
-        enter. A row whose entry there is not a multiple of u's
-        denominator is scaled first."""
-        u = self.ub[enter]
-        un = u.numerator if direction > 0 else -u.numerator
-        ud = u.denominator
-        A, d, v = self.A, self.d, self.v
-        for i, row in enumerate(A):
-            a = row[enter]
-            if a:
-                if ud > 1:
-                    k = ud // gcd(ud, a)
-                    if k > 1:
-                        A[i], d[i], v[i] = _scaled(row, d[i], v[i], k)
-                        a *= k
-                    a //= ud
-                v[i] -= un * a
+        """enter crosses its whole span, the int ub[enter] in its own
+        units, the basis unchanged: each row's value numerator falls by
+        direction * ub[enter] times its entry in column enter, and no
+        row or denominator changes."""
+        u = direction * self.ub[enter]
+        v = self.v
+        for i, row in enumerate(self.A):
+            if row[enter]:
+                v[i] -= u * row[enter]
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
         """Make enter basic in row p; the leaving column takes
         leave_state, or 0 when it is artificial or fixed.
 
-        The step is row p's value, less the leaving column's upper bound
+        The step is row p's value, less the leaving column's int span
         when it stops there, in units of row p's entry in column enter:
         the normalised row's own value. The elimination moves every
-        other row's value by it, and row p keeps it, plus enter's span
-        when enter leaves its upper bound, as enter's value."""
+        other row's value by it, and row p keeps it, plus enter's int
+        span when enter leaves its upper bound, as enter's value; each
+        span is added as a multiple of the pivot row's denominator."""
         leave = self.basis[p]
         A, d, v = self.A, self.d, self.v
         prow, dp, pval = A[p], d[p], v[p]
         if leave_state < 0:
-            prow, dp, pval, u = _cover(prow, dp, pval, self.ub[leave])
-            pval -= u
+            pval -= self.ub[leave] * dp
         from_upper = self.state[enter] < 0
         if leave >= self.first_art or self.ub[leave] == 0:
             leave_state = 0
@@ -414,8 +413,7 @@ class _Tableau:
         if self.r[enter]:
             self.r, self.rd, _ = _eliminate(self.r, self.rd, 0, prow, dp, 0, enter, nz)
         if from_upper:
-            prow, dp, pval, u = _cover(prow, dp, pval, self.ub[enter])
-            pval += u
+            pval += self.ub[enter] * dp
         A[p], d[p], v[p] = prow, dp, pval
 
     def run(self) -> str:
@@ -441,13 +439,12 @@ class _Tableau:
                 return "optimal"
 
             # ratio test over unreduced int numerator/denominator pairs;
-            # the entering variable's own bound competes as candidate row
-            # -1. Entry (i, enter) is a / d[i] and row i's value v[i] /
+            # the entering variable's own int span competes as candidate
+            # row -1. Entry (i, enter) is a / d[i] and row i's value v[i] /
             # d[i], so d[i] cancels: the step that zeroes the value is
-            # v[i] / |a|, and the one that lifts it to cap u is
-            # (u * d[i] - v[i]) / |a|.
-            own = ub[enter]
-            best_num, best_den = (None, 1) if own is None else own.as_integer_ratio()
+            # v[i] / |a|, and the one that lifts it to its int cap is
+            # (cap * d[i] - v[i]) / |a|.
+            best_num, best_den = ub[enter], 1
             best_var = enter
             best_row = -1
             best_hits_upper = False
@@ -464,8 +461,8 @@ class _Tableau:
                     cap = ub[basis[i]]
                     if cap is None:
                         continue
-                    tn = cap.numerator * d[i] - v[i] * cap.denominator
-                    td = cap.denominator * (-a if up else a)
+                    tn = cap * d[i] - v[i]
+                    td = -a if up else a
                     hits_upper = True
                 if best_num is not None:
                     lhs = tn * best_den
@@ -506,14 +503,15 @@ class _Tableau:
     def point(self) -> list[Fraction]:
         """The structural point: each column at its lower bound, plus its
         span when it sits at its upper bound, plus its row's value when
-        it is basic and that value is nonzero."""
-        x = list(self.lower)
+        it is basic and that value is nonzero; spans and values are
+        divided by their columns' units on the way out."""
+        x, unit = list(self.lower), self.unit
         for j, s in enumerate(self.state[:self.n]):
             if s < 0:
-                x[j] += self.ub[j]
+                x[j] += Fraction(self.ub[j], unit[j])
         for b, val, den in zip(self.basis, self.v, self.d):
             if b < self.n and val:
-                x[b] += Fraction(val, den)
+                x[b] += Fraction(val, den * unit[b])
         return x
 
 

@@ -25,12 +25,46 @@ def format_rational(value: Rational) -> str:
     return str(Fraction(value))
 
 
+# a literal's numerator and denominator are at most 10**MAX_LITERAL_DIGITS
+MAX_LITERAL_DIGITS = 1000
+_LITERAL_BOUND = 10**MAX_LITERAL_DIGITS
+
+
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q", plain integer, or decimal text back to the exact value."""
+    """Parse "p/q", plain integer, or decimal text back to the exact value.
+
+    A literal whose reduced numerator or denominator would exceed
+    10**MAX_LITERAL_DIGITS is refused, so 1e1000 and 1e-1000 are the
+    extremes of their kind. A decimal exponent is checked before it is
+    expanded: one further from 0 than that bound plus the literal's
+    length puts a nonzero mantissa beyond it, however the value reduces,
+    and is refused (with a zero mantissa too), so 1e10000000 is refused
+    at once, not after seconds of arithmetic.
+
+    The bound keeps what reports render under Python's 4,300-digit
+    limit on int-to-text conversion. Values a = p_a/q_a and b = p_b/q_b
+    with every |p| and q at most 10**1000 have sums k*a + m*b over the
+    one denominator lcm(q_a, q_b) <= 10**2000, with numerators at most
+    (k + m) * 10**2000, and a ratio of two such sums (a gap ratio over
+    a valley instance's two costs) is at most (k + m) * 10**4000 over at
+    most that, under 4,300 digits for any count of terms below 10**299.
+    A sum over many distinct denominators (a cost matrix or flow file
+    that writes them) is not bounded this way."""
+    literal = text.strip()
+    exponent = literal.lower().partition("e")[2]
     try:
-        return Fraction(text.strip())
+        if exponent and abs(int(exponent)) > MAX_LITERAL_DIGITS + len(literal):
+            value = None
+        else:
+            value = Fraction(literal)
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not a rational literal: {text!r}") from None
+    if value is None or max(abs(value.numerator), value.denominator) > _LITERAL_BOUND:
+        raise ValidationError(
+            f"rational literal too large: its numerator and denominator "
+            f"must be at most 10^{MAX_LITERAL_DIGITS}"
+        )
+    return value
 
 
 def body_lines(text: str, header: str) -> list[str]:

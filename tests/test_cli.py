@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,35 @@ def test_bounds_commands_are_capped(tmp_path, capsys, argv, message):
     assert not (tmp_path / "x.json").exists()
 
 
+VALLEY_3_2 = ["valley-gap", "--valleys", "3", "--cities-per-valley", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the run would finish and then fail to render its 4,400-digit gap ratio
+    [*VALLEY_3_2, "--intra-cost", "1e-2200", "--crossing-cost", "1e2200"],
+    # expanding the exponent alone would take seconds
+    [*VALLEY_3_2, "--threshold", "1e10000000"],
+])
+def test_oversized_rational_literals_are_refused(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    # argparse refuses a bad flag value with exit status 2
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--output", str(tmp_path / "x.json")])
+    assert time.perf_counter() - start < 1
+    assert info.value.code == 2
+    assert "rational literal too large" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_rational_literals_at_the_size_limit_are_read(tmp_path):
+    code, out = run_cli(
+        tmp_path, *VALLEY_3_2, "--intra-cost", "1e-1000", "--crossing-cost", "1e1000"
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["result"]["ilp_value"] == f"{3 * 10**2000 + 3}/{10**1000}"
+
+
 def test_model_demo(tmp_path):
     code, out = run_cli(
         tmp_path, "model-demo", "--start", "0", "--end", "8", "--step", "1/2"
@@ -213,6 +243,12 @@ PINNED_REPORTS = [
       "--threshold", "4", "--via", "lp-relaxation",
       "--relaxation", "cutting-plane"], "json",
      "1c09c9c1c4e6d31295b055ad12de3de15eaaa6e2c1760eaaca80caedc131330b"),
+    # the loop that ends on a fractional point
+    (["cutting-plane", "--valleys", "6", "--cities-per-valley", "2"], "json",
+     "56dfd7d709ebb137738fa074a8fcd9ff8c1f52a3dea61cdc476700bcead2c1c8"),
+    (["cutting-plane", "--valleys", "3", "--cities-per-valley", "3",
+      "--intra-cost", "1/7", "--crossing-cost", "5/3"], "csv",
+     "3b846a4d14385006e3821add5a028c8288dfa3f994750dfe451d98713741418e"),
 ]
 
 

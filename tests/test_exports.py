@@ -54,13 +54,24 @@ def test_benchmark_targets_exist(monkeypatch):
     assert isinstance(importlib.import_module("lpgaps.ilp").EXHAUSTIVE_CITY_LIMIT, int)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def unused_names(source: str) -> list[str]:
-    """Imported names that are never read, and module-level private
-    functions and classes that are never referenced, in one module."""
+    """Imported names that are never read, module-level private
+    functions, classes and constants that are never referenced, and
+    private methods that no ``._name`` attribute refers to, in one
+    module."""
     tree = ast.parse(source)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    nodes = list(ast.walk(tree))
+    read = {
+        node.id for node in nodes
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     unused = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -70,14 +81,38 @@ def unused_names(source: str) -> list[str]:
                     unused.append(f"import {name}")
     for node in tree.body:
         if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name.startswith("_") and node.name not in read):
+                and _private(node.name) and node.name not in read):
             unused.append(f"def {node.name}")
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            unused.extend(
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name) and _private(name.id)
+                and name.id not in read
+            )
+        if isinstance(node, ast.ClassDef):
+            unused.extend(
+                f"def {node.name}.{method.name}" for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and _private(method.name) and method.name not in attributes
+            )
     return unused
 
 
 def test_unused_names_finds_a_stale_import_and_helper():
-    source = "from .errors import ValidationError\ndef _helper():\n    pass\n"
-    assert unused_names(source) == ["import ValidationError", "def _helper"]
+    source = (
+        "from .errors import ValidationError\n"
+        "_TABLE = (1, 2)\n"
+        "_LIMIT: int = 3\n"
+        "def _helper():\n    pass\n"
+        "class Kept:\n"
+        "    def __init__(self):\n        self._used()\n"
+        "    def _used(self):\n        return _LIMIT\n"
+        "    def _stale(self):\n        pass\n"
+    )
+    assert unused_names(source) == [
+        "import ValidationError", "_TABLE", "def _helper", "def Kept._stale"
+    ]
 
 
 def test_modules_use_what_they_import_and_define():

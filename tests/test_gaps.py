@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -149,3 +150,24 @@ def test_oracle_budget_is_checked_before_the_relaxation(monkeypatch, relaxation)
     inst = gen_valley_instance(7, 3)  # n = 21 > 20
     with pytest.raises(BudgetExceededError):
         integrality_gap(inst, relaxation)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # the degree relaxation reads neither cuts nor a round budget
+    (dict(kind="degree", cut_subsets=((0, 1),)), "cut_subsets need the degree+cuts"),
+    (dict(kind="degree", max_rounds=7), "max_rounds needs the cutting-plane"),
+    (dict(kind="cutting-plane", cut_subsets=((0, 1),), max_rounds=5),
+     "cut_subsets need the degree+cuts"),
+    (dict(kind="degree+cuts", cut_subsets=((0, 1),), max_rounds=3),
+     "max_rounds needs the cutting-plane"),
+    (dict(kind="cutting-plane"), "max_rounds must be at least 1, not 0"),
+    (dict(kind="cutting-plane", max_rounds=-2), "max_rounds must be at least 1, not -2"),
+])
+def test_relaxation_refuses_a_field_its_kind_never_reads(monkeypatch, kwargs, message):
+    def never(*args):
+        raise AssertionError("the tour oracle ran before the refusal")
+
+    monkeypatch.setattr(gaps, "tsp_oracle", never)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        integrality_gap(gen_valley_instance(4, 2), RelaxationDesc(**kwargs))
+

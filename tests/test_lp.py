@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,6 @@ from test_pivot_path import (
     seeded_boxed_program,
 )
 from lpgaps.errors import ValidationError
-from lpgaps import lp as lp_module
 from lpgaps.lp import (
     Constraint,
     LinearProgram,
@@ -493,31 +492,32 @@ def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
     assert warm.value == solve_lp(other).value
 
 
-def test_digest_programs_take_every_value_update(monkeypatch):
-    # the 300 seeded programs of the pivot digest, solved as it solves
-    # them, reach each move that writes a value outside the elimination:
-    # a row scaled to cover a denominator, a bound flip across a span
-    # that is not an integer, and a basis change whose leaving column
-    # stops at a nonzero upper bound (856 scalings; 153 such flips and
-    # 115 such leaves, numbers the pinned pivots fix)
-    seen = {"scaled": 0, "fractional flip": 0, "leave at upper": 0}
-    scaled, flip, replace_row = lp_module._scaled, _Tableau._flip, _Tableau._replace
-
-    def counting_scaled(*args):
-        seen["scaled"] += 1
-        return scaled(*args)
+def test_digest_programs_take_every_integer_span_move(monkeypatch):
+    # the 300 seeded programs of the pivot digest, solved as they are
+    # there, reach each move that integer spans keep in int arithmetic:
+    # a bound flip across a column whose unit is above 1, a basis change
+    # whose leaving column stops at a nonzero upper bound, and a row
+    # whose right-hand side has a denominator its coefficients lack
+    # (153 flips, 115 leaves and 788 rows, numbers the pinned pivots fix)
+    seen = {"flip over a unit": 0, "leave at upper": 0, "rhs denominator": 0}
+    flip, replace_row, reduced = _Tableau._flip, _Tableau._replace, _Tableau._reduced
 
     def counting_flip(self, enter, direction):
-        seen["fractional flip"] += self.ub[enter].denominator > 1
+        seen["flip over a unit"] += self.unit[enter] > 1
         return flip(self, enter, direction)
 
     def counting_replace(self, p, enter, leave_state):
         seen["leave at upper"] += leave_state < 0 and self.ub[self.basis[p]] > 0
         return replace_row(self, p, enter, leave_state)
 
-    monkeypatch.setattr(lp_module, "_scaled", counting_scaled)
+    def counting_reduced(self, values, rhs=0):
+        coeff_den = lcm(*(Fraction(c).denominator for c in values))
+        seen["rhs denominator"] += coeff_den % Fraction(rhs).denominator != 0
+        return reduced(self, values, rhs)
+
     monkeypatch.setattr(_Tableau, "_flip", counting_flip)
     monkeypatch.setattr(_Tableau, "_replace", counting_replace)
+    monkeypatch.setattr(_Tableau, "_reduced", counting_reduced)
     rng = random.Random(RANDOM_PROGRAMS_SEED)
     for _ in range(RANDOM_PROGRAMS):
         lp = seeded_boxed_program(rng)

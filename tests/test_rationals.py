@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lpgaps.errors import ValidationError
-from lpgaps.rationals import format_rational, parse_rational, scale_to_ints
+from lpgaps.rationals import (
+    MAX_LITERAL_DIGITS,
+    format_rational,
+    parse_rational,
+    scale_to_ints,
+)
 from lpgaps.valleys import flow_arcs_from_text, instance_from_text
 
 rationals = st.fractions(
@@ -56,6 +61,24 @@ def test_parse_rejects_garbage():
     for bad in ("", "x", "1/0", "1//2", "--3"):
         with pytest.raises(ValidationError):
             parse_rational(bad)
+
+
+@pytest.mark.parametrize("text", [
+    "1e1001", "-1e1001", "1e-1001", "1e2200", "1e-2200", "1e10000000",
+    "1e-10000000", "1" * 1002, "1/" + "3" * 1002, "12.5e999",
+])
+def test_parse_refuses_a_literal_beyond_the_size_limit(text):
+    with pytest.raises(ValidationError, match="rational literal too large"):
+        parse_rational(text)
+
+
+def test_parse_reads_a_literal_at_the_size_limit():
+    bound = 10**MAX_LITERAL_DIGITS
+    assert parse_rational(f"1e{MAX_LITERAL_DIGITS}") == bound
+    assert parse_rational(f"-1e-{MAX_LITERAL_DIGITS}") == Fraction(-1, bound)
+    # the literal's own length lets trailing zeros reduce back within it
+    assert parse_rational(f"100e-{MAX_LITERAL_DIGITS + 2}") == Fraction(1, bound)
+    assert parse_rational(f"{bound}/{bound - 1}") == Fraction(bound, bound - 1)
 
 
 @pytest.mark.parametrize(
