@@ -3,7 +3,9 @@
 
 Writes one JSON report per experiment (plus CSV where the result is a
 table) using the same CLI entry points a shell user would call, so the
-artifacts double as worked examples of the report formats.
+artifacts double as worked examples of the report formats. Each run's
+wall seconds, and their total, go to stderr, so stdout and the reports
+stay the same from one run to the next.
 
 Usage:
     python scripts/run_all_demos.py [--outdir out]
@@ -11,6 +13,7 @@ Usage:
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from lpgaps import cli
@@ -87,16 +90,22 @@ def main() -> int:
     ])
 
     failures = 0
+    total_s = 0.0
     for name, argv in [*DEMOS, check_flow]:
         targets = [("json", outdir / f"{name}.json")]
         if name in TABLED:
             targets.append(("csv", outdir / f"{name}.csv"))
         for fmt, path in targets:
+            start = time.perf_counter()
             code = cli.main([*argv, "--format", fmt, "--output", str(path)])
+            wall_s = time.perf_counter() - start
+            total_s += wall_s
             status = "ok" if code == 0 else f"exit {code}"
             print(f"{name:36s} [{fmt}] -> {path} ({status})")
+            print(f"{name:36s} [{fmt}] {wall_s:.3f} s", file=sys.stderr)
             if code != 0:
                 failures += 1
+    print(f"{'total':36s} {total_s:.3f} s", file=sys.stderr)
     return 1 if failures else 0
 
 

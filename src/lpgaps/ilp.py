@@ -1,5 +1,6 @@
 """The ground-truth TSP oracle: one exact Held-Karp dynamic program
-over subsets on integer-scaled costs.
+over subsets on integer-scaled costs, in the narrowest exact table:
+int32, then int64, then Python ints (object), by one headroom rule.
 
 The oracle returns a deterministic optimal tour: the lowest-index last
 city, then the lowest-index optimal predecessor at every step back.
@@ -34,7 +35,9 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
     0 through the cities of mask ending at j. Entries with j outside
     mask keep the sentinel, which exceeds every real path cost even
     after adding one arc, so each minimum can range over every
-    predecessor. Exact for int64 and object (Python int) arrays alike."""
+    predecessor. Exact for int32, int64 and object (Python int) arrays
+    alike, as long as the sentinel plus the largest |cost| fits the
+    dtype: no value computed exceeds that in magnitude."""
     m = len(cost) - 1
     between, from_start, to_start = cost[1:, 1:], cost[0, 1:], cost[1:, 0]
     size = 1 << m
@@ -47,9 +50,11 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
         layer = np.flatnonzero(popcount == k)
         for j in range(m):
             ends = layer[(layer >> j) & 1 == 1]
-            reach = dp[ends ^ (1 << j)]
-            reach += between[:, j]
-            dp[ends, j] = reach.min(axis=1)
+            # one row per predecessor i and one column per end, so the
+            # minimum over i runs along the contiguous axis
+            reach = np.take(dp, ends ^ (1 << j), axis=0).T.copy()
+            reach += between[:, j:j + 1]
+            dp[ends, j] = reach.min(axis=0)
     full = size - 1
     totals = dp[full] + to_start
     last = int(np.argmin(totals))
@@ -70,10 +75,12 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
     """Exact minimum-cost tour by Held-Karp, for n <= 20; larger n
     raises BudgetExceededError, and no approximation is ever substituted.
     Costs are scaled to integers by the lcm of their denominators; the
-    table is int64 when the sentinel fits with headroom, else Python
-    ints. Of the optimal tours, the one returned starts at city 0, ends
-    at the lowest-index last city that closes an optimum, and is traced
-    back through the lowest-index optimal predecessor at every step."""
+    table is the narrowest of int32, int64 and Python ints (object) in
+    which sentinel + largest < 2**(bits - 2), a bit of headroom beyond
+    the largest magnitude the program computes. Of the optimal tours,
+    the one returned starts at city 0, ends at the lowest-index last
+    city that closes an optimum, and is traced back through the
+    lowest-index optimal predecessor at every step."""
     n = inst.n
     if n > HELD_KARP_CITY_LIMIT:
         raise BudgetExceededError(
@@ -82,6 +89,10 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
     scaled, scale = scale_to_ints([c for row in inst.cost for c in row])
     largest = max(map(abs, scaled))
     sentinel = n * (largest + 1) + 1
-    dtype = np.int64 if sentinel + largest < 2**62 else object
+    dtype = next(
+        (t for t in (np.int32, np.int64)
+         if sentinel + largest < 2 ** (np.iinfo(t).bits - 2)),
+        object,
+    )
     tour, best = _held_karp(np.array(scaled, dtype=dtype).reshape(n, n), sentinel)
     return TourResult(tour, Fraction(int(best), scale))

@@ -49,7 +49,15 @@ def parse_rational(text: str) -> Rational:
     a valley instance's two costs) is at most (k + m) * 10**4000 over at
     most that, under 4,300 digits for any count of terms below 10**299.
     A sum over many distinct denominators (a cost matrix or flow file
-    that writes them) is not bounded this way."""
+    that writes them) is not bounded this way, so the file readers also
+    refuse a file whose values need a common denominator above the same
+    bound (require_common_denominator). With flow weights w = p/D in
+    [0, 1] and costs c = r/E, D and E at most 10**1000 and |c| at most
+    10**1000, a flow's cost, the sum of w*c over its arcs, has
+    denominator at most 10**2000 and numerator at most (arcs) * 10**3000,
+    and each degree or cut sum of weights is at most (arcs) * 10**1000
+    over at most 10**1000: under 4,300 digits for any count of arcs
+    below 10**1299."""
     literal = text.strip()
     exponent = literal.lower().partition("e")[2]
     try:
@@ -65,6 +73,21 @@ def parse_rational(text: str) -> Rational:
             f"must be at most 10^{MAX_LITERAL_DIGITS}"
         )
     return value
+
+
+def require_common_denominator(values: Iterable[Rational], what: str) -> None:
+    """Refuse values whose common denominator, the lcm of theirs,
+    exceeds 10**MAX_LITERAL_DIGITS (see parse_rational). It stops at
+    the first value that takes the lcm past the bound, so no lcm it
+    computes has more than twice the bound's digits."""
+    den = 1
+    for value in values:
+        den = lcm(den, value.denominator)
+        if den > _LITERAL_BOUND:
+            raise ValidationError(
+                f"{what} need a common denominator of at most "
+                f"10^{MAX_LITERAL_DIGITS}"
+            )
 
 
 def body_lines(text: str, header: str) -> list[str]:
@@ -103,10 +126,15 @@ def is_integral(value: Rational) -> bool:
     return value.denominator == 1
 
 
-def scale_to_ints(values: Iterable[Rational]) -> tuple[list[int], int]:
+def scale_to_ints(values: Sequence[Rational]) -> tuple[list[int], int]:
     """values (Fractions or ints) as int numerators over the lcm of their
     reduced denominators, which leaves them with no common factor: the
-    one way into the integer kernels (simplex, separation, Held-Karp)."""
-    pairs = [a.as_integer_ratio() for a in values]
-    den = lcm(*(q for _, q in pairs))
-    return [p * (den // q) for p, q in pairs], den
+    one way into the integer kernels (simplex, separation, Held-Karp).
+    A zero adds nothing to the lcm and scales to 0, so only the nonzero
+    entries, a few of a dense relaxation row, are converted."""
+    nonzero = [(i, a.as_integer_ratio()) for i, a in enumerate(values) if a]
+    den = lcm(*(q for _, (_, q) in nonzero))
+    ints = [0] * len(values)
+    for i, (p, q) in nonzero:
+        ints[i] = p * (den // q)
+    return ints, den

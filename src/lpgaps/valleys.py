@@ -37,6 +37,7 @@ from .rationals import (
     format_rational,
     is_integral,
     parse_rational,
+    require_common_denominator,
     require_exact,
     scale_to_ints,
 )
@@ -521,6 +522,7 @@ def instance_from_text(text: str) -> TspInstance:
             raise ValidationError(f"unknown instance field {key!r}")
     if "n" not in fields or "valleys" not in fields:
         raise ValidationError("instance needs n and valleys fields")
+    require_common_denominator((c for row in cost_rows for c in row), "costs")
     valley_of = tuple(_int(t) for t in fields["valleys"].split())
     return TspInstance(_int(fields["n"]), valley_of, tuple(cost_rows))
 
@@ -539,4 +541,5 @@ def flow_arcs_from_text(text: str) -> list[tuple[int, int, Rational]]:
         if len(toks) != 3:
             raise ValidationError(f"bad flow arc line: {ln!r}")
         arcs.append((_int(toks[0]), _int(toks[1]), parse_rational(toks[2])))
+    require_common_denominator((w for _, _, w in arcs), "arc weights")
     return arcs

@@ -210,6 +210,29 @@ def test_check_flow_refuses_a_malformed_flow_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_flow_refuses_a_flow_it_could_not_render(tmp_path, capsys):
+    # every weight is a literal within the size limit, but 30 distinct
+    # denominators near 10**999 would give the flow's cost and degree
+    # sums more digits than a report can render
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(instance_to_text(gen_valley_instance(3, 2)))
+    arcs = valleys.arc_list(6)
+    flow_path.write_text("lpgaps-flow 1\n" + "".join(
+        f"{i} {j} 1/{10**999 + 2 * k + 1}\n" for k, (i, j) in enumerate(arcs)
+    ))
+    out = tmp_path / "report.json"
+    code = cli.main([
+        "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
+        "--output", str(out),
+    ])
+    assert code == 2
+    assert "arc weights need a common denominator of at most 10^1000" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path):
     out = tmp_path / "report.json"
     argv = ["hull-scan", "--vertices", "64", "--budget", "32",

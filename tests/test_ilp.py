@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_tour_cost, is_valid_tour
 from lpgaps import ilp
@@ -73,17 +74,24 @@ def test_negative_arcs_match_brute_force():
         assert_optimal_tour(inst, result)
 
 
-def test_huge_denominators_use_object_table(monkeypatch):
-    # denominators whose lcm pushes the sentinel past int64, so the DP
-    # table holds Python ints
+@pytest.fixture
+def table_dtypes(monkeypatch):
+    """The dtype of every table tsp_oracle hands to _held_karp."""
     dtypes = []
+    held_karp = ilp._held_karp
 
     def spy(cost, sentinel):
         dtypes.append(cost.dtype)
         return held_karp(cost, sentinel)
 
-    held_karp = ilp._held_karp
     monkeypatch.setattr(ilp, "_held_karp", spy)
+    return dtypes
+
+
+def test_huge_denominators_use_object_table(table_dtypes):
+    # denominators whose lcm pushes the sentinel past int64, so the DP
+    # table holds Python ints
+    dtypes = table_dtypes
     primes = [10**9 + 7, 10**9 + 9, 10**9 + 21, 10**9 + 33, 10**9 + 87]
     rng = random.Random(33)
     for n in (5, 7):
@@ -102,7 +110,67 @@ def test_huge_denominators_use_object_table(monkeypatch):
         assert_optimal_tour(inst, result)
     assert dtypes == [object, object]
     assert tsp_oracle(gen_valley_instance(4, 2)).cost == 4
-    assert dtypes[-1] == np.int64
+    assert dtypes[-1] == np.int32
+
+
+def test_large_integer_costs_use_int64_table(table_dtypes):
+    # costs up to 10**9 put the sentinel n * (largest + 1) + 1 between
+    # 2**30 and 2**62: past int32's headroom, within int64's
+    rng = random.Random(64)
+    n = 6
+    cost = [
+        [Fraction(rng.randint(-10**9, 10**9)) if i != j else Fraction(0) for j in range(n)]
+        for i in range(n)
+    ]
+    cost[0][1] = Fraction(10**9)
+    inst = instance_from_cost_matrix(cost)
+    result = tsp_oracle(inst)
+    assert result.cost == brute_force_tour_cost(inst)
+    assert_optimal_tour(inst, result)
+    sentinel = n * (10**9 + 1) + 1
+    assert 2**30 < sentinel < 2**62
+    assert table_dtypes == [np.int64]
+
+
+@pytest.mark.parametrize("largest, dtype", [
+    (2**28 - 2, np.int32),  # sentinel + largest = 2**30 - 4
+    (2**28 - 1, np.int64),  # sentinel + largest = 2**30
+])
+def test_table_tier_boundary(table_dtypes, largest, dtype):
+    # n = 3: sentinel = 3 * (largest + 1) + 1, so sentinel + largest =
+    # 4 * largest + 4, and int32 needs it below 2**30
+    cost = [[0, largest, 1], [1, 0, largest], [largest, 1, 0]]
+    inst = instance_from_cost_matrix(cost)
+    result = tsp_oracle(inst)
+    assert result.cost == brute_force_tour_cost(inst) == 3
+    assert table_dtypes == [dtype]
+
+
+@st.composite
+def int_cost_matrices(draw):
+    """A square int cost matrix and the sentinel tsp_oracle would give
+    it. Narrow ranges force ties, so the tie-break is exercised."""
+    n = draw(st.integers(2, 8))
+    bound = draw(st.sampled_from([1, 2, 5, 100, 10**6]))
+    low = draw(st.sampled_from([0, -bound]))
+    entries = draw(st.lists(st.integers(low, bound), min_size=n * n, max_size=n * n))
+    largest = max(map(abs, entries))
+    return [entries[i * n:(i + 1) * n] for i in range(n)], n * (largest + 1) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_cost_matrices())
+def test_every_dtype_tier_gives_the_same_tour(matrix_and_sentinel):
+    matrix, sentinel = matrix_and_sentinel
+    results = {
+        dtype: ilp._held_karp(np.array(matrix, dtype=dtype), sentinel)
+        for dtype in (np.int32, np.int64, object)
+    }
+    tour, best = results[object]
+    assert type(best) is int
+    for dtype in (np.int32, np.int64):
+        assert results[dtype][0] == tour
+        assert int(results[dtype][1]) == best
 
 
 def test_oracle_budgets():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +32,25 @@ def test_scale_to_ints_is_exact_and_in_lowest_terms(values):
     assert all(type(p) is int for p in ints)
     assert [Fraction(p, den) for p in ints] == values
     assert den > 0 and gcd(den, *ints) == 1
+
+
+def scale_every_entry(values):
+    """scale_to_ints as first written: every entry converted, zeros
+    included, and the lcm taken over every denominator."""
+    pairs = [a.as_integer_ratio() for a in values]
+    den = lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
+
+
+# mostly zeros, as in a dense relaxation row
+@given(st.lists(
+    st.one_of(st.just(Fraction(0)), st.just(0), rationals, st.integers(-10**6, 10**6)),
+    max_size=40,
+))
+def test_scale_to_ints_skipping_zeros_matches_every_entry_formula(values):
+    ints, den = scale_to_ints(values)
+    assert (ints, den) == scale_every_entry(values)
+    assert all(type(p) is int for p in ints)
 
 
 @given(rationals)
@@ -93,3 +112,26 @@ def test_readers_name_their_missing_header(reader, header):
         with pytest.raises(ValidationError) as info:
             reader(text)
         assert str(info.value) == f"missing {header} header"
+
+
+def test_readers_refuse_a_common_denominator_beyond_the_size_limit():
+    # two odd denominators 2 apart are coprime, so each literal is within
+    # the limit and their lcm is about 10**1998
+    near = 10 ** (MAX_LITERAL_DIGITS - 1)
+    first, second = f"1/{near + 1}", f"1/{near + 3}"
+    with pytest.raises(ValidationError, match="arc weights need a common denominator"):
+        flow_arcs_from_text(f"lpgaps-flow 1\n0 1 {first}\n1 0 {second}\n")
+    with pytest.raises(ValidationError, match="costs need a common denominator"):
+        instance_from_text(
+            f"lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts\n0 {first}\n{second} 0\n"
+        )
+
+
+def test_readers_take_a_common_denominator_at_the_size_limit():
+    at_limit = f"1/{10**MAX_LITERAL_DIGITS}"
+    arcs = flow_arcs_from_text(f"lpgaps-flow 1\n0 1 {at_limit}\n1 0 1/2\n")
+    assert [w for _, _, w in arcs] == [Fraction(1, 10**MAX_LITERAL_DIGITS), Fraction(1, 2)]
+    inst = instance_from_text(
+        f"lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts\n0 {at_limit}\n1/2 0\n"
+    )
+    assert inst.cost[0][1] == Fraction(1, 10**MAX_LITERAL_DIGITS)
