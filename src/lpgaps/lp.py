@@ -47,6 +47,18 @@ rows at the start's point, in terms of its basis, and the same phase 1
 and phase 2 run from there (the cutting-plane loop re-solves each round
 this way after adding its cut). Either tableau is exact, so a warm
 status is as much a proof as a cold one.
+
+The reduced-cost row belongs to the objective and sense it was priced
+for, as the objective row of the textbook two-phase tableau (Dantzig
+1963) does, and a solve prices only when its tableau holds another
+objective's row: a cold solve once, before phase 1, and each new
+objective of a warm start. Phase 1 prices minus the sum of the
+artificials into the row the pivot rule reads and carries the
+objective's row, which every one of its pivots eliminates too, so
+phase 2 reads the row a fresh pricing at its basis would give, int for
+int in lowest terms, and pivots as it would after one. An appended
+row's basic column costs 0, so appended rows leave the row standing,
+and a cut-loop round over the same objective prices nothing.
 """
 
 from __future__ import annotations
@@ -230,6 +242,16 @@ class _Tableau:
     Fraction-per-entry tableau would make, in the same order. A basic
     column's entry equals its row's denominator.
 
+    ``r`` and ``rd`` price ``objective``, the (costs, sense) pair that
+    ``solve_lp`` last priced, at the current basis: zero in every basic
+    column, since each basis change eliminates the entering column from
+    them. During phase 1 they price the artificials instead, and
+    ``carried`` holds the objective's row, which each basis change
+    eliminates as well, until phase 1 hands it back. Only one row prices
+    given costs and is 0 in every basic column, and lowest terms fix its
+    ints, so the row does not depend on the path to the basis: it is the
+    row a fresh ``price`` at that basis gives.
+
     Nonbasic columns sit at a bound, so a basis change moves the values
     through the elimination itself: the pivot row's value, less the
     leaving column's int span when it stops there, over its entry in
@@ -265,6 +287,10 @@ class _Tableau:
         self.basis: list[int] = []
         self.r: list[int] = [0] * n
         self.rd = 1
+        # the (objective, sense) that r / rd prices, once one has been
+        # priced, and during phase 1 that objective's row as (row, den)
+        self.objective: Optional[tuple[tuple[Rational, ...], str]] = None
+        self.carried: Optional[tuple[list[int], int]] = None
         self.ub: list[Optional[int]] = [None if s is None else s[0] for s in spans]
         # fixed (zero-span) columns stay out of the scan: they can never
         # change value
@@ -287,7 +313,11 @@ class _Tableau:
 
         The artificial columns are dropped, each new row gets a slack
         column (an equality gets none) and has every basic column
-        eliminated from it. At the current point x the row is oriented
+        eliminated from it. The reduced-cost row loses the artificial
+        columns too, and is put back in lowest terms, and costs 0 in the
+        new columns: each new row's basic column is one of them, so the
+        old reduced costs stand at the new basis and the row still
+        prices ``objective``. At the current point x the row is oriented
         so that its right-hand side b - a.x is nonnegative (negated when
         b - a.x < 0). If it then reads <=, its slack starts basic;
         otherwise one artificial column starts basic at |b - a.x|, for
@@ -313,6 +343,13 @@ class _Tableau:
         ncols = fa + sum(con.relation != EQUAL for con in rows)
         width = ncols + slack_basic.count(False)
         self.A = [row[:fa] + [0] * (width - fa) for row in self.A]
+        # every new row's basic column costs 0, so the kept reduced costs
+        # stand; without the artificials they may share a factor with rd
+        r = self.r[:fa] + [0] * (width - fa)
+        g = gcd(self.rd, *r)
+        if g > 1:
+            r = [x // g for x in r]
+        self.r, self.rd = r, self.rd // g
         self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
         self.ub = self.ub[:fa] + [None] * (width - fa)
         self.first_art, self.ncols = ncols, width
@@ -358,10 +395,16 @@ class _Tableau:
                 )
         return row, den, val
 
-    def price(self, cost: Sequence[Rational]) -> None:
-        """Set the reduced-cost row for maximizing cost . x; a column
-        past the end of cost has cost 0."""
-        self.r, self.rd, _ = self._reduced(cost)
+    def price(self, cost: Sequence[Rational], sign: int = 1) -> None:
+        """Set the reduced-cost row r / rd for maximizing sign * cost . x
+        at the current basis; a column past the end of cost has cost 0.
+        The sign (1 or -1) negates the int row, which is what pricing the
+        negated costs gives, since every elimination is linear in the row
+        and a gcd has no sign. solve_lp calls it for phase 1's costs and
+        for an objective the tableau does not price yet, never again for
+        the one it prices."""
+        row, self.rd, _ = self._reduced(cost)
+        self.r = row if sign > 0 else [-x for x in row]
 
     def _flip(self, enter: int, direction: int) -> None:
         """enter crosses its whole span, the int ub[enter] in its own
@@ -412,6 +455,9 @@ class _Tableau:
                 )
         if self.r[enter]:
             self.r, self.rd, _ = _eliminate(self.r, self.rd, 0, prow, dp, 0, enter, nz)
+        if self.carried is not None and self.carried[0][enter]:
+            row, den, _ = _eliminate(*self.carried, 0, prow, dp, 0, enter, nz)
+            self.carried = row, den
         if from_upper:
             pval += self.ub[enter] * dp
         A[p], d[p], v[p] = prow, dp, pval
@@ -528,7 +574,8 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     tableau (start itself is not changed) and appends lp's rows past the
     prefix, if any, the same way at start's point. Phase 1 runs only
     when a row entered with an artificial, so a start over the same rows
-    skips it and runs phase 2 from its own basis. Every tableau it
+    skips it and runs phase 2 from its own basis, and a start priced for
+    lp's objective and sense keeps its reduced-cost row. Every tableau it
     pivots is exact, so a warm status is proven
     just as a cold one is; only a program with several optimal points
     may end at a different one of them. A start over another region,
@@ -553,10 +600,19 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         tab = _Tableau(lp)
     if len(tab.region[0]) < len(lp.constraints):
         tab.append_rows(lp)
+    # a row priced for this objective stands through appended rows, so
+    # a cut-loop round prices nothing; a cold solve prices here, before
+    # any pivot, where every basic column costs 0
+    if tab.objective != (lp.objective, lp.sense):
+        tab.price(lp.objective, 1 if lp.sense == MAXIMIZE else -1)
+        tab.objective = (lp.objective, lp.sense)
     # an artificial is basic for each appended row whose slack could not
     # start basic: an equality row, a <= row with b - a.x < 0, or a >=
     # row with b - a.x >= 0
     if max(tab.basis, default=-1) >= tab.first_art:
+        # phase 1 prices minus the artificials' sum into the active row,
+        # and every pivot eliminates the objective's carried row too
+        tab.carried = tab.r, tab.rd
         tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
         status = tab.run()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
@@ -566,9 +622,9 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         if any(tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art):
             return LpOutcome(SolveStatus.INFEASIBLE)
         tab.drive_out_artificials()
+        tab.r, tab.rd = tab.carried
+        tab.carried = None
 
-    sign = 1 if lp.sense == MAXIMIZE else -1
-    tab.price([sign * c for c in lp.objective])
     status = tab.run()
     if status == "unbounded":
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import point_feasible, random_bounded_lp, vertex_enumeration_optimum
 from test_pivot_path import (
+    APPENDED_ROWS_SEED,
     RANDOM_PROGRAMS,
     RANDOM_PROGRAMS_SEED,
+    seeded_appended_rows,
     seeded_boxed_program,
 )
 from lpgaps.errors import ValidationError
@@ -24,7 +26,7 @@ from lpgaps.lp import (
     solve_lp,
     with_constraints,
 )
-from lpgaps.valleys import degree_lp, gen_valley_instance
+from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 
 def three_facet_program():
@@ -367,7 +369,7 @@ def test_property_warm_start_matches_cold(case, data):
 def tableau_snapshot(tab):
     return ([list(row) for row in tab.A], list(tab.d), list(tab.v),
             list(tab.basis), list(tab.state), list(tab.ub), tab.region,
-            tab.first_art, tab.ncols)
+            tab.first_art, tab.ncols, list(tab.r), tab.rd, tab.objective)
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,10 +450,10 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     priced = []
     original = _Tableau.price
 
-    def recording_price(self, cost):
+    def recording_price(self, cost, *args):
         values = [Fraction(v, d) for v, d in zip(self.v, self.d)]
         priced.append((list(self.basis), values, self.first_art))
-        return original(self, cost)
+        return original(self, cost, *args)
 
     monkeypatch.setattr(_Tableau, "price", recording_price)
     layouts = []
@@ -468,6 +470,94 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
         8,
     )
     assert layouts == [expected, expected]
+
+
+def assert_prices_its_objective(lp, outcome):
+    """The outcome's reduced-cost row is, int for int and in lowest
+    terms, a fresh pricing of lp's signed objective at its final basis."""
+    tab = outcome.tableau
+    row, den, _ = tab._reduced(lp.objective)
+    if lp.sense == "min":
+        row = [-x for x in row]
+    assert tab.objective == (lp.objective, lp.sense)
+    assert (tab.r, tab.rd) == (row, den)
+    assert den > 0 and gcd(den, *row) == 1
+    assert not any(tab.r[b] for b in tab.basis)
+
+
+def test_digest_programs_keep_the_row_a_fresh_pricing_gives():
+    # the 300 seeded programs of the pivot digest, solved cold, warm
+    # with a new objective, and warm with rows appended under the same
+    # objective (the cut loop's round) and under a new one; 190, 190, 91
+    # and 91 of these solves keep a tableau
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    checked = [0, 0, 0, 0]
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        other = replace(
+            lp,
+            objective=tuple(Fraction(programs.randint(-6, 6), programs.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=programs.choice(["max", "min"]),
+        )
+        grown = with_constraints(
+            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        )
+        regrown = replace(grown, objective=other.objective, sense=other.sense)
+        solves = [(lp, first), (other, solve_lp(other, start=first)),
+                  (grown, solve_lp(grown, start=first)),
+                  (regrown, solve_lp(regrown, start=first))]
+        for kind, (program, outcome) in enumerate(solves):
+            if outcome.tableau is not None:
+                assert_prices_its_objective(program, outcome)
+                checked[kind] += 1
+    assert min(checked) > 80, checked
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (3, 3), (5, 2)])
+def test_cut_loop_rounds_keep_the_row_a_fresh_pricing_gives(monkeypatch, shape):
+    solves = []
+
+    def recording_solve(lp, start=None):
+        outcome = solve_lp(lp, start=start)
+        solves.append((lp, outcome))
+        return outcome
+
+    monkeypatch.setattr("lpgaps.valleys.solve_lp", recording_solve)
+    trace = cutting_plane_loop(gen_valley_instance(*shape))
+    assert trace.complete and len(solves) == len(trace.rounds)
+    for lp, outcome in solves:
+        assert_prices_its_objective(lp, outcome)
+
+
+def test_cut_loop_prices_its_objective_once(monkeypatch):
+    # the first round prices the degree LP's objective; every round
+    # whose appended rows leave an artificial basic prices phase 1's
+    # costs, and no round prices anything else
+    inst = gen_valley_instance(4, 2)
+    objective = degree_lp(inst).objective
+    priced = {"objective": 0, "phase 1": 0}
+    phase_one_rounds = 0
+    price, append_rows = _Tableau.price, _Tableau.append_rows
+
+    def counting_price(self, cost, *args):
+        priced["objective" if tuple(cost) == objective else "phase 1"] += 1
+        return price(self, cost, *args)
+
+    def counting_append_rows(self, lp):
+        nonlocal phase_one_rounds
+        append_rows(self, lp)
+        phase_one_rounds += max(self.basis) >= self.first_art
+
+    monkeypatch.setattr(_Tableau, "price", counting_price)
+    monkeypatch.setattr(_Tableau, "append_rows", counting_append_rows)
+    trace = cutting_plane_loop(inst)
+    assert phase_one_rounds == len(trace.rounds) > 1
+    assert priced == {"objective": 1, "phase 1": phase_one_rounds}
 
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])
