@@ -25,7 +25,7 @@ from typing import Optional, Union
 import mpmath
 
 from .errors import ValidationError
-from .rationals import Rational
+from .rationals import Rational, require_exact
 
 # |f(x+step) - f(x)| below this is treated as equal; genuine violations
 # of the demo function are ~0.96, twenty-five orders of magnitude away
@@ -156,7 +156,8 @@ class MonotoneScan:
 def monotone_model_demo(grid_start, grid_end, step) -> MonotoneScan:
     """Sample f on start, start+step, ... and report whether the samples
     are nondecreasing; if not, the first violating adjacent pair. A grid
-    with a non-integer point past x = MAX_MODEL_X is refused."""
+    with a non-integer point past x = MAX_MODEL_X, or a float, is refused."""
+    require_exact((grid_start, grid_end, step), "grid values")
     start = Fraction(grid_start)
     end = Fraction(grid_end)
     incr = Fraction(step)

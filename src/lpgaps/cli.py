@@ -196,6 +196,10 @@ def _run_hull_scan(args) -> tuple[Any, Table]:
     report = hull.subset_gap_scan(
         poly, args.budget, sample_count=args.samples, seed=args.seed
     )
+    # the config records what the scan drew, and nothing when it
+    # enumerated, so an omitted flag reads as the value the scan used
+    args.samples = None if report.enumerated else report.sample_count
+    args.seed = report.seed
     header = [
         "subset_id", "omitted", "worst_facet", "objective",
         "true_max", "relaxed_max", "gap", "bounded",
@@ -339,12 +343,6 @@ def _config_from_args(args) -> RunConfig:
         for key, value in sorted(vars(args).items())
         if key not in skip
     }
-    # hull-scan's --samples and --seed parse to None when omitted, so
-    # that an enumerating scan can refuse them; the config records them
-    # at the scan's defaults
-    for key, default in (("samples", hull.SAMPLE_COUNT), ("seed", hull.SEED)):
-        if key in params and params[key] is None:
-            params[key] = default
     seed = params.pop("seed", None)
     return RunConfig(
         subcommand=args.subcommand,
@@ -362,8 +360,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_flags(args)
-        config = _config_from_args(args)
         result, table = _HANDLERS[args.subcommand](args)
+        # after the run: a hull scan records the draws it made
+        config = _config_from_args(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 from .errors import ValidationError
 from .ilp import tsp_oracle
 from .lp import SolveStatus, solve_lp
-from .rationals import Rational
+from .rationals import Rational, require_exact
 from .valleys import (
     DEFAULT_ROUNDS,
     TspInstance,
@@ -146,7 +146,9 @@ def integrality_gap(
     threshold X contributes a recorded (LP answer, ILP answer) pair for
     the question "is a tour of cost at most X possible". The oracle runs
     first, so an instance past its budget is refused before any
-    relaxation work."""
+    relaxation work, and a float threshold before either."""
+    thresholds = tuple(thresholds)
+    require_exact(thresholds, "thresholds")
     ilp_value = tsp_oracle(inst).cost
     lp_value, rows_used, rounds = _solve_relaxation(inst, relaxation)
     gap = ilp_value - lp_value
@@ -193,6 +195,7 @@ def decide_tour_at_most(
     """Decision form "is there a tour of cost <= X". The ilp route is
     exact truth; the lp-relaxation route may say YES to phantom values,
     but whenever it says NO the answer really is NO."""
+    require_exact((threshold,), "thresholds")
     x = Fraction(threshold)
     if via == VIA_ILP:
         return tsp_oracle(inst).cost <= x

@@ -95,7 +95,7 @@ def gen_arc(vertex_count: int) -> ArcPolytope:
 
 def facet_constraint(facet: Halfplane) -> Constraint:
     # y <= s*x + b as -s*x + y <= b
-    return Constraint((-facet.slope, Fraction(1)), LESS_EQ, facet.intercept)
+    return Constraint((-facet.slope, 1), LESS_EQ, facet.intercept)
 
 
 def polytope_lp(
@@ -200,7 +200,7 @@ class ScanReport:
     facet_count: int
     budget: int
     sample_count: int
-    seed: int
+    seed: Optional[int]  # None when the scan enumerated, drawing nothing
     enumerated: bool
     rows: tuple[ScanRow, ...]
 
@@ -221,13 +221,13 @@ def subset_gap_scan(
     seeded draws, refused before any draw when fewer subsets exist),
     record the worst adversarial gap over the omitted facets. An
     enumerated scan draws nothing, so it refuses a given sample count or
-    seed; a sampled one defaults them to SAMPLE_COUNT and SEED. Each
-    subset builds one ``polytope_lp`` and solves it once per omitted
-    facet, each solve after the first warm-started from the one before;
-    the gaps equal ``facet_gap``'s cold ones. Rows are ordered by their
-    omitted index lists so output is canonical. A scan whose work
-    estimate exceeds SCAN_WORK_LIMIT is refused before any model is
-    built."""
+    seed and reports seed None; a sampled one defaults them to
+    SAMPLE_COUNT and SEED. Each subset builds one ``polytope_lp`` and
+    solves it once per omitted facet, each solve after the first
+    warm-started from the one before; the gaps equal ``facet_gap``'s
+    cold ones. Rows are ordered by their omitted index lists so output
+    is canonical. A scan whose work estimate exceeds SCAN_WORK_LIMIT is
+    refused before any model is built."""
     F = poly.facet_count
     if not 0 <= budget <= F:
         raise ValidationError(f"budget must be within 0..{F}")
@@ -239,15 +239,16 @@ def subset_gap_scan(
             f"{ENUMERATION_LIMIT}, so the scan enumerates them and would "
             f"not read a sample count or seed"
         )
-    sample_count = SAMPLE_COUNT if sample_count is None else sample_count
-    seed = SEED if seed is None else seed
-    if sample_count < 1:
-        raise ValidationError("sample count must be at least 1")
-    if not enumerated and sample_count > total:
-        raise ValidationError(
-            f"sample count {sample_count} exceeds the {total} subsets of "
-            f"{budget} of {F} facets"
-        )
+    if not enumerated:
+        sample_count = SAMPLE_COUNT if sample_count is None else sample_count
+        seed = SEED if seed is None else seed
+        if sample_count < 1:
+            raise ValidationError("sample count must be at least 1")
+        if sample_count > total:
+            raise ValidationError(
+                f"sample count {sample_count} exceeds the {total} subsets of "
+                f"{budget} of {F} facets"
+            )
     subsets = total if enumerated else sample_count
     work = subsets * F * (budget * budget + SOLVE_OVERHEAD_CELLS)
     if work > SCAN_WORK_LIMIT:

@@ -26,10 +26,12 @@ reorders, so the int rows pivot exactly as a Fraction-per-entry
 tableau does.
 
 A row and a program check their own shape, and that every entry is an
-exact rational, when they are made, whether by ``constraint``,
-``linear_program``, ``with_constraints`` or ``dataclasses.replace``, so
-no solve checks them again; a row checks only its own entries, and a
-program's variables are the entries of its objective.
+exact rational (an int or a Fraction), when they are made, whether by
+``constraint``, ``linear_program``, ``with_constraints`` or
+``dataclasses.replace``, so no solve checks them again. The builders
+convert nothing, so a float or a string is refused where it enters; a
+row checks only its own entries, and a program's variables are the
+entries of its objective.
 
 Rows enter a tableau one way only, appended at its current point x: a
 row's slack starts basic when the row, oriented so that b - a.x >= 0,
@@ -104,8 +106,8 @@ class Constraint:
 
 
 def constraint(coeffs: Iterable, relation: str, rhs) -> Constraint:
-    """Build a constraint row, coercing ints/strings to exact rationals."""
-    return Constraint(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
+    """A constraint row of exact values (ints, Fractions) taken as given."""
+    return Constraint(tuple(coeffs), relation, rhs)
 
 
 @dataclass(frozen=True)
@@ -147,22 +149,15 @@ def linear_program(
     lower_bounds: Optional[Iterable] = None,
     upper_bounds: Optional[Iterable] = None,
 ) -> LinearProgram:
-    """Assemble a program from plain values; num_vars is len(objective)."""
-    obj = tuple(Fraction(c) for c in objective)
+    """Assemble a program from exact values taken as given, with rows as
+    Constraints or (coeffs, relation, rhs); num_vars is len(objective)."""
+    obj = tuple(objective)
     n = len(obj)
     rows = tuple(
         c if isinstance(c, Constraint) else constraint(*c) for c in constraints
     )
-    lo = (
-        tuple(Fraction(0) for _ in range(n))
-        if lower_bounds is None
-        else tuple(Fraction(b) for b in lower_bounds)
-    )
-    hi = (
-        tuple(None for _ in range(n))
-        if upper_bounds is None
-        else tuple(None if b is None else Fraction(b) for b in upper_bounds)
-    )
+    lo = (0,) * n if lower_bounds is None else tuple(lower_bounds)
+    hi = (None,) * n if upper_bounds is None else tuple(upper_bounds)
     return LinearProgram(rows, obj, sense, lo, hi)
 
 

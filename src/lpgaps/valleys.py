@@ -91,7 +91,9 @@ def gen_valley_instance(
     intra_cost=Fraction(0),
     crossing_cost=Fraction(1),
 ) -> TspInstance:
-    """Valley-major city numbering: city v*c + t is slot t of valley v."""
+    """Valley-major city numbering: city v*c + t is slot t of valley v;
+    the exact costs are recorded as Fractions, and a float is refused."""
+    require_exact((intra_cost, crossing_cost), "valley costs")
     eps = Fraction(intra_cost)
     big = Fraction(crossing_cost)
     if valleys < 2:
@@ -122,9 +124,8 @@ def gen_valley_instance(
 
 def instance_from_cost_matrix(cost: Sequence[Sequence]) -> TspInstance:
     """Ad-hoc instance with every city in its own valley."""
-    n = len(cost)
-    rows = tuple(tuple(Fraction(c) for c in row) for row in cost)
-    return TspInstance(n, tuple(range(n)), rows)
+    rows = tuple(tuple(row) for row in cost)
+    return TspInstance(len(rows), tuple(range(len(rows))), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -144,30 +145,20 @@ def degree_lp(inst: TspInstance) -> LinearProgram:
     arcs = arc_list(n)
     num = len(arcs)
     objective = [inst.cost[i][j] for (i, j) in arcs]
-    one = Fraction(1)
     # rows 0..n-1 are out-degrees, rows n..2n-1 in-degrees
-    coeffs = [[Fraction(0)] * num for _ in range(2 * n)]
+    coeffs = [[0] * num for _ in range(2 * n)]
     for idx, (i, j) in enumerate(arcs):
-        coeffs[i][idx] = one
-        coeffs[n + j][idx] = one
-    rows = [Constraint(tuple(row), EQUAL, one) for row in coeffs]
-    return linear_program(
-        objective, "min", rows, upper_bounds=[one] * num
-    )
+        coeffs[i][idx] = 1
+        coeffs[n + j][idx] = 1
+    rows = [Constraint(tuple(row), EQUAL, 1) for row in coeffs]
+    return linear_program(objective, "min", rows, upper_bounds=[1] * num)
 
 
 def subtour_cut(inst: TspInstance, subset: Iterable[int]) -> Constraint:
     """Cut form of subtour elimination for S: total flow leaving S >= 1."""
-    S = _checked_subset(inst, subset)
-    n = inst.n
-    inside = set(S)
-    zero = Fraction(0)
-    one = Fraction(1)
-    coeffs = [
-        one if (i in inside and j not in inside) else zero
-        for (i, j) in arc_list(n)
-    ]
-    return Constraint(tuple(coeffs), GREATER_EQ, one)
+    inside = set(_checked_subset(inst, subset))
+    coeffs = [int(i in inside and j not in inside) for (i, j) in arc_list(inst.n)]
+    return Constraint(tuple(coeffs), GREATER_EQ, 1)
 
 
 def _checked_subset(inst: TspInstance, subset: Iterable[int]) -> tuple[int, ...]:
@@ -391,11 +382,11 @@ def separate_subtour(
     if len(point) != len(arcs):
         raise ValidationError("point length does not match the arc count")
     require_exact(point, "separation point entries")
-    if any(w < 0 for w in point):
-        raise ValidationError("separation requires a nonnegative point")
     # with every entry a multiple of 1/scale, 1 becomes scale and every
     # comparison and augmenting path is the one the rationals would give
     ints, scale = scale_to_ints(point)
+    if any(w < 0 for w in ints):
+        raise ValidationError("separation requires a nonnegative point")
     weight = [[0] * n for _ in range(n)]
     out_w = [0] * n
     in_w = [0] * n

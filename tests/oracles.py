@@ -22,10 +22,19 @@ from lpgaps.lp import EQUAL, GREATER_EQ, LESS_EQ, LinearProgram
 from lpgaps.valleys import arc_list, flow_from_arcs
 
 
+def _exact(value) -> Fraction:
+    """value as a Fraction; an int or a Fraction only, so a float cannot
+    turn the oracle's arithmetic inexact."""
+    if type(value) not in (int, Fraction):
+        raise TypeError(f"the oracle takes exact values, not {value!r}")
+    return Fraction(value)
+
+
 def solve_square(rows, rhs):
-    """Exact Gaussian elimination; None when the system is singular."""
+    """Exact Gaussian elimination over Fractions, whatever mix of ints
+    and Fractions it is given; None when the system is singular."""
     n = len(rhs)
-    M = [list(r) + [b] for r, b in zip(rows, rhs)]
+    M = [[_exact(x) for x in (*r, b)] for r, b in zip(rows, rhs)]
     for col in range(n):
         pivot = None
         for r in range(col, n):

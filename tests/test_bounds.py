@@ -136,6 +136,13 @@ def test_demo_validation():
         monotone_model_demo(8, 0, 1)
 
 
+def test_demo_refuses_a_float_grid_value():
+    # the grid is reported as p/q, so a float step used to be recorded
+    # as its binary fraction
+    with pytest.raises(ValidationError, match="grid values must be exact"):
+        monotone_model_demo(0, 1, 0.1)
+
+
 def test_subset_total_cap():
     # the largest count at the cap still renders as decimal text
     at_cap = min_symbols_subset(MAX_SUBSET_TOTAL, MAX_SUBSET_TOTAL // 2)

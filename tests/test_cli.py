@@ -246,12 +246,14 @@ def test_reports_are_byte_identical(tmp_path):
 
 # SHA-256 of each report, as written to a relative --output in the
 # working directory (reports embed output_path); a refactor of a solver
-# chain must leave every one of them unchanged
+# chain must leave every one of them unchanged. The two enumerated
+# V=8 scans were re-recorded when their config and result stopped
+# recording a sample count and seed the scan never read
 PINNED_REPORTS = [
     (["hull-scan", "--vertices", "8", "--budget", "6"], "json",
-     "ebd081b8d0a8ca186a3947073cc6ee94c954cdde8aaa822cec246a258cf308ef"),
+     "626933adaae4a754489957f54c54c674e7d3a8e6896e413f744eb556c3027032"),
     (["hull-scan", "--vertices", "8", "--budget", "6"], "csv",
-     "a3b40ae26a00d6446dfa5455d86ed606a34d8ae4ca3b91775d93a13af43ab9cc"),
+     "c756c0954bee0657820830d552257c5973532e45cb6e721cb15eebaeabea5ccf"),
     (["hull-scan", "--vertices", "64", "--budget", "32",
       "--samples", "3", "--seed", "0"], "json",
      "bb697d8cda14fa35ea63cbcc296430bfbcc481bfc3457f706c68e99a979cc454"),
@@ -340,6 +342,18 @@ def test_enumerating_scan_refuses_samples_and_seed(tmp_path, capsys, flags):
     assert code == 2
     assert "35 subsets" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_enumerated_scan_records_no_draws(tmp_path):
+    # 4 of 7 facets leave 35 subsets, all scanned: no sample count or
+    # seed was read, so none is recorded
+    code, out = run_cli(tmp_path, "hull-scan", "--vertices", "8", "--budget", "4")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["params"]["samples"] is None
+    assert doc["config"]["seed"] is None
+    assert doc["result"]["seed"] is None
+    assert doc["result"]["enumerated"] is True
 
 
 @pytest.mark.parametrize("argv", [
@@ -489,6 +503,9 @@ def test_unread_flag_is_refused_at_its_default(tmp_path, argv):
     (["valley-gap", *INSTANCE, "--relaxation", "cutting-plane"],
      ["--rounds", "50"]),
     (["space-bounds", "--mode", "growth"], ["--n-from", "4", "--n-to", "12"]),
+    # 16 facets keep 8 in 12870 ways, so the scan samples
+    (["hull-scan", "--vertices", "17", "--budget", "8"],
+     ["--samples", "100", "--seed", "0"]),
 ])
 def test_omitted_flag_reports_its_default(tmp_path, omitted, given):
     code, out = run_cli(tmp_path, *omitted)

@@ -130,6 +130,24 @@ def test_decide_validation():
         RelaxationDesc("bogus")
 
 
+def never_solve(*args):
+    raise AssertionError("solved before the threshold check")
+
+
+def test_gap_report_refuses_a_float_threshold_before_any_solve(monkeypatch):
+    # a report renders a threshold as p/q, so 0.1 used to be recorded as
+    # 3602879701896397/36028797018963968
+    monkeypatch.setattr(gaps, "tsp_oracle", never_solve)
+    with pytest.raises(ValidationError, match="thresholds must be exact"):
+        integrality_gap(gen_valley_instance(3, 2), degree_relaxation(), [0.1])
+
+
+def test_decision_refuses_a_float_threshold_before_any_solve(monkeypatch):
+    monkeypatch.setattr(gaps, "tsp_oracle", never_solve)
+    with pytest.raises(ValidationError, match="thresholds must be exact"):
+        decide_tour_at_most(gen_valley_instance(3, 2), 2.9, VIA_ILP)
+
+
 def test_reports_are_deterministic():
     inst = gen_valley_instance(4, 2)
     a = integrality_gap(inst, cutting_plane_relaxation(50), thresholds=[3, 4])

@@ -128,6 +128,7 @@ def test_single_facet_omission_on_minimal_chain_is_flagged():
 def test_scan_one_short_enumerates_every_subset():
     report = subset_gap_scan(gen_arc(8), budget=6)
     assert report.enumerated
+    assert report.seed is None  # nothing was drawn
     assert len(report.rows) == 7
     assert report.all_gaps_positive
     omitted = [row.omitted for row in report.rows]

@@ -6,7 +6,14 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import point_feasible, random_bounded_lp, vertex_enumeration_optimum
+from unittest.mock import patch
+
+from oracles import (
+    point_feasible,
+    random_bounded_lp,
+    solve_square,
+    vertex_enumeration_optimum,
+)
 from test_pivot_path import (
     APPENDED_ROWS_SEED,
     RANDOM_PROGRAMS,
@@ -168,6 +175,40 @@ def test_floats_are_refused_where_made():
         replace(lp.constraints[0], rhs=3.0)
     # ints are exact: a program built from them solves as before
     assert solve_lp(replace(lp, objective=(1, 2))).value == 6
+
+
+@pytest.mark.parametrize("build", [
+    lambda: linear_program([0.1], "max"),
+    lambda: linear_program([1], "max", upper_bounds=[0.5]),
+    lambda: linear_program([1], "max", lower_bounds=["1/2"]),
+    lambda: constraint([0.1], "<=", 1),
+    lambda: constraint([1], "<=", "3"),
+], ids=["objective", "upper", "lower-text", "coeff", "rhs-text"])
+def test_builders_refuse_what_they_used_to_convert(build):
+    # the builders once wrapped every value in Fraction(...), so 0.1
+    # became 3602879701896397/36028797018963968 and "3" became 3 before
+    # any check saw them
+    with pytest.raises(ValidationError, match="must be exact rationals"):
+        build()
+
+
+def test_builders_take_exact_values_as_given():
+    half = Fraction(1, 2)
+    row = constraint([1, half], "<=", 3)
+    assert row == Constraint((1, half), "<=", 3)
+    assert [type(e) for e in (*row.coeffs, row.rhs)] == [int, Fraction, int]
+    lp = linear_program([2, half], "max", [row])
+    assert lp.objective == (2, half)
+    assert (lp.lower_bounds, lp.upper_bounds) == ((0, 0), (None, None))
+    assert type(lp.lower_bounds[0]) is int
+
+
+def test_oracle_solves_int_systems_exactly():
+    # on ints, / is float division; the oracle converts to Fractions
+    assert solve_square([[3]], [1]) == [Fraction(1, 3)]
+    assert type(solve_square([[3]], [1])[0]) is Fraction
+    with pytest.raises(TypeError):
+        solve_square([[0.5]], [1])
 
 
 def test_simplex_matches_vertex_enumeration_sample():
@@ -364,6 +405,78 @@ def test_property_warm_start_matches_cold(case, data):
     assert solve_lp(other, start=first) == warm
     idle = replace(lp, objective=(Fraction(0),) * lp.num_vars)
     assert solve_lp(idle, start=first).point == first.point
+
+
+@st.composite
+def integer_programs(draw):
+    """The shape of seeded_boxed_program with every entry an int: the
+    objective, the sense, rows as (coeffs, relation, rhs), and the lower
+    and upper bounds, each row within an offset of an anchor point."""
+    n = draw(st.integers(1, 4))
+    vector = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    lower = draw(vector)
+    spans = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    anchor = [lo + draw(st.integers(0, s)) for lo, s in zip(lower, spans)]
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = draw(vector)
+        relation = draw(st.sampled_from(["<=", "<=", ">=", "="]))
+        offset = draw(st.integers(-1, 3))
+        if relation == ">=":
+            offset = -offset
+        elif relation == "=":
+            offset = min(offset, 0)
+        lhs = sum(a * x for a, x in zip(coeffs, anchor))
+        rows.append((coeffs, relation, lhs + offset))
+    upper = [lo + s for lo, s in zip(lower, spans)]
+    return draw(vector), draw(st.sampled_from(["max", "min"])), rows, lower, upper
+
+
+def solve_recording_pivots(lp, start=None):
+    """solve_lp(lp, start) and every _replace call it makes."""
+    events = []
+    original = _Tableau._replace
+
+    def recording_replace(self, *args):
+        events.append(args)
+        return original(self, *args)
+
+    with patch.object(_Tableau, "_replace", recording_replace):
+        out = solve_lp(lp, start=start)
+    return out, events
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_programs())
+def test_property_int_program_pivots_as_its_fraction_twin(case):
+    # a builder takes ints as given; the tableau must pivot on them as
+    # on the equal Fractions, and return Fractions all the same
+    objective, sense, rows, lower, upper = case
+
+    def build(wrap):
+        return linear_program(
+            map(wrap, objective), sense,
+            [(map(wrap, coeffs), rel, wrap(rhs)) for coeffs, rel, rhs in rows],
+            lower_bounds=map(wrap, lower), upper_bounds=map(wrap, upper),
+        )
+
+    ints, fractions = build(int), build(Fraction)
+    assert ints == fractions
+    assert {type(x) for x in (*ints.objective, *ints.lower_bounds)} == {int}
+    outcomes = []
+    for lp in (ints, fractions):
+        cold, events = solve_recording_pivots(lp)
+        outcomes.append((cold.status, cold.point, cold.value, events))
+        if cold.tableau is not None:
+            # the other sense prices the same int row again, warm
+            flipped = replace(lp, sense="min" if sense == "max" else "max")
+            warm, events = solve_recording_pivots(flipped, start=cold)
+            outcomes.append((warm.status, warm.point, warm.value, events))
+        if cold.point is not None:
+            assert type(cold.value) is Fraction
+            assert all(type(x) is Fraction for x in cold.point)
+    half = len(outcomes) // 2
+    assert outcomes[:half] == outcomes[half:]
 
 
 def tableau_snapshot(tab):

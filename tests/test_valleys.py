@@ -90,6 +90,17 @@ def test_float_costs_are_refused_where_made():
     floats = tuple(tuple(float(c) for c in row) for row in inst.cost)
     with pytest.raises(ValidationError, match="costs must be exact rationals"):
         replace(inst, cost=floats)
+    # the builder takes costs as given, so the check sees the float
+    with pytest.raises(ValidationError, match="costs must be exact rationals"):
+        instance_from_cost_matrix([[0, 0.5], [0.5, 0]])
+    assert instance_from_cost_matrix([[0, 2], [1, 0]]).cost == ((0, 2), (1, 0))
+
+
+def test_float_valley_costs_are_refused():
+    # a valley instance records its costs as p/q in every report, so 0.1
+    # used to be recorded as 3602879701896397/36028797018963968
+    with pytest.raises(ValidationError, match="valley costs must be exact"):
+        gen_valley_instance(3, 2, 0.1, 1)
 
 
 def test_rejects_instances_above_the_city_cap():
@@ -124,6 +135,14 @@ def test_degree_lp_value_with_free_valley_circulation():
 def test_degree_lp_value_when_every_arc_costs_one():
     out = solve_lp(degree_lp(gen_valley_instance(10, 1)))
     assert out.value == 10
+
+
+def test_relaxation_rows_are_ints():
+    # 0/1 entries enter the tableau as they are, never as Fractions
+    inst = gen_valley_instance(3, 2)
+    lp = relaxation_with_cuts(inst, [(0, 1)])
+    entries = [e for con in lp.constraints for e in (*con.coeffs, con.rhs)]
+    assert {type(e) for e in (*entries, *lp.lower_bounds, *lp.upper_bounds)} == {int}
 
 
 def test_subtour_cut_construction():
