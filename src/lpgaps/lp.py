@@ -35,9 +35,11 @@ entries of its objective.
 
 Rows enter a tableau one way only, appended at its current point x: a
 row's slack starts basic when the row, oriented so that b - a.x >= 0,
-reads <=, and one artificial at |b - a.x| otherwise. A cold solve
-appends every row to the row-less tableau of the bounds, whose point is
-the lower corner; phase 1 runs whenever an artificial is basic.
+reads <=, and one artificial at |b - a.x| otherwise. The int value
+b - a.x comes out of the row's own reduction against the basis, as
+every row value does, so appending makes no Fraction point. A cold
+solve appends every row to the row-less tableau of the bounds, whose
+point is the lower corner; phase 1 runs whenever an artificial is basic.
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. Over the same
@@ -61,6 +63,13 @@ phase 2 reads the row a fresh pricing at its basis would give, int for
 int in lowest terms, and pivots as it would after one. An appended
 row's basic column costs 0, so appended rows leave the row standing,
 and a cut-loop round over the same objective prices nothing.
+
+The cost row has a value too, as in the textbook tableau, whose
+objective sits in the cost row's right-hand side: an int numerator over
+the row's denominator, minus the signed objective at the current point,
+which every elimination and bound flip moves as it moves a constraint
+row's value. An optimum reads its objective value there, and phase 1
+reads the artificials' sum there; no solve sums c.x over its point.
 """
 
 from __future__ import annotations
@@ -240,12 +249,17 @@ class _Tableau:
     ``r`` and ``rd`` price ``objective``, the (costs, sense) pair that
     ``solve_lp`` last priced, at the current basis: zero in every basic
     column, since each basis change eliminates the entering column from
-    them. During phase 1 they price the artificials instead, and
-    ``carried`` holds the objective's row, which each basis change
-    eliminates as well, until phase 1 hands it back. Only one row prices
-    given costs and is 0 in every basic column, and lowest terms fix its
-    ints, so the row does not depend on the path to the basis: it is the
-    row a fresh ``price`` at that basis gives.
+    them. ``rv`` over ``rd`` is the row's value, -(sign * costs) . x at
+    the current point, moved by each elimination (with the pivot row's
+    value) and each bound flip exactly as a constraint row's value is;
+    the row is the one of a free basic column z with z + (sign * costs)
+    . x = 0. During phase 1 they price the artificials instead, and
+    ``carried`` holds the objective's row and value, which each basis
+    change and flip moves as well, until phase 1 hands it back. Only one
+    row prices given costs and is 0 in every basic column, and lowest
+    terms over ``r``, ``rv`` and ``rd`` together fix its ints, so the row
+    does not depend on the path to the basis: it is the row a fresh
+    ``price`` at that basis and point gives.
 
     Nonbasic columns sit at a bound, so a basis change moves the values
     through the elimination itself: the pivot row's value, less the
@@ -276,16 +290,20 @@ class _Tableau:
         self.unit = [1 if s is None else s[1] for s in spans]
         # only a span that is not an int makes _reduced divide by units
         self.whole_spans = all(u == 1 for u in self.unit)
+        # the nonzero lower bounds, which _reduced folds into a rhs
+        self.lifted = [(j, l) for j, l in enumerate(lo) if l]
         self.A: list[list[int]] = []
         self.d: list[int] = []
         self.v: list[int] = []
         self.basis: list[int] = []
         self.r: list[int] = [0] * n
         self.rd = 1
+        self.rv = 0
         # the (objective, sense) that r / rd prices, once one has been
-        # priced, and during phase 1 that objective's row as (row, den)
+        # priced, and during phase 1 that objective's row as (row, den,
+        # value)
         self.objective: Optional[tuple[tuple[Rational, ...], str]] = None
-        self.carried: Optional[tuple[list[int], int]] = None
+        self.carried: Optional[tuple[list[int], int, int]] = None
         self.ub: list[Optional[int]] = [None if s is None else s[0] for s in spans]
         # fixed (zero-span) columns stay out of the scan: they can never
         # change value
@@ -309,51 +327,52 @@ class _Tableau:
         The artificial columns are dropped, each new row gets a slack
         column (an equality gets none) and has every basic column
         eliminated from it. The reduced-cost row loses the artificial
-        columns too, and is put back in lowest terms, and costs 0 in the
-        new columns: each new row's basic column is one of them, so the
-        old reduced costs stand at the new basis and the row still
-        prices ``objective``. At the current point x the row is oriented
-        so that its right-hand side b - a.x is nonnegative (negated when
-        b - a.x < 0). If it then reads <=, its slack starts basic;
-        otherwise one artificial column starts basic at |b - a.x|, for
-        phase 1 to drive to zero. So a <= row needs b - a.x >= 0 and a
-        >= row b - a.x < 0 for a basic slack, and an equality row or a
-        >= row tight at x takes an artificial. Existing rows are
-        replaced by longer copies, never written in place."""
+        columns too, and is put back in lowest terms with its value, and
+        costs 0 in the new columns: each new row's basic column is one
+        of them, so the old reduced costs and value stand at the new
+        basis and the row still prices ``objective``. Each new row's int
+        value b - a.x at the current point x comes from ``_reduced``, and
+        the row is oriented by its sign so that b - a.x is nonnegative
+        (negated when b - a.x < 0). If it then reads <=, its slack starts
+        basic; otherwise one artificial column starts basic at
+        |b - a.x|, for phase 1 to drive to zero. So a <= row needs
+        b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack, and an
+        equality row or a >= row tight at x takes an artificial.
+        Existing rows are replaced by shorter and then longer copies,
+        never written in place."""
         rows = lp.constraints[len(self.region[0]):]
         self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
         fa = self.first_art
-        # b - a.x for each row, read from x's nonzero entries only (at a
-        # cold solve's lower corner often none), and whether it is negative
-        xnz = [(j, xj) for j, xj in enumerate(self.point()) if xj]
-        res = [
-            con.rhs - sum(con.coeffs[j] * xj for j, xj in xnz) if xnz else con.rhs
-            for con in rows
-        ]
-        negative = [r < 0 for r in res]
+        # each new row is reduced against the basis without the artificial
+        # columns, and its int value is b - a.x at the current point x
+        self.A = [row[:fa] for row in self.A]
+        self.ncols = fa
+        reduced = [self._reduced(con.coeffs, con.rhs) for con in rows]
+        negative = [val < 0 for _, _, val in reduced]
         slack_basic = [
             con.relation == (GREATER_EQ if neg else LESS_EQ)
             for con, neg in zip(rows, negative)
         ]
         ncols = fa + sum(con.relation != EQUAL for con in rows)
         width = ncols + slack_basic.count(False)
-        self.A = [row[:fa] + [0] * (width - fa) for row in self.A]
+        pad = [0] * (width - fa)
+        self.A = [row + pad for row in self.A]
         # every new row's basic column costs 0, so the kept reduced costs
-        # stand; without the artificials they may share a factor with rd
-        r = self.r[:fa] + [0] * (width - fa)
-        g = gcd(self.rd, *r)
+        # and value stand; without the artificials they may share a factor
+        # with rd
+        r = self.r[:fa] + pad
+        g = gcd(self.rd, self.rv, *r)
         if g > 1:
             r = [x // g for x in r]
-        self.r, self.rd = r, self.rd // g
+        self.r, self.rd, self.rv = r, self.rd // g, self.rv // g
         self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
         self.ub = self.ub[:fa] + [None] * (width - fa)
         self.first_art, self.ncols = ncols, width
-        # the value r is read at x, so the eliminations only rescale it
-        reduced = [self._reduced(con.coeffs, r) for con, r in zip(rows, res)]
         slack, art = fa, ncols
         for con, (row, den, value), flip, sb in zip(
             rows, reduced, negative, slack_basic
         ):
+            row += pad
             if con.relation != EQUAL:
                 row[slack] = den if con.relation == LESS_EQ else -den
                 slack += 1
@@ -374,43 +393,63 @@ class _Tableau:
     ) -> tuple[list[int], int, int]:
         """values, each structural entry divided by its column's unit
         and padded with zeros to every column, as an int row over one
-        denominator with every basic column eliminated from it, and rhs
-        as an int over the same denominator: it enters with the row and
-        the eliminations only rescale it."""
+        denominator with every basic column eliminated from it, and its
+        value rhs - values.x at the current point x as an int over the
+        same denominator, all in lowest terms together.
+
+        Nonzero lower bounds are folded into rhs before scaling, a column
+        at its upper bound takes off its int entry times its int span,
+        and each elimination takes off a basic column's part with its
+        row's value v[i], as it does for any row in a basis change."""
+        if self.lifted:
+            rhs -= sum(values[j] * l for j, l in self.lifted)
         if not self.whole_spans:
             scaled = [Fraction(c, u) for c, u in zip(values, self.unit)]
             values = scaled + list(values[self.n:])
         row, den = scale_to_ints([*values, rhs])
         val = row.pop()
         row += [0] * (self.ncols - len(row))
-        for b, prow, pden in zip(self.basis, self.A, self.d):
+        ub = self.ub
+        for j, s in enumerate(self.state[:self.n]):
+            if s < 0 and row[j]:
+                val -= row[j] * ub[j]
+        for b, prow, pden, pval in zip(self.basis, self.A, self.d, self.v):
             if row[b]:
                 row, den, val = _eliminate(
-                    row, den, val, prow, pden, 0, b, _nonzero(prow)
+                    row, den, val, prow, pden, pval, b, _nonzero(prow)
                 )
         return row, den, val
 
     def price(self, cost: Sequence[Rational], sign: int = 1) -> None:
         """Set the reduced-cost row r / rd for maximizing sign * cost . x
-        at the current basis; a column past the end of cost has cost 0.
-        The sign (1 or -1) negates the int row, which is what pricing the
+        at the current basis, and its value rv / rd, -(sign * cost) . x
+        at the current point; a column past the end of cost has cost 0.
+        The sign (1 or -1) negates the ints, which is what pricing the
         negated costs gives, since every elimination is linear in the row
         and a gcd has no sign. solve_lp calls it for phase 1's costs and
         for an objective the tableau does not price yet, never again for
         the one it prices."""
-        row, self.rd, _ = self._reduced(cost)
-        self.r = row if sign > 0 else [-x for x in row]
+        row, self.rd, val = self._reduced(cost)
+        if sign > 0:
+            self.r, self.rv = row, val
+        else:
+            self.r, self.rv = [-x for x in row], -val
 
     def _flip(self, enter: int, direction: int) -> None:
         """enter crosses its whole span, the int ub[enter] in its own
         units, the basis unchanged: each row's value numerator falls by
-        direction * ub[enter] times its entry in column enter, and no
-        row or denominator changes."""
+        direction * ub[enter] times its entry in column enter, the cost
+        row's and a carried row's as well, and no row or denominator
+        changes."""
         u = direction * self.ub[enter]
         v = self.v
         for i, row in enumerate(self.A):
             if row[enter]:
                 v[i] -= u * row[enter]
+        self.rv -= u * self.r[enter]
+        if self.carried is not None:
+            row, den, val = self.carried
+            self.carried = row, den, val - u * row[enter]
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
         """Make enter basic in row p; the leaving column takes
@@ -449,10 +488,11 @@ class _Tableau:
                     row, d[i], v[i], prow, dp, pval, enter, nz
                 )
         if self.r[enter]:
-            self.r, self.rd, _ = _eliminate(self.r, self.rd, 0, prow, dp, 0, enter, nz)
+            self.r, self.rd, self.rv = _eliminate(
+                self.r, self.rd, self.rv, prow, dp, pval, enter, nz
+            )
         if self.carried is not None and self.carried[0][enter]:
-            row, den, _ = _eliminate(*self.carried, 0, prow, dp, 0, enter, nz)
-            self.carried = row, den
+            self.carried = _eliminate(*self.carried, prow, dp, pval, enter, nz)
         if from_upper:
             pval += self.ub[enter] * dp
         A[p], d[p], v[p] = prow, dp, pval
@@ -575,7 +615,11 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     just as a cold one is; only a program with several optimal points
     may end at a different one of them. A start over another region,
     or one without a tableau (an infeasible outcome), raises
-    ValidationError."""
+    ValidationError.
+
+    The optimal value is read off the reduced-cost row's value, which
+    is -(sign * c) . x at the final point, rather than summed over the
+    point; the point itself is made once, for the outcome."""
     if start is not None:
         if start.tableau is None:
             raise ValidationError(
@@ -598,8 +642,9 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     # a row priced for this objective stands through appended rows, so
     # a cut-loop round prices nothing; a cold solve prices here, before
     # any pivot, where every basic column costs 0
+    sign = 1 if lp.sense == MAXIMIZE else -1
     if tab.objective != (lp.objective, lp.sense):
-        tab.price(lp.objective, 1 if lp.sense == MAXIMIZE else -1)
+        tab.price(lp.objective, sign)
         tab.objective = (lp.objective, lp.sense)
     # an artificial is basic for each appended row whose slack could not
     # start basic: an equality row, a <= row with b - a.x < 0, or a >=
@@ -607,23 +652,23 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     if max(tab.basis, default=-1) >= tab.first_art:
         # phase 1 prices minus the artificials' sum into the active row,
         # and every pivot eliminates the objective's carried row too
-        tab.carried = tab.r, tab.rd
+        tab.carried = tab.r, tab.rd, tab.rv
         tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
         status = tab.run()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
             raise AssertionError("phase 1 cannot be unbounded")
-        # artificials never go negative: any nonzero numerator left basic
-        # is infeasibility
-        if any(tab.v[i] for i in range(tab.m) if tab.basis[i] >= tab.first_art):
+        # the row's value is the artificials' sum, and artificials never
+        # go negative: any sum left is infeasibility
+        if tab.rv:
             return LpOutcome(SolveStatus.INFEASIBLE)
         tab.drive_out_artificials()
-        tab.r, tab.rd = tab.carried
+        tab.r, tab.rd, tab.rv = tab.carried
         tab.carried = None
 
     status = tab.run()
     if status == "unbounded":
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
-    x = tuple(tab.point())
-    value = sum((c * xj for c, xj in zip(lp.objective, x) if xj), Fraction(0))
-    return LpOutcome(SolveStatus.OPTIMAL, x, value, tab)
+    # rv / rd is -(sign * c) . x at the final point
+    value = Fraction(-sign * tab.rv, tab.rd)
+    return LpOutcome(SolveStatus.OPTIMAL, tuple(tab.point()), value, tab)

@@ -586,15 +586,16 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
 
 
 def assert_prices_its_objective(lp, outcome):
-    """The outcome's reduced-cost row is, int for int and in lowest
-    terms, a fresh pricing of lp's signed objective at its final basis."""
+    """The outcome's reduced-cost row and its value are, int for int and
+    in lowest terms together, a fresh pricing of lp's signed objective
+    at its final basis and point."""
     tab = outcome.tableau
-    row, den, _ = tab._reduced(lp.objective)
+    row, den, val = tab._reduced(lp.objective)
     if lp.sense == "min":
-        row = [-x for x in row]
+        row, val = [-x for x in row], -val
     assert tab.objective == (lp.objective, lp.sense)
-    assert (tab.r, tab.rd) == (row, den)
-    assert den > 0 and gcd(den, *row) == 1
+    assert (tab.r, tab.rd, tab.rv) == (row, den, val)
+    assert den > 0 and gcd(den, val, *row) == 1
     assert not any(tab.r[b] for b in tab.basis)
 
 
@@ -629,6 +630,89 @@ def test_digest_programs_keep_the_row_a_fresh_pricing_gives():
                 assert_prices_its_objective(program, outcome)
                 checked[kind] += 1
     assert min(checked) > 80, checked
+
+
+def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
+    # the 300 seeded programs of the pivot digest, solved cold, warm with
+    # a new objective and warm with rows appended: an optimum's value is
+    # the cost row's, -sign * rv / rd, which equals c.x summed in
+    # Fractions over its point, and every row enters with the int value
+    # b - a.x at the point of the tableau it enters, among them rows
+    # tight there, rows over nonzero lower bounds, over columns at their
+    # upper bound and over spans that are not ints
+    seen = dict.fromkeys(["row", "tight", "lower", "upper", "unit"], 0)
+    append_rows, reduced = _Tableau.append_rows, _Tableau._reduced
+    at = []  # the point of the tableau append_rows is extending
+
+    def checking_append_rows(self, lp):
+        at.append(self.point())
+        append_rows(self, lp)
+        at.pop()
+
+    def checking_reduced(self, values, rhs=0):
+        row, den, val = reduced(self, values, rhs)
+        if at:
+            x = at[-1]
+            assert Fraction(val, den) == rhs - sum(a * xj for a, xj in zip(values, x))
+            moved = [j for j in range(self.n) if values[j]]
+            seen["row"] += 1
+            seen["tight"] += val == 0
+            seen["lower"] += any(self.lower[j] for j in moved)
+            seen["upper"] += any(self.state[j] < 0 for j in moved)
+            seen["unit"] += any(self.unit[j] > 1 for j in moved)
+        return row, den, val
+
+    monkeypatch.setattr(_Tableau, "append_rows", checking_append_rows)
+    monkeypatch.setattr(_Tableau, "_reduced", checking_reduced)
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    optima = 0
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        solves = [(lp, first)]
+        if first.tableau is not None:
+            other = replace(
+                lp,
+                objective=tuple(Fraction(programs.randint(-6, 6), programs.randint(1, 7))
+                                for _ in range(lp.num_vars)),
+                sense=programs.choice(["max", "min"]),
+            )
+            grown = with_constraints(
+                lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+            )
+            solves += [(other, solve_lp(other, start=first)),
+                       (grown, solve_lp(grown, start=first))]
+        for program, outcome in solves:
+            if outcome.status is not SolveStatus.OPTIMAL:
+                continue
+            tab, sign = outcome.tableau, 1 if program.sense == "max" else -1
+            assert outcome.value == Fraction(-sign * tab.rv, tab.rd)
+            assert outcome.value == sum(
+                (c * x for c, x in zip(program.objective, outcome.point)), Fraction(0)
+            )
+            optima += 1
+    # 471 optima; 1,402 rows, of them 194 tight, 1,355 over a nonzero
+    # lower bound, 179 over a column at its upper bound, 1,034 over a
+    # span that is not an int
+    assert optima > 400 and min(seen.values()) > 100, (optima, seen)
+
+
+def test_cut_loop_makes_one_point_per_round(monkeypatch):
+    # appended rows read their values off the int tableau and the value
+    # of an optimum off its cost row, so each round's solve makes the
+    # Fraction point once, for the outcome it returns
+    points = 0
+    point = _Tableau.point
+
+    def counting_point(self):
+        nonlocal points
+        points += 1
+        return point(self)
+
+    monkeypatch.setattr(_Tableau, "point", counting_point)
+    trace = cutting_plane_loop(gen_valley_instance(4, 2))
+    assert trace.complete and points == len(trace.rounds) > 1
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (5, 2)])
@@ -701,7 +785,7 @@ def test_digest_programs_take_every_integer_span_move(monkeypatch):
     # a bound flip across a column whose unit is above 1, a basis change
     # whose leaving column stops at a nonzero upper bound, and a row
     # whose right-hand side has a denominator its coefficients lack
-    # (153 flips, 115 leaves and 788 rows, numbers the pinned pivots fix)
+    # (153 flips, 115 leaves and 893 rows, numbers the pinned pivots fix)
     seen = {"flip over a unit": 0, "leave at upper": 0, "rhs denominator": 0}
     flip, replace_row, reduced = _Tableau._flip, _Tableau._replace, _Tableau._reduced
 
