@@ -120,7 +120,9 @@ def model_value(x: Rational) -> Union[Fraction, mpmath.mpf]:
     (2**x is an integer, so the sine term is identically zero);
     high-precision mpf elsewhere. The sine only sees the fractional part
     of 2**x, so the working precision is WORKING_DIGITS plus the digits
-    of 2**x's integer part."""
+    of 2**x's integer part. A float is refused, not read as its binary
+    fraction."""
+    require_exact((x,), "x")
     x = Fraction(x)
     if x.denominator == 1 and x >= 0:
         return x

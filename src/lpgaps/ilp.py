@@ -1,6 +1,7 @@
 """The ground-truth TSP oracle: one exact Held-Karp dynamic program
 over subsets on integer-scaled costs, in the narrowest exact table:
-int32, then int64, then Python ints (object), by one headroom rule.
+int16, then int32, then int64, then Python ints (object), by one
+headroom rule.
 
 The oracle returns a deterministic optimal tour: the lowest-index last
 city, then the lowest-index optimal predecessor at every step back.
@@ -35,7 +36,7 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
     0 through the cities of mask ending at j. Entries with j outside
     mask keep the sentinel, which exceeds every real path cost even
     after adding one arc, so each minimum can range over every
-    predecessor. Exact for int32, int64 and object (Python int) arrays
+    predecessor. Exact for int16, int32, int64 and object (Python int) arrays
     alike, as long as the sentinel plus the largest |cost| fits the
     dtype: no value computed exceeds that in magnitude."""
     m = len(cost) - 1
@@ -75,7 +76,7 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
     """Exact minimum-cost tour by Held-Karp, for n <= 20; larger n
     raises BudgetExceededError, and no approximation is ever substituted.
     Costs are scaled to integers by the lcm of their denominators; the
-    table is the narrowest of int32, int64 and Python ints (object) in
+    table is the narrowest of int16, int32, int64 and Python ints (object) in
     which sentinel + largest < 2**(bits - 2), a bit of headroom beyond
     the largest magnitude the program computes. Of the optimal tours,
     the one returned starts at city 0, ends at the lowest-index last
@@ -90,7 +91,7 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
     largest = max(map(abs, scaled))
     sentinel = n * (largest + 1) + 1
     dtype = next(
-        (t for t in (np.int32, np.int64)
+        (t for t in (np.int16, np.int32, np.int64)
          if sentinel + largest < 2 ** (np.iinfo(t).bits - 2)),
         object,
     )

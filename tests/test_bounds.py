@@ -116,6 +116,14 @@ def test_non_integer_values_are_high_precision():
     assert abs(float(value) - (-0.46390253284987733)) < 1e-12
 
 
+@pytest.mark.parametrize("x", [0.1, 2.0])
+def test_model_value_refuses_floats(x):
+    # 0.1 was read as its binary fraction, 3602879701896397/2**55, and
+    # 2.0 as the exact 2
+    with pytest.raises(ValidationError, match="exact rationals"):
+        model_value(x)
+
+
 def test_precision_grows_with_x():
     # sin(2**x pi) needs the fractional part of 2**x, so a point works
     # past 60 digits once 2**x has digits of its own; compare with an

@@ -110,7 +110,7 @@ def test_huge_denominators_use_object_table(table_dtypes):
         assert_optimal_tour(inst, result)
     assert dtypes == [object, object]
     assert tsp_oracle(gen_valley_instance(4, 2)).cost == 4
-    assert dtypes[-1] == np.int32
+    assert dtypes[-1] == np.int16
 
 
 def test_large_integer_costs_use_int64_table(table_dtypes):
@@ -133,12 +133,14 @@ def test_large_integer_costs_use_int64_table(table_dtypes):
 
 
 @pytest.mark.parametrize("largest, dtype", [
+    (2**12 - 2, np.int16),  # sentinel + largest = 2**14 - 4
+    (2**12 - 1, np.int32),  # sentinel + largest = 2**14
     (2**28 - 2, np.int32),  # sentinel + largest = 2**30 - 4
     (2**28 - 1, np.int64),  # sentinel + largest = 2**30
 ])
 def test_table_tier_boundary(table_dtypes, largest, dtype):
     # n = 3: sentinel = 3 * (largest + 1) + 1, so sentinel + largest =
-    # 4 * largest + 4, and int32 needs it below 2**30
+    # 4 * largest + 4; int16 needs it below 2**14 and int32 below 2**30
     cost = [[0, largest, 1], [1, 0, largest], [largest, 1, 0]]
     inst = instance_from_cost_matrix(cost)
     result = tsp_oracle(inst)
@@ -161,14 +163,20 @@ def int_cost_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(int_cost_matrices())
 def test_every_dtype_tier_gives_the_same_tour(matrix_and_sentinel):
+    # every machine tier whose headroom rule admits the matrix, int16
+    # only where its entries are small
     matrix, sentinel = matrix_and_sentinel
+    largest = max(abs(c) for row in matrix for c in row)
+    tiers = [t for t in (np.int16, np.int32, np.int64)
+             if sentinel + largest < 2 ** (np.iinfo(t).bits - 2)]
+    assert np.int32 in tiers
     results = {
         dtype: ilp._held_karp(np.array(matrix, dtype=dtype), sentinel)
-        for dtype in (np.int32, np.int64, object)
+        for dtype in (*tiers, object)
     }
     tour, best = results[object]
     assert type(best) is int
-    for dtype in (np.int32, np.int64):
+    for dtype in tiers:
         assert results[dtype][0] == tour
         assert int(results[dtype][1]) == best
 
