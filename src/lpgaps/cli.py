@@ -251,14 +251,19 @@ def _run_cutting_plane(args) -> tuple[Any, Table]:
 
 def _run_decide(args) -> tuple[Any, Table]:
     inst = _instance(args)
-    relaxation = _relaxation(args, inst)
-    answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)
+    # the ilp route reads no relaxation, and its flags stay None
+    relaxation = None
+    if args.via == gaps.VIA_LP:
+        relaxation = _relaxation(args, inst)
+        answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)
+    else:
+        answer = gaps.decide_tour_at_most(inst, args.threshold, args.via)
     result = {
         "instance": gaps.instance_info(inst),
         "threshold": args.threshold,
         "decision_form": gaps.DECISION_FORM,
         "via": args.via,
-        "relaxation": relaxation if args.via == gaps.VIA_LP else None,
+        "relaxation": relaxation,
         "answer": "YES" if answer else "NO",
     }
     return result, None
@@ -309,7 +314,9 @@ _HANDLERS = {
 # (flag, other flag, value, default): where a subcommand has the other
 # flag, the flag is read only under that value and refused under any
 # other, even at its default, so it parses to None when omitted and gets
-# its default here. An omitted --relaxation is degree, which no entry needs.
+# its default here only where it is read. An omitted --relaxation is
+# degree, which no entry needs, so it may take its default after the
+# entries that read it.
 _READ_ONLY_UNDER = (
     ("rounds", "relaxation", gaps.CUTTING_PLANE, DEFAULT_ROUNDS),
     ("cut_valley", "relaxation", gaps.DEGREE_WITH_CUTS, ()),
@@ -325,14 +332,16 @@ _READ_ONLY_UNDER = (
 
 def _resolve_flags(args) -> None:
     """Refuse every given flag that this run would not read, then fill
-    each omitted flag of the table with its default."""
+    each omitted flag of the table that the run reads with its default;
+    a flag the run does not read stays None, so the report records it
+    as null."""
     given = vars(args)
     for flag, other, value, _ in _READ_ONLY_UNDER:
         if given.get(flag) is not None and other in given and given[other] != value:
             name = flag.replace("_", "-")
             raise ValidationError(f"--{name} needs --{other} {value}")
-    for flag, _, _, default in _READ_ONLY_UNDER:
-        if flag in given and given[flag] is None:
+    for flag, other, value, default in _READ_ONLY_UNDER:
+        if flag in given and given[flag] is None and given.get(other, value) == value:
             setattr(args, flag, default)
 
 

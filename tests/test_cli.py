@@ -261,13 +261,17 @@ PINNED_REPORTS = [
      "97ed299ee18aed4a057e17edd0a0ab01b9cd9f29b9f9ef8c4a292b7ca7244e1d"),
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "csv",
      "79dab5f6dbcdf0b04c990d2fbe0c84d99b67fd326bc5dbd243beb640599b3d01"),
+    # re-recorded when refused flags began to record null: rounds, read
+    # only by the cutting-plane relaxation, went from 50 to null
     (["valley-gap", "--valleys", "6", "--cities-per-valley", "2",
       "--relaxation", "degree+cuts", "--cut-valley", "0"], "json",
-     "80f3da3855d8732d432c513272ea408ee32eee638f0041de6094018e80e892cc"),
+     "1ee4d0b995c6ecb5e50aabdd38f734340f606174c9ffe25de69f08d57e03bd5f"),
+    # re-recorded then too: cut_valley and cut_cities, read only by
+    # degree+cuts, went from [] to null
     (["decide", "--valleys", "5", "--cities-per-valley", "2",
       "--threshold", "4", "--via", "lp-relaxation",
       "--relaxation", "cutting-plane"], "json",
-     "1c09c9c1c4e6d31295b055ad12de3de15eaaa6e2c1760eaaca80caedc131330b"),
+     "b931071ff5092c4fa54f1040361cf912af869bd5d7e25b4c7ba0ef4d6659d18d"),
     # the loop that ends on a fractional point
     (["cutting-plane", "--valleys", "6", "--cities-per-valley", "2"], "json",
      "56dfd7d709ebb137738fa074a8fcd9ff8c1f52a3dea61cdc476700bcead2c1c8"),
@@ -514,6 +518,26 @@ def test_omitted_flag_reports_its_default(tmp_path, omitted, given):
     code, out = run_cli(tmp_path, *omitted, *given)
     assert code == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["valley-gap", *INSTANCE, "--relaxation", "degree"],
+     ["rounds", "cut_valley", "cut_cities"]),
+    (["valley-gap", *INSTANCE, "--relaxation", "degree+cuts", "--cut-valley", "0"],
+     ["rounds"]),
+    (["decide", *INSTANCE, "--threshold", "3", "--via", "ilp"],
+     ["relaxation", "rounds", "cut_valley", "cut_cities"]),
+    (["space-bounds", "--mode", "single", "--count", "5"],
+     ["n_from", "n_to", "total", "choose"]),
+    (["space-bounds", "--mode", "growth"], ["count", "total", "choose"]),
+])
+def test_unread_flag_records_null(tmp_path, argv, unread):
+    # a default is filled only where the run reads the flag, so a report
+    # never records a value that played no part in it
+    code, out = run_cli(tmp_path, *argv)
+    assert code == 0
+    params = json.loads(out.read_text())["config"]["params"]
+    assert [name for name, value in params.items() if value is None] == sorted(unread)
 
 
 def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
