@@ -585,14 +585,18 @@ class _Tableau:
         """The structural point: each column at its lower bound, plus its
         span when it sits at its upper bound, plus its row's value when
         it is basic and that value is nonzero; spans and values are
-        divided by their columns' units on the way out."""
-        x, unit = list(self.lower), self.unit
-        for j, s in enumerate(self.state[:self.n]):
+        divided by their columns' units on the way out. Over a zero
+        lower bound the span or value is the entry itself, so only a
+        nonzero lower bound costs a Fraction addition."""
+        x, unit, ub, n = list(self.lower), self.unit, self.ub, self.n
+        for j, s in enumerate(self.state[:n]):
             if s < 0:
-                x[j] += Fraction(self.ub[j], unit[j])
+                span = Fraction(ub[j], unit[j])
+                x[j] = x[j] + span if x[j] else span
         for b, val, den in zip(self.basis, self.v, self.d):
-            if b < self.n and val:
-                x[b] += Fraction(val, den * unit[b])
+            if b < n and val:
+                step = Fraction(val, den * unit[b])
+                x[b] = x[b] + step if x[b] else step
         return x
 
 
