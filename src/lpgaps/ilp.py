@@ -36,9 +36,9 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
     0 through the cities of mask ending at j. Entries with j outside
     mask keep the sentinel, which exceeds every real path cost even
     after adding one arc, so each minimum can range over every
-    predecessor. Exact for int16, int32, int64 and object (Python int) arrays
-    alike, as long as the sentinel plus the largest |cost| fits the
-    dtype: no value computed exceeds that in magnitude."""
+    predecessor. Exact for int16, int32, int64 and object (Python int)
+    arrays alike, as long as the sentinel plus the largest |cost| fits
+    the dtype: no value computed exceeds that in magnitude."""
     m = len(cost) - 1
     between, from_start, to_start = cost[1:, 1:], cost[0, 1:], cost[1:, 0]
     size = 1 << m
@@ -76,12 +76,12 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
     """Exact minimum-cost tour by Held-Karp, for n <= 20; larger n
     raises BudgetExceededError, and no approximation is ever substituted.
     Costs are scaled to integers by the lcm of their denominators; the
-    table is the narrowest of int16, int32, int64 and Python ints (object) in
-    which sentinel + largest < 2**(bits - 2), a bit of headroom beyond
-    the largest magnitude the program computes. Of the optimal tours,
-    the one returned starts at city 0, ends at the lowest-index last
-    city that closes an optimum, and is traced back through the
-    lowest-index optimal predecessor at every step."""
+    table is the narrowest of int16, int32, int64 and Python ints
+    (object) in which sentinel + largest < 2**(bits - 2), a bit of
+    headroom beyond the largest magnitude the program computes. Of the
+    optimal tours, the one returned starts at city 0, ends at the
+    lowest-index last city that closes an optimum, and is traced back
+    through the lowest-index optimal predecessor at every step."""
     n = inst.n
     if n > HELD_KARP_CITY_LIMIT:
         raise BudgetExceededError(
