@@ -3,9 +3,20 @@ over subsets on integer-scaled costs, in the narrowest exact table:
 int16, then int32, then int64, then Python ints (object), by one
 headroom rule.
 
+The table is kept one popcount layer at a time. Layer k has one row per
+end city and one column per mask of k cities, so a layer is a compact
+block of m x C(m, k) entries (m = n - 1), and entries whose end lies
+outside the mask hold a sentinel. Each layer is one min-plus step over
+the one before, adds and minimums over whole contiguous blocks. Each
+stored value is the sentinel or a real path cost, and each value
+computed is at most one arc beyond a stored one, so no magnitude exceeds
+sentinel + largest |cost|, the quantity the headroom rule
+sentinel + largest < 2**(bits - 2) bounds.
+
 The oracle returns a deterministic optimal tour: the lowest-index last
-city, then the lowest-index optimal predecessor at every step back.
-The budget is hard: past n = 20 the oracle raises BudgetExceededError
+city, then the lowest-index optimal predecessor at every step back. The
+walk-back reads the stored layer values, the same in every tier. The
+budget is hard: past n = 20 the oracle raises BudgetExceededError
 rather than approximating.
 """
 
@@ -31,45 +42,71 @@ class TourResult:
 
 
 def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object]:
-    """Subset dynamic programming over the cities 1..n-1, filled one
-    popcount layer at a time: dp[mask, j] is the cheapest path from city
-    0 through the cities of mask ending at j. Entries with j outside
-    mask keep the sentinel, which exceeds every real path cost even
-    after adding one arc, so each minimum can range over every
-    predecessor. Exact for int16, int32, int64 and object (Python int)
-    arrays alike, as long as the sentinel plus the largest |cost| fits
-    the dtype: no value computed exceeds that in magnitude."""
+    """Subset dynamic programming over the cities 1..n-1 (m of them),
+    kept one popcount layer at a time. Layer k is a compact table of m
+    rows and one column per mask of k cities, masks in ascending order
+    and bit j standing for city j + 1: entry [j, s] is the cheapest path
+    from city 0 through the cities of mask s ending at city j + 1, and
+    the sentinel where bit j is outside s.
+
+    Each layer comes from the one before by one min-plus step, m in-place
+    adds and minimums over contiguous blocks:
+    reach[j, s] = min_i layer[i, s] + between[i, j]. Dropping city j from
+    the masks that hold it is an order-preserving map onto the masks of
+    the layer below that lack it, so row j of the new layer takes, in
+    order, the entries of reach[j] whose mask lacks j; one boolean
+    compress and one boolean fill do this for every row, and every other
+    entry keeps the sentinel. No rank table or index array is built.
+
+    A stored entry is the sentinel or a real path cost, and a reach
+    entry is at most one arc beyond either: at most sentinel + largest
+    |cost| in magnitude, which the caller's headroom rule fits in the
+    dtype, so the values are the same ints in int16, int32, int64 and
+    object (Python int) tables. The sentinel exceeds every real path
+    cost even after adding one arc, so no minimum or walk-back
+    comparison can pick a path through a city outside its mask."""
     m = len(cost) - 1
     between, from_start, to_start = cost[1:, 1:], cost[0, 1:], cost[1:, 0]
-    size = 1 << m
-    dp = np.full((size, m), sentinel, dtype=cost.dtype)
     popcount = np.zeros(1, dtype=np.int8)
-    for j in range(m):
-        dp[1 << j, j] = from_start[j]
+    for _ in range(m):
         popcount = np.concatenate([popcount, popcount + 1])
-    for k in range(2, m + 1):
-        layer = np.flatnonzero(popcount == k)
-        for j in range(m):
-            ends = layer[(layer >> j) & 1 == 1]
-            # one row per predecessor i and one column per end, so the
-            # minimum over i runs along the contiguous axis
-            reach = np.take(dp, ends ^ (1 << j), axis=0).T.copy()
-            reach += between[:, j:j + 1]
-            dp[ends, j] = reach.min(axis=0)
-    full = size - 1
-    totals = dp[full] + to_start
+    # masks[k] lists the masks of k + 1 cities in ascending order, the
+    # columns of layers[k]
+    order = np.argsort(popcount, kind="stable").astype(np.int32)
+    masks = np.split(order, np.cumsum(np.bincount(popcount))[:-1])[1:]
+    bits = np.left_shift(1, np.arange(m, dtype=np.int32))[:, None]
+    layer = np.full((m, m), sentinel, dtype=cost.dtype)
+    np.fill_diagonal(layer, from_start)
+    layers = [layer]
+    outside = ~np.eye(m, dtype=bool)
+    for layer_masks in masks[1:]:
+        inside = (layer_masks & bits) != 0
+        reach = layer[0] + between[0][:, None]
+        scratch = np.empty_like(reach)
+        for i in range(1, m):
+            np.add(layer[i], between[i][:, None], out=scratch)
+            np.minimum(reach, scratch, out=reach)
+        # free each block once it is read, so at most one layer's blocks
+        # live beside the stored layers
+        del scratch
+        layer = np.full(inside.shape, sentinel, dtype=cost.dtype)
+        layer[inside] = reach[outside]
+        layers.append(layer)
+        del reach
+        outside = np.logical_not(inside, out=inside)
+    totals = layer[:, 0] + to_start
     last = int(np.argmin(totals))
-    # walk the table backwards, taking the lowest-index predecessor that
-    # reaches each entry, so the tour is a deterministic choice
-    order = [last]
-    mask = full
-    while mask != 1 << order[-1]:
-        cur = order[-1]
-        prev = mask ^ (1 << cur)
-        reaching = dp[prev] + between[:, cur] == dp[mask, cur]
-        order.append(int(np.flatnonzero(reaching)[0]))
-        mask = prev
-    return (0,) + tuple(p + 1 for p in reversed(order)), totals[last]
+    # walk the layers backwards, taking the lowest-index predecessor that
+    # reaches each value, so the tour is a deterministic choice
+    path, mask, value = [last], (1 << m) - 1, layer[last, 0]
+    for k in range(m - 2, -1, -1):
+        cur = path[-1]
+        mask ^= 1 << cur
+        came = layers[k][:, np.searchsorted(masks[k], mask)]
+        prev = int(np.flatnonzero(came + between[:, cur] == value)[0])
+        path.append(prev)
+        value = came[prev]
+    return (0,) + tuple(p + 1 for p in reversed(path)), totals[last]
 
 
 def tsp_oracle(inst: TspInstance) -> TourResult:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -131,7 +132,10 @@ def instance_from_cost_matrix(cost: Sequence[Sequence]) -> TspInstance:
 # ---------------------------------------------------------------------------
 # Arc variable indexing (shared by every relaxation and flow)
 
+@cache
 def arc_list(n: int) -> tuple[tuple[int, int], ...]:
+    """Every ordered city pair, the arc variables' order; one immutable
+    tuple per n, built once, since each cut-loop round reads it twice."""
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 

@@ -117,6 +117,37 @@ def brute_force_tour_cost(inst) -> Fraction:
     return best
 
 
+def held_karp_tour(cost) -> tuple[tuple[int, ...], Fraction]:
+    """The tour and cost the production oracle documents, by a plain
+    Held-Karp over Fractions in a dict keyed by (mask, end): the
+    optimal tour from city 0 that ends at the lowest-index last city
+    closing an optimum, traced back through the lowest-index optimal
+    predecessor at every step. cost is a square matrix of ints or
+    Fractions; its diagonal is never read."""
+    n = len(cost)
+    c = [[_exact(x) for x in row] for row in cost]
+    best = {(1 << j, j): c[0][j] for j in range(1, n)}
+    for size in range(2, n):
+        for cities in combinations(range(1, n), size):
+            mask = sum(1 << j for j in cities)
+            for j in cities:
+                best[mask, j] = min(
+                    best[mask ^ (1 << j), i] + c[i][j] for i in cities if i != j
+                )
+    full = (1 << n) - 2
+    total = min(best[full, j] + c[j][0] for j in range(1, n))
+    path = [min(j for j in range(1, n) if best[full, j] + c[j][0] == total)]
+    mask = full
+    while mask != 1 << path[-1]:
+        cur = path[-1]
+        mask ^= 1 << cur
+        path.append(min(
+            i for i in range(1, n)
+            if mask >> i & 1 and best[mask, i] + c[i][cur] == best[mask | 1 << cur, cur]
+        ))
+    return (0, *reversed(path)), total
+
+
 def subtour_cut_value(weights, subset) -> Fraction:
     """Total weight on arcs leaving subset; weights maps (i, j) to flow."""
     inside = set(subset)
