@@ -16,13 +16,12 @@ from typing import Iterable, Optional
 
 from .errors import ValidationError
 from .ilp import tsp_oracle
-from .lp import SolveStatus, solve_lp
+from .lp import LinearProgram, SolveStatus, solve_lp
 from .rationals import Rational, require_exact
 from .valleys import (
     DEFAULT_ROUNDS,
     TspInstance,
     cutting_plane_loop,
-    degree_lp,
     relaxation_with_cuts,
 )
 
@@ -119,15 +118,23 @@ class GapReport:
     decision_form: str = DECISION_FORM
 
 
-def _solve_relaxation(
+def _fixed_program(
     inst: TspInstance, relaxation: RelaxationDesc
+) -> Optional[LinearProgram]:
+    """The program of a degree or degree+cuts relaxation, whose cut
+    subsets are checked as it is built (a degree relaxation has none),
+    or None for the cutting-plane loop, which builds its own."""
+    if relaxation.kind == CUTTING_PLANE:
+        return None
+    return relaxation_with_cuts(inst, relaxation.cut_subsets)
+
+
+def _solve_relaxation(
+    inst: TspInstance, relaxation: RelaxationDesc, program: Optional[LinearProgram]
 ) -> tuple[Rational, int, int]:
-    """(lp value, constraint rows, rounds)."""
-    if relaxation.kind == DEGREE:
-        program = degree_lp(inst)
-    elif relaxation.kind == DEGREE_WITH_CUTS:
-        program = relaxation_with_cuts(inst, relaxation.cut_subsets)
-    else:
+    """(lp value, constraint rows, rounds), solving the program that
+    _fixed_program built for the relaxation."""
+    if program is None:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
         return trace.final_value, last.constraint_count, len(trace.rounds)
@@ -144,13 +151,15 @@ def integrality_gap(
 ) -> GapReport:
     """Exact gap between the chosen relaxation and the tour oracle; each
     threshold X contributes a recorded (LP answer, ILP answer) pair for
-    the question "is a tour of cost at most X possible". The oracle runs
-    first, so an instance past its budget is refused before any
-    relaxation work, and a float threshold before either."""
+    the question "is a tour of cost at most X possible". A float
+    threshold is refused first, then a bad cut subset, as the fixed-cut
+    program is built; the oracle runs next, so an instance past its
+    budget is refused before any relaxation solve."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
+    program = _fixed_program(inst, relaxation)
     ilp_value = tsp_oracle(inst).cost
-    lp_value, rows_used, rounds = _solve_relaxation(inst, relaxation)
+    lp_value, rows_used, rounds = _solve_relaxation(inst, relaxation, program)
     gap = ilp_value - lp_value
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value
@@ -200,6 +209,7 @@ def decide_tour_at_most(
     if via == VIA_ILP:
         return tsp_oracle(inst).cost <= x
     if via == VIA_LP:
-        value, _, _ = _solve_relaxation(inst, relaxation)
+        program = _fixed_program(inst, relaxation)
+        value, _, _ = _solve_relaxation(inst, relaxation, program)
         return value <= x
     raise ValidationError(f"unknown decision route {via!r}")

@@ -38,8 +38,8 @@ row's slack starts basic when the row, oriented so that b - a.x >= 0,
 reads <=, and one artificial at |b - a.x| otherwise. The int value
 b - a.x comes out of the row's own reduction against the basis, as
 every row value does, so appending makes no Fraction point. A cold
-solve appends every row to the row-less tableau of the bounds, whose
-point is the lower corner; phase 1 runs whenever an artificial is basic.
+solve appends every row to the tableau of the bounds alone, whose point
+is the lower corner; phase 1 runs whenever an artificial is basic.
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. Over the same
@@ -52,24 +52,18 @@ and phase 2 run from there (the cutting-plane loop re-solves each round
 this way after adding its cut). Either tableau is exact, so a warm
 status is as much a proof as a cold one.
 
-The reduced-cost row belongs to the objective and sense it was priced
-for, as the objective row of the textbook two-phase tableau (Dantzig
-1963) does, and a solve prices only when its tableau holds another
-objective's row: a cold solve once, before phase 1, and each new
-objective of a warm start. Phase 1 prices minus the sum of the
-artificials into the row the pivot rule reads and carries the
-objective's row, which every one of its pivots eliminates too, so
-phase 2 reads the row a fresh pricing at its basis would give, int for
-int in lowest terms, and pivots as it would after one. An appended
-row's basic column costs 0, so appended rows leave the row standing,
-and a cut-loop round over the same objective prices nothing.
-
-The cost row has a value too, as in the textbook tableau, whose
-objective sits in the cost row's right-hand side: an int numerator over
-the row's denominator, minus the signed objective at the current point,
-which every elimination and bound flip moves as it moves a constraint
-row's value. An optimum reads its objective value there, and phase 1
-reads the artificials' sum there; no solve sums c.x over its point.
+The tableau keeps its rows in one store: the constraint rows, then the
+objective's reduced-cost row, as the textbook two-phase tableau keeps
+its objective row (Dantzig 1963), and each elimination or bound flip
+updates every row of the store, the cost row's value included: minus
+the signed objective at the current point, where an optimum reads its
+value. The cost row belongs to the objective and sense it was priced
+for, and a solve prices only for another objective: a cold solve once,
+before phase 1, and each new objective of a warm start. Phase 1 pushes
+its own row, pricing minus the artificials' sum, on top and pops it when
+done, so phase 2 reads the row a fresh pricing at its basis would give,
+int for int in lowest terms. Appended rows go in before the cost row and
+their basic columns cost 0, so a cut-loop round prices nothing.
 """
 
 from __future__ import annotations
@@ -221,12 +215,13 @@ class _Tableau:
 
     Column layout: structural variables (shifted to lower bound 0), then
     one slack/surplus column per inequality row, then artificials from
-    column ``first_art`` on. A new tableau has no rows; ``append_rows``
-    adds every row, with its slack and any artificial. ``state[j]`` is
-    the one fact the pivot rule needs about column j: ``1`` when it sits
-    at its lower bound 0 and may rise, ``-1`` when it sits at its upper
-    bound and may fall, ``0`` when it never enters (basic, artificial,
-    or fixed with zero span).
+    column ``first_art`` on. A new tableau has no constraint rows, only
+    a zero cost row; ``append_rows`` adds every constraint row, with its
+    slack and any artificial. ``state[j]`` is the one fact the pivot
+    rule needs about column j: ``1`` when it sits at its lower bound 0
+    and may rise, ``-1`` when it sits at its upper bound and may fall,
+    ``0`` when it never enters (basic, artificial, or fixed with zero
+    span).
 
     Structural column j counts in steps of ``1 / unit[j]``, where
     ``unit[j]`` is its span's denominator (1 with no upper bound), so
@@ -238,28 +233,29 @@ class _Tableau:
     variable j is the int ``v[i]`` over the same ``d[i]``, in j's units
     (``v[i] / (d[i] * unit[j])`` above its lower bound when j is
     structural). An elimination leaves row and value in lowest terms
-    together; the reduced-cost row is ``r[j] / rd`` the same way.
-    Bland's rule reads only the signs of entries and exact comparisons
-    of step ratios. A positive row scale changes neither, and a positive
-    column scale multiplies each of that column's ratios, its own span
-    included, by one constant, so the pivots are the ones a
+    together. Bland's rule reads only the signs of entries and exact
+    comparisons of step ratios. A positive row scale changes neither,
+    and a positive column scale multiplies each of that column's ratios,
+    its own span included, by one constant, so the pivots are the ones a
     Fraction-per-entry tableau would make, in the same order. A basic
     column's entry equals its row's denominator.
 
-    ``r`` and ``rd`` price ``objective``, the (costs, sense) pair that
-    ``solve_lp`` last priced, at the current basis: zero in every basic
+    Rows ``0 .. m - 1``, ``m == len(basis)``, are the constraint rows,
+    row i the one of basic column ``basis[i]``. Row m is the cost row:
+    it prices ``objective``, the (costs, sense) pair that ``solve_lp``
+    last priced, at the current basis, and is zero in every basic
     column, since each basis change eliminates the entering column from
-    them. ``rv`` over ``rd`` is the row's value, -(sign * costs) . x at
-    the current point, moved by each elimination (with the pivot row's
-    value) and each bound flip exactly as a constraint row's value is;
-    the row is the one of a free basic column z with z + (sign * costs)
-    . x = 0. During phase 1 they price the artificials instead, and
-    ``carried`` holds the objective's row and value, which each basis
-    change and flip moves as well, until phase 1 hands it back. Only one
-    row prices given costs and is 0 in every basic column, and lowest
-    terms over ``r``, ``rv`` and ``rd`` together fix its ints, so the row
-    does not depend on the path to the basis: it is the row a fresh
-    ``price`` at that basis and point gives.
+    every row. Its value ``v[m]`` over ``d[m]`` is -(sign * costs) . x
+    at the current point: the row is the one of a free basic column z
+    with z + (sign * costs) . x = 0, so each elimination and bound flip
+    moves it exactly as it moves a constraint row. The pivot rule reads
+    the last row, ``A[-1]``, which is the cost row except during phase
+    1, when phase 1's row, pricing the artificials, sits on top of it
+    until phase 1 pops it. Only one row prices given costs and is 0 in
+    every basic column, and lowest terms over the row, its value and its
+    denominator together fix its ints, so the row does not depend on the
+    path to the basis: it is the row a fresh ``price`` at that basis and
+    point gives.
 
     Nonbasic columns sit at a bound, so a basis change moves the values
     through the elimination itself: the pivot row's value, less the
@@ -276,8 +272,9 @@ class _Tableau:
     """
 
     def __init__(self, lp: LinearProgram):
-        """The row-less tableau of lp's bounds: every structural column
-        at its lower bound, free to rise unless its span is zero."""
+        """The tableau of lp's bounds alone, with no constraint row and a
+        zero cost row: every structural column at its lower bound, free
+        to rise unless its span is zero."""
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
         self.n = self.first_art = self.ncols = n
@@ -292,18 +289,13 @@ class _Tableau:
         self.whole_spans = all(u == 1 for u in self.unit)
         # the nonzero lower bounds, which _reduced folds into a rhs
         self.lifted = [(j, l) for j, l in enumerate(lo) if l]
-        self.A: list[list[int]] = []
-        self.d: list[int] = []
-        self.v: list[int] = []
+        self.A: list[list[int]] = [[0] * n]
+        self.d: list[int] = [1]
+        self.v: list[int] = [0]
         self.basis: list[int] = []
-        self.r: list[int] = [0] * n
-        self.rd = 1
-        self.rv = 0
-        # the (objective, sense) that r / rd prices, once one has been
-        # priced, and during phase 1 that objective's row as (row, den,
-        # value)
+        # the (objective, sense) that the cost row prices, once one has
+        # been priced
         self.objective: Optional[tuple[tuple[Rational, ...], str]] = None
-        self.carried: Optional[tuple[list[int], int, int]] = None
         self.ub: list[Optional[int]] = [None if s is None else s[0] for s in spans]
         # fixed (zero-span) columns stay out of the scan: they can never
         # change value
@@ -311,7 +303,7 @@ class _Tableau:
 
     @property
     def m(self) -> int:
-        return len(self.A)
+        return len(self.basis)
 
     def copy(self) -> _Tableau:
         out = copy(self)
@@ -322,22 +314,22 @@ class _Tableau:
     def append_rows(self, lp: LinearProgram) -> None:
         """Extend a tableau over a prefix of lp's rows, whose basis holds
         no artificial column, to all of lp's rows: every row of every
-        solve enters here, a cold solve's into the row-less tableau.
+        solve enters here, a cold solve's into the tableau of the bounds.
 
         The artificial columns are dropped, each new row gets a slack
-        column (an equality gets none) and has every basic column
-        eliminated from it. The reduced-cost row loses the artificial
-        columns too, and is put back in lowest terms with its value, and
-        costs 0 in the new columns: each new row's basic column is one
-        of them, so the old reduced costs and value stand at the new
-        basis and the row still prices ``objective``. Each new row's int
-        value b - a.x at the current point x comes from ``_reduced``, and
-        the row is oriented by its sign so that b - a.x is nonnegative
-        (negated when b - a.x < 0). If it then reads <=, its slack starts
-        basic; otherwise one artificial column starts basic at
-        |b - a.x|, for phase 1 to drive to zero. So a <= row needs
-        b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack, and an
-        equality row or a >= row tight at x takes an artificial.
+        column (an equality gets none), has every basic column eliminated
+        from it and goes in before the cost row. The cost row loses the
+        artificial columns too, and is put back in lowest terms with its
+        value, and costs 0 in the new columns: each new row's basic
+        column is one of them, so the old reduced costs and value stand
+        at the new basis and the row still prices ``objective``. Each new
+        row's int value b - a.x at the current point x comes from
+        ``_reduced``, and the row is oriented by its sign so that b - a.x
+        is nonnegative (negated when b - a.x < 0). If it then reads <=,
+        its slack starts basic; otherwise one artificial column starts
+        basic at |b - a.x|, for phase 1 to drive to zero. So a <= row
+        needs b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack,
+        and an equality row or a >= row tight at x takes an artificial.
         Existing rows are replaced by shorter and then longer copies,
         never written in place."""
         rows = lp.constraints[len(self.region[0]):]
@@ -356,15 +348,14 @@ class _Tableau:
         ncols = fa + sum(con.relation != EQUAL for con in rows)
         width = ncols + slack_basic.count(False)
         pad = [0] * (width - fa)
-        self.A = [row + pad for row in self.A]
+        *self.A, cost = [row + pad for row in self.A]
         # every new row's basic column costs 0, so the kept reduced costs
         # and value stand; without the artificials they may share a factor
-        # with rd
-        r = self.r[:fa] + pad
-        g = gcd(self.rd, self.rv, *r)
+        # with the cost row's denominator
+        cd, cv = self.d.pop(), self.v.pop()
+        g = gcd(cd, cv, *cost)
         if g > 1:
-            r = [x // g for x in r]
-        self.r, self.rd, self.rv = r, self.rd // g, self.rv // g
+            cost = [x // g for x in cost]
         self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
         self.ub = self.ub[:fa] + [None] * (width - fa)
         self.first_art, self.ncols = ncols, width
@@ -387,6 +378,9 @@ class _Tableau:
             self.basis.append(basic)
             self.v.append(-value if flip else value)
             self.state[basic] = 0
+        self.A.append(cost)
+        self.d.append(cd // g)
+        self.v.append(cv // g)
 
     def _reduced(
         self, values: Sequence[Rational], rhs: Rational = 0
@@ -413,6 +407,8 @@ class _Tableau:
         for j, s in enumerate(self.state[:self.n]):
             if s < 0 and row[j]:
                 val -= row[j] * ub[j]
+        # basis is shorter than the row store, so zip stops before the
+        # cost row
         for b, prow, pden, pval in zip(self.basis, self.A, self.d, self.v):
             if row[b]:
                 row, den, val = _eliminate(
@@ -420,36 +416,32 @@ class _Tableau:
                 )
         return row, den, val
 
-    def price(self, cost: Sequence[Rational], sign: int = 1) -> None:
-        """Set the reduced-cost row r / rd for maximizing sign * cost . x
-        at the current basis, and its value rv / rd, -(sign * cost) . x
-        at the current point; a column past the end of cost has cost 0.
-        The sign (1 or -1) negates the ints, which is what pricing the
-        negated costs gives, since every elimination is linear in the row
-        and a gcd has no sign. solve_lp calls it for phase 1's costs and
-        for an objective the tableau does not price yet, never again for
-        the one it prices."""
-        row, self.rd, val = self._reduced(cost)
+    def price(
+        self, cost: Sequence[Rational], sign: int = 1
+    ) -> tuple[list[int], int, int]:
+        """The cost row for maximizing sign * cost . x at the current
+        basis, its denominator, and its value, -(sign * cost) . x at the
+        current point; a column past the end of cost has cost 0. The
+        sign (1 or -1) negates the ints, which is what pricing the
+        negated costs gives, since every elimination is linear in the
+        row and a gcd has no sign. solve_lp calls it for phase 1's costs
+        and for an objective the tableau does not price yet, never again
+        for the one it prices."""
+        row, den, val = self._reduced(cost)
         if sign > 0:
-            self.r, self.rv = row, val
-        else:
-            self.r, self.rv = [-x for x in row], -val
+            return row, den, val
+        return [-x for x in row], den, -val
 
     def _flip(self, enter: int, direction: int) -> None:
         """enter crosses its whole span, the int ub[enter] in its own
-        units, the basis unchanged: each row's value numerator falls by
-        direction * ub[enter] times its entry in column enter, the cost
-        row's and a carried row's as well, and no row or denominator
-        changes."""
+        units, the basis unchanged: each row's value numerator, the cost
+        rows' included, falls by direction * ub[enter] times its entry in
+        column enter, and no row or denominator changes."""
         u = direction * self.ub[enter]
         v = self.v
         for i, row in enumerate(self.A):
             if row[enter]:
                 v[i] -= u * row[enter]
-        self.rv -= u * self.r[enter]
-        if self.carried is not None:
-            row, den, val = self.carried
-            self.carried = row, den, val - u * row[enter]
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
         """Make enter basic in row p; the leaving column takes
@@ -487,18 +479,12 @@ class _Tableau:
                 A[i], d[i], v[i] = _eliminate(
                     row, d[i], v[i], prow, dp, pval, enter, nz
                 )
-        if self.r[enter]:
-            self.r, self.rd, self.rv = _eliminate(
-                self.r, self.rd, self.rv, prow, dp, pval, enter, nz
-            )
-        if self.carried is not None and self.carried[0][enter]:
-            self.carried = _eliminate(*self.carried, prow, dp, pval, enter, nz)
         if from_upper:
             pval += self.ub[enter] * dp
         A[p], d[p], v[p] = prow, dp, pval
 
     def run(self) -> str:
-        """Maximize the objective last set by price(). Bland's rule:
+        """Maximize the objective the last row prices. Bland's rule:
         smallest eligible entering index; ratio ties broken by smallest
         leaving-variable index (the entering variable's own bound counts
         as a candidate). Returns "optimal" or "unbounded"."""
@@ -510,27 +496,28 @@ class _Tableau:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
                 raise AssertionError("pivot budget blown: anti-cycling broken")
-            # rd > 0, so r[j] has the sign of the reduced cost, and a
+            # the last row is the cost row the rule reads; its denominator
+            # is positive, so r[j] has the sign of the reduced cost, and a
             # column improves the objective when it may move that way
-            r = self.r
+            r = self.A[-1]
             for enter, direction in enumerate(state):
                 if direction * r[enter] > 0:
                     break
             else:
                 return "optimal"
 
-            # ratio test over unreduced int numerator/denominator pairs;
-            # the entering variable's own int span competes as candidate
-            # row -1. Entry (i, enter) is a / d[i] and row i's value v[i] /
-            # d[i], so d[i] cancels: the step that zeroes the value is
-            # v[i] / |a|, and the one that lifts it to its int cap is
-            # (cap * d[i] - v[i]) / |a|.
+            # ratio test over the constraint rows' unreduced int
+            # numerator/denominator pairs; the entering variable's own int
+            # span competes as candidate row -1. Entry (i, enter) is a /
+            # d[i] and row i's value v[i] / d[i], so d[i] cancels: the step
+            # that zeroes the value is v[i] / |a|, and the one that lifts it
+            # to its int cap is (cap * d[i] - v[i]) / |a|.
             best_num, best_den = ub[enter], 1
             best_var = enter
             best_row = -1
             best_hits_upper = False
             up = direction > 0
-            for i, row in enumerate(self.A):
+            for i, row in enumerate(self.A[:len(basis)]):
                 a = row[enter]
                 if a == 0:
                     continue
@@ -605,8 +592,8 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     optimal points satisfy every constraint and no feasible point does
     strictly better; infeasible and unbounded are proven statuses.
 
-    A cold solve appends all of lp's rows to the row-less tableau of
-    lp's bounds, at their lower corner (``_Tableau.append_rows``).
+    A cold solve appends all of lp's rows to the tableau of lp's bounds
+    alone, at their lower corner (``_Tableau.append_rows``).
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
     or sense may differ otherwise. The solve copies start's final
@@ -614,15 +601,14 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     prefix, if any, the same way at start's point. Phase 1 runs only
     when a row entered with an artificial, so a start over the same rows
     skips it and runs phase 2 from its own basis, and a start priced for
-    lp's objective and sense keeps its reduced-cost row. Every tableau it
-    pivots is exact, so a warm status is proven
-    just as a cold one is; only a program with several optimal points
-    may end at a different one of them. A start over another region,
-    or one without a tableau (an infeasible outcome), raises
-    ValidationError.
+    lp's objective and sense keeps its cost row. Every tableau it pivots
+    is exact, so a warm status is proven just as a cold one is; only a
+    program with several optimal points may end at a different one of
+    them. A start over another region, or one without a tableau (an
+    infeasible outcome), raises ValidationError.
 
-    The optimal value is read off the reduced-cost row's value, which
-    is -(sign * c) . x at the final point, rather than summed over the
+    The optimal value is read off the cost row's value, which is
+    -(sign * c) . x at the final point, rather than summed over the
     point; the point itself is made once, for the outcome."""
     if start is not None:
         if start.tableau is None:
@@ -643,36 +629,40 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         tab = _Tableau(lp)
     if len(tab.region[0]) < len(lp.constraints):
         tab.append_rows(lp)
-    # a row priced for this objective stands through appended rows, so
-    # a cut-loop round prices nothing; a cold solve prices here, before
-    # any pivot, where every basic column costs 0
+    # a cost row priced for this objective stands through appended rows,
+    # so a cut-loop round prices nothing; a cold solve prices here,
+    # before any pivot, where every basic column costs 0
     sign = 1 if lp.sense == MAXIMIZE else -1
     if tab.objective != (lp.objective, lp.sense):
-        tab.price(lp.objective, sign)
+        tab.A[-1], tab.d[-1], tab.v[-1] = tab.price(lp.objective, sign)
         tab.objective = (lp.objective, lp.sense)
     # an artificial is basic for each appended row whose slack could not
     # start basic: an equality row, a <= row with b - a.x < 0, or a >=
     # row with b - a.x >= 0
     if max(tab.basis, default=-1) >= tab.first_art:
-        # phase 1 prices minus the artificials' sum into the active row,
-        # and every pivot eliminates the objective's carried row too
-        tab.carried = tab.r, tab.rd, tab.rv
-        tab.price([-1 if j >= tab.first_art else 0 for j in range(tab.ncols)])
+        # phase 1 pushes its row, pricing minus the artificials' sum, on
+        # top of the objective's, and every pivot eliminates both
+        row, den, val = tab.price(
+            [-1 if j >= tab.first_art else 0 for j in range(tab.ncols)]
+        )
+        tab.A.append(row)
+        tab.d.append(den)
+        tab.v.append(val)
         status = tab.run()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
             raise AssertionError("phase 1 cannot be unbounded")
         # the row's value is the artificials' sum, and artificials never
         # go negative: any sum left is infeasibility
-        if tab.rv:
+        if tab.v[-1]:
             return LpOutcome(SolveStatus.INFEASIBLE)
+        # the driving out reads no cost row, so phase 1's row goes first
+        del tab.A[-1], tab.d[-1], tab.v[-1]
         tab.drive_out_artificials()
-        tab.r, tab.rd, tab.rv = tab.carried
-        tab.carried = None
 
     status = tab.run()
     if status == "unbounded":
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
-    # rv / rd is -(sign * c) . x at the final point
-    value = Fraction(-sign * tab.rv, tab.rd)
+    # the cost row's value is -(sign * c) . x at the final point
+    value = Fraction(-sign * tab.v[-1], tab.d[-1])
     return LpOutcome(SolveStatus.OPTIMAL, tuple(tab.point()), value, tab)

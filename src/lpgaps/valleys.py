@@ -177,9 +177,11 @@ def _checked_subset(inst: TspInstance, subset: Iterable[int]) -> tuple[int, ...]
 def relaxation_with_cuts(
     inst: TspInstance, cut_subsets: Iterable[Iterable[int]]
 ) -> LinearProgram:
-    return with_constraints(
-        degree_lp(inst), [subtour_cut(inst, S) for S in cut_subsets]
-    )
+    """The degree LP with one subtour cut per subset; with no subset,
+    the degree LP itself, not a copy that checks its rows again."""
+    cuts = [subtour_cut(inst, S) for S in cut_subsets]
+    program = degree_lp(inst)
+    return with_constraints(program, cuts) if cuts else program
 
 
 # ---------------------------------------------------------------------------

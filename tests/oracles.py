@@ -117,6 +117,50 @@ def brute_force_tour_cost(inst) -> Fraction:
     return best
 
 
+def assignment_optimum(cost) -> Fraction:
+    """Minimum cost of an assignment of n rows to n columns that never
+    pairs row i with column i, exact: the Hungarian algorithm (Kuhn
+    1955; Munkres 1957) in its shortest augmenting path form, over
+    Fractions, with dual potentials u on rows and w on columns. Rows
+    and columns count from 1; column 0 stands for the row being added.
+    A forbidden cell is never read and stays at no slack (None). cost
+    is a square matrix of ints or Fractions, n >= 2."""
+    n = len(cost)
+    c = [[_exact(x) for x in row] for row in cost]
+    u, w = [Fraction(0)] * (n + 1), [Fraction(0)] * (n + 1)
+    match = [0] * (n + 1)  # match[j]: the row assigned column j, 0 if none
+    for i in range(1, n + 1):
+        match[0] = i
+        slack = [None] * (n + 1)  # least reduced cost into column j so far
+        back = [0] * (n + 1)  # the column whose row reached column j
+        done = [False] * (n + 1)
+        j0 = 0
+        while match[j0]:
+            done[j0] = True
+            row = match[j0]
+            delta, j1 = None, 0
+            for j in range(1, n + 1):
+                if done[j]:
+                    continue
+                if j != row:
+                    reduced = c[row - 1][j - 1] - u[row] - w[j]
+                    if slack[j] is None or reduced < slack[j]:
+                        slack[j], back[j] = reduced, j0
+                if slack[j] is not None and (delta is None or slack[j] < delta):
+                    delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if done[j]:
+                    u[match[j]] += delta
+                    w[j] -= delta
+                elif slack[j] is not None:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            match[j0] = match[back[j0]]
+            j0 = back[j0]
+    return sum(c[match[j] - 1][j - 1] for j in range(1, n + 1))
+
+
 def held_karp_tour(cost) -> tuple[tuple[int, ...], Fraction]:
     """The tour and cost the production oracle documents, by a plain
     Held-Karp over Fractions in a dict keyed by (mask, end): the

@@ -399,6 +399,22 @@ def test_budget_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("valleys_flag", ["8", "21"])
+def test_bad_cut_subset_exits_2_on_either_side_of_the_oracle_budget(
+    tmp_path, capsys, valleys_flag
+):
+    # 21 cities are past the oracle's budget (exit 3), but the cut subset
+    # is checked first
+    code = cli.main([
+        "valley-gap", "--valleys", valleys_flag, "--cities-per-valley", "1",
+        "--relaxation", "degree+cuts", "--cut-cities", "0,99",
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert "subset references cities outside" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_scan_over_the_work_limit_exits_3(tmp_path, capsys):
     code = cli.main([
         "hull-scan", "--vertices", "256", "--budget", "254",

@@ -170,6 +170,16 @@ def test_oracle_budget_is_checked_before_the_relaxation(monkeypatch, relaxation)
         integrality_gap(inst, relaxation)
 
 
+def test_bad_cut_subset_is_refused_before_the_oracle_budget(monkeypatch):
+    def never(*args):
+        raise AssertionError("the tour oracle ran before the cut subsets were checked")
+
+    monkeypatch.setattr(gaps, "tsp_oracle", never)
+    inst = gen_valley_instance(21, 1)  # n = 21 > 20
+    with pytest.raises(ValidationError, match=re.escape("outside 0..20")):
+        integrality_gap(inst, cuts_relaxation([(0, 99)]))
+
+
 @pytest.mark.parametrize("kwargs, message", [
     # the degree relaxation reads neither cuts nor a round budget
     (dict(kind="degree", cut_subsets=((0, 1),)), "cut_subsets need the degree+cuts"),

@@ -482,7 +482,7 @@ def test_property_int_program_pivots_as_its_fraction_twin(case):
 def tableau_snapshot(tab):
     return ([list(row) for row in tab.A], list(tab.d), list(tab.v),
             list(tab.basis), list(tab.state), list(tab.ub), tab.region,
-            tab.first_art, tab.ncols, list(tab.r), tab.rd, tab.objective)
+            tab.first_art, tab.ncols, list(tab.A[-1]), tab.d[-1], tab.objective)
 
 
 @settings(max_examples=200, deadline=None)
@@ -564,7 +564,7 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     original = _Tableau.price
 
     def recording_price(self, cost, *args):
-        values = [Fraction(v, d) for v, d in zip(self.v, self.d)]
+        values = [Fraction(v, d) for v, d in zip(self.v[:len(self.basis)], self.d)]
         priced.append((list(self.basis), values, self.first_art))
         return original(self, cost, *args)
 
@@ -586,17 +586,18 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
 
 
 def assert_prices_its_objective(lp, outcome):
-    """The outcome's reduced-cost row and its value are, int for int and
-    in lowest terms together, a fresh pricing of lp's signed objective
-    at its final basis and point."""
+    """The outcome's cost row, the last of its rows, and its value are,
+    int for int and in lowest terms together, a fresh pricing of lp's
+    signed objective at its final basis and point."""
     tab = outcome.tableau
+    assert len(tab.A) == len(tab.d) == len(tab.v) == len(tab.basis) + 1
     row, den, val = tab._reduced(lp.objective)
     if lp.sense == "min":
         row, val = [-x for x in row], -val
     assert tab.objective == (lp.objective, lp.sense)
-    assert (tab.r, tab.rd, tab.rv) == (row, den, val)
+    assert (tab.A[-1], tab.d[-1], tab.v[-1]) == (row, den, val)
     assert den > 0 and gcd(den, val, *row) == 1
-    assert not any(tab.r[b] for b in tab.basis)
+    assert not any(tab.A[-1][b] for b in tab.basis)
 
 
 def test_digest_programs_keep_the_row_a_fresh_pricing_gives():
@@ -635,7 +636,7 @@ def test_digest_programs_keep_the_row_a_fresh_pricing_gives():
 def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
     # the 300 seeded programs of the pivot digest, solved cold, warm with
     # a new objective and warm with rows appended: an optimum's value is
-    # the cost row's, -sign * rv / rd, which equals c.x summed in
+    # the cost row's, -sign * v[-1] / d[-1], which equals c.x summed in
     # Fractions over its point, and every row enters with the int value
     # b - a.x at the point of the tableau it enters, among them rows
     # tight there, rows over nonzero lower bounds, over columns at their
@@ -687,7 +688,7 @@ def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
             if outcome.status is not SolveStatus.OPTIMAL:
                 continue
             tab, sign = outcome.tableau, 1 if program.sense == "max" else -1
-            assert outcome.value == Fraction(-sign * tab.rv, tab.rd)
+            assert outcome.value == Fraction(-sign * tab.v[-1], tab.d[-1])
             assert outcome.value == sum(
                 (c * x for c, x in zip(program.objective, outcome.point)), Fraction(0)
             )
@@ -720,15 +721,20 @@ def test_cut_loop_rounds_keep_the_row_a_fresh_pricing_gives(monkeypatch, shape):
     solves = []
 
     def recording_solve(lp, start=None):
+        before = None if start is None else tableau_snapshot(start.tableau)
         outcome = solve_lp(lp, start=start)
-        solves.append((lp, outcome))
+        after = None if start is None else tableau_snapshot(start.tableau)
+        solves.append((lp, outcome, before, after))
         return outcome
 
     monkeypatch.setattr("lpgaps.valleys.solve_lp", recording_solve)
     trace = cutting_plane_loop(gen_valley_instance(*shape))
     assert trace.complete and len(solves) == len(trace.rounds)
-    for lp, outcome in solves:
+    for lp, outcome, before, after in solves:
         assert_prices_its_objective(lp, outcome)
+        # each warm round's cut enters with an artificial, so its phase 1
+        # pushed and popped a row on the copy, never on the start
+        assert before == after
 
 
 def test_cut_loop_prices_its_objective_once(monkeypatch):
@@ -755,6 +761,29 @@ def test_cut_loop_prices_its_objective_once(monkeypatch):
     trace = cutting_plane_loop(inst)
     assert phase_one_rounds == len(trace.rounds) > 1
     assert priced == {"objective": 1, "phase 1": phase_one_rounds}
+
+
+def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
+    # the start has no artificial; the appended equality row enters with
+    # one, so phase 1 runs over one more row than phase 2
+    lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
+    start = solve_lp(lp)
+    before = tableau_snapshot(start.tableau)
+    rows_over_basis = []
+    run = _Tableau.run
+
+    def recording_run(self):
+        rows_over_basis.append(len(self.A) - len(self.basis))
+        return run(self)
+
+    monkeypatch.setattr(_Tableau, "run", recording_run)
+    grown = with_constraints(lp, [constraint([1, -1], "=", 1)])
+    warm = solve_lp(grown, start=start)
+    assert rows_over_basis == [2, 1]
+    assert tableau_snapshot(start.tableau) == before
+    assert_prices_its_objective(grown, warm)
+    assert (warm.status, warm.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
+    assert warm.value == solve_lp(grown).value
 
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])

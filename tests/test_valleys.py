@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,6 +31,7 @@ from lpgaps.valleys import (
 )
 
 from oracles import (
+    assignment_optimum,
     brute_force_min_subtour_cut,
     flow_to_point,
     point_feasible,
@@ -135,6 +137,39 @@ def test_degree_lp_value_with_free_valley_circulation():
 def test_degree_lp_value_when_every_arc_costs_one():
     out = solve_lp(degree_lp(gen_valley_instance(10, 1)))
     assert out.value == 10
+
+
+def seeded_cost_matrix(rng, n):
+    """An n-city matrix of positive rationals with a zero diagonal."""
+    return [
+        [0 if i == j else Fraction(rng.randint(1, 30), rng.randint(1, 6))
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def test_assignment_oracle_matches_a_scan_of_every_derangement():
+    rng = random.Random(2024)
+    for n in range(2, 7):
+        for _ in range(5):
+            cost = seeded_cost_matrix(rng, n)
+            best = min(
+                sum(cost[i][p[i]] for i in range(n))
+                for p in permutations(range(n))
+                if all(p[i] != i for i in range(n))
+            )
+            assert assignment_optimum(cost) == best
+
+
+@pytest.mark.parametrize("n", [8, 20, 40])
+def test_degree_lp_value_is_the_assignment_optimum(n):
+    # the degree LP is an assignment problem with the diagonal forbidden,
+    # so its optimum is integral; vertex enumeration cannot reach these
+    # sizes, and one case per size keeps the slow 40-city cold solve single
+    cost = seeded_cost_matrix(random.Random(n), n)
+    out = solve_lp(degree_lp(instance_from_cost_matrix(cost)))
+    assert out.status is SolveStatus.OPTIMAL
+    assert out.value == assignment_optimum(cost)
 
 
 def test_relaxation_rows_are_ints():
