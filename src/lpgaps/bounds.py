@@ -13,6 +13,13 @@ working precision grows with the digits of 2**x, and with it the cost
 of a point: a grid refuses a point off the exact path (one that is not
 a nonnegative integer) above x = MAX_MODEL_X before any point is
 evaluated.
+
+mpmath is imported inside the functions that use it (model_value,
+_to_mpf, _decreasing and _render), not at module level: lpgaps imports
+this module for the bit bounds too, and only a demo grid point off the
+exact path needs mpmath, whose import would otherwise cost every
+process start-up time and resident memory. Python caches the module
+after the first call, so later calls pay only a sys.modules lookup.
 """
 
 from __future__ import annotations
@@ -20,12 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb
-from typing import Optional, Union
-
-import mpmath
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ValidationError
 from .rationals import Rational, require_exact
+
+if TYPE_CHECKING:
+    import mpmath
 
 # |f(x+step) - f(x)| below this is treated as equal; genuine violations
 # of the demo function are ~0.96, twenty-five orders of magnitude away
@@ -126,12 +134,16 @@ def model_value(x: Rational) -> Union[Fraction, mpmath.mpf]:
     x = Fraction(x)
     if x.denominator == 1 and x >= 0:
         return x
+    import mpmath
+
     with mpmath.workdps(WORKING_DIGITS + _integer_digits(x)):
         xf = _to_mpf(x)
         return mpmath.sin(mpmath.power(2, xf) * mpmath.pi) + xf
 
 
 def _to_mpf(v) -> mpmath.mpf:
+    import mpmath
+
     if isinstance(v, Fraction):
         return mpmath.mpf(v.numerator) / v.denominator
     return v
@@ -142,6 +154,8 @@ def _decreasing(a, b) -> bool:
     when both are Fractions; otherwise guarded high precision."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return b < a
+    import mpmath
+
     with mpmath.workdps(WORKING_DIGITS):
         diff = _to_mpf(b) - _to_mpf(a)
         return diff < -_to_mpf(COMPARISON_GUARD)
@@ -196,4 +210,6 @@ def monotone_model_demo(grid_start, grid_end, step) -> MonotoneScan:
 def _render(value) -> str:
     if isinstance(value, Fraction):
         return str(value)
+    import mpmath
+
     return mpmath.nstr(value, 20)

@@ -18,18 +18,26 @@ city, then the lowest-index optimal predecessor at every step back. The
 walk-back reads the stored layer values, the same in every tier. The
 budget is hard: past n = 20 the oracle raises BudgetExceededError
 rather than approximating.
+
+numpy is imported inside tsp_oracle and _held_karp, not at module
+level: lpgaps imports this module, but only the commands that call the
+oracle need numpy, and importing it roughly doubles a fresh process's
+start-up time. Python caches the module after the first call, so later
+calls pay only a sys.modules lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError
 from .rationals import Rational, scale_to_ints
 from .valleys import TspInstance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HELD_KARP_CITY_LIMIT = 20
 EXHAUSTIVE_CITY_LIMIT = 1  # no n is searched exhaustively; perfbench/run.py reads this name
@@ -65,6 +73,8 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
     object (Python int) tables. The sentinel exceeds every real path
     cost even after adding one arc, so no minimum or walk-back
     comparison can pick a path through a city outside its mask."""
+    import numpy as np
+
     m = len(cost) - 1
     between, from_start, to_start = cost[1:, 1:], cost[0, 1:], cost[1:, 0]
     popcount = np.zeros(1, dtype=np.int8)
@@ -124,6 +134,8 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
         raise BudgetExceededError(
             f"held-karp is budgeted for n <= {HELD_KARP_CITY_LIMIT}, got {n}"
         )
+    import numpy as np
+
     scaled, scale = scale_to_ints([c for row in inst.cost for c in row])
     largest = max(map(abs, scaled))
     sentinel = n * (largest + 1) + 1

@@ -581,6 +581,49 @@ def test_repeated_runs_in_one_process_match_fresh_processes(capsys):
     assert len(set(in_process)) == 3
 
 
+IMPORT_FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+from lpgaps import cli
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+def loaded():
+    return [name for name in ("numpy", "mpmath") if name in sys.modules]
+
+steps = {}
+run("hull-scan", "--vertices", "8", "--budget", "4")
+run("space-bounds", "--mode", "single", "--count", "5")
+# every point of an integer grid is on the demo's exact path
+run("model-demo", "--start", "0", "--end", "3", "--step", "1")
+steps["neither"] = loaded()
+report = json.loads(run("valley-gap", "--valleys", "3", "--cities-per-valley", "2"))
+steps["oracle"] = loaded()
+steps["ilp_value"] = report["result"]["ilp_value"]
+run("model-demo", "--start", "0", "--end", "1", "--step", "1/2")
+steps["demo"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+def test_numpy_and_mpmath_load_only_in_the_commands_that_use_them():
+    # a fresh interpreter, so no earlier test has imported either library
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    steps = json.loads(subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT_PROBE],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout)
+    assert steps["neither"] == []
+    # the oracle's first call imports numpy and still answers exactly
+    assert steps["oracle"] == ["numpy"]
+    assert steps["ilp_value"] == "3"
+    assert steps["demo"] == ["numpy", "mpmath"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])
