@@ -2,10 +2,12 @@
 
 A GapReport pins down, for one instance and one relaxation, the exact
 relaxation value, the exact integer optimum from the tour oracle, their
-gap, and the model size the relaxation paid (rows, variables, cutting
-rounds). Decision answers record the YES/NO verdicts at thresholds: a
-relaxation may say YES to a cost no tour achieves, and that recorded
-disagreement is the artifact under study, never an error.
+gap, and the rows and variables of the model it solved, which for the
+cutting-plane loop count how many cuts this loop added over its rounds
+(Bland's pivots choose them, so another loop may need fewer). Decision
+answers record the YES/NO verdicts at thresholds: a relaxation may say
+YES to a cost no tour achieves, and that recorded disagreement is the
+artifact under study, never an error.
 """
 
 from __future__ import annotations

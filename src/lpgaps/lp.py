@@ -8,8 +8,10 @@ columns where the pivot row is nonzero. It handles variable bounds
 natively (bounded variables never become extra rows) and uses Bland's
 smallest-index rule throughout, so it terminates on every input. Each
 column carries one signed state, the direction it may move if it enters
-(up from its lower bound, down from its upper bound, or never), and
-artificials are the columns from ``first_art`` on. All pivots are
+(up from its lower bound, down from its upper bound, or never). An
+artificial variable is no column at all, only the marker of the row it
+is basic in: an artificial that leaves the basis never comes back
+(Dantzig 1963), so no pivot ever reads its column. All pivots are
 exact: each tableau row is a list of Python ints over one positive int
 denominator (fraction-free rows, the first step toward the exact kernel
 of QSopt_ex), and the row's basic value is one more int numerator over
@@ -46,11 +48,11 @@ An outcome over a feasible region keeps its final tableau, and
 rows and bounds, phase 1 is skipped and phase 2 starts from a basis
 already optimal or close (the hull scan maximizes many objectives over
 one truncated model this way). When lp has more rows, appended after
-the start's, the copy drops its artificial columns and gains the new
-rows at the start's point, in terms of its basis, and the same phase 1
-and phase 2 run from there (the cutting-plane loop re-solves each round
-this way after adding its cut). Either tableau is exact, so a warm
-status is as much a proof as a cold one.
+the start's, the copy gains the new rows at the start's point, in terms
+of its basis, and the same phase 1 and phase 2 run from there (the
+cutting-plane loop re-solves each round this way after adding its cut).
+Either tableau is exact, so a warm status is as much a proof as a cold
+one.
 
 The tableau keeps its rows in one store: the constraint rows, then the
 objective's reduced-cost row, as the textbook two-phase tableau keeps
@@ -60,10 +62,12 @@ the signed objective at the current point, where an optimum reads its
 value. The cost row belongs to the objective and sense it was priced
 for, and a solve prices only for another objective: a cold solve once,
 before phase 1, and each new objective of a warm start. Phase 1 pushes
-its own row, pricing minus the artificials' sum, on top and pops it when
-done, so phase 2 reads the row a fresh pricing at its basis would give,
-int for int in lowest terms. Appended rows go in before the cost row and
-their basic columns cost 0, so a cut-loop round prices nothing.
+its own row on top, the sum of the rows whose basic variable is
+artificial, which is what pricing minus the artificials' sum gives, and
+pops it when done, so phase 2 reads the row a fresh pricing at its basis
+would give, int for int in lowest terms. Appended rows go in before the
+cost row and their basic variables cost 0, so a cut-loop round prices
+nothing.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ from copy import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import compress
-from math import gcd
+from itertools import compress, count
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -214,14 +218,16 @@ class _Tableau:
     """Bounded-variable simplex state.
 
     Column layout: structural variables (shifted to lower bound 0), then
-    one slack/surplus column per inequality row, then artificials from
-    column ``first_art`` on. A new tableau has no constraint rows, only
-    a zero cost row; ``append_rows`` adds every constraint row, with its
-    slack and any artificial. ``state[j]`` is the one fact the pivot
-    rule needs about column j: ``1`` when it sits at its lower bound 0
-    and may rise, ``-1`` when it sits at its upper bound and may fall,
-    ``0`` when it never enters (basic, artificial, or fixed with zero
-    span).
+    one slack/surplus column per inequality row; ``ncols`` counts them.
+    An artificial is no column: a row whose basic variable is artificial
+    has ``basis[i] >= ncols``, an id numbered past every column, so
+    Bland's tie-break ranks it after each of them, and it has no entry in
+    any row, in ``state`` or in ``ub``. A new tableau has no constraint
+    rows, only a zero cost row; ``append_rows`` adds every constraint
+    row, with its slack and any artificial. ``state[j]`` is the one fact
+    the pivot rule needs about column j: ``1`` when it sits at its lower
+    bound 0 and may rise, ``-1`` when it sits at its upper bound and may
+    fall, ``0`` when it never enters (basic, or fixed with zero span).
 
     Structural column j counts in steps of ``1 / unit[j]``, where
     ``unit[j]`` is its span's denominator (1 with no upper bound), so
@@ -250,8 +256,8 @@ class _Tableau:
     with z + (sign * costs) . x = 0, so each elimination and bound flip
     moves it exactly as it moves a constraint row. The pivot rule reads
     the last row, ``A[-1]``, which is the cost row except during phase
-    1, when phase 1's row, pricing the artificials, sits on top of it
-    until phase 1 pops it. Only one row prices given costs and is 0 in
+    1, when phase 1's row, the sum of the artificials' rows, sits on top
+    of it until phase 1 pops it. Only one row prices given costs and is 0 in
     every basic column, and lowest terms over the row, its value and its
     denominator together fix its ints, so the row does not depend on the
     path to the basis: it is the row a fresh ``price`` at that basis and
@@ -277,7 +283,7 @@ class _Tableau:
         to rise unless its span is zero."""
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
-        self.n = self.first_art = self.ncols = n
+        self.n = self.ncols = n
         # everything but the objective: a start must match it exactly
         self.region = ((), lo, hi)
         self.lower = tuple(map(Fraction, lo))  # Fractions even for int bounds
@@ -313,74 +319,56 @@ class _Tableau:
 
     def append_rows(self, lp: LinearProgram) -> None:
         """Extend a tableau over a prefix of lp's rows, whose basis holds
-        no artificial column, to all of lp's rows: every row of every
-        solve enters here, a cold solve's into the tableau of the bounds.
+        no artificial, to all of lp's rows: every row of every solve
+        enters here, a cold solve's into the tableau of the bounds.
 
-        The artificial columns are dropped, each new row gets a slack
-        column (an equality gets none), has every basic column eliminated
-        from it and goes in before the cost row. The cost row loses the
-        artificial columns too, and is put back in lowest terms with its
-        value, and costs 0 in the new columns: each new row's basic
-        column is one of them, so the old reduced costs and value stand
-        at the new basis and the row still prices ``objective``. Each new
-        row's int value b - a.x at the current point x comes from
-        ``_reduced``, and the row is oriented by its sign so that b - a.x
-        is nonnegative (negated when b - a.x < 0). If it then reads <=,
-        its slack starts basic; otherwise one artificial column starts
-        basic at |b - a.x|, for phase 1 to drive to zero. So a <= row
-        needs b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack,
-        and an equality row or a >= row tight at x takes an artificial.
-        Existing rows are replaced by shorter and then longer copies,
-        never written in place."""
+        Each new row gets a slack column (an equality gets none), has
+        every basic column eliminated from it and goes in before the cost
+        row. The cost row costs 0 in the new columns: each new row's
+        basic variable is one of them or an artificial, so the old reduced
+        costs and value stand at the new basis and the row still prices
+        ``objective``. Each new row's int value b - a.x at the current
+        point x comes from ``_reduced``, and the row is oriented by its
+        sign so that b - a.x is nonnegative (negated when b - a.x < 0).
+        If it then reads <=, its slack starts basic; otherwise an
+        artificial, the next id past the columns, starts basic at
+        |b - a.x|, for phase 1 to drive to zero. So a <= row needs
+        b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack, and an
+        equality row or a >= row tight at x takes an artificial.
+        Existing rows are replaced by longer copies, never written in
+        place, and ``state`` and ``ub``, which a copy may share, by new
+        lists."""
         rows = lp.constraints[len(self.region[0]):]
         self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
-        fa = self.first_art
-        # each new row is reduced against the basis without the artificial
-        # columns, and its int value is b - a.x at the current point x
-        self.A = [row[:fa] for row in self.A]
-        self.ncols = fa
+        # each new row is reduced against the basis, and its int value is
+        # b - a.x at the current point x
         reduced = [self._reduced(con.coeffs, con.rhs) for con in rows]
-        negative = [val < 0 for _, _, val in reduced]
-        slack_basic = [
-            con.relation == (GREATER_EQ if neg else LESS_EQ)
-            for con, neg in zip(rows, negative)
-        ]
-        ncols = fa + sum(con.relation != EQUAL for con in rows)
-        width = ncols + slack_basic.count(False)
-        pad = [0] * (width - fa)
+        pad = [0] * sum(con.relation != EQUAL for con in rows)
         *self.A, cost = [row + pad for row in self.A]
-        # every new row's basic column costs 0, so the kept reduced costs
-        # and value stand; without the artificials they may share a factor
-        # with the cost row's denominator
         cd, cv = self.d.pop(), self.v.pop()
-        g = gcd(cd, cv, *cost)
-        if g > 1:
-            cost = [x // g for x in cost]
-        self.state = self.state[:fa] + [1] * (ncols - fa) + [0] * (width - ncols)
-        self.ub = self.ub[:fa] + [None] * (width - fa)
-        self.first_art, self.ncols = ncols, width
-        slack, art = fa, ncols
-        for con, (row, den, value), flip, sb in zip(
-            rows, reduced, negative, slack_basic
-        ):
+        self.state = self.state + [1] * len(pad)
+        self.ub = self.ub + [None] * len(pad)
+        slack = self.ncols
+        self.ncols = art = slack + len(pad)
+        for con, (row, den, value) in zip(rows, reduced):
             row += pad
+            flip = value < 0
             if con.relation != EQUAL:
                 row[slack] = den if con.relation == LESS_EQ else -den
                 slack += 1
-            if sb:
+            if con.relation == (GREATER_EQ if flip else LESS_EQ):
                 basic = slack - 1
+                self.state[basic] = 0
             else:
                 basic = art
                 art += 1
-                row[basic] = -den if flip else den
             self.A.append([-e for e in row] if flip else row)
             self.d.append(den)
             self.basis.append(basic)
             self.v.append(-value if flip else value)
-            self.state[basic] = 0
         self.A.append(cost)
-        self.d.append(cd // g)
-        self.v.append(cv // g)
+        self.d.append(cd)
+        self.v.append(cv)
 
     def _reduced(
         self, values: Sequence[Rational], rhs: Rational = 0
@@ -402,15 +390,15 @@ class _Tableau:
             values = scaled + list(values[self.n:])
         row, den = scale_to_ints([*values, rhs])
         val = row.pop()
-        row += [0] * (self.ncols - len(row))
-        ub = self.ub
+        ub, ncols = self.ub, self.ncols
+        row += [0] * (ncols - len(row))
         for j, s in enumerate(self.state[:self.n]):
             if s < 0 and row[j]:
                 val -= row[j] * ub[j]
         # basis is shorter than the row store, so zip stops before the
-        # cost row
+        # cost row; an artificial basic has no column to eliminate
         for b, prow, pden, pval in zip(self.basis, self.A, self.d, self.v):
-            if row[b]:
+            if b < ncols and row[b]:
                 row, den, val = _eliminate(
                     row, den, val, prow, pden, pval, b, _nonzero(prow)
                 )
@@ -424,9 +412,8 @@ class _Tableau:
         current point; a column past the end of cost has cost 0. The
         sign (1 or -1) negates the ints, which is what pricing the
         negated costs gives, since every elimination is linear in the
-        row and a gcd has no sign. solve_lp calls it for phase 1's costs
-        and for an objective the tableau does not price yet, never again
-        for the one it prices."""
+        row and a gcd has no sign. solve_lp calls it for an objective the
+        tableau does not price yet, never again for the one it prices."""
         row, den, val = self._reduced(cost)
         if sign > 0:
             return row, den, val
@@ -445,7 +432,8 @@ class _Tableau:
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
         """Make enter basic in row p; the leaving column takes
-        leave_state, or 0 when it is artificial or fixed.
+        leave_state, or 0 when it is fixed, and a leaving artificial,
+        which has no column, takes nothing.
 
         The step is row p's value, less the leaving column's int span
         when it stops there, in units of row p's entry in column enter:
@@ -459,9 +447,8 @@ class _Tableau:
         if leave_state < 0:
             pval -= self.ub[leave] * dp
         from_upper = self.state[enter] < 0
-        if leave >= self.first_art or self.ub[leave] == 0:
-            leave_state = 0
-        self.state[leave] = leave_state
+        if leave < self.ncols:
+            self.state[leave] = 0 if self.ub[leave] == 0 else leave_state
         self.state[enter] = 0
         self.basis[p] = enter
         if prow[enter] < 0:
@@ -492,6 +479,7 @@ class _Tableau:
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
         state, ub, basis, d, v = self.state, self.ub, self.basis, self.d, self.v
+        ncols = self.ncols
         while True:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
@@ -526,7 +514,8 @@ class _Tableau:
                     td = a if up else -a
                     hits_upper = False
                 else:  # step drives v[i] up toward its cap
-                    cap = ub[basis[i]]
+                    # an artificial basic has no cap
+                    cap = ub[basis[i]] if basis[i] < ncols else None
                     if cap is None:
                         continue
                     tn = cap * d[i] - v[i]
@@ -552,16 +541,15 @@ class _Tableau:
 
     def drive_out_artificials(self) -> None:
         """Degenerate swaps at step 0 that take every artificial out of
-        the basis; a row with no other nonzero column is redundant and
-        is dropped."""
+        the basis, each into the row's first nonzero column; a row with
+        no nonzero column is redundant and is dropped."""
         p = 0
         while p < self.m:
-            if self.basis[p] < self.first_art:
+            if self.basis[p] < self.ncols:
                 p += 1
                 continue
-            # every other basic column is zero in row p
-            row = self.A[p]
-            enter = next((j for j in range(self.first_art) if row[j]), -1)
+            # every basic column is zero in row p
+            enter = next(compress(count(), self.A[p]), -1)
             if enter >= 0:
                 self._replace(p, enter, 0)
                 p += 1
@@ -593,7 +581,9 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     strictly better; infeasible and unbounded are proven statuses.
 
     A cold solve appends all of lp's rows to the tableau of lp's bounds
-    alone, at their lower corner (``_Tableau.append_rows``).
+    alone, at their lower corner (``_Tableau.append_rows``); a row that
+    takes an artificial holds it only as its basic variable, never as a
+    column.
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
     or sense may differ otherwise. The solve copies start's final
@@ -639,15 +629,23 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     # an artificial is basic for each appended row whose slack could not
     # start basic: an equality row, a <= row with b - a.x < 0, or a >=
     # row with b - a.x >= 0
-    if max(tab.basis, default=-1) >= tab.first_art:
-        # phase 1 pushes its row, pricing minus the artificials' sum, on
-        # top of the objective's, and every pivot eliminates both
-        row, den, val = tab.price(
-            [-1 if j >= tab.first_art else 0 for j in range(tab.ncols)]
-        )
-        tab.A.append(row)
-        tab.d.append(den)
-        tab.v.append(val)
+    arts = [i for i, b in enumerate(tab.basis) if b >= tab.ncols]
+    if arts:
+        # phase 1 pushes its row, the artificial rows' sum with its value
+        # in lowest terms, on top of the objective's, and every pivot
+        # eliminates both; pricing minus the artificials' sum gives it
+        den = lcm(*(tab.d[i] for i in arts))
+        row, val = [0] * tab.ncols, 0
+        for i in arts:
+            f = den // tab.d[i]
+            art_row = tab.A[i]
+            for j in _nonzero(art_row):
+                row[j] += f * art_row[j]
+            val += f * tab.v[i]
+        g = gcd(den, val, *row)
+        tab.A.append([x // g for x in row])
+        tab.d.append(den // g)
+        tab.v.append(val // g)
         status = tab.run()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
             raise AssertionError("phase 1 cannot be unbounded")

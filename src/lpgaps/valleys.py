@@ -10,7 +10,8 @@ exponential cut family certifies values no tour can reach.
 Flow variables are per-arc: one weight in [0,1] for every ordered city
 pair. The cutting-plane loop adds one most-violated subtour cut per
 round until the separation oracle is silent or the round budget runs
-out, recording the model size it had to pay for correctness.
+out, recording how many cuts this loop added (Bland's pivots choose
+them, so another loop may need fewer).
 """
 
 from __future__ import annotations
@@ -80,9 +81,10 @@ class TspInstance:
 
 
 # the relaxation is dense with one column per arc, n(n - 1) of them: on
-# a 2-vCPU host (Python 3.11) decide via the LP relaxation took 3 s at
-# n = 40, 8 s at 50 and 19 s at 60, and cutting-plane --rounds 5 took
-# 11-17 s at 40
+# a shared 2-vCPU host (Python 3.11), in fresh processes, decide via the
+# LP relaxation takes 0.9-1.2 s at n = 40 and cutting-plane --rounds 5
+# takes 1.0-1.4 s; with the cap lifted, decide's own run takes 2.4 s at
+# n = 50 and 4.9 s at 60
 MAX_CITIES = 40
 
 

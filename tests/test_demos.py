@@ -1,0 +1,78 @@
+"""Pinned demo reports.
+
+``scripts/run_all_demos.py`` writes every headline report. Each digest
+below is the SHA-256 of one file it writes, recorded before the tableau
+stopped storing artificial columns. A kernel change that moves any
+pivot, cut sequence, witness or report byte fails here. The script runs
+as a user runs it, in a fresh process with ``--outdir out``, from a
+temporary working directory: the check-flow report embeds its input
+paths, so the directory must be the same relative one each time.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+DEMO_SHA256 = {
+    "check_flow_three_circulations.json":
+        "613e54b5116377dee7216f89db54b8bb7b9b2cf5fd188f94be6921bc9a4d10aa",
+    "cutting_plane_k4.csv":
+        "22d1b15e693cdb2aa5fdc4891f45d72943f4d36b4b67e5454cd206d0f9125040",
+    "cutting_plane_k4.json":
+        "e2a1b661fa9f4c6dee0060ebbf7387795d3e86dd1d1d951dae18ca6db68f231d",
+    "cutting_plane_k6.csv":
+        "3f11f14993d01dfefe7dd80a64669f9c7d7a2d146c0f224fe0bdefefa587d668",
+    "cutting_plane_k6.json":
+        "515f93cdf8795688214605879fd3689b2c3d718913c4315186f6c0d6c68837c0",
+    "decide_k10_ilp.json":
+        "ba52549705760e73f38405d290065f1a4236d14567519f274100b77eda58d7ba",
+    "decide_k10_lp.json":
+        "45c0c10dee674725b7dc0d8ed16374e1942ef2a5c9b07586218a3124ba1ee171",
+    "hull_adversary_v4.json":
+        "643af46a4dc6a18cac51eb93765f2eb48348926d0b08c9837d891e2e758854b4",
+    "hull_scan_v64_half.csv":
+        "bffb54adf03e58a337f3f73d09f26dad22ed4f6cee5fe049f40c22a40651cc9e",
+    "hull_scan_v64_half.json":
+        "399b32862e7f70a97fed1628c71c67bb9bc7e64284dbb65e6085427d7c5feab8",
+    "hull_scan_v8_one_short.csv":
+        "03f3a69f143f6a088b404d5f24dfe212ee00cb8db92af044b04191b92b70ebf7",
+    "hull_scan_v8_one_short.json":
+        "c9d4e0c37a8c553b4f60bd7474bd0b3c193861ec76d60a6f5640740d7c47c77f",
+    "model_demo_half.json":
+        "b55a2be21c34f67796d041f8d0f5f3b412dfe3c83cb141d8125aadb87467e16b",
+    "model_demo_integer.json":
+        "4e511e32eebfed11263eec07bdc97978c2001fc6dfc35e93a4f6f624719d07fe",
+    "space_growth.csv":
+        "2841bfc97a740a9861c7a30078572377cc8f2b8876ac83c95aad574be4d53125",
+    "space_growth.json":
+        "d596147644705976f8c08fe7b21ac934c6ba7f914f8829a52cd6851d66e564e0",
+    "space_single_factorial.json":
+        "573a2bdec92ceb9d0c1a2225e5cf714929900fb15a76a0c4d05393d3c577961c",
+    "three_circulations.flow":
+        "f86d9b4955ff064f58fb59ee0e25f03c353371bcdc99816df2f28b562a57d419",
+    "valley_gap_k10.json":
+        "68a8c191463106cd0bd7af2bda806a6ce84f64f37f3427df391a6c10a4441ae7",
+    "valleys_k10.instance":
+        "6f25d3c3bacb5d56c2f289f170341e57926710d17aaa6e2e9a8c18d8ad2dbb7c",
+}
+
+
+def test_demo_reports_are_pinned(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [sys.executable, "-W", "error", str(ROOT / "scripts" / "run_all_demos.py"),
+         "--outdir", "out"],
+        cwd=tmp_path, env=env, check=True, capture_output=True,
+    )
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "out").iterdir()
+    }
+    assert written == DEMO_SHA256

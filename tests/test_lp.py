@@ -482,7 +482,7 @@ def test_property_int_program_pivots_as_its_fraction_twin(case):
 def tableau_snapshot(tab):
     return ([list(row) for row in tab.A], list(tab.d), list(tab.v),
             list(tab.basis), list(tab.state), list(tab.ub), tab.region,
-            tab.first_art, tab.ncols, list(tab.A[-1]), tab.d[-1], tab.objective)
+            tab.ncols, list(tab.A[-1]), tab.d[-1], tab.objective)
 
 
 @settings(max_examples=200, deadline=None)
@@ -559,13 +559,13 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     start = solve_lp(linear_program([1, 1], "min", **bounds))
     assert start.point == (1, -2)
 
-    # the layout phase 1 prices first, before any pivot
+    # the layout the objective is priced at, before any pivot
     priced = []
     original = _Tableau.price
 
     def recording_price(self, cost, *args):
         values = [Fraction(v, d) for v, d in zip(self.v[:len(self.basis)], self.d)]
-        priced.append((list(self.basis), values, self.first_art))
+        priced.append((list(self.basis), values, self.ncols))
         return original(self, cost, *args)
 
     monkeypatch.setattr(_Tableau, "price", recording_price)
@@ -574,9 +574,10 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
         priced.clear()
         solve_lp(lp, start=solve_start)
         layouts.append(priced[0])
-    # slack columns 2..7 belong to the six inequality rows in order and
-    # artificials start at column 8: a <= row keeps its slack basic when
-    # b - a.x >= 0, a >= row only when b - a.x < 0, an = row never
+    # slack columns 2..7 belong to the six inequality rows in order, and
+    # the artificials are numbered from 8, past the 8 columns: a <= row
+    # keeps its slack basic when b - a.x >= 0, a >= row only when
+    # b - a.x < 0, an = row never
     expected = (
         [2, 3, 8, 5, 9, 10, 11, 12, 13],
         [d, 0, d, d, 0, d, d, 0, d],
@@ -739,28 +740,35 @@ def test_cut_loop_rounds_keep_the_row_a_fresh_pricing_gives(monkeypatch, shape):
 
 def test_cut_loop_prices_its_objective_once(monkeypatch):
     # the first round prices the degree LP's objective; every round
-    # whose appended rows leave an artificial basic prices phase 1's
-    # costs, and no round prices anything else
+    # whose appended rows leave an artificial basic runs phase 1 over
+    # its own row, which sums rows and prices nothing, and no round
+    # prices anything else
     inst = gen_valley_instance(4, 2)
     objective = degree_lp(inst).objective
-    priced = {"objective": 0, "phase 1": 0}
+    priced = {"objective": 0, "other": 0, "phase 1": 0}
     phase_one_rounds = 0
-    price, append_rows = _Tableau.price, _Tableau.append_rows
+    price, append_rows, run = _Tableau.price, _Tableau.append_rows, _Tableau.run
 
     def counting_price(self, cost, *args):
-        priced["objective" if tuple(cost) == objective else "phase 1"] += 1
+        priced["objective" if tuple(cost) == objective else "other"] += 1
         return price(self, cost, *args)
 
     def counting_append_rows(self, lp):
         nonlocal phase_one_rounds
         append_rows(self, lp)
-        phase_one_rounds += max(self.basis) >= self.first_art
+        phase_one_rounds += max(self.basis) >= self.ncols
+
+    def counting_run(self):
+        # phase 1's row sits on top of the cost row
+        priced["phase 1"] += len(self.A) - len(self.basis) == 2
+        return run(self)
 
     monkeypatch.setattr(_Tableau, "price", counting_price)
     monkeypatch.setattr(_Tableau, "append_rows", counting_append_rows)
+    monkeypatch.setattr(_Tableau, "run", counting_run)
     trace = cutting_plane_loop(inst)
     assert phase_one_rounds == len(trace.rounds) > 1
-    assert priced == {"objective": 1, "phase 1": phase_one_rounds}
+    assert priced == {"objective": 1, "other": 0, "phase 1": phase_one_rounds}
 
 
 def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
@@ -784,6 +792,97 @@ def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
     assert_prices_its_objective(grown, warm)
     assert (warm.status, warm.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
     assert warm.value == solve_lp(grown).value
+
+
+def assert_no_dead_column(tab):
+    """Every column the tableau stores is basic, may enter, or is fixed:
+    an artificial is only the marker of the row it is basic in, and once
+    it leaves the basis nothing of it is left."""
+    assert len(tab.state) == len(tab.ub) == tab.ncols
+    assert all(len(row) == tab.ncols for row in tab.A)
+    assert all(b < tab.ncols for b in tab.basis)
+    basic = set(tab.basis)
+    dead = [j for j in range(tab.ncols)
+            if j not in basic and tab.state[j] == 0 and tab.ub[j] != 0]
+    assert not dead, dead
+
+
+def test_kept_tableaux_store_no_dead_column(monkeypatch):
+    # the 300 seeded programs of the pivot digest, solved cold, warm
+    # with a new objective and warm with rows appended, many of them
+    # through phase 1
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    checked = [0, 0, 0]
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        other = replace(
+            lp,
+            objective=tuple(Fraction(programs.randint(-6, 6), programs.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=programs.choice(["max", "min"]),
+        )
+        grown = with_constraints(
+            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        )
+        solves = [first, solve_lp(other, start=first), solve_lp(grown, start=first)]
+        for kind, outcome in enumerate(solves):
+            if outcome.tableau is not None:
+                assert_no_dead_column(outcome.tableau)
+                checked[kind] += 1
+    assert min(checked) > 80, checked
+
+    # every round of the cut loop, each of whose cuts enters with an
+    # artificial
+    kept = []
+
+    def recording_solve(lp, start=None):
+        outcome = solve_lp(lp, start=start)
+        kept.append(outcome.tableau)
+        return outcome
+
+    monkeypatch.setattr("lpgaps.valleys.solve_lp", recording_solve)
+    for shape in [(4, 2), (6, 2), (3, 3)]:
+        kept.clear()
+        trace = cutting_plane_loop(gen_valley_instance(*shape))
+        assert trace.complete and len(kept) == len(trace.rounds) > 1
+        for tab in kept:
+            assert_no_dead_column(tab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_programs())
+def test_property_phase_one_row_sums_the_artificial_rows(case):
+    # phase 1's row as it enters, cold and warm with a row appended, is
+    # the sum of the rows whose basic variable is artificial, value
+    # included, in lowest terms over one positive denominator: the one
+    # row that prices minus the artificials' sum
+    lp, extra = case
+    run = _Tableau.run
+
+    def checking_run(self):
+        if len(self.A) - len(self.basis) == 2:
+            arts = [i for i, b in enumerate(self.basis) if b >= self.ncols]
+            assert arts
+            row, den, val = self.A[-1], self.d[-1], self.v[-1]
+            assert len(row) == self.ncols
+            assert [Fraction(x, den) for x in row] == [
+                sum((Fraction(self.A[i][j], self.d[i]) for i in arts), Fraction(0))
+                for j in range(self.ncols)
+            ]
+            assert Fraction(val, den) == sum(
+                (Fraction(self.v[i], self.d[i]) for i in arts), Fraction(0)
+            )
+            assert den > 0 and gcd(den, val, *row) == 1
+        return run(self)
+
+    with patch.object(_Tableau, "run", checking_run):
+        first = solve_lp(lp)
+        if first.tableau is not None:
+            solve_lp(with_constraints(lp, [extra]), start=first)
 
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])
