@@ -345,6 +345,17 @@ def _resolve_flags(args) -> None:
             setattr(args, flag, default)
 
 
+def _check_output(path: str) -> None:
+    """Refuse, before the run, an --output that names a directory or
+    whose parent directory does not exist: the report could not be
+    written there."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValidationError(f"--output {path} is a directory")
+    if not target.parent.is_dir():
+        raise ValidationError(f"--output {path}: no directory {target.parent}")
+
+
 def _config_from_args(args) -> RunConfig:
     skip = {"subcommand", "format", "output"}
     params = {
@@ -369,6 +380,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _resolve_flags(args)
+        if args.output:
+            _check_output(args.output)
         result, table = _HANDLERS[args.subcommand](args)
         # after the run: a hull scan records the draws it made
         config = _config_from_args(args)
@@ -389,7 +402,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         else reports.render_csv(doc, table)
     )
     if args.output:
-        Path(args.output).write_text(rendered)
+        # a write can still fail after the check, say on a full disk
+        try:
+            Path(args.output).write_text(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(rendered)
     return EXIT_OK

@@ -44,7 +44,10 @@ solve appends every row to the tableau of the bounds alone, whose point
 is the lower corner; phase 1 runs whenever an artificial is basic.
 
 An outcome over a feasible region keeps its final tableau, and
-``solve_lp(lp, start=outcome)`` starts from a copy of it. Over the same
+``solve_lp(lp, start=outcome)`` starts from a copy of it. A tableau
+owns every row it holds, so the copy copies each row once, the start
+is never changed, and every pivot of the copy updates its own rows in
+place instead of copying a row per elimination. Over the same
 rows and bounds, phase 1 is skipped and phase 2 starts from a basis
 already optimal or close (the hull scan maximizes many objectives over
 one truncated model this way). When lp has more rows, appended after
@@ -190,11 +193,12 @@ def _eliminate(
     normalised pivot row prow/pden with value pval/pden (prow[col] ==
     pden, so its true entry there is 1); returns the new row,
     denominator and value in lowest terms. nz lists the columns where
-    prow is nonzero, the only ones the update touches. The result is a
-    new list: row itself is never changed, since tableau copies share
-    their rows."""
+    prow is nonzero, the only ones the update touches. The caller owns
+    row and gives it up for the result: row is updated in place when
+    pden == 1, and the result is a new list when pden > 1 or a gcd
+    divides it."""
     f = row[col]
-    out = list(row) if pden == 1 else [x * pden for x in row]
+    out = row if pden == 1 else [x * pden for x in row]
     for j in nz:
         out[j] -= f * prow[j]
     val = val * pden - f * pval
@@ -272,9 +276,12 @@ class _Tableau:
 
     Rows are stored densely, one int per column. A basis change lists
     the pivot row's nonzero columns once, and every elimination of that
-    pivot updates only those columns of a copy of its row. Rows are
-    never written in place, only replaced by new lists, so a copy shares
-    them and owns only the lists that index them.
+    pivot updates only those columns of its row, in place when the pivot
+    entry is 1. A tableau owns every list it holds: each row of ``A``,
+    and ``d``, ``v``, ``basis``, ``state`` and ``ub``, so rows are
+    written in place and ``copy`` copies each of them once. What it
+    shares with a copy, ``unit``, ``lifted``, ``lower`` and ``region``,
+    is a tuple, never written.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -290,11 +297,11 @@ class _Tableau:
         spans = [
             None if h is None else (h - l).as_integer_ratio() for l, h in zip(lo, hi)
         ]
-        self.unit = [1 if s is None else s[1] for s in spans]
+        self.unit = tuple(1 if s is None else s[1] for s in spans)
         # only a span that is not an int makes _reduced divide by units
         self.whole_spans = all(u == 1 for u in self.unit)
         # the nonzero lower bounds, which _reduced folds into a rhs
-        self.lifted = [(j, l) for j, l in enumerate(lo) if l]
+        self.lifted = tuple((j, l) for j, l in enumerate(lo) if l)
         self.A: list[list[int]] = [[0] * n]
         self.d: list[int] = [1]
         self.v: list[int] = [0]
@@ -312,9 +319,13 @@ class _Tableau:
         return len(self.basis)
 
     def copy(self) -> _Tableau:
+        """A tableau that owns a copy of each of this one's lists, every
+        row included, so pivoting it never changes this one: a warm
+        start's one copy of its start."""
         out = copy(self)
-        out.A, out.d, out.v = list(self.A), list(self.d), list(self.v)
-        out.basis, out.state = list(self.basis), list(self.state)
+        out.A = [list(row) for row in self.A]
+        out.d, out.v = list(self.d), list(self.v)
+        out.basis, out.state, out.ub = list(self.basis), list(self.state), list(self.ub)
         return out
 
     def append_rows(self, lp: LinearProgram) -> None:
@@ -335,19 +346,19 @@ class _Tableau:
         |b - a.x|, for phase 1 to drive to zero. So a <= row needs
         b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack, and an
         equality row or a >= row tight at x takes an artificial.
-        Existing rows are replaced by longer copies, never written in
-        place, and ``state`` and ``ub``, which a copy may share, by new
-        lists."""
+        Existing rows, ``state`` and ``ub`` are extended in place, since
+        the tableau owns them."""
         rows = lp.constraints[len(self.region[0]):]
         self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
         # each new row is reduced against the basis, and its int value is
         # b - a.x at the current point x
         reduced = [self._reduced(con.coeffs, con.rhs) for con in rows]
         pad = [0] * sum(con.relation != EQUAL for con in rows)
-        *self.A, cost = [row + pad for row in self.A]
-        cd, cv = self.d.pop(), self.v.pop()
-        self.state = self.state + [1] * len(pad)
-        self.ub = self.ub + [None] * len(pad)
+        for row in self.A:
+            row += pad
+        cost, cd, cv = self.A.pop(), self.d.pop(), self.v.pop()
+        self.state += [1] * len(pad)
+        self.ub += [None] * len(pad)
         slack = self.ncols
         self.ncols = art = slack + len(pad)
         for con, (row, den, value) in zip(rows, reduced):
@@ -444,6 +455,7 @@ class _Tableau:
         leave = self.basis[p]
         A, d, v = self.A, self.d, self.v
         prow, dp, pval = A[p], d[p], v[p]
+        nz = _nonzero(prow)
         if leave_state < 0:
             pval -= self.ub[leave] * dp
         from_upper = self.state[enter] < 0
@@ -451,16 +463,19 @@ class _Tableau:
             self.state[leave] = 0 if self.ub[leave] == 0 else leave_state
         self.state[enter] = 0
         self.basis[p] = enter
+        # row p is normalised in place, over its nonzero columns: its
+        # sign and a common factor change none of them to zero
         if prow[enter] < 0:
-            prow = [-x for x in prow]
+            for j in nz:
+                prow[j] = -prow[j]
             pval = -pval
         # the gcd divides prow[enter], so a unit pivot entry needs none
         g = gcd(pval, *prow) if prow[enter] > 1 else 1
         if g > 1:
-            prow = [x // g for x in prow]
+            for j in nz:
+                prow[j] //= g
             pval //= g
         dp = prow[enter]
-        nz = _nonzero(prow)
         for i, row in enumerate(A):
             if i != p and row[enter]:
                 A[i], d[i], v[i] = _eliminate(
@@ -468,7 +483,7 @@ class _Tableau:
                 )
         if from_upper:
             pval += self.ub[enter] * dp
-        A[p], d[p], v[p] = prow, dp, pval
+        d[p], v[p] = dp, pval
 
     def run(self) -> str:
         """Maximize the objective the last row prices. Bland's rule:

@@ -313,6 +313,32 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("output", ["missing/x.json", "."])
+def test_unwritable_output_is_refused_before_the_run(
+    tmp_path, monkeypatch, capsys, output
+):
+    # a missing parent directory, or a directory itself
+    def no_run(args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setitem(cli._HANDLERS, "hull-scan", no_run)
+    code = cli.main([
+        "hull-scan", "--vertices", "8", "--budget", "4",
+        "--output", str(tmp_path / output),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: --output ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_output_write_exits_2(capsys):
+    # the check passes, and the write fails with ENOSPC
+    code = cli.main(["hull-scan", "--vertices", "8", "--budget", "4",
+                     "--output", "/dev/full"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_scan_rejects_sample_count_below_one(tmp_path, samples):
     code = cli.main([

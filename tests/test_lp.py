@@ -289,10 +289,11 @@ def test_property_eliminate_matches_fraction_reference(data):
 
     out, out_den, out_val = _eliminate(row, den, val, prow, pden, pval, col, nz)
 
-    assert row == before  # tableau copies share rows: never written
-    f = Fraction(row[col], den)
+    # the caller gives row up (a tableau owns its rows and may update
+    # one in place), so the reference reads the snapshot
+    f = Fraction(before[col], den)
     assert [Fraction(x, out_den) for x in out] == [
-        Fraction(x, den) - f * Fraction(y, pden) for x, y in zip(row, prow)
+        Fraction(x, den) - f * Fraction(y, pden) for x, y in zip(before, prow)
     ]
     assert Fraction(out_val, out_den) == Fraction(val, den) - f * Fraction(pval, pden)
     assert out[col] == 0
@@ -887,8 +888,8 @@ def test_property_phase_one_row_sums_the_artificial_rows(case):
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])
 def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
-    # a warm solve copies the start's index lists but shares its rows,
-    # so any in-place row write would show up in the start's tableau
+    # a warm solve copies the start's rows and writes its copies in
+    # place, so a row the copy shared would show the write in the start
     lp = degree_lp(gen_valley_instance(valleys, cities))
     start = solve_lp(lp)
     tab = start.tableau
@@ -905,6 +906,68 @@ def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
     warm = solve_lp(other, start=start)
     assert snapshot() == before
     assert warm.value == solve_lp(other).value
+
+
+def shared_lists(tab, other):
+    """The names of tab's mutable lists that other holds too."""
+    theirs = {id(x) for x in (*other.A, other.d, other.v, other.basis,
+                              other.state, other.ub)}
+    mine = [(f"A[{i}]", row) for i, row in enumerate(tab.A)] + [
+        ("d", tab.d), ("v", tab.v), ("basis", tab.basis),
+        ("state", tab.state), ("ub", tab.ub)]
+    return [name for name, x in mine if id(x) in theirs]
+
+
+def test_warm_start_shares_no_list_with_its_start(monkeypatch):
+    # a tableau writes its rows in place, so a warm start owns every list
+    # it holds: checked as the start is copied, after rows are appended
+    # and on the outcome, for the 300 seeded programs of the pivot
+    # digest warm with a new objective and warm with rows appended
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    copy, append_rows = _Tableau.copy, _Tableau.append_rows
+    starts = []
+    checked = {"copy": 0, "append": 0, "same rows": 0, "appended rows": 0}
+
+    def checking_copy(self):
+        out = copy(self)
+        assert shared_lists(out, self) == []
+        checked["copy"] += 1
+        return out
+
+    def checking_append_rows(self, lp):
+        append_rows(self, lp)
+        if starts:
+            assert shared_lists(self, starts[-1]) == []
+            checked["append"] += 1
+
+    monkeypatch.setattr(_Tableau, "copy", checking_copy)
+    monkeypatch.setattr(_Tableau, "append_rows", checking_append_rows)
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        starts.clear()
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        starts.append(first.tableau)
+        other = replace(
+            lp,
+            objective=tuple(Fraction(programs.randint(-6, 6), programs.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=programs.choice(["max", "min"]),
+        )
+        grown = with_constraints(
+            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        )
+        before = tableau_snapshot(first.tableau)
+        for kind, program in [("same rows", other), ("appended rows", grown)]:
+            warm = solve_lp(program, start=first)
+            if warm.tableau is not None:
+                assert shared_lists(warm.tableau, first.tableau) == []
+                checked[kind] += 1
+        assert tableau_snapshot(first.tableau) == before
+    assert checked["copy"] == 2 * checked["append"] > 160, checked
+    assert min(checked.values()) > 80, checked
 
 
 def test_digest_programs_take_every_integer_span_move(monkeypatch):
