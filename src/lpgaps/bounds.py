@@ -117,10 +117,10 @@ def _integer_digits(x: Fraction) -> int:
     0 when x <= 0, where 2**x <= 1."""
     if x <= 0:
         return 0
-    k = ceil(x)
-    # 30103/100000 exceeds log10(2) by under 5e-9: the count or one more
-    digits = k * 30103 // 100000 + 1
-    return digits - 1 if 10 ** (digits - 1) > 1 << k else digits
+    # a grid refuses a point off the exact path past MAX_MODEL_X, which
+    # keeps the int at no more than 302 digits, under Python's
+    # 4,300-digit limit on int-to-str conversion
+    return len(str(1 << ceil(x)))
 
 
 def model_value(x: Rational) -> Union[Fraction, mpmath.mpf]:

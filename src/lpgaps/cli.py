@@ -162,7 +162,7 @@ def _cut_subsets(args, inst: valleys.TspInstance) -> list[tuple[int, ...]]:
         subsets.append(inst.valley_cities(v))
     for listing in args.cut_cities:
         try:
-            cities = tuple(sorted(int(t) for t in listing.split(",") if t.strip()))
+            cities = tuple(int(t) for t in listing.split(","))
         except ValueError:
             raise ValidationError(f"bad city list {listing!r}") from None
         subsets.append(cities)

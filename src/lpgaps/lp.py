@@ -12,12 +12,12 @@ column carries one signed state, the direction it may move if it enters
 artificial variable is no column at all, only the marker of the row it
 is basic in: an artificial that leaves the basis never comes back
 (Dantzig 1963), so no pivot ever reads its column. All pivots are
-exact: each tableau row is a list of Python ints over one positive int
-denominator (fraction-free rows, the first step toward the exact kernel
-of QSopt_ex), and the row's basic value is one more int numerator over
-the same denominator, a right-hand side that rides every elimination
-as in the integer-preserving tableaux of Edmonds and of Azulay and
-Pique. Each structural column counts in units of its span's
+exact: each tableau row is the textbook [A | b] row, a list of Python
+ints over one positive int denominator (fraction-free rows, the first
+step toward the exact kernel of QSopt_ex), one entry per column and
+then, last, the row's basic value, a right-hand side that rides every
+elimination as in the integer-preserving tableaux of Edmonds and of
+Azulay and Pique. Each structural column counts in units of its span's
 denominator, so spans are ints too. Rows with their right-hand sides,
 and costs, enter once (``rationals.scale_to_ints``) and the point
 leaves once, as Fractions: the pivot loop makes none, and a row changes
@@ -79,7 +79,7 @@ from copy import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, count
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -186,35 +186,33 @@ class LpOutcome:
 
 
 def _eliminate(
-    row: list[int], den: int, val: int, prow: list[int], pden: int, pval: int,
-    col: int, nz: Sequence[int],
-) -> tuple[list[int], int, int]:
-    """Clear column col of row/den, whose value is val/den, against the
-    normalised pivot row prow/pden with value pval/pden (prow[col] ==
-    pden, so its true entry there is 1); returns the new row,
-    denominator and value in lowest terms. nz lists the columns where
-    prow is nonzero, the only ones the update touches. The caller owns
-    row and gives it up for the result: row is updated in place when
-    pden == 1, and the result is a new list when pden > 1 or a gcd
-    divides it."""
+    row: list[int], den: int, prow: list[int], pden: int, col: int,
+    nz: Sequence[int],
+) -> int:
+    """Clear column col of row/den against the normalised pivot row
+    prow/pden (prow[col] == pden, so its true entry there is 1), values
+    included, since each row ends in its value; returns the new
+    denominator, with row and denominator in lowest terms together. nz
+    lists the entries where prow is nonzero, the only ones the update
+    touches. row is written in place, scale and gcd divide included, so
+    the list the caller holds is the updated row."""
     f = row[col]
-    out = row if pden == 1 else [x * pden for x in row]
+    if pden > 1:
+        row[:] = [x * pden for x in row]
     for j in nz:
-        out[j] -= f * prow[j]
-    val = val * pden - f * pval
+        row[j] -= f * prow[j]
     den *= pden
     if den > 1:
-        g = gcd(den, val, *out)
+        g = gcd(den, *row)
         if g > 1:
             den //= g
-            val //= g
-            out = [x // g for x in out]
-    return out, den, val
+            row[:] = [x // g for x in row]
+    return den
 
 
 def _nonzero(row: list[int]) -> list[int]:
-    """The columns where row is nonzero, the only ones its eliminations
-    touch."""
+    """The entries where row is nonzero, its value included, the only
+    ones its eliminations touch."""
     return list(compress(range(len(row)), row))
 
 
@@ -238,13 +236,14 @@ class _Tableau:
     its span ``ub[j]`` is an int and its entries and cost enter divided
     by ``unit[j]``; every other column has unit 1 and no span.
 
-    Row i of the tableau is ``A[i][j] / d[i]``: integer numerators over
-    one positive integer denominator, and the value of its basic
-    variable j is the int ``v[i]`` over the same ``d[i]``, in j's units
-    (``v[i] / (d[i] * unit[j])`` above its lower bound when j is
-    structural). An elimination leaves row and value in lowest terms
-    together. Bland's rule reads only the signs of entries and exact
-    comparisons of step ratios. A positive row scale changes neither,
+    Row i of the tableau is the textbook ``[A | b]`` row: ``ncols + 1``
+    integer numerators over one positive integer denominator ``d[i]``,
+    its entry in column j at ``A[i][j]`` and, last, at ``A[i][-1]``, the
+    value of its basic variable j in j's units (``A[i][-1] / (d[i] *
+    unit[j])`` above its lower bound when j is structural). An
+    elimination updates the value as one more entry and leaves the row
+    in lowest terms. Bland's rule reads only the signs of entries and
+    exact comparisons of step ratios. A positive row scale changes neither,
     and a positive column scale multiplies each of that column's ratios,
     its own span included, by one constant, so the pivots are the ones a
     Fraction-per-entry tableau would make, in the same order. A basic
@@ -255,17 +254,17 @@ class _Tableau:
     it prices ``objective``, the (costs, sense) pair that ``solve_lp``
     last priced, at the current basis, and is zero in every basic
     column, since each basis change eliminates the entering column from
-    every row. Its value ``v[m]`` over ``d[m]`` is -(sign * costs) . x
-    at the current point: the row is the one of a free basic column z
+    every row. Its value ``A[m][-1]`` over ``d[m]`` is -(sign * costs) .
+    x at the current point: the row is the one of a free basic column z
     with z + (sign * costs) . x = 0, so each elimination and bound flip
     moves it exactly as it moves a constraint row. The pivot rule reads
     the last row, ``A[-1]``, which is the cost row except during phase
     1, when phase 1's row, the sum of the artificials' rows, sits on top
-    of it until phase 1 pops it. Only one row prices given costs and is 0 in
-    every basic column, and lowest terms over the row, its value and its
-    denominator together fix its ints, so the row does not depend on the
-    path to the basis: it is the row a fresh ``price`` at that basis and
-    point gives.
+    of it until phase 1 pops it. Only one row prices given costs and is
+    0 in every basic column, and lowest terms over the row, value
+    included, and its denominator fix its ints, so the row does not
+    depend on the path to the basis: it is the row a fresh ``price`` at
+    that basis and point gives.
 
     Nonbasic columns sit at a bound, so a basis change moves the values
     through the elimination itself: the pivot row's value, less the
@@ -274,14 +273,14 @@ class _Tableau:
     own value. A row changes only through an elimination or a bound
     flip's value shift, and no row is scaled outside an elimination.
 
-    Rows are stored densely, one int per column. A basis change lists
-    the pivot row's nonzero columns once, and every elimination of that
-    pivot updates only those columns of its row, in place when the pivot
-    entry is 1. A tableau owns every list it holds: each row of ``A``,
-    and ``d``, ``v``, ``basis``, ``state`` and ``ub``, so rows are
-    written in place and ``copy`` copies each of them once. What it
-    shares with a copy, ``unit``, ``lifted``, ``lower`` and ``region``,
-    is a tuple, never written.
+    Rows are stored densely, one int per column and then the value. A
+    basis change lists the pivot row's nonzero entries once, and every
+    elimination of that pivot updates only those entries of its row.
+    Every write is in place, so no basis change or bound flip replaces a
+    row of the store. A tableau owns every list it holds: each row of
+    ``A``, and ``d``, ``basis``, ``state`` and ``ub``, so ``copy``
+    copies each of them once. What it shares with a copy, ``unit``,
+    ``lifted``, ``lower`` and ``region``, is a tuple, never written.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -302,9 +301,8 @@ class _Tableau:
         self.whole_spans = all(u == 1 for u in self.unit)
         # the nonzero lower bounds, which _reduced folds into a rhs
         self.lifted = tuple((j, l) for j, l in enumerate(lo) if l)
-        self.A: list[list[int]] = [[0] * n]
+        self.A: list[list[int]] = [[0] * (n + 1)]
         self.d: list[int] = [1]
-        self.v: list[int] = [0]
         self.basis: list[int] = []
         # the (objective, sense) that the cost row prices, once one has
         # been priced
@@ -323,8 +321,7 @@ class _Tableau:
         row included, so pivoting it never changes this one: a warm
         start's one copy of its start."""
         out = copy(self)
-        out.A = [list(row) for row in self.A]
-        out.d, out.v = list(self.d), list(self.v)
+        out.A, out.d = [list(row) for row in self.A], list(self.d)
         out.basis, out.state, out.ub = list(self.basis), list(self.state), list(self.ub)
         return out
 
@@ -335,7 +332,8 @@ class _Tableau:
 
         Each new row gets a slack column (an equality gets none), has
         every basic column eliminated from it and goes in before the cost
-        row. The cost row costs 0 in the new columns: each new row's
+        row; slack columns go in before every row's value, which stays
+        last. The cost row costs 0 in the new columns: each new row's
         basic variable is one of them or an artificial, so the old reduced
         costs and value stand at the new basis and the row still prices
         ``objective``. Each new row's int value b - a.x at the current
@@ -354,16 +352,17 @@ class _Tableau:
         # b - a.x at the current point x
         reduced = [self._reduced(con.coeffs, con.rhs) for con in rows]
         pad = [0] * sum(con.relation != EQUAL for con in rows)
+        # the slack columns go in before each row's value
+        slack = ncols = self.ncols
         for row in self.A:
-            row += pad
-        cost, cd, cv = self.A.pop(), self.d.pop(), self.v.pop()
+            row[ncols:ncols] = pad
+        cost, cd = self.A.pop(), self.d.pop()
         self.state += [1] * len(pad)
         self.ub += [None] * len(pad)
-        slack = self.ncols
-        self.ncols = art = slack + len(pad)
-        for con, (row, den, value) in zip(rows, reduced):
-            row += pad
-            flip = value < 0
+        self.ncols = art = ncols + len(pad)
+        for con, (row, den) in zip(rows, reduced):
+            row[ncols:ncols] = pad
+            flip = row[-1] < 0
             if con.relation != EQUAL:
                 row[slack] = den if con.relation == LESS_EQ else -den
                 slack += 1
@@ -376,70 +375,64 @@ class _Tableau:
             self.A.append([-e for e in row] if flip else row)
             self.d.append(den)
             self.basis.append(basic)
-            self.v.append(-value if flip else value)
         self.A.append(cost)
         self.d.append(cd)
-        self.v.append(cv)
 
     def _reduced(
         self, values: Sequence[Rational], rhs: Rational = 0
-    ) -> tuple[list[int], int, int]:
+    ) -> tuple[list[int], int]:
         """values, each structural entry divided by its column's unit
-        and padded with zeros to every column, as an int row over one
-        denominator with every basic column eliminated from it, and its
-        value rhs - values.x at the current point x as an int over the
-        same denominator, all in lowest terms together.
+        and padded with zeros to every column, then its value rhs -
+        values.x at the current point x, as one int row over one
+        denominator with every basic column eliminated from it, in lowest
+        terms; returns the row and its denominator.
 
         Nonzero lower bounds are folded into rhs before scaling, a column
         at its upper bound takes off its int entry times its int span,
         and each elimination takes off a basic column's part with its
-        row's value v[i], as it does for any row in a basis change."""
+        row's value, as it does for any row in a basis change."""
         if self.lifted:
             rhs -= sum(values[j] * l for j, l in self.lifted)
         if not self.whole_spans:
             scaled = [Fraction(c, u) for c, u in zip(values, self.unit)]
             values = scaled + list(values[self.n:])
         row, den = scale_to_ints([*values, rhs])
-        val = row.pop()
         ub, ncols = self.ub, self.ncols
-        row += [0] * (ncols - len(row))
+        row[-1:-1] = [0] * (ncols + 1 - len(row))
         for j, s in enumerate(self.state[:self.n]):
             if s < 0 and row[j]:
-                val -= row[j] * ub[j]
+                row[-1] -= row[j] * ub[j]
         # basis is shorter than the row store, so zip stops before the
         # cost row; an artificial basic has no column to eliminate
-        for b, prow, pden, pval in zip(self.basis, self.A, self.d, self.v):
+        for b, prow, pden in zip(self.basis, self.A, self.d):
             if b < ncols and row[b]:
-                row, den, val = _eliminate(
-                    row, den, val, prow, pden, pval, b, _nonzero(prow)
-                )
-        return row, den, val
+                den = _eliminate(row, den, prow, pden, b, _nonzero(prow))
+        return row, den
 
     def price(
         self, cost: Sequence[Rational], sign: int = 1
-    ) -> tuple[list[int], int, int]:
+    ) -> tuple[list[int], int]:
         """The cost row for maximizing sign * cost . x at the current
-        basis, its denominator, and its value, -(sign * cost) . x at the
-        current point; a column past the end of cost has cost 0. The
+        basis, ending in its value, -(sign * cost) . x at the current
+        point, and its denominator; a column past the end of cost has
+        cost 0. The
         sign (1 or -1) negates the ints, which is what pricing the
         negated costs gives, since every elimination is linear in the
         row and a gcd has no sign. solve_lp calls it for an objective the
         tableau does not price yet, never again for the one it prices."""
-        row, den, val = self._reduced(cost)
-        if sign > 0:
-            return row, den, val
-        return [-x for x in row], den, -val
+        row, den = self._reduced(cost)
+        return (row if sign > 0 else [-x for x in row]), den
 
     def _flip(self, enter: int, direction: int) -> None:
         """enter crosses its whole span, the int ub[enter] in its own
-        units, the basis unchanged: each row's value numerator, the cost
-        rows' included, falls by direction * ub[enter] times its entry in
-        column enter, and no row or denominator changes."""
+        units, the basis unchanged: each row's value numerator, its last
+        entry, falls by direction * ub[enter] times its entry in column
+        enter, the cost rows' included, and no column entry or
+        denominator changes."""
         u = direction * self.ub[enter]
-        v = self.v
-        for i, row in enumerate(self.A):
+        for row in self.A:
             if row[enter]:
-                v[i] -= u * row[enter]
+                row[-1] -= u * row[enter]
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
         """Make enter basic in row p; the leaving column takes
@@ -453,37 +446,34 @@ class _Tableau:
         span when enter leaves its upper bound, as enter's value; each
         span is added as a multiple of the pivot row's denominator."""
         leave = self.basis[p]
-        A, d, v = self.A, self.d, self.v
-        prow, dp, pval = A[p], d[p], v[p]
-        nz = _nonzero(prow)
+        A, d = self.A, self.d
+        prow = A[p]
+        # the value shift comes first, since it may make the value
+        # nonzero or zero
         if leave_state < 0:
-            pval -= self.ub[leave] * dp
+            prow[-1] -= self.ub[leave] * d[p]
+        nz = _nonzero(prow)
         from_upper = self.state[enter] < 0
         if leave < self.ncols:
             self.state[leave] = 0 if self.ub[leave] == 0 else leave_state
         self.state[enter] = 0
         self.basis[p] = enter
-        # row p is normalised in place, over its nonzero columns: its
+        # row p is normalised in place, over its nonzero entries: its
         # sign and a common factor change none of them to zero
         if prow[enter] < 0:
             for j in nz:
                 prow[j] = -prow[j]
-            pval = -pval
         # the gcd divides prow[enter], so a unit pivot entry needs none
-        g = gcd(pval, *prow) if prow[enter] > 1 else 1
+        g = gcd(*prow) if prow[enter] > 1 else 1
         if g > 1:
             for j in nz:
                 prow[j] //= g
-            pval //= g
-        dp = prow[enter]
+        d[p] = dp = prow[enter]
         for i, row in enumerate(A):
             if i != p and row[enter]:
-                A[i], d[i], v[i] = _eliminate(
-                    row, d[i], v[i], prow, dp, pval, enter, nz
-                )
+                d[i] = _eliminate(row, d[i], prow, dp, enter, nz)
         if from_upper:
-            pval += self.ub[enter] * dp
-        d[p], v[p] = dp, pval
+            prow[-1] += self.ub[enter] * dp
 
     def run(self) -> str:
         """Maximize the objective the last row prices. Bland's rule:
@@ -493,7 +483,7 @@ class _Tableau:
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
-        state, ub, basis, d, v = self.state, self.ub, self.basis, self.d, self.v
+        state, ub, basis, d = self.state, self.ub, self.basis, self.d
         ncols = self.ncols
         while True:
             pivots_left -= 1
@@ -512,9 +502,9 @@ class _Tableau:
             # ratio test over the constraint rows' unreduced int
             # numerator/denominator pairs; the entering variable's own int
             # span competes as candidate row -1. Entry (i, enter) is a /
-            # d[i] and row i's value v[i] / d[i], so d[i] cancels: the step
-            # that zeroes the value is v[i] / |a|, and the one that lifts it
-            # to its int cap is (cap * d[i] - v[i]) / |a|.
+            # d[i] and row i's value row[-1] / d[i], so d[i] cancels: the
+            # step that zeroes the value is row[-1] / |a|, and the one that
+            # lifts it to its int cap is (cap * d[i] - row[-1]) / |a|.
             best_num, best_den = ub[enter], 1
             best_var = enter
             best_row = -1
@@ -524,16 +514,16 @@ class _Tableau:
                 a = row[enter]
                 if a == 0:
                     continue
-                if (a > 0) == up:  # step drives v[i] down
-                    tn = v[i]
+                if (a > 0) == up:  # step drives the value down
+                    tn = row[-1]
                     td = a if up else -a
                     hits_upper = False
-                else:  # step drives v[i] up toward its cap
+                else:  # step drives the value up toward its cap
                     # an artificial basic has no cap
                     cap = ub[basis[i]] if basis[i] < ncols else None
                     if cap is None:
                         continue
-                    tn = cap * d[i] - v[i]
+                    tn = cap * d[i] - row[-1]
                     td = -a if up else a
                     hits_upper = True
                 if best_num is not None:
@@ -564,12 +554,12 @@ class _Tableau:
                 p += 1
                 continue
             # every basic column is zero in row p
-            enter = next(compress(count(), self.A[p]), -1)
+            enter = next(compress(range(self.ncols), self.A[p]), -1)
             if enter >= 0:
                 self._replace(p, enter, 0)
                 p += 1
             else:
-                del self.A[p], self.d[p], self.v[p], self.basis[p]
+                del self.A[p], self.d[p], self.basis[p]
 
     def point(self) -> list[Fraction]:
         """The structural point: each column at its lower bound, plus its
@@ -583,9 +573,9 @@ class _Tableau:
             if s < 0:
                 span = Fraction(ub[j], unit[j])
                 x[j] = x[j] + span if x[j] else span
-        for b, val, den in zip(self.basis, self.v, self.d):
-            if b < n and val:
-                step = Fraction(val, den * unit[b])
+        for b, row, den in zip(self.basis, self.A, self.d):
+            if b < n and row[-1]:
+                step = Fraction(row[-1], den * unit[b])
                 x[b] = x[b] + step if x[b] else step
         return x
 
@@ -639,7 +629,7 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     # before any pivot, where every basic column costs 0
     sign = 1 if lp.sense == MAXIMIZE else -1
     if tab.objective != (lp.objective, lp.sense):
-        tab.A[-1], tab.d[-1], tab.v[-1] = tab.price(lp.objective, sign)
+        tab.A[-1], tab.d[-1] = tab.price(lp.objective, sign)
         tab.objective = (lp.objective, lp.sense)
     # an artificial is basic for each appended row whose slack could not
     # start basic: an equality row, a <= row with b - a.x < 0, or a >=
@@ -650,26 +640,24 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         # in lowest terms, on top of the objective's, and every pivot
         # eliminates both; pricing minus the artificials' sum gives it
         den = lcm(*(tab.d[i] for i in arts))
-        row, val = [0] * tab.ncols, 0
+        row = [0] * (tab.ncols + 1)
         for i in arts:
             f = den // tab.d[i]
             art_row = tab.A[i]
             for j in _nonzero(art_row):
                 row[j] += f * art_row[j]
-            val += f * tab.v[i]
-        g = gcd(den, val, *row)
+        g = gcd(den, *row)
         tab.A.append([x // g for x in row])
         tab.d.append(den // g)
-        tab.v.append(val // g)
         status = tab.run()
         if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
             raise AssertionError("phase 1 cannot be unbounded")
         # the row's value is the artificials' sum, and artificials never
         # go negative: any sum left is infeasibility
-        if tab.v[-1]:
+        if tab.A[-1][-1]:
             return LpOutcome(SolveStatus.INFEASIBLE)
         # the driving out reads no cost row, so phase 1's row goes first
-        del tab.A[-1], tab.d[-1], tab.v[-1]
+        del tab.A[-1], tab.d[-1]
         tab.drive_out_artificials()
 
     status = tab.run()
@@ -677,5 +665,5 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
     # the cost row's value is -(sign * c) . x at the final point
-    value = Fraction(-sign * tab.v[-1], tab.d[-1])
+    value = Fraction(-sign * tab.A[-1][-1], tab.d[-1])
     return LpOutcome(SolveStatus.OPTIMAL, tuple(tab.point()), value, tab)

@@ -168,9 +168,11 @@ def subtour_cut(inst: TspInstance, subset: Iterable[int]) -> Constraint:
 
 
 def _checked_subset(inst: TspInstance, subset: Iterable[int]) -> tuple[int, ...]:
-    S = tuple(sorted(set(subset)))
+    S = tuple(sorted(subset))
     if any(not 0 <= c < inst.n for c in S):
         raise ValidationError(f"subset references cities outside 0..{inst.n - 1}")
+    if len(set(S)) < len(S):
+        raise ValidationError(f"subset {list(S)} names a city more than once")
     if not 2 <= len(S) <= inst.n - 1:
         raise ValidationError("subtour subsets must have 2..n-1 cities")
     return S

@@ -441,6 +441,33 @@ def test_bad_cut_subset_exits_2_on_either_side_of_the_oracle_budget(
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("listing, message", [
+    ("0,0,1", "subset [0, 0, 1] names a city more than once"),
+    ("0,,1", "bad city list '0,,1'"),
+    ("0,1,", "bad city list '0,1,'"),
+])
+def test_cut_city_list_with_a_repeat_or_an_empty_item_exits_2(
+    tmp_path, capsys, listing, message
+):
+    # each was accepted: 0,0,1 ran the cut of {0, 1} and reported
+    # [0, 0, 1], and an empty item was skipped
+    inst = gen_valley_instance(3, 2)
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(instance_to_text(inst))
+    flow_path.write_text(flow_arcs_to_text(valley_internal_cycles_flow(inst)))
+    for argv in (
+        ["valley-gap", "--valleys", "3", "--cities-per-valley", "2",
+         "--relaxation", "degree+cuts"],
+        ["check-flow", "--instance", str(instance_path), "--flow", str(flow_path)],
+    ):
+        out = tmp_path / "x.json"
+        code = cli.main([*argv, "--cut-cities", listing, "--output", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_scan_over_the_work_limit_exits_3(tmp_path, capsys):
     code = cli.main([
         "hull-scan", "--vertices", "256", "--budget", "254",

@@ -275,30 +275,31 @@ def test_property_eliminate_matches_fraction_reference(data):
     # denominators of 1 on both sides take the path without a gcd
     den = data.draw(st.one_of(st.just(1), st.integers(1, 60)))
     val = data.draw(entries)
+    row.append(val)  # each row ends in its value
     # a pivot row as _replace leaves it: positive at col, gcd 1 over
     # its entries and its value
     prow = data.draw(st.lists(entries, min_size=width, max_size=width))
     prow[col] = data.draw(st.one_of(st.just(1), st.integers(2, 12)))
     pval = data.draw(entries)
     g = gcd(pval, *prow)
-    prow = [x // g for x in prow]
+    prow = [x // g for x in prow + [pval]]
     pval //= g
     pden = prow[col]
     nz = [j for j, x in enumerate(prow) if x]
-    before = list(row)
+    before, out = list(row), row
 
-    out, out_den, out_val = _eliminate(row, den, val, prow, pden, pval, col, nz)
+    out_den = _eliminate(row, den, prow, pden, col, nz)
 
-    # the caller gives row up (a tableau owns its rows and may update
-    # one in place), so the reference reads the snapshot
+    # row is written in place, so the reference reads the snapshot
+    assert row is out and len(row) == width + 1
     f = Fraction(before[col], den)
-    assert [Fraction(x, out_den) for x in out] == [
+    assert [Fraction(x, out_den) for x in row] == [
         Fraction(x, den) - f * Fraction(y, pden) for x, y in zip(before, prow)
     ]
-    assert Fraction(out_val, out_den) == Fraction(val, den) - f * Fraction(pval, pden)
-    assert out[col] == 0
+    assert Fraction(row[-1], out_den) == Fraction(val, den) - f * Fraction(pval, pden)
+    assert row[col] == 0
     assert out_den > 0
-    assert gcd(out_den, out_val, *out) == 1
+    assert gcd(out_den, *row) == 1
 
 
 # Properties over programs random_bounded_lp never draws: denominators up
@@ -481,7 +482,7 @@ def test_property_int_program_pivots_as_its_fraction_twin(case):
 
 
 def tableau_snapshot(tab):
-    return ([list(row) for row in tab.A], list(tab.d), list(tab.v),
+    return ([list(row) for row in tab.A], list(tab.d),
             list(tab.basis), list(tab.state), list(tab.ub), tab.region,
             tab.ncols, list(tab.A[-1]), tab.d[-1], tab.objective)
 
@@ -565,7 +566,7 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     original = _Tableau.price
 
     def recording_price(self, cost, *args):
-        values = [Fraction(v, d) for v, d in zip(self.v[:len(self.basis)], self.d)]
+        values = [Fraction(row[-1], d) for row, d in zip(self.A, self.d[:self.m])]
         priced.append((list(self.basis), values, self.ncols))
         return original(self, cost, *args)
 
@@ -588,17 +589,18 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
 
 
 def assert_prices_its_objective(lp, outcome):
-    """The outcome's cost row, the last of its rows, and its value are,
-    int for int and in lowest terms together, a fresh pricing of lp's
-    signed objective at its final basis and point."""
+    """The outcome's cost row, the last of its rows, value included, is,
+    int for int and in lowest terms, a fresh pricing of lp's signed
+    objective at its final basis and point."""
     tab = outcome.tableau
-    assert len(tab.A) == len(tab.d) == len(tab.v) == len(tab.basis) + 1
-    row, den, val = tab._reduced(lp.objective)
+    assert len(tab.A) == len(tab.d) == len(tab.basis) + 1
+    row, den = tab._reduced(lp.objective)
     if lp.sense == "min":
-        row, val = [-x for x in row], -val
+        row = [-x for x in row]
     assert tab.objective == (lp.objective, lp.sense)
-    assert (tab.A[-1], tab.d[-1], tab.v[-1]) == (row, den, val)
-    assert den > 0 and gcd(den, val, *row) == 1
+    assert len(row) == tab.ncols + 1
+    assert (tab.A[-1], tab.d[-1]) == (row, den)
+    assert den > 0 and gcd(den, *row) == 1
     assert not any(tab.A[-1][b] for b in tab.basis)
 
 
@@ -638,7 +640,7 @@ def test_digest_programs_keep_the_row_a_fresh_pricing_gives():
 def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
     # the 300 seeded programs of the pivot digest, solved cold, warm with
     # a new objective and warm with rows appended: an optimum's value is
-    # the cost row's, -sign * v[-1] / d[-1], which equals c.x summed in
+    # the cost row's, -sign * A[-1][-1] / d[-1], which equals c.x summed in
     # Fractions over its point, and every row enters with the int value
     # b - a.x at the point of the tableau it enters, among them rows
     # tight there, rows over nonzero lower bounds, over columns at their
@@ -653,17 +655,18 @@ def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
         at.pop()
 
     def checking_reduced(self, values, rhs=0):
-        row, den, val = reduced(self, values, rhs)
+        row, den = reduced(self, values, rhs)
         if at:
             x = at[-1]
-            assert Fraction(val, den) == rhs - sum(a * xj for a, xj in zip(values, x))
+            value = Fraction(row[-1], den)
+            assert value == rhs - sum(a * xj for a, xj in zip(values, x))
             moved = [j for j in range(self.n) if values[j]]
             seen["row"] += 1
-            seen["tight"] += val == 0
+            seen["tight"] += row[-1] == 0
             seen["lower"] += any(self.lower[j] for j in moved)
             seen["upper"] += any(self.state[j] < 0 for j in moved)
             seen["unit"] += any(self.unit[j] > 1 for j in moved)
-        return row, den, val
+        return row, den
 
     monkeypatch.setattr(_Tableau, "append_rows", checking_append_rows)
     monkeypatch.setattr(_Tableau, "_reduced", checking_reduced)
@@ -690,7 +693,7 @@ def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
             if outcome.status is not SolveStatus.OPTIMAL:
                 continue
             tab, sign = outcome.tableau, 1 if program.sense == "max" else -1
-            assert outcome.value == Fraction(-sign * tab.v[-1], tab.d[-1])
+            assert outcome.value == Fraction(-sign * tab.A[-1][-1], tab.d[-1])
             assert outcome.value == sum(
                 (c * x for c, x in zip(program.objective, outcome.point)), Fraction(0)
             )
@@ -798,9 +801,10 @@ def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
 def assert_no_dead_column(tab):
     """Every column the tableau stores is basic, may enter, or is fixed:
     an artificial is only the marker of the row it is basic in, and once
-    it leaves the basis nothing of it is left."""
+    it leaves the basis nothing of it is left. Each row holds one entry
+    per column, then its value."""
     assert len(tab.state) == len(tab.ub) == tab.ncols
-    assert all(len(row) == tab.ncols for row in tab.A)
+    assert all(len(row) == tab.ncols + 1 for row in tab.A)
     assert all(b < tab.ncols for b in tab.basis)
     basic = set(tab.basis)
     dead = [j for j in range(tab.ncols)
@@ -868,16 +872,17 @@ def test_property_phase_one_row_sums_the_artificial_rows(case):
         if len(self.A) - len(self.basis) == 2:
             arts = [i for i, b in enumerate(self.basis) if b >= self.ncols]
             assert arts
-            row, den, val = self.A[-1], self.d[-1], self.v[-1]
-            assert len(row) == self.ncols
+            row, den = self.A[-1], self.d[-1]
+            assert len(row) == self.ncols + 1
+            # every column's entry, and the value last
             assert [Fraction(x, den) for x in row] == [
                 sum((Fraction(self.A[i][j], self.d[i]) for i in arts), Fraction(0))
-                for j in range(self.ncols)
+                for j in range(self.ncols + 1)
             ]
-            assert Fraction(val, den) == sum(
-                (Fraction(self.v[i], self.d[i]) for i in arts), Fraction(0)
+            assert Fraction(row[-1], den) == sum(
+                (Fraction(self.A[i][-1], self.d[i]) for i in arts), Fraction(0)
             )
-            assert den > 0 and gcd(den, val, *row) == 1
+            assert den > 0 and gcd(den, *row) == 1
         return run(self)
 
     with patch.object(_Tableau, "run", checking_run):
@@ -895,7 +900,7 @@ def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
     tab = start.tableau
 
     def snapshot():
-        return ([list(row) for row in tab.A], list(tab.d), list(tab.v),
+        return ([list(row) for row in tab.A], list(tab.d),
                 list(tab.basis), list(tab.state))
 
     before = snapshot()
@@ -910,10 +915,10 @@ def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
 
 def shared_lists(tab, other):
     """The names of tab's mutable lists that other holds too."""
-    theirs = {id(x) for x in (*other.A, other.d, other.v, other.basis,
-                              other.state, other.ub)}
+    theirs = {id(x) for x in (*other.A, other.d, other.basis, other.state,
+                              other.ub)}
     mine = [(f"A[{i}]", row) for i, row in enumerate(tab.A)] + [
-        ("d", tab.d), ("v", tab.v), ("basis", tab.basis),
+        ("d", tab.d), ("basis", tab.basis),
         ("state", tab.state), ("ub", tab.ub)]
     return [name for name, x in mine if id(x) in theirs]
 
@@ -968,6 +973,62 @@ def test_warm_start_shares_no_list_with_its_start(monkeypatch):
         assert tableau_snapshot(first.tableau) == before
     assert checked["copy"] == 2 * checked["append"] > 160, checked
     assert min(checked.values()) > 80, checked
+
+
+def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):
+    # the 300 seeded programs of the pivot digest, solved cold, warm with
+    # a new objective and warm with rows appended, and the cut loops at
+    # (4, 2), (6, 2) and (3, 3): no basis change enters the value column
+    # or past it, and across each basis change and bound flip every row
+    # of the store is the list it was, one entry per column then its
+    # value
+    flip, replace_row = _Tableau._flip, _Tableau._replace
+    moves = {"replace": 0, "flip": 0}
+
+    def rows_stay(self, kind, move, *args):
+        before = list(self.A)
+        move(self, *args)
+        assert len(self.A) == len(before)
+        assert all(row is old for row, old in zip(self.A, before))
+        assert all(len(row) == self.ncols + 1 for row in self.A)
+        moves[kind] += 1
+
+    def checking_replace(self, p, enter, leave_state):
+        assert 0 <= enter < self.ncols
+        rows_stay(self, "replace", replace_row, p, enter, leave_state)
+
+    def checking_flip(self, enter, direction):
+        assert 0 <= enter < self.ncols
+        rows_stay(self, "flip", flip, enter, direction)
+
+    monkeypatch.setattr(_Tableau, "_replace", checking_replace)
+    monkeypatch.setattr(_Tableau, "_flip", checking_flip)
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        other = replace(
+            lp,
+            objective=tuple(Fraction(programs.randint(-6, 6), programs.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=programs.choice(["max", "min"]),
+        )
+        grown = with_constraints(
+            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        )
+        solve_lp(other, start=first)
+        solve_lp(grown, start=first)
+    digest_moves = dict(moves)
+    for shape in [(4, 2), (6, 2), (3, 3)]:
+        assert cutting_plane_loop(gen_valley_instance(*shape)).complete
+    # 823 basis changes and 193 flips over the digest programs, 782
+    # basis changes over the cut loops
+    cut_loop_replaces = moves["replace"] - digest_moves["replace"]
+    assert min(digest_moves.values()) > 100 and cut_loop_replaces > 100, (
+        digest_moves, moves)
 
 
 def test_digest_programs_take_every_integer_span_move(monkeypatch):

@@ -198,6 +198,24 @@ def test_subtour_cut_validation():
             subtour_cut(inst, bad)
 
 
+def test_a_city_named_twice_in_a_subset_is_refused():
+    # (0, 0, 1) was read as the cut of {0, 1}, by each of the three
+    # functions that take cut subsets
+    inst = gen_valley_instance(3, 2)
+    flow = valley_internal_cycles_flow(inst)
+    takers = [
+        lambda S: subtour_cut(inst, S),
+        lambda S: relaxation_with_cuts(inst, [S]),
+        lambda S: check_flow_feasibility(inst, flow, [S]),
+    ]
+    for take in takers:
+        with pytest.raises(ValidationError, match="names a city more than once"):
+            take((1, 0, 1))
+    # a subset in any order is still the sorted one
+    report = check_flow_feasibility(inst, flow, [(1, 0)])
+    assert report.cut_evaluations[0].subset == (0, 1)
+
+
 def test_two_protected_valleys_force_two_crossings():
     inst = gen_valley_instance(10, 2)
     subsets = valley_cut_subsets(inst)[:2]
