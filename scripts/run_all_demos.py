@@ -17,6 +17,7 @@ import time
 from pathlib import Path
 
 from lpgaps import cli
+from lpgaps.reports import write_text
 from lpgaps.valleys import (
     flow_arcs_to_text,
     gen_valley_instance,
@@ -82,8 +83,8 @@ def main() -> int:
     inst = gen_valley_instance(10, 2)
     instance_path = outdir / "valleys_k10.instance"
     flow_path = outdir / "three_circulations.flow"
-    instance_path.write_text(instance_to_text(inst))
-    flow_path.write_text(flow_arcs_to_text(three_circulation_flow(inst)))
+    write_text(instance_path, instance_to_text(inst))
+    write_text(flow_path, flow_arcs_to_text(three_circulation_flow(inst)))
     check_flow = ("check_flow_three_circulations", [
         "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
         *[arg for v in range(10) for arg in ("--cut-valley", str(v))],

@@ -10,9 +10,9 @@ being a rounding accident. Elsewhere guarded high precision is used
 with an error budget many orders below the ~0.96 violation signal. The
 sine term needs the fractional part of 2**x to that precision, so the
 working precision grows with the digits of 2**x, and with it the cost
-of a point: a grid refuses a point off the exact path (one that is not
-a nonnegative integer) above x = MAX_MODEL_X before any point is
-evaluated.
+of a point: model_value refuses a point off the exact path (one that
+is not a nonnegative integer) above x = MAX_MODEL_X, and a grid with
+such a point is refused before any point is evaluated.
 
 mpmath is imported inside the functions that use it (model_value,
 _to_mpf, _decreasing and _render), not at module level: lpgaps imports
@@ -117,10 +117,20 @@ def _integer_digits(x: Fraction) -> int:
     0 when x <= 0, where 2**x <= 1."""
     if x <= 0:
         return 0
-    # a grid refuses a point off the exact path past MAX_MODEL_X, which
-    # keeps the int at no more than 302 digits, under Python's
-    # 4,300-digit limit on int-to-str conversion
+    # _refuse_costly keeps a point off the exact path at most
+    # MAX_MODEL_X, so the int has no more than 302 digits, under
+    # Python's 4,300-digit limit on int-to-str conversion
     return len(str(1 << ceil(x)))
+
+
+def _refuse_costly(x: Fraction) -> None:
+    """Refuse a point off the exact path above MAX_MODEL_X, whose
+    working precision would grow with the digits of 2**x."""
+    if x > MAX_MODEL_X and x.denominator != 1:
+        raise ValidationError(
+            f"a point that is not an integer must be at most "
+            f"{MAX_MODEL_X}, not {x}"
+        )
 
 
 def model_value(x: Rational) -> Union[Fraction, mpmath.mpf]:
@@ -129,11 +139,12 @@ def model_value(x: Rational) -> Union[Fraction, mpmath.mpf]:
     high-precision mpf elsewhere. The sine only sees the fractional part
     of 2**x, so the working precision is WORKING_DIGITS plus the digits
     of 2**x's integer part. A float is refused, not read as its binary
-    fraction."""
+    fraction, and so is a point off the exact path above MAX_MODEL_X."""
     require_exact((x,), "x")
     x = Fraction(x)
     if x.denominator == 1 and x >= 0:
         return x
+    _refuse_costly(x)
     import mpmath
 
     with mpmath.workdps(WORKING_DIGITS + _integer_digits(x)):
@@ -189,12 +200,8 @@ def monotone_model_demo(grid_start, grid_end, step) -> MonotoneScan:
     while x <= end:
         grid.append(x)
         x += incr
-    costly = next((x for x in grid if x > MAX_MODEL_X and x.denominator != 1), None)
-    if costly is not None:
-        raise ValidationError(
-            f"a grid point that is not an integer must be at most "
-            f"{MAX_MODEL_X}, not {costly}"
-        )
+    for x in grid:
+        _refuse_costly(x)
     values = [model_value(x) for x in grid]
     for i in range(len(grid) - 1):
         if _decreasing(values[i], values[i + 1]):

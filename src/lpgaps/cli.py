@@ -404,7 +404,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.output:
         # a write can still fail after the check, say on a full disk
         try:
-            Path(args.output).write_text(rendered)
+            reports.write_text(args.output, rendered)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

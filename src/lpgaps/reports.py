@@ -7,7 +7,8 @@ sorted and no timestamps are embedded, so identical configurations
 produce identical bytes. CSV output is a flat key/value projection of
 the same document, except for results that carry a natural table (scan
 rows, growth tables, cutting-plane rounds), which become proper CSV
-tables behind '#'-prefixed config comment lines.
+tables behind '#'-prefixed config comment lines. write_text is the
+one way lpgaps writes a file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import stat
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -105,3 +108,18 @@ def render_csv(
     for row in rows:
         writer.writerow([_csv_cell(cell) for cell in row])
     return out.getvalue()
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path, as Path.write_text does, but over the bytes
+    already there instead of truncating the file to zero first: on ext4
+    (auto_da_alloc) closing a file that was truncated to zero and
+    rewritten starts its writeback, several times the cost of the write
+    itself. A regular file is then cut to the written length, so it
+    holds exactly text and keeps its inode and mode; a device or a pipe
+    is written as it is. The old bytes are never read and every call
+    writes."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as out:
+        out.write(text)
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            out.truncate()

@@ -124,6 +124,18 @@ def test_model_value_refuses_floats(x):
         model_value(x)
 
 
+@pytest.mark.parametrize("x", [Fraction(30001, 2), MAX_MODEL_X + Fraction(1, 2)])
+def test_model_value_refuses_a_costly_point(x):
+    # 30001/2 raised Python's int-to-str digit limit instead
+    with pytest.raises(ValidationError, match=f"at most {MAX_MODEL_X}, not {x}"):
+        model_value(x)
+
+
+def test_model_value_evaluates_below_the_cap_and_integers_above_it():
+    assert not isinstance(model_value(MAX_MODEL_X - Fraction(1, 2)), Fraction)
+    assert model_value(5000) == Fraction(5000)
+
+
 def test_precision_grows_with_x():
     # sin(2**x pi) needs the fractional part of 2**x, so a point works
     # past 60 digits once 2**x has digits of its own; compare with an

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -210,6 +211,28 @@ def test_check_flow_refuses_a_malformed_flow_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("head", [
+    # n one past the cap: refused at the n line
+    f"n {valleys.MAX_FILE_CITIES + 1}\nvalleys 0 1\ncosts\n",
+    # no n field: refused when one cost row more than the cap arrives
+    "valleys 0 1\ncosts\n" + "0 1\n" * valleys.MAX_FILE_CITIES,
+])
+def test_check_flow_refuses_an_instance_file_past_the_city_cap(tmp_path, capsys, head):
+    # the cost row after the head cannot be parsed, so a refusal that
+    # parsed it first would name it instead
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(f"lpgaps-instance 1\n{head}not a cost row\n")
+    flow_path.write_text("lpgaps-flow 1\n0 1 1\n1 0 1\n")
+    code = cli.main([
+        "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
+        "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert (f"an instance file has at most {valleys.MAX_FILE_CITIES} cities"
+            in capsys.readouterr().err)
+
+
 def test_check_flow_refuses_a_flow_it_could_not_render(tmp_path, capsys):
     # every weight is a literal within the size limit, but 30 distinct
     # denominators near 10**999 would give the flow's cost and degree
@@ -242,6 +265,47 @@ def test_reports_are_byte_identical(tmp_path):
     out.unlink()
     assert cli.main(argv) == 0
     assert out.read_bytes() == first
+
+
+SCAN_V8 = ["hull-scan", "--vertices", "8", "--budget", "6"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_report_over_a_longer_stale_file_is_its_first_write(tmp_path, fmt):
+    # reports embed --output, so both writes go to the same path
+    out = tmp_path / f"report.{fmt}"
+    argv = [*SCAN_V8, "--format", fmt, "--output", str(out)]
+    assert cli.main(argv) == 0
+    first = out.read_bytes()
+    out.write_bytes(b"stale\n" * len(first))
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == first
+
+
+def test_an_overwrite_keeps_the_files_inode_and_mode(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text("stale\n")
+    out.chmod(0o600)
+    before = out.stat()
+    assert cli.main([*SCAN_V8, "--output", str(out)]) == 0
+    after = out.stat()
+    assert after.st_ino == before.st_ino
+    assert stat.S_IMODE(after.st_mode) == 0o600
+
+
+def test_a_rerun_always_writes(tmp_path):
+    # the same bytes are written again, never compared and skipped
+    out = tmp_path / "report.json"
+    argv = [*SCAN_V8, "--output", str(out)]
+    assert cli.main(argv) == 0
+    os.utime(out, (0, 0))
+    assert cli.main(argv) == 0
+    assert out.stat().st_mtime != 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_output_to_dev_null_exits_0():
+    assert cli.main([*SCAN_V8, "--output", "/dev/null"]) == 0
 
 
 # SHA-256 of each report, as written to a relative --output in the
