@@ -1,10 +1,12 @@
 """Command-line front door: every demonstration as one subcommand.
 
-Each run parses flags into a RunConfig, dispatches to exactly one
-module pipeline, and writes one report document (JSON by default, CSV
-projection on request) to stdout or --output. Runs are reproducible:
-the report embeds the full configuration and identical configurations
-produce byte-identical reports.
+Each run parses flags, dispatches to exactly one module pipeline, whose
+handler returns only its result, and writes one report document (JSON
+by default, CSV projection on request) to stdout or --output. The
+document records the run's configuration, a plain dict of the parsed
+flags, so identical configurations produce byte-identical reports. A
+CSV table is read off the document through _CSV_TABLES, never built by
+a handler.
 
 Exit codes: 0 success, 2 validation/usage error, 3 budget exhausted.
 """
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
@@ -28,15 +29,6 @@ from .valleys import DEFAULT_ROUNDS
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params: dict[str, Any]
-    seed: Optional[int]
-    output_format: str
-    output_path: Optional[str]
 
 
 def _rational_flag(text: str) -> Fraction:
@@ -183,15 +175,12 @@ def _instance(args) -> valleys.TspInstance:
     )
 
 
-Table = Optional[tuple[list[str], list[list[Any]]]]
-
-
-def _run_hull_adversary(args) -> tuple[Any, Table]:
+def _run_hull_adversary(args) -> Any:
     poly = hull.gen_arc(args.vertices)
-    return hull.adversarial_objective(poly, args.omit), None
+    return hull.adversarial_objective(poly, args.omit)
 
 
-def _run_hull_scan(args) -> tuple[Any, Table]:
+def _run_hull_scan(args) -> Any:
     poly = hull.gen_arc(args.vertices)
     report = hull.subset_gap_scan(
         poly, args.budget, sample_count=args.samples, seed=args.seed
@@ -200,35 +189,17 @@ def _run_hull_scan(args) -> tuple[Any, Table]:
     # enumerated, so an omitted flag reads as the value the scan used
     args.samples = None if report.enumerated else report.sample_count
     args.seed = report.seed
-    header = [
-        "subset_id", "omitted", "worst_facet", "objective",
-        "true_max", "relaxed_max", "gap", "bounded",
-    ]
-    rows = [
-        [
-            r.subset_id,
-            list(r.omitted),
-            r.worst_facet,
-            list(r.objective) if r.objective else None,
-            r.true_max,
-            r.relaxed_max,
-            r.gap,
-            r.bounded,
-        ]
-        for r in report.rows
-    ]
-    return report, (header, rows)
+    return report
 
 
-def _run_valley_gap(args) -> tuple[Any, Table]:
+def _run_valley_gap(args) -> Any:
     inst = _instance(args)
-    report = gaps.integrality_gap(
+    return gaps.integrality_gap(
         inst, _relaxation(args, inst), thresholds=args.threshold
     )
-    return report, None
 
 
-def _run_cutting_plane(args) -> tuple[Any, Table]:
+def _run_cutting_plane(args) -> Any:
     inst = _instance(args)
     trace = valleys.cutting_plane_loop(inst, args.rounds)
     result = {
@@ -240,16 +211,10 @@ def _run_cutting_plane(args) -> tuple[Any, Table]:
         result["oracle_cost"] = tsp_oracle(inst).cost
     except BudgetExceededError:
         pass  # the trace stands on its own beyond oracle reach
-    header = ["round", "lp_value", "cut_added", "constraint_count"]
-    rows = [
-        [r.round_index, r.lp_value, list(r.cut_added) if r.cut_added else None,
-         r.constraint_count]
-        for r in trace.rounds
-    ]
-    return result, (header, rows)
+    return result
 
 
-def _run_decide(args) -> tuple[Any, Table]:
+def _run_decide(args) -> Any:
     inst = _instance(args)
     # the ilp route reads no relaxation, and its flags stay None
     relaxation = None
@@ -258,7 +223,7 @@ def _run_decide(args) -> tuple[Any, Table]:
         answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)
     else:
         answer = gaps.decide_tour_at_most(inst, args.threshold, args.via)
-    result = {
+    return {
         "instance": gaps.instance_info(inst),
         "threshold": args.threshold,
         "decision_form": gaps.DECISION_FORM,
@@ -266,37 +231,35 @@ def _run_decide(args) -> tuple[Any, Table]:
         "relaxation": relaxation,
         "answer": "YES" if answer else "NO",
     }
-    return result, None
 
 
-def _run_check_flow(args) -> tuple[Any, Table]:
+def _run_check_flow(args) -> Any:
     inst = valleys.instance_from_text(Path(args.instance).read_text())
     arcs = valleys.flow_arcs_from_text(Path(args.flow).read_text())
     flow = valleys.flow_from_arcs(inst, arcs)
     report = valleys.check_flow_feasibility(inst, flow, _cut_subsets(args, inst))
-    return {"flow_total_cost": flow.total_cost, "report": report}, None
+    return {"flow_total_cost": flow.total_cost, "report": report}
 
 
-def _run_space_bounds(args) -> tuple[Any, Table]:
+def _run_space_bounds(args) -> Any:
     if args.mode == "single":
         if args.count is None:
             raise ValidationError("--count is required in single mode")
-        return bounds.min_symbols_single(args.count), None
+        return bounds.min_symbols_single(args.count)
     if args.mode == "subset":
         if args.total is None or args.choose is None:
             raise ValidationError("--total and --choose are required in subset mode")
-        return bounds.min_symbols_subset(args.total, args.choose), None
+        return bounds.min_symbols_subset(args.total, args.choose)
     table = bounds.subset_growth_table(args.n_from, args.n_to)
     doubling = all(b2 >= 2 * b1 for (_, b1), (_, b2) in zip(table, table[1:]))
-    result = {
+    return {
         "table": [{"n": n, "min_bits": b} for n, b in table],
         "bits_at_least_double_per_step": doubling,
     }
-    return result, (["n", "min_bits"], [[n, b] for n, b in table])
 
 
-def _run_model_demo(args) -> tuple[Any, Table]:
-    return bounds.monotone_model_demo(args.start, args.end, args.step), None
+def _run_model_demo(args) -> Any:
+    return bounds.monotone_model_demo(args.start, args.end, args.step)
 
 
 _HANDLERS = {
@@ -308,6 +271,23 @@ _HANDLERS = {
     "check-flow": _run_check_flow,
     "space-bounds": _run_space_bounds,
     "model-demo": _run_model_demo,
+}
+
+# the CSV table of each subcommand whose result holds one: the keys
+# that lead from the report's result to its rows, and each column's
+# header and row key
+_CSV_TABLES = {
+    "hull-scan": (("rows",), (
+        ("subset_id", "subset_id"), ("omitted", "omitted"),
+        ("worst_facet", "worst_facet"), ("objective", "objective"),
+        ("true_max", "true_max"), ("relaxed_max", "relaxed_max"),
+        ("gap", "gap"), ("bounded", "bounded"),
+    )),
+    "cutting-plane": (("trace", "rounds"), (
+        ("round", "round_index"), ("lp_value", "lp_value"),
+        ("cut_added", "cut_added"), ("constraint_count", "constraint_count"),
+    )),
+    "space-bounds": (("table",), (("n", "n"), ("min_bits", "min_bits"))),
 }
 
 
@@ -356,21 +336,21 @@ def _check_output(path: str) -> None:
         raise ValidationError(f"--output {path}: no directory {target.parent}")
 
 
-def _config_from_args(args) -> RunConfig:
-    skip = {"subcommand", "format", "output"}
+def _config_from_args(args) -> dict[str, Any]:
+    """The run's configuration as the report records it."""
     params = {
         key: value
-        for key, value in sorted(vars(args).items())
-        if key not in skip
+        for key, value in vars(args).items()
+        if key not in ("subcommand", "format", "output")
     }
     seed = params.pop("seed", None)
-    return RunConfig(
-        subcommand=args.subcommand,
-        params=params,
-        seed=seed,
-        output_format=args.format,
-        output_path=args.output,
-    )
+    return {
+        "subcommand": args.subcommand,
+        "params": params,
+        "seed": seed,
+        "output_format": args.format,
+        "output_path": args.output,
+    }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -382,7 +362,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _resolve_flags(args)
         if args.output:
             _check_output(args.output)
-        result, table = _HANDLERS[args.subcommand](args)
+        result = _HANDLERS[args.subcommand](args)
         # after the run: a hull scan records the draws it made
         config = _config_from_args(args)
     except ValidationError as exc:
@@ -399,7 +379,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     rendered = (
         reports.render_json(doc)
         if args.format == "json"
-        else reports.render_csv(doc, table)
+        else reports.render_csv(doc, _CSV_TABLES.get(args.subcommand))
     )
     if args.output:
         # a write can still fail after the check, say on a full disk

@@ -49,9 +49,9 @@ def parse_rational(text: str) -> Rational:
     a valley instance's two costs) is at most (k + m) * 10**4000 over at
     most that, under 4,300 digits for any count of terms below 10**299.
     A sum over many distinct denominators (a cost matrix or flow file
-    that writes them) is not bounded this way, so the file readers also
-    refuse a file whose values need a common denominator above the same
-    bound (require_common_denominator). With flow weights w = p/D in
+    that writes them) is not bounded this way, so the instance reader
+    and flow_from_arcs also refuse costs or arc weights that need a
+    common denominator above the same bound (require_common_denominator). With flow weights w = p/D in
     [0, 1] and costs c = r/E, D and E at most 10**1000 and |c| at most
     10**1000, a flow's cost, the sum of w*c over its arcs, has
     denominator at most 10**2000 and numerator at most (arcs) * 10**3000,

@@ -1,14 +1,16 @@
 """Versioned, byte-deterministic report documents.
 
 Every CLI run produces one JSON document: a schema tag, the full run
-configuration (for provenance and reproduction), and the result. All
-rational values are rendered as "p/q" strings, never floats; keys are
+configuration (for provenance and reproduction), and the result.
+to_jsonable is the one encoder of values: all rational values are
+rendered as "p/q" strings, never floats, and tuples as lists; keys are
 sorted and no timestamps are embedded, so identical configurations
-produce identical bytes. CSV output is a flat key/value projection of
-the same document, except for results that carry a natural table (scan
-rows, growth tables, cutting-plane rounds), which become proper CSV
-tables behind '#'-prefixed config comment lines. write_text is the
-one way lpgaps writes a file.
+produce identical bytes. CSV output is a projection of that same
+document: flat key/value rows, or, for results that carry a natural
+table (scan rows, growth tables, cutting-plane rounds), a CSV table
+read off the document's rows behind '#'-prefixed config comment lines,
+each cell the document's value. write_text is the one way lpgaps
+writes a file.
 """
 
 from __future__ import annotations
@@ -86,27 +88,32 @@ def _csv_cell(value: Any) -> str:
     return str(value)
 
 
-def render_csv(
-    doc: dict, table: Optional[tuple[list[str], list[list[Any]]]] = None
-) -> str:
-    """Flat key/value CSV, or a proper table (with the config flattened
-    into leading comment lines) when the result is naturally tabular."""
+def render_csv(doc: dict, table: Optional[tuple] = None) -> str:
+    """The document as CSV. table, when given, is the keys that lead
+    from doc["result"] to its rows and each column's (header, row key):
+    a result that holds those rows is written as that table, with the
+    config flattened into leading comment lines, and any other document
+    as flat key/value rows. Every cell is _csv_cell of a document value,
+    so a table holds exactly the values of the JSON report."""
+    rows = None
+    if table is not None:
+        path, columns = table
+        rows = doc["result"]
+        for key in path:
+            rows = rows.get(key)
     out = io.StringIO()
-    if table is None:
-        writer = csv.writer(out)
+    writer = csv.writer(out)
+    if rows is None:
         writer.writerow(["key", "value"])
-        for key, rendered in flatten(doc):
-            writer.writerow([key, rendered])
+        writer.writerows(flatten(doc))
         return out.getvalue()
     out.write(f"# schema={doc['schema']}\n")
     out.write(f"# subcommand={doc['subcommand']}\n")
     for key, rendered in flatten(doc["config"], "config"):
         out.write(f"# {key}={rendered}\n")
-    header, rows = table
-    writer = csv.writer(out)
-    writer.writerow(header)
+    writer.writerow([header for header, _ in columns])
     for row in rows:
-        writer.writerow([_csv_cell(cell) for cell in row])
+        writer.writerow([_csv_cell(row[key]) for _, key in columns])
     return out.getvalue()
 
 

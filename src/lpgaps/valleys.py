@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 from .lp import (
@@ -202,25 +202,33 @@ def flow_from_arcs(
 ) -> FlowSolution:
     """Validate arc records and price the flow against the instance.
     Weights must be exact rationals: a float is refused, not read as its
-    binary fraction."""
-    seen = set()
-    rows = []
-    total = Fraction(0)
-    for (i, j, w) in arcs:
-        require_exact((w,), "arc weights")
-        wf = Fraction(w)
-        if not (0 <= i < inst.n and 0 <= j < inst.n):
-            raise ValidationError(f"arc ({i},{j}) references unknown cities")
-        if i == j:
-            raise ValidationError(f"self-loop arc at city {i}")
-        if (i, j) in seen:
-            raise ValidationError(f"duplicate arc ({i},{j})")
-        if not 0 <= wf <= 1:
-            raise ValidationError(f"arc ({i},{j}) weight {wf} outside [0,1]")
-        seen.add((i, j))
-        rows.append((i, j, wf))
-        total += wf * inst.cost[i][j]
-    return FlowSolution(tuple(rows), total)
+    binary fraction. Each record is checked as it arrives, before the
+    next is drawn, so a lazy reader such as flow_arcs_from_text stops at
+    the first refused one: a self-loop, an unknown city, a repeated arc,
+    a weight outside [0, 1], or weights so far that need a common
+    denominator above 10**MAX_LITERAL_DIGITS. Since repeats are refused,
+    at most n(n - 1) + 1 records are drawn."""
+    checked: dict[tuple[int, int], Fraction] = {}
+
+    def weights():
+        for (i, j, w) in arcs:
+            require_exact((w,), "arc weights")
+            wf = Fraction(w)
+            if not (0 <= i < inst.n and 0 <= j < inst.n):
+                raise ValidationError(f"arc ({i},{j}) references unknown cities")
+            if i == j:
+                raise ValidationError(f"self-loop arc at city {i}")
+            if (i, j) in checked:
+                raise ValidationError(f"duplicate arc ({i},{j})")
+            if not 0 <= wf <= 1:
+                raise ValidationError(f"arc ({i},{j}) weight {wf} outside [0,1]")
+            checked[(i, j)] = wf
+            yield wf
+
+    require_common_denominator(weights(), "arc weights")
+    rows = tuple((i, j, w) for (i, j), w in checked.items())
+    total = sum((w * inst.cost[i][j] for i, j, w in rows), Fraction(0))
+    return FlowSolution(rows, total)
 
 
 def three_circulation_flow(inst: TspInstance) -> FlowSolution:
@@ -517,9 +525,10 @@ MAX_FILE_CITIES = 200
 
 
 def instance_from_text(text: str) -> TspInstance:
-    """Read an instance file; a file with more than MAX_FILE_CITIES
-    cities is refused as soon as its n field or its cost rows show it,
-    before the rest is parsed."""
+    """Read an instance file. A file with more than MAX_FILE_CITIES
+    cities is refused at its n field, and a cost row before that field,
+    a cost row whose entry count is not n and an (n + 1)-th cost row
+    are refused before any of their entries is parsed."""
     fields: dict[str, str] = {}
     cost_rows: list[tuple[Rational, ...]] = []
     for ln in body_lines(text, "lpgaps-instance"):
@@ -527,26 +536,37 @@ def instance_from_text(text: str) -> TspInstance:
         if key in fields:
             raise ValidationError(f"repeated instance field {key!r}")
         if "costs" in fields:
-            if len(cost_rows) == MAX_FILE_CITIES:
+            if "n" not in fields:
                 raise ValidationError(
-                    f"an instance file has at most {MAX_FILE_CITIES} cities; "
-                    f"this one has more cost rows"
+                    f"an instance file has at most {MAX_FILE_CITIES} cities "
+                    f"and must give n before its cost rows"
                 )
-            cost_rows.append(tuple(parse_rational(t) for t in ln.split()))
+            tokens = ln.split()
+            if len(tokens) != n:
+                raise ValidationError(
+                    f"cost row {len(cost_rows)} has {len(tokens)} entries, not n = {n}"
+                )
+            if len(cost_rows) == n:
+                raise ValidationError(
+                    f"an instance of {n} cities has {n} cost rows, not more"
+                )
+            cost_rows.append(tuple(parse_rational(t) for t in tokens))
         elif key in ("n", "valleys", "costs"):
             fields[key] = rest
-            if key == "n" and _int(rest) > MAX_FILE_CITIES:
-                raise ValidationError(
-                    f"an instance file has at most {MAX_FILE_CITIES} cities, "
-                    f"not {rest}"
-                )
+            if key == "n":
+                n = _int(rest)
+                if n > MAX_FILE_CITIES:
+                    raise ValidationError(
+                        f"an instance file has at most {MAX_FILE_CITIES} cities, "
+                        f"not {rest}"
+                    )
         else:
             raise ValidationError(f"unknown instance field {key!r}")
     if "n" not in fields or "valleys" not in fields:
         raise ValidationError("instance needs n and valleys fields")
     require_common_denominator((c for row in cost_rows for c in row), "costs")
     valley_of = tuple(_int(t) for t in fields["valleys"].split())
-    return TspInstance(_int(fields["n"]), valley_of, tuple(cost_rows))
+    return TspInstance(n, valley_of, tuple(cost_rows))
 
 
 def flow_arcs_to_text(flow: FlowSolution) -> str:
@@ -556,12 +576,16 @@ def flow_arcs_to_text(flow: FlowSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def flow_arcs_from_text(text: str) -> list[tuple[int, int, Rational]]:
-    arcs = []
-    for ln in body_lines(text, "lpgaps-flow"):
-        toks = ln.split()
-        if len(toks) != 3:
-            raise ValidationError(f"bad flow arc line: {ln!r}")
-        arcs.append((_int(toks[0]), _int(toks[1]), parse_rational(toks[2])))
-    require_common_denominator((w for _, _, w in arcs), "arc weights")
-    return arcs
+def _flow_arc(line: str) -> tuple[int, int, Rational]:
+    toks = line.split()
+    if len(toks) != 3:
+        raise ValidationError(f"bad flow arc line: {line!r}")
+    return (_int(toks[0]), _int(toks[1]), parse_rational(toks[2]))
+
+
+def flow_arcs_from_text(text: str) -> Iterator[tuple[int, int, Rational]]:
+    """The arc records of a flow file, each parsed from its line only
+    when it is drawn; the header is checked at the call. flow_from_arcs
+    checks the records, so a flow file is read only up to its first
+    refused record."""
+    return map(_flow_arc, body_lines(text, "lpgaps-flow"))

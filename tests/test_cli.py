@@ -11,6 +11,7 @@ import pytest
 
 from oracles import valley_internal_cycles_flow
 from lpgaps import cli, hull, valleys
+from lpgaps.rationals import parse_rational
 from lpgaps.valleys import flow_arcs_to_text, gen_valley_instance, instance_to_text
 
 
@@ -214,7 +215,7 @@ def test_check_flow_refuses_a_malformed_flow_file(tmp_path, capsys):
 @pytest.mark.parametrize("head", [
     # n one past the cap: refused at the n line
     f"n {valleys.MAX_FILE_CITIES + 1}\nvalleys 0 1\ncosts\n",
-    # no n field: refused when one cost row more than the cap arrives
+    # no n field: refused at the first cost row
     "valleys 0 1\ncosts\n" + "0 1\n" * valleys.MAX_FILE_CITIES,
 ])
 def test_check_flow_refuses_an_instance_file_past_the_city_cap(tmp_path, capsys, head):
@@ -231,6 +232,54 @@ def test_check_flow_refuses_an_instance_file_past_the_city_cap(tmp_path, capsys,
     assert code == 2
     assert (f"an instance file has at most {valleys.MAX_FILE_CITIES} cities"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("costs, message", [
+    # a row as wide as 10,000 cities whose last entry is junk
+    ("0 " * 9_999 + "junk\n1 0\n", "cost row 0 has 10000 entries, not n = 2"),
+    # one row more than the n field allows, all of it junk
+    ("0 1\n1 0\njunk junk\n", "an instance of 2 cities has 2 cost rows, not more"),
+], ids=["wide-row", "extra-row"])
+def test_check_flow_refuses_a_cost_row_before_parsing_it(
+    tmp_path, capsys, costs, message
+):
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(f"lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts\n{costs}")
+    flow_path.write_text("lpgaps-flow 1\n0 1 1\n1 0 1\n")
+    code = cli.main([
+        "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
+        "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_check_flow_parses_at_most_one_flow_record_past_the_arcs(
+    tmp_path, capsys, monkeypatch
+):
+    # a 2-city instance has 2 arcs, so the third record of this
+    # 10,000-line flow repeats one and ends the read
+    inst = gen_valley_instance(2, 1)
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(instance_to_text(inst))
+    flow_path.write_text("lpgaps-flow 1\n" + "0 1 1/3\n1 0 1/3\n" * 5_000)
+    parsed = []
+
+    def counting_parse(text):
+        parsed.append(text)
+        return parse_rational(text)
+
+    monkeypatch.setattr(valleys, "parse_rational", counting_parse)
+    code = cli.main([
+        "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
+        "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: duplicate arc (0,1)\n"
+    # the instance's costs are 0 and 1, so every 1/3 is a flow weight
+    assert parsed.count("1/3") <= inst.n * (inst.n - 1) + 1
 
 
 def test_check_flow_refuses_a_flow_it_could_not_render(tmp_path, capsys):

@@ -11,7 +11,12 @@ from lpgaps.rationals import (
     parse_rational,
     scale_to_ints,
 )
-from lpgaps.valleys import flow_arcs_from_text, instance_from_text
+from lpgaps.valleys import (
+    flow_arcs_from_text,
+    flow_from_arcs,
+    gen_valley_instance,
+    instance_from_text,
+)
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
@@ -120,7 +125,10 @@ def test_readers_refuse_a_common_denominator_beyond_the_size_limit():
     near = 10 ** (MAX_LITERAL_DIGITS - 1)
     first, second = f"1/{near + 1}", f"1/{near + 3}"
     with pytest.raises(ValidationError, match="arc weights need a common denominator"):
-        flow_arcs_from_text(f"lpgaps-flow 1\n0 1 {first}\n1 0 {second}\n")
+        flow_from_arcs(
+            gen_valley_instance(2, 1),
+            flow_arcs_from_text(f"lpgaps-flow 1\n0 1 {first}\n1 0 {second}\n"),
+        )
     with pytest.raises(ValidationError, match="costs need a common denominator"):
         instance_from_text(
             f"lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts\n0 {first}\n{second} 0\n"

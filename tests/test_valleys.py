@@ -584,9 +584,9 @@ def test_flow_text_errors():
     with pytest.raises(ValidationError):
         flow_arcs_from_text("nope")
     with pytest.raises(ValidationError):
-        flow_arcs_from_text("lpgaps-flow 1\n0 1\n")
+        list(flow_arcs_from_text("lpgaps-flow 1\n0 1\n"))
     with pytest.raises(ValidationError, match="not an integer: 'zero'"):
-        flow_arcs_from_text("lpgaps-flow 1\nzero 1 1\n")
+        list(flow_arcs_from_text("lpgaps-flow 1\nzero 1 1\n"))
     with pytest.raises(ValidationError, match="must be 'lpgaps-flow 1', not"):
         flow_arcs_from_text("lpgaps-flow 99\n0 1 1\n")
     with pytest.raises(ValidationError, match="missing lpgaps-flow header"):
@@ -624,7 +624,7 @@ def test_flow_text_round_trips(data):
     ))
     weights = st.fractions(min_value=0, max_value=1, max_denominator=60)
     flow = flow_from_arcs(inst, [(i, j, data.draw(weights)) for i, j in arcs])
-    back = flow_arcs_from_text(flow_arcs_to_text(flow))
+    back = list(flow_arcs_from_text(flow_arcs_to_text(flow)))
     assert back == list(flow.arcs)
     assert flow_from_arcs(inst, back) == flow
 
