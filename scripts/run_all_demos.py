@@ -28,7 +28,7 @@ from lpgaps.valleys import (
 DEMOS = [
     # the 2D chain: omit the middle facet of the 4-vertex arc
     ("hull_adversary_v4", ["hull-adversary", "--vertices", "4", "--omit", "1"]),
-    # every single-facet omission on the 64-vertex arc, enumerated
+    # keep 6 of the 8-vertex arc's 7 facets: every subset, enumerated
     ("hull_scan_v8_one_short", ["hull-scan", "--vertices", "8", "--budget", "6"]),
     # storage-budgeted model: keep 32 of 63 facets, 100 seeded samples
     ("hull_scan_v64_half", [

@@ -104,11 +104,19 @@ def polytope_lp(
     kept_facets: Sequence[int],
 ) -> LinearProgram:
     """Maximize objective over the kept facets plus the box. The box
-    (0 <= x <= V-1, y >= 0) never counts against a storage budget."""
+    (0 <= x <= V-1, y >= 0) never counts against a storage budget.
+    Kept facets are distinct int indices in 0..F-1: a negative index
+    would pick a facet from the end, and a repeated one a second row."""
+    kept = tuple(kept_facets)
+    F = poly.facet_count
+    if not all(type(i) is int and 0 <= i < F for i in kept):
+        raise ValidationError(f"kept facet indices must be ints in 0..{F - 1}")
+    if len(set(kept)) < len(kept):
+        raise ValidationError("a kept facet index appears more than once")
     return linear_program(
         objective,
         "max",
-        [facet_constraint(poly.facets[i]) for i in kept_facets],
+        [facet_constraint(poly.facets[i]) for i in kept],
         upper_bounds=[poly.x_max, None],
     )
 
@@ -168,11 +176,6 @@ def adversarial_objective(poly: ArcPolytope, omitted: int) -> AdversarialGap:
     """Omit exactly one facet; the model keeps every other facet."""
     kept = [i for i in range(poly.facet_count) if i != omitted]
     return facet_gap(poly, omitted, kept)
-
-
-def _worse(a: AdversarialGap, b: AdversarialGap) -> bool:
-    """Is b a strictly larger phantom than a? Unbounded beats any gap."""
-    return a.bounded and (not b.bounded or b.gap > a.gap)
 
 
 @dataclass(frozen=True)
@@ -288,13 +291,14 @@ def subset_gap_scan(
         # facets ascend, so consecutive optima are the same or
         # neighbouring vertices
         model = polytope_lp(poly, _facet_objective(poly, omitted[0]), kept)
-        outcome = worst = None
+        outcome = None
+        gaps = []
         for j in omitted:
             model = replace(model, objective=_facet_objective(poly, j))
             outcome = solve_lp(model, start=outcome)
-            result = _gap(poly, j, outcome)
-            if worst is None or _worse(worst, result):
-                worst = result
+            gaps.append(_gap(poly, j, outcome))
+        # unbounded beats any gap, and a tie keeps the first facet
+        worst = max(gaps, key=lambda g: (not g.bounded, g.gap if g.bounded else 0))
         rows.append(
             ScanRow(
                 subset_id,

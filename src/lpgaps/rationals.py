@@ -11,9 +11,10 @@ is the encoding used by all file formats and reports.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -90,22 +91,26 @@ def require_common_denominator(values: Iterable[Rational], what: str) -> None:
             )
 
 
-def body_lines(text: str, header: str) -> list[str]:
+# the line boundaries of str.splitlines; a run between them is a line
+_LINE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
+
+
+def body_lines(text: str, header: str) -> Iterator[str]:
     """Lines of a file format after its header line, stripped, without
     blank lines and "#" comments. The first such line must be exactly
-    header followed by version 1."""
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    if not lines or lines[0].split()[0] != header:
+    header followed by version 1; it is checked at the call, and the
+    other lines are found one at a time as they are drawn, so a reader
+    that stops early never looks at the rest of the text."""
+    stripped = (match.group().strip() for match in _LINE.finditer(text))
+    lines = (ln for ln in stripped if ln and not ln.startswith("#"))
+    first = next(lines, None)
+    if first is None or first.split()[0] != header:
         raise ValidationError(f"missing {header} header")
-    if lines[0] != f"{header} 1":
+    if first != f"{header} 1":
         raise ValidationError(
-            f"the header line must be '{header} 1', not {lines[0]!r}"
+            f"the header line must be '{header} 1', not {first!r}"
         )
-    return lines[1:]
+    return lines
 
 
 _EXACT_TYPES = frozenset((int, Fraction))

@@ -319,7 +319,6 @@ def check_flow_feasibility(
         if out_w[c] != one or in_w[c] != one
     )
     evaluations = []
-    violated = []
     for subset in cut_subsets:
         S = _checked_subset(inst, subset)
         inside = set(S)
@@ -327,15 +326,12 @@ def check_flow_feasibility(
             (w for (i, j, w) in flow.arcs if i in inside and j not in inside),
             zero,
         )
-        ok = value >= one
-        evaluations.append(CutEvaluation(S, value, ok))
-        if not ok:
-            violated.append(S)
+        evaluations.append(CutEvaluation(S, value, value >= one))
     return FlowReport(
         degree_ok=not imbalances,
         imbalances=imbalances,
         cut_evaluations=tuple(evaluations),
-        violated_cuts=tuple(violated),
+        violated_cuts=tuple(e.subset for e in evaluations if not e.satisfied),
         total_cost=total,
         crossing_cost=crossing,
     )
@@ -366,19 +362,15 @@ def _max_flow_min_cut(
             # the search ran out before the sink: it visited exactly
             # the source side of a minimum cut
             return flow_value, tuple(i for i in range(n) if parent[i] >= 0)
-        bottleneck = None
+        path = []
         w = sink
         while w != source:
-            u = parent[w]
-            cap = residual[u][w]
-            bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-            w = u
-        w = sink
-        while w != source:
-            u = parent[w]
+            path.append((parent[w], w))
+            w = parent[w]
+        bottleneck = min(residual[u][w] for u, w in path)
+        for u, w in path:
             residual[u][w] -= bottleneck
             residual[w][u] += bottleneck
-            w = u
         flow_value += bottleneck
 
 
@@ -420,11 +412,8 @@ def separate_subtour(
     # complement, which a probe from city 0 finds; on a value tie the
     # side holding 0 is the lexicographically smaller one anyway. Probes
     # toward city 0 can therefore neither lower the minimum nor win a tie.
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for other in range(1, n):
-        cand = _max_flow_min_cut(n, weight, 0, other)
-        if cand[0] < scale and (best is None or cand < best):
-            best = cand
+    probes = (_max_flow_min_cut(n, weight, 0, other) for other in range(1, n))
+    best = min((cut for cut in probes if cut[0] < scale), default=None)
     return best[1] if best else None
 
 
@@ -469,9 +458,7 @@ def cutting_plane_loop(
     six 2-city valleys)."""
     if max_rounds < 1:
         raise ValidationError("max_rounds must be at least 1")
-    cuts: list[tuple[int, ...]] = []
     rounds: list[CutRound] = []
-    complete = False
     program = degree_lp(inst)
     outcome = None
     for rnd in range(1, max_rounds + 1):
@@ -483,17 +470,15 @@ def cutting_plane_loop(
             CutRound(rnd, outcome.value, violated, len(program.constraints))
         )
         if violated is None:
-            complete = True
             break
-        cuts.append(violated)
         program = with_constraints(program, [subtour_cut(inst, violated)])
     return CuttingPlaneTrace(
         rounds=tuple(rounds),
-        cuts=tuple(cuts),
+        cuts=tuple(r.cut_added for r in rounds if r.cut_added is not None),
         final_value=outcome.value,
         final_point=outcome.point,
         final_integral=all(is_integral(x) for x in outcome.point),
-        complete=complete,
+        complete=rounds[-1].cut_added is None,
     )
 
 
@@ -528,7 +513,8 @@ def instance_from_text(text: str) -> TspInstance:
     """Read an instance file. A file with more than MAX_FILE_CITIES
     cities is refused at its n field, and a cost row before that field,
     a cost row whose entry count is not n and an (n + 1)-th cost row
-    are refused before any of their entries is parsed."""
+    are refused before any of their entries is parsed, as is a valleys
+    field whose id count is not n."""
     fields: dict[str, str] = {}
     cost_rows: list[tuple[Rational, ...]] = []
     for ln in body_lines(text, "lpgaps-instance"):
@@ -564,8 +550,11 @@ def instance_from_text(text: str) -> TspInstance:
             raise ValidationError(f"unknown instance field {key!r}")
     if "n" not in fields or "valleys" not in fields:
         raise ValidationError("instance needs n and valleys fields")
+    ids = fields["valleys"].split()
+    if len(ids) != n:
+        raise ValidationError(f"the valleys field has {len(ids)} ids, not n = {n}")
     require_common_denominator((c for row in cost_rows for c in row), "costs")
-    valley_of = tuple(_int(t) for t in fields["valleys"].split())
+    valley_of = tuple(_int(t) for t in ids)
     return TspInstance(n, valley_of, tuple(cost_rows))
 
 

@@ -255,6 +255,22 @@ def test_check_flow_refuses_a_cost_row_before_parsing_it(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_check_flow_counts_valley_ids_before_parsing_them(tmp_path, capsys):
+    # the last of 10,000 ids is junk, so a refusal that parsed the ids
+    # first would name it instead
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    ids = "0 " * 9_999 + "x"
+    instance_path.write_text(f"lpgaps-instance 1\nn 2\nvalleys {ids}\ncosts\n0 1\n1 0\n")
+    flow_path.write_text("lpgaps-flow 1\n0 1 1\n1 0 1\n")
+    code = cli.main([
+        "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
+        "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: the valleys field has 10000 ids, not n = 2\n"
+
+
 def test_check_flow_parses_at_most_one_flow_record_past_the_arcs(
     tmp_path, capsys, monkeypatch
 ):

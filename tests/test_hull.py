@@ -265,3 +265,17 @@ def test_facet_gap_argument_checks():
         adversarial_objective(poly, 3)
     with pytest.raises(ValidationError, match="out of range"):
         adversarial_objective(poly, -1)
+
+
+@pytest.mark.parametrize("omitted, kept, message", [
+    # index -1 picked facet 3 from the end, and the gap read 0, not 2
+    (3, [0, 1, -1], "must be ints in 0..3"),
+    (1, [0, 2, 2, 3], "appears more than once"),
+    (1, [0, 2, 9], "must be ints in 0..3"),
+])
+def test_kept_facet_indices_are_checked(omitted, kept, message):
+    poly = gen_arc(5)
+    with pytest.raises(ValidationError, match=message):
+        facet_gap(poly, omitted, kept)
+    assert facet_gap(poly, 3, [0, 1, 2]).gap == 2
+    assert len(polytope_lp(poly, (0, 1), range(poly.facet_count)).constraints) == 4

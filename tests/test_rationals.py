@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from lpgaps.errors import ValidationError
 from lpgaps.rationals import (
     MAX_LITERAL_DIGITS,
+    body_lines,
     format_rational,
     parse_rational,
     scale_to_ints,
@@ -117,6 +119,36 @@ def test_readers_name_their_missing_header(reader, header):
         with pytest.raises(ValidationError) as info:
             reader(text)
         assert str(info.value) == f"missing {header} header"
+
+
+# every line boundary of str.splitlines, and characters that strip
+# removes without ending a line
+@given(st.lists(st.sampled_from([
+    "a", "#", " ", "\t", "\x1f", "\xa0", "\n", "\r", "\r\n", "\v", "\f",
+    "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]), max_size=30))
+def test_body_lines_are_the_lines_splitlines_gives(pieces):
+    text = "h 1\n" + "".join(pieces)
+    expected = [
+        ln.strip() for ln in text.splitlines()
+        if ln.strip() and not ln.strip().startswith("#")
+    ]
+    assert list(body_lines(text, "h")) == expected[1:]
+
+
+def test_flow_reader_draws_lines_as_records_are_drawn():
+    # a reader that split or stripped every line up front would hold
+    # about 400,000 strings, tens of megabytes, before the first record
+    text = "lpgaps-flow 1\n" + "0 1 1/3\n" * 400_000
+    tracemalloc.start()
+    try:
+        records = flow_arcs_from_text(text)
+        first = [next(records) for _ in range(3)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [(0, 1, Fraction(1, 3))] * 3
+    assert peak < 1_000_000
 
 
 def test_readers_refuse_a_common_denominator_beyond_the_size_limit():
