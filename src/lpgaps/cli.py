@@ -217,12 +217,8 @@ def _run_cutting_plane(args) -> Any:
 def _run_decide(args) -> Any:
     inst = _instance(args)
     # the ilp route reads no relaxation, and its flags stay None
-    relaxation = None
-    if args.via == gaps.VIA_LP:
-        relaxation = _relaxation(args, inst)
-        answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)
-    else:
-        answer = gaps.decide_tour_at_most(inst, args.threshold, args.via)
+    relaxation = _relaxation(args, inst) if args.via == gaps.VIA_LP else None
+    answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)
     return {
         "instance": gaps.instance_info(inst),
         "threshold": args.threshold,
@@ -365,31 +361,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         result = _HANDLERS[args.subcommand](args)
         # after the run: a hull scan records the draws it made
         config = _config_from_args(args)
-    except ValidationError as exc:
+        doc = reports.report_document(args.subcommand, config, result)
+        rendered = (
+            reports.render_json(doc)
+            if args.format == "json"
+            else reports.render_csv(doc, _CSV_TABLES.get(args.subcommand))
+        )
+        if args.output:
+            # a write can still fail after the check, say on a full disk
+            reports.write_text(args.output, rendered)
+        else:
+            sys.stdout.write(rendered)
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    doc = reports.report_document(args.subcommand, config, result)
-    rendered = (
-        reports.render_json(doc)
-        if args.format == "json"
-        else reports.render_csv(doc, _CSV_TABLES.get(args.subcommand))
-    )
-    if args.output:
-        # a write can still fail after the check, say on a full disk
-        try:
-            reports.write_text(args.output, rendered)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-    else:
-        sys.stdout.write(rendered)
     return EXIT_OK
 
 

@@ -166,6 +166,9 @@ def integrality_gap(
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value
         note = None
+    elif lp_value < 0:
+        ratio = None
+        note = "undefined: relaxation value is negative"
     elif ilp_value > 0:
         ratio = None
         note = "infinite: relaxation value is 0 with a positive integer optimum"

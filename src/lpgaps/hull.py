@@ -192,8 +192,6 @@ class ScanRow:
 
     @property
     def positive_gap(self) -> bool:
-        if not self.omitted:
-            return False
         return (not self.bounded) or self.gap > 0
 
 

@@ -16,7 +16,7 @@ them, so another loop may need fewer).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -232,38 +232,25 @@ def flow_from_arcs(
 
 
 def three_circulation_flow(inst: TspInstance) -> FlowSolution:
-    """Three cycle covers at weight 1/3 each. Cover r walks every valley
-    except valley r in increasing order (crossing k-1 mountain passes)
-    and covers the skipped valley with its internal cycle. The combined
-    flow is degree-feasible and its crossing cost is (k-1) * crossing
-    cost, strictly below the k-crossing integer optimum, while the
-    skipped valleys' cuts are violated at 2/3."""
+    """Three cycle covers at weight 1/3 each. Cover r is two closed
+    walks: one through the cities of every valley except valley r, in
+    valley order (crossing k-1 mountain passes), and valley r's own
+    cycle. An arc the covers use m times carries m/3. The combined flow
+    is degree-feasible and its crossing cost is (k-1) * crossing cost,
+    strictly below the k-crossing integer optimum, while the skipped
+    valleys' cuts are violated at 2/3."""
     k = inst.valley_count
     if k < 4:
         raise ValidationError("three-circulation witness needs 4+ valleys")
-    weight = Fraction(1, 3)
-    combined: dict[tuple[int, int], Fraction] = {}
-
-    def add(i: int, j: int) -> None:
-        combined[(i, j)] = combined.get((i, j), Fraction(0)) + weight
-
+    if any(len(inst.valley_cities(v)) < 2 for v in range(3)):
+        raise ValidationError("three-circulation witness needs 2+ cities per valley")
+    uses: Counter[tuple[int, int]] = Counter()
     for skipped in range(3):
-        ring = [v for v in range(k) if v != skipped]
-        for pos, v in enumerate(ring):
-            cities = inst.valley_cities(v)
-            for t in range(len(cities) - 1):
-                add(cities[t], cities[t + 1])
-            nxt = inst.valley_cities(ring[(pos + 1) % len(ring)])
-            add(cities[-1], nxt[0])
-        skipped_cities = inst.valley_cities(skipped)
-        if len(skipped_cities) < 2:
-            raise ValidationError(
-                "three-circulation witness needs 2+ cities per valley"
-            )
-        for t in range(len(skipped_cities)):
-            add(skipped_cities[t], skipped_cities[(t + 1) % len(skipped_cities)])
+        ring = [c for v in range(k) if v != skipped for c in inst.valley_cities(v)]
+        for walk in (ring, inst.valley_cities(skipped)):
+            uses.update(zip(walk, walk[1:] + walk[:1]))
     return flow_from_arcs(
-        inst, [(i, j, w) for (i, j), w in sorted(combined.items())]
+        inst, [(i, j, Fraction(m, 3)) for (i, j), m in sorted(uses.items())]
     )
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -101,6 +103,20 @@ def test_space_bounds_refuses_flags_of_another_mode(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["--mode", "single"], "--count is required in single mode"),
+    (["--mode", "subset", "--total", "9"],
+     "--total and --choose are required in subset mode"),
+])
+def test_space_bounds_needs_its_modes_flags(tmp_path, capsys, argv, message):
+    code = cli.main([
+        "space-bounds", *argv, "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
     # the count renders past Python's 4,300-digit int-to-text limit
     (["space-bounds", "--mode", "subset", "--total", "15000", "--choose", "7500"],
      "total must be at most 14000"),
@@ -158,6 +174,28 @@ def test_model_demo(tmp_path):
     assert doc["result"]["witness"] == ["0", "1/2"]
 
 
+def test_negative_fraction_flag_takes_the_equals_form(tmp_path):
+    # argparse reads a bare -3/2 as an option, not a value
+    code, out = run_cli(
+        tmp_path, "model-demo", "--start=-3/2", "--end", "0", "--step", "1/2"
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["config"]["params"]["start"] == "-3/2"
+
+
+def test_cutting_plane_beyond_oracle_reach_records_no_cost(tmp_path):
+    # 22 cities are past the oracle's budget, and the trace stands alone
+    code, out = run_cli(
+        tmp_path,
+        "cutting-plane", "--valleys", "11", "--cities-per-valley", "2",
+        "--rounds", "1",
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["result"]["oracle_cost"] is None
+    assert len(doc["result"]["trace"]["rounds"]) == 1
+
+
 def test_decide_and_cutting_plane(tmp_path):
     code, out = run_cli(
         tmp_path,
@@ -195,6 +233,38 @@ def test_check_flow_files(tmp_path):
     assert doc["result"]["report"]["degree_ok"] is True
     assert doc["result"]["report"]["total_cost"] == "0"
     assert len(doc["result"]["report"]["violated_cuts"]) == 2
+
+
+def write_instance_and_flow(tmp_path, inst):
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(instance_to_text(inst))
+    flow_path.write_text(flow_arcs_to_text(valley_internal_cycles_flow(inst)))
+    return str(instance_path), str(flow_path)
+
+
+def test_cut_valley_out_of_range_exits_2(tmp_path, capsys):
+    instance_path, flow_path = write_instance_and_flow(
+        tmp_path, gen_valley_instance(3, 2)
+    )
+    for argv in ([*VALLEY_3_2, "--relaxation", "degree+cuts"],
+                 ["check-flow", "--instance", instance_path, "--flow", flow_path]):
+        code = cli.main([*argv, "--cut-valley", "3",
+                         "--output", str(tmp_path / "x.json")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: valley index 3 out of range\n"
+        assert not (tmp_path / "x.json").exists()
+
+
+def test_check_flow_names_a_missing_instance_file(tmp_path, capsys):
+    _, flow_path = write_instance_and_flow(tmp_path, gen_valley_instance(3, 2))
+    code = cli.main(["check-flow", "--instance", str(tmp_path / "missing.txt"),
+                     "--flow", flow_path, "--output", str(tmp_path / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_check_flow_refuses_a_malformed_flow_file(tmp_path, capsys):
@@ -468,13 +538,29 @@ def test_failed_output_write_exits_2(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+class FailingStream:
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_stdout_write_exits_2(capsys):
+    # a report to stdout fails as one to --output does
+    with contextlib.redirect_stdout(FailingStream()):
+        code = cli.main(["hull-scan", "--vertices", "8", "--budget", "4"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
-def test_scan_rejects_sample_count_below_one(tmp_path, samples):
+def test_scan_rejects_sample_count_below_one(tmp_path, capsys, samples):
+    # 32 of 63 facets leave too many subsets to enumerate, so the scan
+    # samples and reads the count
     code = cli.main([
-        "hull-scan", "--vertices", "8", "--budget", "6",
+        "hull-scan", "--vertices", "64", "--budget", "32",
         "--samples", samples, "--output", str(tmp_path / "x.json"),
     ])
     assert code == 2
+    assert "sample count must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

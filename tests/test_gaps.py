@@ -9,6 +9,7 @@ from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
     VIA_ILP,
     VIA_LP,
+    InstanceInfo,
     RelaxationDesc,
     cuts_relaxation,
     cutting_plane_relaxation,
@@ -16,7 +17,7 @@ from lpgaps.gaps import (
     degree_relaxation,
     integrality_gap,
 )
-from lpgaps.valleys import gen_valley_instance
+from lpgaps.valleys import gen_valley_instance, instance_from_cost_matrix
 
 
 def test_degree_gap_headline():
@@ -103,6 +104,26 @@ def test_ratio_flagged_infinite_for_free_circulations(k):
     assert report.ilp_value == k
     assert report.gap_ratio is None
     assert "infinite" in report.gap_ratio_note
+
+
+@pytest.mark.parametrize("costs, lp_value, ilp_value", [
+    # two 2-city valleys whose inner arcs cost -1 and crossings 5
+    ([[0, -1, 5, 5], [-1, 0, 5, 5], [5, 5, 0, -1], [5, 5, -1, 0]], -4, 8),
+    # the cheap cycle 0 -> 1 -> 2 -> 0 is the tour, at -3 on both sides
+    ([[0, -1, 5], [5, 0, -1], [-1, 5, 0]], -3, -3),
+])
+def test_negative_relaxation_value_has_no_ratio(costs, lp_value, ilp_value):
+    report = integrality_gap(instance_from_cost_matrix(costs))
+    assert (report.lp_value, report.ilp_value) == (lp_value, ilp_value)
+    assert report.gap_ratio is None
+    assert report.gap_ratio_note == "undefined: relaxation value is negative"
+
+
+def test_cost_matrix_instance_records_no_valley_fields():
+    inst = instance_from_cost_matrix([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    report = integrality_gap(inst)
+    assert report.instance == InstanceInfo(3, None, None, None, None)
+    assert report.gap_ratio == 1
 
 
 def test_decide_routes():

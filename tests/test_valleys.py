@@ -235,6 +235,13 @@ def test_separation_finds_disconnected_valley():
     assert separate_subtour(inst, point) == (0, 1)
 
 
+def test_separation_refuses_a_point_of_the_wrong_length():
+    inst = gen_valley_instance(4, 2)
+    point = flow_to_point(inst, valley_internal_cycles_flow(inst))
+    with pytest.raises(ValidationError, match="point length does not match"):
+        separate_subtour(inst, point[:-1])
+
+
 def test_separation_accepts_tours():
     inst = gen_valley_instance(4, 2)
     tour = tsp_oracle(inst).tour
@@ -531,11 +538,29 @@ def test_three_circulation_witness_structure():
     )
 
 
+def unit_cost_instance(valley_of):
+    n = len(valley_of)
+    cost = tuple(tuple(Fraction(int(i != j)) for j in range(n)) for i in range(n))
+    return TspInstance(n, valley_of, cost)
+
+
 def test_three_circulation_needs_room():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="needs 4\\+ valleys"):
         three_circulation_flow(gen_valley_instance(3, 2))
-    with pytest.raises(ValidationError):
-        three_circulation_flow(gen_valley_instance(10, 1))
+    # valley 1 has one city: covers 0 and 2 walk through it, cover 1
+    # would circle it
+    one_city = unit_cost_instance((0, 0, 1, 2, 2, 3, 3))
+    for inst in (gen_valley_instance(10, 1), one_city):
+        with pytest.raises(ValidationError, match="needs 2\\+ cities per valley"):
+            three_circulation_flow(inst)
+
+
+def test_three_circulation_walks_one_city_valleys_past_the_third():
+    inst = unit_cost_instance((0, 0, 1, 1, 2, 2, 3))
+    flow = three_circulation_flow(inst)
+    report = check_flow_feasibility(inst, flow, [])
+    assert report.degree_ok
+    assert dict(((i, j), w) for i, j, w in flow.arcs)[(5, 6)] == Fraction(2, 3)
 
 
 def test_instance_text_round_trip():
@@ -571,6 +596,10 @@ def test_instance_text_errors():
         instance_from_text("lpgaps-instance 1\nn 2\nvalleys 1 0\n" + body)
     with pytest.raises(ValidationError, match="repeated instance field 'costs'"):
         instance_from_text("lpgaps-instance 1\nn 2\n" + body + "costs\n")
+    with pytest.raises(ValidationError, match="unknown instance field 'cost'"):
+        instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 1\ncost\n0 1\n1 0\n")
+    with pytest.raises(ValidationError, match="instance needs n and valleys fields"):
+        instance_from_text("lpgaps-instance 1\nn 2\ncosts\n0 1\n1 0\n")
 
 
 def test_flow_text_round_trip():
