@@ -2,10 +2,13 @@
 """Reproduce every headline demonstration into an output directory.
 
 Writes one JSON report per experiment (plus CSV where the result is a
-table) using the same CLI entry points a shell user would call, so the
-artifacts double as worked examples of the report formats. Each run's
-wall seconds, and their total, go to stderr, so stdout and the reports
-stay the same from one run to the next.
+table) through the CLI's own two steps, so the artifacts double as
+worked examples of the report formats. Each demo runs once, through
+``cli.run``; a tabled demo's CSV is rendered from the same result by
+the same write step, ``cli.write_report``, as its JSON. A failing demo
+stops the script with its traceback. Each demo's wall seconds, and
+their total, go to stderr, so stdout and the reports stay the same from
+one run to the next.
 
 Usage:
     python scripts/run_all_demos.py [--outdir out]
@@ -72,7 +75,7 @@ TABLED = {"hull_scan_v8_one_short", "hull_scan_v64_half", "cutting_plane_k4",
           "cutting_plane_k6", "space_growth"}
 
 
-def main() -> int:
+def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out", help="report directory")
     args = parser.parse_args()
@@ -90,25 +93,21 @@ def main() -> int:
         *[arg for v in range(10) for arg in ("--cut-valley", str(v))],
     ])
 
-    failures = 0
     total_s = 0.0
     for name, argv in [*DEMOS, check_flow]:
-        targets = [("json", outdir / f"{name}.json")]
+        start = time.perf_counter()
+        args, result = cli.run([*argv, "--output", str(outdir / f"{name}.json")])
+        cli.write_report(args, result)
+        print(f"{name:36s} -> {args.output}")
         if name in TABLED:
-            targets.append(("csv", outdir / f"{name}.csv"))
-        for fmt, path in targets:
-            start = time.perf_counter()
-            code = cli.main([*argv, "--format", fmt, "--output", str(path)])
-            wall_s = time.perf_counter() - start
-            total_s += wall_s
-            status = "ok" if code == 0 else f"exit {code}"
-            print(f"{name:36s} [{fmt}] -> {path} ({status})")
-            print(f"{name:36s} [{fmt}] {wall_s:.3f} s", file=sys.stderr)
-            if code != 0:
-                failures += 1
+            args.format, args.output = "csv", str(outdir / f"{name}.csv")
+            cli.write_report(args, result)
+            print(f"{name:36s} -> {args.output}")
+        wall_s = time.perf_counter() - start
+        total_s += wall_s
+        print(f"{name:36s} {wall_s:.3f} s", file=sys.stderr)
     print(f"{'total':36s} {total_s:.3f} s", file=sys.stderr)
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

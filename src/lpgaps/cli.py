@@ -1,14 +1,17 @@
 """Command-line front door: every demonstration as one subcommand.
 
-Each run parses flags, dispatches to exactly one module pipeline, whose
-handler returns only its result, and writes one report document (JSON
-by default, CSV projection on request) to stdout or --output. The
-document records the run's configuration, a plain dict of the parsed
-flags, so identical configurations produce byte-identical reports. A
-CSV table is read off the document through _CSV_TABLES, never built by
-a handler.
+A run takes two steps. ``run`` parses flags and dispatches to exactly
+one module pipeline, whose handler returns only its result;
+``write_report`` renders that result's report document (JSON by
+default, CSV projection on request) and writes it to stdout or
+--output. The document records the run's configuration, a plain dict of
+the parsed flags, so identical configurations produce byte-identical
+reports. A CSV table is read off the document through _CSV_TABLES,
+never built by a handler.
 
 Exit codes: 0 success, 2 validation/usage error, 3 budget exhausted.
+``main`` runs both steps and is the one place that maps an error to an
+exit code.
 """
 
 from __future__ import annotations
@@ -322,9 +325,9 @@ def _resolve_flags(args) -> None:
 
 
 def _check_output(path: str) -> None:
-    """Refuse, before the run, an --output that names a directory or
-    whose parent directory does not exist: the report could not be
-    written there."""
+    """Refuse, before the run, an --output that names a directory (an
+    empty one names the working directory) or whose parent directory
+    does not exist: the report could not be written there."""
     target = Path(path)
     if target.is_dir():
         raise ValidationError(f"--output {path} is a directory")
@@ -349,29 +352,38 @@ def _config_from_args(args) -> dict[str, Any]:
     }
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def run(argv: Optional[list[str]] = None) -> tuple[argparse.Namespace, Any]:
+    """Parse argv, refuse what the run would not read or could not
+    write, and run the subcommand's handler; return the parsed flags and
+    the handler's result."""
+    args = build_parser().parse_args(argv)
+    _resolve_flags(args)
+    if args.output is not None:
+        _check_output(args.output)
+    return args, _HANDLERS[args.subcommand](args)
+
+
+def write_report(args: argparse.Namespace, result: Any) -> None:
+    """Render the report document of a run's result in args.format and
+    write it to args.output, or to stdout when that is None."""
     from . import reports
 
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # after the run: a hull scan records the draws it made
+    doc = reports.report_document(args.subcommand, _config_from_args(args), result)
+    if args.format == "json":
+        rendered = reports.render_json(doc)
+    else:
+        rendered = reports.render_csv(doc, _CSV_TABLES.get(args.subcommand))
+    if args.output is not None:
+        # a write can still fail after the check, say on a full disk
+        reports.write_text(args.output, rendered)
+    else:
+        sys.stdout.write(rendered)
+
+
+def main(argv: Optional[list[str]] = None) -> int:
     try:
-        _resolve_flags(args)
-        if args.output:
-            _check_output(args.output)
-        result = _HANDLERS[args.subcommand](args)
-        # after the run: a hull scan records the draws it made
-        config = _config_from_args(args)
-        doc = reports.report_document(args.subcommand, config, result)
-        rendered = (
-            reports.render_json(doc)
-            if args.format == "json"
-            else reports.render_csv(doc, _CSV_TABLES.get(args.subcommand))
-        )
-        if args.output:
-            # a write can still fail after the check, say on a full disk
-            reports.write_text(args.output, rendered)
-        else:
-            sys.stdout.write(rendered)
+        write_report(*run(argv))
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

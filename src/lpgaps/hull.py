@@ -223,12 +223,14 @@ def subset_gap_scan(
     record the worst adversarial gap over the omitted facets. An
     enumerated scan draws nothing, so it refuses a given sample count or
     seed and reports seed None; a sampled one defaults them to
-    SAMPLE_COUNT and SEED. Each subset builds one ``polytope_lp`` and
-    solves it once per omitted facet, each solve after the first
-    warm-started from the one before; the gaps equal ``facet_gap``'s
-    cold ones. Rows are ordered by their omitted index lists so output
-    is canonical. A scan whose work estimate exceeds SCAN_WORK_LIMIT is
-    refused before any model is built."""
+    SAMPLE_COUNT and SEED and takes only a nonnegative seed, since a
+    negative one would draw the subsets of its absolute value. Each
+    subset builds one ``polytope_lp`` and solves it once per omitted
+    facet, each solve after the first warm-started from the one before;
+    the gaps equal ``facet_gap``'s cold ones. Rows are ordered by their
+    omitted index lists so output is canonical. A scan whose work
+    estimate exceeds SCAN_WORK_LIMIT is refused before any model is
+    built."""
     F = poly.facet_count
     if not 0 <= budget <= F:
         raise ValidationError(f"budget must be within 0..{F}")
@@ -245,6 +247,8 @@ def subset_gap_scan(
         seed = SEED if seed is None else seed
         if sample_count < 1:
             raise ValidationError("sample count must be at least 1")
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative, not {seed}")
         if sample_count > total:
             raise ValidationError(
                 f"sample count {sample_count} exceeds the {total} subsets of "

@@ -512,18 +512,19 @@ def test_validation_exit_code(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("output", ["missing/x.json", "."])
+@pytest.mark.parametrize("output", ["missing/x.json", ".", ""])
 def test_unwritable_output_is_refused_before_the_run(
     tmp_path, monkeypatch, capsys, output
 ):
-    # a missing parent directory, or a directory itself
+    # a missing parent directory, a directory itself, or the empty path,
+    # which names the working directory and is passed as given
     def no_run(args):
         raise AssertionError("the run started")
 
     monkeypatch.setitem(cli._HANDLERS, "hull-scan", no_run)
     code = cli.main([
         "hull-scan", "--vertices", "8", "--budget", "4",
-        "--output", str(tmp_path / output),
+        "--output", str(tmp_path / output) if output else output,
     ])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: --output ")
@@ -571,6 +572,18 @@ def test_scan_refuses_more_samples_than_subsets(tmp_path, capsys):
     ])
     assert code == 2
     assert "12870 subsets" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_sampled_scan_refuses_a_negative_seed(tmp_path, capsys):
+    # random.Random seeds from |seed|, so --seed -5 would draw the
+    # subsets of --seed 5 and record -5
+    code = cli.main([
+        "hull-scan", "--vertices", "64", "--budget", "32", "--seed", "-5",
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
 
 

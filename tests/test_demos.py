@@ -10,10 +10,13 @@ paths, so the directory must be the same relative one each time.
 """
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from lpgaps import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,3 +79,28 @@ def test_demo_reports_are_pinned(tmp_path):
         for path in (tmp_path / "out").iterdir()
     }
     assert written == DEMO_SHA256
+
+
+def test_each_demo_runs_once(tmp_path, monkeypatch):
+    # a tabled demo's CSV is rendered from its one run's result
+    spec = importlib.util.spec_from_file_location(
+        "run_all_demos", ROOT / "scripts" / "run_all_demos.py"
+    )
+    demos = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demos)
+    runs = []
+
+    def counting(subcommand, handler):
+        def run(args):
+            runs.append(subcommand)
+            return handler(args)
+        return run
+
+    for subcommand, handler in list(cli._HANDLERS.items()):
+        monkeypatch.setitem(cli._HANDLERS, subcommand, counting(subcommand, handler))
+    outdir = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["run_all_demos.py", "--outdir", str(outdir)])
+    demos.main()
+    assert len(runs) == 13
+    assert runs == [argv[0] for _, argv in demos.DEMOS] + ["check-flow"]
+    assert {path.name for path in outdir.iterdir()} == DEMO_SHA256.keys()

@@ -163,6 +163,10 @@ def test_scan_validation():
         subset_gap_scan(gen_arc(8), budget=-1)
     with pytest.raises(ValidationError):
         subset_gap_scan(gen_arc(8), budget=4, sample_count=0)
+    # 16 facets keep 8 in 12870 ways, so the scan would sample: a
+    # negative seed would draw the subsets of its absolute value
+    with pytest.raises(ValidationError, match="nonnegative"):
+        subset_gap_scan(gen_arc(17), budget=8, seed=-5)
     # 7 facets keep 4 in 35 ways, all scanned: nothing reads a draw count
     # or seed
     for draws in (dict(sample_count=3), dict(seed=0)):
