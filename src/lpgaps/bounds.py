@@ -195,11 +195,7 @@ def monotone_model_demo(grid_start, grid_end, step) -> MonotoneScan:
     points = (end - start) // incr + 1
     if points > MAX_GRID_POINTS:
         raise ValidationError(f"a grid has at most {MAX_GRID_POINTS} points, not {points}")
-    grid = []
-    x = start
-    while x <= end:
-        grid.append(x)
-        x += incr
+    grid = [start + k * incr for k in range(points)]
     for x in grid:
         _refuse_costly(x)
     values = [model_value(x) for x in grid]

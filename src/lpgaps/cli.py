@@ -206,7 +206,7 @@ def _run_cutting_plane(args) -> Any:
     inst = _instance(args)
     trace = valleys.cutting_plane_loop(inst, args.rounds)
     result = {
-        "instance": gaps.instance_info(inst),
+        "instance": inst.info,
         "trace": trace,
         "oracle_cost": None,
     }
@@ -223,7 +223,7 @@ def _run_decide(args) -> Any:
     relaxation = _relaxation(args, inst) if args.via == gaps.VIA_LP else None
     answer = gaps.decide_tour_at_most(inst, args.threshold, args.via, relaxation)
     return {
-        "instance": gaps.instance_info(inst),
+        "instance": inst.info,
         "threshold": args.threshold,
         "decision_form": gaps.DECISION_FORM,
         "via": args.via,
@@ -237,7 +237,7 @@ def _run_check_flow(args) -> Any:
     arcs = valleys.flow_arcs_from_text(Path(args.flow).read_text())
     flow = valleys.flow_from_arcs(inst, arcs)
     report = valleys.check_flow_feasibility(inst, flow, _cut_subsets(args, inst))
-    return {"flow_total_cost": flow.total_cost, "report": report}
+    return {"flow_total_cost": report.total_cost, "report": report}
 
 
 def _run_space_bounds(args) -> Any:

@@ -22,6 +22,7 @@ from .lp import LinearProgram, SolveStatus, solve_lp
 from .rationals import Rational, require_exact
 from .valleys import (
     DEFAULT_ROUNDS,
+    InstanceInfo,
     TspInstance,
     cutting_plane_loop,
     relaxation_with_cuts,
@@ -71,24 +72,6 @@ def cuts_relaxation(cut_subsets: Iterable[Iterable[int]]) -> RelaxationDesc:
 
 def cutting_plane_relaxation(max_rounds: int = DEFAULT_ROUNDS) -> RelaxationDesc:
     return RelaxationDesc(CUTTING_PLANE, max_rounds=max_rounds)
-
-
-@dataclass(frozen=True)
-class InstanceInfo:
-    n: int
-    valleys: Optional[int]
-    cities_per_valley: Optional[int]
-    intra_cost: Optional[Rational]
-    crossing_cost: Optional[Rational]
-
-
-def instance_info(inst: TspInstance) -> InstanceInfo:
-    if inst.params is None:
-        return InstanceInfo(inst.n, None, None, None, None)
-    p = inst.params
-    return InstanceInfo(
-        inst.n, p.valleys, p.cities_per_valley, p.intra_cost, p.crossing_cost
-    )
 
 
 # decisions ask "is there a tour of cost at most X" (the standard
@@ -182,7 +165,7 @@ def integrality_gap(
         ilp_yes = ilp_value <= x
         answers.append(DecisionAnswer(x, lp_yes, ilp_yes, lp_yes == ilp_yes))
     return GapReport(
-        instance=instance_info(inst),
+        instance=inst.info,
         relaxation=relaxation,
         lp_value=lp_value,
         ilp_value=ilp_value,

@@ -262,17 +262,16 @@ def subset_gap_scan(
             f"estimates {work} work units, over the limit {SCAN_WORK_LIMIT}"
         )
     if enumerated:
-        kept_sets = [tuple(c) for c in combinations(range(F), budget)]
+        kept_sets = list(combinations(range(F), budget))
     else:
         rng = random.Random(seed)
-        chosen: set[tuple[int, ...]] = set()
+        kept_sets = set()
         attempts = 0
-        while len(chosen) < sample_count:
+        while len(kept_sets) < sample_count:
             attempts += 1
             if attempts > 1000 * sample_count:  # pragma: no cover
                 raise ValidationError("sampling failed to find distinct subsets")
-            chosen.add(tuple(sorted(rng.sample(range(F), budget))))
-        kept_sets = sorted(chosen)
+            kept_sets.add(tuple(sorted(rng.sample(range(F), budget))))
 
     entries = sorted(
         (tuple(sorted(set(range(F)).difference(kept))), kept)

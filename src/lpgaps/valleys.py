@@ -46,11 +46,14 @@ from .rationals import (
 
 
 @dataclass(frozen=True)
-class ValleyParams:
-    valleys: int
-    cities_per_valley: int
-    intra_cost: Rational
-    crossing_cost: Rational
+class InstanceInfo:
+    """What a report records of an instance: its city count, and the
+    valley parameters of a generated one (None for any other)."""
+    n: int
+    valleys: Optional[int] = None
+    cities_per_valley: Optional[int] = None
+    intra_cost: Optional[Rational] = None
+    crossing_cost: Optional[Rational] = None
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class TspInstance:
     n: int
     valley_of: tuple[int, ...]
     cost: tuple[tuple[Rational, ...], ...]  # diagonal entries are unused
-    params: Optional[ValleyParams] = None
+    params: Optional[InstanceInfo] = None
 
     def __post_init__(self):
         n = self.n
@@ -71,6 +74,10 @@ class TspInstance:
             raise ValidationError("valley ids must be 0..k-1 with none missing")
         for row in self.cost:
             require_exact(row, "costs")
+
+    @property
+    def info(self) -> InstanceInfo:
+        return self.params or InstanceInfo(self.n)
 
     @property
     def valley_count(self) -> int:
@@ -121,7 +128,7 @@ def gen_valley_instance(
     )
     return TspInstance(
         n, valley_of, cost,
-        ValleyParams(valleys, cities_per_valley, eps, big),
+        InstanceInfo(n, valleys, cities_per_valley, eps, big),
     )
 
 
@@ -182,8 +189,14 @@ def relaxation_with_cuts(
     inst: TspInstance, cut_subsets: Iterable[Iterable[int]]
 ) -> LinearProgram:
     """The degree LP with one subtour cut per subset; with no subset,
-    the degree LP itself, not a copy that checks its rows again."""
-    cuts = [subtour_cut(inst, S) for S in cut_subsets]
+    the degree LP itself, not a copy that checks its rows again. Two
+    subsets that name one city set are refused: the second would only
+    repeat the first one's row."""
+    subsets = [tuple(sorted(S)) for S in cut_subsets]
+    repeated = [S for S, count in Counter(subsets).items() if count > 1]
+    if repeated:
+        raise ValidationError(f"cut subset {list(repeated[0])} is named more than once")
+    cuts = [subtour_cut(inst, S) for S in subsets]
     program = degree_lp(inst)
     return with_constraints(program, cuts) if cuts else program
 
@@ -194,15 +207,15 @@ def relaxation_with_cuts(
 @dataclass(frozen=True)
 class FlowSolution:
     arcs: tuple[tuple[int, int, Rational], ...]
-    total_cost: Rational
 
 
 def flow_from_arcs(
     inst: TspInstance, arcs: Iterable[tuple[int, int, Rational]]
 ) -> FlowSolution:
-    """Validate arc records and price the flow against the instance.
-    Weights must be exact rationals: a float is refused, not read as its
-    binary fraction. Each record is checked as it arrives, before the
+    """Validate arc records against the instance, without pricing the
+    flow: check_flow_feasibility alone sums its cost. Weights must be
+    exact rationals: a float is refused, not read as its binary
+    fraction. Each record is checked as it arrives, before the
     next is drawn, so a lazy reader such as flow_arcs_from_text stops at
     the first refused one: a self-loop, an unknown city, a repeated arc,
     a weight outside [0, 1], or weights so far that need a common
@@ -226,9 +239,7 @@ def flow_from_arcs(
             yield wf
 
     require_common_denominator(weights(), "arc weights")
-    rows = tuple((i, j, w) for (i, j), w in checked.items())
-    total = sum((w * inst.cost[i][j] for i, j, w in rows), Fraction(0))
-    return FlowSolution(rows, total)
+    return FlowSolution(tuple((i, j, w) for (i, j), w in checked.items()))
 
 
 def three_circulation_flow(inst: TspInstance) -> FlowSolution:

@@ -110,6 +110,12 @@ def test_single_point_grid_is_vacuously_monotone():
     assert scan.grid_monotone and scan.witness is None and len(scan.grid) == 1
 
 
+def test_a_grid_stops_at_its_last_step_at_or_below_the_end():
+    assert monotone_model_demo(0, 1, Fraction(2, 3)).grid == (0, Fraction(2, 3))
+    grid = monotone_model_demo(Fraction(1, 3), 3, Fraction(2, 3)).grid
+    assert grid == tuple(Fraction(k, 3) for k in (1, 3, 5, 7, 9))
+
+
 def test_non_integer_values_are_high_precision():
     value = model_value(Fraction(1, 2))
     assert not isinstance(value, Fraction)

@@ -256,6 +256,25 @@ def test_cut_valley_out_of_range_exits_2(tmp_path, capsys):
         assert not (tmp_path / "x.json").exists()
 
 
+def test_a_cut_subset_named_twice_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = cli.main([*VALLEY_3_2, "--relaxation", "degree+cuts", "--cut-valley", "0",
+                     "--cut-cities", "1,0", "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: cut subset [0, 1] is named more than once\n"
+    assert not out.exists()
+    # check-flow only evaluates its cuts, so a repeated one is read twice
+    instance_path, flow_path = write_instance_and_flow(
+        tmp_path, gen_valley_instance(3, 2)
+    )
+    code = cli.main(["check-flow", "--instance", instance_path, "--flow", flow_path,
+                     "--cut-valley", "0", "--cut-valley", "0", "--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["result"]["report"]["violated_cuts"] == [
+        [0, 1], [0, 1]
+    ]
+
+
 def test_check_flow_names_a_missing_instance_file(tmp_path, capsys):
     _, flow_path = write_instance_and_flow(tmp_path, gen_valley_instance(3, 2))
     code = cli.main(["check-flow", "--instance", str(tmp_path / "missing.txt"),

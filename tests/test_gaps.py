@@ -201,6 +201,16 @@ def test_bad_cut_subset_is_refused_before_the_oracle_budget(monkeypatch):
         integrality_gap(inst, cuts_relaxation([(0, 99)]))
 
 
+def test_repeated_cut_subset_is_refused_before_the_oracle(monkeypatch):
+    def never(*args):
+        raise AssertionError("the tour oracle ran before the cut subsets were checked")
+
+    monkeypatch.setattr(gaps, "tsp_oracle", never)
+    inst = gen_valley_instance(3, 2)
+    with pytest.raises(ValidationError, match="named more than once"):
+        integrality_gap(inst, cuts_relaxation([(0, 1), (1, 0)]))
+
+
 @pytest.mark.parametrize("kwargs, message", [
     # the degree relaxation reads neither cuts nor a round budget
     (dict(kind="degree", cut_subsets=((0, 1),)), "cut_subsets need the degree+cuts"),

@@ -12,6 +12,7 @@ from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import GREATER_EQ, SolveStatus, solve_lp
 from lpgaps.valleys import (
     MAX_CITIES,
+    InstanceInfo,
     TspInstance,
     arc_list,
     check_flow_feasibility,
@@ -131,7 +132,7 @@ def test_degree_lp_value_with_free_valley_circulation():
     # solver's optimum, hence itself optimal
     witness = valley_internal_cycles_flow(inst)
     assert point_feasible(degree_lp(inst), flow_to_point(inst, witness))
-    assert witness.total_cost == out.value
+    assert check_flow_feasibility(inst, witness).total_cost == out.value
 
 
 def test_degree_lp_value_when_every_arc_costs_one():
@@ -214,6 +215,13 @@ def test_a_city_named_twice_in_a_subset_is_refused():
     # a subset in any order is still the sorted one
     report = check_flow_feasibility(inst, flow, [(1, 0)])
     assert report.cut_evaluations[0].subset == (0, 1)
+
+
+def test_a_cut_subset_named_twice_is_refused():
+    # the second would repeat the first one's row: both orders name {0, 1}
+    inst = gen_valley_instance(3, 2)
+    with pytest.raises(ValidationError, match=r"cut subset \[0, 1\] is named more"):
+        relaxation_with_cuts(inst, [(0, 1), (1, 0)])
 
 
 def test_two_protected_valleys_force_two_crossings():
@@ -563,6 +571,14 @@ def test_three_circulation_walks_one_city_valleys_past_the_third():
     assert dict(((i, j), w) for i, j, w in flow.arcs)[(5, 6)] == Fraction(2, 3)
 
 
+def test_an_instance_records_its_report_description():
+    inst = gen_valley_instance(3, 2, Fraction(1, 7), Fraction(5, 3))
+    assert inst.info == InstanceInfo(6, 3, 2, Fraction(1, 7), Fraction(5, 3))
+    # an instance that was not generated knows only its city count
+    assert instance_from_cost_matrix([[0, 1], [1, 0]]).info == InstanceInfo(2)
+    assert instance_from_text(instance_to_text(inst)).info == InstanceInfo(6)
+
+
 def test_instance_text_round_trip():
     inst = gen_valley_instance(4, 2, Fraction(1, 3), Fraction(7, 2))
     text = instance_to_text(inst)
@@ -668,5 +684,11 @@ def test_subtour_cuts_never_lower_the_degree_lp_minimum(data):
     first, second = data.draw(subsets), data.draw(subsets)
     base = solve_lp(degree_lp(inst)).value
     one_cut = solve_lp(relaxation_with_cuts(inst, [first])).value
-    two_cuts = solve_lp(relaxation_with_cuts(inst, [first, second])).value
-    assert base <= one_cut <= two_cuts
+    assert base <= one_cut
+    if sorted(first) == sorted(second):
+        # a second copy of one cut would only repeat its row
+        with pytest.raises(ValidationError, match="named more than once"):
+            relaxation_with_cuts(inst, [first, second])
+    else:
+        two_cuts = solve_lp(relaxation_with_cuts(inst, [first, second])).value
+        assert one_cut <= two_cuts
