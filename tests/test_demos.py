@@ -11,13 +11,12 @@ paths, so the directory must be the same relative one each time.
 
 import hashlib
 import importlib.util
-import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from lpgaps import cli, reports
+from lpgaps import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,12 +104,3 @@ def test_each_demo_runs_once(tmp_path, monkeypatch):
     assert len(runs) == 13
     assert runs == [argv[0] for _, argv in demos.DEMOS] + ["check-flow"]
     assert {path.name for path in outdir.iterdir()} == DEMO_SHA256.keys()
-    # the demos that write a CSV are exactly those whose report's CSV
-    # projection is a table
-    tabled = set()
-    for path in outdir.glob("*.json"):
-        doc = json.loads(path.read_text())
-        table = cli._CSV_TABLES.get(doc["subcommand"])
-        if reports.render_csv(doc, table).startswith("# schema="):
-            tabled.add(path.stem)
-    assert tabled == demos.TABLED

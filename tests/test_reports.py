@@ -3,12 +3,16 @@ table's cells, its comment lines and a flat report's rows are the JSON
 document's values, each written as one CSV cell."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from lpgaps import cli
-from lpgaps.reports import _csv_cell, flatten
+from lpgaps.reports import _csv_cell, flatten, render_csv, report_document
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # each run whose CSV is a table: the keys that lead from the JSON
 # result to the rows, and the headers that name another row key
@@ -67,3 +71,19 @@ def test_csv_without_a_table_is_the_flat_json_document(tmp_path, argv):
     header, *rows = csv.reader(text.splitlines())
     assert header == ["key", "value"]
     assert [tuple(row) for row in rows] == flatten(doc)
+
+
+def test_demos_table_exactly_the_runs_whose_csv_is_a_table():
+    # each demo runs once; its CSV projection is rendered, not written
+    spec = importlib.util.spec_from_file_location(
+        "run_all_demos", ROOT / "scripts" / "run_all_demos.py"
+    )
+    demos = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demos)
+    tabled = set()
+    for name, argv in demos.DEMOS:
+        args, result = cli.run(argv)
+        doc = report_document(args.subcommand, cli._config_from_args(args), result)
+        if render_csv(doc, cli._CSV_TABLES.get(args.subcommand)).startswith("# schema="):
+            tabled.add(name)
+    assert tabled == demos.TABLED
