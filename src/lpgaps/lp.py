@@ -193,20 +193,34 @@ def _eliminate(
     prow/pden (prow[col] == pden, so its true entry there is 1), values
     included, since each row ends in its value; returns the new
     denominator, with row and denominator in lowest terms together. nz
-    lists the entries where prow is nonzero, the only ones the update
-    touches. row is written in place, scale and gcd divide included, so
-    the list the caller holds is the updated row."""
+    lists the entries where prow is nonzero, the only ones the
+    subtraction touches. row is written in place, scale and gcd divide
+    included, so the list the caller holds is the updated row.
+
+    With f = row[col] and q = gcd(f, pden), the new row is row * (pden /
+    q) - (f / q) * prow over den * (pden / q): pden / q is the smallest
+    multiplier that makes f * prow / pden whole, and none is needed when
+    pden divides f. Scaling and dividing by the gcd touch only the
+    row's nonzero entries, since a zero stays zero. Any multiplier gives
+    the same ints in the end: a row in lowest terms over a positive
+    denominator is the only such form of its values."""
     f = row[col]
     if pden > 1:
-        row[:] = [x * pden for x in row]
+        q = gcd(f, pden)
+        f //= q
+        s = pden // q
+        if s > 1:
+            for j in compress(range(len(row)), row):
+                row[j] *= s
+            den *= s
     for j in nz:
         row[j] -= f * prow[j]
-    den *= pden
     if den > 1:
         g = gcd(den, *row)
         if g > 1:
             den //= g
-            row[:] = [x // g for x in row]
+            for j in compress(range(len(row)), row):
+                row[j] //= g
     return den
 
 
@@ -275,7 +289,13 @@ class _Tableau:
 
     Rows are stored densely, one int per column and then the value. A
     basis change lists the pivot row's nonzero entries once, and every
-    elimination of that pivot updates only those entries of its row.
+    elimination of that pivot subtracts only at those entries of its row.
+    An elimination scales its row by the smallest multiplier, pden /
+    gcd(f, pden) for its entry f and the pivot's denominator pden, and
+    scales and divides by the lowest-terms gcd only at the row's nonzero
+    entries. The ints are those of a full-row scale by pden and divide:
+    every row stays in lowest terms over a positive denominator, and a
+    row's values have only that one such form.
     Every write is in place, so no basis change or bound flip replaces a
     row of the store. A tableau owns every list it holds: each row of
     ``A``, and ``d``, ``basis``, ``state`` and ``ub``, so ``copy``
@@ -463,8 +483,9 @@ class _Tableau:
         if prow[enter] < 0:
             for j in nz:
                 prow[j] = -prow[j]
-        # the gcd divides prow[enter], so a unit pivot entry needs none
-        g = gcd(*prow) if prow[enter] > 1 else 1
+        # the gcd divides prow[enter], so a unit pivot entry needs none;
+        # zeros leave it unchanged
+        g = gcd(*[prow[j] for j in nz]) if prow[enter] > 1 else 1
         if g > 1:
             for j in nz:
                 prow[j] //= g

@@ -74,6 +74,14 @@ class TspInstance:
             raise ValidationError("valley ids must be 0..k-1 with none missing")
         for row in self.cost:
             require_exact(row, "costs")
+        # a report records params, so they must describe this instance
+        p, k = self.params, self.valley_count
+        if p is not None and (
+            p.n != n
+            or p.valleys not in (None, k)
+            or (p.cities_per_valley is not None and k * p.cities_per_valley != n)
+        ):
+            raise ValidationError(f"{p} disagrees with {n} cities in {k} valleys")
 
     @property
     def info(self) -> InstanceInfo:

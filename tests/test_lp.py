@@ -302,6 +302,50 @@ def test_property_eliminate_matches_fraction_reference(data):
     assert gcd(out_den, *row) == 1
 
 
+def full_row_eliminate(row, den, prow, pden, col):
+    """The textbook update: the whole row scaled by pden, less f times the
+    pivot row, then divided by its gcd with the scaled denominator."""
+    f = row[col]
+    out = [x * pden - f * y for x, y in zip(row, prow)]
+    den *= pden
+    g = gcd(den, *out)
+    return [x // g for x in out], den // g
+
+
+# Mostly zero, as tableau rows are: about five entries in six are 0.
+sparse_entries = st.one_of(st.just(0), st.just(0), st.just(0), entries)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_property_eliminate_matches_the_full_row_update(data):
+    # the smallest multiplier and the nonzero-only scale and divide give
+    # the ints of the full-row update: lowest terms over a positive
+    # denominator leaves one form of the row's values
+    width = data.draw(st.integers(1, 30))
+    col = data.draw(st.integers(0, width - 1))
+    # a pivot row as _replace leaves it: positive at col, gcd 1 over its
+    # entries and its value; a unit entry at col gives pden == 1
+    prow = data.draw(st.lists(sparse_entries, min_size=width + 1, max_size=width + 1))
+    prow[col] = data.draw(st.one_of(st.just(1), st.integers(2, 60)))
+    g = gcd(*prow)
+    prow = [x // g for x in prow]
+    pden = prow[col]
+    # f is a multiple of a divisor of pden: 1, one between, or pden
+    # itself, where pden divides f and the row needs no scale
+    share = data.draw(st.sampled_from([q for q in range(1, pden + 1) if pden % q == 0]))
+    f = share * data.draw(st.one_of(st.integers(1, 9), st.integers(1, 10**12)))
+    row = data.draw(st.lists(sparse_entries, min_size=width + 1, max_size=width + 1))
+    row[col] = data.draw(st.sampled_from([f, -f]))
+    den = data.draw(st.one_of(st.just(1), st.integers(1, 60)))
+    nz = [j for j, x in enumerate(prow) if x]
+    expected = full_row_eliminate(row, den, prow, pden, col)
+
+    out_den = _eliminate(row, den, prow, pden, col, nz)
+
+    assert (row, out_den) == expected
+
+
 # Properties over programs random_bounded_lp never draws: denominators up
 # to 7 (so tableau rows carry denominators above 1), negative lower
 # bounds, fixed variables (lo == hi) and equality rows. Every box is

@@ -87,6 +87,25 @@ def test_instances_check_themselves_when_made():
         instance_from_cost_matrix([[0, 1], [1]])
 
 
+def test_instances_refuse_params_that_describe_another_instance():
+    unit = ((0, 1), (1, 0))
+    with pytest.raises(ValidationError, match="disagrees with 2 cities in 2 valleys"):
+        TspInstance(2, (0, 1), unit, InstanceInfo(7, 5, 3, 0, 1))
+    for params in (
+        InstanceInfo(2, 1, 2),  # two valleys, not one
+        InstanceInfo(2, 2, 2),  # 2 x 2 is not 2 cities
+        InstanceInfo(3),
+    ):
+        with pytest.raises(ValidationError, match="disagrees"):
+            TspInstance(2, (0, 1), unit, params)
+    # what generation records, and a city count alone, describe it
+    for params in (InstanceInfo(2, 2, 1, 0, 1), InstanceInfo(2)):
+        assert TspInstance(2, (0, 1), unit, params).info == params
+    inst = gen_valley_instance(3, 2)
+    with pytest.raises(ValidationError, match="disagrees"):
+        replace(inst, valley_of=(0, 0, 0, 1, 1, 1))
+
+
 def test_float_costs_are_refused_where_made():
     # they used to reach tsp_oracle and fail there with AttributeError
     inst = gen_valley_instance(2, 2)
