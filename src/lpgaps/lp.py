@@ -448,11 +448,13 @@ class _Tableau:
         units, the basis unchanged: each row's value numerator, its last
         entry, falls by direction * ub[enter] times its entry in column
         enter, the cost rows' included, and no column entry or
-        denominator changes."""
+        denominator changes. enter then sits at its other bound, free to
+        move back: its state becomes -direction."""
         u = direction * self.ub[enter]
         for row in self.A:
             if row[enter]:
                 row[-1] -= u * row[enter]
+        self.state[enter] = -direction
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
         """Make enter basic in row p; the leaving column takes
@@ -496,11 +498,12 @@ class _Tableau:
         if from_upper:
             prow[-1] += self.ub[enter] * dp
 
-    def run(self) -> str:
+    def run(self) -> SolveStatus:
         """Maximize the objective the last row prices. Bland's rule:
         smallest eligible entering index; ratio ties broken by smallest
         leaving-variable index (the entering variable's own bound counts
-        as a candidate). Returns "optimal" or "unbounded"."""
+        as a candidate). Returns SolveStatus.OPTIMAL or
+        SolveStatus.UNBOUNDED."""
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
@@ -518,35 +521,27 @@ class _Tableau:
                 if direction * r[enter] > 0:
                     break
             else:
-                return "optimal"
+                return SolveStatus.OPTIMAL
 
             # ratio test over the constraint rows' unreduced int
             # numerator/denominator pairs; the entering variable's own int
             # span competes as candidate row -1. Entry (i, enter) is a /
-            # d[i] and row i's value row[-1] / d[i], so d[i] cancels: the
-            # step that zeroes the value is row[-1] / |a|, and the one that
-            # lifts it to its int cap is (cap * d[i] - row[-1]) / |a|.
+            # d[i] and row i's value row[-1] / d[i], so d[i] cancels. With
+            # s = a * direction, s > 0 drives the value down, to zero after
+            # the step row[-1] / s; s < 0 drives it up, to its int cap
+            # after (cap * d[i] - row[-1]) / -s, and an uncapped column or
+            # an artificial (which has no cap) sets no limit.
             best_num, best_den = ub[enter], 1
             best_var = enter
             best_row = -1
-            best_hits_upper = False
-            up = direction > 0
             for i, row in enumerate(self.A[:len(basis)]):
-                a = row[enter]
-                if a == 0:
+                s = row[enter] * direction
+                if s > 0:
+                    tn, td = row[-1], s
+                elif s < 0 and basis[i] < ncols and ub[basis[i]] is not None:
+                    tn, td = ub[basis[i]] * d[i] - row[-1], -s
+                else:
                     continue
-                if (a > 0) == up:  # step drives the value down
-                    tn = row[-1]
-                    td = a if up else -a
-                    hits_upper = False
-                else:  # step drives the value up toward its cap
-                    # an artificial basic has no cap
-                    cap = ub[basis[i]] if basis[i] < ncols else None
-                    if cap is None:
-                        continue
-                    tn = cap * d[i] - row[-1]
-                    td = -a if up else a
-                    hits_upper = True
                 if best_num is not None:
                     lhs = tn * best_den
                     rhs = best_num * td
@@ -555,15 +550,15 @@ class _Tableau:
                 best_num, best_den = tn, td
                 best_var = basis[i]
                 best_row = i
-                best_hits_upper = hits_upper
             if best_num is None:
-                return "unbounded"
+                return SolveStatus.UNBOUNDED
             if best_row < 0:
                 # bound flip: enter crosses its whole span, basis unchanged
                 self._flip(enter, direction)
-                state[enter] = -direction
                 continue
-            self._replace(best_row, enter, -1 if best_hits_upper else 1)
+            # the winning row's sign says which bound its column stops at
+            rose = self.A[best_row][enter] * direction < 0
+            self._replace(best_row, enter, -1 if rose else 1)
 
     def drive_out_artificials(self) -> None:
         """Degenerate swaps at step 0 that take every artificial out of
@@ -670,8 +665,8 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         g = gcd(den, *row)
         tab.A.append([x // g for x in row])
         tab.d.append(den // g)
-        status = tab.run()
-        if status != "optimal":  # pragma: no cover - phase 1 is bounded above by 0
+        # phase 1's objective is bounded above by 0
+        if tab.run() is not SolveStatus.OPTIMAL:  # pragma: no cover
             raise AssertionError("phase 1 cannot be unbounded")
         # the row's value is the artificials' sum, and artificials never
         # go negative: any sum left is infeasibility
@@ -681,8 +676,7 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
         del tab.A[-1], tab.d[-1]
         tab.drive_out_artificials()
 
-    status = tab.run()
-    if status == "unbounded":
+    if tab.run() is SolveStatus.UNBOUNDED:
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
     # the cost row's value is -(sign * c) . x at the final point

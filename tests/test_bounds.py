@@ -83,6 +83,8 @@ def test_ceil_log2_matches_bracketing():
     for k in [1, 2, 3, 4, 5, 127, 128, 129, 2**40 - 1, 2**40, 2**40 + 1]:
         b = ceil_log2(k)
         assert 2**b >= k and (k == 1 or 2 ** (b - 1) < k)
+    with pytest.raises(ValidationError, match="count must be positive"):
+        ceil_log2(0)
 
 
 def test_integer_grid_is_exactly_monotone():

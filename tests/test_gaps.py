@@ -119,6 +119,13 @@ def test_negative_relaxation_value_has_no_ratio(costs, lp_value, ilp_value):
     assert report.gap_ratio_note == "undefined: relaxation value is negative"
 
 
+def test_zero_values_have_an_indeterminate_ratio():
+    report = integrality_gap(instance_from_cost_matrix([[0, 0, 0]] * 3))
+    assert (report.lp_value, report.ilp_value, report.gap) == (0, 0, 0)
+    assert report.gap_ratio is None
+    assert report.gap_ratio_note == "indeterminate: both values are 0"
+
+
 def test_cost_matrix_instance_records_no_valley_fields():
     inst = instance_from_cost_matrix([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
     report = integrality_gap(inst)

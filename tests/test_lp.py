@@ -1081,16 +1081,27 @@ def test_digest_programs_take_every_integer_span_move(monkeypatch):
     # a bound flip across a column whose unit is above 1, a basis change
     # whose leaving column stops at a nonzero upper bound, and a row
     # whose right-hand side has a denominator its coefficients lack
-    # (153 flips, 115 leaves and 893 rows, numbers the pinned pivots fix)
+    # (153 flips, 115 leaves and 893 rows, numbers the pinned pivots fix).
+    # They also take each move the ratio test decides, in both entering
+    # directions: a leaving structural or slack column stops at zero or
+    # at its cap, and a flip goes up or down (184, 97, 33 and 19 basis
+    # changes, 142 and 39 flips), so the pinned pivots guard both
+    # candidate forms of the rule whichever way the entering column moves
     seen = {"flip over a unit": 0, "leave at upper": 0, "rhs denominator": 0}
+    moves = {(enter, leave): 0 for enter in ("up", "down") for leave in ("zero", "cap")}
+    moves.update({("flip", "up"): 0, ("flip", "down"): 0})
+    way = {1: "up", -1: "down"}
     flip, replace_row, reduced = _Tableau._flip, _Tableau._replace, _Tableau._reduced
 
     def counting_flip(self, enter, direction):
         seen["flip over a unit"] += self.unit[enter] > 1
+        moves["flip", way[direction]] += 1
         return flip(self, enter, direction)
 
     def counting_replace(self, p, enter, leave_state):
         seen["leave at upper"] += leave_state < 0 and self.ub[self.basis[p]] > 0
+        if self.basis[p] < self.ncols:
+            moves[way[self.state[enter]], "cap" if leave_state < 0 else "zero"] += 1
         return replace_row(self, p, enter, leave_state)
 
     def counting_reduced(self, values, rhs=0):
@@ -1115,6 +1126,7 @@ def test_digest_programs_take_every_integer_span_move(monkeypatch):
         )
         solve_lp(other, start=first)
     assert min(seen.values()) >= 100, seen
+    assert min(moves.values()) >= 15, moves
 
 
 def test_warm_start_from_an_unbounded_outcome():

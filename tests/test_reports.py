@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from lpgaps import cli
-from lpgaps.reports import _csv_cell, flatten, render_csv, report_document
+from lpgaps.reports import _csv_cell, flatten, render_csv, report_document, to_jsonable
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,3 +87,9 @@ def test_demos_table_exactly_the_runs_whose_csv_is_a_table():
         if render_csv(doc, cli._CSV_TABLES.get(args.subcommand)).startswith("# schema="):
             tabled.add(name)
     assert tabled == demos.TABLED
+
+
+def test_a_float_has_no_report_encoding():
+    # every reported number is exact, so a float never reaches a report
+    with pytest.raises(TypeError, match="no report encoding for <class 'float'>"):
+        to_jsonable(1.5)
