@@ -8,6 +8,13 @@ cutting-plane loop count how many cuts this loop added over its rounds
 answers record the YES/NO verdicts at thresholds: a relaxation may say
 YES to a cost no tour achieves, and that recorded disagreement is the
 artifact under study, never an error.
+
+The oracle's optimal tour, which a report computes anyway, is where the
+relaxation solve of a degree or degree+cuts report starts: each tour arc
+at 1, a feasible vertex of the program, so phase 1 makes only degenerate
+pivots and phase 2 walks down from the tour to the relaxation's optimum.
+The cutting-plane loop, and the decision route through the relaxation,
+which never runs the oracle, start at the lower corner.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .valleys import (
     TspInstance,
     cutting_plane_loop,
     relaxation_with_cuts,
+    tour_columns,
 )
 
 DEGREE = "degree"
@@ -115,15 +123,20 @@ def _fixed_program(
 
 
 def _solve_relaxation(
-    inst: TspInstance, relaxation: RelaxationDesc, program: Optional[LinearProgram]
+    inst: TspInstance,
+    relaxation: RelaxationDesc,
+    program: Optional[LinearProgram],
+    at_upper: Iterable[int] = (),
 ) -> tuple[Rational, int, int]:
     """(lp value, constraint rows, rounds), solving the program that
-    _fixed_program built for the relaxation."""
+    _fixed_program built for the relaxation from the corner where the
+    arc columns at_upper sit at 1 and every other at 0; the cutting-plane
+    loop, which builds its own programs, starts at the lower corner."""
     if program is None:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
         return trace.final_value, last.constraint_count, len(trace.rounds)
-    outcome = solve_lp(program)
+    outcome = solve_lp(program, at_upper=at_upper)
     if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
         raise AssertionError(f"relaxation solve came back {outcome.status}")
     return outcome.value, len(program.constraints), 0
@@ -139,12 +152,19 @@ def integrality_gap(
     the question "is a tour of cost at most X possible". A float
     threshold is refused first, then a bad cut subset, as the fixed-cut
     program is built; the oracle runs next, so an instance past its
-    budget is refused before any relaxation solve."""
+    budget is refused before any relaxation solve. The oracle's optimal
+    tour is where a degree or degree+cuts solve starts: each of its arcs
+    at 1, a vertex of every such program, so every degree row and cut
+    holds there and phase 1 makes only degenerate pivots. The value is
+    the one a start at the lower corner gives; only the pivots differ."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
     program = _fixed_program(inst, relaxation)
-    ilp_value = tsp_oracle(inst).cost
-    lp_value, rows_used, rounds = _solve_relaxation(inst, relaxation, program)
+    tour = tsp_oracle(inst)
+    ilp_value = tour.cost
+    lp_value, rows_used, rounds = _solve_relaxation(
+        inst, relaxation, program, tour_columns(inst.n, tour.tour)
+    )
     gap = ilp_value - lp_value
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value

@@ -41,7 +41,12 @@ reads <=, and one artificial at |b - a.x| otherwise. The int value
 b - a.x comes out of the row's own reduction against the basis, as
 every row value does, so appending makes no Fraction point. A cold
 solve appends every row to the tableau of the bounds alone, whose point
-is the lower corner; phase 1 runs whenever an artificial is basic.
+is the corner of the bound box that the caller names: each structural
+column at its lower bound, but those listed in ``at_upper`` at their
+upper bound. Phase 1 runs whenever an artificial is basic; a row that
+already holds at that corner starts its artificial at 0, so a start at
+a feasible corner makes phase 1 only degenerate pivots (the gap report
+starts at the oracle's optimal tour, where every degree row is tight).
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. A tableau
@@ -303,10 +308,12 @@ class _Tableau:
     ``lifted``, ``lower`` and ``region``, is a tuple, never written.
     """
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, at_upper: Iterable[int]):
         """The tableau of lp's bounds alone, with no constraint row and a
-        zero cost row: every structural column at its lower bound, free
-        to rise unless its span is zero."""
+        zero cost row, at the corner the caller names: each column listed
+        in at_upper at its upper bound, free to fall, and every other
+        structural column at its lower bound, free to rise; a column of
+        zero span never moves, at either bound."""
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
         self.n = self.ncols = n
@@ -331,6 +338,9 @@ class _Tableau:
         # fixed (zero-span) columns stay out of the scan: they can never
         # change value
         self.state = [0 if u == 0 else 1 for u in self.ub]
+        for j in at_upper:
+            if self.ub[j]:
+                self.state[j] = -1
 
     @property
     def m(self) -> int:
@@ -596,15 +606,28 @@ class _Tableau:
         return x
 
 
-def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
+def solve_lp(
+    lp: LinearProgram,
+    start: Optional[LpOutcome] = None,
+    *,
+    at_upper: Iterable[int] = (),
+) -> LpOutcome:
     """Exact two-phase simplex. The returned claims hold exactly:
     optimal points satisfy every constraint and no feasible point does
     strictly better; infeasible and unbounded are proven statuses.
 
     A cold solve appends all of lp's rows to the tableau of lp's bounds
-    alone, at their lower corner (``_Tableau.append_rows``); a row that
-    takes an artificial holds it only as its basic variable, never as a
-    column.
+    alone, at the corner of the bound box the caller names
+    (``_Tableau.append_rows``): each column index listed in ``at_upper``
+    starts at its upper bound and every other column at its lower bound,
+    so the default is the lower corner. Any corner gives the same status
+    and value; a feasible one, such as the optimal tour of a degree LP,
+    leaves phase 1 only degenerate pivots. An index that is not an int
+    in 0..num_vars - 1, a repeated one, a column with no upper bound, and
+    at_upper beside ``start`` (a warm start keeps its own point) raise
+    ValidationError before any pivot. A row that takes an artificial
+    holds it only as its basic variable, never as a column.
+
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
     or sense may differ otherwise. The solve copies start's final
@@ -621,6 +644,22 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
     The optimal value is read off the cost row's value, which is
     -(sign * c) . x at the final point, rather than summed over the
     point; the point itself is made once, for the outcome."""
+    at_upper = tuple(at_upper)
+    # the lower corner, which every solve but the gap report's starts
+    # at, checks nothing: a hull-scan pass makes about 800 solves
+    if at_upper:
+        if start is not None:
+            raise ValidationError(
+                "at_upper names a cold start's corner; a warm start keeps its own point"
+            )
+        n = lp.num_vars
+        if not all(type(j) is int and 0 <= j < n for j in at_upper):
+            raise ValidationError(f"at_upper indices must be ints in 0..{n - 1}")
+        if len(set(at_upper)) < len(at_upper):
+            raise ValidationError("at_upper names a column more than once")
+        uncapped = [j for j in at_upper if lp.upper_bounds[j] is None]
+        if uncapped:
+            raise ValidationError(f"at_upper column {uncapped[0]} has no upper bound")
     if start is not None:
         if start.tableau is None:
             raise ValidationError(
@@ -637,7 +676,7 @@ def solve_lp(lp: LinearProgram, start: Optional[LpOutcome] = None) -> LpOutcome:
             ub = lp.upper_bounds[j]
             if ub is not None and ub < lp.lower_bounds[j]:
                 return LpOutcome(SolveStatus.INFEASIBLE)
-        tab = _Tableau(lp)
+        tab = _Tableau(lp, at_upper)
     if len(tab.region[0]) < len(lp.constraints):
         tab.append_rows(lp)
     # a cost row priced for this objective stands through appended rows,

@@ -156,6 +156,14 @@ def arc_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
+def tour_columns(n: int, tour: Sequence[int]) -> tuple[int, ...]:
+    """The arc columns of a closed tour over n cities, the arc from its
+    last city back to its first included, in arc_list order: arc (i, j)
+    is column i * (n - 1) + j, less 1 when j > i."""
+    arcs = zip(tour, (*tour[1:], *tour[:1]))
+    return tuple(sorted(i * (n - 1) + j - (j > i) for i, j in arcs))
+
+
 # ---------------------------------------------------------------------------
 # Relaxations
 

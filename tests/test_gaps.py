@@ -1,10 +1,11 @@
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import valley_cut_subsets
-from lpgaps import gaps
+from oracles import arc_index_map, valley_cut_subsets
+from lpgaps import gaps, lp
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
     VIA_ILP,
@@ -17,7 +18,13 @@ from lpgaps.gaps import (
     degree_relaxation,
     integrality_gap,
 )
-from lpgaps.valleys import gen_valley_instance, instance_from_cost_matrix
+from lpgaps.ilp import tsp_oracle
+from lpgaps.lp import solve_lp
+from lpgaps.valleys import (
+    gen_valley_instance,
+    instance_from_cost_matrix,
+    relaxation_with_cuts,
+)
 
 
 def test_degree_gap_headline():
@@ -237,3 +244,106 @@ def test_relaxation_refuses_a_field_its_kind_never_reads(monkeypatch, kwargs, me
     with pytest.raises(ValidationError, match=re.escape(message)):
         integrality_gap(gen_valley_instance(4, 2), RelaxationDesc(**kwargs))
 
+
+def lower_corner_value(inst, relaxation):
+    return solve_lp(relaxation_with_cuts(inst, relaxation.cut_subsets)).value
+
+
+@pytest.mark.parametrize("k, c, intra, crossing", [
+    (2, 1, 0, 1), (6, 1, Fraction(1, 3), 2),
+    (3, 2, 0, 1), (4, 2, Fraction(1, 7), Fraction(5, 3)),
+    (2, 3, 1, 4), (3, 3, Fraction(1, 2), 3),
+    (2, 4, 0, 1), (3, 4, Fraction(2, 5), Fraction(7, 2)),
+])
+def test_tour_start_gives_the_lower_corner_value_on_valleys(k, c, intra, crossing):
+    inst = gen_valley_instance(k, c, intra, crossing)
+    relaxations = [degree_relaxation()]
+    if c > 1:
+        subsets = valley_cut_subsets(inst)
+        relaxations += [cuts_relaxation(subsets[:1]), cuts_relaxation(subsets)]
+    for relaxation in relaxations:
+        report = integrality_gap(inst, relaxation)
+        assert report.lp_value == lower_corner_value(inst, relaxation)
+
+
+def test_tour_start_gives_the_lower_corner_value_on_cost_matrices():
+    rng = random.Random(20061)
+    for n in range(2, 8):
+        for _ in range(10):
+            inst = instance_from_cost_matrix([
+                [Fraction(rng.randint(-4, 9), rng.randint(1, 4)) for _ in range(n)]
+                for _ in range(n)
+            ])
+            relaxations = [degree_relaxation()]
+            if n >= 3:
+                subsets = {
+                    tuple(sorted(rng.sample(range(n), rng.randint(2, n - 1))))
+                    for _ in range(rng.randint(1, 3))
+                }
+                relaxations.append(cuts_relaxation(subsets))
+            for relaxation in relaxations:
+                report = integrality_gap(inst, relaxation)
+                assert report.lp_value == lower_corner_value(inst, relaxation)
+
+
+def record_solves(monkeypatch):
+    """Wrap gaps.solve_lp; returns the list that gets each call's
+    keyword arguments."""
+    seen = []
+
+    def recording_solve(program, start=None, **kwargs):
+        seen.append(kwargs)
+        return solve_lp(program, start, **kwargs)
+
+    monkeypatch.setattr(gaps, "solve_lp", recording_solve)
+    return seen
+
+
+def test_the_relaxation_solve_starts_at_the_oracle_tour(monkeypatch):
+    inst = gen_valley_instance(4, 2, Fraction(1, 3), 2)
+    seen = record_solves(monkeypatch)
+    integrality_gap(inst, cuts_relaxation(valley_cut_subsets(inst)))
+    tour = tsp_oracle(inst).tour
+    index = arc_index_map(inst.n)
+    columns = sorted(index[arc] for arc in zip(tour, tour[1:] + tour[:1]))
+    assert seen == [{"at_upper": tuple(columns)}]
+
+
+def count_eliminations(monkeypatch, run):
+    calls = []
+    eliminate = lp._eliminate
+
+    def counting(*args):
+        calls.append(None)
+        return eliminate(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lp, "_eliminate", counting)
+        run()
+    return len(calls)
+
+
+def test_tour_start_makes_under_a_third_of_the_eliminations(monkeypatch):
+    # at (8, 2): 3,676 row eliminations from the lower corner, 1,019 from
+    # the tour, whose phase 1 makes only degenerate pivots
+    inst = gen_valley_instance(8, 2)
+    program = relaxation_with_cuts(inst, ())
+    lower = count_eliminations(monkeypatch, lambda: solve_lp(program))
+    tour = count_eliminations(monkeypatch, lambda: integrality_gap(inst))
+    assert 3 * tour < lower
+
+
+@pytest.mark.parametrize(
+    "relaxation",
+    [degree_relaxation(), cuts_relaxation([(0, 1), (2, 3)]), cutting_plane_relaxation(50)],
+)
+def test_decide_via_the_relaxation_never_runs_the_oracle(monkeypatch, relaxation):
+    def never(*args):
+        raise AssertionError("the tour oracle ran on the relaxation route")
+
+    monkeypatch.setattr(gaps, "tsp_oracle", never)
+    seen = record_solves(monkeypatch)
+    # every one of these relaxations is worth at most the tour's 4
+    assert decide_tour_at_most(gen_valley_instance(4, 2), 4, VIA_LP) is True
+    # a fixed program is solved from the lower corner
+    assert all(not kwargs.get("at_upper") for kwargs in seen)

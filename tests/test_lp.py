@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -451,6 +452,73 @@ def test_property_warm_start_matches_cold(case, data):
     assert solve_lp(other, start=first) == warm
     idle = replace(lp, objective=(Fraction(0),) * lp.num_vars)
     assert solve_lp(idle, start=first).point == first.point
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_programs(), st.data())
+def test_property_any_corner_start_matches_the_lower_corner(case, data):
+    lp, _ = case
+    at_upper = data.draw(
+        st.lists(st.integers(0, lp.num_vars - 1), unique=True), label="at_upper"
+    )
+    lower = solve_lp(lp)
+    out = solve_lp(lp, at_upper=at_upper)
+    reference = vertex_enumeration_optimum(lp)
+    assert out.status is lower.status
+    if out.status is SolveStatus.OPTIMAL:
+        assert out.value == lower.value == reference
+        assert point_feasible(lp, out.point)
+    else:
+        assert out.status is SolveStatus.INFEASIBLE
+        assert reference is None
+
+
+def test_a_cold_start_stands_at_the_corner_it_names():
+    # with no row and a zero objective the start is already optimal; a
+    # zero-span column sits at its one value whichever bound is named
+    lp = linear_program(
+        [0, 0, 0, 0], "max",
+        lower_bounds=[-1, Fraction(1, 2), 3, 0],
+        upper_bounds=[2, Fraction(7, 3), 3, None],
+    )
+    assert solve_lp(lp).point == (-1, Fraction(1, 2), 3, 0)
+    assert solve_lp(lp, at_upper=[2, 0]).point == (2, Fraction(1, 2), 3, 0)
+    assert solve_lp(lp, at_upper=(1,)).point == (-1, Fraction(7, 3), 3, 0)
+
+
+def never_pivot(*args):
+    raise AssertionError("a tableau was made or pivoted before the refusal")
+
+
+@pytest.mark.parametrize("at_upper, message", [
+    ((2,), "indices must be ints in 0..1"),
+    ((-1,), "indices must be ints in 0..1"),
+    ((0, 1.0), "indices must be ints in 0..1"),
+    ((Fraction(0),), "indices must be ints in 0..1"),
+    (("0",), "indices must be ints in 0..1"),
+    ((True,), "indices must be ints in 0..1"),
+    ((0, 0), "names a column more than once"),
+    ((0, 1), "column 1 has no upper bound"),
+])
+def test_corner_start_refuses_a_bad_index_before_any_pivot(
+    monkeypatch, at_upper, message
+):
+    lp = linear_program(
+        [1, 1], "max", [([1, 1], "<=", 1)], upper_bounds=[1, None]
+    )
+    for name in ("__init__", "copy", "run", "_replace", "_flip"):
+        monkeypatch.setattr(_Tableau, name, never_pivot)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        solve_lp(lp, at_upper=at_upper)
+
+
+def test_corner_start_refuses_a_warm_start_before_any_pivot(monkeypatch):
+    lp = linear_program([1, 1], "max", [([1, 1], "<=", 1)], upper_bounds=[1, 1])
+    start = solve_lp(lp)
+    for name in ("__init__", "copy", "run", "_replace", "_flip"):
+        monkeypatch.setattr(_Tableau, name, never_pivot)
+    with pytest.raises(ValidationError, match="a warm start keeps its own point"):
+        solve_lp(lp, start, at_upper=[0])
 
 
 @st.composite
