@@ -30,7 +30,7 @@ from math import ceil, comb
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import ValidationError
-from .rationals import Rational, require_exact
+from .rationals import Rational, require_exact, require_int
 
 if TYPE_CHECKING:
     import mpmath
@@ -53,8 +53,7 @@ MAX_MODEL_X = 1_000
 
 def ceil_log2(count: int) -> int:
     """Smallest b with 2**b >= count, by bit length (exact)."""
-    if count < 1:
-        raise ValidationError("count must be positive")
+    require_int(count, 1, None, "count")
     return (count - 1).bit_length()
 
 
@@ -68,8 +67,6 @@ class StorageBound:
 
 def min_symbols_single(count: int) -> StorageBound:
     """Bits needed to point at one of `count` distinguishable objects."""
-    if count < 1:
-        raise ValidationError("there must be at least one object")
     return StorageBound(count, ceil_log2(count), "single-solution")
 
 
@@ -78,12 +75,8 @@ def min_symbols_subset(total: int, chosen: int) -> StorageBound:
     objects: ceil(log2 C(total, chosen)). The list_bits field carries
     the naive list encoding (chosen entries, ceil(log2 total) bits each)
     for comparison."""
-    if total < 1:
-        raise ValidationError("total must be positive")
-    if not 0 <= chosen <= total:
-        raise ValidationError("chosen must be within 0..total")
-    if total > MAX_SUBSET_TOTAL:
-        raise ValidationError(f"total must be at most {MAX_SUBSET_TOTAL}, not {total}")
+    require_int(total, 1, MAX_SUBSET_TOTAL, "total")
+    require_int(chosen, 0, total, "chosen")
     count = comb(total, chosen)
     return StorageBound(
         count,
@@ -101,8 +94,8 @@ def subset_growth_table(
 ) -> tuple[tuple[int, int], ...]:
     """(n, min_bits) for pointing at one size-2**n/4 subset of 2**n
     objects; the bit count at least doubles per unit n at these sizes."""
-    if not 2 <= n_from <= n_to <= MAX_GROWTH_N:
-        raise ValidationError(f"need 2 <= n_from <= n_to <= {MAX_GROWTH_N}")
+    require_int(n_from, 2, MAX_GROWTH_N, "n_from")
+    require_int(n_to, n_from, MAX_GROWTH_N, "n_to")
     return tuple(
         (n, ceil_log2(comb(2**n, 2**n // 4)))
         for n in range(n_from, n_to + 1)

@@ -26,7 +26,7 @@ from typing import Any, Optional
 from . import bounds, gaps, hull, valleys
 from .ilp import tsp_oracle
 from .errors import BudgetExceededError, ValidationError
-from .rationals import parse_rational
+from .rationals import parse_rational, require_int
 from .valleys import DEFAULT_ROUNDS
 
 EXIT_OK = 0
@@ -152,8 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cut_subsets(args, inst: valleys.TspInstance) -> list[tuple[int, ...]]:
     subsets: list[tuple[int, ...]] = []
     for v in args.cut_valley:
-        if not 0 <= v < inst.valley_count:
-            raise ValidationError(f"valley index {v} out of range")
+        require_int(v, 0, inst.valley_count - 1, "valley index")
         subsets.append(inst.valley_cities(v))
     for listing in args.cut_cities:
         try:
@@ -236,8 +235,7 @@ def _run_check_flow(args) -> Any:
     inst = valleys.instance_from_text(Path(args.instance).read_text())
     arcs = valleys.flow_arcs_from_text(Path(args.flow).read_text())
     flow = valleys.flow_from_arcs(inst, arcs)
-    report = valleys.check_flow_feasibility(inst, flow, _cut_subsets(args, inst))
-    return {"flow_total_cost": report.total_cost, "report": report}
+    return valleys.check_flow_feasibility(inst, flow, _cut_subsets(args, inst))
 
 
 def _run_space_bounds(args) -> Any:

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 from .errors import ValidationError
 from .ilp import tsp_oracle
 from .lp import LinearProgram, SolveStatus, solve_lp
-from .rationals import Rational, require_exact
+from .rationals import Rational, require_exact, require_int
 from .valleys import (
     DEFAULT_ROUNDS,
     InstanceInfo,
@@ -57,12 +57,9 @@ class RelaxationDesc:
             raise ValidationError(
                 f"cut_subsets need the {DEGREE_WITH_CUTS} relaxation, not {self.kind}"
             )
-        if self.kind == CUTTING_PLANE:
-            if self.max_rounds < 1:
-                raise ValidationError(
-                    f"max_rounds must be at least 1, not {self.max_rounds}"
-                )
-        elif self.max_rounds:
+        cutting = self.kind == CUTTING_PLANE
+        require_int(self.max_rounds, int(cutting), None, "max_rounds")
+        if self.max_rounds and not cutting:
             raise ValidationError(
                 f"max_rounds needs the {CUTTING_PLANE} relaxation, not {self.kind}"
             )

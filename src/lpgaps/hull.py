@@ -30,7 +30,7 @@ from .lp import (
     linear_program,
     solve_lp,
 )
-from .rationals import Rational
+from .rationals import Rational, require_indices, require_int
 
 ENUMERATION_LIMIT = 10_000
 # what a sampled scan draws when not told otherwise
@@ -79,10 +79,7 @@ def gen_arc(vertex_count: int) -> ArcPolytope:
     """Concave chain p_i = (i, i*(2V - i)); facet i joins vertices i and
     i+1 with slope 2V - 2i - 1 and intercept i*(i + 1)."""
     V = vertex_count
-    if not 2 <= V <= MAX_VERTICES:
-        raise ValidationError(
-            f"an arc polytope needs 2..{MAX_VERTICES} vertices, not {V}"
-        )
+    require_int(V, 2, MAX_VERTICES, "vertex count")
     vertices = tuple(
         (Fraction(i), Fraction(i * (2 * V - i))) for i in range(V)
     )
@@ -104,15 +101,9 @@ def polytope_lp(
     kept_facets: Sequence[int],
 ) -> LinearProgram:
     """Maximize objective over the kept facets plus the box. The box
-    (0 <= x <= V-1, y >= 0) never counts against a storage budget.
-    Kept facets are distinct int indices in 0..F-1: a negative index
-    would pick a facet from the end, and a repeated one a second row."""
+    (0 <= x <= V-1, y >= 0) never counts against a storage budget."""
     kept = tuple(kept_facets)
-    F = poly.facet_count
-    if not all(type(i) is int and 0 <= i < F for i in kept):
-        raise ValidationError(f"kept facet indices must be ints in 0..{F - 1}")
-    if len(set(kept)) < len(kept):
-        raise ValidationError("a kept facet index appears more than once")
+    require_indices(kept, poly.facet_count, "kept facet")
     return linear_program(
         objective,
         "max",
@@ -164,8 +155,7 @@ def facet_gap(
     model: maximize y - slope*x. Over the full polytope that tops out at
     the facet's intercept; whatever the truncated model reports beyond
     it is phantom value. One cold solve."""
-    if not 0 <= omitted < poly.facet_count:
-        raise ValidationError(f"facet index {omitted} out of range")
+    require_int(omitted, 0, poly.facet_count - 1, "omitted facet")
     if omitted in kept_facets:
         raise ValidationError(f"facet {omitted} is part of the kept model")
     model = polytope_lp(poly, _facet_objective(poly, omitted), kept_facets)
@@ -234,8 +224,7 @@ def subset_gap_scan(
     estimate exceeds SCAN_WORK_LIMIT is refused before any model is
     built."""
     F = poly.facet_count
-    if not 0 <= budget <= F:
-        raise ValidationError(f"budget must be within 0..{F}")
+    require_int(budget, 0, F, "budget")
     total = comb(F, budget)
     enumerated = total <= ENUMERATION_LIMIT
     if enumerated and (sample_count is not None or seed is not None):
@@ -247,15 +236,8 @@ def subset_gap_scan(
     if not enumerated:
         sample_count = SAMPLE_COUNT if sample_count is None else sample_count
         seed = SEED if seed is None else seed
-        if sample_count < 1:
-            raise ValidationError("sample count must be at least 1")
-        if seed < 0:
-            raise ValidationError(f"seed must be nonnegative, not {seed}")
-        if sample_count > total:
-            raise ValidationError(
-                f"sample count {sample_count} exceeds the {total} subsets of "
-                f"{budget} of {F} facets"
-            )
+        require_int(sample_count, 1, total, "sample count")
+        require_int(seed, 0, None, "seed")
     subsets = total if enumerated else sample_count
     work = subsets * F * (budget * budget + SOLVE_OVERHEAD_CELLS)
     if work > SCAN_WORK_LIMIT:

@@ -89,7 +89,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
-from .rationals import Rational, require_exact, scale_to_ints
+from .rationals import Rational, require_exact, require_indices, scale_to_ints
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -622,11 +622,10 @@ def solve_lp(
     starts at its upper bound and every other column at its lower bound,
     so the default is the lower corner. Any corner gives the same status
     and value; a feasible one, such as the optimal tour of a degree LP,
-    leaves phase 1 only degenerate pivots. An index that is not an int
-    in 0..num_vars - 1, a repeated one, a column with no upper bound, and
-    at_upper beside ``start`` (a warm start keeps its own point) raise
-    ValidationError before any pivot. A row that takes an artificial
-    holds it only as its basic variable, never as a column.
+    leaves phase 1 only degenerate pivots. A listed column with no upper
+    bound, and at_upper beside ``start`` (a warm start keeps its own
+    point), raise ValidationError before any pivot. A row that takes an
+    artificial holds it only as its basic variable, never as a column.
 
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
@@ -652,11 +651,7 @@ def solve_lp(
             raise ValidationError(
                 "at_upper names a cold start's corner; a warm start keeps its own point"
             )
-        n = lp.num_vars
-        if not all(type(j) is int and 0 <= j < n for j in at_upper):
-            raise ValidationError(f"at_upper indices must be ints in 0..{n - 1}")
-        if len(set(at_upper)) < len(at_upper):
-            raise ValidationError("at_upper names a column more than once")
+        require_indices(at_upper, lp.num_vars, "column")
         uncapped = [j for j in at_upper if lp.upper_bounds[j] is None]
         if uncapped:
             raise ValidationError(f"at_upper column {uncapped[0]} has no upper bound")

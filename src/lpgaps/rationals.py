@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -125,6 +125,34 @@ def require_exact(values: Sequence, what: str) -> None:
         raise ValidationError(
             f"{what} must be exact rationals, not {type(bad).__name__} {bad!r}"
         )
+
+
+def require_int(value, lo: int, hi: Optional[int], what: str) -> None:
+    """Refuse a count or index that is not an int in lo..hi (hi None
+    leaves the range open above). The type must be int itself, so a
+    bool, a float and a Fraction are refused even at an integral value:
+    a report records the value it was given."""
+    if type(value) is not int:
+        raise ValidationError(
+            f"{what} must be an int, not {type(value).__name__} {value!r}"
+        )
+    if value < lo:
+        raise ValidationError(f"{what} must be at least {lo}, not {value}")
+    if hi is not None and value > hi:
+        raise ValidationError(f"{what} must be at most {hi}, not {value}")
+
+
+def require_indices(values: Sequence, n: int, what: str) -> None:
+    """Refuse values that are not distinct ints (not bools) in 0..n-1,
+    each the index of a `what` among n: a negative index would pick an
+    entry from the end, and a repeated one the same entry twice."""
+    bad = [x for x in values if type(x) is not int or not 0 <= x < n]
+    if bad:
+        raise ValidationError(
+            f"{what} indices must be ints in 0..{n - 1}, not {bad[0]!r}"
+        )
+    if len(set(values)) < len(values):
+        raise ValidationError(f"{list(values)} names a {what} more than once")
 
 
 def is_integral(value: Rational) -> bool:

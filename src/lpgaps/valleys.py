@@ -41,6 +41,8 @@ from .rationals import (
     parse_rational,
     require_common_denominator,
     require_exact,
+    require_indices,
+    require_int,
     scale_to_ints,
 )
 
@@ -65,11 +67,12 @@ class TspInstance:
 
     def __post_init__(self):
         n = self.n
-        if n < 2:
-            raise ValidationError(f"an instance needs at least 2 cities, not {n}")
+        require_int(n, 2, None, "city count")
         if (len(self.valley_of) != n or len(self.cost) != n
                 or any(len(row) != n for row in self.cost)):
             raise ValidationError("instance dimensions are inconsistent")
+        for v in self.valley_of:
+            require_int(v, 0, n - 1, "valley id")
         if sorted(set(self.valley_of)) != list(range(max(self.valley_of) + 1)):
             raise ValidationError("valley ids must be 0..k-1 with none missing")
         for row in self.cost:
@@ -114,10 +117,8 @@ def gen_valley_instance(
     require_exact((intra_cost, crossing_cost), "valley costs")
     eps = Fraction(intra_cost)
     big = Fraction(crossing_cost)
-    if valleys < 2:
-        raise ValidationError("need at least 2 valleys")
-    if cities_per_valley < 1:
-        raise ValidationError("need at least 1 city per valley")
+    require_int(valleys, 2, None, "valley count")
+    require_int(cities_per_valley, 1, None, "cities per valley")
     if not (big > eps >= 0):
         raise ValidationError("crossing cost must exceed intra cost, intra cost >= 0")
     n = valleys * cities_per_valley
@@ -185,20 +186,23 @@ def degree_lp(inst: TspInstance) -> LinearProgram:
 
 def subtour_cut(inst: TspInstance, subset: Iterable[int]) -> Constraint:
     """Cut form of subtour elimination for S: total flow leaving S >= 1."""
-    inside = set(_checked_subset(inst, subset))
-    coeffs = [int(i in inside and j not in inside) for (i, j) in arc_list(inst.n)]
+    return _cut_row(inst.n, _checked_subset(inst, subset))
+
+
+def _cut_row(n: int, subset: tuple[int, ...]) -> Constraint:
+    """The cut row of a subset that _checked_subset has passed."""
+    inside = set(subset)
+    coeffs = [int(i in inside and j not in inside) for (i, j) in arc_list(n)]
     return Constraint(tuple(coeffs), GREATER_EQ, 1)
 
 
 def _checked_subset(inst: TspInstance, subset: Iterable[int]) -> tuple[int, ...]:
-    S = tuple(sorted(subset))
-    if any(not 0 <= c < inst.n for c in S):
-        raise ValidationError(f"subset references cities outside 0..{inst.n - 1}")
-    if len(set(S)) < len(S):
-        raise ValidationError(f"subset {list(S)} names a city more than once")
+    """The subset's cities, distinct city indices, sorted."""
+    S = tuple(subset)
+    require_indices(S, inst.n, "city")
     if not 2 <= len(S) <= inst.n - 1:
         raise ValidationError("subtour subsets must have 2..n-1 cities")
-    return S
+    return tuple(sorted(S))
 
 
 def relaxation_with_cuts(
@@ -208,11 +212,11 @@ def relaxation_with_cuts(
     the degree LP itself, not a copy that checks its rows again. Two
     subsets that name one city set are refused: the second would only
     repeat the first one's row."""
-    subsets = [tuple(sorted(S)) for S in cut_subsets]
+    subsets = [_checked_subset(inst, S) for S in cut_subsets]
     repeated = [S for S, count in Counter(subsets).items() if count > 1]
     if repeated:
         raise ValidationError(f"cut subset {list(repeated[0])} is named more than once")
-    cuts = [subtour_cut(inst, S) for S in subsets]
+    cuts = [_cut_row(inst.n, S) for S in subsets]
     program = degree_lp(inst)
     return with_constraints(program, cuts) if cuts else program
 
@@ -243,10 +247,7 @@ def flow_from_arcs(
         for (i, j, w) in arcs:
             require_exact((w,), "arc weights")
             wf = Fraction(w)
-            if not (0 <= i < inst.n and 0 <= j < inst.n):
-                raise ValidationError(f"arc ({i},{j}) references unknown cities")
-            if i == j:
-                raise ValidationError(f"self-loop arc at city {i}")
+            require_indices((i, j), inst.n, "city")
             if (i, j) in checked:
                 raise ValidationError(f"duplicate arc ({i},{j})")
             if not 0 <= wf <= 1:
@@ -470,8 +471,7 @@ def cutting_plane_loop(
     can then stop, complete and at the tour optimum, on a fractional
     point no subtour cut separates (``final_integral`` false, as at
     six 2-city valleys)."""
-    if max_rounds < 1:
-        raise ValidationError("max_rounds must be at least 1")
+    require_int(max_rounds, 1, None, "max_rounds")
     rounds: list[CutRound] = []
     program = degree_lp(inst)
     outcome = None

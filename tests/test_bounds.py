@@ -83,7 +83,7 @@ def test_ceil_log2_matches_bracketing():
     for k in [1, 2, 3, 4, 5, 127, 128, 129, 2**40 - 1, 2**40, 2**40 + 1]:
         b = ceil_log2(k)
         assert 2**b >= k and (k == 1 or 2 ** (b - 1) < k)
-    with pytest.raises(ValidationError, match="count must be positive"):
+    with pytest.raises(ValidationError, match="count must be at least 1, not 0"):
         ceil_log2(0)
 
 
@@ -184,7 +184,7 @@ def test_growth_cap_refuses_before_any_row(monkeypatch):
         raise AssertionError("a row was computed")
 
     monkeypatch.setattr(bounds, "comb", no_count)
-    with pytest.raises(ValidationError, match=f"n_to <= {MAX_GROWTH_N}"):
+    with pytest.raises(ValidationError, match=f"n_to must be at most {MAX_GROWTH_N}"):
         subset_growth_table(MAX_GROWTH_N, MAX_GROWTH_N + 1)
 
 

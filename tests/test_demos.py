@@ -2,11 +2,13 @@
 
 ``scripts/run_all_demos.py`` writes every headline report. Each digest
 below is the SHA-256 of one file it writes, recorded before the tableau
-stopped storing artificial columns. A kernel change that moves any
-pivot, cut sequence, witness or report byte fails here. The script runs
-as a user runs it, in a fresh process with ``--outdir out``, from a
-temporary working directory: the check-flow report embeds its input
-paths, so the directory must be the same relative one each time.
+stopped storing artificial columns (check-flow's when its report became
+the FlowReport alone, without a second copy of the total). A kernel
+change that moves any pivot, cut sequence, witness or report byte fails
+here. The script runs as a user runs it, in a fresh process with
+``--outdir out``, from a temporary working directory: the check-flow
+report embeds its input paths, so the directory must be the same
+relative one each time.
 """
 
 import hashlib
@@ -22,7 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 DEMO_SHA256 = {
     "check_flow_three_circulations.json":
-        "613e54b5116377dee7216f89db54b8bb7b9b2cf5fd188f94be6921bc9a4d10aa",
+        "45729a89a8372d7a80e4bb9660ffb553aa7e83edb8f6c8e7712a4f05afc7d877",
     "cutting_plane_k4.csv":
         "22d1b15e693cdb2aa5fdc4891f45d72943f4d36b4b67e5454cd206d0f9125040",
     "cutting_plane_k4.json":

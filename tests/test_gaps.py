@@ -211,7 +211,7 @@ def test_bad_cut_subset_is_refused_before_the_oracle_budget(monkeypatch):
 
     monkeypatch.setattr(gaps, "tsp_oracle", never)
     inst = gen_valley_instance(21, 1)  # n = 21 > 20
-    with pytest.raises(ValidationError, match=re.escape("outside 0..20")):
+    with pytest.raises(ValidationError, match=re.escape("ints in 0..20, not 99")):
         integrality_gap(inst, cuts_relaxation([(0, 99)]))
 
 

@@ -165,7 +165,7 @@ def test_scan_validation():
         subset_gap_scan(gen_arc(8), budget=4, sample_count=0)
     # 16 facets keep 8 in 12870 ways, so the scan would sample: a
     # negative seed would draw the subsets of its absolute value
-    with pytest.raises(ValidationError, match="nonnegative"):
+    with pytest.raises(ValidationError, match="seed must be at least 0, not -5"):
         subset_gap_scan(gen_arc(17), budget=8, seed=-5)
     # 7 facets keep 4 in 35 ways, all scanned: nothing reads a draw count
     # or seed
@@ -185,7 +185,7 @@ def test_sampled_scan_defaults():
 def test_scan_refuses_more_samples_than_subsets():
     # 16 facets keep 8 in C(16, 8) = 12870 ways, more than
     # ENUMERATION_LIMIT, so the scan would sample: refused before drawing
-    with pytest.raises(ValidationError, match="12870 subsets"):
+    with pytest.raises(ValidationError, match="at most 12870, not 13000"):
         subset_gap_scan(gen_arc(17), budget=8, sample_count=13000)
 
 
@@ -267,14 +267,14 @@ def test_facet_gap_argument_checks():
         facet_gap(poly, 1, [0, 1, 2])
     with pytest.raises(ValidationError):
         adversarial_objective(poly, 3)
-    with pytest.raises(ValidationError, match="out of range"):
+    with pytest.raises(ValidationError, match="omitted facet must be at least 0, not -1"):
         adversarial_objective(poly, -1)
 
 
 @pytest.mark.parametrize("omitted, kept, message", [
     # index -1 picked facet 3 from the end, and the gap read 0, not 2
     (3, [0, 1, -1], "must be ints in 0..3"),
-    (1, [0, 2, 2, 3], "appears more than once"),
+    (1, [0, 2, 2, 3], "names a kept facet more than once"),
     (1, [0, 2, 9], "must be ints in 0..3"),
 ])
 def test_kept_facet_indices_are_checked(omitted, kept, message):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
@@ -11,6 +12,8 @@ from lpgaps.rationals import (
     body_lines,
     format_rational,
     parse_rational,
+    require_indices,
+    require_int,
     scale_to_ints,
 )
 from lpgaps.valleys import (
@@ -175,3 +178,39 @@ def test_readers_take_a_common_denominator_at_the_size_limit():
         f"lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts\n0 {at_limit}\n1/2 0\n"
     )
     assert inst.cost[0][1] == Fraction(1, 10**MAX_LITERAL_DIGITS)
+
+
+@pytest.mark.parametrize("value, lo, hi, message", [
+    (True, 0, 3, "k must be an int, not bool True"),
+    (2.0, 0, 3, "k must be an int, not float 2.0"),
+    (Fraction(2), 0, 3, "k must be an int, not Fraction Fraction(2, 1)"),
+    ("2", 0, 3, "k must be an int, not str '2'"),
+    (-1, 0, 3, "k must be at least 0, not -1"),
+    (4, 0, 3, "k must be at most 3, not 4"),
+    (0, 1, None, "k must be at least 1, not 0"),
+])
+def test_require_int_refuses(value, lo, hi, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        require_int(value, lo, hi, "k")
+
+
+def test_require_int_accepts_its_range():
+    for value, lo, hi in [(0, 0, 3), (3, 0, 3), (10**100, 1, None), (-5, -5, -5)]:
+        require_int(value, lo, hi, "k")
+
+
+@pytest.mark.parametrize("values, message", [
+    ((0, 1.0), "row indices must be ints in 0..2, not 1.0"),
+    ((False,), "row indices must be ints in 0..2, not False"),
+    ((3,), "row indices must be ints in 0..2, not 3"),
+    ((0, -1), "row indices must be ints in 0..2, not -1"),
+    ((2, 0, 2), "[2, 0, 2] names a row more than once"),
+])
+def test_require_indices_refuses(values, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        require_indices(values, 3, "row")
+
+
+def test_require_indices_accepts_distinct_ints_in_range():
+    for values in [(), (2, 0, 1), [1]]:
+        require_indices(values, 3, "row")

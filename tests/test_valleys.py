@@ -81,7 +81,7 @@ def test_instances_check_themselves_when_made():
         replace(inst, n=3)
     with pytest.raises(ValidationError, match="none missing"):
         replace(inst, valley_of=(0, 0, 2, 2))
-    with pytest.raises(ValidationError, match="at least 2 cities, not 1"):
+    with pytest.raises(ValidationError, match="city count must be at least 2, not 1"):
         instance_from_cost_matrix([[0]])
     with pytest.raises(ValidationError, match="dimensions are inconsistent"):
         instance_from_cost_matrix([[0, 1], [1]])
@@ -616,9 +616,9 @@ def test_instance_text_errors():
         instance_from_text("lpgaps-instance 1\nn two\nvalleys 0 1\ncosts\n0 1\n1 0\n")
     with pytest.raises(ValidationError, match="not an integer: 'x'"):
         instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 x\ncosts\n0 1\n1 0\n")
-    with pytest.raises(ValidationError, match="at least 2 cities, not 0"):
+    with pytest.raises(ValidationError, match="city count must be at least 2, not 0"):
         instance_from_text("lpgaps-instance 1\nn 0\nvalleys\ncosts\n")
-    with pytest.raises(ValidationError, match="at least 2 cities, not 1"):
+    with pytest.raises(ValidationError, match="city count must be at least 2, not 1"):
         instance_from_text("lpgaps-instance 1\nn 1\nvalleys 0\ncosts\n0\n")
     body = "valleys 0 1\ncosts\n0 1\n1 0\n"
     with pytest.raises(ValidationError, match="must be 'lpgaps-instance 1', not"):
