@@ -82,11 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--intra-cost", type=_rational_flag, default=Fraction(0))
         p.add_argument("--crossing-cost", type=_rational_flag, default=Fraction(1))
 
-    def relaxation_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--relaxation",
-            choices=(gaps.DEGREE, gaps.DEGREE_WITH_CUTS, gaps.CUTTING_PLANE),
-        )
+    def cut_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--cut-valley",
             type=int,
@@ -98,6 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
             action="append",
             help="add the cut for this comma-separated city set (repeatable)",
         )
+
+    def relaxation_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--relaxation",
+            choices=(gaps.DEGREE, gaps.DEGREE_WITH_CUTS, gaps.CUTTING_PLANE),
+        )
+        cut_flags(p)
         p.add_argument("--rounds", type=int)
 
     p = sub.add_parser("valley-gap", help="LP vs ILP gap report on a valley instance")
@@ -127,8 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-flow", help="validate a flow file against an instance")
     p.add_argument("--instance", required=True, help="lpgaps-instance file")
     p.add_argument("--flow", required=True, help="lpgaps-flow file")
-    p.add_argument("--cut-valley", type=int, action="append")
-    p.add_argument("--cut-cities", action="append")
+    cut_flags(p)
     common(p)
 
     p = sub.add_parser("space-bounds", help="exact storage lower bounds")

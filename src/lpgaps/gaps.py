@@ -50,9 +50,20 @@ class RelaxationDesc:
     def __post_init__(self):
         """A field the kind never reads is refused, so a report cannot
         record a cut or a round budget that its relaxation ignored, and
-        a cutting-plane budget is checked before any solve."""
+        a cutting-plane budget is checked before any solve. Each cut
+        subset must be a tuple of distinct cities in increasing order,
+        so one relaxation has one description, and a hashable one."""
         if self.kind not in (DEGREE, DEGREE_WITH_CUTS, CUTTING_PLANE):
             raise ValidationError(f"unknown relaxation kind {self.kind!r}")
+        subsets = self.cut_subsets
+        if type(subsets) is not tuple or any(type(s) is not tuple for s in subsets):
+            raise ValidationError("cut_subsets must be a tuple of tuples")
+        for subset in subsets:
+            _check_cities(subset)
+            if list(subset) != sorted(subset):
+                raise ValidationError(
+                    f"cut subset {list(subset)} must list its cities in increasing order"
+                )
         if self.cut_subsets and self.kind != DEGREE_WITH_CUTS:
             raise ValidationError(
                 f"cut_subsets need the {DEGREE_WITH_CUTS} relaxation, not {self.kind}"
@@ -69,10 +80,22 @@ def degree_relaxation() -> RelaxationDesc:
     return RelaxationDesc(DEGREE)
 
 
+def _check_cities(subset: tuple) -> None:
+    """Refuse a city that is not an int >= 0, before any sort compares
+    it, and a city named twice; the instance checks the upper end when
+    the program is built."""
+    for city in subset:
+        require_int(city, 0, None, "city")
+    if len(set(subset)) < len(subset):
+        raise ValidationError(f"{list(subset)} names a city more than once")
+
+
 def cuts_relaxation(cut_subsets: Iterable[Iterable[int]]) -> RelaxationDesc:
-    return RelaxationDesc(
-        DEGREE_WITH_CUTS, tuple(tuple(sorted(s)) for s in cut_subsets)
-    )
+    """The degree+cuts relaxation, each subset's cities sorted."""
+    subsets = tuple(map(tuple, cut_subsets))
+    for subset in subsets:
+        _check_cities(subset)
+    return RelaxationDesc(DEGREE_WITH_CUTS, tuple(tuple(sorted(s)) for s in subsets))
 
 
 def cutting_plane_relaxation(max_rounds: int = DEFAULT_ROUNDS) -> RelaxationDesc:

@@ -122,10 +122,6 @@ class AdversarialGap:
     gap: Optional[Rational]  # None when the truncated model is unbounded
     bounded: bool
 
-    @property
-    def positive_gap(self) -> bool:
-        return (not self.bounded) or self.gap > 0
-
 
 def _facet_objective(poly: ArcPolytope, omitted: int) -> tuple[Rational, Rational]:
     """y - slope*x for the omitted facet, as (-slope, 1)."""
@@ -182,10 +178,6 @@ class ScanRow:
     gap: Optional[Rational] = Fraction(0)
     bounded: bool = True
 
-    @property
-    def positive_gap(self) -> bool:
-        return (not self.bounded) or self.gap > 0
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -196,11 +188,6 @@ class ScanReport:
     seed: Optional[int]  # None when the scan enumerated, drawing nothing
     enumerated: bool
     rows: tuple[ScanRow, ...]
-
-    @property
-    def all_gaps_positive(self) -> bool:
-        """Every incomplete sampled model admits a phantom optimum."""
-        return all(row.positive_gap for row in self.rows if row.omitted)
 
 
 def subset_gap_scan(

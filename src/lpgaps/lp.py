@@ -12,12 +12,15 @@ column carries one signed state, the direction it may move if it enters
 artificial variable is no column at all, only the marker of the row it
 is basic in: an artificial that leaves the basis never comes back
 (Dantzig 1963), so no pivot ever reads its column. All pivots are
-exact: each tableau row is the textbook [A | b] row, a list of Python
-ints over one positive int denominator (fraction-free rows, the first
-step toward the exact kernel of QSopt_ex), one entry per column and
-then, last, the row's basic value, a right-hand side that rides every
-elimination as in the integer-preserving tableaux of Edmonds and of
-Azulay and Pique. Each structural column counts in units of its span's
+exact: each tableau row is one list of Python ints, [A | b | d], the
+textbook [A | b] row over its one positive int denominator d
+(fraction-free rows, the first step toward the exact kernel of
+QSopt_ex): one entry per column, then the row's basic value, a
+right-hand side that rides every elimination as in the
+integer-preserving tableaux of Edmonds and of Azulay and Pique, and
+last the denominator, which an elimination scales and divides as one
+more entry. One rule keeps every row in lowest terms over a positive
+denominator. Each structural column counts in units of its span's
 denominator, so spans are ints too. Rows with their right-hand sides,
 and costs, enter once (``rationals.scale_to_ints``) and the point
 leaves once, as Fractions: the pivot loop makes none, and a row changes
@@ -190,26 +193,23 @@ class LpOutcome:
     tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
-def _eliminate(
-    row: list[int], den: int, prow: list[int], pden: int, col: int,
-    nz: Sequence[int],
-) -> int:
-    """Clear column col of row/den against the normalised pivot row
-    prow/pden (prow[col] == pden, so its true entry there is 1), values
-    included, since each row ends in its value; returns the new
-    denominator, with row and denominator in lowest terms together. nz
-    lists the entries where prow is nonzero, the only ones the
-    subtraction touches. row is written in place, scale and gcd divide
-    included, so the list the caller holds is the updated row.
+def _eliminate(row: list[int], prow: list[int], col: int, nz: Sequence[int]) -> None:
+    """Clear column col of row against the normalised pivot row prow,
+    whose entry there equals its denominator (so its true entry there is
+    1), values included, since each row ends in its value and then its
+    denominator. nz lists the entries where prow is nonzero, the only
+    ones the subtraction touches. row is written in place, scale and
+    gcd divide included, so the list the caller holds is the updated row.
 
-    With f = row[col] and q = gcd(f, pden), the new row is row * (pden /
-    q) - (f / q) * prow over den * (pden / q): pden / q is the smallest
-    multiplier that makes f * prow / pden whole, and none is needed when
-    pden divides f. Scaling and dividing by the gcd touch only the
-    row's nonzero entries, since a zero stays zero. Any multiplier gives
-    the same ints in the end: a row in lowest terms over a positive
-    denominator is the only such form of its values."""
-    f = row[col]
+    With f = row[col], pden = prow[-1] and q = gcd(f, pden), the new row
+    is row * (pden / q) - (f / q) * prow, its denominator scaled by pden
+    / q: pden / q is the smallest multiplier that makes f * prow / pden
+    whole, and none is needed when pden divides f. Scaling and dividing
+    by the gcd touch only the row's nonzero entries, its denominator
+    among them, since a zero stays zero. Any multiplier gives the same
+    ints in the end: a row in lowest terms over a positive denominator is
+    the only such form of its values."""
+    f, pden = row[col], prow[-1]
     if pden > 1:
         q = gcd(f, pden)
         f //= q
@@ -217,22 +217,33 @@ def _eliminate(
         if s > 1:
             for j in compress(range(len(row)), row):
                 row[j] *= s
-            den *= s
     for j in nz:
         row[j] -= f * prow[j]
-    if den > 1:
-        g = gcd(den, *row)
+    _lowest(row)
+
+
+def _lowest(row: list[int]) -> None:
+    """Bring row to lowest terms in place: divide its nonzero entries,
+    its positive denominator last among them, by their gcd, which is 1
+    over a denominator of 1."""
+    if row[-1] > 1:
+        g = gcd(*row)
         if g > 1:
-            den //= g
             for j in compress(range(len(row)), row):
                 row[j] //= g
-    return den
+
+
+def _negate(row: list[int]) -> None:
+    """Negate row's entries and value in place, its denominator left
+    alone: the row of the negated values."""
+    for j in _nonzero(row):
+        row[j] = -row[j]
 
 
 def _nonzero(row: list[int]) -> list[int]:
-    """The entries where row is nonzero, its value included, the only
-    ones its eliminations touch."""
-    return list(compress(range(len(row)), row))
+    """The entries where row is nonzero, its value included and its
+    denominator not, the only ones its eliminations touch."""
+    return list(compress(range(len(row) - 1), row))
 
 
 class _Tableau:
@@ -255,13 +266,15 @@ class _Tableau:
     its span ``ub[j]`` is an int and its entries and cost enter divided
     by ``unit[j]``; every other column has unit 1 and no span.
 
-    Row i of the tableau is the textbook ``[A | b]`` row: ``ncols + 1``
-    integer numerators over one positive integer denominator ``d[i]``,
-    its entry in column j at ``A[i][j]`` and, last, at ``A[i][-1]``, the
-    value of its basic variable j in j's units (``A[i][-1] / (d[i] *
-    unit[j])`` above its lower bound when j is structural). An
-    elimination updates the value as one more entry and leaves the row
-    in lowest terms. Bland's rule reads only the signs of entries and
+    Row i of the tableau is one list, the textbook ``[A | b]`` row over
+    its denominator, ``[A | b | d]``: ``ncols + 1`` integer numerators,
+    its entry in column j at ``A[i][j]`` and then, at ``A[i][-2]``, the
+    value of its basic variable j in j's units, and last, at
+    ``A[i][-1]``, their one positive integer denominator (``A[i][-2] /
+    (A[i][-1] * unit[j])`` above its lower bound when j is structural).
+    An elimination updates the value as one more entry and the
+    denominator as one more nonzero entry, and leaves the row in lowest
+    terms. Bland's rule reads only the signs of entries and
     exact comparisons of step ratios. A positive row scale changes neither,
     and a positive column scale multiplies each of that column's ratios,
     its own span included, by one constant, so the pivots are the ones a
@@ -273,7 +286,7 @@ class _Tableau:
     it prices ``objective``, the (costs, sense) pair that ``solve_lp``
     last priced, at the current basis, and is zero in every basic
     column, since each basis change eliminates the entering column from
-    every row. Its value ``A[m][-1]`` over ``d[m]`` is -(sign * costs) .
+    every row. Its value ``A[m][-2]`` over ``A[m][-1]`` is -(sign * costs) .
     x at the current point: the row is the one of a free basic column z
     with z + (sign * costs) . x = 0, so each elimination and bound flip
     moves it exactly as it moves a constraint row. The pivot rule reads
@@ -292,18 +305,21 @@ class _Tableau:
     own value. A row changes only through an elimination or a bound
     flip's value shift, and no row is scaled outside an elimination.
 
-    Rows are stored densely, one int per column and then the value. A
-    basis change lists the pivot row's nonzero entries once, and every
-    elimination of that pivot subtracts only at those entries of its row.
+    Rows are stored densely, one int per column, then the value and the
+    denominator. A basis change lists the pivot row's nonzero entries
+    once, and every elimination of that pivot subtracts only at those
+    entries of its row.
     An elimination scales its row by the smallest multiplier, pden /
     gcd(f, pden) for its entry f and the pivot's denominator pden, and
     scales and divides by the lowest-terms gcd only at the row's nonzero
     entries. The ints are those of a full-row scale by pden and divide:
     every row stays in lowest terms over a positive denominator, and a
-    row's values have only that one such form.
-    Every write is in place, so no basis change or bound flip replaces a
-    row of the store. A tableau owns every list it holds: each row of
-    ``A``, and ``d``, ``basis``, ``state`` and ``ub``, so ``copy``
+    row's values have only that one such form, which ``_lowest`` gives
+    every row that a sum, a scale or a new denominator leaves. Negating
+    a row (``_negate``) negates its entries and value, never its
+    denominator. Every write is in place, so no basis change or bound
+    flip replaces a row of the store. A tableau owns every list it holds:
+    each row of ``A``, and ``basis``, ``state`` and ``ub``, so ``copy``
     copies each of them once. What it shares with a copy, ``unit``,
     ``lifted``, ``lower`` and ``region``, is a tuple, never written.
     """
@@ -328,8 +344,7 @@ class _Tableau:
         self.whole_spans = all(u == 1 for u in self.unit)
         # the nonzero lower bounds, which _reduced folds into a rhs
         self.lifted = tuple((j, l) for j, l in enumerate(lo) if l)
-        self.A: list[list[int]] = [[0] * (n + 1)]
-        self.d: list[int] = [1]
+        self.A: list[list[int]] = [[0] * (n + 1) + [1]]
         self.basis: list[int] = []
         # the (objective, sense) that the cost row prices, once one has
         # been priced
@@ -351,7 +366,7 @@ class _Tableau:
         row included, so pivoting it never changes this one: a warm
         start's one copy of its start."""
         out = copy(self)
-        out.A, out.d = [list(row) for row in self.A], list(self.d)
+        out.A = [list(row) for row in self.A]
         out.basis, out.state, out.ub = list(self.basis), list(self.state), list(self.ub)
         return out
 
@@ -362,13 +377,14 @@ class _Tableau:
 
         Each new row gets a slack column (an equality gets none), has
         every basic column eliminated from it and goes in before the cost
-        row; slack columns go in before every row's value, which stays
-        last. The cost row costs 0 in the new columns: each new row's
-        basic variable is one of them or an artificial, so the old reduced
-        costs and value stand at the new basis and the row still prices
-        ``objective``. Each new row's int value b - a.x at the current
-        point x comes from ``_reduced``, and the row is oriented by its
-        sign so that b - a.x is nonnegative (negated when b - a.x < 0).
+        row; slack columns go in before every row's value and
+        denominator, which stay last. The cost row costs 0 in the new
+        columns: each new row's basic variable is one of them or an
+        artificial, so the old reduced costs and value stand at the new
+        basis and the row still prices ``objective``. Each new row's int
+        value b - a.x at the current point x comes from ``_reduced``, and
+        the row is oriented by its sign so that b - a.x is nonnegative
+        (negated, denominator aside, when b - a.x < 0).
         If it then reads <=, its slack starts basic; otherwise an
         artificial, the next id past the columns, starts basic at
         |b - a.x|, for phase 1 to drive to zero. So a <= row needs
@@ -386,15 +402,15 @@ class _Tableau:
         slack = ncols = self.ncols
         for row in self.A:
             row[ncols:ncols] = pad
-        cost, cd = self.A.pop(), self.d.pop()
+        cost = self.A.pop()
         self.state += [1] * len(pad)
         self.ub += [None] * len(pad)
         self.ncols = art = ncols + len(pad)
-        for con, (row, den) in zip(rows, reduced):
+        for con, row in zip(rows, reduced):
             row[ncols:ncols] = pad
-            flip = row[-1] < 0
+            flip = row[-2] < 0
             if con.relation != EQUAL:
-                row[slack] = den if con.relation == LESS_EQ else -den
+                row[slack] = row[-1] if con.relation == LESS_EQ else -row[-1]
                 slack += 1
             if con.relation == (GREATER_EQ if flip else LESS_EQ):
                 basic = slack - 1
@@ -402,20 +418,18 @@ class _Tableau:
             else:
                 basic = art
                 art += 1
-            self.A.append([-e for e in row] if flip else row)
-            self.d.append(den)
+            if flip:
+                _negate(row)
+            self.A.append(row)
             self.basis.append(basic)
         self.A.append(cost)
-        self.d.append(cd)
 
-    def _reduced(
-        self, values: Sequence[Rational], rhs: Rational = 0
-    ) -> tuple[list[int], int]:
+    def _reduced(self, values: Sequence[Rational], rhs: Rational = 0) -> list[int]:
         """values, each structural entry divided by its column's unit
         and padded with zeros to every column, then its value rhs -
-        values.x at the current point x, as one int row over one
-        denominator with every basic column eliminated from it, in lowest
-        terms; returns the row and its denominator.
+        values.x at the current point x, as one int row ending in its
+        denominator, with every basic column eliminated from it, in
+        lowest terms.
 
         Nonzero lower bounds are folded into rhs before scaling, a column
         at its upper bound takes off its int entry times its int span,
@@ -429,41 +443,41 @@ class _Tableau:
         row, den = scale_to_ints([*values, rhs])
         ub, ncols = self.ub, self.ncols
         row[-1:-1] = [0] * (ncols + 1 - len(row))
+        row.append(den)
         for j, s in enumerate(self.state[:self.n]):
             if s < 0 and row[j]:
-                row[-1] -= row[j] * ub[j]
+                row[-2] -= row[j] * ub[j]
         # basis is shorter than the row store, so zip stops before the
         # cost row; an artificial basic has no column to eliminate
-        for b, prow, pden in zip(self.basis, self.A, self.d):
+        for b, prow in zip(self.basis, self.A):
             if b < ncols and row[b]:
-                den = _eliminate(row, den, prow, pden, b, _nonzero(prow))
-        return row, den
+                _eliminate(row, prow, b, _nonzero(prow))
+        return row
 
-    def price(
-        self, cost: Sequence[Rational], sign: int = 1
-    ) -> tuple[list[int], int]:
+    def price(self, cost: Sequence[Rational], sign: int = 1) -> list[int]:
         """The cost row for maximizing sign * cost . x at the current
         basis, ending in its value, -(sign * cost) . x at the current
         point, and its denominator; a column past the end of cost has
-        cost 0. The
-        sign (1 or -1) negates the ints, which is what pricing the
+        cost 0. A sign of -1 negates the row, which is what pricing the
         negated costs gives, since every elimination is linear in the
         row and a gcd has no sign. solve_lp calls it for an objective the
         tableau does not price yet, never again for the one it prices."""
-        row, den = self._reduced(cost)
-        return (row if sign > 0 else [-x for x in row]), den
+        row = self._reduced(cost)
+        if sign < 0:
+            _negate(row)
+        return row
 
     def _flip(self, enter: int, direction: int) -> None:
         """enter crosses its whole span, the int ub[enter] in its own
-        units, the basis unchanged: each row's value numerator, its last
-        entry, falls by direction * ub[enter] times its entry in column
-        enter, the cost rows' included, and no column entry or
-        denominator changes. enter then sits at its other bound, free to
+        units, the basis unchanged: each row's value numerator, next to
+        its denominator at the end, falls by direction * ub[enter] times
+        its entry in column enter, the cost rows' included, and no column
+        entry or denominator changes. enter then sits at its other bound, free to
         move back: its state becomes -direction."""
         u = direction * self.ub[enter]
         for row in self.A:
             if row[enter]:
-                row[-1] -= u * row[enter]
+                row[-2] -= u * row[enter]
         self.state[enter] = -direction
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
@@ -478,35 +492,29 @@ class _Tableau:
         span when enter leaves its upper bound, as enter's value; each
         span is added as a multiple of the pivot row's denominator."""
         leave = self.basis[p]
-        A, d = self.A, self.d
-        prow = A[p]
+        prow = self.A[p]
         # the value shift comes first, since it may make the value
         # nonzero or zero
         if leave_state < 0:
-            prow[-1] -= self.ub[leave] * d[p]
+            prow[-2] -= self.ub[leave] * prow[-1]
         nz = _nonzero(prow)
         from_upper = self.state[enter] < 0
         if leave < self.ncols:
             self.state[leave] = 0 if self.ub[leave] == 0 else leave_state
         self.state[enter] = 0
         self.basis[p] = enter
-        # row p is normalised in place, over its nonzero entries: its
-        # sign and a common factor change none of them to zero
+        # row p is normalised in place, over its entry in column enter,
+        # made positive, in lowest terms: neither the sign nor a common
+        # factor changes an entry to zero, so nz stands
         if prow[enter] < 0:
-            for j in nz:
-                prow[j] = -prow[j]
-        # the gcd divides prow[enter], so a unit pivot entry needs none;
-        # zeros leave it unchanged
-        g = gcd(*[prow[j] for j in nz]) if prow[enter] > 1 else 1
-        if g > 1:
-            for j in nz:
-                prow[j] //= g
-        d[p] = dp = prow[enter]
-        for i, row in enumerate(A):
+            _negate(prow)
+        prow[-1] = prow[enter]
+        _lowest(prow)
+        for i, row in enumerate(self.A):
             if i != p and row[enter]:
-                d[i] = _eliminate(row, d[i], prow, dp, enter, nz)
+                _eliminate(row, prow, enter, nz)
         if from_upper:
-            prow[-1] += self.ub[enter] * dp
+            prow[-2] += self.ub[enter] * prow[-1]
 
     def run(self) -> SolveStatus:
         """Maximize the objective the last row prices. Bland's rule:
@@ -517,7 +525,7 @@ class _Tableau:
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
-        state, ub, basis, d = self.state, self.ub, self.basis, self.d
+        state, ub, basis = self.state, self.ub, self.basis
         ncols = self.ncols
         while True:
             pivots_left -= 1
@@ -536,20 +544,21 @@ class _Tableau:
             # ratio test over the constraint rows' unreduced int
             # numerator/denominator pairs; the entering variable's own int
             # span competes as candidate row -1. Entry (i, enter) is a /
-            # d[i] and row i's value row[-1] / d[i], so d[i] cancels. With
-            # s = a * direction, s > 0 drives the value down, to zero after
-            # the step row[-1] / s; s < 0 drives it up, to its int cap
-            # after (cap * d[i] - row[-1]) / -s, and an uncapped column or
-            # an artificial (which has no cap) sets no limit.
+            # row[-1] and row i's value row[-2] / row[-1], so the
+            # denominator cancels. With s = a * direction, s > 0 drives the
+            # value down, to zero after the step row[-2] / s; s < 0 drives
+            # it up, to its int cap after (cap * row[-1] - row[-2]) / -s,
+            # and an uncapped column or an artificial (which has no cap)
+            # sets no limit.
             best_num, best_den = ub[enter], 1
             best_var = enter
             best_row = -1
             for i, row in enumerate(self.A[:len(basis)]):
                 s = row[enter] * direction
                 if s > 0:
-                    tn, td = row[-1], s
+                    tn, td = row[-2], s
                 elif s < 0 and basis[i] < ncols and ub[basis[i]] is not None:
-                    tn, td = ub[basis[i]] * d[i] - row[-1], -s
+                    tn, td = ub[basis[i]] * row[-1] - row[-2], -s
                 else:
                     continue
                 if best_num is not None:
@@ -585,7 +594,7 @@ class _Tableau:
                 self._replace(p, enter, 0)
                 p += 1
             else:
-                del self.A[p], self.d[p], self.basis[p]
+                del self.A[p], self.basis[p]
 
     def point(self) -> list[Fraction]:
         """The structural point: each column at its lower bound, plus its
@@ -599,9 +608,9 @@ class _Tableau:
             if s < 0:
                 span = Fraction(ub[j], unit[j])
                 x[j] = x[j] + span if x[j] else span
-        for b, row, den in zip(self.basis, self.A, self.d):
-            if b < n and row[-1]:
-                step = Fraction(row[-1], den * unit[b])
+        for b, row in zip(self.basis, self.A):
+            if b < n and row[-2]:
+                step = Fraction(row[-2], row[-1] * unit[b])
                 x[b] = x[b] + step if x[b] else step
         return x
 
@@ -679,7 +688,7 @@ def solve_lp(
     # before any pivot, where every basic column costs 0
     sign = 1 if lp.sense == MAXIMIZE else -1
     if tab.objective != (lp.objective, lp.sense):
-        tab.A[-1], tab.d[-1] = tab.price(lp.objective, sign)
+        tab.A[-1] = tab.price(lp.objective, sign)
         tab.objective = (lp.objective, lp.sense)
     # an artificial is basic for each appended row whose slack could not
     # start basic: an equality row, a <= row with b - a.x < 0, or a >=
@@ -689,30 +698,29 @@ def solve_lp(
         # phase 1 pushes its row, the artificial rows' sum with its value
         # in lowest terms, on top of the objective's, and every pivot
         # eliminates both; pricing minus the artificials' sum gives it
-        den = lcm(*(tab.d[i] for i in arts))
-        row = [0] * (tab.ncols + 1)
+        den = lcm(*(tab.A[i][-1] for i in arts))
+        row = [0] * (tab.ncols + 1) + [den]
         for i in arts:
-            f = den // tab.d[i]
             art_row = tab.A[i]
+            f = den // art_row[-1]
             for j in _nonzero(art_row):
                 row[j] += f * art_row[j]
-        g = gcd(den, *row)
-        tab.A.append([x // g for x in row])
-        tab.d.append(den // g)
+        _lowest(row)
+        tab.A.append(row)
         # phase 1's objective is bounded above by 0
         if tab.run() is not SolveStatus.OPTIMAL:  # pragma: no cover
             raise AssertionError("phase 1 cannot be unbounded")
         # the row's value is the artificials' sum, and artificials never
         # go negative: any sum left is infeasibility
-        if tab.A[-1][-1]:
+        if tab.A[-1][-2]:
             return LpOutcome(SolveStatus.INFEASIBLE)
         # the driving out reads no cost row, so phase 1's row goes first
-        del tab.A[-1], tab.d[-1]
+        del tab.A[-1]
         tab.drive_out_artificials()
 
     if tab.run() is SolveStatus.UNBOUNDED:
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
     # the cost row's value is -(sign * c) . x at the final point
-    value = Fraction(-sign * tab.A[-1][-1], tab.d[-1])
+    value = Fraction(-sign * tab.A[-1][-2], tab.A[-1][-1])
     return LpOutcome(SolveStatus.OPTIMAL, tuple(tab.point()), value, tab)

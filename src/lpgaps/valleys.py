@@ -485,7 +485,10 @@ def cutting_plane_loop(
         )
         if violated is None:
             break
-        program = with_constraints(program, [subtour_cut(inst, violated)])
+        # separation returns 2..n-1 distinct cities in increasing order
+        # (a single city's cut value is its out-degree 1), so the row
+        # needs no check of its subset
+        program = with_constraints(program, [_cut_row(inst.n, violated)])
     return CuttingPlaneTrace(
         rounds=tuple(rounds),
         cuts=tuple(r.cut_added for r in rounds if r.cut_added is not None),

@@ -308,6 +308,12 @@ def envelope_relaxed_max(poly, omitted: int, kept):
     return best
 
 
+def shows_a_gap(row) -> bool:
+    """An adversarial gap or a scan row admits a phantom optimum: its
+    truncated model is unbounded or beats the true maximum."""
+    return not row.bounded or row.gap > 0
+
+
 def best_vertex_value(poly, objective):
     return max(
         objective[0] * x + objective[1] * y for (x, y) in poly.vertices

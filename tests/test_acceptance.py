@@ -11,6 +11,7 @@ from oracles import (
     brute_force_tour_cost,
     point_feasible,
     random_bounded_lp,
+    shows_a_gap,
     valley_cut_subsets,
     vertex_enumeration_optimum,
 )
@@ -114,12 +115,12 @@ def test_criterion_5_budget_scan():
         small = subset_gap_scan(gen_arc(8), budget=6)
         assert small.enumerated
         assert len(small.rows) == 7
-        assert all(row.positive_gap for row in small.rows)
+        assert all(shows_a_gap(row) for row in small.rows)
 
         sampled = subset_gap_scan(gen_arc(64), budget=32, sample_count=100, seed=0)
         assert not sampled.enumerated
         assert len(sampled.rows) == 100
-        assert sum(1 for row in sampled.rows if row.positive_gap) == 100
+        assert sum(1 for row in sampled.rows if shows_a_gap(row)) == 100
 
 
 def test_criterion_6_cutting_plane_closure():

@@ -2,7 +2,7 @@
 wraps must all exist, so deleting a function cannot leave a stale export
 or silently break ``perfbench/``; no module keeps an import or a
 private helper that nothing uses once its caller is gone; and no public
-function or class is kept for the tests alone."""
+function, class, property or method is kept for the tests alone."""
 
 import ast
 import importlib
@@ -130,19 +130,44 @@ def test_modules_use_what_they_import_and_define():
 
 
 def public_definitions(source: str) -> list[str]:
-    """Module-level public functions and classes of one module."""
-    return [
-        node.name
-        for node in ast.parse(source).body
+    """Module-level public functions and classes of one module, then the
+    public properties and methods of those classes, as Class.member."""
+    public = [
+        node for node in ast.parse(source).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
+    ]
+    return [node.name for node in public] + [
+        f"{node.name}.{member.name}"
+        for node in public if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not member.name.startswith("_")
+    ]
+
+
+def test_public_definitions_list_class_members():
+    source = (
+        "def run():\n    pass\n"
+        "class Report:\n"
+        "    rows: tuple = ()\n"
+        "    @property\n    def complete(self):\n        return True\n"
+        "    def render(self):\n        pass\n"
+        "    def _cached(self):\n        pass\n"
+        "class _Hidden:\n"
+        "    def shown(self):\n        pass\n"
+    )
+    assert public_definitions(source) == [
+        "run", "Report", "Report.complete", "Report.render"
     ]
 
 
 def test_public_names_have_a_caller_outside_the_tests():
     """Each public function or class is named somewhere other than the
     tests, the package's export list and its own definition: elsewhere
-    in the package, in scripts/, in perfbench/ or in the README."""
+    in the package, in scripts/, in perfbench/ or in the README. Each
+    public property or method of a public class is read as an attribute,
+    ``.name``, somewhere other than the tests and its own definition."""
     elsewhere = [
         path.read_text()
         for path in [
@@ -159,8 +184,10 @@ def test_public_names_have_a_caller_outside_the_tests():
     unused = []
     for path, source in modules.items():
         for name in public_definitions(source):
-            word = re.compile(rf"\b{name}\b")
-            own = re.sub(rf"\b(def|class) {name}\b", "", source)
+            # a member is read as .member, a module-level name as a word
+            member = name.rpartition(".")[2]
+            word = re.compile(rf"\.{member}\b" if member != name else rf"\b{name}\b")
+            own = re.sub(rf"\b(def|class) {member}\b", "", source)
             texts = [own, *elsewhere, *(
                 text for other, text in modules.items() if other != path
             )]

@@ -245,6 +245,42 @@ def test_relaxation_refuses_a_field_its_kind_never_reads(monkeypatch, kwargs, me
         integrality_gap(gen_valley_instance(4, 2), RelaxationDesc(**kwargs))
 
 
+@pytest.mark.parametrize("city", ["a", None, 1.0, True, -1])
+def test_cuts_relaxation_checks_each_city_before_sorting(city):
+    # a string or None raised TypeError from the sort, and 1.0 or True
+    # was recorded as given
+    with pytest.raises(ValidationError, match="city must be"):
+        cuts_relaxation([(city, 1)])
+    with pytest.raises(ValidationError, match="city must be"):
+        cuts_relaxation([(1, city)])
+
+
+def test_cuts_relaxation_names_a_repeated_city_as_given():
+    with pytest.raises(ValidationError, match=re.escape("[1, 0, 1] names a city more")):
+        cuts_relaxation([(1, 0, 1)])
+
+
+@pytest.mark.parametrize("cut_subsets, message", [
+    (((1, 0),), "cut subset [1, 0] must list its cities in increasing order"),
+    (((0, 2, 1),), "cut subset [0, 2, 1] must list its cities in increasing order"),
+    (((0, 0, 1),), "[0, 0, 1] names a city more than once"),
+    (([0, 1],), "cut_subsets must be a tuple of tuples"),
+    ([(0, 1)], "cut_subsets must be a tuple of tuples"),
+    (((0, "a"),), "city must be an int, not str 'a'"),
+    (((-1, 2),), "city must be at least 0, not -1"),
+])
+def test_a_relaxation_made_directly_needs_sorted_distinct_cities(cut_subsets, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        RelaxationDesc("degree+cuts", cut_subsets)
+
+
+def test_one_cut_relaxation_has_one_description():
+    # the order a caller lists cities in is not part of the relaxation
+    made = RelaxationDesc("degree+cuts", ((0, 1), (2, 3)))
+    assert cuts_relaxation([(1, 0), [3, 2]]) == made
+    assert hash(cuts_relaxation([(1, 0), [3, 2]])) == hash(made)
+
+
 def lower_corner_value(inst, relaxation):
     return solve_lp(relaxation_with_cuts(inst, relaxation.cut_subsets)).value
 

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import best_vertex_value, envelope_relaxed_max
+from oracles import best_vertex_value, envelope_relaxed_max, shows_a_gap
 from lpgaps import hull
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.hull import (
@@ -122,7 +122,7 @@ def test_single_facet_omission_on_minimal_chain_is_flagged():
     adv = adversarial_objective(gen_arc(2), 0)
     assert not adv.bounded
     assert adv.gap is None and adv.relaxed_max is None
-    assert adv.positive_gap  # an unbounded phantom counts as a gap
+    assert shows_a_gap(adv)  # an unbounded phantom counts as a gap
 
 
 def test_scan_one_short_enumerates_every_subset():
@@ -130,7 +130,7 @@ def test_scan_one_short_enumerates_every_subset():
     assert report.enumerated
     assert report.seed is None  # nothing was drawn
     assert len(report.rows) == 7
-    assert report.all_gaps_positive
+    assert all(shows_a_gap(row) for row in report.rows)
     omitted = [row.omitted for row in report.rows]
     assert omitted == sorted(omitted)
     assert all(len(o) == 1 for o in omitted)
@@ -140,8 +140,7 @@ def test_scan_complete_budget_reports_zero_gap():
     report = subset_gap_scan(gen_arc(8), budget=7)
     assert len(report.rows) == 1
     row = report.rows[0]
-    assert row.omitted == () and row.gap == 0 and not row.positive_gap
-    assert report.all_gaps_positive  # vacuous: no incomplete subset
+    assert row.omitted == () and row.gap == 0 and not shows_a_gap(row)
 
 
 def test_scan_sampling_is_deterministic_and_positive():
@@ -151,7 +150,7 @@ def test_scan_sampling_is_deterministic_and_positive():
     assert a == b
     assert not a.enumerated
     assert len(a.rows) == 12
-    assert a.all_gaps_positive
+    assert all(shows_a_gap(row) for row in a.rows)
     c = subset_gap_scan(poly, budget=32, sample_count=12, seed=6)
     assert c != a
 

@@ -42,6 +42,9 @@ CASES = [
      0.5, True, -1),
     ("gap report cuts", lambda x: integrality_gap(INST, cuts_relaxation([(x, 2)])),
      0.5, True, 6),
+    ("cuts_relaxation", lambda x: cuts_relaxation([(x, 2)]), 0.5, True, -1),
+    ("RelaxationDesc cuts",
+     lambda x: gaps.RelaxationDesc(gaps.DEGREE_WITH_CUTS, ((x, 2),)), 0.5, True, -1),
     ("check_flow_feasibility",
      lambda x: valleys.check_flow_feasibility(INST, FLOW, [(x, 2)]), 0.5, True, 6),
     ("flow_from_arcs", lambda x: valleys.flow_from_arcs(INST, [(x, 2, 1)]),

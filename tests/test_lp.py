@@ -276,9 +276,9 @@ def test_property_eliminate_matches_fraction_reference(data):
     # denominators of 1 on both sides take the path without a gcd
     den = data.draw(st.one_of(st.just(1), st.integers(1, 60)))
     val = data.draw(entries)
-    row.append(val)  # each row ends in its value
-    # a pivot row as _replace leaves it: positive at col, gcd 1 over
-    # its entries and its value
+    row += [val, den]  # each row ends in its value, then its denominator
+    # a pivot row as _replace leaves it: positive at col, over its entry
+    # there, gcd 1 over its entries and its value
     prow = data.draw(st.lists(entries, min_size=width, max_size=width))
     prow[col] = data.draw(st.one_of(st.just(1), st.integers(2, 12)))
     pval = data.draw(entries)
@@ -286,31 +286,36 @@ def test_property_eliminate_matches_fraction_reference(data):
     prow = [x // g for x in prow + [pval]]
     pval //= g
     pden = prow[col]
-    nz = [j for j, x in enumerate(prow) if x]
+    prow.append(pden)
+    nz = [j for j, x in enumerate(prow[:-1]) if x]
     before, out = list(row), row
 
-    out_den = _eliminate(row, den, prow, pden, col, nz)
+    assert _eliminate(row, prow, col, nz) is None
 
     # row is written in place, so the reference reads the snapshot
-    assert row is out and len(row) == width + 1
+    assert row is out and len(row) == width + 2
+    out_den = row[-1]
     f = Fraction(before[col], den)
-    assert [Fraction(x, out_den) for x in row] == [
-        Fraction(x, den) - f * Fraction(y, pden) for x, y in zip(before, prow)
+    assert [Fraction(x, out_den) for x in row[:-1]] == [
+        Fraction(x, den) - f * Fraction(y, pden)
+        for x, y in zip(before[:-1], prow[:-1])
     ]
-    assert Fraction(row[-1], out_den) == Fraction(val, den) - f * Fraction(pval, pden)
+    assert Fraction(row[-2], out_den) == Fraction(val, den) - f * Fraction(pval, pden)
     assert row[col] == 0
     assert out_den > 0
-    assert gcd(out_den, *row) == 1
+    assert gcd(*row) == 1
 
 
-def full_row_eliminate(row, den, prow, pden, col):
-    """The textbook update: the whole row scaled by pden, less f times the
-    pivot row, then divided by its gcd with the scaled denominator."""
-    f = row[col]
-    out = [x * pden - f * y for x, y in zip(row, prow)]
-    den *= pden
-    g = gcd(den, *out)
-    return [x // g for x in out], den // g
+def full_row_eliminate(row, prow, col):
+    """The textbook update of rows that end in their denominators: the
+    whole row scaled by the pivot row's denominator pden, less f times
+    the pivot row, over the denominator scaled by pden, then divided by
+    the gcd of them all."""
+    f, pden = row[col], prow[-1]
+    out = [x * pden - f * y for x, y in zip(row[:-1], prow[:-1])]
+    out.append(row[-1] * pden)
+    g = gcd(*out)
+    return [x // g for x in out]
 
 
 # Mostly zero, as tableau rows are: about five entries in six are 0.
@@ -332,19 +337,20 @@ def test_property_eliminate_matches_the_full_row_update(data):
     g = gcd(*prow)
     prow = [x // g for x in prow]
     pden = prow[col]
+    prow.append(pden)
     # f is a multiple of a divisor of pden: 1, one between, or pden
     # itself, where pden divides f and the row needs no scale
     share = data.draw(st.sampled_from([q for q in range(1, pden + 1) if pden % q == 0]))
     f = share * data.draw(st.one_of(st.integers(1, 9), st.integers(1, 10**12)))
     row = data.draw(st.lists(sparse_entries, min_size=width + 1, max_size=width + 1))
     row[col] = data.draw(st.sampled_from([f, -f]))
-    den = data.draw(st.one_of(st.just(1), st.integers(1, 60)))
-    nz = [j for j, x in enumerate(prow) if x]
-    expected = full_row_eliminate(row, den, prow, pden, col)
+    row.append(data.draw(st.one_of(st.just(1), st.integers(1, 60))))
+    nz = [j for j, x in enumerate(prow[:-1]) if x]
+    expected = full_row_eliminate(row, prow, col)
 
-    out_den = _eliminate(row, den, prow, pden, col, nz)
+    _eliminate(row, prow, col, nz)
 
-    assert (row, out_den) == expected
+    assert row == expected
 
 
 # Properties over programs random_bounded_lp never draws: denominators up
@@ -594,9 +600,8 @@ def test_property_int_program_pivots_as_its_fraction_twin(case):
 
 
 def tableau_snapshot(tab):
-    return ([list(row) for row in tab.A], list(tab.d),
-            list(tab.basis), list(tab.state), list(tab.ub), tab.region,
-            tab.ncols, list(tab.A[-1]), tab.d[-1], tab.objective)
+    return ([list(row) for row in tab.A], list(tab.basis), list(tab.state),
+            list(tab.ub), tab.region, tab.ncols, list(tab.A[-1]), tab.objective)
 
 
 @settings(max_examples=200, deadline=None)
@@ -678,7 +683,7 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     original = _Tableau.price
 
     def recording_price(self, cost, *args):
-        values = [Fraction(row[-1], d) for row, d in zip(self.A, self.d[:self.m])]
+        values = [Fraction(row[-2], row[-1]) for row in self.A[:self.m]]
         priced.append((list(self.basis), values, self.ncols))
         return original(self, cost, *args)
 
@@ -705,14 +710,16 @@ def assert_prices_its_objective(lp, outcome):
     int for int and in lowest terms, a fresh pricing of lp's signed
     objective at its final basis and point."""
     tab = outcome.tableau
-    assert len(tab.A) == len(tab.d) == len(tab.basis) + 1
-    row, den = tab._reduced(lp.objective)
+    assert len(tab.A) == len(tab.basis) + 1
+    row = tab._reduced(lp.objective)
     if lp.sense == "min":
-        row = [-x for x in row]
+        # the negated costs' row: entries and value negated, over the
+        # same denominator
+        row = [-x for x in row[:-1]] + row[-1:]
     assert tab.objective == (lp.objective, lp.sense)
-    assert len(row) == tab.ncols + 1
-    assert (tab.A[-1], tab.d[-1]) == (row, den)
-    assert den > 0 and gcd(den, *row) == 1
+    assert len(row) == tab.ncols + 2
+    assert tab.A[-1] == row
+    assert row[-1] > 0 and gcd(*row) == 1
     assert not any(tab.A[-1][b] for b in tab.basis)
 
 
@@ -752,7 +759,7 @@ def test_digest_programs_keep_the_row_a_fresh_pricing_gives():
 def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
     # the 300 seeded programs of the pivot digest, solved cold, warm with
     # a new objective and warm with rows appended: an optimum's value is
-    # the cost row's, -sign * A[-1][-1] / d[-1], which equals c.x summed in
+    # the cost row's, -sign * A[-1][-2] / A[-1][-1], which equals c.x summed in
     # Fractions over its point, and every row enters with the int value
     # b - a.x at the point of the tableau it enters, among them rows
     # tight there, rows over nonzero lower bounds, over columns at their
@@ -767,18 +774,18 @@ def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
         at.pop()
 
     def checking_reduced(self, values, rhs=0):
-        row, den = reduced(self, values, rhs)
+        row = reduced(self, values, rhs)
         if at:
             x = at[-1]
-            value = Fraction(row[-1], den)
+            value = Fraction(row[-2], row[-1])
             assert value == rhs - sum(a * xj for a, xj in zip(values, x))
             moved = [j for j in range(self.n) if values[j]]
             seen["row"] += 1
-            seen["tight"] += row[-1] == 0
+            seen["tight"] += row[-2] == 0
             seen["lower"] += any(self.lower[j] for j in moved)
             seen["upper"] += any(self.state[j] < 0 for j in moved)
             seen["unit"] += any(self.unit[j] > 1 for j in moved)
-        return row, den
+        return row
 
     monkeypatch.setattr(_Tableau, "append_rows", checking_append_rows)
     monkeypatch.setattr(_Tableau, "_reduced", checking_reduced)
@@ -805,7 +812,7 @@ def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
             if outcome.status is not SolveStatus.OPTIMAL:
                 continue
             tab, sign = outcome.tableau, 1 if program.sense == "max" else -1
-            assert outcome.value == Fraction(-sign * tab.A[-1][-1], tab.d[-1])
+            assert outcome.value == Fraction(-sign * tab.A[-1][-2], tab.A[-1][-1])
             assert outcome.value == sum(
                 (c * x for c, x in zip(program.objective, outcome.point)), Fraction(0)
             )
@@ -914,9 +921,9 @@ def assert_no_dead_column(tab):
     """Every column the tableau stores is basic, may enter, or is fixed:
     an artificial is only the marker of the row it is basic in, and once
     it leaves the basis nothing of it is left. Each row holds one entry
-    per column, then its value."""
+    per column, then its value and its denominator."""
     assert len(tab.state) == len(tab.ub) == tab.ncols
-    assert all(len(row) == tab.ncols + 1 for row in tab.A)
+    assert all(len(row) == tab.ncols + 2 for row in tab.A)
     assert all(b < tab.ncols for b in tab.basis)
     basic = set(tab.basis)
     dead = [j for j in range(tab.ncols)
@@ -984,17 +991,19 @@ def test_property_phase_one_row_sums_the_artificial_rows(case):
         if len(self.A) - len(self.basis) == 2:
             arts = [i for i, b in enumerate(self.basis) if b >= self.ncols]
             assert arts
-            row, den = self.A[-1], self.d[-1]
-            assert len(row) == self.ncols + 1
-            # every column's entry, and the value last
-            assert [Fraction(x, den) for x in row] == [
-                sum((Fraction(self.A[i][j], self.d[i]) for i in arts), Fraction(0))
+            row = self.A[-1]
+            den = row[-1]
+            assert len(row) == self.ncols + 2
+            # every column's entry, and the value last before the
+            # denominator
+            assert [Fraction(x, den) for x in row[:-1]] == [
+                sum((Fraction(self.A[i][j], self.A[i][-1]) for i in arts), Fraction(0))
                 for j in range(self.ncols + 1)
             ]
-            assert Fraction(row[-1], den) == sum(
-                (Fraction(self.A[i][-1], self.d[i]) for i in arts), Fraction(0)
+            assert Fraction(row[-2], den) == sum(
+                (Fraction(self.A[i][-2], self.A[i][-1]) for i in arts), Fraction(0)
             )
-            assert den > 0 and gcd(den, *row) == 1
+            assert den > 0 and gcd(*row) == 1
         return run(self)
 
     with patch.object(_Tableau, "run", checking_run):
@@ -1012,8 +1021,7 @@ def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
     tab = start.tableau
 
     def snapshot():
-        return ([list(row) for row in tab.A], list(tab.d),
-                list(tab.basis), list(tab.state))
+        return ([list(row) for row in tab.A], list(tab.basis), list(tab.state))
 
     before = snapshot()
     rng = random.Random(10 * valleys + cities)
@@ -1027,11 +1035,9 @@ def test_warm_start_leaves_the_shared_rows_unchanged(valleys, cities):
 
 def shared_lists(tab, other):
     """The names of tab's mutable lists that other holds too."""
-    theirs = {id(x) for x in (*other.A, other.d, other.basis, other.state,
-                              other.ub)}
+    theirs = {id(x) for x in (*other.A, other.basis, other.state, other.ub)}
     mine = [(f"A[{i}]", row) for i, row in enumerate(tab.A)] + [
-        ("d", tab.d), ("basis", tab.basis),
-        ("state", tab.state), ("ub", tab.ub)]
+        ("basis", tab.basis), ("state", tab.state), ("ub", tab.ub)]
     return [name for name, x in mine if id(x) in theirs]
 
 
@@ -1092,8 +1098,8 @@ def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):
     # a new objective and warm with rows appended, and the cut loops at
     # (4, 2), (6, 2) and (3, 3): no basis change enters the value column
     # or past it, and across each basis change and bound flip every row
-    # of the store is the list it was, one entry per column then its
-    # value
+    # of the store is the list it was, one entry per column, then its
+    # value and its denominator
     flip, replace_row = _Tableau._flip, _Tableau._replace
     moves = {"replace": 0, "flip": 0}
 
@@ -1102,7 +1108,7 @@ def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):
         move(self, *args)
         assert len(self.A) == len(before)
         assert all(row is old for row, old in zip(self.A, before))
-        assert all(len(row) == self.ncols + 1 for row in self.A)
+        assert all(len(row) == self.ncols + 2 for row in self.A)
         moves[kind] += 1
 
     def checking_replace(self, p, enter, leave_state):
@@ -1141,6 +1147,42 @@ def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):
     cut_loop_replaces = moves["replace"] - digest_moves["replace"]
     assert min(digest_moves.values()) > 100 and cut_loop_replaces > 100, (
         digest_moves, moves)
+
+
+def test_every_row_ends_in_its_denominator_in_lowest_terms(monkeypatch):
+    # the 300 seeded programs of the pivot digest, solved cold and warm
+    # with a new objective: after each basis change and bound flip, every
+    # row of the store, phase 1's and the cost row included, ends in a
+    # positive denominator and is in lowest terms with it, and the
+    # tableau keeps no list of denominators beside its rows
+    flip, replace_row = _Tableau._flip, _Tableau._replace
+    moves = 0
+
+    def checked(move):
+        def checking(self, *args):
+            nonlocal moves
+            move(self, *args)
+            assert not hasattr(self, "d")
+            assert all(row[-1] > 0 and gcd(*row) == 1 for row in self.A)
+            moves += 1
+        return checking
+
+    monkeypatch.setattr(_Tableau, "_replace", checked(replace_row))
+    monkeypatch.setattr(_Tableau, "_flip", checked(flip))
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        other = replace(
+            lp,
+            objective=tuple(Fraction(programs.randint(-6, 6), programs.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=programs.choice(["max", "min"]),
+        )
+        solve_lp(other, start=first)
+    assert moves > 500, moves
 
 
 def test_digest_programs_take_every_integer_span_move(monkeypatch):

@@ -357,6 +357,9 @@ def test_separation_matches_brute_force_min_cut(n):
         else:
             assert subset is not None
             assert 2 <= len(subset) <= n - 1
+            # distinct cities in increasing order: the cut loop builds its
+            # row from the subset without checking it again
+            assert list(subset) == sorted(set(subset))
             assert subtour_cut_value(weights, subset) == best
         # a disconnected support is cut at city 0's component
         component = weak_component(n, weights, 0)
