@@ -49,7 +49,7 @@ column at its lower bound, but those listed in ``at_upper`` at their
 upper bound. Phase 1 runs whenever an artificial is basic; a row that
 already holds at that corner starts its artificial at 0, so a start at
 a feasible corner makes phase 1 only degenerate pivots (the gap report
-starts at the oracle's optimal tour, where every degree row is tight).
+starts at a cycle cover, where every degree row and cut holds).
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. A tableau

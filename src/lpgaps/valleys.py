@@ -157,12 +157,42 @@ def arc_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
-def tour_columns(n: int, tour: Sequence[int]) -> tuple[int, ...]:
-    """The arc columns of a closed tour over n cities, the arc from its
-    last city back to its first included, in arc_list order: arc (i, j)
-    is column i * (n - 1) + j, less 1 when j > i."""
-    arcs = zip(tour, (*tour[1:], *tour[:1]))
-    return tuple(sorted(i * (n - 1) + j - (j > i) for i, j in arcs))
+def cover_columns(
+    inst: TspInstance, tour: Sequence[int], cut_subsets: Iterable[Sequence[int]]
+) -> tuple[int, ...]:
+    """The arc columns, in arc_list order (arc (i, j) is column
+    i * (n - 1) + j, less 1 when j > i), of the cycle cover that
+    successor swaps reach from a closed tour. For cities a < c, giving a
+    the successor of c and c that of a is kept when it makes no
+    self-loop, strictly lowers the cost (on the costs scaled to ints,
+    as the tour oracle reads them) and leaves an arc out of every cut
+    subset. Pairs are scanned in index order, each improvement kept at
+    once, until a sweep keeps none or n sweeps have run: at most n^3 / 2
+    pair checks. A cycle cover leaving every cut subset is a vertex of
+    the degree program with those cuts."""
+    n = inst.n
+    scaled, _ = scale_to_ints([c for row in inst.cost for c in row])
+    cost = [scaled[i * n:(i + 1) * n] for i in range(n)]
+    succ = [0] * n
+    for i, j in zip(tour, (*tour[1:], *tour[:1])):
+        succ[i] = j
+    cuts = [(S, set(S)) for S in cut_subsets]
+    for _ in range(n):
+        kept = False
+        for a in range(n):
+            for c in range(a + 1, n):
+                b, d = succ[a], succ[c]
+                if (a == d or c == b
+                        or cost[a][d] + cost[c][b] >= cost[a][b] + cost[c][d]):
+                    continue
+                succ[a], succ[c] = d, b
+                if all(any(succ[i] not in inside for i in S) for S, inside in cuts):
+                    kept = True
+                else:
+                    succ[a], succ[c] = b, d
+        if not kept:
+            break
+    return tuple(i * (n - 1) + j - (j > i) for i, j in enumerate(succ))
 
 
 # ---------------------------------------------------------------------------

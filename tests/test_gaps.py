@@ -3,8 +3,14 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import arc_index_map, valley_cut_subsets
+from oracles import (
+    arc_index_map,
+    point_feasible,
+    valley_cut_subsets,
+    valley_internal_cycles_flow,
+)
 from lpgaps import gaps, lp
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
@@ -21,6 +27,8 @@ from lpgaps.gaps import (
 from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import solve_lp
 from lpgaps.valleys import (
+    arc_list,
+    cover_columns,
     gen_valley_instance,
     instance_from_cost_matrix,
     relaxation_with_cuts,
@@ -335,14 +343,61 @@ def record_solves(monkeypatch):
     return seen
 
 
-def test_the_relaxation_solve_starts_at_the_oracle_tour(monkeypatch):
+def test_the_relaxation_solve_starts_at_a_swapped_cover(monkeypatch):
     inst = gen_valley_instance(4, 2, Fraction(1, 3), 2)
     seen = record_solves(monkeypatch)
+    integrality_gap(inst, degree_relaxation())
     integrality_gap(inst, cuts_relaxation(valley_cut_subsets(inst)))
-    tour = tsp_oracle(inst).tour
     index = arc_index_map(inst.n)
-    columns = sorted(index[arc] for arc in zip(tour, tour[1:] + tour[:1]))
-    assert seen == [{"at_upper": tuple(columns)}]
+    # the degree solve starts at the valley 2-cycles, its optimum
+    cycles = sorted(index[(i, j)] for i, j, _ in valley_internal_cycles_flow(inst).arcs)
+    assert seen[0] == {"at_upper": tuple(cycles)}
+    # with every valley cut, no valley closes: an arc leaves each one
+    arcs = [arc_list(inst.n)[col] for col in seen[1]["at_upper"]]
+    for valley in valley_cut_subsets(inst):
+        assert any(i in valley and j not in valley for i, j in arcs)
+
+
+@st.composite
+def cover_cases(draw):
+    """A valley instance or a random cost matrix, with up to three
+    distinct cut subsets (none for fewer than 3 cities)."""
+    if draw(st.booleans()):
+        intra = draw(st.fractions(0, 2, max_denominator=7))
+        crossing = intra + draw(st.fractions(Fraction(1, 7), 3, max_denominator=7))
+        inst = gen_valley_instance(
+            draw(st.integers(2, 4)), draw(st.integers(1, 3)), intra, crossing
+        )
+    else:
+        n = draw(st.integers(2, 7))
+        entry = st.fractions(-4, 9, max_denominator=4)
+        inst = instance_from_cost_matrix(draw(st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n
+        )))
+    n = inst.n
+    if n < 3:
+        return inst, []
+    subsets = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=2, max_size=n - 1, unique=True)
+        .map(lambda cities: tuple(sorted(cities))),
+        max_size=3, unique=True,
+    ))
+    return inst, subsets
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_cases())
+def test_property_the_cover_start_is_a_vertex_no_dearer_than_the_tour(case):
+    inst, subsets = case
+    tour = tsp_oracle(inst)
+    columns = cover_columns(inst, tour.tour, subsets)
+    arcs = [arc_list(inst.n)[col] for col in columns]
+    cities = list(range(inst.n))
+    # one arc out of and one arc into each city: a cycle cover
+    assert sorted(i for i, _ in arcs) == cities == sorted(j for _, j in arcs)
+    point = [int(col in columns) for col in range(len(arc_list(inst.n)))]
+    assert point_feasible(relaxation_with_cuts(inst, subsets), point)
+    assert sum(inst.cost[i][j] for i, j in arcs) <= tour.cost
 
 
 def count_eliminations(monkeypatch, run):
@@ -359,14 +414,14 @@ def count_eliminations(monkeypatch, run):
     return len(calls)
 
 
-def test_tour_start_makes_under_a_third_of_the_eliminations(monkeypatch):
-    # at (8, 2): 3,676 row eliminations from the lower corner, 1,019 from
-    # the tour, whose phase 1 makes only degenerate pivots
+def test_cover_start_makes_under_a_twentieth_of_the_eliminations(monkeypatch):
+    # at (8, 2): 3,676 row eliminations from the lower corner, 143 from
+    # the swapped cover, whose phase 1 makes only degenerate pivots
     inst = gen_valley_instance(8, 2)
     program = relaxation_with_cuts(inst, ())
     lower = count_eliminations(monkeypatch, lambda: solve_lp(program))
-    tour = count_eliminations(monkeypatch, lambda: integrality_gap(inst))
-    assert 3 * tour < lower
+    cover = count_eliminations(monkeypatch, lambda: integrality_gap(inst))
+    assert 20 * cover < lower
 
 
 @pytest.mark.parametrize(
