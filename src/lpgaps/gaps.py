@@ -12,10 +12,11 @@ artifact under study, never an error.
 The relaxation solve of a degree or degree+cuts report starts at a
 cycle cover that successor swaps reach from the oracle's optimal tour,
 which the report computes anyway: each cover arc at 1, a feasible vertex
-of the program, so phase 1 makes only degenerate pivots and phase 2
-walks down from a vertex already cheaper than the tour. The
-cutting-plane loop, and the decision route through the relaxation,
-which never runs the oracle, start at the lower corner.
+of the program, so every artificial starts at 0, phase 1 is skipped,
+the artificials are only driven out, and phase 2 walks down from a
+vertex already cheaper than the tour. The cutting-plane loop, and the
+decision route through the relaxation, which never runs the oracle,
+start at the lower corner.
 """
 
 from __future__ import annotations
@@ -178,10 +179,10 @@ def integrality_gap(
     degree+cuts solve starts at the cycle cover that successor swaps
     reach from the oracle's optimal tour (valleys.cover_columns): each of
     its arcs at 1, a vertex of the program, since every degree row and
-    every cut holds there, so phase 1 makes only degenerate pivots. At
-    eight 2-city valleys that takes 44 basis changes, against 227 from
-    the tour itself. The value is the one a start at the lower corner
-    gives; only the pivots differ."""
+    every cut holds there, so phase 1 is skipped and its artificials,
+    all at 0, are only driven out. At eight 2-city valleys that takes 44
+    basis changes, against 227 from the tour itself. The value is the one
+    a start at the lower corner gives; only the pivots differ."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
     program = _fixed_program(inst, relaxation)

@@ -46,9 +46,13 @@ every row value does, so appending makes no Fraction point. A cold
 solve appends every row to the tableau of the bounds alone, whose point
 is the corner of the bound box that the caller names: each structural
 column at its lower bound, but those listed in ``at_upper`` at their
-upper bound. Phase 1 runs whenever an artificial is basic; a row that
-already holds at that corner starts its artificial at 0, so a start at
-a feasible corner makes phase 1 only degenerate pivots (the gap report
+upper bound. A row that already holds at that corner starts its
+artificial at 0. Phase 1 runs only when some artificial starts above 0,
+and ends at the first basis where the artificials sum to zero, the
+textbook two-phase rule (Dantzig 1963; Chvatal 1983): a sum of
+nonnegative artificials at 0 proves the point feasible. The artificials
+still basic then, each at 0, leave by ``drive_out_artificials``. A
+start at a feasible corner makes no phase 1 at all (the gap report
 starts at a cycle cover, where every degree row and cut holds).
 
 An outcome over a feasible region keeps its final tableau, and
@@ -521,16 +525,23 @@ class _Tableau:
         smallest eligible entering index; ratio ties broken by smallest
         leaving-variable index (the entering variable's own bound counts
         as a candidate). Returns SolveStatus.OPTIMAL or
-        SolveStatus.UNBOUNDED."""
+        SolveStatus.UNBOUNDED. Under phase 1's row it returns OPTIMAL as
+        soon as that row's value, the artificials' sum, is 0."""
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
         state, ub, basis = self.state, self.ub, self.basis
         ncols = self.ncols
+        # phase 1's row is the one row above the cost row
+        phase_one = len(self.A) > self.m + 1
         while True:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
                 raise AssertionError("pivot budget blown: anti-cycling broken")
+            # phase 1's value is the artificials' sum: at 0 the point is
+            # feasible and minus that sum is at its bound, so phase 1 is done
+            if phase_one and not self.A[-1][-2]:
+                return SolveStatus.OPTIMAL
             # the last row is the cost row the rule reads; its denominator
             # is positive, so r[j] has the sign of the reduced cost, and a
             # column improves the objective when it may move that way
@@ -582,7 +593,9 @@ class _Tableau:
     def drive_out_artificials(self) -> None:
         """Degenerate swaps at step 0 that take every artificial out of
         the basis, each into the row's first nonzero column; a row with
-        no nonzero column is redundant and is dropped."""
+        no nonzero column is redundant and is dropped. Every artificial
+        is at 0 here: phase 1 ended at a zero sum, or none started above
+        0, so each swap moves no value and takes one pivot per row."""
         p = 0
         while p < self.m:
             if self.basis[p] < self.ncols:
@@ -630,23 +643,26 @@ def solve_lp(
     (``_Tableau.append_rows``): each column index listed in ``at_upper``
     starts at its upper bound and every other column at its lower bound,
     so the default is the lower corner. Any corner gives the same status
-    and value; a feasible one, such as the optimal tour of a degree LP,
-    leaves phase 1 only degenerate pivots. A listed column with no upper
-    bound, and at_upper beside ``start`` (a warm start keeps its own
-    point), raise ValidationError before any pivot. A row that takes an
-    artificial holds it only as its basic variable, never as a column.
+    and value; at a feasible one, such as a cycle cover of a degree LP,
+    every artificial starts at 0, phase 1 is skipped and the artificials
+    are only driven out. A listed column with no upper bound, and
+    at_upper beside ``start`` (a warm start keeps its own point), raise
+    ValidationError before any pivot. A row that takes an artificial
+    holds it only as its basic variable, never as a column.
 
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
     or sense may differ otherwise. The solve copies start's final
     tableau (start itself is not changed) and appends lp's rows past the
     prefix, if any, the same way at start's point. Phase 1 runs only
-    when a row entered with an artificial, so a start over the same rows
-    skips it and runs phase 2 from its own basis, and a start priced for
-    lp's objective and sense keeps its cost row. Every tableau it pivots
-    is exact, so a warm status is proven just as a cold one is; only a
-    program with several optimal points may end at a different one of
-    them. A start over another region, or one without a tableau (an
+    when a row entered with an artificial above 0, so a start over the
+    same rows skips it and runs phase 2 from its own basis, and a start
+    priced for lp's objective and sense keeps its cost row. Phase 1 ends
+    at the first basis where the artificials sum to zero, and the
+    artificials still basic, each at 0, are driven out before phase 2.
+    Every tableau it pivots is exact, so a warm status is proven just as
+    a cold one is; only a program with several optimal points may end at
+    a different one of them. A start over another region, or one without a tableau (an
     infeasible outcome), raises ValidationError.
 
     The optimal value is read off the cost row's value, which is
@@ -692,9 +708,10 @@ def solve_lp(
         tab.objective = (lp.objective, lp.sense)
     # an artificial is basic for each appended row whose slack could not
     # start basic: an equality row, a <= row with b - a.x < 0, or a >=
-    # row with b - a.x >= 0
+    # row with b - a.x >= 0; when every one starts at 0 the point is
+    # feasible already and phase 1 has nothing to do
     arts = [i for i, b in enumerate(tab.basis) if b >= tab.ncols]
-    if arts:
+    if any(tab.A[i][-2] for i in arts):
         # phase 1 pushes its row, the artificial rows' sum with its value
         # in lowest terms, on top of the objective's, and every pivot
         # eliminates both; pricing minus the artificials' sum gives it
@@ -716,6 +733,7 @@ def solve_lp(
             return LpOutcome(SolveStatus.INFEASIBLE)
         # the driving out reads no cost row, so phase 1's row goes first
         del tab.A[-1]
+    if arts:
         tab.drive_out_artificials()
 
     if tab.run() is SolveStatus.UNBOUNDED:

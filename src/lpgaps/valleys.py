@@ -494,13 +494,13 @@ def cutting_plane_loop(
     the last one with its violated cut appended as a new last row, so
     the degree LP is built once, and each round's solve starts from the
     last round's tableau: the cut enters with an artificial that phase 1
-    drives out from the last basis, instead of a cold two-phase solve.
-    Values are nondecreasing because each round's feasible region
-    shrinks. The valley LPs are degenerate, so the warm path may end a
-    round at another optimal vertex than a cold solve would; the loop
-    can then stop, complete and at the tour optimum, on a fractional
-    point no subtour cut separates (``final_integral`` false, as at
-    six 2-city valleys)."""
+    drives to zero from the last basis, ending there, instead of a cold
+    two-phase solve. Values are nondecreasing because each round's
+    feasible region shrinks. The valley LPs are degenerate, so the warm
+    path may end a round at another optimal vertex than a cold solve
+    would; the loop can then stop, complete and at the tour optimum, on a
+    fractional point no subtour cut separates (``final_integral`` false,
+    as at five 3-city valleys, entries k/2)."""
     require_int(max_rounds, 1, None, "max_rounds")
     rounds: list[CutRound] = []
     program = degree_lp(inst)

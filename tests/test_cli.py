@@ -475,8 +475,12 @@ PINNED_REPORTS = [
     (["hull-scan", "--vertices", "64", "--budget", "32",
       "--samples", "3", "--seed", "0"], "json",
      "bb697d8cda14fa35ea63cbcc296430bfbcc481bfc3457f706c68e99a979cc454"),
+    # the cutting-plane entries were re-recorded when phase 1 began to end
+    # at zero infeasibility: (4, 2) keeps its cuts and values and ends on
+    # another optimal tour, (6, 2) swaps its fourth and fifth cuts and
+    # ends on a tour, and (3, 3) takes 11 rounds instead of 9
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "json",
-     "97ed299ee18aed4a057e17edd0a0ab01b9cd9f29b9f9ef8c4a292b7ca7244e1d"),
+     "43f46f8f888c0b23145267f40c61467f2f7a26351fa0524a3dc9d097fe8f5eea"),
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "csv",
      "79dab5f6dbcdf0b04c990d2fbe0c84d99b67fd326bc5dbd243beb640599b3d01"),
     # re-recorded when refused flags began to record null: rounds, read
@@ -490,12 +494,13 @@ PINNED_REPORTS = [
       "--threshold", "4", "--via", "lp-relaxation",
       "--relaxation", "cutting-plane"], "json",
      "b931071ff5092c4fa54f1040361cf912af869bd5d7e25b4c7ba0ef4d6659d18d"),
-    # the loop that ends on a fractional point
+    # the loop that ended on a fractional point before phase 1 ended at
+    # zero infeasibility; it now ends on a tour
     (["cutting-plane", "--valleys", "6", "--cities-per-valley", "2"], "json",
-     "56dfd7d709ebb137738fa074a8fcd9ff8c1f52a3dea61cdc476700bcead2c1c8"),
+     "d00750dce9c3d4001285f0098f3ac64fd8eae65e13a00d8bbd175dad8b57a582"),
     (["cutting-plane", "--valleys", "3", "--cities-per-valley", "3",
       "--intra-cost", "1/7", "--crossing-cost", "5/3"], "csv",
-     "3b846a4d14385006e3821add5a028c8288dfa3f994750dfe451d98713741418e"),
+     "62e06dabf28d34e9bbc34a7f298afc20ee6363e796ddb9b05590231af144190f"),
 ]
 
 

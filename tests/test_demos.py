@@ -3,7 +3,11 @@
 ``scripts/run_all_demos.py`` writes every headline report. Each digest
 below is the SHA-256 of one file it writes, recorded before the tableau
 stopped storing artificial columns (check-flow's when its report became
-the FlowReport alone, without a second copy of the total). A kernel
+the FlowReport alone, without a second copy of the total; the
+cutting-plane files when phase 1 began to end at zero infeasibility:
+k4 keeps its cuts and values and ends on another optimal tour, k6 swaps
+its fourth and fifth cuts and ends on a tour instead of a fractional
+point). A kernel
 change that moves any pivot, cut sequence, witness or report byte fails
 here. The script runs as a user runs it, in a fresh process with
 ``--outdir out``, from a temporary working directory: the check-flow
@@ -28,11 +32,11 @@ DEMO_SHA256 = {
     "cutting_plane_k4.csv":
         "22d1b15e693cdb2aa5fdc4891f45d72943f4d36b4b67e5454cd206d0f9125040",
     "cutting_plane_k4.json":
-        "e2a1b661fa9f4c6dee0060ebbf7387795d3e86dd1d1d951dae18ca6db68f231d",
+        "dcede7701e0fdf9c0687a2142d0b1696c6448651d4c076700a68f6d6a90c4876",
     "cutting_plane_k6.csv":
-        "3f11f14993d01dfefe7dd80a64669f9c7d7a2d146c0f224fe0bdefefa587d668",
+        "c8ffec177146e98034ee7612a602ab476c6fc67de94db0a1901d58ee00deddc9",
     "cutting_plane_k6.json":
-        "515f93cdf8795688214605879fd3689b2c3d718913c4315186f6c0d6c68837c0",
+        "f26ff944645e7ed36678c46c079e45798dc1be800e3f0eb18320bcab64a15476",
     "decide_k10_ilp.json":
         "ba52549705760e73f38405d290065f1a4236d14567519f274100b77eda58d7ba",
     "decide_k10_lp.json":

@@ -415,8 +415,9 @@ def count_eliminations(monkeypatch, run):
 
 
 def test_cover_start_makes_under_a_twentieth_of_the_eliminations(monkeypatch):
-    # at (8, 2): 3,676 row eliminations from the lower corner, 143 from
-    # the swapped cover, whose phase 1 makes only degenerate pivots
+    # at (8, 2): 2,954 row eliminations from the lower corner, 125 from
+    # the swapped cover, where phase 1 is skipped and its artificials,
+    # all at 0, are only driven out
     inst = gen_valley_instance(8, 2)
     program = relaxation_with_cuts(inst, ())
     lower = count_eliminations(monkeypatch, lambda: solve_lp(program))

@@ -1,5 +1,6 @@
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -23,6 +24,7 @@ from test_pivot_path import (
     seeded_boxed_program,
 )
 from lpgaps.errors import ValidationError
+from lpgaps.gaps import integrality_gap
 from lpgaps.lp import (
     Constraint,
     LinearProgram,
@@ -1010,6 +1012,103 @@ def test_property_phase_one_row_sums_the_artificial_rows(case):
         first = solve_lp(lp)
         if first.tableau is not None:
             solve_lp(with_constraints(lp, [extra]), start=first)
+
+
+@contextmanager
+def phase_one_checks():
+    """Patch _Tableau so that every basis change and bound flip under
+    phase 1's row asserts that row's value, the artificials' sum, is
+    positive, and every run without it (phase 2) asserts that no
+    artificial is basic. Yields the counts of both."""
+    seen = {"phase 1 moves": 0, "phase 2 runs": 0}
+    replace_basis, flip, run = _Tableau._replace, _Tableau._flip, _Tableau.run
+
+    def check_move(tab):
+        # phase 1's row is the one row above the cost row
+        if len(tab.A) > tab.m + 1:
+            assert tab.A[-1][-2] > 0
+            seen["phase 1 moves"] += 1
+
+    def checking_replace(self, *args):
+        check_move(self)
+        return replace_basis(self, *args)
+
+    def checking_flip(self, *args):
+        check_move(self)
+        return flip(self, *args)
+
+    def checking_run(self):
+        if len(self.A) == self.m + 1:
+            assert all(b < self.ncols for b in self.basis)
+            seen["phase 2 runs"] += 1
+        return run(self)
+
+    with patch.object(_Tableau, "_replace", checking_replace), \
+            patch.object(_Tableau, "_flip", checking_flip), \
+            patch.object(_Tableau, "run", checking_run):
+        yield seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxed_programs())
+def test_property_phase_one_moves_only_above_zero_infeasibility(case):
+    # phase 1 ends at the first basis where the artificials sum to zero,
+    # cold and warm with a row appended, and phase 2 starts with every
+    # artificial out of the basis
+    lp, extra = case
+    with phase_one_checks():
+        first = solve_lp(lp)
+        if first.tableau is not None:
+            solve_lp(with_constraints(lp, [extra]), start=first)
+
+
+def test_digest_programs_move_in_phase_one_only_above_zero_infeasibility():
+    # the 300 seeded programs of the pivot digest, solved cold and warm
+    # with rows appended
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    with phase_one_checks() as seen:
+        for _ in range(RANDOM_PROGRAMS):
+            lp = seeded_boxed_program(programs)
+            first = solve_lp(lp)
+            if first.tableau is None:
+                continue
+            grown = with_constraints(
+                lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+            )
+            solve_lp(grown, start=first)
+    assert min(seen.values()) > 100, seen
+
+
+def test_the_gap_reports_degree_solve_makes_no_phase_one_move():
+    # the solve starts at a cycle cover, where every artificial starts at
+    # 0: phase 1 never runs or moves, and the artificials are only
+    # driven out
+    moves = {"phase 1": 0, "drive out": 0}
+    replace_basis, flip, run = _Tableau._replace, _Tableau._flip, _Tableau.run
+
+    def counting_run(self):
+        moves["phase 1"] += len(self.A) > self.m + 1
+        return run(self)
+
+    def counting_replace(self, p, *args):
+        # phase 1's row is the one row above the cost row
+        if len(self.A) > self.m + 1:
+            moves["phase 1"] += 1
+        elif self.basis[p] >= self.ncols:
+            moves["drive out"] += 1
+        return replace_basis(self, p, *args)
+
+    def counting_flip(self, *args):
+        moves["phase 1"] += len(self.A) > self.m + 1
+        return flip(self, *args)
+
+    with patch.object(_Tableau, "_replace", counting_replace), \
+            patch.object(_Tableau, "_flip", counting_flip), \
+            patch.object(_Tableau, "run", counting_run):
+        report = integrality_gap(gen_valley_instance(4, 2))
+    assert report.lp_value == 0
+    assert moves["phase 1"] == 0 and moves["drive out"] > 0, moves
 
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])

@@ -2,7 +2,9 @@
 
 Each literal below was recorded from the Fraction-tableau simplex that
 preceded the integer-row tableau; the cut loops were re-recorded when
-each round began to start from the last round's tableau. The programs are degenerate: many
+each round began to start from the last round's tableau, and the cut
+loops and both digests again when phase 1 began to end at the first
+basis where the artificials sum to zero. The programs are degenerate: many
 optimal vertices tie, and Bland's rule picks one of them. A kernel
 change that keeps every value optimal but lets a tie break differently
 moves a cut sequence, an optimal point or a hull witness, and fails
@@ -30,7 +32,8 @@ from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 F = Fraction
 
 # recorded from the warm cut loop, where each round starts from the last
-# round's tableau with its cut appended
+# round's tableau with its cut appended and phase 1 ends once the
+# artificials sum to zero
 CUT_LOOPS = {
     (4, 2): dict(
         rounds=[
@@ -43,21 +46,23 @@ CUT_LOOPS = {
             (F(40, 7), (0, 1, 4, 5, 6, 7), 22),
             (F(152, 21), None, 23),
         ],
-        final_support=(1, 7, 16, 24, 32, 40, 48, 50),
+        final_support=(0, 11, 16, 21, 34, 39, 44, 55),
     ),
     (3, 3): dict(
         rounds=[
             (F(9, 7), (0, 1, 2), 18),
-            (F(13, 3), (0, 1, 2, 6, 7, 8), 19),
-            (F(13, 3), (0, 1, 2, 3), 20),
-            (F(13, 3), (0, 3, 4, 5), 21),
+            (F(13, 3), (0, 3), 19),
+            (F(13, 3), (0, 3, 4, 5), 20),
+            (F(13, 3), (0, 1, 2, 3), 21),
             (F(13, 3), (0, 1, 2, 3, 4, 5), 22),
-            (F(41, 7), (0, 3, 6, 7, 8), 23),
-            (F(41, 7), (0, 1, 2, 3, 6, 7, 8), 24),
-            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 25),
-            (F(41, 7), None, 26),
+            (F(13, 3), (0, 6, 7, 8), 23),
+            (F(13, 3), (0, 1, 2, 6, 7, 8), 24),
+            (F(41, 7), (0, 3, 6, 7, 8), 25),
+            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 26),
+            (F(41, 7), (0, 1, 2, 3, 6, 7, 8), 27),
+            (F(41, 7), None, 28),
         ],
-        final_support=(1, 10, 17, 28, 38, 44, 48, 63, 70),
+        final_support=(1, 11, 17, 29, 36, 43, 54, 63, 64),
     ),
 }
 
@@ -147,13 +152,15 @@ def test_arc64_facet_gap_witnesses():
 # SHA-256 of every basis change (row, entering column) and every
 # outcome (status, value) over RANDOM_PROGRAMS seeded programs, each
 # solved cold and then warm from its own outcome for a second objective,
-# recorded from the dense-row elimination that preceded the sparse one.
+# recorded from the dense-row elimination that preceded the sparse one,
+# and again when phase 1 began to end at zero infeasibility: every
+# status and value stayed, 661 basis changes became 665.
 # Row denominators are left out on purpose: the pivots and the outcomes
 # are the contract, the lowest-terms scaling of a row is not.
 RANDOM_PROGRAMS_SEED = 8086
 RANDOM_PROGRAMS = 300
 RANDOM_PATH_SHA256 = (
-    "ead583621fb5d0b2977b23b086cf3fcae51b05a09d4564a09013f9b29f25e71c"
+    "74ba90be90e2d8cf1c2734ffbece69b1ed4de5e0f86f58a93da4bc953e18d3b5"
 )
 
 
@@ -223,10 +230,12 @@ def test_random_programs_pivot_digest(monkeypatch):
 # same seeded programs, each solved cold and then from its own outcome
 # with 1-3 rows appended, each of any relation and strictly satisfied,
 # tight or violated at the outcome's point. Recorded from the tableau
-# whose cold solve appends every row to the row-less tableau.
+# whose cold solve appends every row to the row-less tableau, and again
+# when phase 1 began to end at zero infeasibility: every status, value
+# and point stayed, 155 basis changes became 154.
 APPENDED_ROWS_SEED = 8087
 APPENDED_PATH_SHA256 = (
-    "88a69577c774f10c583f10ac78a4c330f27ddc842eb1e32d6165d602d59c316b"
+    "7a33377d5d882f813cae4e7c165eb4ea2b976dea53b7136f5ef5c8544b61c2d9"
 )
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lpgaps import valleys
 from lpgaps.errors import ValidationError
 from lpgaps.ilp import tsp_oracle
-from lpgaps.lp import GREATER_EQ, SolveStatus, solve_lp
+from lpgaps.lp import GREATER_EQ, SolveStatus, _Tableau, solve_lp
 from lpgaps.valleys import (
     MAX_CITIES,
     InstanceInfo,
@@ -454,17 +454,34 @@ def test_cut_loop_invariants(monkeypatch, shape, intra, crossing):
     assert trace.final_value == values[-1] == tsp_oracle(inst).cost
 
 
-def test_cutting_plane_six_valleys_ends_on_a_fractional_point():
+def test_cutting_plane_five_three_city_valleys_ends_on_a_fractional_point():
     # the warm loop reaches the tour optimum on a fractional vertex of
     # the subtour LP: no subtour cut separates it, so the loop is done
-    inst = gen_valley_instance(6, 2)
+    inst = gen_valley_instance(5, 3)
     trace = cutting_plane_loop(inst)
-    assert trace.complete
-    assert trace.final_value == 6 == tsp_oracle(inst).cost
+    assert trace.complete and len(trace.rounds) == 48
+    assert trace.final_value == 5 == tsp_oracle(inst).cost
     assert not trace.final_integral
-    assert {x.denominator for x in trace.final_point} == {1, 7}
+    assert {x.denominator for x in trace.final_point} == {1, 2}
     weights = dict(zip(arc_list(inst.n), trace.final_point))
     assert brute_force_min_subtour_cut(inst.n, weights) >= 1
+
+
+def test_cutting_plane_five_four_city_valleys_stays_within_its_pivots(monkeypatch):
+    # each cut enters with an artificial, and phase 1 ends when it reaches
+    # 0; pivoting on at zero infeasibility took 5,085 basis changes here
+    changes = 0
+    replace_basis = _Tableau._replace
+
+    def counting_replace(self, *args):
+        nonlocal changes
+        changes += 1
+        return replace_basis(self, *args)
+
+    monkeypatch.setattr(_Tableau, "_replace", counting_replace)
+    trace = cutting_plane_loop(gen_valley_instance(5, 4), 80)
+    assert trace.complete and trace.final_value == 5
+    assert changes <= 1500, changes
 
 
 def test_cutting_plane_budget_marks_incomplete():
