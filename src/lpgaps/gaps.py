@@ -14,16 +14,17 @@ cycle cover that successor swaps reach from the oracle's optimal tour,
 which the report computes anyway: each cover arc at 1, a feasible vertex
 of the program, so every artificial starts at 0, phase 1 is skipped,
 the artificials are only driven out, and phase 2 walks down from a
-vertex already cheaper than the tour. The cutting-plane loop, and the
-decision route through the relaxation, which never runs the oracle,
-start at the lower corner.
+vertex already cheaper than the tour. The decision route through the
+relaxation, which never runs the oracle, starts at the cycle cover that
+swaps reach from the tour 0, 1, ..., n - 1 instead, as the cutting-plane
+loop's first round does, so no relaxation solve runs phase 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
 from .ilp import tsp_oracle
@@ -148,18 +149,20 @@ def _solve_relaxation(
     inst: TspInstance,
     relaxation: RelaxationDesc,
     program: Optional[LinearProgram],
-    at_upper: Iterable[int] = (),
+    tour: Sequence[int],
 ) -> tuple[Rational, int, int]:
     """(lp value, constraint rows, rounds), solving the program that
-    _fixed_program built for the relaxation from the corner where the
-    arc columns at_upper (a cycle cover's, for a gap report) sit at 1
-    and every other at 0; the cutting-plane loop, which builds its own
-    programs, starts at the lower corner."""
+    _fixed_program built for the relaxation from the cycle cover that
+    successor swaps reach from tour (valleys.cover_columns), each of its
+    arcs at 1 and every other at 0; the cutting-plane loop, which builds
+    its own programs, starts at its own cycle cover."""
     if program is None:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
         return trace.final_value, last.constraint_count, len(trace.rounds)
-    outcome = solve_lp(program, at_upper=at_upper)
+    outcome = solve_lp(
+        program, at_upper=cover_columns(inst, tour, relaxation.cut_subsets)
+    )
     if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
         raise AssertionError(f"relaxation solve came back {outcome.status}")
     return outcome.value, len(program.constraints), 0
@@ -189,8 +192,7 @@ def integrality_gap(
     tour = tsp_oracle(inst)
     ilp_value = tour.cost
     lp_value, rows_used, rounds = _solve_relaxation(
-        inst, relaxation, program,
-        cover_columns(inst, tour.tour, relaxation.cut_subsets),
+        inst, relaxation, program, tour.tour
     )
     gap = ilp_value - lp_value
     if lp_value > 0:
@@ -238,13 +240,16 @@ def decide_tour_at_most(
 ) -> bool:
     """Decision form "is there a tour of cost <= X". The ilp route is
     exact truth; the lp-relaxation route may say YES to phantom values,
-    but whenever it says NO the answer really is NO."""
+    but whenever it says NO the answer really is NO. The lp-relaxation
+    route never runs the tour oracle: a degree or degree+cuts solve
+    starts at the cycle cover that successor swaps reach from the tour
+    0, 1, ..., n - 1, a vertex of the program, so it runs no phase 1."""
     require_exact((threshold,), "thresholds")
     x = Fraction(threshold)
     if via == VIA_ILP:
         return tsp_oracle(inst).cost <= x
     if via == VIA_LP:
         program = _fixed_program(inst, relaxation)
-        value, _, _ = _solve_relaxation(inst, relaxation, program)
+        value, _, _ = _solve_relaxation(inst, relaxation, program, range(inst.n))
         return value <= x
     raise ValidationError(f"unknown decision route {via!r}")

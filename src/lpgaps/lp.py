@@ -6,7 +6,8 @@ minimize, rows with <= / >= / = relations, and per-variable bounds
 simplex whose rows are stored densely, while a pivot updates only the
 columns where the pivot row is nonzero. It handles variable bounds
 natively (bounded variables never become extra rows) and uses Bland's
-smallest-index rule throughout, so it terminates on every input. Each
+smallest-index rule throughout, in its primal and in its dual simplex
+(Bland 1977), so it terminates on every input. Each
 column carries one signed state, the direction it may move if it enters
 (up from its lower bound, down from its upper bound, or never). An
 artificial variable is no column at all, only the marker of the row it
@@ -38,36 +39,42 @@ convert nothing, so a float or a string is refused where it enters; a
 row checks only its own entries, and a program's variables are the
 entries of its objective.
 
-Rows enter a tableau one way only, appended at its current point x: a
-row's slack starts basic when the row, oriented so that b - a.x >= 0,
-reads <=, and one artificial at |b - a.x| otherwise. The int value
-b - a.x comes out of the row's own reduction against the basis, as
-every row value does, so appending makes no Fraction point. A cold
-solve appends every row to the tableau of the bounds alone, whose point
-is the corner of the bound box that the caller names: each structural
-column at its lower bound, but those listed in ``at_upper`` at their
-upper bound. A row that already holds at that corner starts its
+Rows enter a tableau one way only, appended at its current point x,
+with the int value b - a.x out of the row's own reduction against the
+basis, as every row value is, so appending makes no Fraction point. A
+cold solve appends every row to the tableau of the bounds alone, whose
+point is the corner of the bound box that the caller names: each
+structural column at its lower bound, but those listed in ``at_upper``
+at their upper bound. There a row's slack starts basic when the row,
+oriented so that b - a.x >= 0, reads <=, and one artificial at
+|b - a.x| otherwise; a row that already holds at the corner starts its
 artificial at 0. Phase 1 runs only when some artificial starts above 0,
 and ends at the first basis where the artificials sum to zero, the
 textbook two-phase rule (Dantzig 1963; Chvatal 1983): a sum of
 nonnegative artificials at 0 proves the point feasible. The artificials
 still basic then, each at 0, leave by ``drive_out_artificials``. A
-start at a feasible corner makes no phase 1 at all (the gap report
-starts at a cycle cover, where every degree row and cut holds).
+start at a feasible corner makes no phase 1 at all (the gap report and
+the cutting-plane loop start at a cycle cover, where every degree row
+and cut holds).
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. A tableau
 owns every row it holds, so the copy copies each row once, the start
 is never changed, and every pivot of the copy updates its own rows in
 place instead of copying a row per elimination. Over the same
-rows and bounds, phase 1 is skipped and phase 2 starts from a basis
-already optimal or close (the hull scan maximizes many objectives over
-one truncated model this way). When lp has more rows, appended after
-the start's, the copy gains the new rows at the start's point, in terms
-of its basis, and the same phase 1 and phase 2 run from there (the
-cutting-plane loop re-solves each round this way after adding its cut).
-Either tableau is exact, so a warm status is as much a proof as a cold
-one.
+rows and bounds, phase 2 starts from a basis already optimal or close
+(the hull scan maximizes many objectives over one truncated model this
+way). When lp has more rows, appended after the start's, the copy gains
+the new rows at the start's point, in terms of its basis: each
+inequality row with its slack basic at its signed b - a.x, each
+equality row with an artificial. The dual simplex (Lemke 1954), pricing
+with the start's own cost row, then takes every basic value back into
+its bounds, each artificial to 0, and a start that was optimal stays
+dual feasible at every pivot, so it ends at an optimum and phase 2 has
+nothing left to do (the cutting-plane loop re-solves each round this
+way after adding its cut; Concorde re-solves its cutting-plane LPs so
+too). Phase 1 is for cold solves only. Either tableau is exact, so a
+warm status is as much a proof as a cold one.
 
 The tableau keeps its rows in one store: the constraint rows, then the
 objective's reduced-cost row, as the textbook two-phase tableau keeps
@@ -82,7 +89,7 @@ artificial, which is what pricing minus the artificials' sum gives, and
 pops it when done, so phase 2 reads the row a fresh pricing at its basis
 would give, int for int in lowest terms. Appended rows go in before the
 cost row and their basic variables cost 0, so a cut-loop round prices
-nothing.
+nothing, and its dual simplex reads the cost row the last round left.
 """
 
 from __future__ import annotations
@@ -386,16 +393,27 @@ class _Tableau:
         columns: each new row's basic variable is one of them or an
         artificial, so the old reduced costs and value stand at the new
         basis and the row still prices ``objective``. Each new row's int
-        value b - a.x at the current point x comes from ``_reduced``, and
-        the row is oriented by its sign so that b - a.x is nonnegative
-        (negated, denominator aside, when b - a.x < 0).
-        If it then reads <=, its slack starts basic; otherwise an
+        value b - a.x at the current point x comes from ``_reduced``.
+
+        A cold append, into a tableau that prices no objective yet,
+        orients each row by the sign of b - a.x so that it is
+        nonnegative (negated, denominator aside, when b - a.x < 0). If
+        the row then reads <=, its slack starts basic; otherwise an
         artificial, the next id past the columns, starts basic at
         |b - a.x|, for phase 1 to drive to zero. So a <= row needs
         b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack, and an
         equality row or a >= row tight at x takes an artificial.
+
+        A warm append, into a tableau that prices an objective, gives
+        every inequality row a basic slack, at b - a.x for a <= row and
+        a.x - b for a >= row, which is negated for it: a negative value
+        is a bound the slack breaks, for ``dual`` to repair. An equality
+        row is oriented and takes an artificial as in a cold append, a
+        basic variable that ``dual`` holds at 0.
+
         Existing rows, ``state`` and ``ub`` are extended in place, since
         the tableau owns them."""
+        warm = self.objective is not None
         rows = lp.constraints[len(self.region[0]):]
         self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
         # each new row is reduced against the basis, and its int value is
@@ -412,7 +430,10 @@ class _Tableau:
         self.ncols = art = ncols + len(pad)
         for con, row in zip(rows, reduced):
             row[ncols:ncols] = pad
-            flip = row[-2] < 0
+            if warm and con.relation != EQUAL:
+                flip = con.relation == GREATER_EQ
+            else:
+                flip = row[-2] < 0
             if con.relation != EQUAL:
                 row[slack] = row[-1] if con.relation == LESS_EQ else -row[-1]
                 slack += 1
@@ -590,12 +611,66 @@ class _Tableau:
             rose = self.A[best_row][enter] * direction < 0
             self._replace(best_row, enter, -1 if rose else 1)
 
+    def dual(self) -> SolveStatus:
+        """Dual simplex (Lemke 1954) to a basis whose values all lie in
+        their bounds: a column's between 0 and its int span, an
+        artificial's at 0. Bland's rule for the dual (Bland 1977): the
+        leaving row is the one of the smallest basic index out of its
+        bounds, and it stops at the bound it broke; the entering column
+        is one whose move takes that value back, of the smallest
+        |r[j]| / |row[p][j]| over the cost row r, ties to the smallest
+        index. A cost row that no column improves, an optimal start's,
+        stays so at every pivot; otherwise r is a zero row, every ratio
+        ties, and the smallest index enters. Returns
+        SolveStatus.INFEASIBLE when no column can move the leaving value
+        back, which row p proves, and SolveStatus.OPTIMAL otherwise."""
+        pivots_left = 10_000 + 200 * (self.m + self.ncols)
+        state, ub, basis, ncols = self.state, self.ub, self.basis, self.ncols
+        r = self.A[-1]
+        if any(d * r[j] > 0 for j, d in enumerate(state)):
+            r = [0] * ncols
+        while True:
+            pivots_left -= 1
+            if pivots_left < 0:  # pragma: no cover
+                raise AssertionError("pivot budget blown: anti-cycling broken")
+            # the smallest basic index whose value is out of bounds, and
+            # fall, the sign of the move its value needs: -1 to rise to
+            # 0, 1 to fall to its cap (an artificial's cap is 0)
+            p = leave = fall = None
+            for i, (b, row) in enumerate(zip(basis, self.A)):
+                if leave is not None and b > leave:
+                    continue
+                cap = 0 if b >= ncols else ub[b]
+                if row[-2] < 0:
+                    p, leave, fall = i, b, -1
+                elif cap is not None and row[-2] > cap * row[-1]:
+                    p, leave, fall = i, b, 1
+            if p is None:
+                return SolveStatus.OPTIMAL
+            # moving column j by direction d lowers row p's value by
+            # row[p][j] * d, so it takes the value back when that has the
+            # sign fall does; the ratios compare cross-multiplied, since
+            # each side's denominator is its row's
+            prow = self.A[p]
+            best = best_r = best_a = None
+            for j in compress(range(ncols), prow):
+                if state[j] * prow[j] * fall > 0:
+                    rj, aj = abs(r[j]), abs(prow[j])
+                    if best is None or rj * best_a < best_r * aj:
+                        best, best_r, best_a = j, rj, aj
+            if best is None:
+                return SolveStatus.INFEASIBLE
+            # the leaving column stops at the bound it broke, free to
+            # move back; an artificial stops at 0 and takes no state
+            self._replace(p, best, 0 if leave >= ncols else -fall)
+
     def drive_out_artificials(self) -> None:
         """Degenerate swaps at step 0 that take every artificial out of
         the basis, each into the row's first nonzero column; a row with
         no nonzero column is redundant and is dropped. Every artificial
-        is at 0 here: phase 1 ended at a zero sum, or none started above
-        0, so each swap moves no value and takes one pivot per row."""
+        is at 0 here: phase 1 ended at a zero sum, none started above 0,
+        or the dual simplex held each one still basic at 0, so each swap
+        moves no value and takes one pivot per row."""
         p = 0
         while p < self.m:
             if self.basis[p] < self.ncols:
@@ -654,16 +729,22 @@ def solve_lp(
     upper bounds and lp's rows, or a prefix of them; only the objective
     or sense may differ otherwise. The solve copies start's final
     tableau (start itself is not changed) and appends lp's rows past the
-    prefix, if any, the same way at start's point. Phase 1 runs only
-    when a row entered with an artificial above 0, so a start over the
-    same rows skips it and runs phase 2 from its own basis, and a start
-    priced for lp's objective and sense keeps its cost row. Phase 1 ends
-    at the first basis where the artificials sum to zero, and the
+    prefix, if any, at start's point, each inequality row with its slack
+    basic whatever the sign of its value. The dual simplex
+    (``_Tableau.dual``) then re-optimises over start's own cost row, or
+    returns INFEASIBLE; the artificials of appended equality rows still
+    basic, each at 0, are driven out; the objective is priced if start
+    priced another; and phase 2 runs, with nothing left to do when start
+    was optimal for lp's objective and sense. A start over the same rows
+    runs phase 2 from its own basis, and a start priced for lp's
+    objective and sense keeps its cost row. Only a cold solve runs phase
+    1, and only when a row entered with an artificial above 0; phase 1
+    ends at the first basis where the artificials sum to zero, and the
     artificials still basic, each at 0, are driven out before phase 2.
     Every tableau it pivots is exact, so a warm status is proven just as
     a cold one is; only a program with several optimal points may end at
-    a different one of them. A start over another region, or one without a tableau (an
-    infeasible outcome), raises ValidationError.
+    a different one of them. A start over another region, or one without
+    a tableau (an infeasible outcome), raises ValidationError.
 
     The optimal value is read off the cost row's value, which is
     -(sign * c) . x at the final point, rather than summed over the
@@ -697,8 +778,13 @@ def solve_lp(
             if ub is not None and ub < lp.lower_bounds[j]:
                 return LpOutcome(SolveStatus.INFEASIBLE)
         tab = _Tableau(lp, at_upper)
-    if len(tab.region[0]) < len(lp.constraints):
+    appended = len(tab.region[0]) < len(lp.constraints)
+    if appended:
         tab.append_rows(lp)
+    # a warm start that appends rows re-optimises by the dual simplex over
+    # the start's own cost row, so only a cold solve can need phase 1
+    if appended and start is not None and tab.dual() is SolveStatus.INFEASIBLE:
+        return LpOutcome(SolveStatus.INFEASIBLE)
     # a cost row priced for this objective stands through appended rows,
     # so a cut-loop round prices nothing; a cold solve prices here,
     # before any pivot, where every basic column costs 0
@@ -706,10 +792,11 @@ def solve_lp(
     if tab.objective != (lp.objective, lp.sense):
         tab.A[-1] = tab.price(lp.objective, sign)
         tab.objective = (lp.objective, lp.sense)
-    # an artificial is basic for each appended row whose slack could not
-    # start basic: an equality row, a <= row with b - a.x < 0, or a >=
-    # row with b - a.x >= 0; when every one starts at 0 the point is
-    # feasible already and phase 1 has nothing to do
+    # an artificial is basic for each appended equality row, and on a
+    # cold solve for each row whose slack could not start basic: a <= row
+    # with b - a.x < 0, or a >= row with b - a.x >= 0; when every one
+    # sits at 0 (always, after the dual simplex) the point is feasible
+    # already and phase 1 has nothing to do
     arts = [i for i, b in enumerate(tab.basis) if b >= tab.ncols]
     if any(tab.A[i][-2] for i in arts):
         # phase 1 pushes its row, the artificial rows' sum with its value

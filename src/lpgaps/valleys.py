@@ -492,21 +492,29 @@ def cutting_plane_loop(
 ) -> CuttingPlaneTrace:
     """Solve, separate, add one cut, repeat. Each round's program is
     the last one with its violated cut appended as a new last row, so
-    the degree LP is built once, and each round's solve starts from the
-    last round's tableau: the cut enters with an artificial that phase 1
-    drives to zero from the last basis, ending there, instead of a cold
+    the degree LP is built once. Round 1 starts at the cycle cover that
+    successor swaps reach from the tour 0, 1, ..., n - 1
+    (``cover_columns``), a vertex of the degree LP, so it runs no phase
+    1; each later round starts from the last round's tableau, where the
+    cut enters with its slack basic below 0 and the dual simplex
+    re-optimises from the last optimal basis, instead of a cold
     two-phase solve. Values are nondecreasing because each round's
     feasible region shrinks. The valley LPs are degenerate, so the warm
     path may end a round at another optimal vertex than a cold solve
     would; the loop can then stop, complete and at the tour optimum, on a
     fractional point no subtour cut separates (``final_integral`` false,
-    as at five 3-city valleys, entries k/2)."""
+    as at ten 2-city valleys with 60 rounds, entries k/2)."""
     require_int(max_rounds, 1, None, "max_rounds")
     rounds: list[CutRound] = []
     program = degree_lp(inst)
     outcome = None
     for rnd in range(1, max_rounds + 1):
-        outcome = solve_lp(program, start=outcome)
+        if outcome is None:
+            outcome = solve_lp(
+                program, at_upper=cover_columns(inst, range(inst.n), ())
+            )
+        else:
+            outcome = solve_lp(program, start=outcome)
         if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
             raise AssertionError(f"relaxation solve came back {outcome.status}")
         violated = separate_subtour(inst, outcome.point)

@@ -3,7 +3,8 @@
 Nothing here touches the simplex, the TSP oracle, or the separation
 code: LP optima come from brute-force vertex enumeration over exact
 hyperplane intersections, tour optima from direct permutation scans,
-minimum subtour cuts from scans over every city subset, and hull
+minimum subtour cuts from scans over every city subset (or, where n is
+too large to scan, a plain Stoer-Wagner minimum cut), and hull
 envelopes from piecewise-linear geometry. Expected values in
 the test suite are computed by these first and then asserted against
 the production path, exactly.
@@ -209,6 +210,44 @@ def brute_force_min_subtour_cut(n, weights) -> Fraction:
         for size in range(2, n)
         for S in combinations(range(n), size)
     )
+
+
+def min_subtour_cut(n, weights) -> Fraction:
+    """Smallest out-flow of a set of 1..n-1 cities under a circulation
+    (weights maps (i, j) to flow, and every city's out-flow equals its
+    in-flow), by Stoer and Wagner's minimum cut (1997) of the symmetrised
+    flow, halved: a circulation's out-flow of S equals its in-flow, so
+    the symmetric cut of S is twice its out-flow. Where every city's
+    out-flow is 1, a single city's set and its complement give 1, so
+    this equals brute_force_min_subtour_cut; exact, in O(n^3) steps.
+    Needs n >= 2."""
+    w = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), x in weights.items():
+        w[i][j] += x
+        w[j][i] += x
+    cities = list(range(n))
+    best = None
+    while len(cities) > 1:
+        # one phase: add the city most tightly joined to those added,
+        # until one is left; the last one's join to the rest is a cut
+        joined = {v: w[cities[0]][v] for v in cities[1:]}
+        order = [cities[0]]
+        while joined:
+            last = max(joined, key=joined.get)
+            cut = joined.pop(last)
+            order.append(last)
+            for v in joined:
+                joined[v] += w[last][v]
+        if best is None or cut < best:
+            best = cut
+        # merge the last city into the one added before it
+        s, t = order[-2], order[-1]
+        for v in range(n):
+            w[s][v] += w[t][v]
+            w[v][s] = w[s][v]
+        w[s][s] = Fraction(0)
+        cities.remove(t)
+    return best / 2
 
 
 def weak_component(n, weights, city):

@@ -476,13 +476,17 @@ PINNED_REPORTS = [
       "--samples", "3", "--seed", "0"], "json",
      "bb697d8cda14fa35ea63cbcc296430bfbcc481bfc3457f706c68e99a979cc454"),
     # the cutting-plane entries were re-recorded when phase 1 began to end
-    # at zero infeasibility: (4, 2) keeps its cuts and values and ends on
-    # another optimal tour, (6, 2) swaps its fourth and fifth cuts and
-    # ends on a tour, and (3, 3) takes 11 rounds instead of 9
+    # at zero infeasibility, and again when the loop's first round began
+    # to start at a cycle cover and each later round to re-optimise by
+    # the dual simplex: (4, 2) adds its second to fourth cuts in the
+    # reverse order, with the same values, and ends on another optimal
+    # tour; (6, 2) adds its 2-city-valley cuts in another order, with
+    # the same values, and ends on another tour; and (3, 3) takes 7
+    # rounds instead of 11, to the same value
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "json",
-     "43f46f8f888c0b23145267f40c61467f2f7a26351fa0524a3dc9d097fe8f5eea"),
+     "a51a5420a041ac3896c351b78ccdef7f3975ab881a87cb102af164807c5f3f38"),
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "csv",
-     "79dab5f6dbcdf0b04c990d2fbe0c84d99b67fd326bc5dbd243beb640599b3d01"),
+     "be32d44cd707e7e66eb75b53d57b65a413e98c3765ac4a09c544968e90034273"),
     # re-recorded when refused flags began to record null: rounds, read
     # only by the cutting-plane relaxation, went from 50 to null
     (["valley-gap", "--valleys", "6", "--cities-per-valley", "2",
@@ -497,10 +501,10 @@ PINNED_REPORTS = [
     # the loop that ended on a fractional point before phase 1 ended at
     # zero infeasibility; it now ends on a tour
     (["cutting-plane", "--valleys", "6", "--cities-per-valley", "2"], "json",
-     "d00750dce9c3d4001285f0098f3ac64fd8eae65e13a00d8bbd175dad8b57a582"),
+     "eecc5d855cf2813af155170cef5424fe6051767a244e4f30715d053b6ff6271b"),
     (["cutting-plane", "--valleys", "3", "--cities-per-valley", "3",
       "--intra-cost", "1/7", "--crossing-cost", "5/3"], "csv",
-     "62e06dabf28d34e9bbc34a7f298afc20ee6363e796ddb9b05590231af144190f"),
+     "a39fd4d54c4219fdd09c02fa4e2bd17b434deadaf155f586f78a5a66e5933dc9"),
 ]
 
 

@@ -7,7 +7,10 @@ the FlowReport alone, without a second copy of the total; the
 cutting-plane files when phase 1 began to end at zero infeasibility:
 k4 keeps its cuts and values and ends on another optimal tour, k6 swaps
 its fourth and fifth cuts and ends on a tour instead of a fractional
-point). A kernel
+point; and again when the loop's first round began to start at a cycle
+cover and each later round to re-optimise by the dual simplex: k4 and k6
+add the same cuts, at the same values, in another order, and end on
+other optimal tours). A kernel
 change that moves any pivot, cut sequence, witness or report byte fails
 here. The script runs as a user runs it, in a fresh process with
 ``--outdir out``, from a temporary working directory: the check-flow
@@ -30,13 +33,13 @@ DEMO_SHA256 = {
     "check_flow_three_circulations.json":
         "45729a89a8372d7a80e4bb9660ffb553aa7e83edb8f6c8e7712a4f05afc7d877",
     "cutting_plane_k4.csv":
-        "22d1b15e693cdb2aa5fdc4891f45d72943f4d36b4b67e5454cd206d0f9125040",
+        "dd91ec400a5793c36f7164b3e0c3505b28037e94a4953dccf7f8f8a905867ac8",
     "cutting_plane_k4.json":
-        "dcede7701e0fdf9c0687a2142d0b1696c6448651d4c076700a68f6d6a90c4876",
+        "749e6e63bb757e5cad8df2ac5f99311fbeb00eac8b5cd849775018feab86f356",
     "cutting_plane_k6.csv":
-        "c8ffec177146e98034ee7612a602ab476c6fc67de94db0a1901d58ee00deddc9",
+        "d1a07bf6e7342dee786e7a3d3d13b5163e24315be99977e9b9b2c4a8a3e913b6",
     "cutting_plane_k6.json":
-        "f26ff944645e7ed36678c46c079e45798dc1be800e3f0eb18320bcab64a15476",
+        "e5e1f636d9b2639dbcd6206bac49033244e1e77d54e812e8b45046b202ebcac2",
     "decide_k10_ilp.json":
         "ba52549705760e73f38405d290065f1a4236d14567519f274100b77eda58d7ba",
     "decide_k10_lp.json":

@@ -14,6 +14,7 @@ from oracles import (
 from lpgaps import gaps, lp
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
+    CUTTING_PLANE,
     VIA_ILP,
     VIA_LP,
     InstanceInfo,
@@ -25,7 +26,7 @@ from lpgaps.gaps import (
     integrality_gap,
 )
 from lpgaps.ilp import tsp_oracle
-from lpgaps.lp import solve_lp
+from lpgaps.lp import _Tableau, solve_lp
 from lpgaps.valleys import (
     arc_list,
     cover_columns,
@@ -435,7 +436,21 @@ def test_decide_via_the_relaxation_never_runs_the_oracle(monkeypatch, relaxation
 
     monkeypatch.setattr(gaps, "tsp_oracle", never)
     seen = record_solves(monkeypatch)
+    phase_one_runs = []
+    run = _Tableau.run
+
+    def recording_run(self):
+        phase_one_runs.append(len(self.A) > self.m + 1)
+        return run(self)
+
+    monkeypatch.setattr(_Tableau, "run", recording_run)
+    inst = gen_valley_instance(4, 2)
     # every one of these relaxations is worth at most the tour's 4
-    assert decide_tour_at_most(gen_valley_instance(4, 2), 4, VIA_LP) is True
-    # a fixed program is solved from the lower corner
-    assert all(not kwargs.get("at_upper") for kwargs in seen)
+    assert decide_tour_at_most(inst, 4, VIA_LP, relaxation) is True
+    # a fixed program is solved from the cycle cover that swaps reach
+    # from the identity tour, where every artificial starts at 0, and the
+    # cutting-plane loop solves its own programs; no solve runs phase 1
+    cover = cover_columns(inst, range(inst.n), relaxation.cut_subsets)
+    fixed = relaxation.kind != CUTTING_PLANE
+    assert seen == ([{"at_upper": cover}] if fixed else [])
+    assert phase_one_runs and not any(phase_one_runs)

@@ -690,21 +690,36 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
         return original(self, cost, *args)
 
     monkeypatch.setattr(_Tableau, "price", recording_price)
-    layouts = []
-    for solve_start in (None, start):
-        priced.clear()
-        solve_lp(lp, start=solve_start)
-        layouts.append(priced[0])
+    solve_lp(lp)
     # slack columns 2..7 belong to the six inequality rows in order, and
-    # the artificials are numbered from 8, past the 8 columns: a <= row
-    # keeps its slack basic when b - a.x >= 0, a >= row only when
-    # b - a.x < 0, an = row never
-    expected = (
+    # the artificials are numbered from 8, past the 8 columns: on a cold
+    # start a <= row keeps its slack basic when b - a.x >= 0, a >= row
+    # only when b - a.x < 0, an = row never
+    assert priced[0] == (
         [2, 3, 8, 5, 9, 10, 11, 12, 13],
         [d, 0, d, d, 0, d, d, 0, d],
         8,
     )
-    assert layouts == [expected, expected]
+
+    # a warm start, which prices an objective already, gives every
+    # inequality row its slack, at b - a.x for a <= row and a.x - b for
+    # a >= row, negative where the row is violated, for the dual simplex
+    # to repair; only the = rows take artificials, still at |b - a.x|
+    appended = []
+    original_append = _Tableau.append_rows
+
+    def recording_append_rows(self, program):
+        original_append(self, program)
+        values = [Fraction(row[-2], row[-1]) for row in self.A[:self.m]]
+        appended.append((list(self.basis), values, self.ncols))
+
+    monkeypatch.setattr(_Tableau, "append_rows", recording_append_rows)
+    solve_lp(lp, start=start)
+    assert appended == [(
+        [2, 3, 4, 5, 6, 7, 8, 9, 10],
+        [d, 0, -d, d, 0, -d, d, 0, d],
+        8,
+    )]
 
 
 def assert_prices_its_objective(lp, outcome):
@@ -846,9 +861,9 @@ def test_cut_loop_makes_one_point_per_round(monkeypatch):
 def test_cut_loop_rounds_keep_the_row_a_fresh_pricing_gives(monkeypatch, shape):
     solves = []
 
-    def recording_solve(lp, start=None):
+    def recording_solve(lp, start=None, **kwargs):
         before = None if start is None else tableau_snapshot(start.tableau)
-        outcome = solve_lp(lp, start=start)
+        outcome = solve_lp(lp, start=start, **kwargs)
         after = None if start is None else tableau_snapshot(start.tableau)
         solves.append((lp, outcome, before, after))
         return outcome
@@ -858,30 +873,36 @@ def test_cut_loop_rounds_keep_the_row_a_fresh_pricing_gives(monkeypatch, shape):
     assert trace.complete and len(solves) == len(trace.rounds)
     for lp, outcome, before, after in solves:
         assert_prices_its_objective(lp, outcome)
-        # each warm round's cut enters with an artificial, so its phase 1
-        # pushed and popped a row on the copy, never on the start
+        # each warm round's dual simplex pivots the copy, never the start
         assert before == after
 
 
 def test_cut_loop_prices_its_objective_once(monkeypatch):
-    # the first round prices the degree LP's objective; every round
-    # whose appended rows leave an artificial basic runs phase 1 over
-    # its own row, which sums rows and prices nothing, and no round
-    # prices anything else
+    # the first round prices the degree LP's objective; its degree rows
+    # enter with artificials, all at 0 at the cycle cover it starts at,
+    # so phase 1 never runs; every later round's cut enters with its
+    # slack basic and the dual simplex re-optimises over the cost row
+    # it has, and no round prices anything else
     inst = gen_valley_instance(4, 2)
     objective = degree_lp(inst).objective
     priced = {"objective": 0, "other": 0, "phase 1": 0}
-    phase_one_rounds = 0
+    artificial_rounds = dual_rounds = 0
     price, append_rows, run = _Tableau.price, _Tableau.append_rows, _Tableau.run
+    dual = _Tableau.dual
 
     def counting_price(self, cost, *args):
         priced["objective" if tuple(cost) == objective else "other"] += 1
         return price(self, cost, *args)
 
     def counting_append_rows(self, lp):
-        nonlocal phase_one_rounds
+        nonlocal artificial_rounds
         append_rows(self, lp)
-        phase_one_rounds += max(self.basis) >= self.ncols
+        artificial_rounds += max(self.basis) >= self.ncols
+
+    def counting_dual(self):
+        nonlocal dual_rounds
+        dual_rounds += 1
+        return dual(self)
 
     def counting_run(self):
         # phase 1's row sits on top of the cost row
@@ -891,14 +912,17 @@ def test_cut_loop_prices_its_objective_once(monkeypatch):
     monkeypatch.setattr(_Tableau, "price", counting_price)
     monkeypatch.setattr(_Tableau, "append_rows", counting_append_rows)
     monkeypatch.setattr(_Tableau, "run", counting_run)
+    monkeypatch.setattr(_Tableau, "dual", counting_dual)
     trace = cutting_plane_loop(inst)
-    assert phase_one_rounds == len(trace.rounds) > 1
-    assert priced == {"objective": 1, "other": 0, "phase 1": phase_one_rounds}
+    assert artificial_rounds == 1 and dual_rounds == len(trace.rounds) - 1 > 0
+    assert priced == {"objective": 1, "other": 0, "phase 1": 0}
 
 
 def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
-    # the start has no artificial; the appended equality row enters with
-    # one, so phase 1 runs over one more row than phase 2
+    # a cold solve whose equality row's artificial starts at 1 runs phase
+    # 1 over one more row than phase 2; a warm start that appends the
+    # same row pushes no row at all, since the dual simplex takes the
+    # artificial out
     lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
     start = solve_lp(lp)
     before = tableau_snapshot(start.tableau)
@@ -911,12 +935,191 @@ def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
 
     monkeypatch.setattr(_Tableau, "run", recording_run)
     grown = with_constraints(lp, [constraint([1, -1], "=", 1)])
-    warm = solve_lp(grown, start=start)
+    cold = solve_lp(grown)
     assert rows_over_basis == [2, 1]
+    assert_prices_its_objective(grown, cold)
+    rows_over_basis.clear()
+    warm = solve_lp(grown, start=start)
+    assert rows_over_basis == [1]
     assert tableau_snapshot(start.tableau) == before
     assert_prices_its_objective(grown, warm)
     assert (warm.status, warm.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
-    assert warm.value == solve_lp(grown).value
+    assert warm.value == cold.value
+
+
+def test_warm_appends_after_an_optimum_leave_phase_two_nothing(monkeypatch):
+    # from an optimal start, appended inequality rows (the cut loop's
+    # rounds and the digest programs' rows made <= or >=) push no phase 1
+    # row, and the dual simplex ends at an optimum: the run() after it
+    # makes no basis change and no bound flip (the loop's first round, a
+    # cold solve from a cycle cover, runs no dual and is not counted)
+    moves = {"run": 0, "phase 1": 0, "dual": 0}
+    in_run = after_dual = False
+    replace_basis, flip, run, dual = (
+        _Tableau._replace, _Tableau._flip, _Tableau.run, _Tableau.dual)
+
+    def counting_replace(self, *args):
+        moves["run"] += in_run
+        return replace_basis(self, *args)
+
+    def counting_flip(self, *args):
+        moves["run"] += in_run
+        return flip(self, *args)
+
+    def counting_run(self):
+        nonlocal in_run, after_dual
+        moves["phase 1"] += len(self.A) > self.m + 1
+        in_run, after_dual = after_dual, False
+        try:
+            return run(self)
+        finally:
+            in_run = False
+
+    def counting_dual(self):
+        nonlocal after_dual
+        moves["dual"] += 1
+        status = dual(self)
+        # an infeasible verdict ends the solve, with no run after it
+        after_dual = status is SolveStatus.OPTIMAL
+        return status
+
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    starts = []
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        if first.status is SolveStatus.OPTIMAL:
+            rows = [replace(con, relation="<=") if con.relation == "=" else con
+                    for con in seeded_appended_rows(rows_rng, lp, first.point)]
+            starts.append((with_constraints(lp, rows), first))
+    with patch.object(_Tableau, "_replace", counting_replace), \
+            patch.object(_Tableau, "_flip", counting_flip), \
+            patch.object(_Tableau, "run", counting_run), \
+            patch.object(_Tableau, "dual", counting_dual):
+        warm = [solve_lp(grown, start=first) for grown, first in starts]
+        trace = cutting_plane_loop(gen_valley_instance(5, 2))
+    assert trace.complete
+    assert moves["dual"] == len(starts) + len(trace.rounds) - 1
+    assert moves["run"] == moves["phase 1"] == 0, moves
+    statuses = {out.status for out in warm}
+    assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+
+
+def test_a_row_no_column_repairs_is_infeasible(monkeypatch):
+    # x + 2y <= 5 in the box [0, 3]^2 keeps x + y at most 4: the dual
+    # simplex finds no column that moves x + y >= 7's slack back up
+    lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
+    start = solve_lp(lp)
+    assert (start.status, start.value) == (SolveStatus.OPTIMAL, 4)
+    grown = with_constraints(lp, [constraint([1, 1], ">=", 7)])
+    verdicts = []
+    dual = _Tableau.dual
+
+    def recording_dual(self):
+        verdicts.append(dual(self))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_Tableau, "dual", recording_dual)
+    assert solve_lp(grown, start=start).status is SolveStatus.INFEASIBLE
+    assert verdicts == [SolveStatus.INFEASIBLE]
+    assert vertex_enumeration_optimum(grown) is None
+    assert solve_lp(grown).status is SolveStatus.INFEASIBLE
+    monkeypatch.undo()
+    # and every warm infeasible verdict over the digest programs' appended
+    # rows, each checked by enumerating the grown program's vertices
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    infeasible = 0
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        grown = with_constraints(
+            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        )
+        if solve_lp(grown, start=first).status is SolveStatus.INFEASIBLE:
+            assert vertex_enumeration_optimum(grown) is None
+            infeasible += 1
+    assert infeasible > 20, infeasible
+
+
+def test_dual_degenerate_ties_terminate_and_match_a_cold_solve(monkeypatch):
+    # max x over [0, 2]^3 with x + y + z <= 6 stops at (2, 0, 0), where y
+    # and z cost nothing: y + z >= 1's slack leaves first, with y and z
+    # tied at ratio 0, and y, the smaller index, enters; then x + y <= 2's
+    # slack leaves, and z, at ratio 0, takes y down before x, at ratio 1,
+    # would fall
+    lp = linear_program([1, 0, 0], "max", [([1, 1, 1], "<=", 6)],
+                        upper_bounds=[2, 2, 2])
+    start = solve_lp(lp)
+    assert start.point == (2, 0, 0)
+    entered = []
+    replace_basis = _Tableau._replace
+
+    def recording_replace(self, p, enter, *args):
+        entered.append(enter)
+        return replace_basis(self, p, enter, *args)
+
+    grown = with_constraints(lp, [constraint([0, 1, 1], ">=", 1),
+                                  constraint([1, 1, 0], "<=", 2)])
+    monkeypatch.setattr(_Tableau, "_replace", recording_replace)
+    warm = solve_lp(grown, start=start)
+    monkeypatch.undo()
+    assert entered == [1, 2]
+    cold = solve_lp(grown)
+    assert (warm.status, warm.value) == (cold.status, cold.value)
+    assert warm.point == (2, 0, 1) and warm.value == 2
+    # the digest programs with half their costs zeroed, so that reduced
+    # costs of 0 and tied ratios abound, each grown warm and cold
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    rows_rng = random.Random(APPENDED_ROWS_SEED)
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        lp = replace(lp, objective=tuple(
+            c if j % 2 else 0 for j, c in enumerate(lp.objective)))
+        first = solve_lp(lp)
+        if first.tableau is None:
+            continue
+        grown = with_constraints(
+            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        )
+        warm, cold = solve_lp(grown, start=first), solve_lp(grown)
+        assert (warm.status, warm.value) == (cold.status, cold.value)
+
+
+def test_an_appended_equality_rows_artificial_leaves_through_the_dual(monkeypatch):
+    # the start (3, 1) has x - y = 2, so x - y = 1 enters with its
+    # artificial at 1; the dual simplex takes it out at the basis change
+    # that makes the row hold, and nothing is left to drive out
+    lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
+    start = solve_lp(lp)
+    assert start.point == (3, 1)
+    leaving = []
+    in_dual = False
+    replace_basis, dual = _Tableau._replace, _Tableau.dual
+
+    def recording_replace(self, p, *args):
+        leaving.append((in_dual, self.basis[p] >= self.ncols))
+        return replace_basis(self, p, *args)
+
+    def recording_dual(self):
+        nonlocal in_dual
+        in_dual = True
+        try:
+            return dual(self)
+        finally:
+            in_dual = False
+
+    monkeypatch.setattr(_Tableau, "_replace", recording_replace)
+    monkeypatch.setattr(_Tableau, "dual", recording_dual)
+    grown = with_constraints(lp, [constraint([1, -1], "=", 1)])
+    warm = solve_lp(grown, start=start)
+    assert leaving == [(True, True)]
+    assert all(b < warm.tableau.ncols for b in warm.tableau.basis)
+    assert (warm.status, warm.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
+    assert warm.point == (Fraction(7, 3), Fraction(4, 3))
 
 
 def assert_no_dead_column(tab):
@@ -961,12 +1164,12 @@ def test_kept_tableaux_store_no_dead_column(monkeypatch):
                 checked[kind] += 1
     assert min(checked) > 80, checked
 
-    # every round of the cut loop, each of whose cuts enters with an
-    # artificial
+    # every round of the cut loop, the first from a cycle cover and each
+    # later one by the dual simplex
     kept = []
 
-    def recording_solve(lp, start=None):
-        outcome = solve_lp(lp, start=start)
+    def recording_solve(lp, start=None, **kwargs):
+        outcome = solve_lp(lp, start=start, **kwargs)
         kept.append(outcome.tableau)
         return outcome
 
@@ -982,14 +1185,17 @@ def test_kept_tableaux_store_no_dead_column(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(boxed_programs())
 def test_property_phase_one_row_sums_the_artificial_rows(case):
-    # phase 1's row as it enters, cold and warm with a row appended, is
-    # the sum of the rows whose basic variable is artificial, value
-    # included, in lowest terms over one positive denominator: the one
-    # row that prices minus the artificials' sum
+    # phase 1's row as it enters a cold solve is the sum of the rows
+    # whose basic variable is artificial, value included, in lowest terms
+    # over one positive denominator: the one row that prices minus the
+    # artificials' sum; a warm start with a row appended pushes no such
+    # row, since the dual simplex re-optimises it
     lp, extra = case
     run = _Tableau.run
+    warm = False
 
     def checking_run(self):
+        assert not warm or len(self.A) - len(self.basis) == 1
         if len(self.A) - len(self.basis) == 2:
             arts = [i for i, b in enumerate(self.basis) if b >= self.ncols]
             assert arts
@@ -1011,6 +1217,7 @@ def test_property_phase_one_row_sums_the_artificial_rows(case):
     with patch.object(_Tableau, "run", checking_run):
         first = solve_lp(lp)
         if first.tableau is not None:
+            warm = True
             solve_lp(with_constraints(lp, [extra]), start=first)
 
 
@@ -1053,8 +1260,8 @@ def phase_one_checks():
 @given(boxed_programs())
 def test_property_phase_one_moves_only_above_zero_infeasibility(case):
     # phase 1 ends at the first basis where the artificials sum to zero,
-    # cold and warm with a row appended, and phase 2 starts with every
-    # artificial out of the basis
+    # and phase 2, cold or warm with a row appended (after the dual
+    # simplex), starts with every artificial out of the basis
     lp, extra = case
     with phase_one_checks():
         first = solve_lp(lp)
@@ -1063,8 +1270,8 @@ def test_property_phase_one_moves_only_above_zero_infeasibility(case):
 
 
 def test_digest_programs_move_in_phase_one_only_above_zero_infeasibility():
-    # the 300 seeded programs of the pivot digest, solved cold and warm
-    # with rows appended
+    # the 300 seeded programs of the pivot digest, solved cold (phase 1
+    # moves) and warm with rows appended (phase 2 runs after the dual)
     programs = random.Random(RANDOM_PROGRAMS_SEED)
     rows_rng = random.Random(APPENDED_ROWS_SEED)
     with phase_one_checks() as seen:

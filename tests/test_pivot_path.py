@@ -2,9 +2,12 @@
 
 Each literal below was recorded from the Fraction-tableau simplex that
 preceded the integer-row tableau; the cut loops were re-recorded when
-each round began to start from the last round's tableau, and the cut
+each round began to start from the last round's tableau, the cut
 loops and both digests again when phase 1 began to end at the first
-basis where the artificials sum to zero. The programs are degenerate: many
+basis where the artificials sum to zero, and the cut loops and the
+appended-rows digest again when a warm start that appends rows began to
+re-optimise by the dual simplex and the loop's first round to start at
+a cycle cover. The programs are degenerate: many
 optimal vertices tie, and Bland's rule picks one of them. A kernel
 change that keeps every value optimal but lets a tie break differently
 moves a cut sequence, an optimal point or a hull witness, and fails
@@ -31,38 +34,35 @@ from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 F = Fraction
 
-# recorded from the warm cut loop, where each round starts from the last
-# round's tableau with its cut appended and phase 1 ends once the
-# artificials sum to zero
+# recorded from the warm cut loop, whose first round starts at the cycle
+# cover that swaps reach from the identity tour and whose every later
+# round re-optimises the last round's tableau, its cut appended, by the
+# dual simplex
 CUT_LOOPS = {
     (4, 2): dict(
         rounds=[
             (F(8, 7), (0, 1), 16),
-            (F(88, 21), (0, 1, 6, 7), 17),
+            (F(88, 21), (0, 1, 2, 3), 17),
             (F(88, 21), (0, 1, 4, 5), 18),
-            (F(88, 21), (0, 1, 2, 3), 19),
+            (F(88, 21), (0, 1, 6, 7), 19),
             (F(40, 7), (0, 1, 2, 3, 4, 5), 20),
             (F(40, 7), (0, 1, 2, 3, 6, 7), 21),
             (F(40, 7), (0, 1, 4, 5, 6, 7), 22),
             (F(152, 21), None, 23),
         ],
-        final_support=(0, 11, 16, 21, 34, 39, 44, 55),
+        final_support=(0, 11, 16, 27, 30, 39, 42, 55),
     ),
     (3, 3): dict(
         rounds=[
             (F(9, 7), (0, 1, 2), 18),
-            (F(13, 3), (0, 3), 19),
-            (F(13, 3), (0, 3, 4, 5), 20),
-            (F(13, 3), (0, 1, 2, 3), 21),
-            (F(13, 3), (0, 1, 2, 3, 4, 5), 22),
-            (F(13, 3), (0, 6, 7, 8), 23),
-            (F(13, 3), (0, 1, 2, 6, 7, 8), 24),
-            (F(41, 7), (0, 3, 6, 7, 8), 25),
-            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 26),
-            (F(41, 7), (0, 1, 2, 3, 6, 7, 8), 27),
-            (F(41, 7), None, 28),
+            (F(13, 3), (0, 3, 4, 5), 19),
+            (F(13, 3), (0, 1, 2, 3, 4, 5), 20),
+            (F(13, 3), (0, 6, 7, 8), 21),
+            (F(13, 3), (0, 1, 2, 6, 7, 8), 22),
+            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 23),
+            (F(41, 7), None, 24),
         ],
-        final_support=(1, 11, 17, 29, 36, 43, 54, 63, 64),
+        final_support=(1, 11, 17, 30, 36, 43, 48, 63, 70),
     ),
 }
 
@@ -230,12 +230,14 @@ def test_random_programs_pivot_digest(monkeypatch):
 # same seeded programs, each solved cold and then from its own outcome
 # with 1-3 rows appended, each of any relation and strictly satisfied,
 # tight or violated at the outcome's point. Recorded from the tableau
-# whose cold solve appends every row to the row-less tableau, and again
-# when phase 1 began to end at zero infeasibility: every status, value
-# and point stayed, 155 basis changes became 154.
+# whose cold solve appends every row to the row-less tableau, again
+# when phase 1 began to end at zero infeasibility (every status, value
+# and point stayed, 155 basis changes became 154), and again when these
+# warm solves began to re-optimise by the dual simplex instead of phase 1
+# (every status, value and point stayed, 154 basis changes became 111).
 APPENDED_ROWS_SEED = 8087
 APPENDED_PATH_SHA256 = (
-    "7a33377d5d882f813cae4e7c165eb4ea2b976dea53b7136f5ef5c8544b61c2d9"
+    "0e380a6654aa70b0d3d0f660ea0aed0c93496bf393c1b0609138850f5fe57a3b"
 )
 
 
