@@ -12,12 +12,13 @@ artifact under study, never an error.
 The relaxation solve of a degree or degree+cuts report starts at a
 cycle cover that successor swaps reach from the oracle's optimal tour,
 which the report computes anyway: each cover arc at 1, a feasible vertex
-of the program, so every artificial starts at 0, phase 1 is skipped,
-the artificials are only driven out, and phase 2 walks down from a
-vertex already cheaper than the tour. The decision route through the
-relaxation, which never runs the oracle, starts at the cycle cover that
-swaps reach from the tour 0, 1, ..., n - 1 instead, as the cutting-plane
-loop's first round does, so no relaxation solve runs phase 1.
+of the program, so no row is broken there, the dual simplex makes no
+basis change, the artificials, all at 0, are only driven out, and the
+primal simplex walks down from a vertex already cheaper than the tour.
+The decision route through the relaxation, which never runs the oracle,
+starts at the cycle cover that swaps reach from the tour 0, 1, ...,
+n - 1 instead, as the cutting-plane loop's first round does, so no
+relaxation solve makes a dual basis change.
 """
 
 from __future__ import annotations
@@ -182,10 +183,11 @@ def integrality_gap(
     degree+cuts solve starts at the cycle cover that successor swaps
     reach from the oracle's optimal tour (valleys.cover_columns): each of
     its arcs at 1, a vertex of the program, since every degree row and
-    every cut holds there, so phase 1 is skipped and its artificials,
-    all at 0, are only driven out. At eight 2-city valleys that takes 44
-    basis changes, against 227 from the tour itself. The value is the one
-    a start at the lower corner gives; only the pivots differ."""
+    every cut holds there, so the dual simplex makes no basis change and
+    the artificials, all at 0, are only driven out. At eight 2-city
+    valleys that takes 44 basis changes, against 227 from the tour
+    itself. The value is the one a start at the lower corner gives; only
+    the pivots differ."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
     program = _fixed_program(inst, relaxation)
@@ -243,7 +245,8 @@ def decide_tour_at_most(
     but whenever it says NO the answer really is NO. The lp-relaxation
     route never runs the tour oracle: a degree or degree+cuts solve
     starts at the cycle cover that successor swaps reach from the tour
-    0, 1, ..., n - 1, a vertex of the program, so it runs no phase 1."""
+    0, 1, ..., n - 1, a vertex of the program, where the dual simplex
+    makes no basis change."""
     require_exact((threshold,), "thresholds")
     x = Fraction(threshold)
     if via == VIA_ILP:

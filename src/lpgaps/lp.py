@@ -1,4 +1,4 @@
-"""Linear programs over exact rationals and a two-phase simplex solver.
+"""Linear programs over exact rationals and an exact simplex solver.
 
 Programs are stated in inequality form: an objective to maximize or
 minimize, rows with <= / >= / = relations, and per-variable bounds
@@ -39,57 +39,57 @@ convert nothing, so a float or a string is refused where it enters; a
 row checks only its own entries, and a program's variables are the
 entries of its objective.
 
-Rows enter a tableau one way only, appended at its current point x,
-with the int value b - a.x out of the row's own reduction against the
-basis, as every row value is, so appending makes no Fraction point. A
-cold solve appends every row to the tableau of the bounds alone, whose
-point is the corner of the bound box that the caller names: each
-structural column at its lower bound, but those listed in ``at_upper``
-at their upper bound. There a row's slack starts basic when the row,
-oriented so that b - a.x >= 0, reads <=, and one artificial at
-|b - a.x| otherwise; a row that already holds at the corner starts its
-artificial at 0. Phase 1 runs only when some artificial starts above 0,
-and ends at the first basis where the artificials sum to zero, the
-textbook two-phase rule (Dantzig 1963; Chvatal 1983): a sum of
-nonnegative artificials at 0 proves the point feasible. The artificials
-still basic then, each at 0, leave by ``drive_out_artificials``. A
-start at a feasible corner makes no phase 1 at all (the gap report and
-the cutting-plane loop start at a cycle cover, where every degree row
-and cut holds).
+Every solve takes one path. It starts from the tableau of the bounds
+alone, whose point is the corner of the bound box that the caller
+names (each structural column at its lower bound, but those listed in
+``at_upper`` at their upper bound), or from a copy of an earlier
+outcome's tableau. It prices the objective at that point unless the
+cost row prices it already, then appends the rows the tableau lacks,
+each at the current point x, with the int value b - a.x out of the
+row's own reduction against the basis, as every row value is, so
+appending makes no Fraction point. Each inequality row enters with its
+slack basic at its signed b - a.x (a.x - b for a >= row), below 0
+where x breaks the row; each equality row enters with an artificial,
+a basic variable with no column and a cap of 0. The dual simplex
+(Lemke 1954) then takes every basic value into its bounds, each
+artificial to 0, or proves the rows infeasible; the artificials still
+basic, each at 0, leave by ``drive_out_artificials``, and the primal
+simplex runs to an optimum or an unbounded ray. The dual prices with
+the cost row when no column improves it at the start, which holds at
+an optimal start and for nonnegative costs minimized at the lower
+corner, so it stays dual feasible at every pivot and ends at an
+optimum that leaves the primal nothing to do; otherwise it prices with
+the zero row, as a pure feasibility method (Koberstein 2005, on the
+dual's phase 1), and the primal starts where it stops. A feasible
+corner, such as the cycle cover that the gap report and the
+cutting-plane loop start at, breaks no row, so its dual makes no basis
+change. Either way every tableau is exact, so a warm status is as much
+a proof as a cold one.
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. A tableau
 owns every row it holds, so the copy copies each row once, the start
 is never changed, and every pivot of the copy updates its own rows in
-place instead of copying a row per elimination. Over the same
-rows and bounds, phase 2 starts from a basis already optimal or close
-(the hull scan maximizes many objectives over one truncated model this
-way). When lp has more rows, appended after the start's, the copy gains
-the new rows at the start's point, in terms of its basis: each
-inequality row with its slack basic at its signed b - a.x, each
-equality row with an artificial. The dual simplex (Lemke 1954), pricing
-with the start's own cost row, then takes every basic value back into
-its bounds, each artificial to 0, and a start that was optimal stays
-dual feasible at every pivot, so it ends at an optimum and phase 2 has
-nothing left to do (the cutting-plane loop re-solves each round this
-way after adding its cut; Concorde re-solves its cutting-plane LPs so
-too). Phase 1 is for cold solves only. Either tableau is exact, so a
-warm status is as much a proof as a cold one.
+place instead of copying a row per elimination. Over the same rows and
+bounds, the primal starts from a basis already optimal or close (the
+hull scan maximizes many objectives over one truncated model this
+way). When lp has more rows, appended after the start's, a start that
+was optimal for lp's objective keeps its cost row dual feasible, so
+the dual simplex ends at an optimum (the cutting-plane loop re-solves
+each round this way after adding its cut; Concorde re-solves its
+cutting-plane LPs so too).
 
 The tableau keeps its rows in one store: the constraint rows, then the
-objective's reduced-cost row, as the textbook two-phase tableau keeps
-its objective row (Dantzig 1963), and each elimination or bound flip
+objective's reduced-cost row, as the textbook tableau keeps its
+objective row (Dantzig 1963), and each elimination or bound flip
 updates every row of the store, the cost row's value included: minus
 the signed objective at the current point, where an optimum reads its
 value. The cost row belongs to the objective and sense it was priced
 for, and a solve prices only for another objective: a cold solve once,
-before phase 1, and each new objective of a warm start. Phase 1 pushes
-its own row on top, the sum of the rows whose basic variable is
-artificial, which is what pricing minus the artificials' sum gives, and
-pops it when done, so phase 2 reads the row a fresh pricing at its basis
-would give, int for int in lowest terms. Appended rows go in before the
-cost row and their basic variables cost 0, so a cut-loop round prices
-nothing, and its dual simplex reads the cost row the last round left.
+at its corner before any row enters, and each new objective of a warm
+start. Appended rows go in before the cost row and their basic
+variables cost 0, so the cost row still prices its objective, int for
+int in lowest terms, and a cut-loop round prices nothing.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import ValidationError
@@ -300,14 +300,12 @@ class _Tableau:
     every row. Its value ``A[m][-2]`` over ``A[m][-1]`` is -(sign * costs) .
     x at the current point: the row is the one of a free basic column z
     with z + (sign * costs) . x = 0, so each elimination and bound flip
-    moves it exactly as it moves a constraint row. The pivot rule reads
-    the last row, ``A[-1]``, which is the cost row except during phase
-    1, when phase 1's row, the sum of the artificials' rows, sits on top
-    of it until phase 1 pops it. Only one row prices given costs and is
-    0 in every basic column, and lowest terms over the row, value
-    included, and its denominator fix its ints, so the row does not
-    depend on the path to the basis: it is the row a fresh ``price`` at
-    that basis and point gives.
+    moves it exactly as it moves a constraint row. The pivot rules read
+    the last row, ``A[-1]``, the cost row. Only one row prices given
+    costs and is 0 in every basic column, and lowest terms over the row,
+    value included, and its denominator fix its ints, so the row does
+    not depend on the path to the basis: it is the row a fresh ``price``
+    at that basis and point gives.
 
     Nonbasic columns sit at a bound, so a basis change moves the values
     through the elimination itself: the pivot row's value, less the
@@ -395,25 +393,14 @@ class _Tableau:
         basis and the row still prices ``objective``. Each new row's int
         value b - a.x at the current point x comes from ``_reduced``.
 
-        A cold append, into a tableau that prices no objective yet,
-        orients each row by the sign of b - a.x so that it is
-        nonnegative (negated, denominator aside, when b - a.x < 0). If
-        the row then reads <=, its slack starts basic; otherwise an
-        artificial, the next id past the columns, starts basic at
-        |b - a.x|, for phase 1 to drive to zero. So a <= row needs
-        b - a.x >= 0 and a >= row b - a.x < 0 for a basic slack, and an
-        equality row or a >= row tight at x takes an artificial.
-
-        A warm append, into a tableau that prices an objective, gives
-        every inequality row a basic slack, at b - a.x for a <= row and
-        a.x - b for a >= row, which is negated for it: a negative value
-        is a bound the slack breaks, for ``dual`` to repair. An equality
-        row is oriented and takes an artificial as in a cold append, a
-        basic variable that ``dual`` holds at 0.
+        Every inequality row gets a basic slack, at b - a.x for a <= row
+        and a.x - b for a >= row, which is negated for it: a negative
+        value is a bound the slack breaks, for ``dual`` to repair. An
+        equality row takes an artificial, the next id past the columns,
+        basic at b - a.x, which ``dual`` takes to 0 and holds there.
 
         Existing rows, ``state`` and ``ub`` are extended in place, since
         the tableau owns them."""
-        warm = self.objective is not None
         rows = lp.constraints[len(self.region[0]):]
         self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
         # each new row is reduced against the basis, and its int value is
@@ -430,21 +417,16 @@ class _Tableau:
         self.ncols = art = ncols + len(pad)
         for con, row in zip(rows, reduced):
             row[ncols:ncols] = pad
-            if warm and con.relation != EQUAL:
-                flip = con.relation == GREATER_EQ
-            else:
-                flip = row[-2] < 0
-            if con.relation != EQUAL:
-                row[slack] = row[-1] if con.relation == LESS_EQ else -row[-1]
-                slack += 1
-            if con.relation == (GREATER_EQ if flip else LESS_EQ):
-                basic = slack - 1
-                self.state[basic] = 0
-            else:
+            if con.relation == EQUAL:
                 basic = art
                 art += 1
-            if flip:
-                _negate(row)
+            else:
+                if con.relation == GREATER_EQ:
+                    _negate(row)
+                basic = slack
+                row[basic] = row[-1]
+                self.state[basic] = 0
+                slack += 1
             self.A.append(row)
             self.basis.append(basic)
         self.A.append(cost)
@@ -546,23 +528,18 @@ class _Tableau:
         smallest eligible entering index; ratio ties broken by smallest
         leaving-variable index (the entering variable's own bound counts
         as a candidate). Returns SolveStatus.OPTIMAL or
-        SolveStatus.UNBOUNDED. Under phase 1's row it returns OPTIMAL as
-        soon as that row's value, the artificials' sum, is 0."""
+        SolveStatus.UNBOUNDED. It starts where ``dual`` and
+        ``drive_out_artificials`` leave a feasible region: every basic
+        value in its bounds and no artificial basic."""
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
         state, ub, basis = self.state, self.ub, self.basis
         ncols = self.ncols
-        # phase 1's row is the one row above the cost row
-        phase_one = len(self.A) > self.m + 1
         while True:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
                 raise AssertionError("pivot budget blown: anti-cycling broken")
-            # phase 1's value is the artificials' sum: at 0 the point is
-            # feasible and minus that sum is at its bound, so phase 1 is done
-            if phase_one and not self.A[-1][-2]:
-                return SolveStatus.OPTIMAL
             # the last row is the cost row the rule reads; its denominator
             # is positive, so r[j] has the sign of the reduced cost, and a
             # column improves the objective when it may move that way
@@ -668,9 +645,8 @@ class _Tableau:
         """Degenerate swaps at step 0 that take every artificial out of
         the basis, each into the row's first nonzero column; a row with
         no nonzero column is redundant and is dropped. Every artificial
-        is at 0 here: phase 1 ended at a zero sum, none started above 0,
-        or the dual simplex held each one still basic at 0, so each swap
-        moves no value and takes one pivot per row."""
+        is at 0 here, where the dual simplex took it and held it, so each
+        swap moves no value and takes one pivot per row."""
         p = 0
         while p < self.m:
             if self.basis[p] < self.ncols:
@@ -709,42 +685,38 @@ def solve_lp(
     *,
     at_upper: Iterable[int] = (),
 ) -> LpOutcome:
-    """Exact two-phase simplex. The returned claims hold exactly:
-    optimal points satisfy every constraint and no feasible point does
-    strictly better; infeasible and unbounded are proven statuses.
+    """Exact simplex. The returned claims hold exactly: optimal points
+    satisfy every constraint and no feasible point does strictly better;
+    infeasible and unbounded are proven statuses.
 
-    A cold solve appends all of lp's rows to the tableau of lp's bounds
-    alone, at the corner of the bound box the caller names
-    (``_Tableau.append_rows``): each column index listed in ``at_upper``
-    starts at its upper bound and every other column at its lower bound,
-    so the default is the lower corner. Any corner gives the same status
-    and value; at a feasible one, such as a cycle cover of a degree LP,
-    every artificial starts at 0, phase 1 is skipped and the artificials
-    are only driven out. A listed column with no upper bound, and
-    at_upper beside ``start`` (a warm start keeps its own point), raise
-    ValidationError before any pivot. A row that takes an artificial
-    holds it only as its basic variable, never as a column.
+    A cold solve starts from the tableau of lp's bounds alone, at the
+    corner of the bound box the caller names: each column index listed
+    in ``at_upper`` starts at its upper bound and every other column at
+    its lower bound, so the default is the lower corner. Any corner
+    gives the same status and value; at a feasible one, such as a cycle
+    cover of a degree LP, no row is broken, the dual simplex makes no
+    basis change and the artificials are only driven out. A listed
+    column with no upper bound, and at_upper beside ``start`` (a warm
+    start keeps its own point), raise ValidationError before any pivot.
 
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
     or sense may differ otherwise. The solve copies start's final
-    tableau (start itself is not changed) and appends lp's rows past the
-    prefix, if any, at start's point, each inequality row with its slack
-    basic whatever the sign of its value. The dual simplex
-    (``_Tableau.dual``) then re-optimises over start's own cost row, or
-    returns INFEASIBLE; the artificials of appended equality rows still
-    basic, each at 0, are driven out; the objective is priced if start
-    priced another; and phase 2 runs, with nothing left to do when start
-    was optimal for lp's objective and sense. A start over the same rows
-    runs phase 2 from its own basis, and a start priced for lp's
-    objective and sense keeps its cost row. Only a cold solve runs phase
-    1, and only when a row entered with an artificial above 0; phase 1
-    ends at the first basis where the artificials sum to zero, and the
-    artificials still basic, each at 0, are driven out before phase 2.
-    Every tableau it pivots is exact, so a warm status is proven just as
-    a cold one is; only a program with several optimal points may end at
-    a different one of them. A start over another region, or one without
-    a tableau (an infeasible outcome), raises ValidationError.
+    tableau (start itself is not changed). A start over another region,
+    or one without a tableau (an infeasible outcome), raises
+    ValidationError.
+
+    Either way the solve then takes one path: it prices lp's objective
+    unless the cost row prices it already, so a start priced for lp's
+    objective and sense keeps its cost row; it appends lp's rows past
+    those the tableau holds, if any (``_Tableau.append_rows``), runs the
+    dual simplex (``_Tableau.dual``), which takes every basic value into
+    its bounds or returns INFEASIBLE, and drives out the artificials
+    still basic, each at 0; and it runs the primal simplex, with nothing
+    left to do when the dual simplex priced with a cost row that no
+    column improved. Every tableau it pivots is exact, so a warm status
+    is proven just as a cold one is; only a program with several optimal
+    points may end at a different one of them.
 
     The optimal value is read off the cost row's value, which is
     -(sign * c) . x at the final point, rather than summed over the
@@ -778,49 +750,17 @@ def solve_lp(
             if ub is not None and ub < lp.lower_bounds[j]:
                 return LpOutcome(SolveStatus.INFEASIBLE)
         tab = _Tableau(lp, at_upper)
-    appended = len(tab.region[0]) < len(lp.constraints)
-    if appended:
-        tab.append_rows(lp)
-    # a warm start that appends rows re-optimises by the dual simplex over
-    # the start's own cost row, so only a cold solve can need phase 1
-    if appended and start is not None and tab.dual() is SolveStatus.INFEASIBLE:
-        return LpOutcome(SolveStatus.INFEASIBLE)
     # a cost row priced for this objective stands through appended rows,
-    # so a cut-loop round prices nothing; a cold solve prices here,
-    # before any pivot, where every basic column costs 0
+    # so a cut-loop round prices nothing; a cold solve prices here, at its
+    # corner, before any row enters
     sign = 1 if lp.sense == MAXIMIZE else -1
     if tab.objective != (lp.objective, lp.sense):
         tab.A[-1] = tab.price(lp.objective, sign)
         tab.objective = (lp.objective, lp.sense)
-    # an artificial is basic for each appended equality row, and on a
-    # cold solve for each row whose slack could not start basic: a <= row
-    # with b - a.x < 0, or a >= row with b - a.x >= 0; when every one
-    # sits at 0 (always, after the dual simplex) the point is feasible
-    # already and phase 1 has nothing to do
-    arts = [i for i, b in enumerate(tab.basis) if b >= tab.ncols]
-    if any(tab.A[i][-2] for i in arts):
-        # phase 1 pushes its row, the artificial rows' sum with its value
-        # in lowest terms, on top of the objective's, and every pivot
-        # eliminates both; pricing minus the artificials' sum gives it
-        den = lcm(*(tab.A[i][-1] for i in arts))
-        row = [0] * (tab.ncols + 1) + [den]
-        for i in arts:
-            art_row = tab.A[i]
-            f = den // art_row[-1]
-            for j in _nonzero(art_row):
-                row[j] += f * art_row[j]
-        _lowest(row)
-        tab.A.append(row)
-        # phase 1's objective is bounded above by 0
-        if tab.run() is not SolveStatus.OPTIMAL:  # pragma: no cover
-            raise AssertionError("phase 1 cannot be unbounded")
-        # the row's value is the artificials' sum, and artificials never
-        # go negative: any sum left is infeasibility
-        if tab.A[-1][-2]:
+    if len(tab.region[0]) < len(lp.constraints):
+        tab.append_rows(lp)
+        if tab.dual() is SolveStatus.INFEASIBLE:
             return LpOutcome(SolveStatus.INFEASIBLE)
-        # the driving out reads no cost row, so phase 1's row goes first
-        del tab.A[-1]
-    if arts:
         tab.drive_out_artificials()
 
     if tab.run() is SolveStatus.UNBOUNDED:

@@ -494,11 +494,11 @@ def cutting_plane_loop(
     the last one with its violated cut appended as a new last row, so
     the degree LP is built once. Round 1 starts at the cycle cover that
     successor swaps reach from the tour 0, 1, ..., n - 1
-    (``cover_columns``), a vertex of the degree LP, so it runs no phase
-    1; each later round starts from the last round's tableau, where the
-    cut enters with its slack basic below 0 and the dual simplex
-    re-optimises from the last optimal basis, instead of a cold
-    two-phase solve. Values are nondecreasing because each round's
+    (``cover_columns``), a vertex of the degree LP, where the dual
+    simplex makes no basis change; each later round starts from the last
+    round's tableau, where the cut enters with its slack basic below 0
+    and the dual simplex re-optimises from the last optimal basis,
+    instead of a cold solve. Values are nondecreasing because each round's
     feasible region shrinks. The valley LPs are degenerate, so the warm
     path may end a round at another optimal vertex than a cold solve
     would; the loop can then stop, complete and at the tour optimum, on a

@@ -415,15 +415,21 @@ def count_eliminations(monkeypatch, run):
     return len(calls)
 
 
-def test_cover_start_makes_under_a_twentieth_of_the_eliminations(monkeypatch):
-    # at (8, 2): 2,954 row eliminations from the lower corner, 125 from
-    # the swapped cover, where phase 1 is skipped and its artificials,
-    # all at 0, are only driven out
-    inst = gen_valley_instance(8, 2)
+@pytest.mark.parametrize(
+    "shape, cover_cheaper", [((8, 2), False), ((10, 1), True)], ids=["8x2", "10x1"]
+)
+def test_cover_start_trades_eliminations_with_the_lower_corner(
+    monkeypatch, shape, cover_cheaper
+):
+    # the dual simplex repairs the lower corner's degree rows cheaply at
+    # (8, 2): 48 row eliminations against 125 from the swapped cover,
+    # where the dual makes no basis change and the artificials, all at 0,
+    # are only driven out; at (10, 1) the cover wins, 38 against 114
+    inst = gen_valley_instance(*shape)
     program = relaxation_with_cuts(inst, ())
     lower = count_eliminations(monkeypatch, lambda: solve_lp(program))
     cover = count_eliminations(monkeypatch, lambda: integrality_gap(inst))
-    assert 20 * cover < lower
+    assert (cover < lower) is cover_cheaper, (cover, lower)
 
 
 @pytest.mark.parametrize(
@@ -436,21 +442,34 @@ def test_decide_via_the_relaxation_never_runs_the_oracle(monkeypatch, relaxation
 
     monkeypatch.setattr(gaps, "tsp_oracle", never)
     seen = record_solves(monkeypatch)
-    phase_one_runs = []
-    run = _Tableau.run
+    dual_moves = []
+    in_dual = False
+    dual, replace_basis = _Tableau.dual, _Tableau._replace
 
-    def recording_run(self):
-        phase_one_runs.append(len(self.A) > self.m + 1)
-        return run(self)
+    def recording_dual(self):
+        nonlocal in_dual
+        dual_moves.append(0)
+        in_dual = True
+        try:
+            return dual(self)
+        finally:
+            in_dual = False
 
-    monkeypatch.setattr(_Tableau, "run", recording_run)
+    def recording_replace(self, *args):
+        if in_dual:
+            dual_moves[-1] += 1
+        return replace_basis(self, *args)
+
+    monkeypatch.setattr(_Tableau, "dual", recording_dual)
+    monkeypatch.setattr(_Tableau, "_replace", recording_replace)
     inst = gen_valley_instance(4, 2)
     # every one of these relaxations is worth at most the tour's 4
     assert decide_tour_at_most(inst, 4, VIA_LP, relaxation) is True
     # a fixed program is solved from the cycle cover that swaps reach
-    # from the identity tour, where every artificial starts at 0, and the
-    # cutting-plane loop solves its own programs; no solve runs phase 1
+    # from the identity tour, where every row holds, and so is the
+    # cutting-plane loop's first round: the first solve's dual simplex
+    # makes no basis change
     cover = cover_columns(inst, range(inst.n), relaxation.cut_subsets)
     fixed = relaxation.kind != CUTTING_PLANE
     assert seen == ([{"at_upper": cover}] if fixed else [])
-    assert phase_one_runs and not any(phase_one_runs)
+    assert dual_moves[0] == 0

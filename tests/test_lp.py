@@ -657,8 +657,8 @@ def test_appended_rows_reach_infeasible_and_unbounded():
     assert (out.status, out.value) == (SolveStatus.OPTIMAL, 3)
     still = with_constraints(lp, [constraint([1, 0], "=", 2)])
     assert solve_lp(still, start=start).status is SolveStatus.UNBOUNDED
-    # y <= 3 and x <= y + 4 keep x + y at most 10: phase 1 from the
-    # start's basis proves the new row unreachable
+    # y <= 3 and x <= y + 4 keep x + y at most 10: the dual simplex from
+    # the start's basis proves the new row unreachable
     walled = with_constraints(capped, [constraint([1, 1], ">=", 11)])
     assert solve_lp(walled, start=out).status is SolveStatus.INFEASIBLE
     assert solve_lp(walled).status is SolveStatus.INFEASIBLE
@@ -680,46 +680,35 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     start = solve_lp(linear_program([1, 1], "min", **bounds))
     assert start.point == (1, -2)
 
-    # the layout the objective is priced at, before any pivot
-    priced = []
-    original = _Tableau.price
-
-    def recording_price(self, cost, *args):
-        values = [Fraction(row[-2], row[-1]) for row in self.A[:self.m]]
-        priced.append((list(self.basis), values, self.ncols))
-        return original(self, cost, *args)
-
-    monkeypatch.setattr(_Tableau, "price", recording_price)
-    solve_lp(lp)
-    # slack columns 2..7 belong to the six inequality rows in order, and
-    # the artificials are numbered from 8, past the 8 columns: on a cold
-    # start a <= row keeps its slack basic when b - a.x >= 0, a >= row
-    # only when b - a.x < 0, an = row never
-    assert priced[0] == (
-        [2, 3, 8, 5, 9, 10, 11, 12, 13],
-        [d, 0, d, d, 0, d, d, 0, d],
-        8,
-    )
-
-    # a warm start, which prices an objective already, gives every
-    # inequality row its slack, at b - a.x for a <= row and a.x - b for
-    # a >= row, negative where the row is violated, for the dual simplex
-    # to repair; only the = rows take artificials, still at |b - a.x|
+    # the layout each solve appends its rows in, before any pivot: a
+    # cold solve from the tableau of the bounds and a warm one from the
+    # start's, both at the corner
     appended = []
     original_append = _Tableau.append_rows
 
     def recording_append_rows(self, program):
         original_append(self, program)
         values = [Fraction(row[-2], row[-1]) for row in self.A[:self.m]]
-        appended.append((list(self.basis), values, self.ncols))
+        rows = [list(row) for row in self.A]
+        appended.append((list(self.basis), values, self.ncols, rows))
 
     monkeypatch.setattr(_Tableau, "append_rows", recording_append_rows)
+    solve_lp(lp)
     solve_lp(lp, start=start)
-    assert appended == [(
+    # both price lp's objective before the rows enter, so the two row
+    # stores agree int for int, the cost row included
+    cold, warm = appended
+    assert cold == warm
+    # slack columns 2..7 belong to the six inequality rows in order, each
+    # basic at b - a.x for a <= row and a.x - b for a >= row, negative
+    # where the row is violated, for the dual simplex to repair; the =
+    # rows take the artificials 8..10, numbered past the 8 columns, at
+    # b - a.x
+    assert cold[:3] == (
         [2, 3, 4, 5, 6, 7, 8, 9, 10],
-        [d, 0, -d, d, 0, -d, d, 0, d],
+        [d, 0, -d, d, 0, -d, d, 0, -d],
         8,
-    )]
+    )
 
 
 def assert_prices_its_objective(lp, outcome):
@@ -878,16 +867,16 @@ def test_cut_loop_rounds_keep_the_row_a_fresh_pricing_gives(monkeypatch, shape):
 
 
 def test_cut_loop_prices_its_objective_once(monkeypatch):
-    # the first round prices the degree LP's objective; its degree rows
-    # enter with artificials, all at 0 at the cycle cover it starts at,
-    # so phase 1 never runs; every later round's cut enters with its
-    # slack basic and the dual simplex re-optimises over the cost row
-    # it has, and no round prices anything else
+    # the first round prices the degree LP's objective at the cycle
+    # cover it starts at; its degree rows enter with artificials, all at
+    # 0 there; every later round's cut enters with its slack basic and
+    # the dual simplex re-optimises over the cost row it has, and no
+    # round prices anything else
     inst = gen_valley_instance(4, 2)
     objective = degree_lp(inst).objective
-    priced = {"objective": 0, "other": 0, "phase 1": 0}
+    priced = {"objective": 0, "other": 0}
     artificial_rounds = dual_rounds = 0
-    price, append_rows, run = _Tableau.price, _Tableau.append_rows, _Tableau.run
+    price, append_rows = _Tableau.price, _Tableau.append_rows
     dual = _Tableau.dual
 
     def counting_price(self, cost, *args):
@@ -904,25 +893,19 @@ def test_cut_loop_prices_its_objective_once(monkeypatch):
         dual_rounds += 1
         return dual(self)
 
-    def counting_run(self):
-        # phase 1's row sits on top of the cost row
-        priced["phase 1"] += len(self.A) - len(self.basis) == 2
-        return run(self)
-
     monkeypatch.setattr(_Tableau, "price", counting_price)
     monkeypatch.setattr(_Tableau, "append_rows", counting_append_rows)
-    monkeypatch.setattr(_Tableau, "run", counting_run)
     monkeypatch.setattr(_Tableau, "dual", counting_dual)
     trace = cutting_plane_loop(inst)
-    assert artificial_rounds == 1 and dual_rounds == len(trace.rounds) - 1 > 0
-    assert priced == {"objective": 1, "other": 0, "phase 1": 0}
+    assert artificial_rounds == 1 and dual_rounds == len(trace.rounds) > 1
+    assert priced == {"objective": 1, "other": 0}
 
 
-def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
-    # a cold solve whose equality row's artificial starts at 1 runs phase
-    # 1 over one more row than phase 2; a warm start that appends the
-    # same row pushes no row at all, since the dual simplex takes the
-    # artificial out
+def test_cold_and_warm_solves_run_over_the_cost_row_alone(monkeypatch):
+    # a cold solve whose equality row's artificial starts at 1 and a warm
+    # start that appends the same row each reach a feasible basis by the
+    # dual simplex, so the primal runs once, over the constraint rows and
+    # the cost row, with no other row pushed on top
     lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
     start = solve_lp(lp)
     before = tableau_snapshot(start.tableau)
@@ -936,25 +919,26 @@ def test_phase_one_pushes_its_row_on_the_cost_row_and_pops_it(monkeypatch):
     monkeypatch.setattr(_Tableau, "run", recording_run)
     grown = with_constraints(lp, [constraint([1, -1], "=", 1)])
     cold = solve_lp(grown)
-    assert rows_over_basis == [2, 1]
+    assert rows_over_basis == [1]
     assert_prices_its_objective(grown, cold)
     rows_over_basis.clear()
     warm = solve_lp(grown, start=start)
     assert rows_over_basis == [1]
     assert tableau_snapshot(start.tableau) == before
     assert_prices_its_objective(grown, warm)
-    assert (warm.status, warm.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
-    assert warm.value == cold.value
+    for out in (cold, warm):
+        assert (out.status, out.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
 
 
 def test_warm_appends_after_an_optimum_leave_phase_two_nothing(monkeypatch):
     # from an optimal start, appended inequality rows (the cut loop's
-    # rounds and the digest programs' rows made <= or >=) push no phase 1
-    # row, and the dual simplex ends at an optimum: the run() after it
-    # makes no basis change and no bound flip (the loop's first round, a
-    # cold solve from a cycle cover, runs no dual and is not counted)
-    moves = {"run": 0, "phase 1": 0, "dual": 0}
-    in_run = after_dual = False
+    # rounds and the digest programs' rows made <= or >=) are repaired
+    # by the dual simplex over the start's cost row, which ends at an
+    # optimum: the run() after it makes no basis change and no bound flip
+    # (the loop's first round, a cold solve from a cycle cover, is not
+    # counted)
+    moves = {"run": 0, "dual": 0}
+    in_run = after_dual = warm = False
     replace_basis, flip, run, dual = (
         _Tableau._replace, _Tableau._flip, _Tableau.run, _Tableau.dual)
 
@@ -968,7 +952,6 @@ def test_warm_appends_after_an_optimum_leave_phase_two_nothing(monkeypatch):
 
     def counting_run(self):
         nonlocal in_run, after_dual
-        moves["phase 1"] += len(self.A) > self.m + 1
         in_run, after_dual = after_dual, False
         try:
             return run(self)
@@ -977,11 +960,16 @@ def test_warm_appends_after_an_optimum_leave_phase_two_nothing(monkeypatch):
 
     def counting_dual(self):
         nonlocal after_dual
-        moves["dual"] += 1
+        moves["dual"] += warm
         status = dual(self)
         # an infeasible verdict ends the solve, with no run after it
-        after_dual = status is SolveStatus.OPTIMAL
+        after_dual = warm and status is SolveStatus.OPTIMAL
         return status
+
+    def loop_solve(lp, start=None, **kwargs):
+        nonlocal warm
+        warm = start is not None
+        return solve_lp(lp, start=start, **kwargs)
 
     programs = random.Random(RANDOM_PROGRAMS_SEED)
     rows_rng = random.Random(APPENDED_ROWS_SEED)
@@ -993,16 +981,18 @@ def test_warm_appends_after_an_optimum_leave_phase_two_nothing(monkeypatch):
             rows = [replace(con, relation="<=") if con.relation == "=" else con
                     for con in seeded_appended_rows(rows_rng, lp, first.point)]
             starts.append((with_constraints(lp, rows), first))
+    monkeypatch.setattr("lpgaps.valleys.solve_lp", loop_solve)
     with patch.object(_Tableau, "_replace", counting_replace), \
             patch.object(_Tableau, "_flip", counting_flip), \
             patch.object(_Tableau, "run", counting_run), \
             patch.object(_Tableau, "dual", counting_dual):
-        warm = [solve_lp(grown, start=first) for grown, first in starts]
+        warm = True
+        solved = [solve_lp(grown, start=first) for grown, first in starts]
         trace = cutting_plane_loop(gen_valley_instance(5, 2))
     assert trace.complete
     assert moves["dual"] == len(starts) + len(trace.rounds) - 1
-    assert moves["run"] == moves["phase 1"] == 0, moves
-    statuses = {out.status for out in warm}
+    assert moves["run"] == 0, moves
+    statuses = {out.status for out in solved}
     assert statuses == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
 
 
@@ -1139,7 +1129,7 @@ def assert_no_dead_column(tab):
 def test_kept_tableaux_store_no_dead_column(monkeypatch):
     # the 300 seeded programs of the pivot digest, solved cold, warm
     # with a new objective and warm with rows appended, many of them
-    # through phase 1
+    # through dual basis changes
     programs = random.Random(RANDOM_PROGRAMS_SEED)
     rows_rng = random.Random(APPENDED_ROWS_SEED)
     checked = [0, 0, 0]
@@ -1182,99 +1172,48 @@ def test_kept_tableaux_store_no_dead_column(monkeypatch):
             assert_no_dead_column(tab)
 
 
-@settings(max_examples=200, deadline=None)
-@given(boxed_programs())
-def test_property_phase_one_row_sums_the_artificial_rows(case):
-    # phase 1's row as it enters a cold solve is the sum of the rows
-    # whose basic variable is artificial, value included, in lowest terms
-    # over one positive denominator: the one row that prices minus the
-    # artificials' sum; a warm start with a row appended pushes no such
-    # row, since the dual simplex re-optimises it
-    lp, extra = case
+@contextmanager
+def primal_start_checks():
+    """Patch _Tableau so that every run() (the primal simplex) asserts
+    that it starts where the dual simplex and the driving out leave a
+    feasible region: no artificial basic, every basic value within its
+    bounds, and no row over the constraint rows but the cost row. Yields
+    the count of runs."""
+    seen = {"primal runs": 0}
     run = _Tableau.run
-    warm = False
 
     def checking_run(self):
-        assert not warm or len(self.A) - len(self.basis) == 1
-        if len(self.A) - len(self.basis) == 2:
-            arts = [i for i, b in enumerate(self.basis) if b >= self.ncols]
-            assert arts
-            row = self.A[-1]
-            den = row[-1]
-            assert len(row) == self.ncols + 2
-            # every column's entry, and the value last before the
-            # denominator
-            assert [Fraction(x, den) for x in row[:-1]] == [
-                sum((Fraction(self.A[i][j], self.A[i][-1]) for i in arts), Fraction(0))
-                for j in range(self.ncols + 1)
-            ]
-            assert Fraction(row[-2], den) == sum(
-                (Fraction(self.A[i][-2], self.A[i][-1]) for i in arts), Fraction(0)
-            )
-            assert den > 0 and gcd(*row) == 1
+        assert len(self.A) == self.m + 1
+        assert all(b < self.ncols for b in self.basis)
+        for b, row in zip(self.basis, self.A):
+            assert row[-2] >= 0
+            assert self.ub[b] is None or row[-2] <= self.ub[b] * row[-1]
+        seen["primal runs"] += 1
         return run(self)
 
     with patch.object(_Tableau, "run", checking_run):
-        first = solve_lp(lp)
-        if first.tableau is not None:
-            warm = True
-            solve_lp(with_constraints(lp, [extra]), start=first)
-
-
-@contextmanager
-def phase_one_checks():
-    """Patch _Tableau so that every basis change and bound flip under
-    phase 1's row asserts that row's value, the artificials' sum, is
-    positive, and every run without it (phase 2) asserts that no
-    artificial is basic. Yields the counts of both."""
-    seen = {"phase 1 moves": 0, "phase 2 runs": 0}
-    replace_basis, flip, run = _Tableau._replace, _Tableau._flip, _Tableau.run
-
-    def check_move(tab):
-        # phase 1's row is the one row above the cost row
-        if len(tab.A) > tab.m + 1:
-            assert tab.A[-1][-2] > 0
-            seen["phase 1 moves"] += 1
-
-    def checking_replace(self, *args):
-        check_move(self)
-        return replace_basis(self, *args)
-
-    def checking_flip(self, *args):
-        check_move(self)
-        return flip(self, *args)
-
-    def checking_run(self):
-        if len(self.A) == self.m + 1:
-            assert all(b < self.ncols for b in self.basis)
-            seen["phase 2 runs"] += 1
-        return run(self)
-
-    with patch.object(_Tableau, "_replace", checking_replace), \
-            patch.object(_Tableau, "_flip", checking_flip), \
-            patch.object(_Tableau, "run", checking_run):
         yield seen
 
 
 @settings(max_examples=200, deadline=None)
 @given(boxed_programs())
 def test_property_phase_one_moves_only_above_zero_infeasibility(case):
-    # phase 1 ends at the first basis where the artificials sum to zero,
-    # and phase 2, cold or warm with a row appended (after the dual
-    # simplex), starts with every artificial out of the basis
+    # the dual simplex is the only feasibility method, so no move is a
+    # phase-1 move: cold, or warm with a row appended, the primal starts
+    # at a feasible basis with no artificial basic
     lp, extra = case
-    with phase_one_checks():
+    with primal_start_checks():
         first = solve_lp(lp)
         if first.tableau is not None:
             solve_lp(with_constraints(lp, [extra]), start=first)
 
 
 def test_digest_programs_move_in_phase_one_only_above_zero_infeasibility():
-    # the 300 seeded programs of the pivot digest, solved cold (phase 1
-    # moves) and warm with rows appended (phase 2 runs after the dual)
+    # the 300 seeded programs of the pivot digest, solved cold and warm
+    # with rows appended: each primal run starts at a feasible basis
     programs = random.Random(RANDOM_PROGRAMS_SEED)
     rows_rng = random.Random(APPENDED_ROWS_SEED)
-    with phase_one_checks() as seen:
+    with primal_start_checks() as seen:
         for _ in range(RANDOM_PROGRAMS):
             lp = seeded_boxed_program(programs)
             first = solve_lp(lp)
@@ -1284,38 +1223,81 @@ def test_digest_programs_move_in_phase_one_only_above_zero_infeasibility():
                 lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
             )
             solve_lp(grown, start=first)
-    assert min(seen.values()) > 100, seen
+    assert seen["primal runs"] > 200, seen
+
+
+def test_cold_solves_reach_the_dual_with_either_row():
+    # the 300 seeded programs of the pivot digest, solved cold, start the
+    # dual simplex both with the cost row they price at the lower corner,
+    # when no column improves it there, and with the zero row otherwise;
+    # every solve whose dual makes a basis change, with either row,
+    # matches vertex enumeration
+    moving = {"cost row": 0, "zero row": 0}
+    dual, replace_basis = _Tableau.dual, _Tableau._replace
+    kind, in_dual, changes = None, False, 0
+
+    def recording_dual(self):
+        nonlocal kind, in_dual
+        r = self.A[-1]
+        improves = any(d * r[j] > 0 for j, d in enumerate(self.state))
+        kind, in_dual = ("zero row" if improves else "cost row"), True
+        try:
+            return dual(self)
+        finally:
+            in_dual = False
+
+    def counting_replace(self, *args):
+        nonlocal changes
+        changes += in_dual
+        return replace_basis(self, *args)
+
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    with patch.object(_Tableau, "dual", recording_dual), \
+            patch.object(_Tableau, "_replace", counting_replace):
+        for _ in range(RANDOM_PROGRAMS):
+            lp = seeded_boxed_program(programs)
+            changes = 0
+            out = solve_lp(lp)
+            if not changes:
+                continue
+            moving[kind] += 1
+            reference = vertex_enumeration_optimum(lp)
+            if out.status is SolveStatus.OPTIMAL:
+                assert out.value == reference
+                assert point_feasible(lp, out.point)
+            else:
+                assert (out.status, reference) == (SolveStatus.INFEASIBLE, None)
+    assert min(moving.values()) > 40, moving
 
 
 def test_the_gap_reports_degree_solve_makes_no_phase_one_move():
-    # the solve starts at a cycle cover, where every artificial starts at
-    # 0: phase 1 never runs or moves, and the artificials are only
-    # driven out
-    moves = {"phase 1": 0, "drive out": 0}
-    replace_basis, flip, run = _Tableau._replace, _Tableau._flip, _Tableau.run
+    # the solve starts at a cycle cover, where every row holds: the dual
+    # simplex makes no basis change, and the artificials, all at 0, are
+    # only driven out
+    moves = {"dual": 0, "drive out": 0}
+    in_dual = False
+    replace_basis, dual = _Tableau._replace, _Tableau.dual
 
-    def counting_run(self):
-        moves["phase 1"] += len(self.A) > self.m + 1
-        return run(self)
+    def counting_dual(self):
+        nonlocal in_dual
+        in_dual = True
+        try:
+            return dual(self)
+        finally:
+            in_dual = False
 
     def counting_replace(self, p, *args):
-        # phase 1's row is the one row above the cost row
-        if len(self.A) > self.m + 1:
-            moves["phase 1"] += 1
+        if in_dual:
+            moves["dual"] += 1
         elif self.basis[p] >= self.ncols:
             moves["drive out"] += 1
         return replace_basis(self, p, *args)
 
-    def counting_flip(self, *args):
-        moves["phase 1"] += len(self.A) > self.m + 1
-        return flip(self, *args)
-
     with patch.object(_Tableau, "_replace", counting_replace), \
-            patch.object(_Tableau, "_flip", counting_flip), \
-            patch.object(_Tableau, "run", counting_run):
+            patch.object(_Tableau, "dual", counting_dual):
         report = integrality_gap(gen_valley_instance(4, 2))
     assert report.lp_value == 0
-    assert moves["phase 1"] == 0 and moves["drive out"] > 0, moves
+    assert moves["dual"] == 0 and moves["drive out"] > 0, moves
 
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])
@@ -1448,7 +1430,7 @@ def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):
     digest_moves = dict(moves)
     for shape in [(4, 2), (6, 2), (3, 3)]:
         assert cutting_plane_loop(gen_valley_instance(*shape)).complete
-    # 823 basis changes and 193 flips over the digest programs, 782
+    # 772 basis changes and 115 flips over the digest programs, 266
     # basis changes over the cut loops
     cut_loop_replaces = moves["replace"] - digest_moves["replace"]
     assert min(digest_moves.values()) > 100 and cut_loop_replaces > 100, (
@@ -1458,7 +1440,7 @@ def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):
 def test_every_row_ends_in_its_denominator_in_lowest_terms(monkeypatch):
     # the 300 seeded programs of the pivot digest, solved cold and warm
     # with a new objective: after each basis change and bound flip, every
-    # row of the store, phase 1's and the cost row included, ends in a
+    # row of the store, the cost row included, ends in a
     # positive denominator and is in lowest terms with it, and the
     # tableau keeps no list of denominators beside its rows
     flip, replace_row = _Tableau._flip, _Tableau._replace
@@ -1492,16 +1474,18 @@ def test_every_row_ends_in_its_denominator_in_lowest_terms(monkeypatch):
 
 
 def test_digest_programs_take_every_integer_span_move(monkeypatch):
-    # the 300 seeded programs of the pivot digest, solved as they are
-    # there, reach each move that integer spans keep in int arithmetic:
-    # a bound flip across a column whose unit is above 1, a basis change
-    # whose leaving column stops at a nonzero upper bound, and a row
-    # whose right-hand side has a denominator its coefficients lack
-    # (153 flips, 115 leaves and 893 rows, numbers the pinned pivots fix).
+    # the 300 seeded programs of the pivot digest and the next 300 of the
+    # same stream, solved as the digest solves them, reach each move that
+    # integer spans keep in int arithmetic: a bound flip across a column
+    # whose unit is above 1, a basis change whose leaving column stops at
+    # a nonzero upper bound, and a row whose right-hand side has a
+    # denominator its coefficients lack (174 flips, 306 leaves and 1,828
+    # rows; the digest's 300 alone make 94 of those flips, since the
+    # dual simplex that repairs a cold solve's rows flips no bound).
     # They also take each move the ratio test decides, in both entering
     # directions: a leaving structural or slack column stops at zero or
-    # at its cap, and a flip goes up or down (184, 97, 33 and 19 basis
-    # changes, 142 and 39 flips), so the pinned pivots guard both
+    # at its cap, and a flip goes up or down (637, 267, 86 and 43 basis
+    # changes, 153 and 52 flips), so the pinned pivots guard both
     # candidate forms of the rule whichever way the entering column moves
     seen = {"flip over a unit": 0, "leave at upper": 0, "rhs denominator": 0}
     moves = {(enter, leave): 0 for enter in ("up", "down") for leave in ("zero", "cap")}
@@ -1529,7 +1513,7 @@ def test_digest_programs_take_every_integer_span_move(monkeypatch):
     monkeypatch.setattr(_Tableau, "_replace", counting_replace)
     monkeypatch.setattr(_Tableau, "_reduced", counting_reduced)
     rng = random.Random(RANDOM_PROGRAMS_SEED)
-    for _ in range(RANDOM_PROGRAMS):
+    for _ in range(2 * RANDOM_PROGRAMS):
         lp = seeded_boxed_program(rng)
         first = solve_lp(lp)
         if first.tableau is None:

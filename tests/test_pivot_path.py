@@ -7,11 +7,13 @@ loops and both digests again when phase 1 began to end at the first
 basis where the artificials sum to zero, and the cut loops and the
 appended-rows digest again when a warm start that appends rows began to
 re-optimise by the dual simplex and the loop's first round to start at
-a cycle cover. The programs are degenerate: many
-optimal vertices tie, and Bland's rule picks one of them. A kernel
-change that keeps every value optimal but lets a tie break differently
-moves a cut sequence, an optimal point or a hull witness, and fails
-here even when every oracle comparison still passes.
+a cycle cover, and both digests again when cold solves began to repair
+their rows by the dual simplex, which replaced phase 1. The programs
+are degenerate: many optimal vertices tie, and Bland's rule picks one
+of them. A kernel change that keeps every value optimal but lets a tie
+break differently moves a cut sequence, an optimal point or a hull
+witness, and fails here even when every oracle comparison still
+passes.
 """
 
 import hashlib
@@ -153,14 +155,17 @@ def test_arc64_facet_gap_witnesses():
 # outcome (status, value) over RANDOM_PROGRAMS seeded programs, each
 # solved cold and then warm from its own outcome for a second objective,
 # recorded from the dense-row elimination that preceded the sparse one,
-# and again when phase 1 began to end at zero infeasibility: every
-# status and value stayed, 661 basis changes became 665.
+# again when phase 1 began to end at zero infeasibility: every
+# status and value stayed, 661 basis changes became 665, and again when
+# cold solves began to repair their rows by the dual simplex instead of
+# phase 1: every status, value and point stayed, 665 basis changes
+# became 660 and 181 bound flips 115.
 # Row denominators are left out on purpose: the pivots and the outcomes
 # are the contract, the lowest-terms scaling of a row is not.
 RANDOM_PROGRAMS_SEED = 8086
 RANDOM_PROGRAMS = 300
 RANDOM_PATH_SHA256 = (
-    "74ba90be90e2d8cf1c2734ffbece69b1ed4de5e0f86f58a93da4bc953e18d3b5"
+    "00cd6ccf8a3800ac4576aa9632f38ac009309a4ef9a8e589ce7e1af7ef82af37"
 )
 
 
@@ -234,10 +239,13 @@ def test_random_programs_pivot_digest(monkeypatch):
 # when phase 1 began to end at zero infeasibility (every status, value
 # and point stayed, 155 basis changes became 154), and again when these
 # warm solves began to re-optimise by the dual simplex instead of phase 1
-# (every status, value and point stayed, 154 basis changes became 111).
+# (every status, value and point stayed, 154 basis changes became 111),
+# and again when cold solves did too, which moves the starts' final
+# bases (every status, value and point stayed, 111 basis changes became
+# 110).
 APPENDED_ROWS_SEED = 8087
 APPENDED_PATH_SHA256 = (
-    "0e380a6654aa70b0d3d0f660ea0aed0c93496bf393c1b0609138850f5fe57a3b"
+    "945ebcd30b1e68871e2ed5dfeb634edfa66a5d7a9f9ffc5ffc333f977692fac3"
 )
 
 
