@@ -9,23 +9,20 @@ answers record the YES/NO verdicts at thresholds: a relaxation may say
 YES to a cost no tour achieves, and that recorded disagreement is the
 artifact under study, never an error.
 
-The relaxation solve of a degree or degree+cuts report starts at a
-cycle cover that successor swaps reach from the oracle's optimal tour,
-which the report computes anyway: each cover arc at 1, a feasible vertex
-of the program, so no row is broken there, the dual simplex makes no
-basis change, the artificials, all at 0, are only driven out, and the
-primal simplex walks down from a vertex already cheaper than the tour.
-The decision route through the relaxation, which never runs the oracle,
-starts at the cycle cover that swaps reach from the tour 0, 1, ...,
-n - 1 instead, as the cutting-plane loop's first round does, so no
-relaxation solve makes a dual basis change.
+Every relaxation solve starts at one corner: the cycle cover that
+successor swaps reach from the tour 0, 1, ..., n - 1, each cover arc at
+1 (valleys.cover_columns), the start of the cutting-plane loop's first
+round too. A cycle cover is a vertex of the degree LP, so no degree row
+is broken there and the dual simplex makes no basis change on a degree
+report; a fixed cut the cover breaks is repaired by the dual simplex,
+and the primal simplex walks down from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import ValidationError
 from .ilp import tsp_oracle
@@ -150,20 +147,17 @@ def _solve_relaxation(
     inst: TspInstance,
     relaxation: RelaxationDesc,
     program: Optional[LinearProgram],
-    tour: Sequence[int],
 ) -> tuple[Rational, int, int]:
     """(lp value, constraint rows, rounds), solving the program that
-    _fixed_program built for the relaxation from the cycle cover that
-    successor swaps reach from tour (valleys.cover_columns), each of its
-    arcs at 1 and every other at 0; the cutting-plane loop, which builds
-    its own programs, starts at its own cycle cover."""
+    _fixed_program built for the relaxation from the cycle cover
+    valleys.cover_columns gives, each of its arcs at 1 and every other
+    at 0; the cutting-plane loop, which builds its own programs, starts
+    its first round there too."""
     if program is None:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
         return trace.final_value, last.constraint_count, len(trace.rounds)
-    outcome = solve_lp(
-        program, at_upper=cover_columns(inst, tour, relaxation.cut_subsets)
-    )
+    outcome = solve_lp(program, at_upper=cover_columns(inst))
     if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
         raise AssertionError(f"relaxation solve came back {outcome.status}")
     return outcome.value, len(program.constraints), 0
@@ -181,21 +175,17 @@ def integrality_gap(
     program is built; the oracle runs next, so an instance past its
     budget is refused before any relaxation solve. A degree or
     degree+cuts solve starts at the cycle cover that successor swaps
-    reach from the oracle's optimal tour (valleys.cover_columns): each of
-    its arcs at 1, a vertex of the program, since every degree row and
-    every cut holds there, so the dual simplex makes no basis change and
-    the artificials, all at 0, are only driven out. At eight 2-city
-    valleys that takes 44 basis changes, against 227 from the tour
-    itself. The value is the one a start at the lower corner gives; only
+    reach from the tour 0, 1, ..., n - 1 (valleys.cover_columns): each
+    of its arcs at 1, a vertex of the degree program, where the dual
+    simplex makes no basis change unless a fixed cut is broken. At eight
+    2-city valleys with costs (0, 1) the solve makes no basis change at
+    all. The value is the one a start at the lower corner gives; only
     the pivots differ."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
     program = _fixed_program(inst, relaxation)
-    tour = tsp_oracle(inst)
-    ilp_value = tour.cost
-    lp_value, rows_used, rounds = _solve_relaxation(
-        inst, relaxation, program, tour.tour
-    )
+    ilp_value = tsp_oracle(inst).cost
+    lp_value, rows_used, rounds = _solve_relaxation(inst, relaxation, program)
     gap = ilp_value - lp_value
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value
@@ -244,15 +234,14 @@ def decide_tour_at_most(
     exact truth; the lp-relaxation route may say YES to phantom values,
     but whenever it says NO the answer really is NO. The lp-relaxation
     route never runs the tour oracle: a degree or degree+cuts solve
-    starts at the cycle cover that successor swaps reach from the tour
-    0, 1, ..., n - 1, a vertex of the program, where the dual simplex
-    makes no basis change."""
+    starts at the same cycle cover as the gap report's
+    (valleys.cover_columns)."""
     require_exact((threshold,), "thresholds")
     x = Fraction(threshold)
     if via == VIA_ILP:
         return tsp_oracle(inst).cost <= x
     if via == VIA_LP:
         program = _fixed_program(inst, relaxation)
-        value, _, _ = _solve_relaxation(inst, relaxation, program, range(inst.n))
+        value, _, _ = _solve_relaxation(inst, relaxation, program)
         return value <= x
     raise ValidationError(f"unknown decision route {via!r}")

@@ -9,10 +9,12 @@ natively (bounded variables never become extra rows) and uses Bland's
 smallest-index rule throughout, in its primal and in its dual simplex
 (Bland 1977), so it terminates on every input. Each
 column carries one signed state, the direction it may move if it enters
-(up from its lower bound, down from its upper bound, or never). An
-artificial variable is no column at all, only the marker of the row it
-is basic in: an artificial that leaves the basis never comes back
-(Dantzig 1963), so no pivot ever reads its column. All pivots are
+(up from its lower bound, down from its upper bound, or never). Every
+row has one logical column, its slack, and every basic variable is a
+column: an equality row's slack has span 0, so once it leaves the basis
+it never enters again, as an artificial never comes back (Dantzig
+1963); bounded dual simplex codes give each row one such logical
+variable (Koberstein 2005; Maros 2003). All pivots are
 exact: each tableau row is one list of Python ints, [A | b | d], the
 textbook [A | b] row over its one positive int denominator d
 (fraction-free rows, the first step toward the exact kernel of
@@ -47,24 +49,23 @@ outcome's tableau. It prices the objective at that point unless the
 cost row prices it already, then appends the rows the tableau lacks,
 each at the current point x, with the int value b - a.x out of the
 row's own reduction against the basis, as every row value is, so
-appending makes no Fraction point. Each inequality row enters with its
-slack basic at its signed b - a.x (a.x - b for a >= row), below 0
-where x breaks the row; each equality row enters with an artificial,
-a basic variable with no column and a cap of 0. The dual simplex
-(Lemke 1954) then takes every basic value into its bounds, each
-artificial to 0, or proves the rows infeasible; the artificials still
-basic, each at 0, leave by ``drive_out_artificials``, and the primal
-simplex runs to an optimum or an unbounded ray. The dual prices with
+appending makes no Fraction point. Each row enters with its slack
+basic at its signed b - a.x (a.x - b for a >= row), out of its bounds
+where x breaks the row: below 0, or for an equality row's zero-span
+slack anywhere but 0. The dual simplex (Lemke 1954) then takes every
+basic value into its bounds, each equality row's slack to 0, or proves
+the rows infeasible, and the primal simplex runs to an optimum or an
+unbounded ray; its ratio test caps a zero-span slack still basic at 0
+like any other bounded basic column. The dual prices with
 the cost row when no column improves it at the start, which holds at
 an optimal start and for nonnegative costs minimized at the lower
 corner, so it stays dual feasible at every pivot and ends at an
 optimum that leaves the primal nothing to do; otherwise it prices with
 the zero row, as a pure feasibility method (Koberstein 2005, on the
 dual's phase 1), and the primal starts where it stops. A feasible
-corner, such as the cycle cover that the gap report and the
-cutting-plane loop start at, breaks no row, so its dual makes no basis
-change. Either way every tableau is exact, so a warm status is as much
-a proof as a cold one.
+corner, such as the cycle cover that every degree LP solve starts at,
+breaks no row, so its dual makes no basis change. Either way every
+tableau is exact, so a warm status is as much a proof as a cold one.
 
 An outcome over a feasible region keeps its final tableau, and
 ``solve_lp(lp, start=outcome)`` starts from a copy of it. A tableau
@@ -118,7 +119,6 @@ class SolveStatus(str, Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-    BUDGET_EXHAUSTED = "budget-exhausted"
 
 
 @dataclass(frozen=True)
@@ -261,21 +261,20 @@ class _Tableau:
     """Bounded-variable simplex state.
 
     Column layout: structural variables (shifted to lower bound 0), then
-    one slack/surplus column per inequality row; ``ncols`` counts them.
-    An artificial is no column: a row whose basic variable is artificial
-    has ``basis[i] >= ncols``, an id numbered past every column, so
-    Bland's tie-break ranks it after each of them, and it has no entry in
-    any row, in ``state`` or in ``ub``. A new tableau has no constraint
+    one slack column per row, in row order; ``ncols`` counts them, and
+    every basic variable is one of them. A new tableau has no constraint
     rows, only a zero cost row; ``append_rows`` adds every constraint
-    row, with its slack and any artificial. ``state[j]`` is the one fact
-    the pivot rule needs about column j: ``1`` when it sits at its lower
-    bound 0 and may rise, ``-1`` when it sits at its upper bound and may
-    fall, ``0`` when it never enters (basic, or fixed with zero span).
+    row, with its slack. ``state[j]`` is the one fact the pivot rule
+    needs about column j: ``1`` when it sits at its lower bound 0 and
+    may rise, ``-1`` when it sits at its upper bound and may fall, ``0``
+    when it never enters (basic, or fixed with zero span, as an equality
+    row's slack is).
 
     Structural column j counts in steps of ``1 / unit[j]``, where
     ``unit[j]`` is its span's denominator (1 with no upper bound), so
     its span ``ub[j]`` is an int and its entries and cost enter divided
-    by ``unit[j]``; every other column has unit 1 and no span.
+    by ``unit[j]``; every slack has unit 1, and no span but an equality
+    row's, which is 0.
 
     Row i of the tableau is one list, the textbook ``[A | b]`` row over
     its denominator, ``[A | b | d]``: ``ncols + 1`` integer numerators,
@@ -380,24 +379,25 @@ class _Tableau:
         return out
 
     def append_rows(self, lp: LinearProgram) -> None:
-        """Extend a tableau over a prefix of lp's rows, whose basis holds
-        no artificial, to all of lp's rows: every row of every solve
-        enters here, a cold solve's into the tableau of the bounds.
+        """Extend a tableau over a prefix of lp's rows to all of lp's
+        rows: every row of every solve enters here, a cold solve's into
+        the tableau of the bounds.
 
-        Each new row gets a slack column (an equality gets none), has
-        every basic column eliminated from it and goes in before the cost
-        row; slack columns go in before every row's value and
-        denominator, which stay last. The cost row costs 0 in the new
-        columns: each new row's basic variable is one of them or an
-        artificial, so the old reduced costs and value stand at the new
-        basis and the row still prices ``objective``. Each new row's int
-        value b - a.x at the current point x comes from ``_reduced``.
+        Each new row gets one slack column, basic in it, has every basic
+        column eliminated from it and goes in before the cost row; slack
+        columns go in before every row's value and denominator, which
+        stay last. The cost row costs 0 in the new columns: each new
+        row's basic variable is one of them, so the old reduced costs and
+        value stand at the new basis and the row still prices
+        ``objective``. Each new row's int value b - a.x at the current
+        point x comes from ``_reduced``.
 
-        Every inequality row gets a basic slack, at b - a.x for a <= row
-        and a.x - b for a >= row, which is negated for it: a negative
-        value is a bound the slack breaks, for ``dual`` to repair. An
-        equality row takes an artificial, the next id past the columns,
-        basic at b - a.x, which ``dual`` takes to 0 and holds there.
+        A slack is basic at b - a.x for a <= or = row and a.x - b for a
+        >= row, which is negated for it: a value out of the slack's
+        bounds is a bound the slack breaks, for ``dual`` to repair. An
+        inequality row's slack has no upper bound; an equality row's has
+        span 0, so ``dual`` takes it to 0, and once it leaves the basis
+        it keeps state 0 and never enters.
 
         Existing rows, ``state`` and ``ub`` are extended in place, since
         the tableau owns them."""
@@ -406,29 +406,23 @@ class _Tableau:
         # each new row is reduced against the basis, and its int value is
         # b - a.x at the current point x
         reduced = [self._reduced(con.coeffs, con.rhs) for con in rows]
-        pad = [0] * sum(con.relation != EQUAL for con in rows)
+        pad = [0] * len(rows)
         # the slack columns go in before each row's value
-        slack = ncols = self.ncols
+        ncols = self.ncols
         for row in self.A:
             row[ncols:ncols] = pad
         cost = self.A.pop()
-        self.state += [1] * len(pad)
-        self.ub += [None] * len(pad)
-        self.ncols = art = ncols + len(pad)
-        for con, row in zip(rows, reduced):
+        # every new slack is basic; an equality row's has span 0
+        self.state += pad
+        self.ub += [0 if con.relation == EQUAL else None for con in rows]
+        self.ncols = ncols + len(rows)
+        for slack, (con, row) in enumerate(zip(rows, reduced), ncols):
             row[ncols:ncols] = pad
-            if con.relation == EQUAL:
-                basic = art
-                art += 1
-            else:
-                if con.relation == GREATER_EQ:
-                    _negate(row)
-                basic = slack
-                row[basic] = row[-1]
-                self.state[basic] = 0
-                slack += 1
+            if con.relation == GREATER_EQ:
+                _negate(row)
+            row[slack] = row[-1]
             self.A.append(row)
-            self.basis.append(basic)
+            self.basis.append(slack)
         self.A.append(cost)
 
     def _reduced(self, values: Sequence[Rational], rhs: Rational = 0) -> list[int]:
@@ -455,9 +449,9 @@ class _Tableau:
             if s < 0 and row[j]:
                 row[-2] -= row[j] * ub[j]
         # basis is shorter than the row store, so zip stops before the
-        # cost row; an artificial basic has no column to eliminate
+        # cost row
         for b, prow in zip(self.basis, self.A):
-            if b < ncols and row[b]:
+            if row[b]:
                 _eliminate(row, prow, b, _nonzero(prow))
         return row
 
@@ -489,8 +483,8 @@ class _Tableau:
 
     def _replace(self, p: int, enter: int, leave_state: int) -> None:
         """Make enter basic in row p; the leaving column takes
-        leave_state, or 0 when it is fixed, and a leaving artificial,
-        which has no column, takes nothing.
+        leave_state, or 0 when it is fixed (an equality row's slack among
+        them), so a fixed column never enters again.
 
         The step is row p's value, less the leaving column's int span
         when it stops there, in units of row p's entry in column enter:
@@ -506,8 +500,7 @@ class _Tableau:
             prow[-2] -= self.ub[leave] * prow[-1]
         nz = _nonzero(prow)
         from_upper = self.state[enter] < 0
-        if leave < self.ncols:
-            self.state[leave] = 0 if self.ub[leave] == 0 else leave_state
+        self.state[leave] = 0 if self.ub[leave] == 0 else leave_state
         self.state[enter] = 0
         self.basis[p] = enter
         # row p is normalised in place, over its entry in column enter,
@@ -528,14 +521,13 @@ class _Tableau:
         smallest eligible entering index; ratio ties broken by smallest
         leaving-variable index (the entering variable's own bound counts
         as a candidate). Returns SolveStatus.OPTIMAL or
-        SolveStatus.UNBOUNDED. It starts where ``dual`` and
-        ``drive_out_artificials`` leave a feasible region: every basic
-        value in its bounds and no artificial basic."""
+        SolveStatus.UNBOUNDED. It starts where ``dual`` leaves a feasible
+        region: every basic value in its bounds, each zero-span slack
+        still basic at 0."""
         # Bland's rule terminates; the cap only turns a would-be hang on
         # a broken invariant into a loud failure
         pivots_left = 10_000 + 200 * (self.m + self.ncols)
         state, ub, basis = self.state, self.ub, self.basis
-        ncols = self.ncols
         while True:
             pivots_left -= 1
             if pivots_left < 0:  # pragma: no cover
@@ -556,9 +548,9 @@ class _Tableau:
             # row[-1] and row i's value row[-2] / row[-1], so the
             # denominator cancels. With s = a * direction, s > 0 drives the
             # value down, to zero after the step row[-2] / s; s < 0 drives
-            # it up, to its int cap after (cap * row[-1] - row[-2]) / -s,
-            # and an uncapped column or an artificial (which has no cap)
-            # sets no limit.
+            # it up, to its int cap after (cap * row[-1] - row[-2]) / -s
+            # (a zero-span slack's cap is 0), and an uncapped column sets
+            # no limit.
             best_num, best_den = ub[enter], 1
             best_var = enter
             best_row = -1
@@ -566,7 +558,7 @@ class _Tableau:
                 s = row[enter] * direction
                 if s > 0:
                     tn, td = row[-2], s
-                elif s < 0 and basis[i] < ncols and ub[basis[i]] is not None:
+                elif s < 0 and ub[basis[i]] is not None:
                     tn, td = ub[basis[i]] * row[-1] - row[-2], -s
                 else:
                     continue
@@ -590,8 +582,8 @@ class _Tableau:
 
     def dual(self) -> SolveStatus:
         """Dual simplex (Lemke 1954) to a basis whose values all lie in
-        their bounds: a column's between 0 and its int span, an
-        artificial's at 0. Bland's rule for the dual (Bland 1977): the
+        their bounds, each between 0 and its int span, which is 0 for an
+        equality row's slack. Bland's rule for the dual (Bland 1977): the
         leaving row is the one of the smallest basic index out of its
         bounds, and it stops at the bound it broke; the entering column
         is one whose move takes that value back, of the smallest
@@ -612,15 +604,14 @@ class _Tableau:
                 raise AssertionError("pivot budget blown: anti-cycling broken")
             # the smallest basic index whose value is out of bounds, and
             # fall, the sign of the move its value needs: -1 to rise to
-            # 0, 1 to fall to its cap (an artificial's cap is 0)
+            # 0, 1 to fall to its cap
             p = leave = fall = None
             for i, (b, row) in enumerate(zip(basis, self.A)):
                 if leave is not None and b > leave:
                     continue
-                cap = 0 if b >= ncols else ub[b]
                 if row[-2] < 0:
                     p, leave, fall = i, b, -1
-                elif cap is not None and row[-2] > cap * row[-1]:
+                elif ub[b] is not None and row[-2] > ub[b] * row[-1]:
                     p, leave, fall = i, b, 1
             if p is None:
                 return SolveStatus.OPTIMAL
@@ -638,27 +629,8 @@ class _Tableau:
             if best is None:
                 return SolveStatus.INFEASIBLE
             # the leaving column stops at the bound it broke, free to
-            # move back; an artificial stops at 0 and takes no state
-            self._replace(p, best, 0 if leave >= ncols else -fall)
-
-    def drive_out_artificials(self) -> None:
-        """Degenerate swaps at step 0 that take every artificial out of
-        the basis, each into the row's first nonzero column; a row with
-        no nonzero column is redundant and is dropped. Every artificial
-        is at 0 here, where the dual simplex took it and held it, so each
-        swap moves no value and takes one pivot per row."""
-        p = 0
-        while p < self.m:
-            if self.basis[p] < self.ncols:
-                p += 1
-                continue
-            # every basic column is zero in row p
-            enter = next(compress(range(self.ncols), self.A[p]), -1)
-            if enter >= 0:
-                self._replace(p, enter, 0)
-                p += 1
-            else:
-                del self.A[p], self.basis[p]
+            # move back unless its span is 0
+            self._replace(p, best, -fall)
 
     def point(self) -> list[Fraction]:
         """The structural point: each column at its lower bound, plus its
@@ -694,10 +666,10 @@ def solve_lp(
     in ``at_upper`` starts at its upper bound and every other column at
     its lower bound, so the default is the lower corner. Any corner
     gives the same status and value; at a feasible one, such as a cycle
-    cover of a degree LP, no row is broken, the dual simplex makes no
-    basis change and the artificials are only driven out. A listed
-    column with no upper bound, and at_upper beside ``start`` (a warm
-    start keeps its own point), raise ValidationError before any pivot.
+    cover of a degree LP, no row is broken and the dual simplex makes no
+    basis change. A listed column with no upper bound, and at_upper
+    beside ``start`` (a warm start keeps its own point), raise
+    ValidationError before any pivot.
 
     ``start`` is an earlier outcome whose program had lp's lower and
     upper bounds and lp's rows, or a prefix of them; only the objective
@@ -711,19 +683,18 @@ def solve_lp(
     objective and sense keeps its cost row; it appends lp's rows past
     those the tableau holds, if any (``_Tableau.append_rows``), runs the
     dual simplex (``_Tableau.dual``), which takes every basic value into
-    its bounds or returns INFEASIBLE, and drives out the artificials
-    still basic, each at 0; and it runs the primal simplex, with nothing
-    left to do when the dual simplex priced with a cost row that no
-    column improved. Every tableau it pivots is exact, so a warm status
-    is proven just as a cold one is; only a program with several optimal
-    points may end at a different one of them.
+    its bounds or returns INFEASIBLE; and it runs the primal simplex,
+    with nothing left to do when the dual simplex priced with a cost row
+    that no column improved. Every tableau it pivots is exact, so a warm
+    status is proven just as a cold one is; only a program with several
+    optimal points may end at a different one of them.
 
     The optimal value is read off the cost row's value, which is
     -(sign * c) . x at the final point, rather than summed over the
     point; the point itself is made once, for the outcome."""
     at_upper = tuple(at_upper)
-    # the lower corner, which every solve but the gap report's starts
-    # at, checks nothing: a hull-scan pass makes about 800 solves
+    # the lower corner, which every solve but a tour relaxation's cold
+    # one starts at, checks nothing: a hull-scan pass makes about 800 solves
     if at_upper:
         if start is not None:
             raise ValidationError(
@@ -761,7 +732,6 @@ def solve_lp(
         tab.append_rows(lp)
         if tab.dual() is SolveStatus.INFEASIBLE:
             return LpOutcome(SolveStatus.INFEASIBLE)
-        tab.drive_out_artificials()
 
     if tab.run() is SolveStatus.UNBOUNDED:
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)

@@ -157,26 +157,21 @@ def arc_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
-def cover_columns(
-    inst: TspInstance, tour: Sequence[int], cut_subsets: Iterable[Sequence[int]]
-) -> tuple[int, ...]:
+def cover_columns(inst: TspInstance) -> tuple[int, ...]:
     """The arc columns, in arc_list order (arc (i, j) is column
     i * (n - 1) + j, less 1 when j > i), of the cycle cover that
-    successor swaps reach from a closed tour. For cities a < c, giving a
-    the successor of c and c that of a is kept when it makes no
-    self-loop, strictly lowers the cost (on the costs scaled to ints,
-    as the tour oracle reads them) and leaves an arc out of every cut
-    subset. Pairs are scanned in index order, each improvement kept at
-    once, until a sweep keeps none or n sweeps have run: at most n^3 / 2
-    pair checks. A cycle cover leaving every cut subset is a vertex of
-    the degree program with those cuts."""
+    successor swaps reach from the tour 0, 1, ..., n - 1. For cities a <
+    c, giving a the successor of c and c that of a is kept when it makes
+    no self-loop and strictly lowers the cost (on the costs scaled to
+    ints, as the tour oracle reads them). Pairs are scanned in index
+    order, each improvement kept at once, until a sweep keeps none or n
+    sweeps have run: at most n^3 / 2 pair checks. A cycle cover is a
+    vertex of the degree program; a cut it breaks is a row the dual
+    simplex repairs."""
     n = inst.n
     scaled, _ = scale_to_ints([c for row in inst.cost for c in row])
     cost = [scaled[i * n:(i + 1) * n] for i in range(n)]
-    succ = [0] * n
-    for i, j in zip(tour, (*tour[1:], *tour[:1])):
-        succ[i] = j
-    cuts = [(S, set(S)) for S in cut_subsets]
+    succ = [*range(1, n), 0]
     for _ in range(n):
         kept = False
         for a in range(n):
@@ -186,10 +181,7 @@ def cover_columns(
                         or cost[a][d] + cost[c][b] >= cost[a][b] + cost[c][d]):
                     continue
                 succ[a], succ[c] = d, b
-                if all(any(succ[i] not in inside for i in S) for S, inside in cuts):
-                    kept = True
-                else:
-                    succ[a], succ[c] = b, d
+                kept = True
         if not kept:
             break
     return tuple(i * (n - 1) + j - (j > i) for i, j in enumerate(succ))
@@ -494,8 +486,9 @@ def cutting_plane_loop(
     the last one with its violated cut appended as a new last row, so
     the degree LP is built once. Round 1 starts at the cycle cover that
     successor swaps reach from the tour 0, 1, ..., n - 1
-    (``cover_columns``), a vertex of the degree LP, where the dual
-    simplex makes no basis change; each later round starts from the last
+    (``cover_columns``), a vertex of the degree LP, where every degree
+    row's zero-span slack is basic at 0 and the dual simplex makes no
+    basis change; each later round starts from the last
     round's tableau, where the cut enters with its slack basic below 0
     and the dual simplex re-optimises from the last optimal basis,
     instead of a cold solve. Values are nondecreasing because each round's
@@ -510,9 +503,7 @@ def cutting_plane_loop(
     outcome = None
     for rnd in range(1, max_rounds + 1):
         if outcome is None:
-            outcome = solve_lp(
-                program, at_upper=cover_columns(inst, range(inst.n), ())
-            )
+            outcome = solve_lp(program, at_upper=cover_columns(inst))
         else:
             outcome = solve_lp(program, start=outcome)
         if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover

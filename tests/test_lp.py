@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from unittest.mock import patch
 
@@ -129,7 +129,10 @@ def test_equality_rows_with_artificials():
     assert solve_lp(lp).value == 5
 
 
-def test_redundant_equality_rows_are_dropped():
+def test_redundant_equality_rows_keep_their_slack_basic_at_zero():
+    # x + y = 2 and 2x + 2y = 4 are one row twice: once x + y is basic
+    # over one of them, the other's zero-span slack can never leave, and
+    # stays basic at 0 in the kept tableau
     lp = linear_program(
         [1, 1], "max",
         [([1, 1], "=", 2), ([2, 2], "=", 4), ([1, 0], "<=", 1)],
@@ -137,6 +140,10 @@ def test_redundant_equality_rows_are_dropped():
     out = solve_lp(lp)
     assert out.status is SolveStatus.OPTIMAL
     assert out.value == 2
+    tab = out.tableau
+    assert len(tab.basis) == 3
+    zero_span = [(b, row[-2]) for b, row in zip(tab.basis, tab.A) if tab.ub[b] == 0]
+    assert zero_span and all(value == 0 for _, value in zero_span)
 
 
 def test_validation_errors():
@@ -690,7 +697,9 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
         original_append(self, program)
         values = [Fraction(row[-2], row[-1]) for row in self.A[:self.m]]
         rows = [list(row) for row in self.A]
-        appended.append((list(self.basis), values, self.ncols, rows))
+        appended.append(
+            (list(self.basis), values, self.ncols, list(self.ub), list(self.state), rows)
+        )
 
     monkeypatch.setattr(_Tableau, "append_rows", recording_append_rows)
     solve_lp(lp)
@@ -699,15 +708,18 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     # stores agree int for int, the cost row included
     cold, warm = appended
     assert cold == warm
-    # slack columns 2..7 belong to the six inequality rows in order, each
-    # basic at b - a.x for a <= row and a.x - b for a >= row, negative
-    # where the row is violated, for the dual simplex to repair; the =
-    # rows take the artificials 8..10, numbered past the 8 columns, at
-    # b - a.x
-    assert cold[:3] == (
+    # slack columns 2..10 belong to the nine rows in order, each basic
+    # at b - a.x for a <= or = row and a.x - b for a >= row, out of its
+    # bounds where the row is violated, for the dual simplex to repair:
+    # an inequality row's slack has no upper bound, and an = row's has
+    # span 0, so its d and -d are both out of bounds; every slack is
+    # basic, so none may enter
+    assert cold[:5] == (
         [2, 3, 4, 5, 6, 7, 8, 9, 10],
         [d, 0, -d, d, 0, -d, d, 0, -d],
-        8,
+        11,
+        [3, None] + [None] * 6 + [0] * 3,
+        [1, 1] + [0] * 9,
     )
 
 
@@ -868,14 +880,15 @@ def test_cut_loop_rounds_keep_the_row_a_fresh_pricing_gives(monkeypatch, shape):
 
 def test_cut_loop_prices_its_objective_once(monkeypatch):
     # the first round prices the degree LP's objective at the cycle
-    # cover it starts at; its degree rows enter with artificials, all at
-    # 0 there; every later round's cut enters with its slack basic and
-    # the dual simplex re-optimises over the cost row it has, and no
-    # round prices anything else
+    # cover it starts at; its 16 degree rows enter with zero-span
+    # slacks, all basic at 0 there; every later round's cut enters with
+    # an unbounded slack and the dual simplex re-optimises over the cost
+    # row it has, and no round prices anything else
     inst = gen_valley_instance(4, 2)
     objective = degree_lp(inst).objective
     priced = {"objective": 0, "other": 0}
-    artificial_rounds = dual_rounds = 0
+    appended = []
+    dual_rounds = 0
     price, append_rows = _Tableau.price, _Tableau.append_rows
     dual = _Tableau.dual
 
@@ -884,9 +897,10 @@ def test_cut_loop_prices_its_objective_once(monkeypatch):
         return price(self, cost, *args)
 
     def counting_append_rows(self, lp):
-        nonlocal artificial_rounds
+        before = self.ncols
         append_rows(self, lp)
-        artificial_rounds += max(self.basis) >= self.ncols
+        spans = self.ub[before:]
+        appended.append((spans, [row[-2] for row in self.A[self.m - len(spans):self.m]]))
 
     def counting_dual(self):
         nonlocal dual_rounds
@@ -897,12 +911,14 @@ def test_cut_loop_prices_its_objective_once(monkeypatch):
     monkeypatch.setattr(_Tableau, "append_rows", counting_append_rows)
     monkeypatch.setattr(_Tableau, "dual", counting_dual)
     trace = cutting_plane_loop(inst)
-    assert artificial_rounds == 1 and dual_rounds == len(trace.rounds) > 1
+    assert appended[0] == ([0] * 16, [0] * 16)
+    assert all(spans == [None] for spans, _ in appended[1:])
+    assert dual_rounds == len(appended) == len(trace.rounds) > 1
     assert priced == {"objective": 1, "other": 0}
 
 
 def test_cold_and_warm_solves_run_over_the_cost_row_alone(monkeypatch):
-    # a cold solve whose equality row's artificial starts at 1 and a warm
+    # a cold solve whose equality row's slack starts at 1 and a warm
     # start that appends the same row each reach a feasible basis by the
     # dual simplex, so the primal runs once, over the constraint rows and
     # the cost row, with no other row pushed on top
@@ -1079,10 +1095,12 @@ def test_dual_degenerate_ties_terminate_and_match_a_cold_solve(monkeypatch):
         assert (warm.status, warm.value) == (cold.status, cold.value)
 
 
-def test_an_appended_equality_rows_artificial_leaves_through_the_dual(monkeypatch):
+def test_an_appended_equality_rows_slack_leaves_through_the_dual_for_good(monkeypatch):
     # the start (3, 1) has x - y = 2, so x - y = 1 enters with its
-    # artificial at 1; the dual simplex takes it out at the basis change
-    # that makes the row hold, and nothing is left to drive out
+    # zero-span slack, column 3, basic at 1 - 2 = -1; the dual simplex
+    # takes it out at the one basis change, x entering, that makes the
+    # row hold, and it stops at 0 with state 0, so no later pivot may
+    # let it back in
     lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
     start = solve_lp(lp)
     assert start.point == (3, 1)
@@ -1090,9 +1108,9 @@ def test_an_appended_equality_rows_artificial_leaves_through_the_dual(monkeypatc
     in_dual = False
     replace_basis, dual = _Tableau._replace, _Tableau.dual
 
-    def recording_replace(self, p, *args):
-        leaving.append((in_dual, self.basis[p] >= self.ncols))
-        return replace_basis(self, p, *args)
+    def recording_replace(self, p, enter, *args):
+        leaving.append((in_dual, self.basis[p], enter))
+        return replace_basis(self, p, enter, *args)
 
     def recording_dual(self):
         nonlocal in_dual
@@ -1106,17 +1124,19 @@ def test_an_appended_equality_rows_artificial_leaves_through_the_dual(monkeypatc
     monkeypatch.setattr(_Tableau, "dual", recording_dual)
     grown = with_constraints(lp, [constraint([1, -1], "=", 1)])
     warm = solve_lp(grown, start=start)
-    assert leaving == [(True, True)]
-    assert all(b < warm.tableau.ncols for b in warm.tableau.basis)
+    tab = warm.tableau
+    assert tab.ub[3] == 0
+    assert leaving == [(True, 3, 0)]
+    assert 3 not in tab.basis and tab.state[3] == 0
     assert (warm.status, warm.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
     assert warm.point == (Fraction(7, 3), Fraction(4, 3))
 
 
 def assert_no_dead_column(tab):
-    """Every column the tableau stores is basic, may enter, or is fixed:
-    an artificial is only the marker of the row it is basic in, and once
-    it leaves the basis nothing of it is left. Each row holds one entry
-    per column, then its value and its denominator."""
+    """Every column the tableau stores is basic, may enter, or is fixed,
+    as an equality row's zero-span slack is once it leaves the basis.
+    Each row holds one entry per column, then its value and its
+    denominator, and every basic variable is a column."""
     assert len(tab.state) == len(tab.ub) == tab.ncols
     assert all(len(row) == tab.ncols + 2 for row in tab.A)
     assert all(b < tab.ncols for b in tab.basis)
@@ -1172,13 +1192,51 @@ def test_kept_tableaux_store_no_dead_column(monkeypatch):
             assert_no_dead_column(tab)
 
 
+def assert_zero_span_slacks_rest_at_zero(lp, tab):
+    """lp's equality rows each have one zero-span slack, a column past
+    the structural ones, which is basic at 0 or nonbasic with state 0."""
+    values = {b: row[-2] for b, row in zip(tab.basis, tab.A)}
+    zero_span = [j for j in range(tab.n, tab.ncols) if tab.ub[j] == 0]
+    assert len(zero_span) == sum(con.relation == "=" for con in lp.constraints)
+    for j in zero_span:
+        assert values[j] == 0 if j in values else tab.state[j] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_property_zero_span_slacks_rest_at_zero(seed):
+    # a program of the digest's generator with an equality row, solved
+    # cold, warm with a new objective and warm with rows appended: every
+    # tableau kept holds each equality row's slack at 0
+    rng = random.Random(seed)
+    lp = seeded_boxed_program(rng)
+    assume(any(con.relation == "=" for con in lp.constraints))
+    first = solve_lp(lp)
+    solves = [(lp, first)]
+    if first.tableau is not None:
+        other = replace(
+            lp,
+            objective=tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=rng.choice(["max", "min"]),
+        )
+        grown = with_constraints(
+            lp, seeded_appended_rows(rng, lp, first.point or lp.lower_bounds)
+        )
+        solves += [(other, solve_lp(other, start=first)),
+                   (grown, solve_lp(grown, start=first))]
+    for program, outcome in solves:
+        if outcome.tableau is not None:
+            assert_zero_span_slacks_rest_at_zero(program, outcome.tableau)
+
+
 @contextmanager
 def primal_start_checks():
     """Patch _Tableau so that every run() (the primal simplex) asserts
-    that it starts where the dual simplex and the driving out leave a
-    feasible region: no artificial basic, every basic value within its
-    bounds, and no row over the constraint rows but the cost row. Yields
-    the count of runs."""
+    that it starts where the dual simplex leaves a feasible region:
+    every basic variable a column, every basic value within its bounds
+    (a zero-span slack's at 0), and no row over the constraint rows but
+    the cost row. Yields the count of runs."""
     seen = {"primal runs": 0}
     run = _Tableau.run
 
@@ -1200,7 +1258,7 @@ def primal_start_checks():
 def test_property_phase_one_moves_only_above_zero_infeasibility(case):
     # the dual simplex is the only feasibility method, so no move is a
     # phase-1 move: cold, or warm with a row appended, the primal starts
-    # at a feasible basis with no artificial basic
+    # at a feasible basis
     lp, extra = case
     with primal_start_checks():
         first = solve_lp(lp)
@@ -1271,33 +1329,22 @@ def test_cold_solves_reach_the_dual_with_either_row():
 
 
 def test_the_gap_reports_degree_solve_makes_no_phase_one_move():
-    # the solve starts at a cycle cover, where every row holds: the dual
-    # simplex makes no basis change, and the artificials, all at 0, are
-    # only driven out
-    moves = {"dual": 0, "drive out": 0}
-    in_dual = False
-    replace_basis, dual = _Tableau._replace, _Tableau.dual
+    # at eight 2-city valleys with costs (0, 1) the solve starts at the
+    # valley 2-cycles, a cycle cover where every degree row holds and its
+    # zero-span slack is basic at 0, so the dual simplex makes no basis
+    # change; every cover arc costs 0, so the cover is an optimum and the
+    # primal makes none either
+    changes = []
+    replace_basis = _Tableau._replace
 
-    def counting_dual(self):
-        nonlocal in_dual
-        in_dual = True
-        try:
-            return dual(self)
-        finally:
-            in_dual = False
+    def counting_replace(self, *args):
+        changes.append(None)
+        return replace_basis(self, *args)
 
-    def counting_replace(self, p, *args):
-        if in_dual:
-            moves["dual"] += 1
-        elif self.basis[p] >= self.ncols:
-            moves["drive out"] += 1
-        return replace_basis(self, p, *args)
-
-    with patch.object(_Tableau, "_replace", counting_replace), \
-            patch.object(_Tableau, "dual", counting_dual):
-        report = integrality_gap(gen_valley_instance(4, 2))
+    with patch.object(_Tableau, "_replace", counting_replace):
+        report = integrality_gap(gen_valley_instance(8, 2, 0, 1))
     assert report.lp_value == 0
-    assert moves["dual"] == 0 and moves["drive out"] > 0, moves
+    assert changes == []
 
 
 @pytest.mark.parametrize("valleys, cities", [(3, 2), (4, 2), (3, 3)])

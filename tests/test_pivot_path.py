@@ -7,8 +7,10 @@ loops and both digests again when phase 1 began to end at the first
 basis where the artificials sum to zero, and the cut loops and the
 appended-rows digest again when a warm start that appends rows began to
 re-optimise by the dual simplex and the loop's first round to start at
-a cycle cover, and both digests again when cold solves began to repair
-their rows by the dual simplex, which replaced phase 1. The programs
+a cycle cover, both digests again when cold solves began to repair
+their rows by the dual simplex, which replaced phase 1, and both
+digests again when an equality row's artificial became a zero-span
+slack, numbered among the slacks. The programs
 are degenerate: many optimal vertices tie, and Bland's rule picks one
 of them. A kernel change that keeps every value optimal but lets a tie
 break differently moves a cut sequence, an optimal point or a hull
@@ -159,13 +161,16 @@ def test_arc64_facet_gap_witnesses():
 # status and value stayed, 661 basis changes became 665, and again when
 # cold solves began to repair their rows by the dual simplex instead of
 # phase 1: every status, value and point stayed, 665 basis changes
-# became 660 and 181 bound flips 115.
+# became 660 and 181 bound flips 115, and again when each equality row
+# took a zero-span slack in place of an artificial, numbered among the
+# slacks, with no drive-out pass: every status, value and point stayed,
+# 660 basis changes became 612 and 115 bound flips 114.
 # Row denominators are left out on purpose: the pivots and the outcomes
 # are the contract, the lowest-terms scaling of a row is not.
 RANDOM_PROGRAMS_SEED = 8086
 RANDOM_PROGRAMS = 300
 RANDOM_PATH_SHA256 = (
-    "00cd6ccf8a3800ac4576aa9632f38ac009309a4ef9a8e589ce7e1af7ef82af37"
+    "07ad937b938e28ee744e46dff8b648ffd16d6d9e3262d81670487e8a3f4707c6"
 )
 
 
@@ -242,10 +247,12 @@ def test_random_programs_pivot_digest(monkeypatch):
 # (every status, value and point stayed, 154 basis changes became 111),
 # and again when cold solves did too, which moves the starts' final
 # bases (every status, value and point stayed, 111 basis changes became
-# 110).
+# 110), and again when each equality row took a zero-span slack in place
+# of an artificial (every status, value and point stayed, 110 basis
+# changes became 95).
 APPENDED_ROWS_SEED = 8087
 APPENDED_PATH_SHA256 = (
-    "945ebcd30b1e68871e2ed5dfeb634edfa66a5d7a9f9ffc5ffc333f977692fac3"
+    "0c2950dc7fc2ffd6b5942762f783f8a162452e2426e51ba0d4eecb9bf5060a52"
 )
 
 

@@ -494,7 +494,7 @@ def test_property_min_subtour_cut_matches_the_subset_scan(n, data):
 
 def test_cutting_plane_five_four_city_valleys_stays_within_its_pivots(monkeypatch):
     # round 1 starts at a cycle cover and each cut is re-optimised by the
-    # dual simplex from the last optimal basis: 223 basis changes in 27
+    # dual simplex from the last optimal basis: 138 basis changes in 26
     # rounds, where phase 1 from the last basis took 1,466 in 60, and
     # pivoting on at zero infeasibility took 5,085
     changes = 0
