@@ -15,10 +15,7 @@ from .errors import BudgetExceededError, ValidationError
 from .gaps import (
     GapReport,
     RelaxationDesc,
-    cuts_relaxation,
-    cutting_plane_relaxation,
     decide_tour_at_most,
-    degree_relaxation,
     integrality_gap,
 )
 from .hull import (
@@ -71,12 +68,9 @@ __all__ = [
     "adversarial_objective",
     "check_flow_feasibility",
     "constraint",
-    "cuts_relaxation",
     "cutting_plane_loop",
-    "cutting_plane_relaxation",
     "decide_tour_at_most",
     "degree_lp",
-    "degree_relaxation",
     "format_rational",
     "gen_arc",
     "gen_valley_instance",

@@ -96,10 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def relaxation_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--relaxation",
-            choices=(gaps.DEGREE, gaps.DEGREE_WITH_CUTS, gaps.CUTTING_PLANE),
-        )
+        p.add_argument("--relaxation", choices=gaps.RELAXATIONS)
         cut_flags(p)
         p.add_argument("--rounds", type=int)
 
@@ -166,11 +163,10 @@ def _cut_subsets(args, inst: valleys.TspInstance) -> list[tuple[int, ...]]:
 
 
 def _relaxation(args, inst: valleys.TspInstance) -> gaps.RelaxationDesc:
-    if args.relaxation == gaps.DEGREE:
-        return gaps.degree_relaxation()
-    if args.relaxation == gaps.DEGREE_WITH_CUTS:
-        return gaps.cuts_relaxation(_cut_subsets(args, inst))
-    return gaps.cutting_plane_relaxation(args.rounds)
+    # the cut flags are read only under degree+cuts, and --rounds only
+    # under cutting-plane; elsewhere each is None
+    cuts = _cut_subsets(args, inst) if args.relaxation == gaps.DEGREE_WITH_CUTS else ()
+    return gaps.RelaxationDesc(args.relaxation, tuple(cuts), args.rounds or 0)
 
 
 def _instance(args) -> valleys.TspInstance:

@@ -1,6 +1,9 @@
 """LP-vs-ILP comparison reports and the decision-form tour question.
 
-A GapReport pins down, for one instance and one relaxation, the exact
+A RelaxationDesc names one relaxation: its kind, one of RELAXATIONS,
+the cut subsets of a degree+cuts relaxation, each stored with its
+cities sorted, and the round budget of the cutting-plane loop. A
+GapReport pins down, for one instance and one relaxation, the exact
 relaxation value, the exact integer optimum from the tour oracle, their
 gap, and the rows and variables of the model it solved, which for the
 cutting-plane loop count how many cuts this loop added over its rounds
@@ -29,7 +32,6 @@ from .ilp import tsp_oracle
 from .lp import LinearProgram, SolveStatus, solve_lp
 from .rationals import Rational, require_exact, require_int
 from .valleys import (
-    DEFAULT_ROUNDS,
     InstanceInfo,
     TspInstance,
     cover_columns,
@@ -40,6 +42,7 @@ from .valleys import (
 DEGREE = "degree"
 DEGREE_WITH_CUTS = "degree+cuts"
 CUTTING_PLANE = "cutting-plane"
+RELAXATIONS = (DEGREE, DEGREE_WITH_CUTS, CUTTING_PLANE)
 
 
 @dataclass(frozen=True)
@@ -51,21 +54,23 @@ class RelaxationDesc:
     def __post_init__(self):
         """A field the kind never reads is refused, so a report cannot
         record a cut or a round budget that its relaxation ignored, and
-        a cutting-plane budget is checked before any solve. Each cut
-        subset must be a tuple of distinct cities in increasing order,
-        so one relaxation has one description, and a hashable one."""
-        if self.kind not in (DEGREE, DEGREE_WITH_CUTS, CUTTING_PLANE):
+        a cutting-plane budget is checked before any solve. Each city of
+        a cut subset must be an int >= 0, checked before any sort
+        compares it, named once; the instance checks the upper end when
+        the program is built. Each subset is stored sorted, so the order
+        its cities are listed in is not part of the description, which
+        is hashable."""
+        if self.kind not in RELAXATIONS:
             raise ValidationError(f"unknown relaxation kind {self.kind!r}")
         subsets = self.cut_subsets
         if type(subsets) is not tuple or any(type(s) is not tuple for s in subsets):
             raise ValidationError("cut_subsets must be a tuple of tuples")
         for subset in subsets:
-            _check_cities(subset)
-            if list(subset) != sorted(subset):
-                raise ValidationError(
-                    f"cut subset {list(subset)} must list its cities in increasing order"
-                )
-        if self.cut_subsets and self.kind != DEGREE_WITH_CUTS:
+            for city in subset:
+                require_int(city, 0, None, "city")
+            if len(set(subset)) < len(subset):
+                raise ValidationError(f"{list(subset)} names a city more than once")
+        if subsets and self.kind != DEGREE_WITH_CUTS:
             raise ValidationError(
                 f"cut_subsets need the {DEGREE_WITH_CUTS} relaxation, not {self.kind}"
             )
@@ -75,32 +80,7 @@ class RelaxationDesc:
             raise ValidationError(
                 f"max_rounds needs the {CUTTING_PLANE} relaxation, not {self.kind}"
             )
-
-
-def degree_relaxation() -> RelaxationDesc:
-    return RelaxationDesc(DEGREE)
-
-
-def _check_cities(subset: tuple) -> None:
-    """Refuse a city that is not an int >= 0, before any sort compares
-    it, and a city named twice; the instance checks the upper end when
-    the program is built."""
-    for city in subset:
-        require_int(city, 0, None, "city")
-    if len(set(subset)) < len(subset):
-        raise ValidationError(f"{list(subset)} names a city more than once")
-
-
-def cuts_relaxation(cut_subsets: Iterable[Iterable[int]]) -> RelaxationDesc:
-    """The degree+cuts relaxation, each subset's cities sorted."""
-    subsets = tuple(map(tuple, cut_subsets))
-    for subset in subsets:
-        _check_cities(subset)
-    return RelaxationDesc(DEGREE_WITH_CUTS, tuple(tuple(sorted(s)) for s in subsets))
-
-
-def cutting_plane_relaxation(max_rounds: int = DEFAULT_ROUNDS) -> RelaxationDesc:
-    return RelaxationDesc(CUTTING_PLANE, max_rounds=max_rounds)
+        object.__setattr__(self, "cut_subsets", tuple(tuple(sorted(s)) for s in subsets))
 
 
 # decisions ask "is there a tour of cost at most X" (the standard

@@ -22,10 +22,11 @@ from lpgaps.bounds import (
     subset_growth_table,
 )
 from lpgaps.gaps import (
+    DEGREE,
     VIA_ILP,
     VIA_LP,
+    RelaxationDesc,
     decide_tour_at_most,
-    degree_relaxation,
     integrality_gap,
 )
 from lpgaps.hull import adversarial_objective, gen_arc, subset_gap_scan
@@ -75,7 +76,7 @@ def test_criterion_1_valley_headline_numbers():
 def test_criterion_2_fractional_below_integer():
     with Budget(2, "degree relaxation certifies 0 while the optimum is 10", 60):
         inst = gen_valley_instance(10, 2)
-        report = integrality_gap(inst, degree_relaxation(), thresholds=[9])
+        report = integrality_gap(inst, RelaxationDesc(DEGREE), thresholds=[9])
         assert report.lp_value == 0
         assert report.ilp_value == 10
         assert report.lp_value < report.ilp_value

@@ -475,8 +475,9 @@ PINNED_REPORTS = [
     (["hull-scan", "--vertices", "64", "--budget", "32",
       "--samples", "3", "--seed", "0"], "json",
      "bb697d8cda14fa35ea63cbcc296430bfbcc481bfc3457f706c68e99a979cc454"),
-    # the cutting-plane entries were re-recorded when phase 1 began to end
-    # at zero infeasibility, and again when the loop's first round began
+    # the cutting-plane entries were re-recorded when the primal
+    # feasibility search began to stop as soon as every row held, and
+    # again when the loop's first round began
     # to start at a cycle cover and each later round to re-optimise by
     # the dual simplex: (4, 2) adds its second to fourth cuts in the
     # reverse order, with the same values, and ends on another optimal
@@ -498,8 +499,9 @@ PINNED_REPORTS = [
       "--threshold", "4", "--via", "lp-relaxation",
       "--relaxation", "cutting-plane"], "json",
      "b931071ff5092c4fa54f1040361cf912af869bd5d7e25b4c7ba0ef4d6659d18d"),
-    # the loop that ended on a fractional point before phase 1 ended at
-    # zero infeasibility; it now ends on a tour
+    # the loop that ended on a fractional point before the primal
+    # feasibility search stopped as soon as every row held; it now ends
+    # on a tour
     (["cutting-plane", "--valleys", "6", "--cities-per-valley", "2"], "json",
      "eecc5d855cf2813af155170cef5424fe6051767a244e4f30715d053b6ff6271b"),
     (["cutting-plane", "--valleys", "3", "--cities-per-valley", "3",
@@ -764,6 +766,21 @@ def test_cut_flags_need_the_cuts_relaxation(tmp_path, cut_flag):
     code, out = run_cli(tmp_path, *instance, "--relaxation", "degree+cuts", *cut_flag)
     assert code == 0
     assert json.loads(out.read_text())["result"]["relaxation"]["cut_subsets"] != []
+
+
+def test_cut_cities_are_recorded_sorted(tmp_path):
+    # the relaxation stores each subset sorted, so the order the cities
+    # are listed in leaves the report's result as it is
+    results = []
+    for listing in ("3,2", "2,3"):
+        code, out = run_cli(
+            tmp_path, "valley-gap", "--valleys", "3", "--cities-per-valley", "2",
+            "--relaxation", "degree+cuts", "--cut-cities", listing,
+        )
+        assert code == 0
+        results.append(json.loads(out.read_text())["result"])
+    assert results[0]["relaxation"]["cut_subsets"] == [[2, 3]]
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("argv", [

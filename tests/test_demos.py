@@ -2,9 +2,11 @@
 
 ``scripts/run_all_demos.py`` writes every headline report. Each digest
 below is the SHA-256 of one file it writes, recorded before the tableau
-stopped storing artificial columns (check-flow's when its report became
+stopped storing columns that only its feasibility search read
+(check-flow's when its report became
 the FlowReport alone, without a second copy of the total; the
-cutting-plane files when phase 1 began to end at zero infeasibility:
+cutting-plane files when the primal feasibility search began to stop
+as soon as every row held:
 k4 keeps its cuts and values and ends on another optimal tour, k6 swaps
 its fourth and fifth cuts and ends on a tour instead of a fractional
 point; and again when the loop's first round began to start at a cycle

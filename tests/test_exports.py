@@ -249,3 +249,17 @@ def test_public_names_have_a_caller_outside_the_tests():
         if path.name != "__init__.py"
     }
     assert uncalled_names(modules, elsewhere) == TEST_ONLY_PUBLIC
+
+
+def library_sketch(readme: str) -> str:
+    """The fenced Python block under the README's ``## Library sketch``."""
+    section = readme.split("\n## Library sketch\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_the_readme_library_sketch_runs():
+    # the README counts as a caller above, so the names it uses must
+    # still exist and take the arguments it gives them
+    sketch = library_sketch((REPO_DIR / "README.md").read_text())
+    assert "integrality_gap(" in sketch
+    exec(compile(sketch, "README.md: Library sketch", "exec"), {})

@@ -15,14 +15,13 @@ from lpgaps import gaps, lp
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
     CUTTING_PLANE,
+    DEGREE,
+    DEGREE_WITH_CUTS,
     VIA_ILP,
     VIA_LP,
     InstanceInfo,
     RelaxationDesc,
-    cuts_relaxation,
-    cutting_plane_relaxation,
     decide_tour_at_most,
-    degree_relaxation,
     integrality_gap,
 )
 from lpgaps.lp import _Tableau, solve_lp
@@ -37,7 +36,7 @@ from lpgaps.valleys import (
 
 def test_degree_gap_headline():
     inst = gen_valley_instance(10, 2)
-    report = integrality_gap(inst, degree_relaxation())
+    report = integrality_gap(inst, RelaxationDesc(DEGREE))
     assert report.lp_value == 0
     assert report.ilp_value == 10
     assert report.gap == 10
@@ -50,7 +49,8 @@ def test_degree_gap_headline():
 
 def test_full_valley_cuts_close_the_gap():
     inst = gen_valley_instance(4, 2)
-    report = integrality_gap(inst, cuts_relaxation(valley_cut_subsets(inst)))
+    cuts = RelaxationDesc(DEGREE_WITH_CUTS, valley_cut_subsets(inst))
+    report = integrality_gap(inst, cuts)
     assert report.lp_value == 4
     assert report.ilp_value == 4
     assert report.gap == 0
@@ -59,13 +59,13 @@ def test_full_valley_cuts_close_the_gap():
 
 
 def test_degenerate_valleys_have_no_gap():
-    report = integrality_gap(gen_valley_instance(4, 1), degree_relaxation())
+    report = integrality_gap(gen_valley_instance(4, 1), RelaxationDesc(DEGREE))
     assert report.lp_value == 4 and report.ilp_value == 4 and report.gap == 0
 
 
 def test_cutting_plane_relaxation_reports_rounds():
     inst = gen_valley_instance(4, 2)
-    report = integrality_gap(inst, cutting_plane_relaxation(50))
+    report = integrality_gap(inst, RelaxationDesc(CUTTING_PLANE, max_rounds=50))
     assert report.lp_value == 4
     assert report.gap == 0
     assert report.rounds >= 2
@@ -74,7 +74,7 @@ def test_cutting_plane_relaxation_reports_rounds():
 
 def test_decision_disagreement_is_recorded():
     inst = gen_valley_instance(10, 2)
-    report = integrality_gap(inst, degree_relaxation(), thresholds=[9])
+    report = integrality_gap(inst, RelaxationDesc(DEGREE), thresholds=[9])
     answer = report.decision_answers[0]
     assert answer.threshold == 9
     assert answer.lp_answer is True
@@ -84,9 +84,8 @@ def test_decision_disagreement_is_recorded():
 
 def test_agreement_cases():
     inst = gen_valley_instance(4, 2)
-    report = integrality_gap(
-        inst, cuts_relaxation(valley_cut_subsets(inst)), thresholds=[3, 4, 5]
-    )
+    cuts = RelaxationDesc(DEGREE_WITH_CUTS, valley_cut_subsets(inst))
+    report = integrality_gap(inst, cuts, thresholds=[3, 4, 5])
     verdicts = [(a.lp_answer, a.ilp_answer, a.agree) for a in report.decision_answers]
     assert verdicts == [
         (False, False, True),
@@ -99,7 +98,7 @@ def test_lp_no_implies_ilp_no():
     for k, c in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)]:
         inst = gen_valley_instance(k, c)
         thresholds = [Fraction(t, 2) for t in range(0, 2 * k + 3)]
-        report = integrality_gap(inst, degree_relaxation(), thresholds=thresholds)
+        report = integrality_gap(inst, RelaxationDesc(DEGREE), thresholds=thresholds)
         for answer in report.decision_answers:
             if not answer.lp_answer:
                 assert not answer.ilp_answer
@@ -108,13 +107,13 @@ def test_lp_no_implies_ilp_no():
 
 
 def test_reports_carry_decision_form():
-    report = integrality_gap(gen_valley_instance(2, 2), degree_relaxation())
+    report = integrality_gap(gen_valley_instance(2, 2), RelaxationDesc(DEGREE))
     assert report.decision_form == "cost-at-most"
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_ratio_flagged_infinite_for_free_circulations(k):
-    report = integrality_gap(gen_valley_instance(k, 2), degree_relaxation())
+    report = integrality_gap(gen_valley_instance(k, 2), RelaxationDesc(DEGREE))
     assert report.lp_value == 0
     assert report.ilp_value == k
     assert report.gap_ratio is None
@@ -158,7 +157,7 @@ def test_decide_routes():
     assert decide_tour_at_most(inst, 3, VIA_ILP) is False
     assert (
         decide_tour_at_most(
-            inst, 3, VIA_LP, cuts_relaxation(valley_cut_subsets(inst))
+            inst, 3, VIA_LP, RelaxationDesc(DEGREE_WITH_CUTS, valley_cut_subsets(inst))
         )
         is False
     )
@@ -182,7 +181,7 @@ def test_gap_report_refuses_a_float_threshold_before_any_solve(monkeypatch):
     # 3602879701896397/36028797018963968
     monkeypatch.setattr(gaps, "tsp_oracle", never_solve)
     with pytest.raises(ValidationError, match="thresholds must be exact"):
-        integrality_gap(gen_valley_instance(3, 2), degree_relaxation(), [0.1])
+        integrality_gap(gen_valley_instance(3, 2), RelaxationDesc(DEGREE), [0.1])
 
 
 def test_decision_refuses_a_float_threshold_before_any_solve(monkeypatch):
@@ -193,14 +192,19 @@ def test_decision_refuses_a_float_threshold_before_any_solve(monkeypatch):
 
 def test_reports_are_deterministic():
     inst = gen_valley_instance(4, 2)
-    a = integrality_gap(inst, cutting_plane_relaxation(50), thresholds=[3, 4])
-    b = integrality_gap(inst, cutting_plane_relaxation(50), thresholds=[3, 4])
+    cutting = RelaxationDesc(CUTTING_PLANE, max_rounds=50)
+    a = integrality_gap(inst, cutting, thresholds=[3, 4])
+    b = integrality_gap(inst, cutting, thresholds=[3, 4])
     assert a == b
 
 
 @pytest.mark.parametrize(
     "relaxation",
-    [degree_relaxation(), cuts_relaxation([(0, 1, 2)]), cutting_plane_relaxation(50)],
+    [
+        RelaxationDesc(DEGREE),
+        RelaxationDesc(DEGREE_WITH_CUTS, ((0, 1, 2),)),
+        RelaxationDesc(CUTTING_PLANE, max_rounds=50),
+    ],
 )
 def test_oracle_budget_is_checked_before_the_relaxation(monkeypatch, relaxation):
     def never(*args):
@@ -220,7 +224,7 @@ def test_bad_cut_subset_is_refused_before_the_oracle_budget(monkeypatch):
     monkeypatch.setattr(gaps, "tsp_oracle", never)
     inst = gen_valley_instance(21, 1)  # n = 21 > 20
     with pytest.raises(ValidationError, match=re.escape("ints in 0..20, not 99")):
-        integrality_gap(inst, cuts_relaxation([(0, 99)]))
+        integrality_gap(inst, RelaxationDesc(DEGREE_WITH_CUTS, ((0, 99),)))
 
 
 def test_repeated_cut_subset_is_refused_before_the_oracle(monkeypatch):
@@ -230,7 +234,7 @@ def test_repeated_cut_subset_is_refused_before_the_oracle(monkeypatch):
     monkeypatch.setattr(gaps, "tsp_oracle", never)
     inst = gen_valley_instance(3, 2)
     with pytest.raises(ValidationError, match="named more than once"):
-        integrality_gap(inst, cuts_relaxation([(0, 1), (1, 0)]))
+        integrality_gap(inst, RelaxationDesc(DEGREE_WITH_CUTS, ((0, 1), (1, 0))))
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -258,35 +262,35 @@ def test_cuts_relaxation_checks_each_city_before_sorting(city):
     # a string or None raised TypeError from the sort, and 1.0 or True
     # was recorded as given
     with pytest.raises(ValidationError, match="city must be"):
-        cuts_relaxation([(city, 1)])
+        RelaxationDesc(DEGREE_WITH_CUTS, ((city, 1),))
     with pytest.raises(ValidationError, match="city must be"):
-        cuts_relaxation([(1, city)])
+        RelaxationDesc(DEGREE_WITH_CUTS, ((1, city),))
 
 
 def test_cuts_relaxation_names_a_repeated_city_as_given():
     with pytest.raises(ValidationError, match=re.escape("[1, 0, 1] names a city more")):
-        cuts_relaxation([(1, 0, 1)])
+        RelaxationDesc(DEGREE_WITH_CUTS, ((1, 0, 1),))
 
 
 @pytest.mark.parametrize("cut_subsets, message", [
-    (((1, 0),), "cut subset [1, 0] must list its cities in increasing order"),
-    (((0, 2, 1),), "cut subset [0, 2, 1] must list its cities in increasing order"),
     (((0, 0, 1),), "[0, 0, 1] names a city more than once"),
     (([0, 1],), "cut_subsets must be a tuple of tuples"),
     ([(0, 1)], "cut_subsets must be a tuple of tuples"),
     (((0, "a"),), "city must be an int, not str 'a'"),
     (((-1, 2),), "city must be at least 0, not -1"),
 ])
-def test_a_relaxation_made_directly_needs_sorted_distinct_cities(cut_subsets, message):
+def test_a_relaxation_needs_a_tuple_of_tuples_of_distinct_cities(cut_subsets, message):
     with pytest.raises(ValidationError, match=re.escape(message)):
         RelaxationDesc("degree+cuts", cut_subsets)
 
 
 def test_one_cut_relaxation_has_one_description():
-    # the order a caller lists cities in is not part of the relaxation
-    made = RelaxationDesc("degree+cuts", ((0, 1), (2, 3)))
-    assert cuts_relaxation([(1, 0), [3, 2]]) == made
-    assert hash(cuts_relaxation([(1, 0), [3, 2]])) == hash(made)
+    # the order a caller lists cities in is not part of the relaxation:
+    # each subset is stored with its cities sorted
+    made = RelaxationDesc("degree+cuts", ((1, 0), (3, 2), (0, 2, 1)))
+    assert made.cut_subsets == ((0, 1), (2, 3), (0, 1, 2))
+    assert made == RelaxationDesc("degree+cuts", ((0, 1), (2, 3), (0, 1, 2)))
+    assert hash(made) == hash(RelaxationDesc("degree+cuts", made.cut_subsets))
 
 
 def lower_corner_value(inst, relaxation):
@@ -301,10 +305,11 @@ def lower_corner_value(inst, relaxation):
 ])
 def test_tour_start_gives_the_lower_corner_value_on_valleys(k, c, intra, crossing):
     inst = gen_valley_instance(k, c, intra, crossing)
-    relaxations = [degree_relaxation()]
+    relaxations = [RelaxationDesc(DEGREE)]
     if c > 1:
         subsets = valley_cut_subsets(inst)
-        relaxations += [cuts_relaxation(subsets[:1]), cuts_relaxation(subsets)]
+        relaxations += [RelaxationDesc(DEGREE_WITH_CUTS, subsets[:1]),
+                        RelaxationDesc(DEGREE_WITH_CUTS, subsets)]
     for relaxation in relaxations:
         report = integrality_gap(inst, relaxation)
         assert report.lp_value == lower_corner_value(inst, relaxation)
@@ -318,13 +323,13 @@ def test_tour_start_gives_the_lower_corner_value_on_cost_matrices():
                 [Fraction(rng.randint(-4, 9), rng.randint(1, 4)) for _ in range(n)]
                 for _ in range(n)
             ])
-            relaxations = [degree_relaxation()]
+            relaxations = [RelaxationDesc(DEGREE)]
             if n >= 3:
                 subsets = {
                     tuple(sorted(rng.sample(range(n), rng.randint(2, n - 1))))
                     for _ in range(rng.randint(1, 3))
                 }
-                relaxations.append(cuts_relaxation(subsets))
+                relaxations.append(RelaxationDesc(DEGREE_WITH_CUTS, tuple(subsets)))
             for relaxation in relaxations:
                 report = integrality_gap(inst, relaxation)
                 assert report.lp_value == lower_corner_value(inst, relaxation)
@@ -346,8 +351,8 @@ def record_solves(monkeypatch):
 def test_the_relaxation_solve_starts_at_a_swapped_cover(monkeypatch):
     inst = gen_valley_instance(4, 2, Fraction(1, 3), 2)
     seen = record_solves(monkeypatch)
-    integrality_gap(inst, degree_relaxation())
-    integrality_gap(inst, cuts_relaxation(valley_cut_subsets(inst)))
+    integrality_gap(inst, RelaxationDesc(DEGREE))
+    integrality_gap(inst, RelaxationDesc(DEGREE_WITH_CUTS, valley_cut_subsets(inst)))
     index = arc_index_map(inst.n)
     # both solves start at the valley 2-cycles, the degree LP's optimum;
     # every valley cut breaks there, for the dual simplex to repair
@@ -419,7 +424,11 @@ def test_cover_start_makes_fewer_eliminations_than_the_lower_corner(
 
 @pytest.mark.parametrize(
     "relaxation",
-    [degree_relaxation(), cuts_relaxation([(0, 1), (2, 3)]), cutting_plane_relaxation(50)],
+    [
+        RelaxationDesc(DEGREE),
+        RelaxationDesc(DEGREE_WITH_CUTS, ((0, 1), (2, 3))),
+        RelaxationDesc(CUTTING_PLANE, max_rounds=50),
+    ],
 )
 def test_decide_via_the_relaxation_never_runs_the_oracle(monkeypatch, relaxation):
     def never(*args):

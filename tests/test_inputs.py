@@ -11,7 +11,7 @@ import pytest
 from oracles import valley_internal_cycles_flow
 from lpgaps import bounds, cli, gaps, hull, lp, valleys
 from lpgaps.errors import ValidationError
-from lpgaps.gaps import cuts_relaxation, cutting_plane_relaxation, integrality_gap
+from lpgaps.gaps import CUTTING_PLANE, DEGREE_WITH_CUTS, RelaxationDesc, integrality_gap
 from lpgaps.valleys import TspInstance, gen_valley_instance
 
 INST = gen_valley_instance(3, 2)
@@ -40,18 +40,19 @@ CASES = [
     ("subtour_cut", lambda x: valleys.subtour_cut(INST, [x, 2]), 0.5, True, 6),
     ("relaxation_with_cuts", lambda x: valleys.relaxation_with_cuts(INST, [(x, 2)]),
      0.5, True, -1),
-    ("gap report cuts", lambda x: integrality_gap(INST, cuts_relaxation([(x, 2)])),
+    ("gap report cuts",
+     lambda x: integrality_gap(INST, RelaxationDesc(DEGREE_WITH_CUTS, ((x, 2),))),
      0.5, True, 6),
-    ("cuts_relaxation", lambda x: cuts_relaxation([(x, 2)]), 0.5, True, -1),
-    ("RelaxationDesc cuts",
-     lambda x: gaps.RelaxationDesc(gaps.DEGREE_WITH_CUTS, ((x, 2),)), 0.5, True, -1),
+    ("RelaxationDesc cuts", lambda x: RelaxationDesc(DEGREE_WITH_CUTS, ((x, 2),)),
+     0.5, True, -1),
     ("check_flow_feasibility",
      lambda x: valleys.check_flow_feasibility(INST, FLOW, [(x, 2)]), 0.5, True, 6),
     ("flow_from_arcs", lambda x: valleys.flow_from_arcs(INST, [(x, 2, 1)]),
      0.0, True, 6),
     ("cutting_plane_loop", lambda x: valleys.cutting_plane_loop(INST, x), 2.0, True, 0),
     ("gap report rounds",
-     lambda x: integrality_gap(INST, cutting_plane_relaxation(x)), 2.5, True, 0),
+     lambda x: integrality_gap(INST, RelaxationDesc(CUTTING_PLANE, max_rounds=x)),
+     2.5, True, 0),
     ("ceil_log2", bounds.ceil_log2, 4.0, True, 0),
     ("min_symbols_single", bounds.min_symbols_single, 2.5, True, 0),
     ("subset total", lambda x: bounds.min_symbols_subset(x, 1), 9.0, True,

@@ -122,7 +122,7 @@ def test_beale_cycling_example_terminates():
     assert solve_lp(lp).value == Fraction(1, 20)
 
 
-def test_equality_rows_with_artificials():
+def test_equality_rows_with_zero_span_slacks():
     lp = linear_program(
         [1, 1], "min", [([1, 1], "=", 5), ([1, 0], "<=", 2)]
     )
@@ -946,7 +946,7 @@ def test_cold_and_warm_solves_run_over_the_cost_row_alone(monkeypatch):
         assert (out.status, out.value) == (SolveStatus.OPTIMAL, Fraction(11, 3))
 
 
-def test_warm_appends_after_an_optimum_leave_phase_two_nothing(monkeypatch):
+def test_warm_appends_after_an_optimum_leave_the_primal_nothing(monkeypatch):
     # from an optimal start, appended inequality rows (the cut loop's
     # rounds and the digest programs' rows made <= or >=) are repaired
     # by the dual simplex over the start's cost row, which ends at an
@@ -1255,10 +1255,9 @@ def primal_start_checks():
 
 @settings(max_examples=200, deadline=None)
 @given(boxed_programs())
-def test_property_phase_one_moves_only_above_zero_infeasibility(case):
-    # the dual simplex is the only feasibility method, so no move is a
-    # phase-1 move: cold, or warm with a row appended, the primal starts
-    # at a feasible basis
+def test_property_the_primal_starts_at_a_feasible_basis(case):
+    # the dual simplex is the only feasibility method: cold, or warm
+    # with a row appended, the primal starts at a feasible basis
     lp, extra = case
     with primal_start_checks():
         first = solve_lp(lp)
@@ -1266,7 +1265,7 @@ def test_property_phase_one_moves_only_above_zero_infeasibility(case):
             solve_lp(with_constraints(lp, [extra]), start=first)
 
 
-def test_digest_programs_move_in_phase_one_only_above_zero_infeasibility():
+def test_digest_programs_start_the_primal_at_a_feasible_basis():
     # the 300 seeded programs of the pivot digest, solved cold and warm
     # with rows appended: each primal run starts at a feasible basis
     programs = random.Random(RANDOM_PROGRAMS_SEED)
@@ -1328,7 +1327,7 @@ def test_cold_solves_reach_the_dual_with_either_row():
     assert min(moving.values()) > 40, moving
 
 
-def test_the_gap_reports_degree_solve_makes_no_phase_one_move():
+def test_the_gap_reports_degree_solve_makes_no_basis_change():
     # at eight 2-city valleys with costs (0, 1) the solve starts at the
     # valley 2-cycles, a cycle cover where every degree row holds and its
     # zero-span slack is basic at 0, so the dual simplex makes no basis

@@ -3,14 +3,14 @@
 Each literal below was recorded from the Fraction-tableau simplex that
 preceded the integer-row tableau; the cut loops were re-recorded when
 each round began to start from the last round's tableau, the cut
-loops and both digests again when phase 1 began to end at the first
-basis where the artificials sum to zero, and the cut loops and the
+loops and both digests again when the primal feasibility search began
+to stop at the first basis where every row held, and the cut loops and the
 appended-rows digest again when a warm start that appends rows began to
 re-optimise by the dual simplex and the loop's first round to start at
 a cycle cover, both digests again when cold solves began to repair
-their rows by the dual simplex, which replaced phase 1, and both
-digests again when an equality row's artificial became a zero-span
-slack, numbered among the slacks. The programs
+their rows by the dual simplex, which replaced that search, and both
+digests again when each equality row took a slack of span 0, numbered
+among the slacks, in place of a basic variable that had no column. The programs
 are degenerate: many optimal vertices tie, and Bland's rule picks one
 of them. A kernel change that keeps every value optimal but lets a tie
 break differently moves a cut sequence, an optimal point or a hull
@@ -157,13 +157,14 @@ def test_arc64_facet_gap_witnesses():
 # outcome (status, value) over RANDOM_PROGRAMS seeded programs, each
 # solved cold and then warm from its own outcome for a second objective,
 # recorded from the dense-row elimination that preceded the sparse one,
-# again when phase 1 began to end at zero infeasibility: every
-# status and value stayed, 661 basis changes became 665, and again when
-# cold solves began to repair their rows by the dual simplex instead of
-# phase 1: every status, value and point stayed, 665 basis changes
-# became 660 and 181 bound flips 115, and again when each equality row
-# took a zero-span slack in place of an artificial, numbered among the
-# slacks, with no drive-out pass: every status, value and point stayed,
+# again when the primal feasibility search began to stop as soon as
+# every row held: every status and value stayed, 661 basis changes
+# became 665, and again when cold solves began to repair their rows by
+# the dual simplex instead of that search: every status, value and
+# point stayed, 665 basis changes became 660 and 181 bound flips 115,
+# and again when each equality row took a zero-span slack, numbered
+# among the slacks, in place of a basic variable that had no column and
+# a pass that drove it out: every status, value and point stayed,
 # 660 basis changes became 612 and 115 bound flips 114.
 # Row denominators are left out on purpose: the pivots and the outcomes
 # are the contract, the lowest-terms scaling of a row is not.
@@ -241,15 +242,16 @@ def test_random_programs_pivot_digest(monkeypatch):
 # with 1-3 rows appended, each of any relation and strictly satisfied,
 # tight or violated at the outcome's point. Recorded from the tableau
 # whose cold solve appends every row to the row-less tableau, again
-# when phase 1 began to end at zero infeasibility (every status, value
-# and point stayed, 155 basis changes became 154), and again when these
-# warm solves began to re-optimise by the dual simplex instead of phase 1
-# (every status, value and point stayed, 154 basis changes became 111),
+# when the primal feasibility search began to stop as soon as every row
+# held (every status, value and point stayed, 155 basis changes became
+# 154), and again when these warm solves began to re-optimise by the
+# dual simplex instead of that search (every status, value and point
+# stayed, 154 basis changes became 111),
 # and again when cold solves did too, which moves the starts' final
 # bases (every status, value and point stayed, 111 basis changes became
 # 110), and again when each equality row took a zero-span slack in place
-# of an artificial (every status, value and point stayed, 110 basis
-# changes became 95).
+# of a basic variable that had no column (every status, value and point
+# stayed, 110 basis changes became 95).
 APPENDED_ROWS_SEED = 8087
 APPENDED_PATH_SHA256 = (
     "0c2950dc7fc2ffd6b5942762f783f8a162452e2426e51ba0d4eecb9bf5060a52"
