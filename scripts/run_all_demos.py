@@ -47,7 +47,7 @@ DEMOS = [
     ("cutting_plane_k4", [
         "cutting-plane", "--valleys", "4", "--cities-per-valley", "2",
     ]),
-    # six valleys: the loop closes the gap in 19 rounds and ends complete
+    # six valleys: the loop closes the gap in 9 rounds and ends complete
     # on an optimal tour of cost 6
     ("cutting_plane_k6", [
         "cutting-plane", "--valleys", "6", "--cities-per-valley", "2",

@@ -1,8 +1,8 @@
 """LP-vs-ILP comparison reports and the decision-form tour question.
 
 A RelaxationDesc names one relaxation: its kind, one of RELAXATIONS,
-the cut subsets of a degree+cuts relaxation, each stored with its
-cities sorted, and the round budget of the cutting-plane loop. A
+the cut subsets of a degree+cuts relaxation, stored sorted, each with
+its cities sorted, and the round budget of the cutting-plane loop. A
 GapReport pins down, for one instance and one relaxation, the exact
 relaxation value, the exact integer optimum from the tour oracle, their
 gap, and the rows and variables of the model it solved, which for the
@@ -57,9 +57,11 @@ class RelaxationDesc:
         a cutting-plane budget is checked before any solve. Each city of
         a cut subset must be an int >= 0, checked before any sort
         compares it, named once; the instance checks the upper end when
-        the program is built. Each subset is stored sorted, so the order
-        its cities are listed in is not part of the description, which
-        is hashable."""
+        the program is built. Each subset is stored with its cities
+        sorted, and the subsets sorted, so neither the order of a
+        subset's cities nor the order of the subsets is part of the
+        description, which is hashable; a subset named twice, in any
+        order of its cities, is refused."""
         if self.kind not in RELAXATIONS:
             raise ValidationError(f"unknown relaxation kind {self.kind!r}")
         subsets = self.cut_subsets
@@ -80,7 +82,11 @@ class RelaxationDesc:
             raise ValidationError(
                 f"max_rounds needs the {CUTTING_PLANE} relaxation, not {self.kind}"
             )
-        object.__setattr__(self, "cut_subsets", tuple(tuple(sorted(s)) for s in subsets))
+        canonical = sorted(tuple(sorted(s)) for s in subsets)
+        for a, b in zip(canonical, canonical[1:]):
+            if a == b:
+                raise ValidationError(f"cut subset {list(a)} is named more than once")
+        object.__setattr__(self, "cut_subsets", tuple(canonical))
 
 
 # decisions ask "is there a tour of cost at most X" (the standard

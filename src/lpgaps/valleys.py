@@ -8,10 +8,10 @@ valleys at cost 0, which is the whole point: a relaxation that omits the
 exponential cut family certifies values no tour can reach.
 
 Flow variables are per-arc: one weight in [0,1] for every ordered city
-pair. The cutting-plane loop adds one most-violated subtour cut per
-round until the separation oracle is silent or the round budget runs
-out, recording how many cuts this loop added (Bland's pivots choose
-them, so another loop may need fewer).
+pair. The cutting-plane loop adds one violated subtour cut per round,
+drawn from the last separation's cuts, until the separation oracle is
+silent or the round budget runs out, recording how many cuts this loop
+added (Bland's pivots choose them, so another loop may need fewer).
 """
 
 from __future__ import annotations
@@ -411,19 +411,50 @@ def _max_flow_min_cut(
         flow_value += bottleneck
 
 
+def _components(n: int, weight: list[list[int]]) -> list[tuple[int, ...]]:
+    """The components of the support graph, one undirected edge per arc
+    of positive weight, each sorted and listed by its least city."""
+    seen = [False] * n
+    found = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = [start]
+        for u in members:
+            for w in range(n):
+                if not seen[w] and (weight[u][w] or weight[w][u]):
+                    seen[w] = True
+                    members.append(w)
+        found.append(tuple(sorted(members)))
+    return found
+
+
+def _cut_value(n: int, subset: tuple[int, ...], point: Sequence[Rational]) -> Rational:
+    """The exact flow the point sends out of the subset."""
+    inside = set(subset)
+    return sum(
+        (x for (i, j), x in zip(arc_list(n), point) if i in inside and j not in inside),
+        Fraction(0),
+    )
+
+
 def separate_subtour(
     inst: TspInstance, point: Sequence[Rational]
-) -> Optional[tuple[int, ...]]:
-    """Most-violated subtour cut under the point, or None if every cut
-    holds. The point must be exact, nonnegative and degree-feasible. It
-    is scaled once to integers over the lcm of its denominators, and
-    exact min-cuts from city 0 to every other city decide. They reach
-    the global minimum because a degree-feasible point sends as much
-    flow out of every subset as into it. A disconnected support needs
-    no search of its own: the point is a circulation, so a probe toward
-    a city outside city 0's component finds no path and returns that
-    component at value 0. Ties go to the lexicographically smallest
-    subset among candidates."""
+) -> tuple[tuple[int, ...], ...]:
+    """Violated subtour cuts under the point, each a subset of 2..n-1
+    cities in increasing order; () if every cut holds. The point must be
+    exact, nonnegative and degree-feasible. It is scaled once to
+    integers over the lcm of its denominators. When its support graph
+    (one undirected edge per arc of positive weight) has more than one
+    component, every component is returned, listed by least city so
+    that city 0's comes first: the point is a circulation, so each
+    one's cut value is 0, and no min-cut search is needed. Otherwise
+    exact min-cuts from city 0 to every other city decide, and the one
+    most-violated cut is returned alone. They reach the global minimum
+    because a degree-feasible point sends as much flow out of every
+    subset as into it. Ties go to the lexicographically smallest subset
+    among candidates."""
     n = inst.n
     arcs = arc_list(n)
     if len(point) != len(arcs):
@@ -443,6 +474,10 @@ def separate_subtour(
         in_w[j] += wi
     if any(out_w[c] != scale or in_w[c] != scale for c in range(n)):
         raise ValidationError("separation requires a degree-feasible point")
+    # a city's out-degree is 1, so no component is a single city
+    components = _components(n, weight)
+    if len(components) > 1:
+        return tuple(components)
 
     # Degree feasibility makes out(S) = in(S) = out(V - S) for every S,
     # so a cut whose source side avoids city 0 has the value of its
@@ -451,7 +486,7 @@ def separate_subtour(
     # toward city 0 can therefore neither lower the minimum nor win a tie.
     probes = (_max_flow_min_cut(n, weight, 0, other) for other in range(1, n))
     best = min((cut for cut in probes if cut[0] < scale), default=None)
-    return best[1] if best else None
+    return (best[1],) if best else ()
 
 
 # ---------------------------------------------------------------------------
@@ -482,25 +517,31 @@ DEFAULT_ROUNDS = 50
 def cutting_plane_loop(
     inst: TspInstance, max_rounds: int = DEFAULT_ROUNDS
 ) -> CuttingPlaneTrace:
-    """Solve, separate, add one cut, repeat. Each round's program is
-    the last one with its violated cut appended as a new last row, so
-    the degree LP is built once. Round 1 starts at the cycle cover that
+    """Solve, take a violated cut, add it, repeat. Each round's program
+    is the last one with its cut appended as a new last row, so the
+    degree LP is built once. Round 1 starts at the cycle cover that
     successor swaps reach from the tour 0, 1, ..., n - 1
     (``cover_columns``), a vertex of the degree LP, where every degree
     row's zero-span slack is basic at 0 and the dual simplex makes no
-    basis change; each later round starts from the last
-    round's tableau, where the cut enters with its slack basic below 0
-    and the dual simplex re-optimises from the last optimal basis,
-    instead of a cold solve. Values are nondecreasing because each round's
-    feasible region shrinks. The valley LPs are degenerate, so the warm
-    path may end a round at another optimal vertex than a cold solve
-    would; the loop can then stop, complete and at the tour optimum, on a
-    fractional point no subtour cut separates (``final_integral`` false,
-    as at ten 2-city valleys with 60 rounds, entries k/2)."""
+    basis change; each later round starts from the last round's
+    tableau, where the cut enters with its slack basic below 0 and the
+    dual simplex re-optimises from the last optimal basis, instead of a
+    cold solve. A separation may return several cuts (one per component
+    of a disconnected support); they wait in a pool, and each round
+    keeps the pool's cuts that its point still violates (exact cut value
+    below 1) and adds the first of them, separating again only when none
+    is left. A round adds one cut, so a round is one solve. No cut is
+    added twice: a cut already in the program holds at every later
+    point. Values are nondecreasing because each round's feasible region
+    shrinks. The valley LPs are degenerate, so the warm path may end a
+    round at another optimal vertex than a cold solve would; the loop
+    can then stop, complete and at the tour optimum, on a fractional
+    point no subtour cut separates (``final_integral`` false)."""
     require_int(max_rounds, 1, None, "max_rounds")
     rounds: list[CutRound] = []
     program = degree_lp(inst)
     outcome = None
+    pool: list[tuple[int, ...]] = []
     for rnd in range(1, max_rounds + 1):
         if outcome is None:
             outcome = solve_lp(program, at_upper=cover_columns(inst))
@@ -508,7 +549,10 @@ def cutting_plane_loop(
             outcome = solve_lp(program, start=outcome)
         if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
             raise AssertionError(f"relaxation solve came back {outcome.status}")
-        violated = separate_subtour(inst, outcome.point)
+        # the last separation's cuts this point still violates, in order
+        pool = [S for S in pool if _cut_value(inst.n, S, outcome.point) < 1]
+        pool = pool or list(separate_subtour(inst, outcome.point))
+        violated = pool.pop(0) if pool else None
         rounds.append(
             CutRound(rnd, outcome.value, violated, len(program.constraints))
         )

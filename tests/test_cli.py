@@ -483,11 +483,15 @@ PINNED_REPORTS = [
     # reverse order, with the same values, and ends on another optimal
     # tour; (6, 2) adds its 2-city-valley cuts in another order, with
     # the same values, and ends on another tour; and (3, 3) takes 7
-    # rounds instead of 11, to the same value
+    # rounds instead of 11, to the same value; and all four again when a
+    # separation of a disconnected support began to yield every
+    # component's cut, added one per round from a pool: (4, 2) takes 5
+    # rounds instead of 8, (6, 2) 9 instead of 19 and (3, 3) 6 instead
+    # of 7, each to the same final value
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "json",
-     "a51a5420a041ac3896c351b78ccdef7f3975ab881a87cb102af164807c5f3f38"),
+     "3b4510434dbc86a1a96e8e179045d7e3bf1399cab1c258ef1b8a648f46ce0ad0"),
     (["cutting-plane", "--valleys", "4", "--cities-per-valley", "2"], "csv",
-     "be32d44cd707e7e66eb75b53d57b65a413e98c3765ac4a09c544968e90034273"),
+     "3a0b9eb8e72f037afaa2952eb20e0e1a5fe66f67202144b1b1c736939d688b50"),
     # re-recorded when refused flags began to record null: rounds, read
     # only by the cutting-plane relaxation, went from 50 to null
     (["valley-gap", "--valleys", "6", "--cities-per-valley", "2",
@@ -503,10 +507,10 @@ PINNED_REPORTS = [
     # feasibility search stopped as soon as every row held; it now ends
     # on a tour
     (["cutting-plane", "--valleys", "6", "--cities-per-valley", "2"], "json",
-     "eecc5d855cf2813af155170cef5424fe6051767a244e4f30715d053b6ff6271b"),
+     "2a3c99e7cc9c2245449b0eaf99162645731dc42303350c12b95fe9802229fa81"),
     (["cutting-plane", "--valleys", "3", "--cities-per-valley", "3",
       "--intra-cost", "1/7", "--crossing-cost", "5/3"], "csv",
-     "a39fd4d54c4219fdd09c02fa4e2bd17b434deadaf155f586f78a5a66e5933dc9"),
+     "1f457f6110e60a4afe081afd2ad5fe2360fadbe29a5edcbfcc9927db9328d927"),
 ]
 
 

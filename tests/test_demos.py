@@ -12,7 +12,10 @@ its fourth and fifth cuts and ends on a tour instead of a fractional
 point; and again when the loop's first round began to start at a cycle
 cover and each later round to re-optimise by the dual simplex: k4 and k6
 add the same cuts, at the same values, in another order, and end on
-other optimal tours). A kernel
+other optimal tours; and again when a separation of a disconnected
+support began to yield every component's cut, added one per round from
+a pool: k4 takes 5 rounds instead of 8 and k6 9 instead of 19, each
+reaching the same final value on a tour). A kernel
 change that moves any pivot, cut sequence, witness or report byte fails
 here. The script runs as a user runs it, in a fresh process with
 ``--outdir out``, from a temporary working directory: the check-flow
@@ -35,13 +38,13 @@ DEMO_SHA256 = {
     "check_flow_three_circulations.json":
         "45729a89a8372d7a80e4bb9660ffb553aa7e83edb8f6c8e7712a4f05afc7d877",
     "cutting_plane_k4.csv":
-        "dd91ec400a5793c36f7164b3e0c3505b28037e94a4953dccf7f8f8a905867ac8",
+        "8aa419da3ece4cd58b6e2649472bf34d3f1fee37c3f04105fd7283baee684257",
     "cutting_plane_k4.json":
-        "749e6e63bb757e5cad8df2ac5f99311fbeb00eac8b5cd849775018feab86f356",
+        "3bcd6cf80c1f7b580f72060a883d0123f1ee5dffbe1e819a8a75555aa54b6018",
     "cutting_plane_k6.csv":
-        "d1a07bf6e7342dee786e7a3d3d13b5163e24315be99977e9b9b2c4a8a3e913b6",
+        "38094591e7d310b07e033f11544e2d0d5c0e42c253163a50ced3fbbced1e7a60",
     "cutting_plane_k6.json":
-        "e5e1f636d9b2639dbcd6206bac49033244e1e77d54e812e8b45046b202ebcac2",
+        "d48db936fc40f0baad8f69c0f76d9b6878f6f7e6f095fbfc0ea9404262e4250e",
     "decide_k10_ilp.json":
         "ba52549705760e73f38405d290065f1a4236d14567519f274100b77eda58d7ba",
     "decide_k10_lp.json":

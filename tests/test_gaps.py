@@ -286,11 +286,24 @@ def test_a_relaxation_needs_a_tuple_of_tuples_of_distinct_cities(cut_subsets, me
 
 def test_one_cut_relaxation_has_one_description():
     # the order a caller lists cities in is not part of the relaxation:
-    # each subset is stored with its cities sorted
+    # each subset is stored with its cities sorted, and the subsets sorted
     made = RelaxationDesc("degree+cuts", ((1, 0), (3, 2), (0, 2, 1)))
-    assert made.cut_subsets == ((0, 1), (2, 3), (0, 1, 2))
+    assert made.cut_subsets == ((0, 1), (0, 1, 2), (2, 3))
     assert made == RelaxationDesc("degree+cuts", ((0, 1), (2, 3), (0, 1, 2)))
     assert hash(made) == hash(RelaxationDesc("degree+cuts", made.cut_subsets))
+
+
+def test_the_order_of_cut_subsets_is_not_part_of_a_description():
+    made = RelaxationDesc("degree+cuts", ((2, 3), (0, 1)))
+    same = RelaxationDesc("degree+cuts", ((0, 1), (2, 3)))
+    assert made == same and hash(made) == hash(same)
+    assert made.cut_subsets == ((0, 1), (2, 3))
+    # one city set named twice, in either order of its cities, is refused
+    # when the description is made, not when its program is built
+    for subsets in (((0, 1), (2, 3), (0, 1)), ((1, 0), (2, 3), (0, 1))):
+        with pytest.raises(ValidationError,
+                           match=re.escape("cut subset [0, 1] is named more than once")):
+            RelaxationDesc("degree+cuts", subsets)
 
 
 def lower_corner_value(inst, relaxation):

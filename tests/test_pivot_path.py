@@ -10,7 +10,9 @@ re-optimise by the dual simplex and the loop's first round to start at
 a cycle cover, both digests again when cold solves began to repair
 their rows by the dual simplex, which replaced that search, and both
 digests again when each equality row took a slack of span 0, numbered
-among the slacks, in place of a basic variable that had no column. The programs
+among the slacks, in place of a basic variable that had no column, and
+the cut loops again when a separation of a disconnected support began
+to yield every component's cut, added one per round from a pool. The programs
 are degenerate: many optimal vertices tie, and Bland's rule picks one
 of them. A kernel change that keeps every value optimal but lets a tie
 break differently moves a cut sequence, an optimal point or a hull
@@ -39,32 +41,29 @@ from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 F = Fraction
 
 # recorded from the warm cut loop, whose first round starts at the cycle
-# cover that swaps reach from the identity tour and whose every later
+# cover that swaps reach from the identity tour, whose every later
 # round re-optimises the last round's tableau, its cut appended, by the
-# dual simplex
+# dual simplex, and whose cuts come one per round from a pool of the
+# last separation's cuts (every component of a disconnected support)
 CUT_LOOPS = {
     (4, 2): dict(
         rounds=[
             (F(8, 7), (0, 1), 16),
-            (F(88, 21), (0, 1, 2, 3), 17),
-            (F(88, 21), (0, 1, 4, 5), 18),
-            (F(88, 21), (0, 1, 6, 7), 19),
-            (F(40, 7), (0, 1, 2, 3, 4, 5), 20),
-            (F(40, 7), (0, 1, 2, 3, 6, 7), 21),
-            (F(40, 7), (0, 1, 4, 5, 6, 7), 22),
-            (F(152, 21), None, 23),
+            (F(88, 21), (4, 5), 17),
+            (F(88, 21), (6, 7), 18),
+            (F(40, 7), (0, 1, 4, 5, 6, 7), 19),
+            (F(152, 21), None, 20),
         ],
-        final_support=(0, 11, 16, 27, 30, 39, 42, 55),
+        final_support=(0, 9, 18, 23, 34, 39, 42, 55),
     ),
     (3, 3): dict(
         rounds=[
             (F(9, 7), (0, 1, 2), 18),
-            (F(13, 3), (0, 3, 4, 5), 19),
-            (F(13, 3), (0, 1, 2, 3, 4, 5), 20),
-            (F(13, 3), (0, 6, 7, 8), 21),
-            (F(13, 3), (0, 1, 2, 6, 7, 8), 22),
-            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 23),
-            (F(41, 7), None, 24),
+            (F(13, 3), (6, 7, 8), 19),
+            (F(13, 3), (0, 6, 7, 8), 20),
+            (F(13, 3), (3, 4, 5), 21),
+            (F(41, 7), (0, 3, 4, 5, 6, 7, 8), 22),
+            (F(41, 7), None, 23),
         ],
         final_support=(1, 11, 17, 30, 36, 43, 48, 63, 70),
     ),

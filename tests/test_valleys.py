@@ -260,7 +260,8 @@ def test_all_valley_cuts_reach_integer_optimum():
 def test_separation_finds_disconnected_valley():
     inst = gen_valley_instance(4, 2)
     point = flow_to_point(inst, valley_internal_cycles_flow(inst))
-    assert separate_subtour(inst, point) == (0, 1)
+    # every valley is a component of the support, city 0's first
+    assert separate_subtour(inst, point) == ((0, 1), (2, 3), (4, 5), (6, 7))
 
 
 def test_separation_refuses_a_point_of_the_wrong_length():
@@ -274,7 +275,7 @@ def test_separation_accepts_tours():
     inst = gen_valley_instance(4, 2)
     tour = tsp_oracle(inst).tour
     point = flow_to_point(inst, tour_flow(inst, tour))
-    assert separate_subtour(inst, point) is None
+    assert separate_subtour(inst, point) == ()
 
 
 def test_separation_accepts_two_half_weight_tours():
@@ -290,7 +291,7 @@ def test_separation_accepts_two_half_weight_tours():
     point = flow_to_point(
         inst, flow_from_arcs(inst, [(i, j, w) for (i, j), w in combined.items()])
     )
-    assert separate_subtour(inst, point) is None
+    assert separate_subtour(inst, point) == ()
 
 
 def test_separation_soundness_on_random_tour_mixtures():
@@ -313,16 +314,14 @@ def test_separation_soundness_on_random_tour_mixtures():
             inst,
             flow_from_arcs(inst, [(i, j, w) for (i, j), w in combined.items()]),
         )
-        subset = separate_subtour(inst, point)
-        if subset is None:
-            continue
-        # re-evaluate the returned cut independently
-        inside = set(subset)
-        value = sum(
-            w for (i, j), w in combined.items() if i in inside and j not in inside
-        )
-        assert value < 1
-        assert 2 <= len(subset) <= n - 1
+        # re-evaluate each returned cut independently
+        for subset in separate_subtour(inst, point):
+            inside = set(subset)
+            value = sum(
+                w for (i, j), w in combined.items() if i in inside and j not in inside
+            )
+            assert value < 1
+            assert 2 <= len(subset) <= n - 1
 
 
 def _random_derangement(rng, n):
@@ -336,8 +335,9 @@ def _random_derangement(rng, n):
 @pytest.mark.parametrize("n", range(3, 9))
 def test_separation_matches_brute_force_min_cut(n):
     """On convex mixes of derangements (cycle covers, so degree-feasible
-    points with and without subtours), separation answers None exactly
-    when every cut holds and otherwise returns a minimum-value cut."""
+    points with and without subtours), separation answers () exactly
+    when every cut holds and otherwise returns minimum-value cuts: every
+    component of a disconnected support, or one cut of a connected one."""
     rng = random.Random(1000 + n)
     inst = instance_from_cost_matrix([[0] * n for _ in range(n)])
     for _ in range(60):
@@ -352,20 +352,27 @@ def test_separation_matches_brute_force_min_cut(n):
                 )
         point = [weights.get(arc, Fraction(0)) for arc in arc_list(n)]
         best = brute_force_min_subtour_cut(n, weights)
-        subset = separate_subtour(inst, point)
+        cuts = separate_subtour(inst, point)
         if best >= 1:
-            assert subset is None
+            assert cuts == ()
         else:
-            assert subset is not None
-            assert 2 <= len(subset) <= n - 1
-            # distinct cities in increasing order: the cut loop builds its
-            # row from the subset without checking it again
-            assert list(subset) == sorted(set(subset))
-            assert subtour_cut_value(weights, subset) == best
-        # a disconnected support is cut at city 0's component
+            assert cuts
+            for subset in cuts:
+                assert 2 <= len(subset) <= n - 1
+                # distinct cities in increasing order: the cut loop builds
+                # its row from the subset without checking it again
+                assert list(subset) == sorted(set(subset))
+                assert subtour_cut_value(weights, subset) == best
+        # a disconnected support is cut at every component, city 0's
+        # first; a connected one at a single cut
         component = weak_component(n, weights, 0)
         if len(component) < n:
-            assert subset == component
+            assert cuts[0] == component
+            assert cuts == tuple(weak_component(n, weights, S[0]) for S in cuts)
+            assert sorted(c for S in cuts for c in S) == list(range(n))
+            assert [S[0] for S in cuts] == sorted(S[0] for S in cuts)
+        else:
+            assert len(cuts) <= 1
 
 
 def _reversed_double_cycle_point():
@@ -423,18 +430,34 @@ INTRA_COSTS = (Fraction(0), Fraction(1, 7), Fraction(1, 3))
 CROSSING_COSTS = (Fraction(1), Fraction(5, 3), Fraction(2))
 
 
+def record_separations(monkeypatch):
+    """Patch the loop's separation; the returned list gets each point
+    it separates."""
+    points = []
+
+    def recording_separate(inst, point):
+        points.append(point)
+        return separate_subtour(inst, point)
+
+    monkeypatch.setattr(valleys, "separate_subtour", recording_separate)
+    return points
+
+
 @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (5, 2)])
 @pytest.mark.parametrize("intra", INTRA_COSTS)
 @pytest.mark.parametrize("crossing", CROSSING_COSTS)
 def test_cut_loop_invariants(monkeypatch, shape, intra, crossing):
-    # every point the loop separates, recorded as the loop sees it
+    # every round's point, recorded from the loop's solves, and every
+    # separation the loop runs
     seen = []
 
-    def recording_separate(inst, point):
-        seen.append(point)
-        return separate_subtour(inst, point)
+    def recording_solve(*args, **kwargs):
+        outcome = solve_lp(*args, **kwargs)
+        seen.append(outcome.point)
+        return outcome
 
-    monkeypatch.setattr(valleys, "separate_subtour", recording_separate)
+    monkeypatch.setattr(valleys, "solve_lp", recording_solve)
+    separations = record_separations(monkeypatch)
     inst = gen_valley_instance(*shape, intra, crossing)
     trace = cutting_plane_loop(inst)
     arcs = arc_list(inst.n)
@@ -442,9 +465,12 @@ def test_cut_loop_invariants(monkeypatch, shape, intra, crossing):
     values = [r.lp_value for r in trace.rounds]
     assert values == sorted(values)
     assert len(seen) == len(trace.rounds) == len(trace.cuts) + 1
+    # the pool spares a separation on some rounds, never adds one
+    assert 1 <= len(separations) <= len(trace.rounds)
+    assert len(set(trace.cuts)) == len(trace.cuts)
     for k, (point, cut) in enumerate(zip(seen, trace.cuts)):
         # each round's point is feasible for the cuts before it and
-        # violates the cut it yields
+        # violates the cut it adds
         assert point_feasible(relaxation_with_cuts(inst, trace.cuts[:k]), point)
         assert subtour_cut_value(dict(zip(arcs, point)), cut) < 1
     assert seen[-1] == trace.final_point
@@ -455,19 +481,43 @@ def test_cut_loop_invariants(monkeypatch, shape, intra, crossing):
     assert trace.final_value == values[-1] == tsp_oracle(inst).cost
 
 
-def test_cutting_plane_ten_valleys_ends_on_a_fractional_point():
+def test_cutting_plane_twenty_valleys_completes_within_the_default_rounds(monkeypatch):
+    # one separation of a disconnected support yields every component's
+    # cut, and later rounds add them from the pool without separating
+    # again; cutting city 0's component alone took 208 rounds on it
+    separations = record_separations(monkeypatch)
+    inst = gen_valley_instance(20, 2)
+    trace = cutting_plane_loop(inst)  # the default round budget
+    assert trace.complete and trace.final_value == 20
+    assert len(separations) < len(trace.rounds)
+    weights = dict(zip(arc_list(inst.n), trace.final_point))
+    assert min_subtour_cut(inst.n, weights) >= 1
+
+
+# a random metric instance, arc costs drawn from {1, 2, 3, 5, 8, 13} and
+# closed under shortest paths, on which the loop ends on a fractional
+# vertex of the subtour LP
+FRACTIONAL_END_COSTS = [
+    [0, 1, 3, 2, 1, 2],
+    [2, 0, 5, 1, 2, 1],
+    [3, 3, 0, 2, 4, 4],
+    [1, 2, 4, 0, 2, 2],
+    [4, 3, 7, 3, 0, 4],
+    [1, 2, 4, 2, 1, 0],
+]
+
+
+def test_cutting_plane_ends_on_a_fractional_point():
     # the warm loop reaches the tour optimum on a fractional vertex of
-    # the subtour LP: no subtour cut separates it, so the loop is done;
-    # 20 cities are too many to scan every subset, so the check that no
-    # cut separates the point is a minimum cut
-    inst = gen_valley_instance(10, 2)
-    trace = cutting_plane_loop(inst, 60)
-    assert trace.complete and len(trace.rounds) == 53
-    assert trace.final_value == 10 == tsp_oracle(inst).cost
+    # the subtour LP: no subtour cut separates it, so the loop is done
+    inst = instance_from_cost_matrix(FRACTIONAL_END_COSTS)
+    trace = cutting_plane_loop(inst)
+    assert trace.complete and len(trace.rounds) == 3
+    assert trace.final_value == 12 == tsp_oracle(inst).cost
     assert not trace.final_integral
     assert {x.denominator for x in trace.final_point} == {1, 2}
     weights = dict(zip(arc_list(inst.n), trace.final_point))
-    assert min_subtour_cut(inst.n, weights) >= 1
+    assert brute_force_min_subtour_cut(inst.n, weights) >= 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -494,8 +544,9 @@ def test_property_min_subtour_cut_matches_the_subset_scan(n, data):
 
 def test_cutting_plane_five_four_city_valleys_stays_within_its_pivots(monkeypatch):
     # round 1 starts at a cycle cover and each cut is re-optimised by the
-    # dual simplex from the last optimal basis: 138 basis changes in 26
-    # rounds, where a primal feasibility search from the last basis took
+    # dual simplex from the last optimal basis: 62 basis changes in 11
+    # rounds (138 in 26 when each separation gave city 0's component
+    # alone), where a primal feasibility search from the last basis took
     # 1,466 in 60, and one that pivoted on after every row held, 5,085
     changes = 0
     replace_basis = _Tableau._replace
