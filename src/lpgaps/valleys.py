@@ -207,14 +207,11 @@ def degree_lp(inst: TspInstance) -> LinearProgram:
 
 
 def subtour_cut(inst: TspInstance, subset: Iterable[int]) -> Constraint:
-    """Cut form of subtour elimination for S: total flow leaving S >= 1."""
-    return _cut_row(inst.n, _checked_subset(inst, subset))
-
-
-def _cut_row(n: int, subset: tuple[int, ...]) -> Constraint:
-    """The cut row of a subset that _checked_subset has passed."""
-    inside = set(subset)
-    coeffs = [int(i in inside and j not in inside) for (i, j) in arc_list(n)]
+    """Cut form of subtour elimination for S: total flow leaving S >= 1.
+    The one way a cut row is made, so every row's subset is checked:
+    2..n-1 distinct cities. Distinct subsets give distinct rows."""
+    inside = set(_checked_subset(inst, subset))
+    coeffs = [int(i in inside and j not in inside) for (i, j) in arc_list(inst.n)]
     return Constraint(tuple(coeffs), GREATER_EQ, 1)
 
 
@@ -232,13 +229,17 @@ def relaxation_with_cuts(
 ) -> LinearProgram:
     """The degree LP with one subtour cut per subset; with no subset,
     the degree LP itself, not a copy that checks its rows again. Two
-    subsets that name one city set are refused: the second would only
-    repeat the first one's row."""
-    subsets = [_checked_subset(inst, S) for S in cut_subsets]
-    repeated = [S for S, count in Counter(subsets).items() if count > 1]
+    subsets that name one city set are refused, since they build one
+    row; the error names the first such set in order of appearance."""
+    subsets = [tuple(S) for S in cut_subsets]
+    cuts = [subtour_cut(inst, S) for S in subsets]
+    first: dict[Constraint, int] = {}
+    repeated = [first[row] for k, row in enumerate(cuts)
+                if first.setdefault(row, k) != k]
     if repeated:
-        raise ValidationError(f"cut subset {list(repeated[0])} is named more than once")
-    cuts = [_cut_row(inst.n, S) for S in subsets]
+        raise ValidationError(
+            f"cut subset {sorted(subsets[min(repeated)])} is named more than once"
+        )
     program = degree_lp(inst)
     return with_constraints(program, cuts) if cuts else program
 
@@ -358,11 +359,7 @@ def check_flow_feasibility(
     evaluations = []
     for subset in cut_subsets:
         S = _checked_subset(inst, subset)
-        inside = set(S)
-        value = sum(
-            (w for (i, j, w) in flow.arcs if i in inside and j not in inside),
-            zero,
-        )
+        value = _cut_value(S, flow.arcs)
         evaluations.append(CutEvaluation(S, value, value >= one))
     return FlowReport(
         degree_ok=not imbalances,
@@ -377,6 +374,27 @@ def check_flow_feasibility(
 # ---------------------------------------------------------------------------
 # Separation: exact min-cut probes from city 0 on integer capacities
 
+def _search(
+    n: int, capacity: list[list[int]], source: int, sink: int = -1
+) -> list[int]:
+    """Breadth-first search from source along arcs of positive capacity,
+    stopped when it reaches the sink (with no sink, when it has reached
+    all it can): each city's parent on the search, source for source
+    itself and -1 for a city not reached."""
+    parent = [-1] * n
+    parent[source] = source
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        if u == sink:
+            break
+        for w in range(n):
+            if parent[w] < 0 and capacity[u][w] > 0:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
 def _max_flow_min_cut(
     n: int, capacity: list[list[int]], source: int, sink: int
 ) -> tuple[int, tuple[int, ...]]:
@@ -384,17 +402,7 @@ def _max_flow_min_cut(
     residual = [row[:] for row in capacity]
     flow_value = 0
     while True:
-        parent = [-1] * n
-        parent[source] = source
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if u == sink:
-                break
-            for w in range(n):
-                if parent[w] < 0 and residual[u][w] > 0:
-                    parent[w] = u
-                    queue.append(w)
+        parent = _search(n, residual, source, sink)
         if parent[sink] < 0:
             # the search ran out before the sink: it visited exactly
             # the source side of a minimum cut
@@ -413,30 +421,28 @@ def _max_flow_min_cut(
 
 def _components(n: int, weight: list[list[int]]) -> list[tuple[int, ...]]:
     """The components of the support graph, one undirected edge per arc
-    of positive weight, each sorted and listed by its least city."""
-    seen = [False] * n
-    found = []
+    of positive weight, each sorted and listed by its least city. The
+    weights must be a circulation: then every arc of positive weight
+    lies on a directed cycle, so the cities a search along such arcs
+    reaches from a city are its whole component, and one search from
+    each city not yet reached finds them all."""
+    found: list[tuple[int, ...]] = []
     for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        members = [start]
-        for u in members:
-            for w in range(n):
-                if not seen[w] and (weight[u][w] or weight[w][u]):
-                    seen[w] = True
-                    members.append(w)
-        found.append(tuple(sorted(members)))
+        if not any(start in component for component in found):
+            parent = _search(n, weight, start)
+            found.append(tuple(i for i in range(n) if parent[i] >= 0))
     return found
 
 
-def _cut_value(n: int, subset: tuple[int, ...], point: Sequence[Rational]) -> Rational:
-    """The exact flow the point sends out of the subset."""
+def _cut_value(
+    subset: Iterable[int], arcs: Iterable[tuple[int, int, Rational]]
+) -> Rational:
+    """The exact weight the (i, j, w) arc records send out of the
+    subset; the one sum behind a flow report's cut values and the cut
+    loop's pool."""
     inside = set(subset)
-    return sum(
-        (x for (i, j), x in zip(arc_list(n), point) if i in inside and j not in inside),
-        Fraction(0),
-    )
+    leaving = (w for (i, j, w) in arcs if i in inside and j not in inside)
+    return sum(leaving, Fraction(0))
 
 
 def separate_subtour(
@@ -474,7 +480,8 @@ def separate_subtour(
         in_w[j] += wi
     if any(out_w[c] != scale or in_w[c] != scale for c in range(n)):
         raise ValidationError("separation requires a degree-feasible point")
-    # a city's out-degree is 1, so no component is a single city
+    # the point is a circulation, as _components needs, and a city's
+    # out-degree is 1, so no component is a single city
     components = _components(n, weight)
     if len(components) > 1:
         return tuple(components)
@@ -550,7 +557,8 @@ def cutting_plane_loop(
         if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
             raise AssertionError(f"relaxation solve came back {outcome.status}")
         # the last separation's cuts this point still violates, in order
-        pool = [S for S in pool if _cut_value(inst.n, S, outcome.point) < 1]
+        arcs = [(i, j, x) for (i, j), x in zip(arc_list(inst.n), outcome.point) if x]
+        pool = [S for S in pool if _cut_value(S, arcs) < 1]
         pool = pool or list(separate_subtour(inst, outcome.point))
         violated = pool.pop(0) if pool else None
         rounds.append(
@@ -558,10 +566,7 @@ def cutting_plane_loop(
         )
         if violated is None:
             break
-        # separation returns 2..n-1 distinct cities in increasing order
-        # (a single city's cut value is its out-degree 1), so the row
-        # needs no check of its subset
-        program = with_constraints(program, [_cut_row(inst.n, violated)])
+        program = with_constraints(program, [subtour_cut(inst, violated)])
     return CuttingPlaneTrace(
         rounds=tuple(rounds),
         cuts=tuple(r.cut_added for r in rounds if r.cut_added is not None),
@@ -599,52 +604,47 @@ def _int(token: str) -> int:
 MAX_FILE_CITIES = 200
 
 
+def _field(lines: Iterator[str], key: str) -> str:
+    """The value of the next line, which must be the key field."""
+    got, _, value = next(lines, "").partition(" ")
+    if got != key:
+        found = repr(got) if got else "the end of the file"
+        raise ValidationError(f"expected the {key} field, not {found}")
+    return value
+
+
 def instance_from_text(text: str) -> TspInstance:
-    """Read an instance file. A file with more than MAX_FILE_CITIES
-    cities is refused at its n field, and a cost row before that field,
+    """Read an instance file: the fields n, valleys and costs, in the
+    order instance_to_text writes them, then n cost rows. A file with
+    more than MAX_FILE_CITIES cities is refused at its n field, a
+    valleys field whose id count is not n before any id is parsed, and
     a cost row whose entry count is not n and an (n + 1)-th cost row
-    are refused before any of their entries is parsed, as is a valleys
-    field whose id count is not n."""
-    fields: dict[str, str] = {}
-    cost_rows: list[tuple[Rational, ...]] = []
-    for ln in body_lines(text, "lpgaps-instance"):
-        key, _, rest = ln.partition(" ")
-        if key in fields:
-            raise ValidationError(f"repeated instance field {key!r}")
-        if "costs" in fields:
-            if "n" not in fields:
-                raise ValidationError(
-                    f"an instance file has at most {MAX_FILE_CITIES} cities "
-                    f"and must give n before its cost rows"
-                )
-            tokens = ln.split()
-            if len(tokens) != n:
-                raise ValidationError(
-                    f"cost row {len(cost_rows)} has {len(tokens)} entries, not n = {n}"
-                )
-            if len(cost_rows) == n:
-                raise ValidationError(
-                    f"an instance of {n} cities has {n} cost rows, not more"
-                )
-            cost_rows.append(tuple(parse_rational(t) for t in tokens))
-        elif key in ("n", "valleys", "costs"):
-            fields[key] = rest
-            if key == "n":
-                n = _int(rest)
-                if n > MAX_FILE_CITIES:
-                    raise ValidationError(
-                        f"an instance file has at most {MAX_FILE_CITIES} cities, "
-                        f"not {rest}"
-                    )
-        else:
-            raise ValidationError(f"unknown instance field {key!r}")
-    if "n" not in fields or "valleys" not in fields:
-        raise ValidationError("instance needs n and valleys fields")
-    ids = fields["valleys"].split()
+    before any of their entries is parsed."""
+    lines = body_lines(text, "lpgaps-instance")
+    n = _int(_field(lines, "n"))
+    if n > MAX_FILE_CITIES:
+        raise ValidationError(
+            f"an instance file has at most {MAX_FILE_CITIES} cities, not {n}"
+        )
+    ids = _field(lines, "valleys").split()
     if len(ids) != n:
         raise ValidationError(f"the valleys field has {len(ids)} ids, not n = {n}")
-    require_common_denominator((c for row in cost_rows for c in row), "costs")
     valley_of = tuple(_int(t) for t in ids)
+    if _field(lines, "costs"):
+        raise ValidationError("the costs field takes no value")
+    cost_rows: list[tuple[Rational, ...]] = []
+    for ln in lines:
+        tokens = ln.split()
+        if len(tokens) != n:
+            raise ValidationError(
+                f"cost row {len(cost_rows)} has {len(tokens)} entries, not n = {n}"
+            )
+        if len(cost_rows) == n:
+            raise ValidationError(
+                f"an instance of {n} cities has {n} cost rows, not more"
+            )
+        cost_rows.append(tuple(parse_rational(t) for t in tokens))
+    require_common_denominator((c for row in cost_rows for c in row), "costs")
     return TspInstance(n, valley_of, tuple(cost_rows))
 
 

@@ -304,7 +304,7 @@ def test_check_flow_refuses_a_malformed_flow_file(tmp_path, capsys):
 @pytest.mark.parametrize("head", [
     # n one past the cap: refused at the n line
     f"n {valleys.MAX_FILE_CITIES + 1}\nvalleys 0 1\ncosts\n",
-    # no n field: refused at the first cost row
+    # no n field: refused at the first line, where n must come
     "valleys 0 1\ncosts\n" + "0 1\n" * valleys.MAX_FILE_CITIES,
 ])
 def test_check_flow_refuses_an_instance_file_past_the_city_cap(tmp_path, capsys, head):
@@ -319,8 +319,9 @@ def test_check_flow_refuses_an_instance_file_past_the_city_cap(tmp_path, capsys,
         "--output", str(tmp_path / "report.json"),
     ])
     assert code == 2
-    assert (f"an instance file has at most {valleys.MAX_FILE_CITIES} cities"
-            in capsys.readouterr().err)
+    refusal = (f"an instance file has at most {valleys.MAX_FILE_CITIES} cities"
+               if head.startswith("n ") else "expected the n field, not 'valleys'")
+    assert refusal in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("costs, message", [

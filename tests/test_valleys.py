@@ -242,6 +242,15 @@ def test_a_cut_subset_named_twice_is_refused():
     inst = gen_valley_instance(3, 2)
     with pytest.raises(ValidationError, match=r"cut subset \[0, 1\] is named more"):
         relaxation_with_cuts(inst, [(0, 1), (1, 0)])
+    # of several repeated sets, the error names the one that appears
+    # first, not the one whose repeat comes first
+    for subsets, named in [
+        ([(2, 3), (1, 0), (3, 2), (0, 1)], "[2, 3]"),
+        ([(0, 1), (2, 3), (3, 2), (1, 0)], "[0, 1]"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            relaxation_with_cuts(inst, subsets)
+        assert str(info.value) == f"cut subset {named} is named more than once"
 
 
 def test_two_protected_valleys_force_two_crossings():
@@ -359,8 +368,6 @@ def test_separation_matches_brute_force_min_cut(n):
             assert cuts
             for subset in cuts:
                 assert 2 <= len(subset) <= n - 1
-                # distinct cities in increasing order: the cut loop builds
-                # its row from the subset without checking it again
                 assert list(subset) == sorted(set(subset))
                 assert subtour_cut_value(weights, subset) == best
         # a disconnected support is cut at every component, city 0's
@@ -373,6 +380,40 @@ def test_separation_matches_brute_force_min_cut(n):
             assert [S[0] for S in cuts] == sorted(S[0] for S in cuts)
         else:
             assert len(cuts) <= 1
+
+
+@pytest.mark.parametrize("n", range(9, 21))
+def test_separation_returns_every_component_past_the_brute_force_scan(n):
+    """On convex mixes of cycle covers that each derange two to four
+    fixed blocks of cities, the support has a component per block or
+    more; separation returns exactly its weak components, listed by
+    least city."""
+    rng = random.Random(2000 + n)
+    inst = instance_from_cost_matrix([[0] * n for _ in range(n)])
+    for _ in range(20):
+        sizes = [2] * rng.randint(2, 4)
+        for _ in range(n - sum(sizes)):
+            sizes[rng.randrange(len(sizes))] += 1
+        cities = list(range(n))
+        rng.shuffle(cities)
+        blocks = []
+        for size in sizes:
+            blocks.append(cities[:size])
+            cities = cities[size:]
+        parts = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+        weights: dict[tuple[int, int], Fraction] = {}
+        for part in parts:
+            for block in blocks:
+                sigma = _random_derangement(rng, len(block))
+                for t, city in enumerate(block):
+                    arc = (city, block[sigma[t]])
+                    weights[arc] = weights.get(arc, Fraction(0)) + Fraction(
+                        part, sum(parts)
+                    )
+        point = [weights.get(arc, Fraction(0)) for arc in arc_list(n)]
+        components = sorted({weak_component(n, weights, c) for c in range(n)})
+        assert len(components) >= len(blocks)
+        assert separate_subtour(inst, point) == tuple(components)
 
 
 def _reversed_double_cycle_point():
@@ -723,16 +764,27 @@ def test_instance_text_errors():
         instance_from_text("lpgaps-instance 7\nn 2\n" + body)
     with pytest.raises(ValidationError, match="missing lpgaps-instance header"):
         instance_from_text("lpgaps-instance-extra\nn 2\n" + body)
-    with pytest.raises(ValidationError, match="repeated instance field 'n'"):
+    # the fields come in the order instance_to_text writes them, so a
+    # repeated, unknown, missing or misplaced field is refused where
+    # another was expected
+    with pytest.raises(ValidationError, match="expected the valleys field, not 'n'"):
         instance_from_text("lpgaps-instance 1\nn 5\nn 2\n" + body)
-    with pytest.raises(ValidationError, match="repeated instance field 'valleys'"):
+    with pytest.raises(ValidationError, match="expected the costs field, not 'valleys'"):
         instance_from_text("lpgaps-instance 1\nn 2\nvalleys 1 0\n" + body)
-    with pytest.raises(ValidationError, match="repeated instance field 'costs'"):
-        instance_from_text("lpgaps-instance 1\nn 2\n" + body + "costs\n")
-    with pytest.raises(ValidationError, match="unknown instance field 'cost'"):
+    with pytest.raises(ValidationError, match="expected the costs field, not 'cost'"):
         instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 1\ncost\n0 1\n1 0\n")
-    with pytest.raises(ValidationError, match="instance needs n and valleys fields"):
+    with pytest.raises(ValidationError, match="expected the valleys field, not 'costs'"):
         instance_from_text("lpgaps-instance 1\nn 2\ncosts\n0 1\n1 0\n")
+    with pytest.raises(ValidationError, match="expected the n field, not 'valleys'"):
+        instance_from_text("lpgaps-instance 1\nvalleys 0 1\nn 2\ncosts\n0 1\n1 0\n")
+    with pytest.raises(ValidationError, match="expected the costs field, not the end"):
+        instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 1\n")
+    # every line after the costs field is a cost row, a second costs
+    # line too, and the field itself takes no value
+    with pytest.raises(ValidationError, match="cost row 2 has 1 entries, not n = 2"):
+        instance_from_text("lpgaps-instance 1\nn 2\n" + body + "costs\n")
+    with pytest.raises(ValidationError, match="the costs field takes no value"):
+        instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts 1 2\n0 1\n1 0\n")
 
 
 def test_flow_text_round_trip():
