@@ -31,8 +31,6 @@ from .lp import (
     LinearProgram,
     LpOutcome,
     SolveStatus,
-    constraint,
-    linear_program,
     solve_lp,
 )
 from .rationals import Rational, format_rational, parse_rational
@@ -67,7 +65,6 @@ __all__ = [
     "ValidationError",
     "adversarial_objective",
     "check_flow_feasibility",
-    "constraint",
     "cutting_plane_loop",
     "decide_tour_at_most",
     "degree_lp",
@@ -75,7 +72,6 @@ __all__ = [
     "gen_arc",
     "gen_valley_instance",
     "integrality_gap",
-    "linear_program",
     "min_symbols_single",
     "min_symbols_subset",
     "monotone_model_demo",

@@ -27,7 +27,6 @@ from .lp import (
     LinearProgram,
     LpOutcome,
     SolveStatus,
-    linear_program,
     solve_lp,
 )
 from .rationals import Rational, require_indices, require_int
@@ -90,11 +89,6 @@ def gen_arc(vertex_count: int) -> ArcPolytope:
     return ArcPolytope(vertices, facets)
 
 
-def facet_constraint(facet: Halfplane) -> Constraint:
-    # y <= s*x + b as -s*x + y <= b
-    return Constraint((-facet.slope, 1), LESS_EQ, facet.intercept)
-
-
 def polytope_lp(
     poly: ArcPolytope,
     objective: tuple[Rational, Rational],
@@ -104,12 +98,10 @@ def polytope_lp(
     (0 <= x <= V-1, y >= 0) never counts against a storage budget."""
     kept = tuple(kept_facets)
     require_indices(kept, poly.facet_count, "kept facet")
-    return linear_program(
-        objective,
-        "max",
-        [facet_constraint(poly.facets[i]) for i in kept],
-        upper_bounds=[poly.x_max, None],
-    )
+    facets = [poly.facets[i] for i in kept]
+    # each facet y <= s*x + b is the row -s*x + y <= b
+    rows = [Constraint((-f.slope, 1), LESS_EQ, f.intercept) for f in facets]
+    return LinearProgram(objective, "max", rows, upper_bounds=(poly.x_max, None))
 
 
 @dataclass(frozen=True)

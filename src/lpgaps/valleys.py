@@ -17,7 +17,7 @@ added (Bland's pivots choose them, so another loop may need fewer).
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -29,9 +29,7 @@ from .lp import (
     Constraint,
     LinearProgram,
     SolveStatus,
-    linear_program,
     solve_lp,
-    with_constraints,
 )
 from .rationals import (
     Rational,
@@ -202,8 +200,8 @@ def degree_lp(inst: TspInstance) -> LinearProgram:
     for idx, (i, j) in enumerate(arcs):
         coeffs[i][idx] = 1
         coeffs[n + j][idx] = 1
-    rows = [Constraint(tuple(row), EQUAL, 1) for row in coeffs]
-    return linear_program(objective, "min", rows, upper_bounds=[1] * num)
+    rows = [Constraint(row, EQUAL, 1) for row in coeffs]
+    return LinearProgram(objective, "min", rows, upper_bounds=(1,) * num)
 
 
 def subtour_cut(inst: TspInstance, subset: Iterable[int]) -> Constraint:
@@ -212,7 +210,7 @@ def subtour_cut(inst: TspInstance, subset: Iterable[int]) -> Constraint:
     2..n-1 distinct cities. Distinct subsets give distinct rows."""
     inside = set(_checked_subset(inst, subset))
     coeffs = [int(i in inside and j not in inside) for (i, j) in arc_list(inst.n)]
-    return Constraint(tuple(coeffs), GREATER_EQ, 1)
+    return Constraint(coeffs, GREATER_EQ, 1)
 
 
 def _checked_subset(inst: TspInstance, subset: Iterable[int]) -> tuple[int, ...]:
@@ -241,7 +239,9 @@ def relaxation_with_cuts(
             f"cut subset {sorted(subsets[min(repeated)])} is named more than once"
         )
     program = degree_lp(inst)
-    return with_constraints(program, cuts) if cuts else program
+    if not cuts:
+        return program
+    return replace(program, constraints=program.constraints + tuple(cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +566,8 @@ def cutting_plane_loop(
         )
         if violated is None:
             break
-        program = with_constraints(program, [subtour_cut(inst, violated)])
+        cut = subtour_cut(inst, violated)
+        program = replace(program, constraints=program.constraints + (cut,))
     return CuttingPlaneTrace(
         rounds=tuple(rounds),
         cuts=tuple(r.cut_added for r in rounds if r.cut_added is not None),
@@ -616,12 +617,13 @@ def _field(lines: Iterator[str], key: str) -> str:
 def instance_from_text(text: str) -> TspInstance:
     """Read an instance file: the fields n, valleys and costs, in the
     order instance_to_text writes them, then n cost rows. A file with
-    more than MAX_FILE_CITIES cities is refused at its n field, a
-    valleys field whose id count is not n before any id is parsed, and
-    a cost row whose entry count is not n and an (n + 1)-th cost row
-    before any of their entries is parsed."""
+    fewer than 2 or more than MAX_FILE_CITIES cities is refused at its
+    n field, a valleys field whose id count is not n before any id is
+    parsed, and a cost row whose entry count is not n and an (n + 1)-th
+    cost row before any of their entries is parsed."""
     lines = body_lines(text, "lpgaps-instance")
     n = _int(_field(lines, "n"))
+    require_int(n, 2, None, "city count")
     if n > MAX_FILE_CITIES:
         raise ValidationError(
             f"an instance file has at most {MAX_FILE_CITIES} cities, not {n}"

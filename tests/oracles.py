@@ -362,7 +362,7 @@ def best_vertex_value(poly, objective):
 def random_bounded_lp(rng):
     """Seeded random program with <= 3 variables, <= 6 rows, and finite
     variable boxes (so vertex enumeration is a complete LP oracle)."""
-    from lpgaps.lp import linear_program
+    from lpgaps.lp import Constraint, LinearProgram
 
     n = rng.randint(1, 3)
     m = rng.randint(1, 6)
@@ -371,14 +371,14 @@ def random_bounded_lp(rng):
         return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
 
     rows = [
-        (
+        Constraint(
             [coef() for _ in range(n)],
             rng.choice(["<=", "<=", ">=", ">=", "="]),
             coef(),
         )
         for _ in range(m)
     ]
-    return linear_program(
+    return LinearProgram(
         [coef() for _ in range(n)],
         rng.choice(["max", "min"]),
         rows,

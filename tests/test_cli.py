@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from oracles import valley_internal_cycles_flow
-from lpgaps import cli, hull, valleys
+from lpgaps import cli, hull, lp, valleys
 from lpgaps.rationals import parse_rational
 from lpgaps.valleys import flow_arcs_to_text, gen_valley_instance, instance_to_text
 
@@ -740,6 +740,38 @@ def test_scan_over_the_work_limit_exits_3(tmp_path, capsys):
     assert code == 3
     assert "work units" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_a_simplex_run_past_its_pivot_budget_exits_3(tmp_path, capsys, monkeypatch):
+    # one step per run leaves room for the optimality check alone, and
+    # the lower corner of a hull model is not optimal
+    monkeypatch.setattr(lp, "PIVOT_BUDGET", 1)
+    monkeypatch.setattr(lp, "PIVOT_BUDGET_PER_LINE", 0)
+    code = cli.main([
+        "hull-adversary", "--vertices", "8", "--omit", "3",
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 3
+    assert "budget of 1 pivots" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("n", ["-3", "0", "1"])
+def test_check_flow_refuses_an_instance_file_of_too_few_cities(tmp_path, capsys, n):
+    # the valleys field has two ids, and a check after the n field would
+    # name that count instead of the city count
+    instance_path = tmp_path / "instance.txt"
+    flow_path = tmp_path / "flow.txt"
+    instance_path.write_text(
+        f"lpgaps-instance 1\nn {n}\nvalleys 0 1\ncosts\n0 1\n1 0\n"
+    )
+    flow_path.write_text("lpgaps-flow 1\n0 1 1\n1 0 1\n")
+    code = cli.main([
+        "check-flow", "--instance", str(instance_path), "--flow", str(flow_path),
+        "--output", str(tmp_path / "report.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: city count must be at least 2, not {n}\n"
 
 
 @pytest.mark.parametrize("subcommand", [

@@ -16,7 +16,9 @@ from lpgaps.valleys import TspInstance, gen_valley_instance
 
 INST = gen_valley_instance(3, 2)
 FLOW = valley_internal_cycles_flow(INST)
-CAPPED = lp.linear_program([1, 1], "max", [([1, 1], "<=", 1)], upper_bounds=[1, 1])
+CAPPED = lp.LinearProgram(
+    [1, 1], "max", [lp.Constraint([1, 1], "<=", 1)], upper_bounds=[1, 1]
+)
 
 # (entry point, call taking the bad value, a float, a bool, out of range);
 # each bool is in range where True (1) can be, so only its type refuses it
@@ -75,8 +77,8 @@ def never(*args, **kwargs):
 def no_work(monkeypatch):
     """Any model build, tableau, tour oracle call or subset count fails."""
     for module, name in [
-        (lp._Tableau, "__init__"), (gaps, "tsp_oracle"), (hull, "linear_program"),
-        (valleys, "linear_program"), (valleys, "arc_list"), (bounds, "comb"),
+        (lp._Tableau, "__init__"), (gaps, "tsp_oracle"), (hull, "LinearProgram"),
+        (valleys, "LinearProgram"), (valleys, "arc_list"), (bounds, "comb"),
     ]:
         monkeypatch.setattr(module, name, never)
 

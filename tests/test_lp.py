@@ -23,7 +23,8 @@ from test_pivot_path import (
     seeded_appended_rows,
     seeded_boxed_program,
 )
-from lpgaps.errors import ValidationError
+import lpgaps.lp as lp_module
+from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import integrality_gap
 from lpgaps.lp import (
     Constraint,
@@ -31,26 +32,24 @@ from lpgaps.lp import (
     SolveStatus,
     _eliminate,
     _Tableau,
-    constraint,
-    linear_program,
     solve_lp,
-    with_constraints,
 )
 from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 
 def three_facet_program():
     # max y - 5x over {y <= 7x, y <= 5x+2, y <= 3x+6, 0 <= x <= 3, y >= 0}
-    return linear_program(
+    return LinearProgram(
         [-5, 1],
         "max",
-        [([-7, 1], "<=", 0), ([-5, 1], "<=", 2), ([-3, 1], "<=", 6)],
+        [Constraint([-7, 1], "<=", 0), Constraint([-5, 1], "<=", 2),
+         Constraint([-3, 1], "<=", 6)],
         upper_bounds=[3, None],
     )
 
 
 def test_maximize_single_variable():
-    out = solve_lp(linear_program([1], "max", [([1], "<=", 1)]))
+    out = solve_lp(LinearProgram([1], "max", [Constraint([1], "<=", 1)]))
     assert out.status is SolveStatus.OPTIMAL
     assert out.point == (Fraction(1),)
     assert out.value == 1
@@ -62,12 +61,13 @@ def test_optimal_points_and_values_are_fractions():
     # same, since a report writes a Fraction as text and an int as a
     # JSON number
     direct = LinearProgram(
-        (Constraint((1, 1), "<=", 1),), (1, 0), "max", (0, 0), (None, None)
+        (1, 0), "max", (Constraint((1, 1), "<=", 1),), (0, 0), (None, None)
     )
     cold = solve_lp(direct)
     assert (cold.point, cold.value) == ((1, 0), 1)
     warm = solve_lp(replace(direct, objective=(0, 1)), start=cold)
-    grown = with_constraints(direct, [Constraint((0, 1), ">=", 1)])
+    floor = Constraint((0, 1), ">=", 1)
+    grown = replace(direct, constraints=[*direct.constraints, floor])
     for out in (cold, warm, solve_lp(grown, start=cold),
                 solve_lp(three_facet_program())):
         assert out.status is SolveStatus.OPTIMAL
@@ -76,7 +76,7 @@ def test_optimal_points_and_values_are_fractions():
 
 
 def test_infeasible_single_variable():
-    out = solve_lp(linear_program([1], "max", [([1], "<=", -1)]))
+    out = solve_lp(LinearProgram([1], "max", [Constraint([1], "<=", -1)]))
     assert out.status is SolveStatus.INFEASIBLE
     assert out.point is None
 
@@ -92,39 +92,39 @@ def test_three_facet_program_against_oracle():
 
 
 def test_unbounded_detection():
-    out = solve_lp(linear_program([0, 1], "max", [([1, 0], "<=", 1)]))
+    out = solve_lp(LinearProgram([0, 1], "max", [Constraint([1, 0], "<=", 1)]))
     assert out.status is SolveStatus.UNBOUNDED
 
 
 def test_bound_conflict_is_infeasible():
-    out = solve_lp(linear_program([1], "max", lower_bounds=[2], upper_bounds=[1]))
+    out = solve_lp(LinearProgram([1], "max", lower_bounds=[2], upper_bounds=[1]))
     assert out.status is SolveStatus.INFEASIBLE
 
 
 def test_negative_lower_bounds_and_minimize():
-    lp = linear_program(
-        [1], "min", [([1], ">=", -3)], lower_bounds=[-5], upper_bounds=[5]
+    lp = LinearProgram(
+        [1], "min", [Constraint([1], ">=", -3)], lower_bounds=[-5], upper_bounds=[5]
     )
     out = solve_lp(lp)
     assert out.value == -3
 
 
 def test_beale_cycling_example_terminates():
-    lp = linear_program(
+    lp = LinearProgram(
         [Fraction(3, 4), -150, Fraction(1, 50), -6],
         "max",
         [
-            ([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
-            ([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
-            ([0, 0, 1, 0], "<=", 1),
+            Constraint([Fraction(1, 4), -60, Fraction(-1, 25), 9], "<=", 0),
+            Constraint([Fraction(1, 2), -90, Fraction(-1, 50), 3], "<=", 0),
+            Constraint([0, 0, 1, 0], "<=", 1),
         ],
     )
     assert solve_lp(lp).value == Fraction(1, 20)
 
 
 def test_equality_rows_with_zero_span_slacks():
-    lp = linear_program(
-        [1, 1], "min", [([1, 1], "=", 5), ([1, 0], "<=", 2)]
+    lp = LinearProgram(
+        [1, 1], "min", [Constraint([1, 1], "=", 5), Constraint([1, 0], "<=", 2)]
     )
     assert solve_lp(lp).value == 5
 
@@ -133,9 +133,10 @@ def test_redundant_equality_rows_keep_their_slack_basic_at_zero():
     # x + y = 2 and 2x + 2y = 4 are one row twice: once x + y is basic
     # over one of them, the other's zero-span slack can never leave, and
     # stays basic at 0 in the kept tableau
-    lp = linear_program(
+    lp = LinearProgram(
         [1, 1], "max",
-        [([1, 1], "=", 2), ([2, 2], "=", 4), ([1, 0], "<=", 1)],
+        [Constraint([1, 1], "=", 2), Constraint([2, 2], "=", 4),
+         Constraint([1, 0], "<=", 1)],
     )
     out = solve_lp(lp)
     assert out.status is SolveStatus.OPTIMAL
@@ -148,13 +149,13 @@ def test_redundant_equality_rows_keep_their_slack_basic_at_zero():
 
 def test_validation_errors():
     with pytest.raises(ValidationError):
-        linear_program([], "max")
+        LinearProgram([], "max")
     with pytest.raises(ValidationError):
-        linear_program([1], "sideways")
+        LinearProgram([1], "sideways")
     with pytest.raises(ValidationError):
-        linear_program([1, 2], "max", [([1], "<=", 0)])
+        LinearProgram([1, 2], "max", [Constraint([1], "<=", 0)])
     with pytest.raises(ValidationError):
-        constraint([1], "!=", 0)
+        Constraint([1], "!=", 0)
     # dataclasses.replace builds through the same constructor, so a
     # malformed copy is refused where it is made, not at a later solve
     lp = three_facet_program()
@@ -164,7 +165,7 @@ def test_validation_errors():
     with pytest.raises(ValidationError, match="unknown sense"):
         replace(lp, sense="sideways")
     with pytest.raises(ValidationError, match="1 coefficients for 2 variables"):
-        with_constraints(lp, [constraint([1], "<=", 0)])
+        replace(lp, constraints=[*lp.constraints, Constraint([1], "<=", 0)])
     with pytest.raises(ValidationError, match="unknown relation '!='"):
         Constraint((Fraction(1),), "!=", Fraction(0))
 
@@ -172,7 +173,7 @@ def test_validation_errors():
 def test_floats_are_refused_where_made():
     # a float used to pass the shape checks and fail inside a solve with
     # AttributeError: 'float' object has no attribute 'denominator'
-    lp = linear_program([1, 1], "max", [([1, 1], "<=", 3)])
+    lp = LinearProgram([1, 1], "max", [Constraint([1, 1], "<=", 3)])
     with pytest.raises(ValidationError, match="objective entries must be exact"):
         replace(lp, objective=(0.5, 1.0))
     with pytest.raises(ValidationError, match="lower bounds must be exact"):
@@ -188,11 +189,11 @@ def test_floats_are_refused_where_made():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: linear_program([0.1], "max"),
-    lambda: linear_program([1], "max", upper_bounds=[0.5]),
-    lambda: linear_program([1], "max", lower_bounds=["1/2"]),
-    lambda: constraint([0.1], "<=", 1),
-    lambda: constraint([1], "<=", "3"),
+    lambda: LinearProgram([0.1], "max"),
+    lambda: LinearProgram([1], "max", upper_bounds=[0.5]),
+    lambda: LinearProgram([1], "max", lower_bounds=["1/2"]),
+    lambda: Constraint([0.1], "<=", 1),
+    lambda: Constraint([1], "<=", "3"),
 ], ids=["objective", "upper", "lower-text", "coeff", "rhs-text"])
 def test_builders_refuse_what_they_used_to_convert(build):
     # the builders once wrapped every value in Fraction(...), so 0.1
@@ -204,13 +205,46 @@ def test_builders_refuse_what_they_used_to_convert(build):
 
 def test_builders_take_exact_values_as_given():
     half = Fraction(1, 2)
-    row = constraint([1, half], "<=", 3)
+    row = Constraint([1, half], "<=", 3)
     assert row == Constraint((1, half), "<=", 3)
     assert [type(e) for e in (*row.coeffs, row.rhs)] == [int, Fraction, int]
-    lp = linear_program([2, half], "max", [row])
+    lp = LinearProgram([2, half], "max", [row])
     assert lp.objective == (2, half)
     assert (lp.lower_bounds, lp.upper_bounds) == ((0, 0), (None, None))
     assert type(lp.lower_bounds[0]) is int
+
+
+def test_a_row_and_a_program_are_made_by_their_constructors_alone():
+    # any iterable is stored as a tuple, so equal rows are equal and hash
+    # alike whatever they were made from
+    listed, tupled = Constraint([1, 2], "<=", 3), Constraint((1, 2), "<=", 3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert type(listed.coeffs) is tuple
+    lp = LinearProgram([1, 1], "max")
+    assert lp.constraints == ()
+    assert (lp.lower_bounds, lp.upper_bounds) == ((0, 0), (None, None))
+    assert lp == LinearProgram(iter([1, 1]), "max", iter([]), iter([0, 0]), [None] * 2)
+    # a row is a Constraint, never a (coeffs, relation, rhs) tuple, and
+    # one that is not is refused where the program is made
+    with pytest.raises(ValidationError, match="0 is a tuple, not a Constraint"):
+        LinearProgram([1, 1], "max", [([1, 1], "<=", 3)])
+    grown = replace(lp, constraints=lp.constraints + (listed,))
+    assert grown.constraints == (tupled,)
+    with pytest.raises(ValidationError, match="constraint 1 is a list"):
+        replace(grown, constraints=[*grown.constraints, [1, 1]])
+    with pytest.raises(ValidationError, match="constraint 1: 1 coefficients for 2"):
+        replace(grown, constraints=grown.constraints + (Constraint([1], "<=", 0),))
+
+
+def test_a_simplex_run_past_its_pivot_budget_raises(monkeypatch):
+    # one step per run is the optimality check alone: a program optimal
+    # at its lower corner still solves, and one that needs a pivot is
+    # refused with BudgetExceededError, not an AssertionError
+    monkeypatch.setattr(lp_module, "PIVOT_BUDGET", 1)
+    monkeypatch.setattr(lp_module, "PIVOT_BUDGET_PER_LINE", 0)
+    assert solve_lp(LinearProgram([-1], "max", [Constraint([1], "<=", 1)])).value == 0
+    with pytest.raises(BudgetExceededError, match="budget of 1 pivots over 3 rows"):
+        solve_lp(three_facet_program())
 
 
 def test_oracle_solves_int_systems_exactly():
@@ -248,12 +282,12 @@ def test_added_constraint_never_improves_maximum():
         base = solve_lp(lp)
         if base.status is not SolveStatus.OPTIMAL:
             continue
-        extra = constraint(
+        extra = Constraint(
             [Fraction(rng.randint(-2, 2)) for _ in range(lp.num_vars)],
             "<=",
             Fraction(rng.randint(-2, 4)),
         )
-        tightened = solve_lp(with_constraints(lp, [extra]))
+        tightened = solve_lp(replace(lp, constraints=[*lp.constraints, extra]))
         if tightened.status is SolveStatus.OPTIMAL:
             assert tightened.value <= base.value
         else:
@@ -397,9 +431,9 @@ def boxed_programs(draw):
         elif relation == "=":
             offset = min(offset, 0)
         lhs = sum(a * x for a, x in zip(coeffs, anchor))
-        return constraint(coeffs, relation, lhs + offset)
+        return Constraint(coeffs, relation, lhs + offset)
 
-    lp = linear_program(
+    lp = LinearProgram(
         draw(vector),
         draw(st.sampled_from(["max", "min"])),
         [row() for _ in range(draw(st.integers(1, 5)))],
@@ -428,7 +462,7 @@ def test_property_matches_vertex_enumeration(case):
 def test_property_added_row_never_improves(case):
     lp, extra = case
     base = solve_lp(lp)
-    tightened = solve_lp(with_constraints(lp, [extra]))
+    tightened = solve_lp(replace(lp, constraints=[*lp.constraints, extra]))
     if tightened.status is SolveStatus.INFEASIBLE:
         return
     assert tightened.status is SolveStatus.OPTIMAL
@@ -491,7 +525,7 @@ def test_property_any_corner_start_matches_the_lower_corner(case, data):
 def test_a_cold_start_stands_at_the_corner_it_names():
     # with no row and a zero objective the start is already optimal; a
     # zero-span column sits at its one value whichever bound is named
-    lp = linear_program(
+    lp = LinearProgram(
         [0, 0, 0, 0], "max",
         lower_bounds=[-1, Fraction(1, 2), 3, 0],
         upper_bounds=[2, Fraction(7, 3), 3, None],
@@ -518,8 +552,8 @@ def never_pivot(*args):
 def test_corner_start_refuses_a_bad_index_before_any_pivot(
     monkeypatch, at_upper, message
 ):
-    lp = linear_program(
-        [1, 1], "max", [([1, 1], "<=", 1)], upper_bounds=[1, None]
+    lp = LinearProgram(
+        [1, 1], "max", [Constraint([1, 1], "<=", 1)], upper_bounds=[1, None]
     )
     for name in ("__init__", "copy", "run", "_replace", "_flip"):
         monkeypatch.setattr(_Tableau, name, never_pivot)
@@ -528,7 +562,9 @@ def test_corner_start_refuses_a_bad_index_before_any_pivot(
 
 
 def test_corner_start_refuses_a_warm_start_before_any_pivot(monkeypatch):
-    lp = linear_program([1, 1], "max", [([1, 1], "<=", 1)], upper_bounds=[1, 1])
+    lp = LinearProgram(
+        [1, 1], "max", [Constraint([1, 1], "<=", 1)], upper_bounds=[1, 1]
+    )
     start = solve_lp(lp)
     for name in ("__init__", "copy", "run", "_replace", "_flip"):
         monkeypatch.setattr(_Tableau, name, never_pivot)
@@ -583,9 +619,10 @@ def test_property_int_program_pivots_as_its_fraction_twin(case):
     objective, sense, rows, lower, upper = case
 
     def build(wrap):
-        return linear_program(
+        return LinearProgram(
             map(wrap, objective), sense,
-            [(map(wrap, coeffs), rel, wrap(rhs)) for coeffs, rel, rhs in rows],
+            [Constraint(map(wrap, coeffs), rel, wrap(rhs))
+             for coeffs, rel, rhs in rows],
             lower_bounds=map(wrap, lower), upper_bounds=map(wrap, upper),
         )
 
@@ -637,8 +674,8 @@ def test_property_appended_rows_warm_match_cold(case, data):
         lhs = sum(a * x for a, x in zip(coeffs, point))
         relation = data.draw(st.sampled_from(["<=", ">=", "="]))
         offset = data.draw(offsets) * data.draw(st.sampled_from([1, -1]))
-        extra.append(constraint(coeffs, relation, lhs + offset))
-    grown = with_constraints(lp, extra)
+        extra.append(Constraint(coeffs, relation, lhs + offset))
+    grown = replace(lp, constraints=[*lp.constraints, *extra])
     before = tableau_snapshot(first.tableau)
     warm = solve_lp(grown, start=first)
     cold = solve_lp(grown)
@@ -649,24 +686,25 @@ def test_property_appended_rows_warm_match_cold(case, data):
         assert point_feasible(grown, warm.point)
     if warm.tableau is not None:
         # a warm outcome starts the next round just as a cold one does
-        more = with_constraints(grown, extra[:1])
+        more = replace(grown, constraints=[*grown.constraints, *extra[:1]])
         again, fresh = solve_lp(more, start=warm), solve_lp(more)
         assert (again.status, again.value) == (fresh.status, fresh.value)
 
 
 def test_appended_rows_reach_infeasible_and_unbounded():
     # x - y <= 4 with y unbounded above: maximizing y is unbounded
-    lp = linear_program([0, 1], "max", [([1, -1], "<=", 4)])
+    lp = LinearProgram([0, 1], "max", [Constraint([1, -1], "<=", 4)])
     start = solve_lp(lp)
     assert start.status is SolveStatus.UNBOUNDED
-    capped = with_constraints(lp, [constraint([0, 1], "<=", 3)])
+    capped = replace(lp, constraints=[*lp.constraints, Constraint([0, 1], "<=", 3)])
     out = solve_lp(capped, start=start)
     assert (out.status, out.value) == (SolveStatus.OPTIMAL, 3)
-    still = with_constraints(lp, [constraint([1, 0], "=", 2)])
+    still = replace(lp, constraints=[*lp.constraints, Constraint([1, 0], "=", 2)])
     assert solve_lp(still, start=start).status is SolveStatus.UNBOUNDED
     # y <= 3 and x <= y + 4 keep x + y at most 10: the dual simplex from
     # the start's basis proves the new row unreachable
-    walled = with_constraints(capped, [constraint([1, 1], ">=", 11)])
+    wall = Constraint([1, 1], ">=", 11)
+    walled = replace(capped, constraints=[*capped.constraints, wall])
     assert solve_lp(walled, start=out).status is SolveStatus.INFEASIBLE
     assert solve_lp(walled).status is SolveStatus.INFEASIBLE
 
@@ -676,15 +714,15 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     # violated at the lower corner (1, -2), where a.x = 1/2 - 6 = -11/2
     coeffs, corner_lhs, d = [Fraction(1, 2), 3], Fraction(-11, 2), Fraction(3, 2)
     rows = [
-        (coeffs, relation, corner_lhs + delta)
+        Constraint(coeffs, relation, corner_lhs + delta)
         for relation, deltas in (("<=", (d, 0, -d)), (">=", (-d, 0, d)),
                                  ("=", (d, 0, -d)))
         for delta in deltas
     ]
     bounds = dict(lower_bounds=[1, -2], upper_bounds=[4, None])
-    lp = linear_program([1, 1], "max", rows, **bounds)
+    lp = LinearProgram([1, 1], "max", rows, **bounds)
     # minimizing x + y over the bounds alone stops at the lower corner
-    start = solve_lp(linear_program([1, 1], "min", **bounds))
+    start = solve_lp(LinearProgram([1, 1], "min", **bounds))
     assert start.point == (1, -2)
 
     # the layout each solve appends its rows in, before any pivot: a
@@ -760,9 +798,8 @@ def test_digest_programs_keep_the_row_a_fresh_pricing_gives():
                             for _ in range(lp.num_vars)),
             sense=programs.choice(["max", "min"]),
         )
-        grown = with_constraints(
-            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-        )
+        rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         regrown = replace(grown, objective=other.objective, sense=other.sense)
         solves = [(lp, first), (other, solve_lp(other, start=first)),
                   (grown, solve_lp(grown, start=first)),
@@ -821,9 +858,8 @@ def test_digest_programs_read_values_off_the_int_tableau(monkeypatch):
                                 for _ in range(lp.num_vars)),
                 sense=programs.choice(["max", "min"]),
             )
-            grown = with_constraints(
-                lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-            )
+            rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+            grown = replace(lp, constraints=[*lp.constraints, *rows])
             solves += [(other, solve_lp(other, start=first)),
                        (grown, solve_lp(grown, start=first))]
         for program, outcome in solves:
@@ -922,7 +958,9 @@ def test_cold_and_warm_solves_run_over_the_cost_row_alone(monkeypatch):
     # start that appends the same row each reach a feasible basis by the
     # dual simplex, so the primal runs once, over the constraint rows and
     # the cost row, with no other row pushed on top
-    lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
+    lp = LinearProgram(
+        [1, 1], "max", [Constraint([1, 2], "<=", 5)], upper_bounds=[3, 3]
+    )
     start = solve_lp(lp)
     before = tableau_snapshot(start.tableau)
     rows_over_basis = []
@@ -933,7 +971,7 @@ def test_cold_and_warm_solves_run_over_the_cost_row_alone(monkeypatch):
         return run(self)
 
     monkeypatch.setattr(_Tableau, "run", recording_run)
-    grown = with_constraints(lp, [constraint([1, -1], "=", 1)])
+    grown = replace(lp, constraints=[*lp.constraints, Constraint([1, -1], "=", 1)])
     cold = solve_lp(grown)
     assert rows_over_basis == [1]
     assert_prices_its_objective(grown, cold)
@@ -996,7 +1034,7 @@ def test_warm_appends_after_an_optimum_leave_the_primal_nothing(monkeypatch):
         if first.status is SolveStatus.OPTIMAL:
             rows = [replace(con, relation="<=") if con.relation == "=" else con
                     for con in seeded_appended_rows(rows_rng, lp, first.point)]
-            starts.append((with_constraints(lp, rows), first))
+            starts.append((replace(lp, constraints=[*lp.constraints, *rows]), first))
     monkeypatch.setattr("lpgaps.valleys.solve_lp", loop_solve)
     with patch.object(_Tableau, "_replace", counting_replace), \
             patch.object(_Tableau, "_flip", counting_flip), \
@@ -1015,10 +1053,12 @@ def test_warm_appends_after_an_optimum_leave_the_primal_nothing(monkeypatch):
 def test_a_row_no_column_repairs_is_infeasible(monkeypatch):
     # x + 2y <= 5 in the box [0, 3]^2 keeps x + y at most 4: the dual
     # simplex finds no column that moves x + y >= 7's slack back up
-    lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
+    lp = LinearProgram(
+        [1, 1], "max", [Constraint([1, 2], "<=", 5)], upper_bounds=[3, 3]
+    )
     start = solve_lp(lp)
     assert (start.status, start.value) == (SolveStatus.OPTIMAL, 4)
-    grown = with_constraints(lp, [constraint([1, 1], ">=", 7)])
+    grown = replace(lp, constraints=[*lp.constraints, Constraint([1, 1], ">=", 7)])
     verdicts = []
     dual = _Tableau.dual
 
@@ -1042,9 +1082,8 @@ def test_a_row_no_column_repairs_is_infeasible(monkeypatch):
         first = solve_lp(lp)
         if first.tableau is None:
             continue
-        grown = with_constraints(
-            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-        )
+        rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         if solve_lp(grown, start=first).status is SolveStatus.INFEASIBLE:
             assert vertex_enumeration_optimum(grown) is None
             infeasible += 1
@@ -1057,7 +1096,7 @@ def test_dual_degenerate_ties_terminate_and_match_a_cold_solve(monkeypatch):
     # tied at ratio 0, and y, the smaller index, enters; then x + y <= 2's
     # slack leaves, and z, at ratio 0, takes y down before x, at ratio 1,
     # would fall
-    lp = linear_program([1, 0, 0], "max", [([1, 1, 1], "<=", 6)],
+    lp = LinearProgram([1, 0, 0], "max", [Constraint([1, 1, 1], "<=", 6)],
                         upper_bounds=[2, 2, 2])
     start = solve_lp(lp)
     assert start.point == (2, 0, 0)
@@ -1068,8 +1107,8 @@ def test_dual_degenerate_ties_terminate_and_match_a_cold_solve(monkeypatch):
         entered.append(enter)
         return replace_basis(self, p, enter, *args)
 
-    grown = with_constraints(lp, [constraint([0, 1, 1], ">=", 1),
-                                  constraint([1, 1, 0], "<=", 2)])
+    grown = replace(lp, constraints=[*lp.constraints, Constraint([0, 1, 1], ">=", 1),
+                                     Constraint([1, 1, 0], "<=", 2)])
     monkeypatch.setattr(_Tableau, "_replace", recording_replace)
     warm = solve_lp(grown, start=start)
     monkeypatch.undo()
@@ -1088,9 +1127,8 @@ def test_dual_degenerate_ties_terminate_and_match_a_cold_solve(monkeypatch):
         first = solve_lp(lp)
         if first.tableau is None:
             continue
-        grown = with_constraints(
-            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-        )
+        rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         warm, cold = solve_lp(grown, start=first), solve_lp(grown)
         assert (warm.status, warm.value) == (cold.status, cold.value)
 
@@ -1101,7 +1139,9 @@ def test_an_appended_equality_rows_slack_leaves_through_the_dual_for_good(monkey
     # takes it out at the one basis change, x entering, that makes the
     # row hold, and it stops at 0 with state 0, so no later pivot may
     # let it back in
-    lp = linear_program([1, 1], "max", [([1, 2], "<=", 5)], upper_bounds=[3, 3])
+    lp = LinearProgram(
+        [1, 1], "max", [Constraint([1, 2], "<=", 5)], upper_bounds=[3, 3]
+    )
     start = solve_lp(lp)
     assert start.point == (3, 1)
     leaving = []
@@ -1122,7 +1162,7 @@ def test_an_appended_equality_rows_slack_leaves_through_the_dual_for_good(monkey
 
     monkeypatch.setattr(_Tableau, "_replace", recording_replace)
     monkeypatch.setattr(_Tableau, "dual", recording_dual)
-    grown = with_constraints(lp, [constraint([1, -1], "=", 1)])
+    grown = replace(lp, constraints=[*lp.constraints, Constraint([1, -1], "=", 1)])
     warm = solve_lp(grown, start=start)
     tab = warm.tableau
     assert tab.ub[3] == 0
@@ -1164,9 +1204,8 @@ def test_kept_tableaux_store_no_dead_column(monkeypatch):
                             for _ in range(lp.num_vars)),
             sense=programs.choice(["max", "min"]),
         )
-        grown = with_constraints(
-            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-        )
+        rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         solves = [first, solve_lp(other, start=first), solve_lp(grown, start=first)]
         for kind, outcome in enumerate(solves):
             if outcome.tableau is not None:
@@ -1220,9 +1259,8 @@ def test_property_zero_span_slacks_rest_at_zero(seed):
                             for _ in range(lp.num_vars)),
             sense=rng.choice(["max", "min"]),
         )
-        grown = with_constraints(
-            lp, seeded_appended_rows(rng, lp, first.point or lp.lower_bounds)
-        )
+        rows = seeded_appended_rows(rng, lp, first.point or lp.lower_bounds)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         solves += [(other, solve_lp(other, start=first)),
                    (grown, solve_lp(grown, start=first))]
     for program, outcome in solves:
@@ -1262,7 +1300,7 @@ def test_property_the_primal_starts_at_a_feasible_basis(case):
     with primal_start_checks():
         first = solve_lp(lp)
         if first.tableau is not None:
-            solve_lp(with_constraints(lp, [extra]), start=first)
+            solve_lp(replace(lp, constraints=[*lp.constraints, extra]), start=first)
 
 
 def test_digest_programs_start_the_primal_at_a_feasible_basis():
@@ -1276,9 +1314,8 @@ def test_digest_programs_start_the_primal_at_a_feasible_basis():
             first = solve_lp(lp)
             if first.tableau is None:
                 continue
-            grown = with_constraints(
-                lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-            )
+            rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+            grown = replace(lp, constraints=[*lp.constraints, *rows])
             solve_lp(grown, start=first)
     assert seen["primal runs"] > 200, seen
 
@@ -1413,9 +1450,8 @@ def test_warm_start_shares_no_list_with_its_start(monkeypatch):
                             for _ in range(lp.num_vars)),
             sense=programs.choice(["max", "min"]),
         )
-        grown = with_constraints(
-            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-        )
+        rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         before = tableau_snapshot(first.tableau)
         for kind, program in [("same rows", other), ("appended rows", grown)]:
             warm = solve_lp(program, start=first)
@@ -1468,9 +1504,8 @@ def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):
                             for _ in range(lp.num_vars)),
             sense=programs.choice(["max", "min"]),
         )
-        grown = with_constraints(
-            lp, seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
-        )
+        rows = seeded_appended_rows(rows_rng, lp, first.point or lp.lower_bounds)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         solve_lp(other, start=first)
         solve_lp(grown, start=first)
     digest_moves = dict(moves)
@@ -1576,7 +1611,7 @@ def test_digest_programs_take_every_integer_span_move(monkeypatch):
 
 
 def test_warm_start_from_an_unbounded_outcome():
-    lp = linear_program([0, 1], "max", [([1, 0], "<=", 1)])
+    lp = LinearProgram([0, 1], "max", [Constraint([1, 0], "<=", 1)])
     start = solve_lp(lp)
     assert start.status is SolveStatus.UNBOUNDED
     out = solve_lp(replace(lp, objective=(Fraction(1), Fraction(-1))), start=start)
@@ -1597,17 +1632,18 @@ def test_warm_start_refuses_another_region():
     lp = three_facet_program()
     start = solve_lp(lp)
     # rows appended after the start's are the cut loop's warm start
-    appended = with_constraints(lp, [constraint([1, 0], "<=", 2)])
+    extra = Constraint([1, 0], "<=", 2)
+    appended = replace(lp, constraints=[*lp.constraints, extra])
     warm = solve_lp(appended, start=start)
     cold = solve_lp(appended)
     assert (warm.status, warm.value) == (cold.status, cold.value)
     other_row = replace(
-        lp, constraints=lp.constraints[:1] + (constraint([-5, 1], "<=", 3),)
+        lp, constraints=lp.constraints[:1] + (Constraint([-5, 1], "<=", 3),)
         + lp.constraints[2:]
     )
     others = [
         other_row,
-        with_constraints(other_row, [constraint([1, 0], "<=", 2)]),
+        replace(other_row, constraints=[*other_row.constraints, extra]),
         replace(lp, constraints=lp.constraints[:2]),
         replace(lp, lower_bounds=(Fraction(1, 2),) + lp.lower_bounds[1:]),
         replace(lp, upper_bounds=(Fraction(2),) + lp.upper_bounds[1:]),
@@ -1620,8 +1656,8 @@ def test_warm_start_refuses_another_region():
 
 
 @pytest.mark.parametrize("infeasible", [
-    linear_program([1], "max", [([1], "<=", -1)]),
-    linear_program([1], "max", lower_bounds=[2], upper_bounds=[1]),
+    LinearProgram([1], "max", [Constraint([1], "<=", -1)]),
+    LinearProgram([1], "max", lower_bounds=[2], upper_bounds=[1]),
 ])
 def test_warm_start_refuses_an_infeasible_outcome(infeasible):
     start = solve_lp(infeasible)

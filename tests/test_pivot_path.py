@@ -28,14 +28,7 @@ from fractions import Fraction
 import pytest
 
 from lpgaps.hull import facet_gap, gen_arc
-from lpgaps.lp import (
-    SolveStatus,
-    _Tableau,
-    constraint,
-    linear_program,
-    solve_lp,
-    with_constraints,
-)
+from lpgaps.lp import Constraint, LinearProgram, SolveStatus, _Tableau, solve_lp
 from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 F = Fraction
@@ -197,8 +190,8 @@ def seeded_boxed_program(rng):
         elif relation == "=":
             offset = min(offset, 0)
         lhs = sum(a * x for a, x in zip(coeffs, anchor))
-        rows.append((coeffs, relation, lhs + offset))
-    return linear_program(
+        rows.append(Constraint(coeffs, relation, lhs + offset))
+    return LinearProgram(
         [small() for _ in range(n)],
         rng.choice(["max", "min"]),
         rows,
@@ -266,7 +259,7 @@ def seeded_appended_rows(rng, lp, point):
         relation = rng.choice(["<=", ">=", "="])
         offset = rng.choice([-1, 0, 1]) * F(rng.randint(1, 3), rng.randint(1, 7))
         lhs = sum(a * x for a, x in zip(coeffs, point))
-        rows.append(constraint(coeffs, relation, lhs + offset))
+        rows.append(Constraint(coeffs, relation, lhs + offset))
     return rows
 
 
@@ -289,7 +282,8 @@ def test_appended_rows_pivot_digest(monkeypatch):
         # an unbounded outcome has no point; rows then pass near the
         # lower corner instead
         point = first.point or lp.lower_bounds
-        grown = with_constraints(lp, seeded_appended_rows(rows_rng, lp, point))
+        rows = seeded_appended_rows(rows_rng, lp, point)
+        grown = replace(lp, constraints=[*lp.constraints, *rows])
         monkeypatch.setattr(_Tableau, "_replace", recording_replace)
         warm = solve_lp(grown, start=first)
         monkeypatch.undo()

@@ -787,6 +787,15 @@ def test_instance_text_errors():
         instance_from_text("lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts 1 2\n0 1\n1 0\n")
 
 
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_instance_file_city_count_is_checked_at_its_field(n):
+    # the valleys field that follows has two ids, which the old check
+    # named instead: "the valleys field has 2 ids, not n = -3"
+    text = f"lpgaps-instance 1\nn {n}\nvalleys 0 1\ncosts\n0 1\n1 0\n"
+    with pytest.raises(ValidationError, match=f"city count must be at least 2, not {n}"):
+        instance_from_text(text)
+
+
 def test_flow_text_round_trip():
     inst = gen_valley_instance(4, 2)
     flow = valley_internal_cycles_flow(inst)
