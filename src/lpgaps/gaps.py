@@ -1,24 +1,15 @@
 """LP-vs-ILP comparison reports and the decision-form tour question.
 
 A RelaxationDesc names one relaxation: its kind, one of RELAXATIONS,
-the cut subsets of a degree+cuts relaxation, stored sorted, each with
-its cities sorted, and the round budget of the cutting-plane loop. A
-GapReport pins down, for one instance and one relaxation, the exact
-relaxation value, the exact integer optimum from the tour oracle, their
-gap, and the rows and variables of the model it solved, which for the
-cutting-plane loop count how many cuts this loop added over its rounds
-(Bland's pivots choose them, so another loop may need fewer). Decision
-answers record the YES/NO verdicts at thresholds: a relaxation may say
-YES to a cost no tour achieves, and that recorded disagreement is the
-artifact under study, never an error.
-
-Every relaxation solve starts at one corner: the cycle cover that
-successor swaps reach from the tour 0, 1, ..., n - 1, each cover arc at
-1 (valleys.cover_columns), the start of the cutting-plane loop's first
-round too. A cycle cover is a vertex of the degree LP, so no degree row
-is broken there and the dual simplex makes no basis change on a degree
-report; a fixed cut the cover breaks is repaired by the dual simplex,
-and the primal simplex walks down from there.
+the cut subsets of a degree+cuts relaxation and the round budget of the
+cutting-plane loop. A GapReport pins down, for one instance and one
+relaxation, the exact relaxation value, the exact integer optimum from
+the tour oracle, their gap, and the rows and variables of the model it
+solved, which for the cutting-plane loop count how many cuts this loop
+added over its rounds (Bland's pivots choose them, so another loop may
+need fewer). Decision answers record the YES/NO verdicts at thresholds:
+a relaxation may say YES to a cost no tour achieves, and that recorded
+disagreement is the artifact under study, never an error.
 """
 
 from __future__ import annotations
@@ -135,10 +126,18 @@ def _solve_relaxation(
     program: Optional[LinearProgram],
 ) -> tuple[Rational, int, int]:
     """(lp value, constraint rows, rounds), solving the program that
-    _fixed_program built for the relaxation from the cycle cover
-    valleys.cover_columns gives, each of its arcs at 1 and every other
-    at 0; the cutting-plane loop, which builds its own programs, starts
-    its first round there too."""
+    _fixed_program built for the relaxation, or running the
+    cutting-plane loop, which builds its own programs.
+
+    Every relaxation solve starts at one corner, the cutting-plane
+    loop's first round too: the cycle cover that successor swaps reach
+    from the tour 0, 1, ..., n - 1, each of its arcs at 1 and every
+    other at 0 (valleys.cover_columns). A cycle cover is a vertex of the
+    degree LP, so no degree row is broken there and the dual simplex
+    makes no basis change on a degree report; at eight 2-city valleys
+    with costs (0, 1) the whole solve makes none. A fixed cut the cover
+    breaks is repaired by the dual simplex, and the primal simplex walks
+    down from there."""
     if program is None:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         last = trace.rounds[-1]
@@ -159,14 +158,7 @@ def integrality_gap(
     the question "is a tour of cost at most X possible". A float
     threshold is refused first, then a bad cut subset, as the fixed-cut
     program is built; the oracle runs next, so an instance past its
-    budget is refused before any relaxation solve. A degree or
-    degree+cuts solve starts at the cycle cover that successor swaps
-    reach from the tour 0, 1, ..., n - 1 (valleys.cover_columns): each
-    of its arcs at 1, a vertex of the degree program, where the dual
-    simplex makes no basis change unless a fixed cut is broken. At eight
-    2-city valleys with costs (0, 1) the solve makes no basis change at
-    all. The value is the one a start at the lower corner gives; only
-    the pivots differ."""
+    budget is refused before any relaxation solve."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
     program = _fixed_program(inst, relaxation)
@@ -214,19 +206,23 @@ def decide_tour_at_most(
     inst: TspInstance,
     threshold,
     via: str,
-    relaxation: RelaxationDesc = RelaxationDesc(DEGREE),
+    relaxation: Optional[RelaxationDesc] = None,
 ) -> bool:
     """Decision form "is there a tour of cost <= X". The ilp route is
-    exact truth; the lp-relaxation route may say YES to phantom values,
-    but whenever it says NO the answer really is NO. The lp-relaxation
-    route never runs the tour oracle: a degree or degree+cuts solve
-    starts at the same cycle cover as the gap report's
-    (valleys.cover_columns)."""
+    exact truth and reads no relaxation, so it refuses one before the
+    tour oracle runs. The lp-relaxation route reads None as
+    RelaxationDesc(DEGREE) and never runs the tour oracle; it may say
+    YES to phantom values, but whenever it says NO the answer really is
+    NO."""
     require_exact((threshold,), "thresholds")
     x = Fraction(threshold)
     if via == VIA_ILP:
+        if relaxation is not None:
+            raise ValidationError(f"the {VIA_ILP} route reads no relaxation")
         return tsp_oracle(inst).cost <= x
     if via == VIA_LP:
+        if relaxation is None:
+            relaxation = RelaxationDesc(DEGREE)
         program = _fixed_program(inst, relaxation)
         value, _, _ = _solve_relaxation(inst, relaxation, program)
         return value <= x

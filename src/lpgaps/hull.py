@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, ValidationError
 from .lp import (
@@ -92,7 +92,7 @@ def gen_arc(vertex_count: int) -> ArcPolytope:
 def polytope_lp(
     poly: ArcPolytope,
     objective: tuple[Rational, Rational],
-    kept_facets: Sequence[int],
+    kept_facets: Iterable[int],
 ) -> LinearProgram:
     """Maximize objective over the kept facets plus the box. The box
     (0 <= x <= V-1, y >= 0) never counts against a storage budget."""
@@ -123,30 +123,27 @@ def _facet_objective(poly: ArcPolytope, omitted: int) -> tuple[Rational, Rationa
 def _gap(poly: ArcPolytope, omitted: int, outcome: LpOutcome) -> AdversarialGap:
     """The phantom value of a truncated model's solve under the omitted
     facet's objective, measured against the facet's intercept."""
-    objective = _facet_objective(poly, omitted)
-    true_max = poly.facets[omitted].intercept
-    if outcome.status is SolveStatus.UNBOUNDED:
-        return AdversarialGap(
-            omitted, objective, true_max, None, None, None, bounded=False
-        )
-    assert outcome.status is SolveStatus.OPTIMAL
+    assert outcome.status is not SolveStatus.INFEASIBLE
+    # an unbounded outcome has value and point None
+    value, true_max = outcome.value, poly.facets[omitted].intercept
     return AdversarialGap(
-        omitted, objective, true_max,
-        outcome.value, outcome.point, outcome.value - true_max, bounded=True,
+        omitted, _facet_objective(poly, omitted), true_max, value, outcome.point,
+        None if value is None else value - true_max, bounded=value is not None,
     )
 
 
 def facet_gap(
-    poly: ArcPolytope, omitted: int, kept_facets: Sequence[int]
+    poly: ArcPolytope, omitted: int, kept_facets: Iterable[int]
 ) -> AdversarialGap:
     """Adversarial objective for one omitted facet against a truncated
     model: maximize y - slope*x. Over the full polytope that tops out at
     the facet's intercept; whatever the truncated model reports beyond
     it is phantom value. One cold solve."""
     require_int(omitted, 0, poly.facet_count - 1, "omitted facet")
-    if omitted in kept_facets:
+    kept = tuple(kept_facets)
+    if omitted in kept:
         raise ValidationError(f"facet {omitted} is part of the kept model")
-    model = polytope_lp(poly, _facet_objective(poly, omitted), kept_facets)
+    model = polytope_lp(poly, _facet_objective(poly, omitted), kept)
     return _gap(poly, omitted, solve_lp(model))
 
 

@@ -3,95 +3,26 @@
 Programs are stated in inequality form: an objective to maximize or
 minimize, rows with <= / >= / = relations, and per-variable bounds
 (lower defaults to 0, upper is optional). The solver is a tableau
-simplex whose rows are stored densely, while a pivot updates only the
-columns where the pivot row is nonzero. It handles variable bounds
+simplex over exact int rows (``_Tableau``). It handles variable bounds
 natively (bounded variables never become extra rows) and uses Bland's
 smallest-index rule throughout, in its primal and in its dual simplex
-(Bland 1977), so it terminates on every input. Each
-column carries one signed state, the direction it may move if it enters
-(up from its lower bound, down from its upper bound, or never). Every
-row has one logical column, its slack, and every basic variable is a
-column: an equality row's slack has span 0, so once it leaves the basis
-it never enters again, as an artificial never comes back (Dantzig
-1963); bounded dual simplex codes give each row one such logical
-variable (Koberstein 2005; Maros 2003). All pivots are
-exact: each tableau row is one list of Python ints, [A | b | d], the
-textbook [A | b] row over its one positive int denominator d
-(fraction-free rows, the first step toward the exact kernel of
-QSopt_ex): one entry per column, then the row's basic value, a
-right-hand side that rides every elimination as in the
-integer-preserving tableaux of Edmonds and of Azulay and Pique, and
-last the denominator, which an elimination scales and divides as one
-more entry. One rule keeps every row in lowest terms over a positive
-denominator. Each structural column counts in units of its span's
-denominator, so spans are ints too. Rows with their right-hand sides,
-and costs, enter once (``rationals.scale_to_ints``) and the point
-leaves once, as Fractions: the pivot loop makes none, and a row changes
-only by an elimination or a bound flip's value shift. A returned status
-is a certainty, not a numerical verdict. Bland's rule sees only signs
-and exact ratio comparisons, which no positive row or column scale
-reorders, so the int rows pivot exactly as a Fraction-per-entry
-tableau does.
+(Bland 1977), so it terminates on every input. Every row has one
+logical column, its slack, and every basic variable is a column: an
+equality row's slack has span 0, so once it leaves the basis it never
+enters again, as an artificial never comes back (Dantzig 1963); bounded
+dual simplex codes give each row one such logical variable (Koberstein
+2005; Maros 2003). Rows with their right-hand sides, and costs, enter
+once (``rationals.scale_to_ints``) and the point leaves once, as
+Fractions: the pivot loop makes none. A returned status is a certainty,
+not a numerical verdict.
 
 A row and a program are made one way, by ``Constraint(...)`` and
 ``LinearProgram(...)``, ``dataclasses.replace`` included, and check
 their own shape, and that every entry is an exact rational (an int or a
-Fraction), when they are made, so no solve checks them again. They
-store any iterable as a tuple and convert no entry, so a float or a
-string is refused where it enters; a row checks only its own entries,
-and a program's variables are the entries of its objective. A program
-grows by ``replace(lp, constraints=lp.constraints + rows)``.
-
-Every solve takes one path. It starts from the tableau of the bounds
-alone, whose point is the corner of the bound box that the caller
-names (each structural column at its lower bound, but those listed in
-``at_upper`` at their upper bound), or from a copy of an earlier
-outcome's tableau. It prices the objective at that point unless the
-cost row prices it already, then appends the rows the tableau lacks,
-each at the current point x, with the int value b - a.x out of the
-row's own reduction against the basis, as every row value is, so
-appending makes no Fraction point. Each row enters with its slack
-basic at its signed b - a.x (a.x - b for a >= row), out of its bounds
-where x breaks the row: below 0, or for an equality row's zero-span
-slack anywhere but 0. The dual simplex (Lemke 1954) then takes every
-basic value into its bounds, each equality row's slack to 0, or proves
-the rows infeasible, and the primal simplex runs to an optimum or an
-unbounded ray; its ratio test caps a zero-span slack still basic at 0
-like any other bounded basic column. The dual prices with
-the cost row when no column improves it at the start, which holds at
-an optimal start and for nonnegative costs minimized at the lower
-corner, so it stays dual feasible at every pivot and ends at an
-optimum that leaves the primal nothing to do; otherwise it prices with
-the zero row, as a pure feasibility method (Koberstein 2005, on the
-dual's phase 1), and the primal starts where it stops. A feasible
-corner, such as the cycle cover that every degree LP solve starts at,
-breaks no row, so its dual makes no basis change. Either way every
-tableau is exact, so a warm status is as much a proof as a cold one.
-
-An outcome over a feasible region keeps its final tableau, and
-``solve_lp(lp, start=outcome)`` starts from a copy of it. A tableau
-owns every row it holds, so the copy copies each row once, the start
-is never changed, and every pivot of the copy updates its own rows in
-place instead of copying a row per elimination. Over the same rows and
-bounds, the primal starts from a basis already optimal or close (the
-hull scan maximizes many objectives over one truncated model this
-way). When lp has more rows, appended after the start's, a start that
-was optimal for lp's objective keeps its cost row dual feasible, so
-the dual simplex ends at an optimum (the cutting-plane loop re-solves
-each round this way after adding its cut; Concorde re-solves its
-cutting-plane LPs so too).
-
-The tableau keeps its rows in one store: the constraint rows, then the
-objective's reduced-cost row, as the textbook tableau keeps its
-objective row (Dantzig 1963), and each elimination or bound flip
-updates every row of the store, the cost row's value included: minus
-the signed objective at the current point, where an optimum reads its
-value. The cost row belongs to the objective and sense it was priced
-for, and a solve prices only for another objective: a cold solve once,
-at its corner before any row enters, and each new objective of a warm
-start. Appended rows go in before the cost row and their basic
-variables cost 0, so the cost row still prices its objective, int for
-int in lowest terms, and a cut-loop round prices nothing.
+Fraction), when they are made, so no solve checks them again and a
+float or a string is refused where it enters; a row checks only its own
+entries. A program grows by ``replace(lp, constraints=lp.constraints +
+rows)``.
 """
 
 from __future__ import annotations
@@ -280,59 +211,52 @@ class _Tableau:
     row's, which is 0.
 
     Row i of the tableau is one list, the textbook ``[A | b]`` row over
-    its denominator, ``[A | b | d]``: ``ncols + 1`` integer numerators,
-    its entry in column j at ``A[i][j]`` and then, at ``A[i][-2]``, the
-    value of its basic variable j in j's units, and last, at
-    ``A[i][-1]``, their one positive integer denominator (``A[i][-2] /
-    (A[i][-1] * unit[j])`` above its lower bound when j is structural).
-    An elimination updates the value as one more entry and the
-    denominator as one more nonzero entry, and leaves the row in lowest
-    terms. Bland's rule reads only the signs of entries and
-    exact comparisons of step ratios. A positive row scale changes neither,
+    its denominator, ``[A | b | d]`` (fraction-free rows, the first step
+    toward the exact kernel of QSopt_ex): ``ncols + 1`` integer
+    numerators, its entry in column j at ``A[i][j]`` and then, at
+    ``A[i][-2]``, the value of its basic variable j in j's units, a
+    right-hand side that rides every elimination as in the
+    integer-preserving tableaux of Edmonds and of Azulay and Pique, and
+    last, at ``A[i][-1]``, their one positive integer denominator
+    (``A[i][-2] / (A[i][-1] * unit[j])`` above its lower bound when j is
+    structural). An elimination updates the value as one more entry and
+    the denominator as one more nonzero entry, and leaves the row in
+    lowest terms, the only form of its values over a positive
+    denominator. Bland's rule reads only the signs of entries and exact
+    comparisons of step ratios. A positive row scale changes neither,
     and a positive column scale multiplies each of that column's ratios,
     its own span included, by one constant, so the pivots are the ones a
     Fraction-per-entry tableau would make, in the same order. A basic
     column's entry equals its row's denominator.
 
     Rows ``0 .. m - 1``, ``m == len(basis)``, are the constraint rows,
-    row i the one of basic column ``basis[i]``. Row m is the cost row:
-    it prices ``objective``, the (costs, sense) pair that ``solve_lp``
-    last priced, at the current basis, and is zero in every basic
-    column, since each basis change eliminates the entering column from
-    every row. Its value ``A[m][-2]`` over ``A[m][-1]`` is -(sign * costs) .
-    x at the current point: the row is the one of a free basic column z
+    row i the one of basic column ``basis[i]``: the rows of ``program``,
+    the program of the last solve over the tableau. Row m, the last, is
+    the cost row, as the textbook tableau keeps its objective row
+    (Dantzig 1963), and the pivot rules read it as ``A[-1]``: it prices
+    ``program``'s objective and sense at the current basis, and is zero
+    in every basic column, since each basis change eliminates the
+    entering column from every row. Its value ``A[m][-2]`` over
+    ``A[m][-1]`` is -(sign * costs) . x at the current point, where an
+    optimum reads its value: the row is the one of a free basic column z
     with z + (sign * costs) . x = 0, so each elimination and bound flip
-    moves it exactly as it moves a constraint row. The pivot rules read
-    the last row, ``A[-1]``, the cost row. Only one row prices given
-    costs and is 0 in every basic column, and lowest terms over the row,
-    value included, and its denominator fix its ints, so the row does
-    not depend on the path to the basis: it is the row a fresh ``price``
-    at that basis and point gives.
-
-    Nonbasic columns sit at a bound, so a basis change moves the values
-    through the elimination itself: the pivot row's value, less the
-    leaving column's int span when it stops there, over its entry in
-    the entering column is the signed step: the normalised pivot row's
-    own value. A row changes only through an elimination or a bound
-    flip's value shift, and no row is scaled outside an elimination.
+    moves it exactly as it moves a constraint row. Only one row prices
+    given costs and is 0 in every basic column, and lowest terms over
+    the row, value included, and its denominator fix its ints, so the
+    row does not depend on the path to the basis: it is the row a fresh
+    ``price`` at that basis and point gives.
 
     Rows are stored densely, one int per column, then the value and the
     denominator. A basis change lists the pivot row's nonzero entries
     once, and every elimination of that pivot subtracts only at those
-    entries of its row.
-    An elimination scales its row by the smallest multiplier, pden /
-    gcd(f, pden) for its entry f and the pivot's denominator pden, and
-    scales and divides by the lowest-terms gcd only at the row's nonzero
-    entries. The ints are those of a full-row scale by pden and divide:
-    every row stays in lowest terms over a positive denominator, and a
-    row's values have only that one such form, which ``_lowest`` gives
-    every row that a sum, a scale or a new denominator leaves. Negating
-    a row (``_negate``) negates its entries and value, never its
-    denominator. Every write is in place, so no basis change or bound
-    flip replaces a row of the store. A tableau owns every list it holds:
-    each row of ``A``, and ``basis``, ``state`` and ``ub``, so ``copy``
-    copies each of them once. What it shares with a copy, ``unit``,
-    ``lifted``, ``lower`` and ``region``, is a tuple, never written.
+    entries of its row. A row changes only through an elimination or a
+    bound flip's value shift, and no row is scaled outside an
+    elimination. Every write is in place, so no basis change or bound
+    flip replaces a row of the store. A tableau owns every list it
+    holds: each row of ``A``, and ``basis``, ``state`` and ``ub``, so
+    ``copy`` copies each of them once. What it shares with a copy, the
+    tuples ``unit``, ``lifted`` and ``lower`` and the frozen ``program``,
+    is never written.
     """
 
     def __init__(self, lp: LinearProgram, at_upper: Iterable[int]):
@@ -344,8 +268,6 @@ class _Tableau:
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
         self.n = self.ncols = n
-        # everything but the objective: a start must match it exactly
-        self.region = ((), lo, hi)
         self.lower = tuple(map(Fraction, lo))  # Fractions even for int bounds
         spans = [
             None if h is None else (h - l).as_integer_ratio() for l, h in zip(lo, hi)
@@ -357,9 +279,9 @@ class _Tableau:
         self.lifted = tuple((j, l) for j, l in enumerate(lo) if l)
         self.A: list[list[int]] = [[0] * (n + 1) + [1]]
         self.basis: list[int] = []
-        # the (objective, sense) that the cost row prices, once one has
-        # been priced
-        self.objective: Optional[tuple[tuple[Rational, ...], str]] = None
+        # the program whose rows the tableau holds and whose objective
+        # its cost row prices, once a solve has priced one
+        self.program: Optional[LinearProgram] = None
         self.ub: list[Optional[int]] = [None if s is None else s[0] for s in spans]
         # fixed (zero-span) columns stay out of the scan: they can never
         # change value
@@ -391,9 +313,11 @@ class _Tableau:
         columns go in before every row's value and denominator, which
         stay last. The cost row costs 0 in the new columns: each new
         row's basic variable is one of them, so the old reduced costs and
-        value stand at the new basis and the row still prices
-        ``objective``. Each new row's int value b - a.x at the current
-        point x comes from ``_reduced``.
+        value stand at the new basis and the row still prices its
+        objective, int for int in lowest terms. Each new row's int value b - a.x at the current
+        point x comes from its own reduction against the basis
+        (``_reduced``), as every row value does, so appending makes no
+        Fraction point.
 
         A slack is basic at b - a.x for a <= or = row and a.x - b for a
         >= row, which is negated for it: a value out of the slack's
@@ -404,10 +328,7 @@ class _Tableau:
 
         Existing rows, ``state`` and ``ub`` are extended in place, since
         the tableau owns them."""
-        rows = lp.constraints[len(self.region[0]):]
-        self.region = (lp.constraints, lp.lower_bounds, lp.upper_bounds)
-        # each new row is reduced against the basis, and its int value is
-        # b - a.x at the current point x
+        rows = lp.constraints[self.m:]
         reduced = [self._reduced(con.coeffs, con.rhs) for con in rows]
         pad = [0] * len(rows)
         # the slack columns go in before each row's value
@@ -442,8 +363,7 @@ class _Tableau:
         if self.lifted:
             rhs -= sum(values[j] * l for j, l in self.lifted)
         if not self.whole_spans:
-            scaled = [Fraction(c, u) for c, u in zip(values, self.unit)]
-            values = scaled + list(values[self.n:])
+            values = [Fraction(c, u) for c, u in zip(values, self.unit)]
         row, den = scale_to_ints([*values, rhs])
         ub, ncols = self.ub, self.ncols
         row[-1:-1] = [0] * (ncols + 1 - len(row))
@@ -598,11 +518,15 @@ class _Tableau:
         bounds, and it stops at the bound it broke; the entering column
         is one whose move takes that value back, of the smallest
         |r[j]| / |row[p][j]| over the cost row r, ties to the smallest
-        index. A cost row that no column improves, an optimal start's,
-        stays so at every pivot; otherwise r is a zero row, every ratio
-        ties, and the smallest index enters. Returns
-        SolveStatus.INFEASIBLE when no column can move the leaving value
-        back, which row p proves, and SolveStatus.OPTIMAL otherwise."""
+        index. A cost row that no column improves, as at an optimal start
+        and for nonnegative costs minimized at the lower corner, stays so
+        at every pivot, so the dual ends at an optimum that leaves the
+        primal nothing to do; otherwise r is a zero row, every ratio
+        ties, and the smallest index enters, a pure feasibility method
+        (Koberstein 2005, on the dual's phase 1) that the primal goes on
+        from. Returns SolveStatus.INFEASIBLE when no column can move the
+        leaving value back, which row p proves, and SolveStatus.OPTIMAL
+        otherwise."""
         state, ub, basis, ncols = self.state, self.ub, self.basis, self.ncols
         r = self.A[-1]
         if any(d * r[j] > 0 for j, d in enumerate(state)):
@@ -682,16 +606,22 @@ def solve_lp(
     or sense may differ otherwise. The solve copies start's final
     tableau (start itself is not changed). A start over another region,
     or one without a tableau (an infeasible outcome), raises
-    ValidationError.
+    ValidationError. Over the same rows and bounds the primal starts
+    from a basis already optimal or close (the hull scan maximizes many
+    objectives over one truncated model this way). Over more rows,
+    appended after the start's, a start that was optimal for lp's
+    objective keeps its cost row dual feasible, so the dual simplex ends
+    at an optimum (the cutting-plane loop re-solves each round this way
+    after adding its cut; Concorde re-solves its cutting-plane LPs so
+    too).
 
     Either way the solve then takes one path: it prices lp's objective
     unless the cost row prices it already, so a start priced for lp's
     objective and sense keeps its cost row; it appends lp's rows past
     those the tableau holds, if any (``_Tableau.append_rows``), runs the
     dual simplex (``_Tableau.dual``), which takes every basic value into
-    its bounds or returns INFEASIBLE; and it runs the primal simplex,
-    with nothing left to do when the dual simplex priced with a cost row
-    that no column improved. Every tableau it pivots is exact, so a warm
+    its bounds or returns INFEASIBLE; and it runs the primal simplex
+    (``_Tableau.run``). Every tableau it pivots is exact, so a warm
     status is proven just as a cold one is; only a program with several
     optimal points may end at a different one of them.
 
@@ -715,9 +645,10 @@ def solve_lp(
             raise ValidationError(
                 f"start has no tableau to start from (status {start.status.value})"
             )
-        rows, lo, hi = start.tableau.region
-        if (lo, hi) != (lp.lower_bounds, lp.upper_bounds) or (
-            rows != lp.constraints[:len(rows)]
+        held = start.tableau.program
+        if (
+            (held.lower_bounds, held.upper_bounds) != (lp.lower_bounds, lp.upper_bounds)
+            or held.constraints != lp.constraints[:len(held.constraints)]
         ):
             raise ValidationError("start was solved over a different region")
         tab = start.tableau.copy()
@@ -731,10 +662,10 @@ def solve_lp(
     # so a cut-loop round prices nothing; a cold solve prices here, at its
     # corner, before any row enters
     sign = 1 if lp.sense == MAXIMIZE else -1
-    if tab.objective != (lp.objective, lp.sense):
+    held, tab.program = tab.program, lp
+    if held is None or (held.objective, held.sense) != (lp.objective, lp.sense):
         tab.A[-1] = tab.price(lp.objective, sign)
-        tab.objective = (lp.objective, lp.sense)
-    if len(tab.region[0]) < len(lp.constraints):
+    if tab.m < len(lp.constraints):
         tab.append_rows(lp)
         if tab.dual() is SolveStatus.INFEASIBLE:
             return LpOutcome(SolveStatus.INFEASIBLE)
@@ -742,6 +673,5 @@ def solve_lp(
     if tab.run() is SolveStatus.UNBOUNDED:
         return LpOutcome(SolveStatus.UNBOUNDED, tableau=tab)
 
-    # the cost row's value is -(sign * c) . x at the final point
     value = Fraction(-sign * tab.A[-1][-2], tab.A[-1][-1])
     return LpOutcome(SolveStatus.OPTIMAL, tuple(tab.point()), value, tab)

@@ -225,10 +225,9 @@ def _checked_subset(inst: TspInstance, subset: Iterable[int]) -> tuple[int, ...]
 def relaxation_with_cuts(
     inst: TspInstance, cut_subsets: Iterable[Iterable[int]]
 ) -> LinearProgram:
-    """The degree LP with one subtour cut per subset; with no subset,
-    the degree LP itself, not a copy that checks its rows again. Two
-    subsets that name one city set are refused, since they build one
-    row; the error names the first such set in order of appearance."""
+    """The degree LP with one subtour cut per subset. Two subsets that
+    name one city set are refused, since they build one row; the error
+    names the first such set in order of appearance."""
     subsets = [tuple(S) for S in cut_subsets]
     cuts = [subtour_cut(inst, S) for S in subsets]
     first: dict[Constraint, int] = {}
@@ -239,8 +238,6 @@ def relaxation_with_cuts(
             f"cut subset {sorted(subsets[min(repeated)])} is named more than once"
         )
     program = degree_lp(inst)
-    if not cuts:
-        return program
     return replace(program, constraints=program.constraints + tuple(cuts))
 
 

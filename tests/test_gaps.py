@@ -190,6 +190,24 @@ def test_decision_refuses_a_float_threshold_before_any_solve(monkeypatch):
         decide_tour_at_most(gen_valley_instance(3, 2), 2.9, VIA_ILP)
 
 
+def test_the_ilp_route_refuses_a_relaxation_before_the_oracle_runs(monkeypatch):
+    # the ilp route used to ignore the relaxation it was given
+    monkeypatch.setattr(gaps, "tsp_oracle", never_solve)
+    with pytest.raises(ValidationError, match="reads no relaxation"):
+        decide_tour_at_most(
+            gen_valley_instance(4, 2), 3, VIA_ILP, RelaxationDesc(DEGREE)
+        )
+
+
+def test_the_lp_route_reads_no_relaxation_as_degree():
+    # None, which the CLI passes on the ilp route, used to raise
+    # AttributeError on the lp route
+    inst = gen_valley_instance(4, 2)
+    answer = decide_tour_at_most(inst, 3, VIA_LP, None)
+    assert answer == decide_tour_at_most(inst, 3, VIA_LP)
+    assert answer is True
+
+
 def test_reports_are_deterministic():
     inst = gen_valley_instance(4, 2)
     cutting = RelaxationDesc(CUTTING_PLANE, max_rounds=50)

@@ -270,6 +270,14 @@ def test_facet_gap_argument_checks():
         adversarial_objective(poly, -1)
 
 
+def test_facet_gap_reads_a_one_shot_iterable_of_kept_facets_once():
+    # the membership check used to consume the iterator, so the model
+    # kept no facet and came back unbounded
+    poly = gen_arc(4)
+    assert facet_gap(poly, 1, iter([0, 2])) == facet_gap(poly, 1, [0, 2])
+    assert facet_gap(poly, 1, iter([0, 2])).gap == 1
+
+
 @pytest.mark.parametrize("omitted, kept, message", [
     # index -1 picked facet 3 from the end, and the gap read 0, not 2
     (3, [0, 1, -1], "must be ints in 0..3"),

@@ -647,7 +647,7 @@ def test_property_int_program_pivots_as_its_fraction_twin(case):
 
 def tableau_snapshot(tab):
     return ([list(row) for row in tab.A], list(tab.basis), list(tab.state),
-            list(tab.ub), tab.region, tab.ncols, list(tab.A[-1]), tab.objective)
+            list(tab.ub), tab.program, tab.ncols, list(tab.A[-1]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -772,7 +772,7 @@ def assert_prices_its_objective(lp, outcome):
         # the negated costs' row: entries and value negated, over the
         # same denominator
         row = [-x for x in row[:-1]] + row[-1:]
-    assert tab.objective == (lp.objective, lp.sense)
+    assert (tab.program.objective, tab.program.sense) == (lp.objective, lp.sense)
     assert len(row) == tab.ncols + 2
     assert tab.A[-1] == row
     assert row[-1] > 0 and gcd(*row) == 1
@@ -1624,7 +1624,7 @@ def test_warm_start_from_an_unbounded_outcome():
 def test_warm_start_accepts_an_equal_region_built_anew():
     start = solve_lp(three_facet_program())
     lp = replace(three_facet_program(), objective=(Fraction(-3), Fraction(1)))
-    assert lp.constraints is not start.tableau.region[0]
+    assert lp.constraints is not start.tableau.program.constraints
     assert solve_lp(lp, start=start) == solve_lp(lp)
 
 

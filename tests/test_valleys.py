@@ -201,6 +201,11 @@ def test_relaxation_rows_are_ints():
     assert {type(e) for e in (*entries, *lp.lower_bounds, *lp.upper_bounds)} == {int}
 
 
+def test_no_cut_subset_gives_the_degree_lp():
+    inst = gen_valley_instance(3, 2)
+    assert relaxation_with_cuts(inst, ()) == degree_lp(inst)
+
+
 def test_subtour_cut_construction():
     inst = gen_valley_instance(4, 2)
     cut = subtour_cut(inst, (0, 1))  # valley 0
