@@ -2,14 +2,22 @@
 
 A RelaxationDesc names one relaxation: its kind, one of RELAXATIONS,
 the cut subsets of a degree+cuts relaxation and the round budget of the
-cutting-plane loop. A GapReport pins down, for one instance and one
-relaxation, the exact relaxation value, the exact integer optimum from
-the tour oracle, their gap, and the rows and variables of the model it
-solved, which for the cutting-plane loop count how many cuts this loop
-added over its rounds (Bland's pivots choose them, so another loop may
-need fewer). Decision answers record the YES/NO verdicts at thresholds:
-a relaxation may say YES to a cost no tour achieves, and that recorded
-disagreement is the artifact under study, never an error.
+cutting-plane loop; every entry point that takes one reads None as the
+degree relaxation. A GapReport pins down, for one instance and one
+relaxation, the exact relaxation value, the exact tour optimum, their
+gap, and the rows and variables of the model it solved, which for the
+cutting-plane loop count how many cuts this loop added over its rounds
+(Bland's pivots choose them, so another loop may need fewer). Decision
+answers record the YES/NO verdicts at thresholds: a relaxation may say
+YES to a cost no tour achieves, and that recorded disagreement is the
+artifact under study, never an error.
+
+tour_optimum is the one rule for where the tour optimum comes from. A
+cutting-plane loop that ends complete on an integral point has proved
+it: that point is a cycle cover no subtour cut separates, so one
+Hamiltonian cycle, and its value is the minimum of a relaxation of the
+TSP, so no tour costs less. Every other optimum comes from the
+Held-Karp oracle, which refuses an instance past its 20-city budget.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .ilp import tsp_oracle
 from .lp import LinearProgram, SolveStatus, solve_lp
 from .rationals import Rational, require_exact, require_int
 from .valleys import (
+    CuttingPlaneTrace,
     InstanceInfo,
     TspInstance,
     cover_columns,
@@ -109,25 +118,30 @@ class GapReport:
     decision_form: str = DECISION_FORM
 
 
-def _fixed_program(
+def _read_relaxation(relaxation: Optional[RelaxationDesc]) -> RelaxationDesc:
+    """The relaxation an entry point reads: None is the degree one."""
+    return RelaxationDesc(DEGREE) if relaxation is None else relaxation
+
+
+def _build_relaxation(
     inst: TspInstance, relaxation: RelaxationDesc
-) -> Optional[LinearProgram]:
-    """The program of a degree or degree+cuts relaxation, whose cut
-    subsets are checked as it is built (a degree relaxation has none),
-    or None for the cutting-plane loop, which builds its own."""
+) -> tuple[Optional[LinearProgram], Optional[CuttingPlaneTrace]]:
+    """(program, None) for a degree or degree+cuts relaxation, whose cut
+    subsets are checked as the program is built (a degree relaxation has
+    none), or (None, trace) for the cutting-plane loop, which builds and
+    solves its own programs."""
     if relaxation.kind == CUTTING_PLANE:
-        return None
-    return relaxation_with_cuts(inst, relaxation.cut_subsets)
+        return None, cutting_plane_loop(inst, relaxation.max_rounds)
+    return relaxation_with_cuts(inst, relaxation.cut_subsets), None
 
 
-def _solve_relaxation(
+def _relaxation_value(
     inst: TspInstance,
-    relaxation: RelaxationDesc,
     program: Optional[LinearProgram],
+    trace: Optional[CuttingPlaneTrace],
 ) -> tuple[Rational, int, int]:
-    """(lp value, constraint rows, rounds), solving the program that
-    _fixed_program built for the relaxation, or running the
-    cutting-plane loop, which builds its own programs.
+    """(lp value, constraint rows, rounds), read off the cutting-plane
+    trace or got by solving the program that _build_relaxation built.
 
     Every relaxation solve starts at one corner, the cutting-plane
     loop's first round too: the cycle cover that successor swaps reach
@@ -138,8 +152,7 @@ def _solve_relaxation(
     with costs (0, 1) the whole solve makes none. A fixed cut the cover
     breaks is repaired by the dual simplex, and the primal simplex walks
     down from there."""
-    if program is None:
-        trace = cutting_plane_loop(inst, relaxation.max_rounds)
+    if trace is not None:
         last = trace.rounds[-1]
         return trace.final_value, last.constraint_count, len(trace.rounds)
     outcome = solve_lp(program, at_upper=cover_columns(inst))
@@ -148,22 +161,43 @@ def _solve_relaxation(
     return outcome.value, len(program.constraints), 0
 
 
+def tour_optimum(
+    inst: TspInstance, trace: Optional[CuttingPlaneTrace] = None
+) -> Rational:
+    """The exact cost of a cheapest tour of inst: the final value of a
+    cutting-plane trace that ends complete on an integral point, else
+    the Held-Karp oracle's, which raises BudgetExceededError past 20
+    cities. Such a trace's final point is an integral point of the
+    degree LP, so a cycle cover, and no subtour cut separates it, so it
+    is one Hamiltonian cycle; its value is optimal over a relaxation of
+    the TSP, so no tour costs less."""
+    if trace is not None and trace.complete and trace.final_integral:
+        return trace.final_value
+    return tsp_oracle(inst).cost
+
+
 def integrality_gap(
     inst: TspInstance,
-    relaxation: RelaxationDesc = RelaxationDesc(DEGREE),
+    relaxation: Optional[RelaxationDesc] = None,
     thresholds: Iterable = (),
 ) -> GapReport:
-    """Exact gap between the chosen relaxation and the tour oracle; each
-    threshold X contributes a recorded (LP answer, ILP answer) pair for
-    the question "is a tour of cost at most X possible". A float
-    threshold is refused first, then a bad cut subset, as the fixed-cut
-    program is built; the oracle runs next, so an instance past its
-    budget is refused before any relaxation solve."""
+    """Exact gap between the chosen relaxation (None is the degree one)
+    and the tour optimum; each threshold X contributes a recorded
+    (LP answer, ILP answer) pair for the question "is a tour of cost at
+    most X possible". A float threshold is refused first, then a bad cut
+    subset, as the fixed-cut program is built. A fixed program holds no
+    certificate of the optimum, so the tour oracle runs next and an
+    instance past its budget is refused before any relaxation solve.
+    The cutting-plane loop runs first and tour_optimum reads its trace:
+    a loop that ends complete on a tour has proved the optimum at any
+    size, and only one that does not is refused past the oracle's
+    budget, after its loop."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
-    program = _fixed_program(inst, relaxation)
-    ilp_value = tsp_oracle(inst).cost
-    lp_value, rows_used, rounds = _solve_relaxation(inst, relaxation, program)
+    relaxation = _read_relaxation(relaxation)
+    program, trace = _build_relaxation(inst, relaxation)
+    ilp_value = tour_optimum(inst, trace)
+    lp_value, rows_used, rounds = _relaxation_value(inst, program, trace)
     gap = ilp_value - lp_value
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value
@@ -211,19 +245,17 @@ def decide_tour_at_most(
     """Decision form "is there a tour of cost <= X". The ilp route is
     exact truth and reads no relaxation, so it refuses one before the
     tour oracle runs. The lp-relaxation route reads None as
-    RelaxationDesc(DEGREE) and never runs the tour oracle; it may say
-    YES to phantom values, but whenever it says NO the answer really is
-    NO."""
+    RelaxationDesc(DEGREE), as integrality_gap does, and never runs the
+    tour oracle; it may say YES to phantom values, but whenever it says
+    NO the answer really is NO."""
     require_exact((threshold,), "thresholds")
     x = Fraction(threshold)
     if via == VIA_ILP:
         if relaxation is not None:
             raise ValidationError(f"the {VIA_ILP} route reads no relaxation")
-        return tsp_oracle(inst).cost <= x
+        return tour_optimum(inst) <= x
     if via == VIA_LP:
-        if relaxation is None:
-            relaxation = RelaxationDesc(DEGREE)
-        program = _fixed_program(inst, relaxation)
-        value, _, _ = _solve_relaxation(inst, relaxation, program)
+        program, trace = _build_relaxation(inst, _read_relaxation(relaxation))
+        value, _, _ = _relaxation_value(inst, program, trace)
         return value <= x
     raise ValidationError(f"unknown decision route {via!r}")

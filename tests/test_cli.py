@@ -196,6 +196,39 @@ def test_cutting_plane_beyond_oracle_reach_records_no_cost(tmp_path):
     assert len(doc["result"]["trace"]["rounds"]) == 1
 
 
+def test_a_cut_loop_that_ends_on_a_tour_records_its_value_past_oracle_reach(tmp_path):
+    # 22 cities: the default rounds end on a tour, which proves the
+    # optimum without the oracle
+    code, out = run_cli(
+        tmp_path, "cutting-plane", "--valleys", "11", "--cities-per-valley", "2",
+    )
+    assert code == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["trace"]["complete"] and result["trace"]["final_integral"]
+    assert result["oracle_cost"] == "11"
+
+
+def test_cutting_plane_gap_past_oracle_reach(tmp_path):
+    code, out = run_cli(
+        tmp_path, "valley-gap", "--valleys", "11", "--cities-per-valley", "2",
+        "--relaxation", "cutting-plane",
+    )
+    assert code == 0
+    result = json.loads(out.read_text())["result"]
+    assert (result["lp_value"], result["ilp_value"], result["gap"]) == ("11", "11", "0")
+
+
+def test_degree_gap_past_oracle_reach_exits_3(tmp_path, capsys):
+    # a degree relaxation holds no certificate of the optimum
+    code = cli.main([
+        "valley-gap", "--valleys", "11", "--cities-per-valley", "2",
+        "--output", str(tmp_path / "x.json"),
+    ])
+    assert code == 3
+    assert "held-karp is budgeted for n <= 20" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_decide_and_cutting_plane(tmp_path):
     code, out = run_cli(
         tmp_path,
@@ -964,6 +997,10 @@ run("space-bounds", "--mode", "single", "--count", "5")
 # every point of an integer grid is on the demo's exact path
 run("model-demo", "--start", "0", "--end", "3", "--step", "1")
 steps["neither"] = loaded()
+# a cut loop that ends on a tour has proved the optimum
+report = json.loads(run("cutting-plane", "--valleys", "4", "--cities-per-valley", "2"))
+steps["cut_loop"] = loaded()
+steps["oracle_cost"] = report["result"]["oracle_cost"]
 report = json.loads(run("valley-gap", "--valleys", "3", "--cities-per-valley", "2"))
 steps["oracle"] = loaded()
 steps["ilp_value"] = report["result"]["ilp_value"]
@@ -982,6 +1019,7 @@ def test_numpy_and_mpmath_load_only_in_the_commands_that_use_them():
         capture_output=True, text=True, env=env, check=True,
     ).stdout)
     assert steps["neither"] == []
+    assert steps["cut_loop"] == [] and steps["oracle_cost"] == "4"
     # the oracle's first call imports numpy and still answers exactly
     assert steps["oracle"] == ["numpy"]
     assert steps["ilp_value"] == "3"

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     arc_index_map,
+    held_karp_tour,
     point_feasible,
     valley_cut_subsets,
     valley_internal_cycles_flow,
 )
+from test_valleys import FRACTIONAL_END_COSTS
 from lpgaps import gaps, lp
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
@@ -23,11 +25,14 @@ from lpgaps.gaps import (
     RelaxationDesc,
     decide_tour_at_most,
     integrality_gap,
+    tour_optimum,
 )
+from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import _Tableau, solve_lp
 from lpgaps.valleys import (
     arc_list,
     cover_columns,
+    cutting_plane_loop,
     gen_valley_instance,
     instance_from_cost_matrix,
     relaxation_with_cuts,
@@ -208,6 +213,16 @@ def test_the_lp_route_reads_no_relaxation_as_degree():
     assert answer is True
 
 
+def test_integrality_gap_reads_no_relaxation_as_degree():
+    # None raised AttributeError here while the lp route of
+    # decide_tour_at_most read it as degree
+    inst = gen_valley_instance(4, 2)
+    report = integrality_gap(inst, None, thresholds=[3])
+    assert report == integrality_gap(inst, RelaxationDesc(DEGREE), thresholds=[3])
+    assert report.relaxation == RelaxationDesc(DEGREE)
+    assert (report.lp_value, report.ilp_value) == (0, 4)
+
+
 def test_reports_are_deterministic():
     inst = gen_valley_instance(4, 2)
     cutting = RelaxationDesc(CUTTING_PLANE, max_rounds=50)
@@ -221,10 +236,10 @@ def test_reports_are_deterministic():
     [
         RelaxationDesc(DEGREE),
         RelaxationDesc(DEGREE_WITH_CUTS, ((0, 1, 2),)),
-        RelaxationDesc(CUTTING_PLANE, max_rounds=50),
     ],
 )
 def test_oracle_budget_is_checked_before_the_relaxation(monkeypatch, relaxation):
+    # a fixed program holds no certificate of the tour optimum
     def never(*args):
         raise AssertionError("relaxation solved before the oracle budget check")
 
@@ -233,6 +248,39 @@ def test_oracle_budget_is_checked_before_the_relaxation(monkeypatch, relaxation)
     inst = gen_valley_instance(7, 3)  # n = 21 > 20
     with pytest.raises(BudgetExceededError):
         integrality_gap(inst, relaxation)
+
+
+def test_a_cut_loop_that_ends_on_a_tour_gives_the_gap_past_the_oracle_budget(
+    monkeypatch,
+):
+    # n = 21: the loop runs first, and its trace proves the optimum
+    def never(*args):
+        raise AssertionError("the tour oracle ran after a loop that ended on a tour")
+
+    monkeypatch.setattr(gaps, "tsp_oracle", never)
+    inst = gen_valley_instance(7, 3)
+    report = integrality_gap(inst, RelaxationDesc(CUTTING_PLANE, max_rounds=50))
+    assert (report.lp_value, report.ilp_value, report.gap) == (7, 7, 0)
+    assert report.gap_ratio == 1
+
+
+def test_a_cut_loop_that_ends_off_a_tour_is_refused_past_the_oracle_budget(
+    monkeypatch,
+):
+    # one round ends on the degree LP's cycle cover, which a cut
+    # separates, so only the oracle could give the optimum, and n = 21
+    # is past its budget
+    loops = []
+
+    def recording_loop(*args):
+        loops.append(cutting_plane_loop(*args))
+        return loops[-1]
+
+    monkeypatch.setattr(gaps, "cutting_plane_loop", recording_loop)
+    inst = gen_valley_instance(7, 3)
+    with pytest.raises(BudgetExceededError):
+        integrality_gap(inst, RelaxationDesc(CUTTING_PLANE, max_rounds=1))
+    assert len(loops) == 1 and not loops[0].complete
 
 
 def test_bad_cut_subset_is_refused_before_the_oracle_budget(monkeypatch):
@@ -499,3 +547,108 @@ def test_decide_via_the_relaxation_never_runs_the_oracle(monkeypatch, relaxation
     fixed = relaxation.kind != CUTTING_PLANE
     assert seen == ([{"at_upper": cover}] if fixed else [])
     assert (dual_moves[0] > 0) is bool(relaxation.cut_subsets)
+
+
+# ---------------------------------------------------------------------------
+# The tour-optimum rule: a loop that ends complete on an integral point
+# has found a tour of optimal cost, checked here by walking the point's
+# successors and against two Held-Karp programs, never by the rule
+
+# past 12 cities the Fractions Held-Karp of tests/oracles.py takes
+# seconds (0.9 s at 14, 3.7 s at 16 and about a minute at 20); there the
+# valley closed form k * crossing + k (c - 1) * intra stands beside the
+# production oracle instead
+HELD_KARP_TEST_CITIES = 12
+RULE_COSTS = [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(5, 3)),
+              (Fraction(1, 3), Fraction(2))]
+RULE_SHAPES = [(k, c) for c in (2, 3, 4) for k in range(2, 20 // c + 1)]
+
+
+def _hamiltonian_cycle(n, point):
+    """The tour whose arcs are the 1-entries of an integral point, read
+    by walking successors from city 0; fails unless the point is one
+    cycle through all n cities."""
+    assert all(x in (0, 1) for x in point)
+    succ = {}
+    for (i, j), x in zip(arc_list(n), point):
+        if x:
+            assert i not in succ, f"city {i} has two successors"
+            succ[i] = j
+    tour, city = [0], succ[0]
+    while city != 0:
+        assert len(tour) < n, "the successor walk does not return to 0"
+        tour.append(city)
+        city = succ[city]
+    assert sorted(tour) == list(range(n)) and len(succ) == n
+    return tour
+
+
+def _check_rule(inst, trace):
+    """When the loop ended complete on an integral point, its final
+    point is one tour of its final value, the optimum of both Held-Karp
+    programs (the test one up to HELD_KARP_TEST_CITIES), and the rule
+    gives that value; returns whether it did."""
+    if not (trace.complete and trace.final_integral):
+        return False
+    tour = _hamiltonian_cycle(inst.n, trace.final_point)
+    closed = zip(tour, tour[1:] + tour[:1])
+    assert sum(inst.cost[i][j] for i, j in closed) == trace.final_value
+    assert trace.final_value == tsp_oracle(inst).cost
+    if inst.n <= HELD_KARP_TEST_CITIES:
+        assert trace.final_value == held_karp_tour(inst.cost)[1]
+    assert tour_optimum(inst, trace) == trace.final_value
+    return True
+
+
+@pytest.mark.parametrize("intra, crossing", RULE_COSTS)
+@pytest.mark.parametrize("k, c", RULE_SHAPES)
+def test_a_cut_loop_that_ends_on_a_tour_has_the_tour_optimum(k, c, intra, crossing):
+    inst = gen_valley_instance(k, c, intra, crossing)
+    trace = cutting_plane_loop(inst)
+    # every valley loop within the oracle's budget ends on a tour
+    assert _check_rule(inst, trace)
+    assert trace.final_value == k * crossing + k * (c - 1) * intra
+
+
+def seeded_metric_matrix(rng, n):
+    """An n-city matrix of arc costs drawn from {1, 2, 3, 5, 8, 13} and
+    closed under shortest paths (Floyd-Warshall), so it is metric."""
+    cost = [[0 if i == j else rng.choice((1, 2, 3, 5, 8, 13)) for j in range(n)]
+            for i in range(n)]
+    for m in range(n):
+        for i in range(n):
+            for j in range(n):
+                cost[i][j] = min(cost[i][j], cost[i][m] + cost[m][j])
+    return cost
+
+
+def test_the_tour_rule_on_random_metric_instances():
+    rng = random.Random(48)
+    ended = {True: 0, False: 0}
+    for n in range(5, 13):
+        for _ in range(3):
+            inst = instance_from_cost_matrix(seeded_metric_matrix(rng, n))
+            trace = cutting_plane_loop(inst)
+            on_a_tour = _check_rule(inst, trace)
+            if not on_a_tour:
+                assert tour_optimum(inst, trace) == held_karp_tour(inst.cost)[1]
+            ended[on_a_tour] += 1
+    # 18 of the 24 loops end on a tour, the rest on a fractional point
+    assert ended[True] >= 12 and ended[False] >= 1
+
+
+def test_a_cut_loop_that_ends_on_a_fractional_point_takes_the_oracle(monkeypatch):
+    # the 6-city instance whose loop ends complete on a fractional
+    # vertex of the subtour LP
+    calls = []
+
+    def recording_oracle(inst):
+        calls.append(inst)
+        return tsp_oracle(inst)
+
+    monkeypatch.setattr(gaps, "tsp_oracle", recording_oracle)
+    inst = instance_from_cost_matrix(FRACTIONAL_END_COSTS)
+    trace = cutting_plane_loop(inst)
+    assert trace.complete and not trace.final_integral
+    assert tour_optimum(inst, trace) == 12 == held_karp_tour(inst.cost)[1]
+    assert calls == [inst]
