@@ -25,7 +25,7 @@ from .hull import (
     gen_arc,
     subset_gap_scan,
 )
-from .ilp import TourResult, tsp_oracle
+from .ilp import tsp_oracle
 from .lp import (
     Constraint,
     LinearProgram,
@@ -35,7 +35,6 @@ from .lp import (
 )
 from .rationals import Rational, format_rational, parse_rational
 from .valleys import (
-    FlowSolution,
     TspInstance,
     check_flow_feasibility,
     cutting_plane_loop,
@@ -52,7 +51,6 @@ __all__ = [
     "ArcPolytope",
     "BudgetExceededError",
     "Constraint",
-    "FlowSolution",
     "GapReport",
     "LinearProgram",
     "LpOutcome",
@@ -60,7 +58,6 @@ __all__ = [
     "RelaxationDesc",
     "SolveStatus",
     "StorageBound",
-    "TourResult",
     "TspInstance",
     "ValidationError",
     "adversarial_objective",

@@ -226,8 +226,7 @@ def _run_decide(args) -> Any:
 def _run_check_flow(args) -> Any:
     inst = valleys.instance_from_text(Path(args.instance).read_text())
     arcs = valleys.flow_arcs_from_text(Path(args.flow).read_text())
-    flow = valleys.flow_from_arcs(inst, arcs)
-    return valleys.check_flow_feasibility(inst, flow, _cut_subsets(args, inst))
+    return valleys.check_flow_feasibility(inst, arcs, _cut_subsets(args, inst))
 
 
 def _run_space_bounds(args) -> Any:

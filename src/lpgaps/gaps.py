@@ -34,6 +34,7 @@ from .valleys import (
     CuttingPlaneTrace,
     InstanceInfo,
     TspInstance,
+    arc_list,
     cover_columns,
     cutting_plane_loop,
     relaxation_with_cuts,
@@ -54,14 +55,16 @@ class RelaxationDesc:
     def __post_init__(self):
         """A field the kind never reads is refused, so a report cannot
         record a cut or a round budget that its relaxation ignored, and
-        a cutting-plane budget is checked before any solve. Each city of
-        a cut subset must be an int >= 0, checked before any sort
-        compares it, named once; the instance checks the upper end when
-        the program is built. Each subset is stored with its cities
-        sorted, and the subsets sorted, so neither the order of a
-        subset's cities nor the order of the subsets is part of the
-        description, which is hashable; a subset named twice, in any
-        order of its cities, is refused."""
+        a cutting-plane budget is checked before any solve. A degree+cuts
+        relaxation with no cut subset is refused too: it would be the
+        degree relaxation under another name. Each city of a cut subset
+        must be an int >= 0, checked before any sort compares it, named
+        once; the instance checks the upper end when the program is
+        built. Each subset is stored with its cities sorted, and the
+        subsets sorted, so neither the order of a subset's cities nor
+        the order of the subsets is part of the description, which is
+        hashable; a subset named twice, in any order of its cities, is
+        refused."""
         if self.kind not in RELAXATIONS:
             raise ValidationError(f"unknown relaxation kind {self.kind!r}")
         subsets = self.cut_subsets
@@ -75,6 +78,10 @@ class RelaxationDesc:
         if subsets and self.kind != DEGREE_WITH_CUTS:
             raise ValidationError(
                 f"cut_subsets need the {DEGREE_WITH_CUTS} relaxation, not {self.kind}"
+            )
+        if not subsets and self.kind == DEGREE_WITH_CUTS:
+            raise ValidationError(
+                f"the {DEGREE_WITH_CUTS} relaxation needs at least one cut subset"
             )
         cutting = self.kind == CUTTING_PLANE
         require_int(self.max_rounds, int(cutting), None, "max_rounds")
@@ -170,10 +177,18 @@ def tour_optimum(
     cities. Such a trace's final point is an integral point of the
     degree LP, so a cycle cover, and no subtour cut separates it, so it
     is one Hamiltonian cycle; its value is optimal over a relaxation of
-    the TSP, so no tour costs less."""
+    the TSP, so no tour costs less. A trace of another instance is
+    refused: its final point must have inst's n(n - 1) entries, and its
+    final value must be the cost, under inst, of the arcs it sets to 1."""
     if trace is not None and trace.complete and trace.final_integral:
+        point = trace.final_point
+        arcs = arc_list(inst.n)
+        if len(point) != len(arcs) or trace.final_value != sum(
+            inst.cost[i][j] for (i, j), x in zip(arcs, point) if x == 1
+        ):
+            raise ValidationError("the cutting-plane trace is not one of this instance")
         return trace.final_value
-    return tsp_oracle(inst).cost
+    return tsp_oracle(inst)
 
 
 def integrality_gap(

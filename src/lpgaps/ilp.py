@@ -13,11 +13,10 @@ computed is at most one arc beyond a stored one, so no magnitude exceeds
 sentinel + largest |cost|, the quantity the headroom rule
 sentinel + largest < 2**(bits - 2) bounds.
 
-The oracle returns a deterministic optimal tour: the lowest-index last
-city, then the lowest-index optimal predecessor at every step back. The
-walk-back reads the stored layer values, the same in every tier. The
-budget is hard: past n = 20 the oracle raises BudgetExceededError
-rather than approximating.
+Only the layer being extended is kept: the oracle returns the optimum's
+exact cost and no tour, so no layer is read again once the next one is
+made. The budget is hard: past n = 20 the oracle raises
+BudgetExceededError rather than approximating.
 
 numpy is imported inside tsp_oracle and _held_karp, not at module
 level: lpgaps imports this module, but only the commands that call the
@@ -28,7 +27,6 @@ calls pay only a sys.modules lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -43,13 +41,7 @@ HELD_KARP_CITY_LIMIT = 20
 EXHAUSTIVE_CITY_LIMIT = 1  # no n is searched exhaustively; perfbench/run.py reads this name
 
 
-@dataclass(frozen=True)
-class TourResult:
-    tour: tuple[int, ...]
-    cost: Rational
-
-
-def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object]:
+def _held_karp(cost: np.ndarray, sentinel: int) -> object:
     """Subset dynamic programming over the cities 1..n-1 (m of them),
     kept one popcount layer at a time. Layer k is a compact table of m
     rows and one column per mask of k cities, masks in ascending order
@@ -71,8 +63,9 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
     |cost| in magnitude, which the caller's headroom rule fits in the
     dtype, so the values are the same ints in int16, int32, int64 and
     object (Python int) tables. The sentinel exceeds every real path
-    cost even after adding one arc, so no minimum or walk-back
-    comparison can pick a path through a city outside its mask."""
+    cost even after adding one arc, so no minimum can pick a path
+    through a city outside its mask. Returns the cheapest closed tour's
+    scaled cost, an element of the table's dtype."""
     import numpy as np
 
     m = len(cost) - 1
@@ -81,13 +74,12 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
     for _ in range(m):
         popcount = np.concatenate([popcount, popcount + 1])
     # masks[k] lists the masks of k + 1 cities in ascending order, the
-    # columns of layers[k]
+    # columns of the layer of k + 1 cities
     order = np.argsort(popcount, kind="stable").astype(np.int32)
     masks = np.split(order, np.cumsum(np.bincount(popcount))[:-1])[1:]
     bits = np.left_shift(1, np.arange(m, dtype=np.int32))[:, None]
     layer = np.full((m, m), sentinel, dtype=cost.dtype)
     np.fill_diagonal(layer, from_start)
-    layers = [layer]
     outside = ~np.eye(m, dtype=bool)
     for layer_masks in masks[1:]:
         inside = (layer_masks & bits) != 0
@@ -96,39 +88,23 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> tuple[tuple[int, ...], object
         for i in range(1, m):
             np.add(layer[i], between[i][:, None], out=scratch)
             np.minimum(reach, scratch, out=reach)
-        # free each block once it is read, so at most one layer's blocks
-        # live beside the stored layers
+        # free each block once it is read
         del scratch
         layer = np.full(inside.shape, sentinel, dtype=cost.dtype)
         layer[inside] = reach[outside]
-        layers.append(layer)
         del reach
         outside = np.logical_not(inside, out=inside)
-    totals = layer[:, 0] + to_start
-    last = int(np.argmin(totals))
-    # walk the layers backwards, taking the lowest-index predecessor that
-    # reaches each value, so the tour is a deterministic choice
-    path, mask, value = [last], (1 << m) - 1, layer[last, 0]
-    for k in range(m - 2, -1, -1):
-        cur = path[-1]
-        mask ^= 1 << cur
-        came = layers[k][:, np.searchsorted(masks[k], mask)]
-        prev = int(np.flatnonzero(came + between[:, cur] == value)[0])
-        path.append(prev)
-        value = came[prev]
-    return (0,) + tuple(p + 1 for p in reversed(path)), totals[last]
+    return (layer[:, 0] + to_start).min()
 
 
-def tsp_oracle(inst: TspInstance) -> TourResult:
-    """Exact minimum-cost tour by Held-Karp, for n <= 20; larger n
-    raises BudgetExceededError, and no approximation is ever substituted.
-    Costs are scaled to integers by the lcm of their denominators; the
-    table is the narrowest of int16, int32, int64 and Python ints
-    (object) in which sentinel + largest < 2**(bits - 2), a bit of
-    headroom beyond the largest magnitude the program computes. Of the
-    optimal tours, the one returned starts at city 0, ends at the
-    lowest-index last city that closes an optimum, and is traced back
-    through the lowest-index optimal predecessor at every step."""
+def tsp_oracle(inst: TspInstance) -> Rational:
+    """The exact cost of a cheapest tour, as a Fraction, by Held-Karp,
+    for n <= 20; larger n raises BudgetExceededError, and no
+    approximation is ever substituted. Costs are scaled to integers by
+    the lcm of their denominators; the table is the narrowest of int16,
+    int32, int64 and Python ints (object) in which
+    sentinel + largest < 2**(bits - 2), a bit of headroom beyond the
+    largest magnitude the program computes."""
     n = inst.n
     if n > HELD_KARP_CITY_LIMIT:
         raise BudgetExceededError(
@@ -144,5 +120,5 @@ def tsp_oracle(inst: TspInstance) -> TourResult:
          if sentinel + largest < 2 ** (np.iinfo(t).bits - 2)),
         object,
     )
-    tour, best = _held_karp(np.array(scaled, dtype=dtype).reshape(n, n), sentinel)
-    return TourResult(tour, Fraction(int(best), scale))
+    best = _held_karp(np.array(scaled, dtype=dtype).reshape(n, n), sentinel)
+    return Fraction(int(best), scale)

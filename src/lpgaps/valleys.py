@@ -242,16 +242,11 @@ def relaxation_with_cuts(
 
 
 # ---------------------------------------------------------------------------
-# Fractional flows
-
-@dataclass(frozen=True)
-class FlowSolution:
-    arcs: tuple[tuple[int, int, Rational], ...]
-
+# Fractional flows: tuples of (i, j, weight) arc records
 
 def flow_from_arcs(
     inst: TspInstance, arcs: Iterable[tuple[int, int, Rational]]
-) -> FlowSolution:
+) -> tuple[tuple[int, int, Fraction], ...]:
     """Validate arc records against the instance, without pricing the
     flow: check_flow_feasibility alone sums its cost. Weights must be
     exact rationals: a float is refused, not read as its binary
@@ -276,10 +271,10 @@ def flow_from_arcs(
             yield wf
 
     require_common_denominator(weights(), "arc weights")
-    return FlowSolution(tuple((i, j, w) for (i, j), w in checked.items()))
+    return tuple((i, j, w) for (i, j), w in checked.items())
 
 
-def three_circulation_flow(inst: TspInstance) -> FlowSolution:
+def three_circulation_flow(inst: TspInstance) -> tuple[tuple[int, int, Fraction], ...]:
     """Three cycle covers at weight 1/3 each. Cover r is two closed
     walks: one through the cities of every valley except valley r, in
     valley order (crossing k-1 mountain passes), and valley r's own
@@ -297,9 +292,7 @@ def three_circulation_flow(inst: TspInstance) -> FlowSolution:
         ring = [c for v in range(k) if v != skipped for c in inst.valley_cities(v)]
         for walk in (ring, inst.valley_cities(skipped)):
             uses.update(zip(walk, walk[1:] + walk[:1]))
-    return flow_from_arcs(
-        inst, [(i, j, Fraction(m, 3)) for (i, j), m in sorted(uses.items())]
-    )
+    return tuple((i, j, Fraction(m, 3)) for (i, j), m in sorted(uses.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +324,19 @@ class FlowReport:
 
 def check_flow_feasibility(
     inst: TspInstance,
-    flow: FlowSolution,
+    arcs: Iterable[tuple[int, int, Rational]],
     cut_subsets: Iterable[Iterable[int]] = (),
 ) -> FlowReport:
-    """Exact verification of degree rows, the given cuts, and cost.
-    Never alters the flow."""
+    """Exact verification of a flow's degree rows, the given cuts, and
+    cost. The (i, j, weight) arc records are checked by flow_from_arcs
+    as they are drawn, and summed only once every one has passed."""
+    flow = flow_from_arcs(inst, arcs)
     zero = Fraction(0)
     out_w = [zero] * inst.n
     in_w = [zero] * inst.n
     crossing = zero
     total = zero
-    for (i, j, w) in flow.arcs:
+    for (i, j, w) in flow:
         out_w[i] += w
         in_w[j] += w
         total += w * inst.cost[i][j]
@@ -356,7 +351,7 @@ def check_flow_feasibility(
     evaluations = []
     for subset in cut_subsets:
         S = _checked_subset(inst, subset)
-        value = _cut_value(S, flow.arcs)
+        value = _cut_value(S, flow)
         evaluations.append(CutEvaluation(S, value, value >= one))
     return FlowReport(
         degree_ok=not imbalances,
@@ -647,9 +642,9 @@ def instance_from_text(text: str) -> TspInstance:
     return TspInstance(n, valley_of, tuple(cost_rows))
 
 
-def flow_arcs_to_text(flow: FlowSolution) -> str:
+def flow_arcs_to_text(arcs: Iterable[tuple[int, int, Rational]]) -> str:
     lines = ["lpgaps-flow 1"]
-    for (i, j, w) in flow.arcs:
+    for (i, j, w) in arcs:
         lines.append(f"{i} {j} {format_rational(w)}")
     return "\n".join(lines) + "\n"
 
@@ -663,7 +658,8 @@ def _flow_arc(line: str) -> tuple[int, int, Rational]:
 
 def flow_arcs_from_text(text: str) -> Iterator[tuple[int, int, Rational]]:
     """The arc records of a flow file, each parsed from its line only
-    when it is drawn; the header is checked at the call. flow_from_arcs
-    checks the records, so a flow file is read only up to its first
+    when it is drawn; the header is checked at the call.
+    check_flow_feasibility checks the records as it draws them
+    (flow_from_arcs), so a flow file is read only up to its first
     refused record."""
     return map(_flow_arc, body_lines(text, "lpgaps-flow"))

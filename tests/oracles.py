@@ -2,25 +2,27 @@
 
 Nothing here touches the simplex, the TSP oracle, or the separation
 code: LP optima come from brute-force vertex enumeration over exact
-hyperplane intersections, tour optima from direct permutation scans,
-minimum subtour cuts from scans over every city subset (or, where n is
-too large to scan, a plain Stoer-Wagner minimum cut), and hull
-envelopes from piecewise-linear geometry. Expected values in
-the test suite are computed by these first and then asserted against
-the production path, exactly.
+hyperplane intersections, tour optima from direct permutation scans
+or a plain-list Held-Karp, minimum subtour cuts from scans over every
+city subset (or, where n is too large to scan, a plain Stoer-Wagner
+minimum cut), and hull envelopes from piecewise-linear geometry.
+Expected values in the test suite are computed by these first and then
+asserted against the production path, exactly.
 
 The valley witnesses the tests feed the production path are built here
 too: each valley's cut subset, a tour's unit flow, the flow that circles
-inside every valley, and a flow's point in the arc LP.
+inside every valley, and a flow's point in the arc LP; a flow is a
+tuple of (i, j, weight) arc records.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 from lpgaps.errors import ValidationError
 from lpgaps.lp import EQUAL, GREATER_EQ, LESS_EQ, LinearProgram
-from lpgaps.valleys import arc_list, flow_from_arcs
+from lpgaps.valleys import arc_list
 
 
 def _exact(value) -> Fraction:
@@ -162,35 +164,37 @@ def assignment_optimum(cost) -> Fraction:
     return sum(c[match[j] - 1][j - 1] for j in range(1, n + 1))
 
 
-def held_karp_tour(cost) -> tuple[tuple[int, ...], Fraction]:
-    """The tour and cost the production oracle documents, by a plain
-    Held-Karp over Fractions in a dict keyed by (mask, end): the
-    optimal tour from city 0 that ends at the lowest-index last city
-    closing an optimum, traced back through the lowest-index optimal
-    predecessor at every step. cost is a square matrix of ints or
-    Fractions; its diagonal is never read."""
+def held_karp_cost(cost) -> Fraction:
+    """The exact cost of a cheapest tour, by a plain Held-Karp that
+    shares nothing with the production oracle: costs scaled to ints by
+    the lcm of their denominators, and one plain list per mask of the
+    cities 1..n-1 (bit j - 1 for city j), whose entry j - 1 is the
+    cheapest path from city 0 through the mask's cities ending at city
+    j, or None while no such path is known. Each path is pushed forward
+    by one arc to every city outside its mask, masks in increasing
+    order, so a mask's entries are final before it is read. cost is a
+    square matrix of ints or Fractions, n >= 2; its diagonal is never
+    read."""
     n = len(cost)
     c = [[_exact(x) for x in row] for row in cost]
-    best = {(1 << j, j): c[0][j] for j in range(1, n)}
-    for size in range(2, n):
-        for cities in combinations(range(1, n), size):
-            mask = sum(1 << j for j in cities)
-            for j in cities:
-                best[mask, j] = min(
-                    best[mask ^ (1 << j), i] + c[i][j] for i in cities if i != j
-                )
-    full = (1 << n) - 2
-    total = min(best[full, j] + c[j][0] for j in range(1, n))
-    path = [min(j for j in range(1, n) if best[full, j] + c[j][0] == total)]
-    mask = full
-    while mask != 1 << path[-1]:
-        cur = path[-1]
-        mask ^= 1 << cur
-        path.append(min(
-            i for i in range(1, n)
-            if mask >> i & 1 and best[mask, i] + c[i][cur] == best[mask | 1 << cur, cur]
-        ))
-    return (0, *reversed(path)), total
+    scale = lcm(*(x.denominator for row in c for x in row))
+    w = [[int(x * scale) for x in row] for row in c]
+    m = n - 1
+    best = [[None] * m for _ in range(1 << m)]
+    for j in range(m):
+        best[1 << j][j] = w[0][j + 1]
+    for mask, ends in enumerate(best):
+        outside = [k for k in range(m) if not mask >> k & 1]
+        for j, value in enumerate(ends):
+            if value is None:
+                continue
+            arcs = w[j + 1]
+            for k in outside:
+                nxt = best[mask | 1 << k]
+                if nxt[k] is None or value + arcs[k + 1] < nxt[k]:
+                    nxt[k] = value + arcs[k + 1]
+    total = min(best[-1][j] + w[j + 1][0] for j in range(m))
+    return Fraction(total, scale)
 
 
 def subtour_cut_value(weights, subset) -> Fraction:
@@ -265,10 +269,6 @@ def weak_component(n, weights, city):
     return tuple(sorted(seen))
 
 
-def is_valid_tour(n: int, tour) -> bool:
-    return len(tour) == n and sorted(tour) == list(range(n))
-
-
 def valley_cut_subsets(inst) -> tuple[tuple[int, ...], ...]:
     """The k per-valley cut subsets (needs at least 2 cities per valley)."""
     subsets = []
@@ -287,10 +287,9 @@ def tour_flow(inst, tour):
     if sorted(tour) != list(range(inst.n)):
         raise ValidationError("tour must visit every city exactly once")
     one = Fraction(1)
-    arcs = [
+    return tuple(
         (tour[i], tour[(i + 1) % len(tour)], one) for i in range(len(tour))
-    ]
-    return flow_from_arcs(inst, arcs)
+    )
 
 
 def arc_index_map(n: int) -> dict[tuple[int, int], int]:
@@ -300,7 +299,7 @@ def arc_index_map(n: int) -> dict[tuple[int, int], int]:
 def flow_to_point(inst, flow) -> tuple[Fraction, ...]:
     index = arc_index_map(inst.n)
     point = [Fraction(0)] * len(index)
-    for (i, j, w) in flow.arcs:
+    for (i, j, w) in flow:
         point[index[(i, j)]] = w
     return tuple(point)
 
@@ -317,7 +316,7 @@ def valley_internal_cycles_flow(inst):
             raise ValidationError("internal circulation needs 2+ cities per valley")
         for t in range(len(cities)):
             arcs.append((cities[t], cities[(t + 1) % len(cities)], one))
-    return flow_from_arcs(inst, arcs)
+    return tuple(arcs)
 
 
 def envelope_relaxed_max(poly, omitted: int, kept):

@@ -289,6 +289,16 @@ def test_cut_valley_out_of_range_exits_2(tmp_path, capsys):
         assert not (tmp_path / "x.json").exists()
 
 
+def test_a_cuts_relaxation_without_a_cut_flag_exits_2(tmp_path, capsys):
+    # it ran and reported kind degree+cuts with the degree values
+    code, out = run_cli(tmp_path, *VALLEY_3_2, "--relaxation", "degree+cuts")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: the degree+cuts relaxation needs at least one cut subset\n"
+    )
+    assert not out.exists()
+
+
 def test_a_cut_subset_named_twice_exits_2(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = cli.main([*VALLEY_3_2, "--relaxation", "degree+cuts", "--cut-valley", "0",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     arc_index_map,
-    held_karp_tour,
+    held_karp_cost,
     point_feasible,
     valley_cut_subsets,
     valley_internal_cycles_flow,
@@ -323,6 +323,13 @@ def test_relaxation_refuses_a_field_its_kind_never_reads(monkeypatch, kwargs, me
         integrality_gap(gen_valley_instance(4, 2), RelaxationDesc(**kwargs))
 
 
+def test_a_cuts_relaxation_needs_a_cut_subset():
+    # with none it ran as the degree relaxation under another kind, and
+    # its description was unequal to the degree one
+    with pytest.raises(ValidationError, match="needs at least one cut subset"):
+        RelaxationDesc(DEGREE_WITH_CUTS)
+
+
 @pytest.mark.parametrize("city", ["a", None, 1.0, True, -1])
 def test_cuts_relaxation_checks_each_city_before_sorting(city):
     # a string or None raised TypeError from the sort, and 1.0 or True
@@ -435,7 +442,7 @@ def test_the_relaxation_solve_starts_at_a_swapped_cover(monkeypatch):
     index = arc_index_map(inst.n)
     # both solves start at the valley 2-cycles, the degree LP's optimum;
     # every valley cut breaks there, for the dual simplex to repair
-    cycles = sorted(index[(i, j)] for i, j, _ in valley_internal_cycles_flow(inst).arcs)
+    cycles = sorted(index[(i, j)] for i, j, _ in valley_internal_cycles_flow(inst))
     assert seen == [{"at_upper": tuple(cycles)}] * 2
 
 
@@ -554,11 +561,11 @@ def test_decide_via_the_relaxation_never_runs_the_oracle(monkeypatch, relaxation
 # has found a tour of optimal cost, checked here by walking the point's
 # successors and against two Held-Karp programs, never by the rule
 
-# past 12 cities the Fractions Held-Karp of tests/oracles.py takes
-# seconds (0.9 s at 14, 3.7 s at 16 and about a minute at 20); there the
-# valley closed form k * crossing + k (c - 1) * intra stands beside the
-# production oracle instead
-HELD_KARP_TEST_CITIES = 12
+# past 16 cities the plain-list Held-Karp of tests/oracles.py takes
+# seconds (0.3 s at 16, 1.3 s at 18, about four times more per two
+# cities); there the valley closed form k * crossing + k (c - 1) * intra
+# stands beside the production oracle instead
+HELD_KARP_TEST_CITIES = 16
 RULE_COSTS = [(Fraction(0), Fraction(1)), (Fraction(1, 7), Fraction(5, 3)),
               (Fraction(1, 3), Fraction(2))]
 RULE_SHAPES = [(k, c) for c in (2, 3, 4) for k in range(2, 20 // c + 1)]
@@ -593,9 +600,9 @@ def _check_rule(inst, trace):
     tour = _hamiltonian_cycle(inst.n, trace.final_point)
     closed = zip(tour, tour[1:] + tour[:1])
     assert sum(inst.cost[i][j] for i, j in closed) == trace.final_value
-    assert trace.final_value == tsp_oracle(inst).cost
+    assert trace.final_value == tsp_oracle(inst)
     if inst.n <= HELD_KARP_TEST_CITIES:
-        assert trace.final_value == held_karp_tour(inst.cost)[1]
+        assert trace.final_value == held_karp_cost(inst.cost)
     assert tour_optimum(inst, trace) == trace.final_value
     return True
 
@@ -625,16 +632,28 @@ def seeded_metric_matrix(rng, n):
 def test_the_tour_rule_on_random_metric_instances():
     rng = random.Random(48)
     ended = {True: 0, False: 0}
-    for n in range(5, 13):
+    for n in range(5, HELD_KARP_TEST_CITIES + 1):
         for _ in range(3):
             inst = instance_from_cost_matrix(seeded_metric_matrix(rng, n))
             trace = cutting_plane_loop(inst)
             on_a_tour = _check_rule(inst, trace)
             if not on_a_tour:
-                assert tour_optimum(inst, trace) == held_karp_tour(inst.cost)[1]
+                assert tour_optimum(inst, trace) == held_karp_cost(inst.cost)
             ended[on_a_tour] += 1
-    # 18 of the 24 loops end on a tour, the rest on a fractional point
+    # 26 of the 36 loops end on a tour, the rest on a fractional point
     assert ended[True] >= 12 and ended[False] >= 1
+
+
+def test_the_rule_refuses_a_trace_of_another_instance():
+    # the 6-city instance, whose optimum is 3, took 4, the 8-city loop's
+    # final value; the second instance has the trace's size, other costs
+    trace = cutting_plane_loop(gen_valley_instance(4, 2))
+    assert trace.complete and trace.final_integral
+    for inst in (gen_valley_instance(3, 2),
+                 gen_valley_instance(4, 2, Fraction(1, 7), Fraction(5, 3))):
+        with pytest.raises(ValidationError, match="not one of this instance"):
+            tour_optimum(inst, trace)
+    assert tour_optimum(gen_valley_instance(4, 2), trace) == 4
 
 
 def test_a_cut_loop_that_ends_on_a_fractional_point_takes_the_oracle(monkeypatch):
@@ -650,5 +669,5 @@ def test_a_cut_loop_that_ends_on_a_fractional_point_takes_the_oracle(monkeypatch
     inst = instance_from_cost_matrix(FRACTIONAL_END_COSTS)
     trace = cutting_plane_loop(inst)
     assert trace.complete and not trace.final_integral
-    assert tour_optimum(inst, trace) == 12 == held_karp_tour(inst.cost)[1]
+    assert tour_optimum(inst, trace) == 12 == held_karp_cost(inst.cost)
     assert calls == [inst]

@@ -268,7 +268,7 @@ def test_two_protected_valleys_force_two_crossings():
 def test_all_valley_cuts_reach_integer_optimum():
     inst = gen_valley_instance(4, 2)
     out = solve_lp(relaxation_with_cuts(inst, valley_cut_subsets(inst)))
-    assert out.value == tsp_oracle(inst).cost == 4
+    assert out.value == tsp_oracle(inst) == 4
 
 
 def test_separation_finds_disconnected_valley():
@@ -287,8 +287,8 @@ def test_separation_refuses_a_point_of_the_wrong_length():
 
 def test_separation_accepts_tours():
     inst = gen_valley_instance(4, 2)
-    tour = tsp_oracle(inst).tour
-    point = flow_to_point(inst, tour_flow(inst, tour))
+    # valley-major numbering: 0..n-1 makes k crossings, an optimal tour
+    point = flow_to_point(inst, tour_flow(inst, tuple(range(inst.n))))
     assert separate_subtour(inst, point) == ()
 
 
@@ -446,7 +446,7 @@ def test_cutting_plane_closes_small_instance():
     inst = gen_valley_instance(4, 2)
     trace = cutting_plane_loop(inst, max_rounds=50)
     assert trace.complete
-    assert trace.final_value == tsp_oracle(inst).cost == 4
+    assert trace.final_value == tsp_oracle(inst) == 4
     values = [r.lp_value for r in trace.rounds]
     assert values == sorted(values)
     counts = [r.constraint_count for r in trace.rounds]
@@ -468,7 +468,7 @@ def test_cutting_plane_six_valleys():
     trace = cutting_plane_loop(inst, max_rounds=80)
     assert trace.complete
     assert trace.final_value == 6  # oracle budget covers n=12 via held-karp
-    assert tsp_oracle(inst).cost == 6
+    assert tsp_oracle(inst) == 6
 
 
 # the cost pairs the cutting-plane benchmark draws from
@@ -524,7 +524,7 @@ def test_cut_loop_invariants(monkeypatch, shape, intra, crossing):
     assert brute_force_min_subtour_cut(
         inst.n, dict(zip(arcs, trace.final_point))
     ) >= 1
-    assert trace.final_value == values[-1] == tsp_oracle(inst).cost
+    assert trace.final_value == values[-1] == tsp_oracle(inst)
 
 
 def test_cutting_plane_twenty_valleys_completes_within_the_default_rounds(monkeypatch):
@@ -559,7 +559,7 @@ def test_cutting_plane_ends_on_a_fractional_point():
     inst = instance_from_cost_matrix(FRACTIONAL_END_COSTS)
     trace = cutting_plane_loop(inst)
     assert trace.complete and len(trace.rounds) == 3
-    assert trace.final_value == 12 == tsp_oracle(inst).cost
+    assert trace.final_value == 12 == tsp_oracle(inst)
     assert not trace.final_integral
     assert {x.denominator for x in trace.final_point} == {1, 2}
     weights = dict(zip(arc_list(inst.n), trace.final_point))
@@ -625,17 +625,17 @@ def test_generated_instance_optimum_is_valley_count_times_crossing(crossing):
     # free intra travel: the optimum pays exactly one pass per valley
     for k in range(2, 11):
         inst = gen_valley_instance(k, 1, crossing_cost=crossing)
-        assert tsp_oracle(inst).cost == k * crossing
+        assert tsp_oracle(inst) == k * crossing
     for k in (2, 4, 6):
         inst = gen_valley_instance(k, 2, crossing_cost=crossing)
-        assert tsp_oracle(inst).cost == k * crossing
+        assert tsp_oracle(inst) == k * crossing
 
 
 def test_relaxation_ordering_under_random_cuts():
     rng = random.Random(505)
     inst = gen_valley_instance(3, 2)
     n = inst.n
-    oracle_cost = tsp_oracle(inst).cost
+    oracle_cost = tsp_oracle(inst)
     base = solve_lp(degree_lp(inst)).value
     for _ in range(10):
         size = rng.randint(2, n - 1)
@@ -658,7 +658,7 @@ def test_check_flow_internal_cycles():
 
 def test_check_flow_optimal_tour():
     inst = gen_valley_instance(10, 2)
-    flow = tour_flow(inst, tsp_oracle(inst).tour)
+    flow = tour_flow(inst, tuple(range(inst.n)))
     report = check_flow_feasibility(inst, flow, valley_cut_subsets(inst))
     assert report.degree_ok
     assert report.total_cost == 10
@@ -692,6 +692,19 @@ def test_flow_float_weight_is_refused():
     # Fraction(0.1) would be 3602879701896397/36028797018963968
     with pytest.raises(ValidationError, match="exact rationals"):
         flow_from_arcs(gen_valley_instance(3, 1), [(0, 1, 0.1)])
+
+
+@pytest.mark.parametrize("arcs, message", [
+    ([(0, 1, 0.5), (1, 0, 0.5)], "exact rationals"),
+    ([(0, 9, 1)], "city indices"),
+    ([(0, 1, 1), (0, 1, 1)], "duplicate arc"),
+    ([(0, 1, Fraction(-1, 2))], "outside"),
+])
+def test_check_flow_refuses_every_record_flow_from_arcs_refuses(arcs, message):
+    # unchecked, the float pair summed to a float cost of 0.0 and city 9
+    # raised IndexError
+    with pytest.raises(ValidationError, match=message):
+        check_flow_feasibility(gen_valley_instance(2, 2), arcs)
 
 
 def test_three_circulation_witness_structure():
@@ -731,7 +744,7 @@ def test_three_circulation_walks_one_city_valleys_past_the_third():
     flow = three_circulation_flow(inst)
     report = check_flow_feasibility(inst, flow, [])
     assert report.degree_ok
-    assert dict(((i, j), w) for i, j, w in flow.arcs)[(5, 6)] == Fraction(2, 3)
+    assert dict(((i, j), w) for i, j, w in flow)[(5, 6)] == Fraction(2, 3)
 
 
 def test_an_instance_records_its_report_description():
@@ -853,7 +866,7 @@ def test_flow_text_round_trips(data):
     weights = st.fractions(min_value=0, max_value=1, max_denominator=60)
     flow = flow_from_arcs(inst, [(i, j, data.draw(weights)) for i, j in arcs])
     back = list(flow_arcs_from_text(flow_arcs_to_text(flow)))
-    assert back == list(flow.arcs)
+    assert back == list(flow)
     assert flow_from_arcs(inst, back) == flow
 
 
