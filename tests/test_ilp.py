@@ -152,9 +152,10 @@ def int_cost_matrices(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(int_cost_matrices())
-def test_every_dtype_tier_gives_the_reference_cost(matrix_and_sentinel):
+def test_every_dtype_tier_gives_the_same_tour(matrix_and_sentinel):
     # every machine tier whose headroom rule admits the matrix, int16
-    # only where its entries are small, and the object table
+    # only where its entries are small, and the object table give the
+    # optimal tour's cost, the independent reference's
     matrix, sentinel = matrix_and_sentinel
     largest = max(abs(c) for row in matrix for c in row)
     tiers = [t for t in (np.int16, np.int32, np.int64)
