@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Optional
 
-from . import bounds, gaps, hull, valleys
+from . import bounds, gaps, hull, ilp, valleys
 from .errors import BudgetExceededError, ValidationError
 from .rationals import parse_rational, require_int
 from .valleys import DEFAULT_ROUNDS
@@ -201,10 +201,12 @@ def _run_valley_gap(args) -> Any:
 def _run_cutting_plane(args) -> Any:
     inst = _instance(args)
     trace = valleys.cutting_plane_loop(inst, args.rounds)
-    try:
-        oracle_cost = gaps.tour_optimum(inst, trace)
-    except BudgetExceededError:
-        oracle_cost = None  # the trace stands on its own beyond oracle reach
+    oracle_cost = trace.tour_optimum
+    if oracle_cost is None:
+        try:
+            oracle_cost = ilp.tsp_oracle(inst)
+        except BudgetExceededError:
+            pass  # the trace stands on its own beyond oracle reach
     return {"instance": inst.info, "trace": trace, "oracle_cost": oracle_cost}
 
 

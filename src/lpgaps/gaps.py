@@ -12,12 +12,14 @@ answers record the YES/NO verdicts at thresholds: a relaxation may say
 YES to a cost no tour achieves, and that recorded disagreement is the
 artifact under study, never an error.
 
-tour_optimum is the one rule for where the tour optimum comes from. A
-cutting-plane loop that ends complete on an integral point has proved
-it: that point is a cycle cover no subtour cut separates, so one
-Hamiltonian cycle, and its value is the minimum of a relaxation of the
-TSP, so no tour costs less. Every other optimum comes from the
-Held-Karp oracle, which refuses an instance past its 20-city budget.
+Every report takes one order: the relaxation runs first, then the tour
+optimum is read. A cutting-plane loop that ends complete on an integral
+point has proved it, and its trace states it
+(CuttingPlaneTrace.tour_optimum): that point is a cycle cover no
+subtour cut separates, so one Hamiltonian cycle, and its value is the
+minimum of a relaxation of the TSP, so no tour costs less. Only where
+no optimum was proved does the Held-Karp oracle run, which refuses an
+instance past its 20-city budget after the relaxation solve.
 """
 
 from __future__ import annotations
@@ -28,13 +30,11 @@ from typing import Iterable, Optional
 
 from .errors import ValidationError
 from .ilp import tsp_oracle
-from .lp import LinearProgram, SolveStatus, solve_lp
+from .lp import SolveStatus, solve_lp
 from .rationals import Rational, require_exact, require_int
 from .valleys import (
-    CuttingPlaneTrace,
     InstanceInfo,
     TspInstance,
-    arc_list,
     cover_columns,
     cutting_plane_loop,
     relaxation_with_cuts,
@@ -130,25 +130,14 @@ def _read_relaxation(relaxation: Optional[RelaxationDesc]) -> RelaxationDesc:
     return RelaxationDesc(DEGREE) if relaxation is None else relaxation
 
 
-def _build_relaxation(
-    inst: TspInstance, relaxation: RelaxationDesc
-) -> tuple[Optional[LinearProgram], Optional[CuttingPlaneTrace]]:
-    """(program, None) for a degree or degree+cuts relaxation, whose cut
-    subsets are checked as the program is built (a degree relaxation has
-    none), or (None, trace) for the cutting-plane loop, which builds and
-    solves its own programs."""
-    if relaxation.kind == CUTTING_PLANE:
-        return None, cutting_plane_loop(inst, relaxation.max_rounds)
-    return relaxation_with_cuts(inst, relaxation.cut_subsets), None
-
-
 def _relaxation_value(
-    inst: TspInstance,
-    program: Optional[LinearProgram],
-    trace: Optional[CuttingPlaneTrace],
-) -> tuple[Rational, int, int]:
-    """(lp value, constraint rows, rounds), read off the cutting-plane
-    trace or got by solving the program that _build_relaxation built.
+    inst: TspInstance, relaxation: RelaxationDesc
+) -> tuple[Rational, int, int, Optional[Rational]]:
+    """(lp value, constraint rows, rounds, proved tour optimum or None)
+    of the relaxation; the one place that evaluates it by its kind. The
+    cutting-plane loop builds and solves its own programs, and its trace
+    states the tour optimum when it proved one; a degree or degree+cuts
+    program, whose cut subsets are checked as it is built, proves none.
 
     Every relaxation solve starts at one corner, the cutting-plane
     loop's first round too: the cycle cover that successor swaps reach
@@ -159,36 +148,15 @@ def _relaxation_value(
     with costs (0, 1) the whole solve makes none. A fixed cut the cover
     breaks is repaired by the dual simplex, and the primal simplex walks
     down from there."""
-    if trace is not None:
-        last = trace.rounds[-1]
-        return trace.final_value, last.constraint_count, len(trace.rounds)
+    if relaxation.kind == CUTTING_PLANE:
+        trace = cutting_plane_loop(inst, relaxation.max_rounds)
+        rows = trace.rounds[-1].constraint_count
+        return trace.final_value, rows, len(trace.rounds), trace.tour_optimum
+    program = relaxation_with_cuts(inst, relaxation.cut_subsets)
     outcome = solve_lp(program, at_upper=cover_columns(inst))
     if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
         raise AssertionError(f"relaxation solve came back {outcome.status}")
-    return outcome.value, len(program.constraints), 0
-
-
-def tour_optimum(
-    inst: TspInstance, trace: Optional[CuttingPlaneTrace] = None
-) -> Rational:
-    """The exact cost of a cheapest tour of inst: the final value of a
-    cutting-plane trace that ends complete on an integral point, else
-    the Held-Karp oracle's, which raises BudgetExceededError past 20
-    cities. Such a trace's final point is an integral point of the
-    degree LP, so a cycle cover, and no subtour cut separates it, so it
-    is one Hamiltonian cycle; its value is optimal over a relaxation of
-    the TSP, so no tour costs less. A trace of another instance is
-    refused: its final point must have inst's n(n - 1) entries, and its
-    final value must be the cost, under inst, of the arcs it sets to 1."""
-    if trace is not None and trace.complete and trace.final_integral:
-        point = trace.final_point
-        arcs = arc_list(inst.n)
-        if len(point) != len(arcs) or trace.final_value != sum(
-            inst.cost[i][j] for (i, j), x in zip(arcs, point) if x == 1
-        ):
-            raise ValidationError("the cutting-plane trace is not one of this instance")
-        return trace.final_value
-    return tsp_oracle(inst)
+    return outcome.value, len(program.constraints), 0, None
 
 
 def integrality_gap(
@@ -200,19 +168,16 @@ def integrality_gap(
     and the tour optimum; each threshold X contributes a recorded
     (LP answer, ILP answer) pair for the question "is a tour of cost at
     most X possible". A float threshold is refused first, then a bad cut
-    subset, as the fixed-cut program is built. A fixed program holds no
-    certificate of the optimum, so the tour oracle runs next and an
-    instance past its budget is refused before any relaxation solve.
-    The cutting-plane loop runs first and tour_optimum reads its trace:
-    a loop that ends complete on a tour has proved the optimum at any
-    size, and only one that does not is refused past the oracle's
-    budget, after its loop."""
+    subset, as the fixed-cut program is built. The relaxation runs next,
+    whatever its kind; its proved optimum, which only a cutting-plane
+    loop that ends on a tour gives, is the tour optimum at any size, and
+    only where there is none does the tour oracle run, refusing an
+    instance past its budget after the relaxation."""
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
     relaxation = _read_relaxation(relaxation)
-    program, trace = _build_relaxation(inst, relaxation)
-    ilp_value = tour_optimum(inst, trace)
-    lp_value, rows_used, rounds = _relaxation_value(inst, program, trace)
+    lp_value, rows_used, rounds, proved = _relaxation_value(inst, relaxation)
+    ilp_value = tsp_oracle(inst) if proved is None else proved
     gap = ilp_value - lp_value
     if lp_value > 0:
         ratio: Optional[Rational] = ilp_value / lp_value
@@ -268,9 +233,7 @@ def decide_tour_at_most(
     if via == VIA_ILP:
         if relaxation is not None:
             raise ValidationError(f"the {VIA_ILP} route reads no relaxation")
-        return tour_optimum(inst) <= x
+        return tsp_oracle(inst) <= x
     if via == VIA_LP:
-        program, trace = _build_relaxation(inst, _read_relaxation(relaxation))
-        value, _, _ = _relaxation_value(inst, program, trace)
-        return value <= x
+        return _relaxation_value(inst, _read_relaxation(relaxation))[0] <= x
     raise ValidationError(f"unknown decision route {via!r}")

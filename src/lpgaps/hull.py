@@ -36,16 +36,19 @@ ENUMERATION_LIMIT = 10_000
 SAMPLE_COUNT = 100
 SEED = 0
 # a V-vertex model is a dense tableau of about V^2 cells, and omitting
-# a late facet takes about V pivots: hull-adversary's worst omission
-# runs in about 2 s at V = 256, 15 s at V = 512 and minutes at V = 1000
+# a late facet takes about V pivots: on a shared 2-vCPU host (Python
+# 3.11), hull-adversary at V = 256 takes 0.003 s to omit facet 0, 0.03 s
+# for 127 and 0.05-0.06 s for 254, the worst; with the cap lifted the
+# worst omission takes 0.28 s at V = 512 and 1.1 s at V = 1000
 MAX_VERTICES = 256
 # a scan's work estimate is subsets x facets x (budget^2 + 400): each
 # kept subset solves once per facet (one cold solve of about `budget`
 # pivots, one warm solve per omitted facet) over about budget^2 tableau
 # cells, plus a fixed per-solve cost worth about 400 cells. A unit took
-# 50-115 ns over V = 8..256 on a 2-vCPU host (Python 3.11), so the limit
-# stops scans at about 5-12 s; V = 256 keeping 254 facets estimates
-# 4.2e9 and ran 277 s without it
+# 24-145 ns over V = 8..256 on a shared 2-vCPU host (Python 3.11), least
+# on large budgets, so the limit stops scans at about 2.5-15 s (V = 256
+# keeping 128 facets, 23 subsets: 9.8e7 units in 2.5 s); V = 256 keeping
+# 254 facets estimates 4.2e9 and ran 277 s without it
 SOLVE_OVERHEAD_CELLS = 400
 SCAN_WORK_LIMIT = 10**8
 

@@ -96,11 +96,13 @@ class TspInstance:
         return tuple(i for i in range(self.n) if self.valley_of[i] == valley)
 
 
-# the relaxation is dense with one column per arc, n(n - 1) of them: on
-# a shared 2-vCPU host (Python 3.11), in fresh processes, decide via the
-# LP relaxation takes 0.9-1.2 s at n = 40 and cutting-plane --rounds 5
-# takes 1.0-1.4 s; with the cap lifted, decide's own run takes 2.4 s at
-# n = 50 and 4.9 s at 60
+# the relaxation is dense with one column per arc, n(n - 1) of them, yet
+# its solves do not bind: on a shared 2-vCPU host (Python 3.11), the
+# degree solve of decide via the LP relaxation takes 0.02-0.03 s at
+# n = 40 (0.08 s at 60 with the cap lifted) and five cut-loop rounds
+# take 0.03-0.05 s. The cut loop's stall on 3-city valleys binds: (13, 3)
+# completes in 0.27 s, but with the cap lifted (16, 3) takes 3.7 s and
+# (18, 3) 54 s at the default rounds (ROADMAP item 4)
 MAX_CITIES = 40
 
 
@@ -507,6 +509,15 @@ class CuttingPlaneTrace:
     final_point: tuple[Rational, ...]
     final_integral: bool
     complete: bool  # False when the round budget ran out with a violation left
+
+    @property
+    def tour_optimum(self) -> Optional[Rational]:
+        """The exact cost of a cheapest tour, when this loop proved it,
+        else None. A loop that ends complete on an integral point has:
+        that point is a cycle cover of the degree LP that no subtour cut
+        separates, so one Hamiltonian cycle, and its value is optimal
+        over a relaxation of the TSP, so no tour costs less."""
+        return self.final_value if self.complete and self.final_integral else None
 
 
 # the round budget of a cutting-plane loop when none is given

@@ -19,7 +19,7 @@ PACKAGE_DIR = Path(lpgaps.__file__).resolve().parent
 
 # public names the tests alone may use, each with its reason
 TEST_ONLY_PUBLIC = {
-    # the exact-gap instance search (ROADMAP open item 4) is its caller
+    # the exact-gap instance search (ROADMAP open item 8) is its caller
     "instance_from_cost_matrix",
 }
 

@@ -25,11 +25,11 @@ from lpgaps.gaps import (
     RelaxationDesc,
     decide_tour_at_most,
     integrality_gap,
-    tour_optimum,
 )
 from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import _Tableau, solve_lp
 from lpgaps.valleys import (
+    DEFAULT_ROUNDS,
     arc_list,
     cover_columns,
     cutting_plane_loop,
@@ -238,16 +238,14 @@ def test_reports_are_deterministic():
         RelaxationDesc(DEGREE_WITH_CUTS, ((0, 1, 2),)),
     ],
 )
-def test_oracle_budget_is_checked_before_the_relaxation(monkeypatch, relaxation):
-    # a fixed program holds no certificate of the tour optimum
-    def never(*args):
-        raise AssertionError("relaxation solved before the oracle budget check")
-
-    monkeypatch.setattr(gaps, "solve_lp", never)
-    monkeypatch.setattr(gaps, "cutting_plane_loop", never)
-    inst = gen_valley_instance(7, 3)  # n = 21 > 20
+def test_oracle_budget_is_checked_after_the_relaxation(monkeypatch, relaxation):
+    # every relaxation runs first; a fixed program proves no tour
+    # optimum, so the oracle runs after its one solve and refuses n = 21
+    seen = record_solves(monkeypatch)
+    inst = gen_valley_instance(7, 3)
     with pytest.raises(BudgetExceededError):
         integrality_gap(inst, relaxation)
+    assert len(seen) == 1
 
 
 def test_a_cut_loop_that_ends_on_a_tour_gives_the_gap_past_the_oracle_budget(
@@ -264,19 +262,27 @@ def test_a_cut_loop_that_ends_on_a_tour_gives_the_gap_past_the_oracle_budget(
     assert report.gap_ratio == 1
 
 
+def record_calls(monkeypatch, name):
+    """Wrap gaps.<name> so that each call's result is appended to the
+    list returned."""
+    results = []
+    call = getattr(gaps, name)
+
+    def recording(*args):
+        results.append(call(*args))
+        return results[-1]
+
+    monkeypatch.setattr(gaps, name, recording)
+    return results
+
+
 def test_a_cut_loop_that_ends_off_a_tour_is_refused_past_the_oracle_budget(
     monkeypatch,
 ):
     # one round ends on the degree LP's cycle cover, which a cut
     # separates, so only the oracle could give the optimum, and n = 21
     # is past its budget
-    loops = []
-
-    def recording_loop(*args):
-        loops.append(cutting_plane_loop(*args))
-        return loops[-1]
-
-    monkeypatch.setattr(gaps, "cutting_plane_loop", recording_loop)
+    loops = record_calls(monkeypatch, "cutting_plane_loop")
     inst = gen_valley_instance(7, 3)
     with pytest.raises(BudgetExceededError):
         integrality_gap(inst, RelaxationDesc(CUTTING_PLANE, max_rounds=1))
@@ -593,9 +599,11 @@ def _hamiltonian_cycle(n, point):
 def _check_rule(inst, trace):
     """When the loop ended complete on an integral point, its final
     point is one tour of its final value, the optimum of both Held-Karp
-    programs (the test one up to HELD_KARP_TEST_CITIES), and the rule
-    gives that value; returns whether it did."""
+    programs (the test one up to HELD_KARP_TEST_CITIES), and the trace
+    states that value as the tour optimum, else it states none; returns
+    whether it did."""
     if not (trace.complete and trace.final_integral):
+        assert trace.tour_optimum is None
         return False
     tour = _hamiltonian_cycle(inst.n, trace.final_point)
     closed = zip(tour, tour[1:] + tour[:1])
@@ -603,7 +611,7 @@ def _check_rule(inst, trace):
     assert trace.final_value == tsp_oracle(inst)
     if inst.n <= HELD_KARP_TEST_CITIES:
         assert trace.final_value == held_karp_cost(inst.cost)
-    assert tour_optimum(inst, trace) == trace.final_value
+    assert trace.tour_optimum == trace.final_value
     return True
 
 
@@ -629,45 +637,52 @@ def seeded_metric_matrix(rng, n):
     return cost
 
 
-def test_the_tour_rule_on_random_metric_instances():
+def test_the_tour_rule_on_random_metric_instances(monkeypatch):
+    # the gap report takes the trace's optimum, and runs the oracle
+    # only on a loop that proved none
+    loops = record_calls(monkeypatch, "cutting_plane_loop")
+    oracles = record_calls(monkeypatch, "tsp_oracle")
+    cutting = RelaxationDesc(CUTTING_PLANE, max_rounds=DEFAULT_ROUNDS)
     rng = random.Random(48)
     ended = {True: 0, False: 0}
     for n in range(5, HELD_KARP_TEST_CITIES + 1):
         for _ in range(3):
             inst = instance_from_cost_matrix(seeded_metric_matrix(rng, n))
-            trace = cutting_plane_loop(inst)
-            on_a_tour = _check_rule(inst, trace)
+            loops.clear()
+            oracles.clear()
+            report = integrality_gap(inst, cutting)
+            on_a_tour = _check_rule(inst, loops[0])
+            assert len(oracles) == (not on_a_tour)
             if not on_a_tour:
-                assert tour_optimum(inst, trace) == held_karp_cost(inst.cost)
+                assert report.ilp_value == held_karp_cost(inst.cost)
             ended[on_a_tour] += 1
     # 26 of the 36 loops end on a tour, the rest on a fractional point
     assert ended[True] >= 12 and ended[False] >= 1
 
 
-def test_the_rule_refuses_a_trace_of_another_instance():
-    # the 6-city instance, whose optimum is 3, took 4, the 8-city loop's
-    # final value; the second instance has the trace's size, other costs
-    trace = cutting_plane_loop(gen_valley_instance(4, 2))
-    assert trace.complete and trace.final_integral
-    for inst in (gen_valley_instance(3, 2),
-                 gen_valley_instance(4, 2, Fraction(1, 7), Fraction(5, 3))):
-        with pytest.raises(ValidationError, match="not one of this instance"):
-            tour_optimum(inst, trace)
-    assert tour_optimum(gen_valley_instance(4, 2), trace) == 4
-
-
 def test_a_cut_loop_that_ends_on_a_fractional_point_takes_the_oracle(monkeypatch):
     # the 6-city instance whose loop ends complete on a fractional
     # vertex of the subtour LP
-    calls = []
-
-    def recording_oracle(inst):
-        calls.append(inst)
-        return tsp_oracle(inst)
-
-    monkeypatch.setattr(gaps, "tsp_oracle", recording_oracle)
+    loops = record_calls(monkeypatch, "cutting_plane_loop")
+    oracles = record_calls(monkeypatch, "tsp_oracle")
     inst = instance_from_cost_matrix(FRACTIONAL_END_COSTS)
+    cutting = RelaxationDesc(CUTTING_PLANE, max_rounds=DEFAULT_ROUNDS)
+    report = integrality_gap(inst, cutting)
+    assert loops[0].complete and not loops[0].final_integral
+    assert report.ilp_value == oracles[0] == 12 == held_karp_cost(inst.cost)
+    assert len(oracles) == 1
+
+
+def test_the_trace_states_the_tour_optimum_only_when_it_ends_on_a_tour():
+    inst = gen_valley_instance(4, 2)
+    # one round ends on the degree LP's cycle cover: integral, but a
+    # subtour cut separates it
+    short = cutting_plane_loop(inst, 1)
+    assert short.final_integral and not short.complete
+    assert short.tour_optimum is None
+    fractional = cutting_plane_loop(instance_from_cost_matrix(FRACTIONAL_END_COSTS))
+    assert fractional.complete and not fractional.final_integral
+    assert fractional.tour_optimum is None
     trace = cutting_plane_loop(inst)
-    assert trace.complete and not trace.final_integral
-    assert tour_optimum(inst, trace) == 12 == held_karp_cost(inst.cost)
-    assert calls == [inst]
+    assert trace.complete and trace.final_integral
+    assert trace.tour_optimum == trace.final_value == 4
