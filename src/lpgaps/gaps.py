@@ -30,14 +30,13 @@ from typing import Iterable, Optional
 
 from .errors import ValidationError
 from .ilp import tsp_oracle
-from .lp import SolveStatus, solve_lp
 from .rationals import Rational, require_exact, require_int
 from .valleys import (
     InstanceInfo,
     TspInstance,
-    cover_columns,
     cutting_plane_loop,
     relaxation_with_cuts,
+    solve_relaxation,
 )
 
 DEGREE = "degree"
@@ -138,25 +137,14 @@ def _relaxation_value(
     cutting-plane loop builds and solves its own programs, and its trace
     states the tour optimum when it proved one; a degree or degree+cuts
     program, whose cut subsets are checked as it is built, proves none.
-
-    Every relaxation solve starts at one corner, the cutting-plane
-    loop's first round too: the cycle cover that successor swaps reach
-    from the tour 0, 1, ..., n - 1, each of its arcs at 1 and every
-    other at 0 (valleys.cover_columns). A cycle cover is a vertex of the
-    degree LP, so no degree row is broken there and the dual simplex
-    makes no basis change on a degree report; at eight 2-city valleys
-    with costs (0, 1) the whole solve makes none. A fixed cut the cover
-    breaks is repaired by the dual simplex, and the primal simplex walks
-    down from there."""
+    Either way every solve is a valleys.solve_relaxation, which says
+    where it starts."""
     if relaxation.kind == CUTTING_PLANE:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
         rows = trace.rounds[-1].constraint_count
         return trace.final_value, rows, len(trace.rounds), trace.tour_optimum
     program = relaxation_with_cuts(inst, relaxation.cut_subsets)
-    outcome = solve_lp(program, at_upper=cover_columns(inst))
-    if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
-        raise AssertionError(f"relaxation solve came back {outcome.status}")
-    return outcome.value, len(program.constraints), 0, None
+    return solve_relaxation(inst, program).value, len(program.constraints), 0, None
 
 
 def integrality_gap(

@@ -61,9 +61,13 @@ def render_json(doc: dict) -> str:
 
 
 def flatten(value: Any, prefix: str = "") -> list[tuple[str, str]]:
-    """Dotted-key flat projection of a JSON-able structure."""
+    """Dotted-key flat projection of a JSON-able structure; an empty
+    list or dict is one row with an empty cell, so every key of the
+    document has a row."""
     items: list[tuple[str, str]] = []
-    if isinstance(value, dict):
+    if value == [] or value == {}:
+        items.append((prefix, ""))
+    elif isinstance(value, dict):
         for key in sorted(value):
             sub = f"{prefix}.{key}" if prefix else str(key)
             items.extend(flatten(value[key], sub))

@@ -28,6 +28,7 @@ from .lp import (
     GREATER_EQ,
     Constraint,
     LinearProgram,
+    LpOutcome,
     SolveStatus,
     solve_lp,
 )
@@ -157,7 +158,7 @@ def arc_list(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
 
 
-def cover_columns(inst: TspInstance) -> tuple[int, ...]:
+def _cover_columns(inst: TspInstance) -> tuple[int, ...]:
     """The arc columns, in arc_list order (arc (i, j) is column
     i * (n - 1) + j, less 1 when j > i), of the cycle cover that
     successor swaps reach from the tour 0, 1, ..., n - 1. For cities a <
@@ -241,6 +242,31 @@ def relaxation_with_cuts(
         )
     program = degree_lp(inst)
     return replace(program, constraints=program.constraints + tuple(cuts))
+
+
+def solve_relaxation(
+    inst: TspInstance, program: LinearProgram, start: Optional[LpOutcome] = None
+) -> LpOutcome:
+    """The optimal outcome of a relaxation program of inst: its degree
+    LP, with or without subtour cuts. Every tour relaxation is solved
+    here, the gap report's degree and degree+cuts programs and every
+    round of the cutting-plane loop. With no start, the solve is cold
+    and starts at one corner: the cycle cover that successor swaps
+    reach from the tour 0, 1, ..., n - 1 (_cover_columns), each of its
+    arcs at 1 and every other at 0. A cycle cover is a vertex of the
+    degree LP, where every degree row's zero-span slack is basic at 0,
+    so the dual simplex makes no basis change on the degree LP; at eight
+    2-city valleys with costs (0, 1) the whole solve makes none. A cut
+    the cover breaks is repaired by the dual simplex, and the primal
+    simplex walks down from there. With a start, an earlier outcome over
+    this program's first rows, the solve is warm and re-optimises from
+    that outcome's tableau. Every tour satisfies each such program,
+    whose arcs lie in [0, 1], so the solve comes back optimal."""
+    outcome = (solve_lp(program, at_upper=_cover_columns(inst)) if start is None
+               else solve_lp(program, start=start))
+    if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
+        raise AssertionError(f"relaxation solve came back {outcome.status}")
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -529,14 +555,11 @@ def cutting_plane_loop(
 ) -> CuttingPlaneTrace:
     """Solve, take a violated cut, add it, repeat. Each round's program
     is the last one with its cut appended as a new last row, so the
-    degree LP is built once. Round 1 starts at the cycle cover that
-    successor swaps reach from the tour 0, 1, ..., n - 1
-    (``cover_columns``), a vertex of the degree LP, where every degree
-    row's zero-span slack is basic at 0 and the dual simplex makes no
-    basis change; each later round starts from the last round's
-    tableau, where the cut enters with its slack basic below 0 and the
-    dual simplex re-optimises from the last optimal basis, instead of a
-    cold solve. A separation may return several cuts (one per component
+    degree LP is built once. Each round is one solve_relaxation: round 1
+    is cold, from the cycle cover, and each later round warm, from the
+    last round's outcome, where the cut enters with its slack basic
+    below 0 and the dual simplex re-optimises from the last optimal
+    basis. A separation may return several cuts (one per component
     of a disconnected support); they wait in a pool, and each round
     keeps the pool's cuts that its point still violates (exact cut value
     below 1) and adds the first of them, separating again only when none
@@ -553,12 +576,7 @@ def cutting_plane_loop(
     outcome = None
     pool: list[tuple[int, ...]] = []
     for rnd in range(1, max_rounds + 1):
-        if outcome is None:
-            outcome = solve_lp(program, at_upper=cover_columns(inst))
-        else:
-            outcome = solve_lp(program, start=outcome)
-        if outcome.status is not SolveStatus.OPTIMAL:  # pragma: no cover
-            raise AssertionError(f"relaxation solve came back {outcome.status}")
+        outcome = solve_relaxation(inst, program, outcome)
         # the last separation's cuts this point still violates, in order
         arcs = [(i, j, x) for (i, j), x in zip(arc_list(inst.n), outcome.point) if x]
         pool = [S for S in pool if _cut_value(S, arcs) < 1]

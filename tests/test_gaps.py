@@ -13,7 +13,7 @@ from oracles import (
     valley_internal_cycles_flow,
 )
 from test_valleys import FRACTIONAL_END_COSTS
-from lpgaps import gaps, lp
+from lpgaps import gaps, lp, valleys
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import (
     CUTTING_PLANE,
@@ -30,8 +30,8 @@ from lpgaps.ilp import tsp_oracle
 from lpgaps.lp import _Tableau, solve_lp
 from lpgaps.valleys import (
     DEFAULT_ROUNDS,
+    _cover_columns,
     arc_list,
-    cover_columns,
     cutting_plane_loop,
     gen_valley_instance,
     instance_from_cost_matrix,
@@ -245,7 +245,7 @@ def test_oracle_budget_is_checked_after_the_relaxation(monkeypatch, relaxation):
     inst = gen_valley_instance(7, 3)
     with pytest.raises(BudgetExceededError):
         integrality_gap(inst, relaxation)
-    assert len(seen) == 1
+    assert seen == [{"at_upper": _cover_columns(inst)}]
 
 
 def test_a_cut_loop_that_ends_on_a_tour_gives_the_gap_past_the_oracle_budget(
@@ -428,15 +428,15 @@ def test_tour_start_gives_the_lower_corner_value_on_cost_matrices():
 
 
 def record_solves(monkeypatch):
-    """Wrap gaps.solve_lp; returns the list that gets each call's
-    keyword arguments."""
+    """Wrap valleys.solve_lp, which every tour-relaxation solve calls;
+    returns the list that gets each call's keyword arguments."""
     seen = []
 
-    def recording_solve(program, start=None, **kwargs):
+    def recording_solve(program, **kwargs):
         seen.append(kwargs)
-        return solve_lp(program, start, **kwargs)
+        return solve_lp(program, **kwargs)
 
-    monkeypatch.setattr(gaps, "solve_lp", recording_solve)
+    monkeypatch.setattr(valleys, "solve_lp", recording_solve)
     return seen
 
 
@@ -472,7 +472,7 @@ def cover_cases(draw):
 @given(cover_cases())
 def test_property_the_cover_start_is_a_vertex_no_dearer_than_the_tour(inst):
     # the tour is 0, 1, ..., n - 1, the one the successor swaps start from
-    columns = cover_columns(inst)
+    columns = _cover_columns(inst)
     arcs = [arc_list(inst.n)[col] for col in columns]
     cities = list(range(inst.n))
     # one arc out of and one arc into each city: a cycle cover
@@ -551,14 +551,15 @@ def test_decide_via_the_relaxation_never_runs_the_oracle(monkeypatch, relaxation
     inst = gen_valley_instance(4, 2)
     # every one of these relaxations is worth at most the tour's 4
     assert decide_tour_at_most(inst, 4, VIA_LP, relaxation) is True
-    # a fixed program is solved from the cycle cover that swaps reach
-    # from the identity tour, and so is the cutting-plane loop's first
-    # round; every degree row holds there, so the first solve's dual
-    # simplex makes a basis change only to repair a fixed cut, and the
-    # cover, the valley 2-cycles, breaks both of these
-    cover = cover_columns(inst)
-    fixed = relaxation.kind != CUTTING_PLANE
-    assert seen == ([{"at_upper": cover}] if fixed else [])
+    # a fixed program is one solve from the cycle cover that swaps
+    # reach from the identity tour, and so is the cutting-plane loop's
+    # first round, whose later rounds each start from the last round's
+    # outcome; every degree row holds at the cover, so the first solve's
+    # dual simplex makes a basis change only to repair a fixed cut, and
+    # the cover, the valley 2-cycles, breaks both of these
+    assert seen[0] == {"at_upper": _cover_columns(inst)}
+    assert (len(seen) == 1) is (relaxation.kind != CUTTING_PLANE)
+    assert all(list(kwargs) == ["start"] for kwargs in seen[1:])
     assert (dual_moves[0] > 0) is bool(relaxation.cut_subsets)
 
 

@@ -73,6 +73,24 @@ def test_csv_without_a_table_is_the_flat_json_document(tmp_path, argv):
     assert [tuple(row) for row in rows] == flatten(doc)
 
 
+def test_an_empty_list_or_dict_is_one_row_with_an_empty_cell(tmp_path):
+    assert flatten({"a": [], "b": {"c": {}}, "d": [0]}) == [
+        ("a", ""), ("b.c", ""), ("d.0", "0")
+    ]
+    # a valley-gap run has no threshold, no decision answer and no cut
+    doc, text = json_and_csv(
+        tmp_path, ["valley-gap", "--valleys", "3", "--cities-per-valley", "2"]
+    )
+    rows = dict(csv.reader(text.splitlines()))
+    empty = {
+        "config.params.threshold": doc["config"]["params"]["threshold"],
+        "result.decision_answers": doc["result"]["decision_answers"],
+        "result.relaxation.cut_subsets": doc["result"]["relaxation"]["cut_subsets"],
+    }
+    assert empty == dict.fromkeys(empty, [])
+    assert {key: rows[key] for key in empty} == dict.fromkeys(empty, "")
+
+
 def test_demos_table_exactly_the_runs_whose_csv_is_a_table():
     # each demo runs once; its CSV projection is rendered, not written
     spec = importlib.util.spec_from_file_location(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -525,6 +526,27 @@ def test_cut_loop_invariants(monkeypatch, shape, intra, crossing):
         inst.n, dict(zip(arcs, trace.final_point))
     ) >= 1
     assert trace.final_value == values[-1] == tsp_oracle(inst)
+
+
+# one SHA-256 over the repr of every cut loop on a valley shape with
+# k >= 2, c >= 1 and k * c <= 20, under each benchmark cost pair: it
+# pins every round value, cut, row count and final point of 138 loops,
+# so a change to how a relaxation is built or solved that moves the
+# optimal vertex of any round shows here
+SHORT_LOOPS_SHA256 = "ee5ba4922b94f88ab85577821a0d64d5e1c5ec8e31999311fd41bd87d3e73997"
+
+
+def test_every_short_cut_loop_keeps_its_trace():
+    digest = hashlib.sha256()
+    loops = 0
+    for intra, crossing in zip(INTRA_COSTS, CROSSING_COSTS):
+        for k in range(2, 21):
+            for c in range(1, 20 // k + 1):
+                inst = gen_valley_instance(k, c, intra, crossing)
+                digest.update(repr(cutting_plane_loop(inst)).encode())
+                loops += 1
+    assert loops == 138
+    assert digest.hexdigest() == SHORT_LOOPS_SHA256
 
 
 def test_cutting_plane_twenty_valleys_completes_within_the_default_rounds(monkeypatch):
