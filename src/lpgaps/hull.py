@@ -123,14 +123,16 @@ def _facet_objective(poly: ArcPolytope, omitted: int) -> tuple[Rational, Rationa
     return (-poly.facets[omitted].slope, Fraction(1))
 
 
-def _gap(poly: ArcPolytope, omitted: int, outcome: LpOutcome) -> AdversarialGap:
+def _gap(poly: ArcPolytope, omitted: int, objective: tuple[Rational, Rational],
+         outcome: LpOutcome) -> AdversarialGap:
     """The phantom value of a truncated model's solve under the omitted
-    facet's objective, measured against the facet's intercept."""
+    facet's objective, the one the caller built for that solve,
+    measured against the facet's intercept."""
     assert outcome.status is not SolveStatus.INFEASIBLE
     # an unbounded outcome has value and point None
     value, true_max = outcome.value, poly.facets[omitted].intercept
     return AdversarialGap(
-        omitted, _facet_objective(poly, omitted), true_max, value, outcome.point,
+        omitted, objective, true_max, value, outcome.point,
         None if value is None else value - true_max, bounded=value is not None,
     )
 
@@ -147,7 +149,7 @@ def facet_gap(
     if omitted in kept:
         raise ValidationError(f"facet {omitted} is part of the kept model")
     model = polytope_lp(poly, _facet_objective(poly, omitted), kept)
-    return _gap(poly, omitted, solve_lp(model))
+    return _gap(poly, omitted, model.objective, solve_lp(model))
 
 
 def adversarial_objective(poly: ArcPolytope, omitted: int) -> AdversarialGap:
@@ -242,17 +244,18 @@ def subset_gap_scan(
         if not omitted:
             rows.append(ScanRow(subset_id, kept, omitted))
             continue
-        # one model per subset: each omitted facet swaps in its objective
-        # and starts from the last outcome, the first one cold. Omitted
-        # facets ascend, so consecutive optima are the same or
-        # neighbouring vertices
-        model = polytope_lp(poly, _facet_objective(poly, omitted[0]), kept)
-        outcome = None
+        # one model per subset, built with the first omitted facet's
+        # objective: each later facet swaps in its own and starts from
+        # the last outcome, the first one cold. Omitted facets ascend, so
+        # consecutive optima are the same or neighbouring vertices
+        model = outcome = None
         gaps = []
         for j in omitted:
-            model = replace(model, objective=_facet_objective(poly, j))
+            objective = _facet_objective(poly, j)
+            model = (polytope_lp(poly, objective, kept) if model is None
+                     else replace(model, objective=objective))
             outcome = solve_lp(model, start=outcome)
-            gaps.append(_gap(poly, j, outcome))
+            gaps.append(_gap(poly, j, objective, outcome))
         # unbounded beats any gap, and a tie keeps the first facet
         worst = max(gaps, key=lambda g: (not g.bounded, g.gap if g.bounded else 0))
         rows.append(

@@ -18,20 +18,26 @@ exact cost and no tour, so no layer is read again once the next one is
 made. The budget is hard: past n = 20 the oracle raises
 BudgetExceededError rather than approximating.
 
-numpy is imported inside tsp_oracle and _held_karp, not at module
-level: lpgaps imports this module, but only the commands that call the
-oracle need numpy, and importing it roughly doubles a fresh process's
-start-up time. Python caches the module after the first call, so later
-calls pay only a sys.modules lookup.
+numpy is imported inside tsp_oracle, _held_karp and _layer_masks, not
+at module level: lpgaps imports this module, but only the commands that
+call the oracle need numpy, and importing it roughly doubles a fresh
+process's start-up time. Python caches the module after the first call,
+so later calls pay only a sys.modules lookup.
+
+What depends on the city count alone is made once per count and stays
+resident: the masks of every layer and the bit column (_layer_masks),
+2**m int32 entries, 2 MB at m = 19. A call builds them when it first
+meets its m, so no call peaks higher than before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .errors import BudgetExceededError
-from .rationals import Rational, scale_to_ints
+from .rationals import Rational
 from .valleys import TspInstance
 
 if TYPE_CHECKING:
@@ -39,6 +45,24 @@ if TYPE_CHECKING:
 
 HELD_KARP_CITY_LIMIT = 20
 EXHAUSTIVE_CITY_LIMIT = 1  # no n is searched exhaustively; perfbench/run.py reads this name
+
+
+@cache
+def _layer_masks(m: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """For m cities, the masks of each layer, masks[k] those of k + 1
+    cities in ascending order, the columns of the layer of k + 1 cities,
+    and the bit column, bits[j] = 1 << j. All are read-only views, since
+    every call of that m shares them."""
+    import numpy as np
+
+    popcount = np.zeros(1, dtype=np.int8)
+    for _ in range(m):
+        popcount = np.concatenate([popcount, popcount + 1])
+    order = np.argsort(popcount, kind="stable").astype(np.int32)
+    bits = np.left_shift(1, np.arange(m, dtype=np.int32))[:, None]
+    order.flags.writeable = bits.flags.writeable = False
+    masks = np.split(order, np.cumsum(np.bincount(popcount))[:-1])[1:]
+    return tuple(masks), bits
 
 
 def _held_karp(cost: np.ndarray, sentinel: int) -> object:
@@ -70,14 +94,7 @@ def _held_karp(cost: np.ndarray, sentinel: int) -> object:
 
     m = len(cost) - 1
     between, from_start, to_start = cost[1:, 1:], cost[0, 1:], cost[1:, 0]
-    popcount = np.zeros(1, dtype=np.int8)
-    for _ in range(m):
-        popcount = np.concatenate([popcount, popcount + 1])
-    # masks[k] lists the masks of k + 1 cities in ascending order, the
-    # columns of the layer of k + 1 cities
-    order = np.argsort(popcount, kind="stable").astype(np.int32)
-    masks = np.split(order, np.cumsum(np.bincount(popcount))[:-1])[1:]
-    bits = np.left_shift(1, np.arange(m, dtype=np.int32))[:, None]
+    masks, bits = _layer_masks(m)
     layer = np.full((m, m), sentinel, dtype=cost.dtype)
     np.fill_diagonal(layer, from_start)
     outside = ~np.eye(m, dtype=bool)
@@ -112,7 +129,7 @@ def tsp_oracle(inst: TspInstance) -> Rational:
         )
     import numpy as np
 
-    scaled, scale = scale_to_ints([c for row in inst.cost for c in row])
+    scaled, scale = inst.scaled_costs
     largest = max(map(abs, scaled))
     sentinel = n * (largest + 1) + 1
     dtype = next(

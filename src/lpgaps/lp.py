@@ -46,6 +46,8 @@ _RELATIONS = (LESS_EQ, GREATER_EQ, EQUAL)
 MAXIMIZE = "max"
 MINIMIZE = "min"
 
+_ZERO = Fraction(0)
+
 # each primal or dual simplex run of a solve makes at most PIVOT_BUDGET +
 # PIVOT_BUDGET_PER_LINE * (rows + columns) pivots and bound flips; the
 # largest single solve measured made 5,185 basis changes
@@ -264,11 +266,16 @@ class _Tableau:
         zero cost row, at the corner the caller names: each column listed
         in at_upper at its upper bound, free to fall, and every other
         structural column at its lower bound, free to rise; a column of
-        zero span never moves, at either bound."""
+        zero span never moves, at either bound.
+
+        ``lower`` holds each lower bound as a Fraction, int bounds
+        included, for ``point``: every zero bound is one shared
+        Fraction(0), and only the nonzero ones, listed in ``lifted``,
+        are converted, so a relaxation's n(n - 1) zero bounds make no
+        Fraction."""
         n = lp.num_vars
         lo, hi = lp.lower_bounds, lp.upper_bounds
         self.n = self.ncols = n
-        self.lower = tuple(map(Fraction, lo))  # Fractions even for int bounds
         spans = [
             None if h is None else (h - l).as_integer_ratio() for l, h in zip(lo, hi)
         ]
@@ -277,6 +284,10 @@ class _Tableau:
         self.whole_spans = all(u == 1 for u in self.unit)
         # the nonzero lower bounds, which _reduced folds into a rhs
         self.lifted = tuple((j, l) for j, l in enumerate(lo) if l)
+        lower = [_ZERO] * n
+        for j, l in self.lifted:
+            lower[j] = Fraction(l)
+        self.lower = tuple(lower)
         self.A: list[list[int]] = [[0] * (n + 1) + [1]]
         self.basis: list[int] = []
         # the program whose rows the tableau holds and whose objective
@@ -357,9 +368,11 @@ class _Tableau:
         lowest terms.
 
         Nonzero lower bounds are folded into rhs before scaling, a column
-        at its upper bound takes off its int entry times its int span,
-        and each elimination takes off a basic column's part with its
-        row's value, as it does for any row in a basis change."""
+        at its upper bound takes off its int entry times its int span
+        (only the row's nonzero structural entries are looked at, a few
+        of a relaxation row's n(n - 1)), and each elimination takes off a
+        basic column's part with its row's value, as it does for any row
+        in a basis change."""
         if self.lifted:
             rhs -= sum(values[j] * l for j, l in self.lifted)
         if not self.whole_spans:
@@ -368,8 +381,8 @@ class _Tableau:
         ub, ncols = self.ub, self.ncols
         row[-1:-1] = [0] * (ncols + 1 - len(row))
         row.append(den)
-        for j, s in enumerate(self.state[:self.n]):
-            if s < 0 and row[j]:
+        for j in compress(range(self.n), row):
+            if self.state[j] < 0:
                 row[-2] -= row[j] * ub[j]
         # basis is shorter than the row store, so zip stops before the
         # cost row

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -164,10 +165,12 @@ def scale_to_ints(values: Sequence[Rational]) -> tuple[list[int], int]:
     reduced denominators, which leaves them with no common factor: the
     one way into the integer kernels (simplex, separation, Held-Karp).
     A zero adds nothing to the lcm and scales to 0, so only the nonzero
-    entries, a few of a dense relaxation row, are converted."""
-    nonzero = [(i, a.as_integer_ratio()) for i, a in enumerate(values) if a]
-    den = lcm(*(q for _, (_, q) in nonzero))
+    entries, a few of a dense relaxation row, are converted; compress
+    finds them, with no Python step for an int entry."""
+    index = list(compress(range(len(values)), values))
+    ratios = [values[i].as_integer_ratio() for i in index]
+    den = lcm(*(q for _, q in ratios))
     ints = [0] * len(values)
-    for i, (p, q) in nonzero:
+    for i, (p, q) in zip(index, ratios):
         ints[i] = p * (den // q)
     return ints, den

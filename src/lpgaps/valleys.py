@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ValidationError
@@ -96,6 +96,15 @@ class TspInstance:
     def valley_cities(self, valley: int) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if self.valley_of[i] == valley)
 
+    @cached_property
+    def scaled_costs(self) -> tuple[tuple[int, ...], int]:
+        """The n * n costs, row by row, as ints over their common
+        denominator (scale_to_ints), made on first read and kept on the
+        instance, since the cover start and the tour oracle both read
+        them; not a field, so equality, hashing and repr ignore it."""
+        ints, scale = scale_to_ints([c for row in self.cost for c in row])
+        return tuple(ints), scale
+
 
 # the relaxation is dense with one column per arc, n(n - 1) of them, yet
 # its solves do not bind: on a shared 2-vCPU host (Python 3.11), the
@@ -154,8 +163,24 @@ def instance_from_cost_matrix(cost: Sequence[Sequence]) -> TspInstance:
 @cache
 def arc_list(n: int) -> tuple[tuple[int, int], ...]:
     """Every ordered city pair, the arc variables' order; one immutable
-    tuple per n, built once, since each cut-loop round reads it twice."""
+    tuple per n, built once, since each cut-loop round reads it twice.
+    It stays resident for the life of the process, as _degree_rows' do."""
     return tuple((i, j) for i in range(n) for j in range(n) if i != j)
+
+
+@cache
+def _degree_rows(n: int) -> tuple[Constraint, ...]:
+    """The 2n degree rows over arc_list(n)'s columns, out-degrees of
+    cities 0..n-1 then in-degrees, each = 1; one immutable tuple of
+    frozen rows per n, built once, since they depend on nothing but n.
+    They hold 2n * n(n - 1) entries, a 1 MB tuple of pointers to 0 and 1
+    at MAX_CITIES, as long as the process lives."""
+    arcs = arc_list(n)
+    coeffs = [[0] * len(arcs) for _ in range(2 * n)]
+    for idx, (i, j) in enumerate(arcs):
+        coeffs[i][idx] = 1
+        coeffs[n + j][idx] = 1
+    return tuple(Constraint(row, EQUAL, 1) for row in coeffs)
 
 
 def _cover_columns(inst: TspInstance) -> tuple[int, ...]:
@@ -170,7 +195,7 @@ def _cover_columns(inst: TspInstance) -> tuple[int, ...]:
     vertex of the degree program; a cut it breaks is a row the dual
     simplex repairs."""
     n = inst.n
-    scaled, _ = scale_to_ints([c for row in inst.cost for c in row])
+    scaled, _ = inst.scaled_costs
     cost = [scaled[i * n:(i + 1) * n] for i in range(n)]
     succ = [*range(1, n), 0]
     for _ in range(n):
@@ -193,18 +218,12 @@ def _cover_columns(inst: TspInstance) -> tuple[int, ...]:
 
 def degree_lp(inst: TspInstance) -> LinearProgram:
     """One [0,1] variable per arc; out-degree and in-degree equal 1 at
-    every city; minimize total arc cost. n(n-1) variables, 2n rows."""
-    n = inst.n
-    arcs = arc_list(n)
-    num = len(arcs)
-    objective = [inst.cost[i][j] for (i, j) in arcs]
-    # rows 0..n-1 are out-degrees, rows n..2n-1 in-degrees
-    coeffs = [[0] * num for _ in range(2 * n)]
-    for idx, (i, j) in enumerate(arcs):
-        coeffs[i][idx] = 1
-        coeffs[n + j][idx] = 1
-    rows = [Constraint(row, EQUAL, 1) for row in coeffs]
-    return LinearProgram(objective, "min", rows, upper_bounds=(1,) * num)
+    every city; minimize total arc cost. n(n-1) variables, 2n rows. Only
+    the objective is the instance's: the rows are the ones _degree_rows
+    built for this n, shared by every degree LP of n cities."""
+    objective = [inst.cost[i][j] for (i, j) in arc_list(inst.n)]
+    return LinearProgram(objective, "min", _degree_rows(inst.n),
+                         upper_bounds=(1,) * len(objective))
 
 
 def subtour_cut(inst: TspInstance, subset: Iterable[int]) -> Constraint:

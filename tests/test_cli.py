@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from oracles import valley_internal_cycles_flow
-from lpgaps import cli, hull, lp, valleys
+from lpgaps import cli, hull, ilp, lp, valleys
 from lpgaps.rationals import parse_rational
 from lpgaps.valleys import flow_arcs_to_text, gen_valley_instance, instance_to_text
 
@@ -499,6 +499,27 @@ def test_a_rerun_always_writes(tmp_path):
     os.utime(out, (0, 0))
     assert cli.main(argv) == 0
     assert out.stat().st_mtime != 0
+
+
+# the (valleys, cities per valley) sizes of the benchmark's valley-gap mix
+VALLEY_GAP_SIZES = [(6, 2), (7, 2), (8, 2), (9, 1), (10, 1)]
+
+
+def test_valley_gap_reports_repeat_byte_for_byte_in_one_process(tmp_path):
+    # the first run of each size makes its degree rows and Held-Karp
+    # masks, the second reads them, and both write the same bytes
+    valleys._degree_rows.cache_clear()
+    ilp._layer_masks.cache_clear()
+    out = tmp_path / "report.json"
+    written = []
+    for k, c in [*VALLEY_GAP_SIZES, *VALLEY_GAP_SIZES]:
+        argv = ["valley-gap", "--valleys", str(k), "--cities-per-valley", str(c),
+                "--intra-cost", "1/7", "--crossing-cost", "5/3",
+                "--relaxation", "degree", "--output", str(out)]
+        assert cli.main(argv) == 0
+        written.append(out.read_bytes())
+    assert written[:len(VALLEY_GAP_SIZES)] == written[len(VALLEY_GAP_SIZES):]
+    assert len(set(written)) == len(VALLEY_GAP_SIZES)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")

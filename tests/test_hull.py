@@ -239,20 +239,28 @@ def test_warm_scan_rows_match_cold_solves_sampled(seed):
 
 def test_chained_facet_gaps_equal_cold_ones(monkeypatch):
     # every gap the scan computes, warm ones included, is the gap a
-    # cold facet_gap finds for that subset and facet, witness included
+    # cold facet_gap finds for that subset and facet, witness included;
+    # the scan builds each omitted facet's objective once
     poly = gen_arc(32)
     seen = []
-    real_gap = hull._gap
+    built = []
+    real_gap, real_objective = hull._gap, hull._facet_objective
 
-    def recording_gap(poly, omitted, outcome):
-        seen.append(real_gap(poly, omitted, outcome))
+    def recording_gap(*args):
+        seen.append(real_gap(*args))
         return seen[-1]
 
+    def counted_objective(poly, omitted):
+        built.append(omitted)
+        return real_objective(poly, omitted)
+
     monkeypatch.setattr(hull, "_gap", recording_gap)
+    monkeypatch.setattr(hull, "_facet_objective", counted_objective)
     report = subset_gap_scan(poly, budget=8, sample_count=5, seed=2)
     monkeypatch.undo()
     assert not report.enumerated
     assert len(seen) == 5 * 23
+    assert built == [j for row in report.rows for j in row.omitted]
     assert seen == [
         facet_gap(poly, j, row.kept) for row in report.rows for j in row.omitted
     ]

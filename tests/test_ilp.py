@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -181,6 +182,33 @@ def test_oracle_keeps_only_the_layer_it_extends():
         tracemalloc.stop()
     assert peak < 20_000_000
     assert cost == Fraction(380, 21)
+
+
+def test_layer_masks_are_made_once_per_size_and_read_only():
+    # sizes in shuffled order, each twice: every call reads the masks
+    # the first call of its size made, and gives the reference's cost
+    rng = random.Random(52)
+    cases = {}
+    for n in range(8, 17):
+        cost = [
+            [Fraction(rng.randint(0, 9), rng.randint(1, 3)) if i != j else Fraction(0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+        cases[n] = (instance_from_cost_matrix(cost), held_karp_cost(cost))
+    sizes = [*cases, *cases]
+    rng.shuffle(sizes)
+    ilp._layer_masks.cache_clear()
+    for n in sizes:
+        inst, best = cases[n]
+        assert tsp_oracle(inst) == best
+    assert ilp._layer_masks.cache_info().misses == len(cases)
+    for n in cases:
+        masks, bits = ilp._layer_masks(n - 1)
+        assert [len(layer) for layer in masks] == [comb(n - 1, k) for k in range(1, n)]
+        assert not any(array.flags.writeable for array in (*masks, bits))
+        with pytest.raises(ValueError):
+            masks[0][0] = 0
 
 
 def test_oracle_budgets():

@@ -59,7 +59,8 @@ def test_optimal_points_and_values_are_fractions():
     # built with int entries: the 0 of the point (1, 0) is the lower
     # bound of a column that never moves, and must be a Fraction all the
     # same, since a report writes a Fraction as text and an int as a
-    # JSON number
+    # JSON number; so must a nonzero int lower bound, whether its column
+    # stays there or crosses to its upper bound
     direct = LinearProgram(
         (1, 0), "max", (Constraint((1, 1), "<=", 1),), (0, 0), (None, None)
     )
@@ -68,8 +69,13 @@ def test_optimal_points_and_values_are_fractions():
     warm = solve_lp(replace(direct, objective=(0, 1)), start=cold)
     floor = Constraint((0, 1), ">=", 1)
     grown = replace(direct, constraints=[*direct.constraints, floor])
+    lifted = LinearProgram(
+        (0, 1), "max", (Constraint((1, 1), "<=", 5),), (2, 0), (3, None)
+    )
+    stays, crosses = solve_lp(lifted), solve_lp(replace(lifted, objective=(1, 1)))
+    assert (stays.point, crosses.point) == ((2, 3), (3, 2))
     for out in (cold, warm, solve_lp(grown, start=cold),
-                solve_lp(three_facet_program())):
+                solve_lp(three_facet_program()), stays, crosses):
         assert out.status is SolveStatus.OPTIMAL
         assert type(out.value) is Fraction
         assert all(type(x) is Fraction for x in out.point), out.point

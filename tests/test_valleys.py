@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lpgaps import valleys
 from lpgaps.errors import ValidationError
 from lpgaps.ilp import tsp_oracle
-from lpgaps.lp import GREATER_EQ, SolveStatus, _Tableau, solve_lp
+from lpgaps.lp import EQUAL, GREATER_EQ, Constraint, SolveStatus, _Tableau, solve_lp
 from lpgaps.valleys import (
     MAX_CITIES,
     InstanceInfo,
@@ -28,6 +28,7 @@ from lpgaps.valleys import (
     instance_to_text,
     relaxation_with_cuts,
     separate_subtour,
+    solve_relaxation,
     subtour_cut,
     three_circulation_flow,
 )
@@ -142,6 +143,34 @@ def test_degree_lp_shape():
     assert all(c.relation == "=" for c in lp.constraints)
     assert all(ub == 1 for ub in lp.upper_bounds)
     assert all(lb == 0 for lb in lp.lower_bounds)
+
+
+def dense_degree_rows(n):
+    """The degree rows as degree_lp once built them on every call:
+    out-degrees of cities 0..n-1, then in-degrees, each = 1."""
+    arcs = arc_list(n)
+    return [
+        Constraint([int(end == city) for end in ends], EQUAL, 1)
+        for ends in ([i for i, _ in arcs], [j for _, j in arcs])
+        for city in range(n)
+    ]
+
+
+def test_degree_rows_are_built_once_per_city_count_and_never_change():
+    # two instances of one city count share one tuple of rows, equal to
+    # a fresh dense build row by row, and solving from it changes none
+    first = gen_valley_instance(4, 2)
+    second = gen_valley_instance(2, 4, Fraction(1, 7), Fraction(5, 3))
+    rows = degree_lp(first).constraints
+    assert degree_lp(second).constraints is rows
+    assert list(rows) == dense_degree_rows(8)
+    for inst in (first, second):
+        solve_relaxation(inst, degree_lp(inst))
+        solve_lp(degree_lp(inst))
+        cutting_plane_loop(inst)
+    assert degree_lp(first).constraints is rows
+    assert list(rows) == dense_degree_rows(8)
+    assert list(degree_lp(gen_valley_instance(3, 2)).constraints) == dense_degree_rows(6)
 
 
 def test_degree_lp_value_with_free_valley_circulation():
