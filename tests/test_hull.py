@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -298,3 +299,32 @@ def test_kept_facet_indices_are_checked(omitted, kept, message):
         facet_gap(poly, omitted, kept)
     assert facet_gap(poly, 3, [0, 1, 2]).gap == 2
     assert len(polytope_lp(poly, (0, 1), range(poly.facet_count)).constraints) == 4
+
+
+# one SHA-256 over the repr of every scan of a chain of at most 10
+# vertices at every budget, every single omission of a chain of at most
+# 24, and three seeded sampled scans at V = 32: it pins every kept
+# subset, worst facet, objective, maximum, witness and gap, so a change
+# to how a facet or a model is built that moves any of them shows here
+SMALL_HULL_SHA256 = "3c41b09f54230983848eb1de1ab9cb686f4386b6df1bb10063f7f9688d7e90fb"
+
+
+def test_every_small_hull_result_is_kept():
+    digest = hashlib.sha256()
+    scans = 0
+    for V in range(2, 11):
+        poly = gen_arc(V)
+        for budget in range(poly.facet_count + 1):
+            digest.update(repr(subset_gap_scan(poly, budget)).encode())
+            scans += 1
+    for V in range(2, 25):
+        poly = gen_arc(V)
+        for j in range(poly.facet_count):
+            digest.update(repr(adversarial_objective(poly, j)).encode())
+    poly = gen_arc(32)
+    for budget, seed in ((8, 0), (16, 1), (24, 2)):
+        report = subset_gap_scan(poly, budget, sample_count=4, seed=seed)
+        assert not report.enumerated
+        digest.update(repr(report).encode())
+    assert scans == 54
+    assert digest.hexdigest() == SMALL_HULL_SHA256
