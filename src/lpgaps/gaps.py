@@ -135,9 +135,10 @@ def _read_relaxation(relaxation: Optional[RelaxationDesc]) -> RelaxationDesc:
 
 def _relaxation_value(
     inst: TspInstance, relaxation: RelaxationDesc
-) -> tuple[Rational, int, int, Optional[Rational]]:
-    """(lp value, constraint rows, rounds, proved tour optimum or None)
-    of the relaxation; the one place that evaluates it by its kind. The
+) -> tuple[Rational, int, int, int, Optional[Rational]]:
+    """(lp value, constraint rows, variables, rounds, proved tour optimum
+    or None) of the relaxation, the rows and variables those of the last
+    program solved; the one place that evaluates it by its kind. The
     cutting-plane loop builds and solves its own programs, and its trace
     states the tour optimum when it proved one; a degree or degree+cuts
     program, whose cut subsets are checked as it is built, proves none.
@@ -145,10 +146,11 @@ def _relaxation_value(
     where it starts."""
     if relaxation.kind == CUTTING_PLANE:
         trace = cutting_plane_loop(inst, relaxation.max_rounds)
-        rows = trace.rounds[-1].constraint_count
-        return trace.final_value, rows, len(trace.rounds), trace.tour_optimum
+        rows, columns = trace.rounds[-1].constraint_count, len(trace.final_point)
+        return trace.final_value, rows, columns, len(trace.rounds), trace.tour_optimum
     program = relaxation_with_cuts(inst, relaxation.cut_subsets)
-    return solve_relaxation(inst, program).value, len(program.constraints), 0, None
+    value = solve_relaxation(inst, program).value
+    return value, len(program.constraints), program.num_vars, 0, None
 
 
 def integrality_gap(
@@ -168,7 +170,7 @@ def integrality_gap(
     thresholds = tuple(thresholds)
     require_exact(thresholds, "thresholds")
     relaxation = _read_relaxation(relaxation)
-    lp_value, rows_used, rounds, proved = _relaxation_value(inst, relaxation)
+    lp_value, rows_used, columns, rounds, proved = _relaxation_value(inst, relaxation)
     ilp_value = tsp_oracle(inst) if proved is None else proved
     gap = ilp_value - lp_value
     if lp_value > 0:
@@ -197,7 +199,7 @@ def integrality_gap(
         gap_ratio=ratio,
         gap_ratio_note=note,
         constraints_used=rows_used,
-        variables_used=inst.n * (inst.n - 1),
+        variables_used=columns,
         rounds=rounds,
         decision_answers=tuple(answers),
     )

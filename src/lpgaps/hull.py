@@ -3,10 +3,12 @@
 The generated polytope is the region under a strictly concave integer
 chain: vertices (i, i*(2V - i)) for i = 0..V-1, one upper facet
 y <= s*x + b through each consecutive vertex pair, inside the box
-0 <= x <= V-1, y >= 0. Dropping any facet from the model leaves a wedge
-that the facet's own outward direction can exploit: maximizing
-y - slope*x over the truncated model certifies a value strictly above
-anything the true polytope admits. ``subset_gap_scan`` quantifies that
+0 <= x <= V-1, y >= 0. Each facet is stored once, as its LP row
+-s*x + y <= b. Dropping any facet from the model leaves a wedge that the
+facet's own outward direction can exploit: maximizing the row's
+left-hand side -s*x + y over the truncated model certifies a value
+strictly above b, the most the true polytope admits, and that objective
+and that maximum are read off the row. ``subset_gap_scan`` quantifies that
 over all (or sampled) fixed-size facet subsets a storage-budgeted model
 could keep.
 """
@@ -54,15 +56,10 @@ SCAN_WORK_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
-class Halfplane:
-    slope: Rational
-    intercept: Rational  # y <= slope*x + intercept
-
-
-@dataclass(frozen=True)
 class ArcPolytope:
     vertices: tuple[tuple[Rational, Rational], ...]
-    facets: tuple[Halfplane, ...]
+    # facet y <= s*x + b as its row -s*x + y <= b
+    facets: tuple[Constraint, ...]
 
     @property
     def vertex_count(self) -> int:
@@ -79,14 +76,16 @@ class ArcPolytope:
 
 def gen_arc(vertex_count: int) -> ArcPolytope:
     """Concave chain p_i = (i, i*(2V - i)); facet i joins vertices i and
-    i+1 with slope 2V - 2i - 1 and intercept i*(i + 1)."""
+    i+1 with slope 2V - 2i - 1 and intercept i*(i + 1), stored as the
+    row (2i + 1 - 2V)*x + y <= i*(i + 1)."""
     V = vertex_count
     require_int(V, 2, MAX_VERTICES, "vertex count")
     vertices = tuple(
         (Fraction(i), Fraction(i * (2 * V - i))) for i in range(V)
     )
     facets = tuple(
-        Halfplane(Fraction(2 * V - 2 * i - 1), Fraction(i * (i + 1)))
+        Constraint((Fraction(2 * i + 1 - 2 * V), Fraction(1)), LESS_EQ,
+                   Fraction(i * (i + 1)))
         for i in range(V - 1)
     )
     return ArcPolytope(vertices, facets)
@@ -101,9 +100,7 @@ def polytope_lp(
     (0 <= x <= V-1, y >= 0) never counts against a storage budget."""
     kept = tuple(kept_facets)
     require_indices(kept, poly.facet_count, "kept facet")
-    facets = [poly.facets[i] for i in kept]
-    # each facet y <= s*x + b is the row -s*x + y <= b
-    rows = [Constraint((-f.slope, 1), LESS_EQ, f.intercept) for f in facets]
+    rows = [poly.facets[i] for i in kept]
     return LinearProgram(objective, "max", rows, upper_bounds=(poly.x_max, None))
 
 
@@ -118,22 +115,16 @@ class AdversarialGap:
     bounded: bool
 
 
-def _facet_objective(poly: ArcPolytope, omitted: int) -> tuple[Rational, Rational]:
-    """y - slope*x for the omitted facet, as (-slope, 1)."""
-    return (-poly.facets[omitted].slope, Fraction(1))
-
-
-def _gap(poly: ArcPolytope, omitted: int, objective: tuple[Rational, Rational],
-         outcome: LpOutcome) -> AdversarialGap:
+def _gap(poly: ArcPolytope, omitted: int, outcome: LpOutcome) -> AdversarialGap:
     """The phantom value of a truncated model's solve under the omitted
-    facet's objective, the one the caller built for that solve,
-    measured against the facet's intercept."""
+    facet's objective, its row's left-hand side, measured against the
+    row's right-hand side."""
     assert outcome.status is not SolveStatus.INFEASIBLE
     # an unbounded outcome has value and point None
-    value, true_max = outcome.value, poly.facets[omitted].intercept
+    facet, value = poly.facets[omitted], outcome.value
     return AdversarialGap(
-        omitted, objective, true_max, value, outcome.point,
-        None if value is None else value - true_max, bounded=value is not None,
+        omitted, facet.coeffs, facet.rhs, value, outcome.point,
+        None if value is None else value - facet.rhs, bounded=value is not None,
     )
 
 
@@ -141,15 +132,15 @@ def facet_gap(
     poly: ArcPolytope, omitted: int, kept_facets: Iterable[int]
 ) -> AdversarialGap:
     """Adversarial objective for one omitted facet against a truncated
-    model: maximize y - slope*x. Over the full polytope that tops out at
-    the facet's intercept; whatever the truncated model reports beyond
-    it is phantom value. One cold solve."""
+    model: maximize its row's left-hand side -s*x + y. Over the full
+    polytope that tops out at the row's right-hand side; whatever the
+    truncated model reports beyond it is phantom value. One cold solve."""
     require_int(omitted, 0, poly.facet_count - 1, "omitted facet")
     kept = tuple(kept_facets)
     if omitted in kept:
         raise ValidationError(f"facet {omitted} is part of the kept model")
-    model = polytope_lp(poly, _facet_objective(poly, omitted), kept)
-    return _gap(poly, omitted, model.objective, solve_lp(model))
+    model = polytope_lp(poly, poly.facets[omitted].coeffs, kept)
+    return _gap(poly, omitted, solve_lp(model))
 
 
 def adversarial_objective(poly: ArcPolytope, omitted: int) -> AdversarialGap:
@@ -251,11 +242,11 @@ def subset_gap_scan(
         model = outcome = None
         gaps = []
         for j in omitted:
-            objective = _facet_objective(poly, j)
+            objective = poly.facets[j].coeffs
             model = (polytope_lp(poly, objective, kept) if model is None
                      else replace(model, objective=objective))
             outcome = solve_lp(model, start=outcome)
-            gaps.append(_gap(poly, j, objective, outcome))
+            gaps.append(_gap(poly, j, outcome))
         # unbounded beats any gap, and a tie keeps the first facet
         worst = max(gaps, key=lambda g: (not g.bounded, g.gap if g.bounded else 0))
         rows.append(

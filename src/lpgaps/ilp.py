@@ -16,7 +16,10 @@ sentinel + largest < 2**(bits - 2) bounds.
 Only the layer being extended is kept: the oracle returns the optimum's
 exact cost and no tour, so no layer is read again once the next one is
 made. The budget is hard: past n = 20 the oracle raises
-BudgetExceededError rather than approximating.
+BudgetExceededError rather than approximating, and so it does past
+n = 15 when the scaled costs fit no machine-width table, since a table
+of Python ints is 100-1000 times slower. Either refusal comes before
+any layer is built.
 
 numpy is imported inside tsp_oracle, _held_karp and _layer_masks, not
 at module level: lpgaps imports this module, but only the commands that
@@ -44,6 +47,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 HELD_KARP_CITY_LIMIT = 20
+# a table of Python ints takes time linear in the digits of its costs:
+# on a shared 2-vCPU host (Python 3.11), costs of 1e1000 over 1e-1000
+# intra costs (2,001-digit scaled costs) take 1.3 s at n = 14, 3.5 s at
+# 15 and 7.7 s at 16; 1e1000 over 1/3 takes 2.9 s at 16, 1e18 over 1/3
+# 2.4 s at 18, and 1e1000 over 1/3 ran 97 s at 20 before the cap
+OBJECT_TABLE_CITY_LIMIT = 15
 EXHAUSTIVE_CITY_LIMIT = 1  # no n is searched exhaustively; perfbench/run.py reads this name
 
 
@@ -121,7 +130,8 @@ def tsp_oracle(inst: TspInstance) -> Rational:
     the lcm of their denominators; the table is the narrowest of int16,
     int32, int64 and Python ints (object) in which
     sentinel + largest < 2**(bits - 2), a bit of headroom beyond the
-    largest magnitude the program computes."""
+    largest magnitude the program computes. A table of Python ints is
+    budgeted for n <= 15 and refused past it, before it is built."""
     n = inst.n
     if n > HELD_KARP_CITY_LIMIT:
         raise BudgetExceededError(
@@ -137,5 +147,8 @@ def tsp_oracle(inst: TspInstance) -> Rational:
          if sentinel + largest < 2 ** (np.iinfo(t).bits - 2)),
         object,
     )
+    if dtype is object and n > OBJECT_TABLE_CITY_LIMIT:
+        raise BudgetExceededError(f"held-karp over Python ints, as these costs need, "
+                                  f"is budgeted for n <= {OBJECT_TABLE_CITY_LIMIT}, got {n}")
     best = _held_karp(np.array(scaled, dtype=dtype).reshape(n, n), sentinel)
     return Fraction(int(best), scale)

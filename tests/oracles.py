@@ -326,14 +326,17 @@ def envelope_relaxed_max(poly, omitted: int, kept):
     a box end. None when no kept facet bounds y (unbounded)."""
     if not kept:
         return None
-    slope_j = poly.facets[omitted].slope
-    lines = [(poly.facets[i].slope, poly.facets[i].intercept) for i in kept]
-    xs = {Fraction(0), poly.x_max}
+    # facet i of gen_arc's chain, in closed form: y <= (2V - 2i - 1)*x + i*(i + 1)
+    V = poly.vertex_count
+    x_max = Fraction(V - 1)
+    slope_j = Fraction(2 * V - 2 * omitted - 1)
+    lines = [(Fraction(2 * V - 2 * i - 1), Fraction(i * (i + 1))) for i in kept]
+    xs = {Fraction(0), x_max}
     for (s1, b1), (s2, b2) in combinations(lines, 2):
         if s1 == s2:
             continue
         x = (b2 - b1) / (s1 - s2)
-        if 0 <= x <= poly.x_max:
+        if 0 <= x <= x_max:
             xs.add(x)
     best = None
     for x in xs:

@@ -52,6 +52,23 @@ def test_degree_gap_headline():
     assert report.rounds == 0
 
 
+@pytest.mark.parametrize("relaxation", [
+    RelaxationDesc(DEGREE),
+    RelaxationDesc(DEGREE_WITH_CUTS, ((0, 1),)),
+    RelaxationDesc(CUTTING_PLANE, max_rounds=50),
+])
+def test_variables_used_are_the_last_solved_programs(monkeypatch, relaxation):
+    columns = []
+
+    def recording_solve(program, **kwargs):
+        columns.append(program.num_vars)
+        return solve_lp(program, **kwargs)
+
+    monkeypatch.setattr(valleys, "solve_lp", recording_solve)
+    report = integrality_gap(gen_valley_instance(3, 2), relaxation)
+    assert report.variables_used == columns[-1] == 6 * 5
+
+
 def test_full_valley_cuts_close_the_gap():
     inst = gen_valley_instance(4, 2)
     cuts = RelaxationDesc(DEGREE_WITH_CUTS, valley_cut_subsets(inst))

@@ -14,14 +14,17 @@ from lpgaps.hull import (
     polytope_lp,
     subset_gap_scan,
 )
-from lpgaps.lp import solve_lp
+from lpgaps.lp import LESS_EQ, Constraint, solve_lp
+
+
+def lhs(row, point):
+    return sum(a * v for a, v in zip(row.coeffs, point))
 
 
 def test_minimal_chain():
     poly = gen_arc(2)
     assert poly.vertices == ((0, 0), (1, 3))
-    assert len(poly.facets) == 1
-    assert (poly.facets[0].slope, poly.facets[0].intercept) == (3, 0)
+    assert poly.facets == (Constraint((-3, 1), LESS_EQ, 0),)
 
 
 def test_four_vertex_chain():
@@ -29,14 +32,14 @@ def test_four_vertex_chain():
     assert [(int(x), int(y)) for x, y in poly.vertices] == [
         (0, 0), (1, 7), (2, 12), (3, 15),
     ]
-    assert [(int(f.slope), int(f.intercept)) for f in poly.facets] == [
-        (7, 0), (5, 2), (3, 6),
-    ]
+    assert poly.facets == tuple(
+        Constraint((-s, 1), LESS_EQ, b) for s, b in [(7, 0), (5, 2), (3, 6)]
+    )
 
 
 def test_sixty_four_vertex_slopes():
     poly = gen_arc(64)
-    slopes = [f.slope for f in poly.facets]
+    slopes = [-f.coeffs[0] for f in poly.facets]
     assert slopes == [Fraction(2 * 64 - (2 * i + 1)) for i in range(63)]
     assert slopes[0] == 127 and slopes[-1] == 3
     assert all(a > b for a, b in zip(slopes, slopes[1:]))
@@ -47,12 +50,14 @@ def test_chain_invariants(V):
     poly = gen_arc(V)
     xs = [x for x, _ in poly.vertices]
     assert all(a < b for a, b in zip(xs, xs[1:]))
-    slopes = [f.slope for f in poly.facets]
+    slopes = [-f.coeffs[0] for f in poly.facets]
     assert all(a > b for a, b in zip(slopes, slopes[1:]))
     assert len(poly.facets) == len(poly.vertices) - 1
     for i, facet in enumerate(poly.facets):
+        assert facet.relation == LESS_EQ and facet.coeffs[1] == 1
+        # vertices i and i + 1 are tight on facet i's row
         for (x, y) in (poly.vertices[i], poly.vertices[i + 1]):
-            assert y == facet.slope * x + facet.intercept
+            assert lhs(facet, (x, y)) == facet.rhs
 
 
 def test_rejects_tiny_chain():
@@ -84,6 +89,9 @@ def test_every_single_omission_has_positive_gap(V):
     poly = gen_arc(V)
     for j in range(poly.facet_count):
         adv = adversarial_objective(poly, j)
+        # the objective and the true maximum are the omitted row's own
+        assert adv.objective is poly.facets[j].coeffs
+        assert adv.true_max == poly.facets[j].rhs
         assert adv.bounded, (V, j)
         assert adv.gap > 0, (V, j)
         assert adv.relaxed_max == envelope_relaxed_max(
@@ -103,9 +111,8 @@ def test_witness_strictly_violates_omitted_facet():
     poly = gen_arc(8)
     for j in range(poly.facet_count):
         adv = adversarial_objective(poly, j)
-        x, y = adv.witness
         facet = poly.facets[j]
-        assert y > facet.slope * x + facet.intercept
+        assert lhs(facet, adv.witness) > facet.rhs
 
 
 @pytest.mark.parametrize(
@@ -241,27 +248,23 @@ def test_warm_scan_rows_match_cold_solves_sampled(seed):
 def test_chained_facet_gaps_equal_cold_ones(monkeypatch):
     # every gap the scan computes, warm ones included, is the gap a
     # cold facet_gap finds for that subset and facet, witness included;
-    # the scan builds each omitted facet's objective once
+    # each objective and true maximum is read off the omitted facet's row
     poly = gen_arc(32)
     seen = []
-    built = []
-    real_gap, real_objective = hull._gap, hull._facet_objective
+    real_gap = hull._gap
 
     def recording_gap(*args):
         seen.append(real_gap(*args))
         return seen[-1]
 
-    def counted_objective(poly, omitted):
-        built.append(omitted)
-        return real_objective(poly, omitted)
-
     monkeypatch.setattr(hull, "_gap", recording_gap)
-    monkeypatch.setattr(hull, "_facet_objective", counted_objective)
     report = subset_gap_scan(poly, budget=8, sample_count=5, seed=2)
     monkeypatch.undo()
     assert not report.enumerated
     assert len(seen) == 5 * 23
-    assert built == [j for row in report.rows for j in row.omitted]
+    for g in seen:
+        facet = poly.facets[g.omitted_facet]
+        assert g.objective is facet.coeffs and g.true_max == facet.rhs
     assert seen == [
         facet_gap(poly, j, row.kept) for row in report.rows for j in row.omitted
     ]

@@ -214,3 +214,16 @@ def test_layer_masks_are_made_once_per_size_and_read_only():
 def test_oracle_budgets():
     with pytest.raises(BudgetExceededError):
         tsp_oracle(gen_valley_instance(11, 2))  # n = 22 > 20
+
+
+def test_object_table_is_refused_past_its_own_cap(table_dtypes):
+    # scaled costs of 3 * 10**18 fit no int64 table; at 18 cities the
+    # Python-int table took 1.8 s, and it is now refused unbuilt
+    huge = Fraction(10**18)
+    with pytest.raises(BudgetExceededError, match="Python ints"):
+        tsp_oracle(gen_valley_instance(9, 2, Fraction(1, 3), huge))
+    assert table_dtypes == []
+    # at the cap the table is built, and tours cross each valley once
+    assert ilp.OBJECT_TABLE_CITY_LIMIT == 15
+    assert tsp_oracle(gen_valley_instance(5, 3, Fraction(1, 3), huge)) == 5 * huge + Fraction(10, 3)
+    assert table_dtypes == [object]
