@@ -11,6 +11,12 @@ strictly above b, the most the true polytope admits, and that objective
 and that maximum are read off the row. ``subset_gap_scan`` quantifies that
 over all (or sampled) fixed-size facet subsets a storage-budgeted model
 could keep.
+
+``gen_arc`` builds the polytope of each vertex count once, since it
+depends on nothing else, and hands every caller that one frozen object;
+it stays resident for the life of the process, one per size asked for,
+at most MAX_VERTICES - 1 sizes (about 18 MB if every size from 2 to 256
+were built).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional
@@ -39,18 +46,19 @@ SAMPLE_COUNT = 100
 SEED = 0
 # a V-vertex model is a dense tableau of about V^2 cells, and omitting
 # a late facet takes about V pivots: on a shared 2-vCPU host (Python
-# 3.11), hull-adversary at V = 256 takes 0.003 s to omit facet 0, 0.03 s
-# for 127 and 0.05-0.06 s for 254, the worst; with the cap lifted the
-# worst omission takes 0.28 s at V = 512 and 1.1 s at V = 1000
+# 3.11), hull-adversary at V = 256 takes 0.001 s to omit facet 0, 0.016 s
+# for 127 and 0.03 s for 254, the worst; with the cap lifted the worst
+# omission takes 0.12 s at V = 512 and 0.52 s at V = 1000
 MAX_VERTICES = 256
 # a scan's work estimate is subsets x facets x (budget^2 + 400): each
 # kept subset solves once per facet (one cold solve of about `budget`
 # pivots, one warm solve per omitted facet) over about budget^2 tableau
 # cells, plus a fixed per-solve cost worth about 400 cells. A unit took
-# 24-145 ns over V = 8..256 on a shared 2-vCPU host (Python 3.11), least
-# on large budgets, so the limit stops scans at about 2.5-15 s (V = 256
-# keeping 128 facets, 23 subsets: 9.8e7 units in 2.5 s); V = 256 keeping
-# 254 facets estimates 4.2e9 and ran 277 s without it
+# 14-67 ns over V = 12..256 on a shared 2-vCPU host (Python 3.11): 66 ns
+# at V = 12 keeping 5, 35 at V = 64 keeping 32 and 14 at V = 256 keeping
+# 128, least on large budgets, so the limit stops scans at about
+# 1.4-7 s (V = 256 keeping 128 facets, 23 subsets: 9.8e7 units in 1.4
+# s); V = 256 keeping 254 facets estimates 4.2e9 and ran 277 s without it
 SOLVE_OVERHEAD_CELLS = 400
 SCAN_WORK_LIMIT = 10**8
 
@@ -77,9 +85,16 @@ class ArcPolytope:
 def gen_arc(vertex_count: int) -> ArcPolytope:
     """Concave chain p_i = (i, i*(2V - i)); facet i joins vertices i and
     i+1 with slope 2V - 2i - 1 and intercept i*(i + 1), stored as the
-    row (2i + 1 - 2V)*x + y <= i*(i + 1)."""
-    V = vertex_count
-    require_int(V, 2, MAX_VERTICES, "vertex count")
+    row (2i + 1 - 2V)*x + y <= i*(i + 1). The count is checked before
+    the cache is read, so a bool or a float equal to a cached count is
+    refused, and each V returns its one frozen polytope."""
+    require_int(vertex_count, 2, MAX_VERTICES, "vertex count")
+    return _arc(vertex_count)
+
+
+@cache
+def _arc(V: int) -> ArcPolytope:
+    """gen_arc's polytope of V vertices, built once per V."""
     vertices = tuple(
         (Fraction(i), Fraction(i * (2 * V - i))) for i in range(V)
     )

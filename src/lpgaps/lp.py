@@ -12,7 +12,8 @@ equality row's slack has span 0, so once it leaves the basis it never
 enters again, as an artificial never comes back (Dantzig 1963); bounded
 dual simplex codes give each row one such logical variable (Koberstein
 2005; Maros 2003). Rows with their right-hand sides, and costs, enter
-once (``rationals.scale_to_ints``) and the point leaves once, as
+once, as ints over the lcm of their nonzero entries' denominators (the
+ints ``rationals.scale_to_ints`` gives), and the point leaves once, as
 Fractions: the pivot loop makes none. A returned status is a certainty,
 not a numerical verdict.
 
@@ -32,11 +33,12 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, ValidationError
-from .rationals import Rational, require_exact, require_indices, scale_to_ints
+from .rationals import Rational, require_exact, require_indices
 
 LESS_EQ = "<="
 GREATER_EQ = ">="
@@ -47,6 +49,7 @@ MAXIMIZE = "max"
 MINIMIZE = "min"
 
 _ZERO = Fraction(0)
+_COEFFS = attrgetter("coeffs")
 
 # each primal or dual simplex run of a solve makes at most PIVOT_BUDGET +
 # PIVOT_BUDGET_PER_LINE * (rows + columns) pivots and bound flips; the
@@ -114,16 +117,20 @@ class LinearProgram:
         require_exact(self.objective, "objective entries")
         require_exact(lo, "lower bounds")
         require_exact([b for b in hi if b is not None], "upper bounds")
-        for idx, con in enumerate(self.constraints):
-            if not isinstance(con, Constraint):
-                raise ValidationError(
-                    f"constraint {idx} is a {type(con).__name__}, not a Constraint"
-                )
-            if len(con.coeffs) != n:
-                raise ValidationError(
-                    f"constraint {idx}: {len(con.coeffs)} coefficients for "
-                    f"{n} variables"
-                )
+        # every row checked at C speed; only a failure walks the rows, to
+        # name the first bad one
+        if not ({Constraint}.issuperset(map(type, self.constraints))
+                and {n}.issuperset(map(len, map(_COEFFS, self.constraints)))):
+            for idx, con in enumerate(self.constraints):
+                if not isinstance(con, Constraint):
+                    raise ValidationError(
+                        f"constraint {idx} is a {type(con).__name__}, not a Constraint"
+                    )
+                if len(con.coeffs) != n:
+                    raise ValidationError(
+                        f"constraint {idx}: {len(con.coeffs)} coefficients for "
+                        f"{n} variables"
+                    )
 
     @property
     def num_vars(self) -> int:
@@ -140,44 +147,45 @@ class LpOutcome:
     tableau: Optional[_Tableau] = field(default=None, compare=False, repr=False)
 
 
-def _eliminate(row: list[int], prow: list[int], col: int, nz: Sequence[int]) -> None:
-    """Clear column col of row against the normalised pivot row prow,
-    whose entry there equals its denominator (so its true entry there is
-    1), values included, since each row ends in its value and then its
-    denominator. nz lists the entries where prow is nonzero, the only
-    ones the subtraction touches. row is written in place, scale and
-    gcd divide included, so the list the caller holds is the updated row.
+def _eliminate(rows: Iterable[list[int]], prow: list[int], col: int, nz: list[int]) -> None:
+    """Clear column col of each of rows against the normalised pivot row
+    prow, whose entry there equals its denominator (so its true entry
+    there is 1), values included, since each row ends in its value and
+    then its denominator: the one elimination kernel, called once per
+    basis change with every row it changes and once per basic column a
+    new row is reduced against. nz lists the entries where prow is
+    nonzero, the only ones the subtraction touches. Each row is written
+    in place, scale and gcd divide included, so the list the caller
+    holds is the updated row.
 
     With f = row[col], pden = prow[-1] and q = gcd(f, pden), the new row
     is row * (pden / q) - (f / q) * prow, its denominator scaled by pden
     / q: pden / q is the smallest multiplier that makes f * prow / pden
-    whole, and none is needed when pden divides f. Scaling and dividing
-    by the gcd touch only the row's nonzero entries, its denominator
-    among them, since a zero stays zero. Any multiplier gives the same
-    ints in the end: a row in lowest terms over a positive denominator is
-    the only such form of its values."""
-    f, pden = row[col], prow[-1]
-    if pden > 1:
-        q = gcd(f, pden)
-        f //= q
-        s = pden // q
-        if s > 1:
-            for j in compress(range(len(row)), row):
-                row[j] *= s
-    for j in nz:
-        row[j] -= f * prow[j]
-    _lowest(row)
-
-
-def _lowest(row: list[int]) -> None:
-    """Bring row to lowest terms in place: divide its nonzero entries,
-    its positive denominator last among them, by their gcd, which is 1
-    over a denominator of 1."""
-    if row[-1] > 1:
-        g = gcd(*row)
-        if g > 1:
-            for j in compress(range(len(row)), row):
-                row[j] //= g
+    whole, and none is needed when pden divides f. The row then goes to
+    lowest terms: its nonzero entries, its positive denominator last
+    among them, are divided by their gcd, which is 1 over a denominator
+    of 1. Scaling and dividing touch only the row's nonzero entries,
+    since a zero stays zero. Any multiplier gives the same ints in the
+    end: a row in lowest terms over a positive denominator is the only
+    such form of its values."""
+    pden = prow[-1]
+    cols = range(len(prow))
+    for row in rows:
+        f = row[col]
+        if pden > 1:
+            q = gcd(f, pden)
+            f //= q
+            s = pden // q
+            if s > 1:
+                for j in compress(cols, row):
+                    row[j] *= s
+        for j in nz:
+            row[j] -= f * prow[j]
+        if row[-1] > 1:
+            g = gcd(*row)
+            if g > 1:
+                for j in compress(cols, row):
+                    row[j] //= g
 
 
 def _negate(row: list[int]) -> None:
@@ -250,15 +258,24 @@ class _Tableau:
 
     Rows are stored densely, one int per column, then the value and the
     denominator. A basis change lists the pivot row's nonzero entries
-    once, and every elimination of that pivot subtracts only at those
-    entries of its row. A row changes only through an elimination or a
-    bound flip's value shift, and no row is scaled outside an
-    elimination. Every write is in place, so no basis change or bound
-    flip replaces a row of the store. A tableau owns every list it
-    holds: each row of ``A``, and ``basis``, ``state`` and ``ub``, so
-    ``copy`` copies each of them once. What it shares with a copy, the
-    tuples ``unit``, ``lifted`` and ``lower`` and the frozen ``program``,
-    is never written.
+    once and clears the entering column from every other row that has
+    it in one call of the elimination kernel, which subtracts only at
+    those entries. A row changes only through an elimination or a bound
+    flip's value shift, and no row is scaled outside an elimination.
+    Every write is in place, so no basis change or bound flip replaces a
+    row of the store.
+
+    A tableau owns its row store ``A`` and ``basis``, ``state`` and
+    ``ub``, which ``copy`` copies. The row lists themselves are copied
+    on write: ``copy`` shares them and marks both tableaux ``shared``,
+    and a shared tableau copies every row once (``_own``) just before
+    its first write to any, in ``append_rows`` and before the first
+    basis change or bound flip of ``run`` or ``dual``. So a warm solve
+    never writes a list its start holds, and one that makes no basis
+    change copies no constraint row (the hull scan's warm solves mostly
+    do not); ``price`` puts a new cost row in ``A[-1]``. What a tableau
+    shares with a copy for good, the tuples ``unit``, ``lifted`` and
+    ``lower`` and the frozen ``program``, is never written.
     """
 
     def __init__(self, lp: LinearProgram, at_upper: Iterable[int]):
@@ -280,8 +297,6 @@ class _Tableau:
             None if h is None else (h - l).as_integer_ratio() for l, h in zip(lo, hi)
         ]
         self.unit = tuple(1 if s is None else s[1] for s in spans)
-        # only a span that is not an int makes _reduced divide by units
-        self.whole_spans = all(u == 1 for u in self.unit)
         # the nonzero lower bounds, which _reduced folds into a rhs
         self.lifted = tuple((j, l) for j, l in enumerate(lo) if l)
         lower = [_ZERO] * n
@@ -289,6 +304,8 @@ class _Tableau:
             lower[j] = Fraction(l)
         self.lower = tuple(lower)
         self.A: list[list[int]] = [[0] * (n + 1) + [1]]
+        # whether A's rows are shared with a copy (``copy``, ``_own``)
+        self.shared = False
         self.basis: list[int] = []
         # the program whose rows the tableau holds and whose objective
         # its cost row prices, once a solve has priced one
@@ -306,13 +323,24 @@ class _Tableau:
         return len(self.basis)
 
     def copy(self) -> _Tableau:
-        """A tableau that owns a copy of each of this one's lists, every
-        row included, so pivoting it never changes this one: a warm
-        start's one copy of its start."""
+        """A warm start's copy of its start: its own row store, basis,
+        state and spans, over the same row lists, and both tableaux
+        marked shared, so whichever writes a row first copies every row
+        first (``_own``) and pivoting the copy never changes this one. A
+        solve that makes no basis change and appends no row copies no
+        constraint row."""
         out = copy(self)
-        out.A = [list(row) for row in self.A]
+        out.A = list(self.A)
         out.basis, out.state, out.ub = list(self.basis), list(self.state), list(self.ub)
+        self.shared = out.shared = True
         return out
+
+    def _own(self) -> None:
+        """Copy every row once, before the first write to any, when the
+        rows are shared with a copy or with the tableau copied."""
+        if self.shared:
+            self.A = [list(row) for row in self.A]
+            self.shared = False
 
     def append_rows(self, lp: LinearProgram) -> None:
         """Extend a tableau over a prefix of lp's rows to all of lp's
@@ -337,13 +365,15 @@ class _Tableau:
         span 0, so ``dual`` takes it to 0, and once it leaves the basis
         it keeps state 0 and never enters.
 
-        Existing rows, ``state`` and ``ub`` are extended in place, since
-        the tableau owns them."""
+        Existing rows, ``state`` and ``ub`` are extended in place; rows
+        shared with a copy are copied first (``_own``), the one copy of
+        the rows a warm start over appended rows makes."""
         rows = lp.constraints[self.m:]
         reduced = [self._reduced(con.coeffs, con.rhs) for con in rows]
         pad = [0] * len(rows)
         # the slack columns go in before each row's value
         ncols = self.ncols
+        self._own()
         for row in self.A:
             row[ncols:ncols] = pad
         cost = self.A.pop()
@@ -362,33 +392,38 @@ class _Tableau:
 
     def _reduced(self, values: Sequence[Rational], rhs: Rational = 0) -> list[int]:
         """values, each structural entry divided by its column's unit
-        and padded with zeros to every column, then its value rhs -
-        values.x at the current point x, as one int row ending in its
-        denominator, with every basic column eliminated from it, in
-        lowest terms.
+        and zero in every other column, then its value rhs - values.x at
+        the current point x, as one int row ending in its denominator,
+        with every basic column eliminated from it, in lowest terms.
 
-        Nonzero lower bounds are folded into rhs before scaling, a column
-        at its upper bound takes off its int entry times its int span
-        (only the row's nonzero structural entries are looked at, a few
-        of a relaxation row's n(n - 1)), and each elimination takes off a
-        basic column's part with its row's value, as it does for any row
-        in a basis change."""
+        Only the nonzero entries of values are read, a few of a
+        relaxation row's n(n - 1): each is taken as p / q in lowest
+        terms, over its unit too, and written as p times lcm / q, the lcm
+        of the q and rhs's denominator, into a row of zeros: the ints
+        ``rationals.scale_to_ints`` gives the dense row and rhs, with no
+        common factor. Nonzero lower bounds are folded into rhs first, a
+        column at its upper bound takes off its int entry times its int
+        span, and each elimination takes off a basic column's part with
+        its row's value, as it does for any row in a basis change."""
+        index = list(compress(range(self.n), values))
         if self.lifted:
             rhs -= sum(values[j] * l for j, l in self.lifted)
-        if not self.whole_spans:
-            values = [Fraction(c, u) for c, u in zip(values, self.unit)]
-        row, den = scale_to_ints([*values, rhs])
-        ub, ncols = self.ub, self.ncols
-        row[-1:-1] = [0] * (ncols + 1 - len(row))
-        row.append(den)
-        for j in compress(range(self.n), row):
+        unit = self.unit
+        ratios = [(values[j] if unit[j] == 1 else Fraction(values[j], unit[j]))
+                  .as_integer_ratio() for j in index]
+        top, bottom = rhs.as_integer_ratio()
+        den = lcm(bottom, *(q for _, q in ratios))
+        row = [0] * (self.ncols + 2)
+        row[-2], row[-1] = top * (den // bottom), den
+        for j, (p, q) in zip(index, ratios):
+            row[j] = p * (den // q)
             if self.state[j] < 0:
-                row[-2] -= row[j] * ub[j]
+                row[-2] -= row[j] * self.ub[j]
         # basis is shorter than the row store, so zip stops before the
         # cost row
         for b, prow in zip(self.basis, self.A):
             if row[b]:
-                _eliminate(row, prow, b, _nonzero(prow))
+                _eliminate((row,), prow, b, _nonzero(prow))
         return row
 
     def price(self, cost: Sequence[Rational], sign: int = 1) -> list[int]:
@@ -440,15 +475,16 @@ class _Tableau:
         self.state[enter] = 0
         self.basis[p] = enter
         # row p is normalised in place, over its entry in column enter,
-        # made positive, in lowest terms: neither the sign nor a common
-        # factor changes an entry to zero, so nz stands
-        if prow[enter] < 0:
-            _negate(prow)
+        # made positive, in lowest terms: divided by the gcd of its ints,
+        # signed as that entry. Neither the sign nor a common factor
+        # changes an entry to zero, so nz stands
         prow[-1] = prow[enter]
-        _lowest(prow)
-        for i, row in enumerate(self.A):
-            if i != p and row[enter]:
-                _eliminate(row, prow, enter, nz)
+        g = 1 if prow[-1] == 1 else gcd(*prow) * (-1 if prow[-1] < 0 else 1)
+        if g != 1:
+            for j in (*nz, -1):
+                prow[j] //= g
+        _eliminate([row for row in self.A if row[enter] and row is not prow],
+                   prow, enter, nz)
         if from_upper:
             prow[-2] += self.ub[enter] * prow[-1]
 
@@ -515,6 +551,8 @@ class _Tableau:
                 best_row = i
             if best_num is None:
                 return SolveStatus.UNBOUNDED
+            # the first move writes rows, so a shared store is copied here
+            self._own()
             if best_row < 0:
                 # bound flip: enter crosses its whole span, basis unchanged
                 self._flip(enter, direction)
@@ -540,6 +578,9 @@ class _Tableau:
         from. Returns SolveStatus.INFEASIBLE when no column can move the
         leaving value back, which row p proves, and SolveStatus.OPTIMAL
         otherwise."""
+        # the dual follows append_rows, which leaves the rows owned, and
+        # holds the cost row across its pivots
+        self._own()
         state, ub, basis, ncols = self.state, self.ub, self.basis, self.ncols
         r = self.A[-1]
         if any(d * r[j] > 0 for j, d in enumerate(state)):

@@ -163,7 +163,9 @@ def is_integral(value: Rational) -> bool:
 def scale_to_ints(values: Sequence[Rational]) -> tuple[list[int], int]:
     """values (Fractions or ints) as int numerators over the lcm of their
     reduced denominators, which leaves them with no common factor: the
-    one way into the integer kernels (simplex, separation, Held-Karp).
+    way into the integer kernels (separation, Held-Karp; the simplex
+    makes the same ints from a row's nonzero entries alone,
+    ``lp._Tableau._reduced``).
     A zero adds nothing to the lcm and scales to 0, so only the nonzero
     entries, a few of a dense relaxation row, are converted; compress
     finds them, with no Python step for an int entry."""

@@ -152,9 +152,13 @@ def gen_valley_instance(
 
 
 def instance_from_cost_matrix(cost: Sequence[Sequence]) -> TspInstance:
-    """Ad-hoc instance with every city in its own valley."""
+    """Ad-hoc instance with every city in its own valley. Costs that
+    need a common denominator above 10**MAX_LITERAL_DIGITS are refused,
+    as an instance file's are, before any solver scales them."""
     rows = tuple(tuple(row) for row in cost)
-    return TspInstance(len(rows), tuple(range(len(rows))), rows)
+    inst = TspInstance(len(rows), tuple(range(len(rows))), rows)
+    require_common_denominator((c for row in rows for c in row), "costs")
+    return inst
 
 
 # ---------------------------------------------------------------------------

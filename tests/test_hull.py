@@ -71,6 +71,19 @@ def test_rejects_chains_above_the_vertex_cap():
         gen_arc(MAX_VERTICES + 1)
 
 
+def test_one_polytope_per_vertex_count_and_the_count_checked_first():
+    # the polytope of a size is built once and shared; a bool or a float
+    # equal to a cached count must still be refused, so the count is
+    # checked before the cache is read
+    for V in (2, 8, MAX_VERTICES):
+        assert gen_arc(V) is gen_arc(V)
+    assert gen_arc(8) is not gen_arc(9)
+    for bad, message in [(8.0, "not float 8.0"), (True, "not bool True"),
+                         (1, "at least 2"), (MAX_VERTICES + 1, "at most")]:
+        with pytest.raises(ValidationError, match=message):
+            gen_arc(bad)
+
+
 def test_adversarial_middle_facet_worked_case():
     poly = gen_arc(4)
     expected = envelope_relaxed_max(poly, 1, [0, 2])  # oracle first

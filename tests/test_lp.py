@@ -23,9 +23,11 @@ from test_pivot_path import (
     seeded_appended_rows,
     seeded_boxed_program,
 )
+import lpgaps.hull as hull
 import lpgaps.lp as lp_module
 from lpgaps.errors import BudgetExceededError, ValidationError
 from lpgaps.gaps import integrality_gap
+from lpgaps.rationals import scale_to_ints
 from lpgaps.lp import (
     Constraint,
     LinearProgram,
@@ -339,7 +341,7 @@ def test_property_eliminate_matches_fraction_reference(data):
     nz = [j for j, x in enumerate(prow[:-1]) if x]
     before, out = list(row), row
 
-    assert _eliminate(row, prow, col, nz) is None
+    assert _eliminate([row], prow, col, nz) is None
 
     # row is written in place, so the reference reads the snapshot
     assert row is out and len(row) == width + 2
@@ -397,7 +399,7 @@ def test_property_eliminate_matches_the_full_row_update(data):
     nz = [j for j, x in enumerate(prow[:-1]) if x]
     expected = full_row_eliminate(row, prow, col)
 
-    _eliminate(row, prow, col, nz)
+    _eliminate([row], prow, col, nz)
 
     assert row == expected
 
@@ -765,6 +767,49 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
         [3, None] + [None] * 6 + [0] * 3,
         [1, 1] + [0] * 9,
     )
+
+
+def scale_to_ints_reduced(lp, tab, values, rhs):
+    """The row _reduced must give, by the dense path: rhs less values
+    over lp's lower bounds, each entry over its span's denominator,
+    scale_to_ints over the padded entries and rhs, the span of each
+    column at its upper bound taken off the value, then every basic
+    column eliminated."""
+    rhs -= sum(c * lo for c, lo in zip(values, lp.lower_bounds))
+    units = [1 if hi is None else (hi - lo).denominator
+             for lo, hi in zip(lp.lower_bounds, lp.upper_bounds)]
+    ints, den = scale_to_ints([*(Fraction(c, u) for c, u in zip(values, units)), rhs])
+    row = ints[:-1] + [0] * (tab.ncols - tab.n) + [ints[-1], den]
+    for j, (lo, hi) in enumerate(zip(lp.lower_bounds, lp.upper_bounds)):
+        if tab.state[j] < 0:
+            row[-2] -= row[j] * int((hi - lo) * units[j])
+    for b, prow in zip(tab.basis, tab.A):
+        if row[b]:
+            _eliminate([row], prow, b, [j for j, x in enumerate(prow[:-1]) if x])
+    return row
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_programs(), st.data())
+def test_property_reduced_rows_enter_as_scale_to_ints_gives(case, data):
+    # a row entered by its nonzero entries has the ints of the dense
+    # path, over nonzero lower bounds, spans that are not ints and
+    # columns at either bound, into a tableau of the bounds alone and
+    # into a solved one, whose basic columns are eliminated
+    lp, row = case
+    n = lp.num_vars
+    values = data.draw(st.sampled_from(
+        [row.coeffs, lp.objective, tuple(int(c) for c in row.coeffs)]))
+    rhs = data.draw(st.sampled_from([0, row.rhs, Fraction(row.rhs).numerator]))
+    at_upper = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    tabs = [_Tableau(lp, at_upper)]
+    solved = solve_lp(lp).tableau
+    if solved is not None:
+        tabs.append(solved)
+    for tab in tabs:
+        got = tab._reduced(values, rhs)
+        assert got == scale_to_ints_reduced(lp, tab, values, rhs)
+        assert got[-1] > 0 and gcd(*got) == 1
 
 
 def assert_prices_its_objective(lp, outcome):
@@ -1418,20 +1463,27 @@ def shared_lists(tab, other):
     return [name for name, x in mine if id(x) in theirs]
 
 
-def test_warm_start_shares_no_list_with_its_start(monkeypatch):
-    # a tableau writes its rows in place, so a warm start owns every list
-    # it holds: checked as the start is copied, after rows are appended
-    # and on the outcome, for the 300 seeded programs of the pivot
-    # digest warm with a new objective and warm with rows appended
+def test_warm_start_never_writes_a_list_its_start_holds(monkeypatch):
+    # a tableau writes its rows in place, so a warm start shares its
+    # start's rows only until its first write: the copy holds its own
+    # basis, state and spans and may share only rows; after rows are
+    # appended and before every basis change and bound flip the warm
+    # tableau holds no list of its start's; and the start is unchanged
+    # after each warm solve. Checked for the 300 seeded programs of the
+    # pivot digest warm with a new objective and warm with rows appended
     programs = random.Random(RANDOM_PROGRAMS_SEED)
     rows_rng = random.Random(APPENDED_ROWS_SEED)
     copy, append_rows = _Tableau.copy, _Tableau.append_rows
     starts = []
-    checked = {"copy": 0, "append": 0, "same rows": 0, "appended rows": 0}
+    checked = dict.fromkeys(
+        ["copy", "append", "move", "same rows", "appended rows"], 0)
+
+    def rows_only(names):
+        return [name for name in names if not name.startswith("A[")]
 
     def checking_copy(self):
         out = copy(self)
-        assert shared_lists(out, self) == []
+        assert rows_only(shared_lists(out, self)) == []
         checked["copy"] += 1
         return out
 
@@ -1441,8 +1493,18 @@ def test_warm_start_shares_no_list_with_its_start(monkeypatch):
             assert shared_lists(self, starts[-1]) == []
             checked["append"] += 1
 
+    def checking(move):
+        def checking_move(self, *args):
+            if starts:
+                assert shared_lists(self, starts[-1]) == []
+                checked["move"] += 1
+            return move(self, *args)
+        return checking_move
+
     monkeypatch.setattr(_Tableau, "copy", checking_copy)
     monkeypatch.setattr(_Tableau, "append_rows", checking_append_rows)
+    monkeypatch.setattr(_Tableau, "_replace", checking(_Tableau._replace))
+    monkeypatch.setattr(_Tableau, "_flip", checking(_Tableau._flip))
     for _ in range(RANDOM_PROGRAMS):
         lp = seeded_boxed_program(programs)
         starts.clear()
@@ -1462,11 +1524,59 @@ def test_warm_start_shares_no_list_with_its_start(monkeypatch):
         for kind, program in [("same rows", other), ("appended rows", grown)]:
             warm = solve_lp(program, start=first)
             if warm.tableau is not None:
-                assert shared_lists(warm.tableau, first.tableau) == []
+                assert rows_only(shared_lists(warm.tableau, first.tableau)) == []
                 checked[kind] += 1
-        assert tableau_snapshot(first.tableau) == before
+            assert tableau_snapshot(first.tableau) == before
     assert checked["copy"] == 2 * checked["append"] > 160, checked
     assert min(checked.values()) > 80, checked
+
+
+def test_warm_solve_without_a_basis_change_shares_every_row(monkeypatch):
+    # a warm solve over the start's rows that makes no basis change and
+    # flips no bound writes no row, so it copies none: every constraint
+    # row of its outcome is the start's list. Checked over the warm
+    # solves of the pivot digest's programs with a new objective and
+    # over every warm solve of a sampled 64-vertex hull scan
+    moves = []
+    unmoved = []  # (start, outcome) tableaux of warm solves with no move
+    solve = solve_lp
+
+    def recording_solve(lp, start=None, **kwargs):
+        moves.clear()
+        out = solve(lp, start, **kwargs)
+        if start is not None and out.tableau is not None and not moves:
+            unmoved.append((start.tableau, out.tableau))
+        return out
+
+    def recording(move):
+        def recording_move(self, *args):
+            moves.append(None)
+            return move(self, *args)
+        return recording_move
+
+    monkeypatch.setattr(_Tableau, "_replace", recording(_Tableau._replace))
+    monkeypatch.setattr(_Tableau, "_flip", recording(_Tableau._flip))
+    programs = random.Random(RANDOM_PROGRAMS_SEED)
+    for _ in range(RANDOM_PROGRAMS):
+        lp = seeded_boxed_program(programs)
+        first = recording_solve(lp)
+        if first.tableau is None:
+            continue
+        other = replace(
+            lp,
+            objective=tuple(Fraction(programs.randint(-6, 6), programs.randint(1, 7))
+                            for _ in range(lp.num_vars)),
+            sense=programs.choice(["max", "min"]),
+        )
+        recording_solve(other, first)
+    digest_solves = len(unmoved)
+    monkeypatch.setattr(hull, "solve_lp", recording_solve)
+    hull.subset_gap_scan(hull.gen_arc(64), 32, sample_count=3, seed=1)
+    assert digest_solves > 20 and len(unmoved) - digest_solves > 20, (
+        digest_solves, len(unmoved))
+    for start, tab in unmoved:
+        assert tab.m == start.m
+        assert all(row is old for row, old in zip(tab.A[:-1], start.A[:-1]))
 
 
 def test_pivots_enter_a_column_and_write_every_row_in_place(monkeypatch):

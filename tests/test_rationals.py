@@ -20,6 +20,7 @@ from lpgaps.valleys import (
     flow_arcs_from_text,
     flow_from_arcs,
     gen_valley_instance,
+    instance_from_cost_matrix,
     instance_from_text,
 )
 
@@ -168,6 +169,24 @@ def test_readers_refuse_a_common_denominator_beyond_the_size_limit():
         instance_from_text(
             f"lpgaps-instance 1\nn 2\nvalleys 0 1\ncosts\n0 {first}\n{second} 0\n"
         )
+
+
+def test_cost_matrix_refuses_a_common_denominator_beyond_the_size_limit():
+    # n(n - 1) distinct odd denominators near the literal bound, pairwise
+    # coprime enough that their lcm passes it at the second: at 6 cities
+    # the tour oracle's value had a 19,909-bit denominator that no report
+    # can render, and at 10 the scaled costs ran to 89,824 digits
+    near = 10 ** (MAX_LITERAL_DIGITS - 1)
+    n = 6
+    costs = [[0 if i == j else Fraction(1, near + 2 * (i * n + j) + 1)
+              for j in range(n)] for i in range(n)]
+    with pytest.raises(ValidationError, match="costs need a common denominator"):
+        instance_from_cost_matrix(costs)
+    # one denominator at the bound, shared by every cost, is taken
+    at_limit = Fraction(1, 10**MAX_LITERAL_DIGITS)
+    inst = instance_from_cost_matrix(
+        [[0 if i == j else (i + j) * at_limit for j in range(n)] for i in range(n)])
+    assert inst.scaled_costs[1] == 10**MAX_LITERAL_DIGITS
 
 
 def test_readers_take_a_common_denominator_at_the_size_limit():
