@@ -1,35 +1,36 @@
 """Linear programs over exact rationals and an exact simplex solver.
 
 Programs are stated in inequality form: an objective to maximize or
-minimize, rows with <= / >= / = relations, and per-variable bounds
-(lower defaults to 0, upper is optional). The solver is a tableau
-simplex over exact int rows (``_Tableau``). It handles variable bounds
-natively (bounded variables never become extra rows) and uses Bland's
-smallest-index rule throughout, in its primal and in its dual simplex
-(Bland 1977), so it terminates on every input. Every row has one
-logical column, its slack, and every basic variable is a column: an
-equality row's slack has span 0, so once it leaves the basis it never
-enters again, as an artificial never comes back (Dantzig 1963); bounded
-dual simplex codes give each row one such logical variable (Koberstein
-2005; Maros 2003). Rows with their right-hand sides, and costs, enter
-once, as ints over the lcm of their nonzero entries' denominators (the
-ints ``rationals.scale_to_ints`` gives), and the point leaves once, as
+minimize, rows with <= / >= / = relations, and per-variable bounds:
+every variable is at least 0, and at most its upper bound, a whole
+number, or has no cap. The solver is a tableau simplex over exact int
+rows (``_Tableau``). It handles variable bounds natively (bounded
+variables never become extra rows) and uses Bland's smallest-index rule
+throughout, in its primal and in its dual simplex (Bland 1977), so it
+terminates on every input. Every row has one logical column, its slack,
+and every basic variable is a column: an equality row's slack has span
+0, so once it leaves the basis it never enters again, as an artificial
+never comes back (Dantzig 1963); bounded dual simplex codes give each
+row one such logical variable (Koberstein 2005; Maros 2003). Rows with
+their right-hand sides, and costs, enter once, as ints over the lcm of
+their nonzero entries' denominators (the ints
+``rationals.scale_to_ints`` gives), and the point leaves once, as
 Fractions: the pivot loop makes none. A returned status is a certainty,
 not a numerical verdict.
 
 A row and a program are made one way, by ``Constraint(...)`` and
 ``LinearProgram(...)``, ``dataclasses.replace`` included, and check
 their own shape, and that every entry is an exact rational (an int or a
-Fraction), when they are made, so no solve checks them again and a
-float or a string is refused where it enters; a row checks only its own
-entries. A program grows by ``replace(lp, constraints=lp.constraints +
-rows)``.
+Fraction) and every upper bound a whole one, when they are made, so no
+solve checks them again and a float, a string or a fractional bound is
+refused where it enters; a row checks only its own entries. A program
+grows by ``replace(lp, constraints=lp.constraints + rows)``.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
@@ -86,14 +87,17 @@ class Constraint:
 class LinearProgram:
     """A program of exact values taken as given; num_vars is
     len(objective). Each field may be any iterable and is stored as a
-    tuple; missing bounds are 0 below and none above. A field given as
-    a tuple, as ``replace`` passes every field it does not change, is
-    kept as it is, so a copy with a new objective converts nothing."""
+    tuple. Every variable is at least 0; upper_bounds, keyword-only,
+    gives each one's cap, None for none (the default for every
+    variable) or a whole number, an int or a Fraction of denominator 1.
+    A field given as a tuple, as ``replace`` passes every field it does
+    not change, is kept as it is, so a copy with a new objective
+    converts nothing."""
 
     objective: tuple[Rational, ...]
     sense: str
     constraints: tuple[Constraint, ...] = ()
-    lower_bounds: Optional[tuple[Rational, ...]] = None
+    _: KW_ONLY
     upper_bounds: Optional[tuple[Optional[Rational], ...]] = None
 
     def __post_init__(self):
@@ -101,10 +105,7 @@ class LinearProgram:
             object.__setattr__(self, "objective", tuple(self.objective))
         if type(self.constraints) is not tuple:
             object.__setattr__(self, "constraints", tuple(self.constraints))
-        n, lo, hi = self.num_vars, self.lower_bounds, self.upper_bounds
-        if type(lo) is not tuple:
-            lo = (0,) * n if lo is None else tuple(lo)
-            object.__setattr__(self, "lower_bounds", lo)
+        n, hi = self.num_vars, self.upper_bounds
         if type(hi) is not tuple:
             hi = (None,) * n if hi is None else tuple(hi)
             object.__setattr__(self, "upper_bounds", hi)
@@ -112,11 +113,14 @@ class LinearProgram:
             raise ValidationError("a program needs at least one variable")
         if self.sense not in (MAXIMIZE, MINIMIZE):
             raise ValidationError(f"unknown sense {self.sense!r}")
-        if len(lo) != n or len(hi) != n:
-            raise ValidationError("bound vectors must have one entry per variable")
+        if len(hi) != n:
+            raise ValidationError("upper bounds must have one entry per variable")
         require_exact(self.objective, "objective entries")
-        require_exact(lo, "lower bounds")
-        require_exact([b for b in hi if b is not None], "upper bounds")
+        caps = [b for b in hi if b is not None]
+        require_exact(caps, "upper bounds")
+        split = [b for b in caps if b.denominator != 1]
+        if split:
+            raise ValidationError(f"upper bounds must be whole numbers, not {split[0]}")
         # every row checked at C speed; only a failure walks the rows, to
         # name the first bad one
         if not ({Constraint}.issuperset(map(type, self.constraints))
@@ -204,38 +208,33 @@ def _nonzero(row: list[int]) -> list[int]:
 class _Tableau:
     """Bounded-variable simplex state.
 
-    Column layout: structural variables (shifted to lower bound 0), then
-    one slack column per row, in row order; ``ncols`` counts them, and
-    every basic variable is one of them. A new tableau has no constraint
-    rows, only a zero cost row; ``append_rows`` adds every constraint
-    row, with its slack. ``state[j]`` is the one fact the pivot rule
-    needs about column j: ``1`` when it sits at its lower bound 0 and
-    may rise, ``-1`` when it sits at its upper bound and may fall, ``0``
-    when it never enters (basic, or fixed with zero span, as an equality
-    row's slack is).
-
-    Structural column j counts in steps of ``1 / unit[j]``, where
-    ``unit[j]`` is its span's denominator (1 with no upper bound), so
-    its span ``ub[j]`` is an int and its entries and cost enter divided
-    by ``unit[j]``; every slack has unit 1, and no span but an equality
-    row's, which is 0.
+    Column layout: structural variables, then one slack column per row,
+    in row order; ``ncols`` counts them, and every basic variable is one
+    of them. Every column runs from 0 to its int upper bound ``ub[j]``,
+    None for no cap: a structural column's is the program's own bound,
+    and a slack has none, but an equality row's, which is 0. A new
+    tableau has no constraint rows, only a zero cost row;
+    ``append_rows`` adds every constraint row, with its slack.
+    ``state[j]`` is the one fact the pivot rule needs about column j:
+    ``1`` when it sits at 0 and may rise, ``-1`` when it sits at its
+    upper bound and may fall, ``0`` when it never enters (basic, or
+    fixed with zero span, as an equality row's slack is).
 
     Row i of the tableau is one list, the textbook ``[A | b]`` row over
     its denominator, ``[A | b | d]`` (fraction-free rows, the first step
     toward the exact kernel of QSopt_ex): ``ncols + 1`` integer
     numerators, its entry in column j at ``A[i][j]`` and then, at
-    ``A[i][-2]``, the value of its basic variable j in j's units, a
-    right-hand side that rides every elimination as in the
-    integer-preserving tableaux of Edmonds and of Azulay and Pique, and
-    last, at ``A[i][-1]``, their one positive integer denominator
-    (``A[i][-2] / (A[i][-1] * unit[j])`` above its lower bound when j is
-    structural). An elimination updates the value as one more entry and
-    the denominator as one more nonzero entry, and leaves the row in
-    lowest terms, the only form of its values over a positive
-    denominator. Bland's rule reads only the signs of entries and exact
-    comparisons of step ratios. A positive row scale changes neither,
-    and a positive column scale multiplies each of that column's ratios,
-    its own span included, by one constant, so the pivots are the ones a
+    ``A[i][-2]``, the value of its basic variable, a right-hand side
+    that rides every elimination as in the integer-preserving tableaux
+    of Edmonds and of Azulay and Pique, and last, at ``A[i][-1]``, their
+    one positive integer denominator. Every entry is in the program's
+    own units: ``A[i][j] / A[i][-1]`` is the tableau entry and
+    ``A[i][-2] / A[i][-1]`` the basic value. An elimination updates the
+    value as one more entry and the denominator as one more nonzero
+    entry, and leaves the row in lowest terms, the only form of its
+    values over a positive denominator. Bland's rule reads only the
+    signs of entries and exact comparisons of step ratios, which a
+    positive row scale does not change, so the pivots are the ones a
     Fraction-per-entry tableau would make, in the same order. A basic
     column's entry equals its row's denominator.
 
@@ -254,7 +253,8 @@ class _Tableau:
     given costs and is 0 in every basic column, and lowest terms over
     the row, value included, and its denominator fix its ints, so the
     row does not depend on the path to the basis: it is the row a fresh
-    ``price`` at that basis and point gives.
+    pricing (``_reduced`` of the costs, negated to minimize) at that
+    basis and point gives.
 
     Rows are stored densely, one int per column, then the value and the
     denominator. A basis change lists the pivot row's nonzero entries
@@ -270,39 +270,22 @@ class _Tableau:
     on write: ``copy`` shares them and marks both tableaux ``shared``,
     and a shared tableau copies every row once (``_own``) just before
     its first write to any, in ``append_rows`` and before the first
-    basis change or bound flip of ``run`` or ``dual``. So a warm solve
-    never writes a list its start holds, and one that makes no basis
-    change copies no constraint row (the hull scan's warm solves mostly
-    do not); ``price`` puts a new cost row in ``A[-1]``. What a tableau
-    shares with a copy for good, the tuples ``unit``, ``lifted`` and
-    ``lower`` and the frozen ``program``, is never written.
+    basis change or bound flip of ``run``. So a warm solve never writes
+    a list its start holds, and one that makes no basis change copies
+    no constraint row (the hull scan's warm solves mostly do not); a
+    new objective's cost row replaces ``A[-1]``. What a tableau shares
+    with a copy for good, the frozen ``program``, is never written.
     """
 
     def __init__(self, lp: LinearProgram, at_upper: Iterable[int]):
         """The tableau of lp's bounds alone, with no constraint row and a
         zero cost row, at the corner the caller names: each column listed
         in at_upper at its upper bound, free to fall, and every other
-        structural column at its lower bound, free to rise; a column of
-        zero span never moves, at either bound.
-
-        ``lower`` holds each lower bound as a Fraction, int bounds
-        included, for ``point``: every zero bound is one shared
-        Fraction(0), and only the nonzero ones, listed in ``lifted``,
-        are converted, so a relaxation's n(n - 1) zero bounds make no
-        Fraction."""
+        structural column at 0, free to rise; a column of zero span
+        never moves, at either bound. ``ub`` holds each upper bound as
+        an int."""
         n = lp.num_vars
-        lo, hi = lp.lower_bounds, lp.upper_bounds
         self.n = self.ncols = n
-        spans = [
-            None if h is None else (h - l).as_integer_ratio() for l, h in zip(lo, hi)
-        ]
-        self.unit = tuple(1 if s is None else s[1] for s in spans)
-        # the nonzero lower bounds, which _reduced folds into a rhs
-        self.lifted = tuple((j, l) for j, l in enumerate(lo) if l)
-        lower = [_ZERO] * n
-        for j, l in self.lifted:
-            lower[j] = Fraction(l)
-        self.lower = tuple(lower)
         self.A: list[list[int]] = [[0] * (n + 1) + [1]]
         # whether A's rows are shared with a copy (``copy``, ``_own``)
         self.shared = False
@@ -310,7 +293,8 @@ class _Tableau:
         # the program whose rows the tableau holds and whose objective
         # its cost row prices, once a solve has priced one
         self.program: Optional[LinearProgram] = None
-        self.ub: list[Optional[int]] = [None if s is None else s[0] for s in spans]
+        self.ub: list[Optional[int]] = [
+            None if h is None else int(h) for h in lp.upper_bounds]
         # fixed (zero-span) columns stay out of the scan: they can never
         # change value
         self.state = [0 if u == 0 else 1 for u in self.ub]
@@ -391,26 +375,22 @@ class _Tableau:
         self.A.append(cost)
 
     def _reduced(self, values: Sequence[Rational], rhs: Rational = 0) -> list[int]:
-        """values, each structural entry divided by its column's unit
-        and zero in every other column, then its value rhs - values.x at
-        the current point x, as one int row ending in its denominator,
-        with every basic column eliminated from it, in lowest terms.
+        """values, zero in every slack column, then its value rhs -
+        values.x at the current point x, as one int row ending in its
+        denominator, with every basic column eliminated from it, in
+        lowest terms: a new row, or the cost row of costs values.
 
         Only the nonzero entries of values are read, a few of a
         relaxation row's n(n - 1): each is taken as p / q in lowest
-        terms, over its unit too, and written as p times lcm / q, the lcm
-        of the q and rhs's denominator, into a row of zeros: the ints
+        terms and written as p times lcm / q, the lcm of the q and rhs's
+        denominator, into a row of zeros: the ints
         ``rationals.scale_to_ints`` gives the dense row and rhs, with no
-        common factor. Nonzero lower bounds are folded into rhs first, a
-        column at its upper bound takes off its int entry times its int
-        span, and each elimination takes off a basic column's part with
-        its row's value, as it does for any row in a basis change."""
+        common factor. A column at its upper bound takes off its int
+        entry times its int bound, and each elimination takes off a
+        basic column's part with its row's value, as it does for any row
+        in a basis change."""
         index = list(compress(range(self.n), values))
-        if self.lifted:
-            rhs -= sum(values[j] * l for j, l in self.lifted)
-        unit = self.unit
-        ratios = [(values[j] if unit[j] == 1 else Fraction(values[j], unit[j]))
-                  .as_integer_ratio() for j in index]
+        ratios = [values[j].as_integer_ratio() for j in index]
         top, bottom = rhs.as_integer_ratio()
         den = lcm(bottom, *(q for _, q in ratios))
         row = [0] * (self.ncols + 2)
@@ -426,25 +406,12 @@ class _Tableau:
                 _eliminate((row,), prow, b, _nonzero(prow))
         return row
 
-    def price(self, cost: Sequence[Rational], sign: int = 1) -> list[int]:
-        """The cost row for maximizing sign * cost . x at the current
-        basis, ending in its value, -(sign * cost) . x at the current
-        point, and its denominator; a column past the end of cost has
-        cost 0. A sign of -1 negates the row, which is what pricing the
-        negated costs gives, since every elimination is linear in the
-        row and a gcd has no sign. solve_lp calls it for an objective the
-        tableau does not price yet, never again for the one it prices."""
-        row = self._reduced(cost)
-        if sign < 0:
-            _negate(row)
-        return row
-
     def _flip(self, enter: int, direction: int) -> None:
-        """enter crosses its whole span, the int ub[enter] in its own
-        units, the basis unchanged: each row's value numerator, next to
-        its denominator at the end, falls by direction * ub[enter] times
-        its entry in column enter, the cost rows' included, and no column
-        entry or denominator changes. enter then sits at its other bound, free to
+        """enter crosses its whole span, the int ub[enter], the basis
+        unchanged: each row's value numerator, next to its denominator
+        at the end, falls by direction * ub[enter] times its entry in
+        column enter, the cost row's included, and no column entry or
+        denominator changes. enter then sits at its other bound, free to
         move back: its state becomes -direction."""
         u = direction * self.ub[enter]
         for row in self.A:
@@ -533,21 +500,21 @@ class _Tableau:
             best_num, best_den = ub[enter], 1
             best_var = enter
             best_row = -1
-            for i, row in enumerate(self.A[:len(basis)]):
+            for i, (b, row) in enumerate(zip(basis, self.A)):
                 s = row[enter] * direction
                 if s > 0:
                     tn, td = row[-2], s
-                elif s < 0 and ub[basis[i]] is not None:
-                    tn, td = ub[basis[i]] * row[-1] - row[-2], -s
+                elif s < 0 and ub[b] is not None:
+                    tn, td = ub[b] * row[-1] - row[-2], -s
                 else:
                     continue
                 if best_num is not None:
                     lhs = tn * best_den
                     rhs = best_num * td
-                    if lhs > rhs or (lhs == rhs and basis[i] > best_var):
+                    if lhs > rhs or (lhs == rhs and b > best_var):
                         continue
                 best_num, best_den = tn, td
-                best_var = basis[i]
+                best_var = b
                 best_row = i
             if best_num is None:
                 return SolveStatus.UNBOUNDED
@@ -580,7 +547,6 @@ class _Tableau:
         otherwise."""
         # the dual follows append_rows, which leaves the rows owned, and
         # holds the cost row across its pivots
-        self._own()
         state, ub, basis, ncols = self.state, self.ub, self.basis, self.ncols
         r = self.A[-1]
         if any(d * r[j] > 0 for j, d in enumerate(state)):
@@ -617,21 +583,17 @@ class _Tableau:
             self._replace(p, best, -fall)
 
     def point(self) -> list[Fraction]:
-        """The structural point: each column at its lower bound, plus its
-        span when it sits at its upper bound, plus its row's value when
-        it is basic and that value is nonzero; spans and values are
-        divided by their columns' units on the way out. Over a zero
-        lower bound the span or value is the entry itself, so only a
-        nonzero lower bound costs a Fraction addition."""
-        x, unit, ub, n = list(self.lower), self.unit, self.ub, self.n
+        """The structural point: each column at 0, at its upper bound
+        when it sits there, or at its row's value when it is basic and
+        that value is nonzero, each a Fraction."""
+        n, ub = self.n, self.ub
+        x = [_ZERO] * n
         for j, s in enumerate(self.state[:n]):
             if s < 0:
-                span = Fraction(ub[j], unit[j])
-                x[j] = x[j] + span if x[j] else span
+                x[j] = Fraction(ub[j])
         for b, row in zip(self.basis, self.A):
             if b < n and row[-2]:
-                step = Fraction(row[-2], row[-1] * unit[b])
-                x[b] = x[b] + step if x[b] else step
+                x[b] = Fraction(row[-2], row[-1])
         return x
 
 
@@ -648,16 +610,17 @@ def solve_lp(
     A cold solve starts from the tableau of lp's bounds alone, at the
     corner of the bound box the caller names: each column index listed
     in ``at_upper`` starts at its upper bound and every other column at
-    its lower bound, so the default is the lower corner. Any corner
+    0, so the default is the lower corner. A program with an upper
+    bound below 0 is INFEASIBLE before any tableau is made. Any corner
     gives the same status and value; at a feasible one, such as a cycle
     cover of a degree LP, no row is broken and the dual simplex makes no
     basis change. A listed column with no upper bound, and at_upper
     beside ``start`` (a warm start keeps its own point), raise
     ValidationError before any pivot.
 
-    ``start`` is an earlier outcome whose program had lp's lower and
-    upper bounds and lp's rows, or a prefix of them; only the objective
-    or sense may differ otherwise. The solve copies start's final
+    ``start`` is an earlier outcome whose program had lp's upper bounds
+    and lp's rows, or a prefix of them; only the objective or sense may
+    differ otherwise. The solve copies start's final
     tableau (start itself is not changed). A start over another region,
     or one without a tableau (an infeasible outcome), raises
     ValidationError. Over the same rows and bounds the primal starts
@@ -669,13 +632,14 @@ def solve_lp(
     after adding its cut; Concorde re-solves its cutting-plane LPs so
     too).
 
-    Either way the solve then takes one path: it prices lp's objective
-    unless the cost row prices it already, so a start priced for lp's
-    objective and sense keeps its cost row; it appends lp's rows past
-    those the tableau holds, if any (``_Tableau.append_rows``), runs the
-    dual simplex (``_Tableau.dual``), which takes every basic value into
-    its bounds or returns INFEASIBLE; and it runs the primal simplex
-    (``_Tableau.run``). Every tableau it pivots is exact, so a warm
+    Either way the solve then takes one path: it prices lp's objective,
+    the reduction of its costs (``_Tableau._reduced``) negated to
+    minimize, unless the cost row prices it already, so a start priced
+    for lp's objective and sense keeps its cost row; it appends lp's
+    rows past those the tableau holds, if any (``_Tableau.append_rows``),
+    runs the dual simplex (``_Tableau.dual``), which takes every basic
+    value into its bounds or returns INFEASIBLE; and it runs the primal
+    simplex (``_Tableau.run``). Every tableau it pivots is exact, so a warm
     status is proven just as a cold one is; only a program with several
     optimal points may end at a different one of them.
 
@@ -701,24 +665,26 @@ def solve_lp(
             )
         held = start.tableau.program
         if (
-            (held.lower_bounds, held.upper_bounds) != (lp.lower_bounds, lp.upper_bounds)
+            held.upper_bounds != lp.upper_bounds
             or held.constraints != lp.constraints[:len(held.constraints)]
         ):
             raise ValidationError("start was solved over a different region")
         tab = start.tableau.copy()
     else:
-        for j in range(lp.num_vars):
-            ub = lp.upper_bounds[j]
-            if ub is not None and ub < lp.lower_bounds[j]:
-                return LpOutcome(SolveStatus.INFEASIBLE)
+        if any(ub is not None and ub < 0 for ub in lp.upper_bounds):
+            return LpOutcome(SolveStatus.INFEASIBLE)
         tab = _Tableau(lp, at_upper)
     # a cost row priced for this objective stands through appended rows,
     # so a cut-loop round prices nothing; a cold solve prices here, at its
-    # corner, before any row enters
+    # corner, before any row enters. Every elimination is linear in the
+    # row and a gcd has no sign, so negating the row prices the negated
+    # costs
     sign = 1 if lp.sense == MAXIMIZE else -1
     held, tab.program = tab.program, lp
     if held is None or (held.objective, held.sense) != (lp.objective, lp.sense):
-        tab.A[-1] = tab.price(lp.objective, sign)
+        tab.A[-1] = cost = tab._reduced(lp.objective)
+        if sign < 0:
+            _negate(cost)
     if tab.m < len(lp.constraints):
         tab.append_rows(lp)
         if tab.dual() is SolveStatus.INFEASIBLE:

@@ -21,7 +21,7 @@ from itertools import combinations, permutations
 from math import lcm
 
 from lpgaps.errors import ValidationError
-from lpgaps.lp import EQUAL, GREATER_EQ, LESS_EQ, LinearProgram
+from lpgaps.lp import EQUAL, GREATER_EQ, LESS_EQ, Constraint, LinearProgram
 from lpgaps.valleys import arc_list
 
 
@@ -56,12 +56,16 @@ def solve_square(rows, rhs):
     return [M[r][n] for r in range(n)]
 
 
-def point_feasible(lp: LinearProgram, x) -> bool:
+def point_feasible(lp: LinearProgram, x, lower=None, upper=None) -> bool:
+    """Whether x meets lp's rows and the box lower <= x <= upper, by
+    default lp's own: 0 below and lp's upper bounds above (None for no
+    cap)."""
+    lower = (0,) * lp.num_vars if lower is None else lower
+    upper = lp.upper_bounds if upper is None else upper
     for j in range(lp.num_vars):
-        if x[j] < lp.lower_bounds[j]:
+        if x[j] < lower[j]:
             return False
-        ub = lp.upper_bounds[j]
-        if ub is not None and x[j] > ub:
+        if upper[j] is not None and x[j] > upper[j]:
             return False
     for con in lp.constraints:
         lhs = sum(a * v for a, v in zip(con.coeffs, x))
@@ -74,27 +78,31 @@ def point_feasible(lp: LinearProgram, x) -> bool:
     return True
 
 
-def vertex_enumeration_optimum(lp: LinearProgram):
+def vertex_enumeration_optimum(lp: LinearProgram, lower=None, upper=None):
     """Best objective value over every basic feasible point (each an
-    intersection of num_vars hyperplanes drawn from rows and bounds).
-    None when no feasible vertex exists. Sound as a full LP optimum for
-    programs whose feasible region is bounded."""
+    intersection of num_vars hyperplanes drawn from rows and bounds) of
+    lp's rows in the box lower <= x <= upper, by default lp's own, as
+    point_feasible reads it. None when no feasible vertex exists. Sound
+    as a full LP optimum for programs whose feasible region is
+    bounded."""
     n = lp.num_vars
+    lower = (0,) * n if lower is None else lower
+    upper = lp.upper_bounds if upper is None else upper
     planes = []
     for con in lp.constraints:
         planes.append((list(con.coeffs), con.rhs))
     for j in range(n):
         unit = [Fraction(0)] * n
         unit[j] = Fraction(1)
-        planes.append((list(unit), lp.lower_bounds[j]))
-        if lp.upper_bounds[j] is not None:
-            planes.append((list(unit), lp.upper_bounds[j]))
+        planes.append((list(unit), lower[j]))
+        if upper[j] is not None:
+            planes.append((list(unit), upper[j]))
     best = None
     for combo in combinations(range(len(planes)), n):
         x = solve_square(
             [planes[i][0] for i in combo], [planes[i][1] for i in combo]
         )
-        if x is None or not point_feasible(lp, x):
+        if x is None or not point_feasible(lp, x, lower, upper):
             continue
         value = sum(c * v for c, v in zip(lp.objective, x))
         if best is None:
@@ -104,6 +112,46 @@ def vertex_enumeration_optimum(lp: LinearProgram):
         else:
             best = min(best, value)
     return best
+
+
+def narrow(objective, sense, rows, lower, upper):
+    """The program over the box lower <= x <= upper (an upper entry None
+    for no cap) in the solver's bound model, where every variable runs
+    from 0 to a whole number or has no cap: column j shifted to lower
+    bound 0 and counted in steps of 1 / unit_j, unit_j the denominator
+    of its span u_j - l_j (1 without a cap), x_j = l_j + x'_j / unit_j,
+    so x'_j runs from 0 to the whole number unit_j * (u_j - l_j). An
+    entry a_j becomes a_j / unit_j and a right-hand side b becomes
+    b - a.l. An upper bound below its lower bound narrows to a negative
+    one, which solves INFEASIBLE.
+
+    Returns the narrowed program and to_original, which maps an outcome
+    of it back to the box: (point, value), the point l + x' / unit and
+    the value plus c.l, each None when the outcome has none."""
+    lower = [_exact(l) for l in lower]
+    units = [1 if u is None else (_exact(u) - l).denominator for l, u in zip(lower, upper)]
+
+    def entries(coeffs):
+        return [Fraction(a, k) for a, k in zip(coeffs, units)]
+
+    lp = LinearProgram(
+        entries(objective),
+        sense,
+        [Constraint(entries(con.coeffs), con.relation,
+                    con.rhs - sum(a * l for a, l in zip(con.coeffs, lower)))
+         for con in rows],
+        upper_bounds=[None if u is None else int((u - l) * k)
+                      for l, u, k in zip(lower, upper, units)],
+    )
+    offset = sum(c * l for c, l in zip(objective, lower))
+
+    def to_original(outcome):
+        point = None if outcome.point is None else tuple(
+            l + Fraction(x, k) for l, x, k in zip(lower, outcome.point, units))
+        value = None if outcome.value is None else outcome.value + offset
+        return point, value
+
+    return lp, to_original
 
 
 def brute_force_tour_cost(inst) -> Fraction:

@@ -22,13 +22,13 @@ passes.
 
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from oracles import narrow
 from lpgaps.hull import facet_gap, gen_arc
-from lpgaps.lp import Constraint, LinearProgram, SolveStatus, _Tableau, solve_lp
+from lpgaps.lp import Constraint, SolveStatus, _Tableau, solve_lp
 from lpgaps.valleys import cutting_plane_loop, degree_lp, gen_valley_instance
 
 F = Fraction
@@ -160,6 +160,10 @@ def test_arc64_facet_gap_witnesses():
 # 660 basis changes became 612 and 115 bound flips 114.
 # Row denominators are left out on purpose: the pivots and the outcomes
 # are the contract, the lowest-terms scaling of a row is not.
+# Each program is a general box narrowed to the solver's bound model
+# (oracles.narrow), each outcome mapped back to the box before it is
+# hashed: the tableau made that shift and scale itself until every
+# column ran from 0 to a whole number, and the digest did not move.
 RANDOM_PROGRAMS_SEED = 8086
 RANDOM_PROGRAMS = 300
 RANDOM_PATH_SHA256 = (
@@ -167,11 +171,13 @@ RANDOM_PATH_SHA256 = (
 )
 
 
-def seeded_boxed_program(rng):
+def seeded_box(rng):
     """The shape of test_lp's boxed_programs, drawn from a seeded rng:
     denominators up to 7, negative lower bounds, fixed columns (zero
     span) and equality rows, each row within an offset of an anchor
-    point, so both feasible and infeasible programs occur."""
+    point, so both feasible and infeasible programs occur. Returns the
+    box as oracles.narrow takes it: (objective, sense, rows, lower,
+    upper)."""
     n = rng.randint(1, 4)
 
     def small():
@@ -191,13 +197,15 @@ def seeded_boxed_program(rng):
             offset = min(offset, 0)
         lhs = sum(a * x for a, x in zip(coeffs, anchor))
         rows.append(Constraint(coeffs, relation, lhs + offset))
-    return LinearProgram(
-        [small() for _ in range(n)],
-        rng.choice(["max", "min"]),
-        rows,
-        lower_bounds=lower,
-        upper_bounds=[lo + s for lo, s in zip(lower, spans)],
-    )
+    objective = [small() for _ in range(n)]
+    sense = rng.choice(["max", "min"])
+    return objective, sense, rows, lower, [lo + s for lo, s in zip(lower, spans)]
+
+
+def seeded_boxed_program(rng):
+    """The next seeded_box, narrowed to the solver's bound model: every
+    column from 0 to a whole number."""
+    return narrow(*seeded_box(rng))[0]
 
 
 def test_random_programs_pivot_digest(monkeypatch):
@@ -211,19 +219,17 @@ def test_random_programs_pivot_digest(monkeypatch):
     monkeypatch.setattr(_Tableau, "_replace", recording_replace)
     rng = random.Random(RANDOM_PROGRAMS_SEED)
     for _ in range(RANDOM_PROGRAMS):
-        lp = seeded_boxed_program(rng)
+        objective, sense, rows, lower, upper = seeded_box(rng)
+        lp, to_original = narrow(objective, sense, rows, lower, upper)
         first = solve_lp(lp)
-        events.append(("outcome", first.status.value, first.value))
+        events.append(("outcome", first.status.value, to_original(first)[1]))
         if first.tableau is None:
             continue
-        other = replace(
-            lp,
-            objective=tuple(F(rng.randint(-6, 6), rng.randint(1, 7))
-                            for _ in range(lp.num_vars)),
-            sense=rng.choice(["max", "min"]),
-        )
+        other, to_original = narrow(
+            [F(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(lp.num_vars)],
+            rng.choice(["max", "min"]), rows, lower, upper)
         warm = solve_lp(other, start=first)
-        events.append(("outcome", warm.status.value, warm.value))
+        events.append(("outcome", warm.status.value, to_original(warm)[1]))
     digest = hashlib.sha256(repr(events).encode()).hexdigest()
     assert digest == RANDOM_PATH_SHA256
 
@@ -243,7 +249,8 @@ def test_random_programs_pivot_digest(monkeypatch):
 # bases (every status, value and point stayed, 111 basis changes became
 # 110), and again when each equality row took a zero-span slack in place
 # of a basic variable that had no column (every status, value and point
-# stayed, 110 basis changes became 95).
+# stayed, 110 basis changes became 95). Programs, appended rows and
+# outcomes are narrowed and mapped back as in the digest above.
 APPENDED_ROWS_SEED = 8087
 APPENDED_PATH_SHA256 = (
     "0c2950dc7fc2ffd6b5942762f783f8a162452e2426e51ba0d4eecb9bf5060a52"
@@ -275,19 +282,21 @@ def test_appended_rows_pivot_digest(monkeypatch):
     rows_rng = random.Random(APPENDED_ROWS_SEED)
     appended = 0
     for _ in range(RANDOM_PROGRAMS):
-        lp = seeded_boxed_program(programs)
+        objective, sense, rows, lower, upper = seeded_box(programs)
+        lp, to_original = narrow(objective, sense, rows, lower, upper)
         first = solve_lp(lp)
         if first.tableau is None:
             continue
         # an unbounded outcome has no point; rows then pass near the
         # lower corner instead
-        point = first.point or lp.lower_bounds
-        rows = seeded_appended_rows(rows_rng, lp, point)
-        grown = replace(lp, constraints=[*lp.constraints, *rows])
+        point = to_original(first)[0] or lower
+        rows += seeded_appended_rows(rows_rng, lp, point)
+        grown, to_original = narrow(objective, sense, rows, lower, upper)
         monkeypatch.setattr(_Tableau, "_replace", recording_replace)
         warm = solve_lp(grown, start=first)
         monkeypatch.undo()
-        events.append(("outcome", warm.status.value, warm.value, warm.point))
+        point, value = to_original(warm)
+        events.append(("outcome", warm.status.value, value, point))
         appended += 1
     assert appended > RANDOM_PROGRAMS // 2
     digest = hashlib.sha256(repr(events).encode()).hexdigest()

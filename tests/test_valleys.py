@@ -141,8 +141,7 @@ def test_degree_lp_shape():
     assert lp.num_vars == 8 * 7
     assert len(lp.constraints) == 16
     assert all(c.relation == "=" for c in lp.constraints)
-    assert all(ub == 1 for ub in lp.upper_bounds)
-    assert all(lb == 0 for lb in lp.lower_bounds)
+    assert lp.upper_bounds == (1,) * lp.num_vars
 
 
 def dense_degree_rows(n):
@@ -228,7 +227,7 @@ def test_relaxation_rows_are_ints():
     inst = gen_valley_instance(3, 2)
     lp = relaxation_with_cuts(inst, [(0, 1)])
     entries = [e for con in lp.constraints for e in (*con.coeffs, con.rhs)]
-    assert {type(e) for e in (*entries, *lp.lower_bounds, *lp.upper_bounds)} == {int}
+    assert {type(e) for e in (*entries, *lp.upper_bounds)} == {int}
 
 
 def test_no_cut_subset_gives_the_degree_lp():
