@@ -22,7 +22,7 @@ were built).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -53,12 +53,13 @@ MAX_VERTICES = 256
 # a scan's work estimate is subsets x facets x (budget^2 + 400): each
 # kept subset solves once per facet (one cold solve of about `budget`
 # pivots, one warm solve per omitted facet) over about budget^2 tableau
-# cells, plus a fixed per-solve cost worth about 400 cells. A unit took
-# 14-67 ns over V = 12..256 on a shared 2-vCPU host (Python 3.11): 66 ns
-# at V = 12 keeping 5, 35 at V = 64 keeping 32 and 14 at V = 256 keeping
-# 128, least on large budgets, so the limit stops scans at about
-# 1.4-7 s (V = 256 keeping 128 facets, 23 subsets: 9.8e7 units in 1.4
-# s); V = 256 keeping 254 facets estimates 4.2e9 and ran 277 s without it
+# cells, plus a fixed per-solve cost worth about 400 cells. A unit takes
+# 13-65 ns over V = 12..256 on a shared 2-vCPU Xeon (Python 3.11; the
+# fastest of several runs, the slowest up to a fifth slower): 52 ns at
+# V = 12 keeping 5, 29 at V = 64 keeping 32 and 13 at V = 256 keeping 128,
+# least on large budgets, so the limit stops scans at about 1.3-5 s
+# (V = 256 keeping 128 facets, 23 subsets: 9.8e7 units in 1.3 s); V = 256
+# keeping 254 facets estimates 4.2e9 and ran 277 s without it
 SOLVE_OVERHEAD_CELLS = 400
 SCAN_WORK_LIMIT = 10**8
 
@@ -204,9 +205,13 @@ def subset_gap_scan(
     seed and reports seed None; a sampled one defaults them to
     SAMPLE_COUNT and SEED and takes only a nonnegative seed, since a
     negative one would draw the subsets of its absolute value. Each
-    subset builds one ``polytope_lp`` and solves it once per omitted
-    facet, each solve after the first warm-started from the one before;
-    the gaps equal ``facet_gap``'s cold ones. Rows are ordered by their
+    subset builds one ``polytope_lp`` for its first omitted facet and
+    solves it; each later facet's program is ``LinearProgram(...)`` over
+    the same row and bound tuples with that facet's objective, which
+    runs every check of a made program again, and its solve is
+    warm-started from the one before. Each solve's value and point
+    equal ``facet_gap``'s cold ones, and each subset builds one
+    ``AdversarialGap``, its worst facet's. Rows are ordered by their
     omitted index lists so output is canonical. A scan whose work
     estimate exceeds SCAN_WORK_LIMIT is refused before any model is
     built."""
@@ -251,19 +256,23 @@ def subset_gap_scan(
             rows.append(ScanRow(subset_id, kept, omitted))
             continue
         # one model per subset, built with the first omitted facet's
-        # objective: each later facet swaps in its own and starts from
-        # the last outcome, the first one cold. Omitted facets ascend, so
+        # objective: each later facet makes the model anew over the same
+        # rows and bounds with its own objective, and starts from the
+        # last outcome, the first one cold. Omitted facets ascend, so
         # consecutive optima are the same or neighbouring vertices
-        model = outcome = None
-        gaps = []
+        model = outcome = best = None
         for j in omitted:
-            objective = poly.facets[j].coeffs
-            model = (polytope_lp(poly, objective, kept) if model is None
-                     else replace(model, objective=objective))
+            facet = poly.facets[j]
+            model = (polytope_lp(poly, facet.coeffs, kept) if model is None
+                     else LinearProgram(facet.coeffs, "max", model.constraints,
+                                        upper_bounds=model.upper_bounds))
             outcome = solve_lp(model, start=outcome)
-            gaps.append(_gap(poly, j, outcome))
-        # unbounded beats any gap, and a tie keeps the first facet
-        worst = max(gaps, key=lambda g: (not g.bounded, g.gap if g.bounded else 0))
+            # unbounded beats any gap, and a tie keeps the first facet
+            value = outcome.value
+            key = (True, 0) if value is None else (False, value - facet.rhs)
+            if best is None or key > best[0]:
+                best = key, j, outcome
+        worst = _gap(poly, *best[1:])
         rows.append(
             ScanRow(
                 subset_id,

@@ -29,7 +29,6 @@ grows by ``replace(lp, constraints=lp.constraints + rows)``.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import KW_ONLY, dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -263,18 +262,22 @@ class _Tableau:
     those entries. A row changes only through an elimination or a bound
     flip's value shift, and no row is scaled outside an elimination.
     Every write is in place, so no basis change or bound flip replaces a
-    row of the store.
+    row of the store. A new row or cost row (``_reduced``) is
+    eliminated against the basic rows of its nonzero structural columns
+    alone, so pricing a new objective costs its nonzero entries, not
+    the tableau's rows.
 
     A tableau owns its row store ``A`` and ``basis``, ``state`` and
-    ``ub``, which ``copy`` copies. The row lists themselves are copied
-    on write: ``copy`` shares them and marks both tableaux ``shared``,
-    and a shared tableau copies every row once (``_own``) just before
-    its first write to any, in ``append_rows`` and before the first
-    basis change or bound flip of ``run``. So a warm solve never writes
-    a list its start holds, and one that makes no basis change copies
-    no constraint row (the hull scan's warm solves mostly do not); a
-    new objective's cost row replaces ``A[-1]``. What a tableau shares
-    with a copy for good, the frozen ``program``, is never written.
+    ``ub``, which ``copy`` copies, setting every attribute itself. The
+    row lists are copied on write: ``copy`` shares them and marks both
+    tableaux ``shared``, and a shared tableau copies every row once
+    (``_own``) just before its first write to any, in ``append_rows``
+    and before the first basis change or bound flip of ``run``. So a
+    warm solve never writes a list its start holds, and one that makes
+    no basis change copies no constraint row (the hull scan's warm
+    solves mostly do not); a new objective's cost row replaces
+    ``A[-1]``. What a tableau shares with a copy for good, the frozen
+    ``program``, is never written.
     """
 
     def __init__(self, lp: LinearProgram, at_upper: Iterable[int]):
@@ -307,13 +310,15 @@ class _Tableau:
         return len(self.basis)
 
     def copy(self) -> _Tableau:
-        """A warm start's copy of its start: its own row store, basis,
-        state and spans, over the same row lists, and both tableaux
-        marked shared, so whichever writes a row first copies every row
-        first (``_own``) and pivoting the copy never changes this one. A
-        solve that makes no basis change and appends no row copies no
-        constraint row."""
-        out = copy(self)
+        """A warm start's copy of its start, made attribute by attribute:
+        its own row store ``A``, ``basis``, ``state`` and ``ub`` lists,
+        over the same row lists, with the same column counts and the same
+        frozen ``program``, and both tableaux marked shared, so whichever
+        writes a row first copies every row first (``_own``) and pivoting
+        the copy never changes this one. A solve that makes no basis
+        change and appends no row copies no constraint row."""
+        out = _Tableau.__new__(_Tableau)
+        out.n, out.ncols, out.program = self.n, self.ncols, self.program
         out.A = list(self.A)
         out.basis, out.state, out.ub = list(self.basis), list(self.state), list(self.ub)
         self.shared = out.shared = True
@@ -381,29 +386,42 @@ class _Tableau:
         lowest terms: a new row, or the cost row of costs values.
 
         Only the nonzero entries of values are read, a few of a
-        relaxation row's n(n - 1): each is taken as p / q in lowest
-        terms and written as p times lcm / q, the lcm of the q and rhs's
-        denominator, into a row of zeros: the ints
-        ``rationals.scale_to_ints`` gives the dense row and rhs, with no
-        common factor. A column at its upper bound takes off its int
-        entry times its int bound, and each elimination takes off a
+        relaxation row's n(n - 1) and 2 of a hull-scan objective: each
+        is taken as p / q in lowest terms and written as p times lcm /
+        q, the lcm of the q and rhs's denominator, into a row of zeros:
+        the ints ``rationals.scale_to_ints`` gives the dense row and rhs,
+        with no common factor. A column at its upper bound takes off its
+        int entry times its int bound, and each elimination takes off a
         basic column's part with its row's value, as it does for any row
-        in a basis change."""
+        in a basis change.
+
+        The work is that of the nonzero entries, not of the tableau: the
+        row is 0 in every slack column, so the basic columns it has an
+        entry in are among its nonzero structural ones, those of state 0
+        and a nonzero span, and only their rows are eliminated, each
+        found by its place in ``basis``. A basic column's row is 0 in
+        every other basic column, so an elimination leaves the row's
+        entries there as they were: the rows eliminated are the ones a
+        walk over every basic row would find, and since a row in lowest
+        terms over a positive denominator has one form, the order of the
+        eliminations does not change the ints."""
+        state, ub, basis = self.state, self.ub, self.basis
         index = list(compress(range(self.n), values))
         ratios = [values[j].as_integer_ratio() for j in index]
         top, bottom = rhs.as_integer_ratio()
         den = lcm(bottom, *(q for _, q in ratios))
         row = [0] * (self.ncols + 2)
         row[-2], row[-1] = top * (den // bottom), den
+        basic = []
         for j, (p, q) in zip(index, ratios):
             row[j] = p * (den // q)
-            if self.state[j] < 0:
-                row[-2] -= row[j] * self.ub[j]
-        # basis is shorter than the row store, so zip stops before the
-        # cost row
-        for b, prow in zip(self.basis, self.A):
-            if row[b]:
-                _eliminate((row,), prow, b, _nonzero(prow))
+            if state[j] < 0:
+                row[-2] -= row[j] * ub[j]
+            elif not state[j] and ub[j] != 0:
+                basic.append(j)
+        for j in basic:
+            prow = self.A[basis.index(j)]
+            _eliminate((row,), prow, j, _nonzero(prow))
         return row
 
     def _flip(self, enter: int, direction: int) -> None:

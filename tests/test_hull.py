@@ -259,28 +259,56 @@ def test_warm_scan_rows_match_cold_solves_sampled(seed):
 
 
 def test_chained_facet_gaps_equal_cold_ones(monkeypatch):
-    # every gap the scan computes, warm ones included, is the gap a
-    # cold facet_gap finds for that subset and facet, witness included;
-    # each objective and true maximum is read off the omitted facet's row
+    # every solve the scan makes, warm ones included, reaches the value
+    # and point a cold facet_gap finds for that subset and facet, its
+    # relaxed maximum and witness; each objective is the omitted
+    # facet's row coefficients, that tuple itself
     poly = gen_arc(32)
-    seen = []
-    real_gap = hull._gap
+    solves = []
 
-    def recording_gap(*args):
-        seen.append(real_gap(*args))
-        return seen[-1]
+    def recording_solve(lp, start=None):
+        solves.append((lp, solve_lp(lp, start=start)))
+        return solves[-1][1]
 
-    monkeypatch.setattr(hull, "_gap", recording_gap)
+    monkeypatch.setattr(hull, "solve_lp", recording_solve)
     report = subset_gap_scan(poly, budget=8, sample_count=5, seed=2)
     monkeypatch.undo()
     assert not report.enumerated
-    assert len(seen) == 5 * 23
-    for g in seen:
-        facet = poly.facets[g.omitted_facet]
-        assert g.objective is facet.coeffs and g.true_max == facet.rhs
-    assert seen == [
-        facet_gap(poly, j, row.kept) for row in report.rows for j in row.omitted
-    ]
+    scanned = [(row, j) for row in report.rows for j in row.omitted]
+    assert len(solves) == len(scanned) == 5 * 23
+    for (lp, outcome), (row, j) in zip(solves, scanned):
+        assert lp.objective is poly.facets[j].coeffs
+        assert lp.constraints == tuple(poly.facets[i] for i in row.kept)
+        cold = facet_gap(poly, j, row.kept)
+        assert (outcome.value, outcome.point) == (cold.relaxed_max, cold.witness)
+
+
+def test_scan_with_no_kept_facet_is_unbounded_at_facet_zero():
+    # a model of the box alone leaves y unbounded under every omitted
+    # facet's objective, and of the equally unbounded facets the first,
+    # facet 0, is the worst
+    poly = gen_arc(6)
+    report = subset_gap_scan(poly, budget=0)
+    (row,) = report.rows
+    assert row.kept == () and row.omitted == tuple(range(5))
+    assert all(not facet_gap(poly, j, ()).bounded for j in row.omitted)
+    assert (row.worst_facet, row.objective, row.true_max) == (
+        0, poly.facets[0].coeffs, poly.facets[0].rhs)
+    assert (row.relaxed_max, row.gap, row.bounded) == (None, None, False)
+
+
+def test_a_bounded_tie_keeps_its_first_facet():
+    # keeping facets 0 and 5 of gen_arc(7), omitted facets 2 and 3 tie
+    # at gap 6, above facets 1 and 4 (found by a search over every
+    # subset of gen_arc(V), V <= 12): the scan reports facet 2, the
+    # first of the tie, though facet 1 comes before it
+    poly = gen_arc(7)
+    gaps = {j: facet_gap(poly, j, (0, 5)).gap for j in (1, 2, 3, 4)}
+    assert gaps[2] == gaps[3] == 6 > max(gaps[1], gaps[4])
+    (row,) = [r for r in subset_gap_scan(poly, budget=2).rows if r.kept == (0, 5)]
+    assert row.omitted == (1, 2, 3, 4)
+    assert (row.worst_facet, row.gap, row.bounded) == (2, 6, True)
+    assert row.relaxed_max == facet_gap(poly, 2, (0, 5)).relaxed_max
 
 
 def test_facet_gap_argument_checks():

@@ -828,11 +828,12 @@ def test_rows_enter_by_one_rule_cold_and_warm(monkeypatch):
     )
 
 
-def scale_to_ints_reduced(tab, values, rhs):
+def scale_to_ints_reduced(tab, values, rhs, cleared=None):
     """The row _reduced must give, by the dense path: scale_to_ints over
     the padded entries and rhs, the upper bound of each column at its
-    upper bound taken off the value, then every basic column
-    eliminated."""
+    upper bound taken off the value, then a walk over every basic row in
+    basis order, each basic column the row is nonzero in eliminated and
+    appended to cleared when given."""
     ints, den = scale_to_ints([*values, rhs])
     row = ints[:-1] + [0] * (tab.ncols - tab.n) + [ints[-1], den]
     for j in range(tab.n):
@@ -841,6 +842,8 @@ def scale_to_ints_reduced(tab, values, rhs):
     for b, prow in zip(tab.basis, tab.A):
         if row[b]:
             _eliminate([row], prow, b, [j for j, x in enumerate(prow[:-1]) if x])
+            if cleared is not None:
+                cleared.append(b)
     return row
 
 
@@ -865,6 +868,99 @@ def test_property_reduced_rows_enter_as_scale_to_ints_gives(case, data):
         got = tab._reduced(values, rhs)
         assert got == scale_to_ints_reduced(tab, values, rhs)
         assert got[-1] > 0 and gcd(*got) == 1
+
+
+def assert_reduces_by_its_nonzeros(tab, values, rhs=0):
+    """tab._reduced(values, rhs), which eliminates only the basic rows of
+    values' nonzero columns, gives the ints of the walk over every basic
+    row and clears the same basic columns, each once, writing no row of
+    tab. Returns how many it cleared."""
+    cleared, walked = [], []
+    eliminate = lp_module._eliminate
+
+    def counting_eliminate(rows, prow, col, nz):
+        cleared.append(col)
+        return eliminate(rows, prow, col, nz)
+
+    before = tableau_snapshot(tab)
+    with patch.object(lp_module, "_eliminate", counting_eliminate):
+        got = tab._reduced(values, rhs)
+    assert tableau_snapshot(tab) == before
+    assert got == scale_to_ints_reduced(tab, values, rhs, walked)
+    assert sorted(cleared) == sorted(walked)
+    return len(cleared)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 32), st.data())
+def test_property_hull_scan_chains_reduce_by_nonzeros(V, data):
+    # the warm chain subset_gap_scan makes for one kept subset: every
+    # omitted facet's objective, its row and a drawn facet's row reduce
+    # as the walk over every basic row does at each warm tableau
+    poly = hull.gen_arc(V)
+    F = poly.facet_count
+    kept = sorted(data.draw(st.sets(st.integers(0, F - 1), max_size=F - 1)))
+    other = data.draw(st.integers(0, F - 1))
+    outcome = None
+    for j in (j for j in range(F) if j not in kept):
+        facet = poly.facets[j]
+        outcome = solve_lp(hull.polytope_lp(poly, facet.coeffs, kept), start=outcome)
+        tab = outcome.tableau
+        for values, rhs in [(facet.coeffs, 0), (facet.coeffs, facet.rhs),
+                            (poly.facets[other].coeffs, poly.facets[other].rhs)]:
+            assert_reduces_by_its_nonzeros(tab, values, rhs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([(3, 2), (4, 2), (3, 3), (5, 2), (2, 4)]),
+       st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(1, 3)]),
+       st.sampled_from([Fraction(1), Fraction(5, 3), Fraction(2)]))
+def test_property_cut_loop_rounds_reduce_by_nonzeros(shape, intra, crossing):
+    # every round's tableau reduces its objective and each of its rows,
+    # degree rows and subtour cuts alike, as the walk over every basic
+    # row does; a cut's many nonzeros clear many basic columns
+    tableaux = []
+
+    def recording_solve(lp, start=None, **kwargs):
+        outcome = solve_lp(lp, start=start, **kwargs)
+        tableaux.append((lp, outcome.tableau))
+        return outcome
+
+    with patch("lpgaps.valleys.solve_lp", recording_solve):
+        trace = cutting_plane_loop(gen_valley_instance(*shape, intra, crossing))
+    assert trace.complete and len(tableaux) == len(trace.rounds) > 1
+    cleared = 0
+    for lp, tab in tableaux:
+        cleared += assert_reduces_by_its_nonzeros(tab, lp.objective)
+        for con in lp.constraints:
+            cleared += assert_reduces_by_its_nonzeros(tab, con.coeffs, con.rhs)
+    assert cleared > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_property_warm_appended_solves_reduce_by_nonzeros(seed):
+    # a seeded program of the pivot digests, solved cold and then warm
+    # with 1-3 rows appended, under its own objective and under a new
+    # one: each warm tableau reduces both objectives, every row and a
+    # new row as the walk over every basic row does
+    rng = random.Random(seed)
+    lp = seeded_boxed_program(rng)
+    first = solve_lp(lp)
+    assume(first.tableau is not None)
+    zeros = (0,) * lp.num_vars
+    grown = replace(lp, constraints=[
+        *lp.constraints, *seeded_appended_rows(rng, lp, first.point or zeros)])
+    objective = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in zeros)
+    regrown = replace(grown, objective=objective, sense=rng.choice(["max", "min"]))
+    new = seeded_appended_rows(random.Random(seed), lp, zeros)[0]
+    for program in (grown, regrown):
+        tab = solve_lp(program, start=first).tableau
+        if tab is None:
+            continue
+        for values, rhs in [(lp.objective, 0), (objective, 0), (new.coeffs, new.rhs),
+                            *((con.coeffs, con.rhs) for con in grown.constraints)]:
+            assert_reduces_by_its_nonzeros(tab, values, rhs)
 
 
 def assert_prices_its_objective(lp, outcome):
@@ -1520,6 +1616,27 @@ def shared_lists(tab, other):
     mine = [(f"A[{i}]", row) for i, row in enumerate(tab.A)] + [
         ("basis", tab.basis), ("state", tab.state), ("ub", tab.ub)]
     return [name for name, x in mine if id(x) in theirs]
+
+
+def test_a_copy_drops_no_attribute_of_its_start():
+    # copy builds its tableau attribute by attribute, so an attribute a
+    # later tableau gains and copy leaves out fails here: the copy has
+    # its start's attribute names, its own A, basis, state and ub lists
+    # over the same row lists, every other attribute the start's own,
+    # and both tableaux marked shared
+    lp = three_facet_program()
+    starts = [_Tableau(lp, ()), solve_lp(lp).tableau,
+              solve_lp(degree_lp(gen_valley_instance(3, 2))).tableau]
+    for tab in starts:
+        out = tab.copy()
+        assert vars(out).keys() == vars(tab).keys()
+        for name, value in vars(tab).items():
+            if name in ("A", "basis", "state", "ub"):
+                assert getattr(out, name) == value and getattr(out, name) is not value
+            elif name != "shared":
+                assert getattr(out, name) is value
+        assert all(a is b for a, b in zip(out.A, tab.A))
+        assert out.shared and tab.shared
 
 
 def test_warm_start_never_writes_a_list_its_start_holds(monkeypatch):
